@@ -19,6 +19,11 @@ available in the test suite as oracles.
   classes of its composition factors: simples are monoform
   subquotients, and conversely the socle of any monoform subquotient
   is a simple subquotient, hence a composition factor.
+* Between simple modules any nonzero homomorphism is an isomorphism
+  (Schur's lemma), so simples are compared by one hom-space nullspace,
+  and atoms are named by an exact canonical form of a simple module
+  (`canonical_simple_form`): equal labels mean isomorphic simples, in
+  every dimension.
 """
 
 import hashlib
@@ -28,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linmod
-from .errors import (BudgetExceeded, IsoUndecided, NotMonoform, UnknownAtom,
+from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
                      ZeroModule)
-from .linmod import (FdModule, FieldSpec, Tristate, composition_factors,
-                     is_isomorphic, minimal_submodules, module_of_quiver,
-                     quotient_module, submodule_as_module, submodule_lattice)
+from .linmod import (FdModule, FieldSpec, composition_factors, hom_basis,
+                     minimal_submodules, module_of_quiver, quotient_module,
+                     submodule_as_module, submodule_lattice)
 from .ordertop import FiniteTopology, Poset, poset_of_topology
 from .quiver import loop_stripped_topo_order
 
@@ -42,37 +47,47 @@ MAX_TOPOLOGY_ATOMS = 16
 
 # -- canonical representatives and labels ------------------------------------
 
-_GL_CACHE = {}
-_GL_ENUM_CAP = 1 << 16
+def _spin_up(seed, color_cols, k, p):
+    """Actions of the module in the standard basis spun up from `seed`.
 
+    Basis vectors are taken in order and, for each, the colors in sorted
+    order; an image joins the basis when it is independent of the
+    vectors kept so far.  Images are reduced against a semi-echelon
+    copy of the basis that tracks coordinates, so the coordinates of
+    the image of basis vector i under color c are row i of c's action
+    in the new basis.  Returns those rows, basis-vector-major:
+    form[i][j] is row i of the j-th color's matrix.
+    """
+    basis, echelon = [], []  # echelon rows: (pivot, row, coordinates)
 
-def _mat_inverse(t, p):
-    k = t.shape[0]
-    aug = np.concatenate([t % p, np.eye(k, dtype=np.int64)], axis=1)
-    from . import modp
-    red, piv = modp.rref(aug, p)
-    assert list(piv[:k]) == list(range(k))
-    return red[:, k:]
+    def coords_of(w):
+        res, coords = list(w), [0] * k
+        for piv, row, comb in echelon:
+            a = res[piv]
+            if a:
+                res = [(x - a * y) % p for x, y in zip(res, row)]
+                coords = [(x + a * y) % p for x, y in zip(coords, comb)]
+        piv = next((j for j, x in enumerate(res) if x), None)
+        if piv is None:
+            return tuple(coords)
+        # res = b_m - sum(coords_t b_t) for the new basis vector b_m = w
+        m = len(basis)
+        basis.append(w)
+        inv = pow(res[piv], p - 2, p)
+        comb = [(-x) % p for x in coords]
+        comb[m] = 1
+        echelon.append((piv, [x * inv % p for x in res],
+                        [x * inv % p for x in comb]))
+        return tuple(int(j == m) for j in range(k))
 
-
-def _gl_elements(k, p):
-    """All invertible k x k matrices over GF(p), paired with their
-    inverses (cached; small k only)."""
-    key = (k, p)
-    if key not in _GL_CACHE:
-        ops = linmod.FieldSpec(p).ops
-        out = []
-        for entries in itertools.product(range(p), repeat=k * k):
-            t = np.array(entries, dtype=np.int64).reshape(k, k)
-            basis, _ = ops.rref(ops.pack(t, k), k)
-            if basis.shape[0] == k:
-                out.append((t, _mat_inverse(t, p)))
-        _GL_CACHE[key] = out
-    return _GL_CACHE[key]
-
-
-def _serialize_actions(dense_actions):
-    return tuple(sorted((c, m.tobytes()) for c, m in dense_actions.items()))
+    coords_of(seed)
+    form = []
+    for b in basis:  # also visits the vectors appended on the way
+        form.append(tuple(
+            coords_of([sum(x * y for x, y in zip(b, col)) % p for col in cols])
+            for cols in color_cols))
+    assert len(basis) == k, "a simple module is spun up by every seed"
+    return tuple(form)
 
 
 _CANON_CACHE = {}
@@ -81,11 +96,16 @@ _CANON_CACHE = {}
 def canonical_simple_form(simple):
     """Basis-independent canonical copy of a simple module, plus label.
 
-    Dimension 1 is canonical already (the action scalars are the class).
-    Small higher dimensions minimize the serialized actions over all
-    base changes; beyond the GL enumeration cap the label degrades to a
-    digest of the raw actions and is only unique per report (class
-    comparison never relies on labels).
+    Parker's standard basis (the Meat-Axe): every nonzero seed vector
+    of a simple module spins up to a basis, and writing the actions in
+    that basis gives one candidate form.  An isomorphism carries seeds
+    to seeds and candidate forms to equal candidate forms, so the
+    lexicographically least form over all seeds is exact for every
+    dimension and prime: two simples get the same representative, and
+    the same label, exactly when they are isomorphic.  Colors that act
+    as zero are left out.  Seeds are taken with leading coordinate 1,
+    since a scalar multiple of a seed spins up to the same form, so the
+    cost is (p^k - 1)/(p - 1) spin-ups.
     """
     cache_key = simple.key()
     if cache_key in _CANON_CACHE:
@@ -93,36 +113,30 @@ def canonical_simple_form(simple):
     p = simple.field.p
     k = simple.dim
     ops = simple.ops
-    dense = {c: np.array(simple.ops.unpack(simple.actions[c], k)[:k],
+    dense = {c: np.array(ops.unpack(simple.actions[c], k)[:k],
                          dtype=np.int64) % p
              for c in simple.colors}
+    colors = tuple(c for c in sorted(dense) if dense[c].any())
+    color_cols = [dense[c].T.tolist() for c in colors]
+    best = None
+    for seed in itertools.product(range(p), repeat=k):
+        if next((x for x in seed if x), 0) != 1:
+            continue
+        form = _spin_up(seed, color_cols, k, p)
+        if best is None or form < best:
+            best = form
+    mats = {c: np.array([best[i][j] for i in range(k)], dtype=np.int64)
+            for j, c in enumerate(colors)}
+    rep = FdModule(simple.field, k, tuple(f"s{i}" for i in range(k)),
+                   {c: ops.pack(m, k) for c, m in mats.items()})
     if k == 1:
-        parts = []
-        for c in sorted(dense):
-            v = int(dense[c][0, 0])
-            if v:
-                parts.append(c if v == 1 else f"{c}={v}")
+        parts = [c if m[0, 0] == 1 else f"{c}={m[0, 0]}"
+                 for c, m in mats.items()]
         label = "S(" + ",".join(parts) + ")"
-        rep = FdModule(simple.field, 1, ("s0",),
-                       {c: ops.pack(dense[c], 1) for c in dense if dense[c].any()})
-    elif p ** (k * k) <= _GL_ENUM_CAP:
-        best = None
-        best_dense = None
-        for t, tinv in _gl_elements(k, p):
-            cand = {c: (tinv @ dense[c] @ t) % p for c in dense}
-            ser = _serialize_actions(cand)
-            if best is None or ser < best:
-                best = ser
-                best_dense = cand
-        rep = FdModule(simple.field, k, tuple(f"s{i}" for i in range(k)),
-                       {c: ops.pack(m, k) for c, m in best_dense.items()
-                        if m.any()})
-        digest = hashlib.blake2b(repr(best).encode(), digest_size=6).hexdigest()
-        label = f"S[{k}]{digest}"
     else:
-        digest = hashlib.blake2b(repr(_serialize_actions(dense)).encode(),
+        digest = hashlib.blake2b(repr((colors, best)).encode(),
                                  digest_size=6).hexdigest()
-        label, rep = f"S[{k}]?{digest}", simple
+        label = f"S[{k}]{digest}"
     _CANON_CACHE[cache_key] = (label, rep)
     return label, rep
 
@@ -157,83 +171,47 @@ class AtomSet:
         return iter(self.atoms)
 
 
-def _simple_class_key(simple):
-    """Cheap invariant that decides equality for 1-dim simples and
-    pre-groups the rest."""
-    if simple.dim == 1:
-        dense = simple.dense_actions()
-        return (1, tuple(sorted((c, dense[c][0][0]) for c in dense)))
-    return (simple.dim, tuple(simple.colors))
+def _dedupe_simples(simples_with_sources):
+    """Partition simple modules into isomorphism classes -> AtomSet.
 
-
-def _dedupe_simples(simples_with_sources, iso_cap=linmod.DEFAULT_ISO_CAP):
-    """Partition simple modules into isomorphism classes -> AtomSet."""
-    groups = {}
-    order = []
+    Classes are keyed by the canonical form itself, which is exact; a
+    label shared by two different forms is a digest collision and
+    raises rather than merging two classes.
+    """
+    classes = {}
     for simple, src in simples_with_sources:
-        key = _simple_class_key(simple)
-        if simple.dim == 1:
-            if key not in groups:
-                groups[key] = (simple, [])
-                order.append(key)
-            groups[key][1].append(src)
-            continue
-        # higher dimension: compare against existing group representatives
-        placed = False
-        for existing_key in order:
-            rep = groups[existing_key][0]
-            if rep.dim != simple.dim:
-                continue
-            verdict = is_isomorphic(rep, simple, iso_cap)
-            if verdict is Tristate.UNDECIDED:
-                raise IsoUndecided("simple class comparison exceeded the cap")
-            if verdict is Tristate.YES:
-                groups[existing_key][1].append(src)
-                placed = True
-                break
-        if not placed:
-            key = (simple.dim, tuple(simple.colors), len(order))
-            groups[key] = (simple, [src])
-            order.append(key)
-
-    atoms = []
-    used_labels = set()
-    for key in order:
-        rep, sources = groups[key]
-        label, canon = canonical_simple_form(rep)
-        while label in used_labels:  # digest fallback collisions only
-            label += "'"
-        used_labels.add(label)
-        atoms.append(Atom(label, canon,
-                          tuple(sorted(set(s for s in sources if s is not None)))))
-    return AtomSet(tuple(sorted(atoms, key=lambda a: a.label)))
+        label, rep = canonical_simple_form(simple)
+        _, _, sources = classes.setdefault(rep.key(), (label, rep, set()))
+        if src is not None:
+            sources.add(src)
+    atoms = {}
+    for label, rep, sources in classes.values():
+        if label in atoms:
+            raise LabelCollision("two simple classes share a label",
+                                 label=label)
+        atoms[label] = Atom(label, rep, tuple(sorted(sources)))
+    return AtomSet(tuple(atoms[lbl] for lbl in sorted(atoms)))
 
 
 # -- the defining predicates --------------------------------------------------
 
-def has_common_nonzero_subobject(m, n, budget=linmod.DEFAULT_BUDGET,
-                                 iso_cap=linmod.DEFAULT_ISO_CAP):
+def _simples_isomorphic(a, b):
+    """Schur's lemma: a nonzero map between simple modules is an
+    isomorphism, so one hom-space nullspace decides."""
+    return a.dim == b.dim and bool(hom_basis(a, b))
+
+
+def has_common_nonzero_subobject(m, n, budget=linmod.DEFAULT_BUDGET):
     """Whether a nonzero module embeds in both m and n.
 
     Equivalent to: some minimal submodule of m is isomorphic to a
-    minimal submodule of n (see the module docstring).  An undecided
-    isomorphism aborts with IsoUndecided rather than guessing.
+    minimal submodule of n (see the module docstring).
     """
     if m.dim == 0 or n.dim == 0:
         return False
     mins_m = [submodule_as_module(s) for s in minimal_submodules(m, budget)]
     mins_n = [submodule_as_module(s) for s in minimal_submodules(n, budget)]
-    undecided = False
-    for a in mins_m:
-        for b in mins_n:
-            verdict = is_isomorphic(a, b, iso_cap)
-            if verdict is Tristate.YES:
-                return True
-            if verdict is Tristate.UNDECIDED:
-                undecided = True
-    if undecided:
-        raise IsoUndecided("minimal submodule comparison exceeded the cap")
-    return False
+    return any(_simples_isomorphic(a, b) for a in mins_m for b in mins_n)
 
 
 def is_uniform(module, budget=linmod.DEFAULT_BUDGET):
@@ -243,8 +221,7 @@ def is_uniform(module, budget=linmod.DEFAULT_BUDGET):
     return len(minimal_submodules(module, budget)) == 1
 
 
-def is_monoform(module, budget=linmod.DEFAULT_BUDGET,
-                iso_cap=linmod.DEFAULT_ISO_CAP):
+def is_monoform(module, budget=linmod.DEFAULT_BUDGET):
     """No nonzero submodule of H embeds into any proper quotient H/L.
 
     Non-uniform modules fail immediately: disjoint L1, L2 make L1 a
@@ -259,28 +236,21 @@ def is_monoform(module, budget=linmod.DEFAULT_BUDGET,
         return False
     socle = submodule_as_module(mins[0])
     lat = submodule_lattice(module, budget)
-    undecided = False
     for sub in lat.nonzero():
         quot = quotient_module(module, sub)
         if quot.dim == 0:
             continue
         for k in minimal_submodules(quot, budget):
-            verdict = is_isomorphic(socle, submodule_as_module(k), iso_cap)
-            if verdict is Tristate.YES:
+            if _simples_isomorphic(socle, submodule_as_module(k)):
                 return False
-            if verdict is Tristate.UNDECIDED:
-                undecided = True
-    if undecided:
-        raise IsoUndecided("socle embedding test exceeded the cap")
     return True
 
 
-def atom_equivalent(h1, h2, budget=linmod.DEFAULT_BUDGET,
-                    iso_cap=linmod.DEFAULT_ISO_CAP):
+def atom_equivalent(h1, h2, budget=linmod.DEFAULT_BUDGET):
     for h in (h1, h2):
-        if not is_monoform(h, budget, iso_cap):
+        if not is_monoform(h, budget):
             raise NotMonoform("atom equivalence needs monoform arguments")
-    return has_common_nonzero_subobject(h1, h2, budget, iso_cap)
+    return has_common_nonzero_subobject(h1, h2, budget)
 
 
 def atom_of(module, budget=linmod.DEFAULT_BUDGET):

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: spectrum, realize, preset, verify, examples, convert.
-Shared flags (--field, --budget, --iso-cap, --depth, --seed, --out)
-also read ATOMCAT_FIELD / _BUDGET / _ISO_CAP / _DEPTH / _SEED / _OUT.
+Shared flags (--field, --budget, --depth, --seed, --out) also read
+ATOMCAT_FIELD / _BUDGET / _DEPTH / _SEED / _OUT.
 Any failure prints {"error": code, "context": {...}} as JSON on stderr
 and exits nonzero; output files are written whole or not at all.
 """
@@ -26,8 +26,6 @@ def _common_flags(parser):
                         help="prime field characteristic (default 2)")
     parser.add_argument("--budget", type=int, default=None,
                         help="lattice enumeration budget")
-    parser.add_argument("--iso-cap", type=int, default=None,
-                        help="hom-space scan cap for isomorphism tests")
     parser.add_argument("--depth", type=int, default=None,
                         help="truncation depth for generators/presets")
     parser.add_argument("--seed", type=int, default=None,
@@ -81,8 +79,8 @@ def _config(args):
     cfg = config_from_env()
     overrides = {}
     for attr, val in (("p", args.field), ("budget", args.budget),
-                      ("iso_cap", args.iso_cap), ("depth", args.depth),
-                      ("seed", args.seed), ("out", args.out)):
+                      ("depth", args.depth), ("seed", args.seed),
+                      ("out", args.out)):
         if val is not None:
             overrides[attr] = val
     if overrides:

@@ -108,10 +108,6 @@ class BudgetExceeded(AtomcatError):
         self.partial = partial
 
 
-class IsoUndecided(AtomcatError):
-    code = "iso_undecided"
-
-
 # -- atoms ------------------------------------------------------------------
 
 class NotMonoform(AtomcatError):
@@ -120,6 +116,12 @@ class NotMonoform(AtomcatError):
 
 class UnknownAtom(AtomcatError):
     code = "unknown_atom"
+
+
+class LabelCollision(AtomcatError):
+    """Two different canonical forms digest to the same atom label."""
+
+    code = "label_collision"
 
 
 class NotFinite(AtomcatError):

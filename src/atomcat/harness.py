@@ -28,14 +28,13 @@ from .quiver import (TruncationSpec, make_quiver, split_by_closed, substitute)
 class RunConfig:
     p: int = 2
     budget: int = linmod.DEFAULT_BUDGET
-    iso_cap: int = linmod.DEFAULT_ISO_CAP
     depth: int = 2
     seed: int = 0
     out: str = None
 
     def __post_init__(self):
-        if self.budget < 1 or self.iso_cap < 1 or self.depth < 1:
-            raise ValueError("budget, iso cap and depth must be >= 1")
+        if self.budget < 1 or self.depth < 1:
+            raise ValueError("budget and depth must be >= 1")
         FieldSpec(self.p)  # validates primality
 
     @property
@@ -50,8 +49,8 @@ def config_from_env(base=None):
     """Apply ATOMCAT_* environment overrides on top of a base config."""
     cfg = base or RunConfig()
     mapping = {"FIELD": ("p", int), "BUDGET": ("budget", int),
-               "ISO_CAP": ("iso_cap", int), "DEPTH": ("depth", int),
-               "SEED": ("seed", int), "OUT": ("out", str)}
+               "DEPTH": ("depth", int), "SEED": ("seed", int),
+               "OUT": ("out", str)}
     updates = {}
     for env_key, (attr, conv) in mapping.items():
         raw = os.environ.get(ENV_PREFIX + env_key)
@@ -129,8 +128,7 @@ def check_quiver_invariants(quiver, cfg):
 
     monoform = {}
     for k, mod in as_modules.items():
-        monoform[k] = is_monoform(mod, cfg.budget, cfg.iso_cap) \
-            if mod.dim else False
+        monoform[k] = is_monoform(mod, cfg.budget) if mod.dim else False
 
     # heredity: nonzero submodules of monoform members stay monoform
     ok = True

@@ -256,12 +256,17 @@ class SubmoduleSet:
 
 
 def _distinct_cyclic(module, budget):
+    """The distinct cyclic submodules, one seed scan per module: the
+    tuple is kept in the module's cache (the budget is checked first,
+    so a smaller budget still refuses)."""
     ops = module.ops
     n = module.dim
     if ops.count_nonzero_vectors(n) > budget:
         raise BudgetExceeded("too many seed vectors",
                              seeds=ops.count_nonzero_vectors(n),
                              budget=budget, partial=None)
+    if "cyclic" in module._cache:
+        return module._cache["cyclic"]
     acts = module.action_stack()
     seen = {}
     for vec in ops.enumerate_nonzero(n):
@@ -269,7 +274,8 @@ def _distinct_cyclic(module, budget):
         key = ops.mat_key(basis)
         if key not in seen:
             seen[key] = Submodule(module, basis, piv)
-    return list(seen.values())
+    out = module._cache["cyclic"] = tuple(seen.values())
+    return out
 
 
 def submodule_lattice(module, budget=DEFAULT_BUDGET):

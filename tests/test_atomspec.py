@@ -429,3 +429,134 @@ def test_spectrum_report_json_roundtrip():
         data = json.loads(json.dumps(rep.to_json()))
         back = report_from_json(data)
         assert back.to_json() == rep.to_json()
+
+
+# -- exact canonical forms at p = 2 and p = 3 --------------------------------
+
+import numpy as np
+
+from atomcat import modp
+from atomcat.linmod import hom_basis
+
+
+@st.composite
+def simple_actions(draw, p, dims):
+    """Dense actions of a simple module: a k-cycle with nonzero weights
+    and a loop on the first line (any nonzero invariant subspace reaches
+    that line along the cycle, then every line), plus up to two random
+    colors, which keep it simple."""
+    k = draw(st.sampled_from(dims))
+    nonzero = st.integers(1, p - 1)
+    cycle = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        cycle[i, (i + 1) % k] = draw(nonzero)
+    loop = np.zeros((k, k), dtype=np.int64)
+    loop[0, 0] = draw(nonzero)
+    dense = {"c": cycle, "d": loop}
+    for j in range(draw(st.integers(0, 2))):
+        entries = draw(st.lists(st.integers(0, p - 1),
+                                min_size=k * k, max_size=k * k))
+        dense[f"e{j}"] = np.array(entries, dtype=np.int64).reshape(k, k)
+    return dense
+
+
+@st.composite
+def base_changes(draw, p, k):
+    """An invertible T = P L U over GF(p) and its inverse."""
+    low = np.eye(k, dtype=np.int64)
+    up = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        up[i, i] = draw(st.integers(1, p - 1))
+        for j in range(k):
+            if j < i:
+                low[i, j] = draw(st.integers(0, p - 1))
+            elif j > i:
+                up[i, j] = draw(st.integers(0, p - 1))
+    perm = np.eye(k, dtype=np.int64)[draw(st.permutations(range(k)))]
+    t = perm @ low @ up % p
+    red, _ = modp.rref(np.hstack([t, np.eye(k, dtype=np.int64)]), p)
+    return t, red[:, k:]
+
+
+def module_from_dense(p, dense):
+    field = FieldSpec(p)
+    k = next(iter(dense.values())).shape[0]
+    return FdModule(field, k, tuple(f"b{i}" for i in range(k)),
+                    {c: field.ops.pack(m % p, k) for c, m in dense.items()})
+
+
+def simple_pair(data, dims):
+    """Two simples over one field: the second is either a base change
+    of the first or drawn on its own."""
+    p = data.draw(st.sampled_from((2, 3)))
+    dense = data.draw(simple_actions(p, dims))
+    if data.draw(st.booleans()):
+        k = dense["c"].shape[0]
+        t, tinv = data.draw(base_changes(p, k))
+        other = {c: t @ m @ tinv % p for c, m in dense.items()}
+    else:
+        other = data.draw(simple_actions(p, dims))
+    return module_from_dense(p, dense), module_from_dense(p, other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_property_canonical_form_ignores_base_change(data):
+    p = data.draw(st.sampled_from((2, 3)))
+    dense = data.draw(simple_actions(p, range(2, 7)))
+    k = dense["c"].shape[0]
+    t, tinv = data.draw(base_changes(p, k))
+    a = module_from_dense(p, dense)
+    b = module_from_dense(p, {c: t @ m @ tinv % p for c, m in dense.items()})
+    la, ra = canonical_simple_form(a)
+    lb, rb = canonical_simple_form(b)
+    assert la == lb
+    assert ra.key() == rb.key()
+    assert la.startswith(f"S[{k}]") and "?" not in la
+    assert hom_basis(a, ra)  # the representative is a copy of a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_equal_labels_iff_nonzero_hom(data):
+    a, b = simple_pair(data, range(1, 6))
+    same = canonical_simple_form(a)[0] == canonical_simple_form(b)[0]
+    assert same == bool(hom_basis(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_labels_agree_with_exhaustive_iso_oracle(data):
+    a, b = simple_pair(data, range(1, 4))
+    same = canonical_simple_form(a)[0] == canonical_simple_form(b)[0]
+    assert same == (is_isomorphic(a, b) is Tristate.YES)
+
+
+def test_dedupe_keys_isomorphic_simples_to_one_atom():
+    # a dimension-5 simple and a base change of it, found as two sources
+    p, k = 2, 5
+    cycle = np.roll(np.eye(k, dtype=np.int64), 1, axis=1)
+    loop = np.zeros((k, k), dtype=np.int64)
+    loop[0, 0] = 1
+    t = np.triu(np.ones((k, k), dtype=np.int64))
+    tinv = (np.eye(k, dtype=np.int64) + np.eye(k, k, 1, dtype=np.int64)) % p
+    assert not ((t @ tinv) % p - np.eye(k)).any()
+    a = module_from_dense(p, {"c": cycle, "d": loop})
+    b = module_from_dense(p, {"c": t @ cycle @ tinv % p,
+                              "d": t @ loop @ tinv % p})
+    from atomcat.atomspec import _dedupe_simples
+    atoms = _dedupe_simples([(a, "x"), (b, "y")])
+    assert atoms.labels() == (canonical_simple_form(b)[0],)
+    assert "?" not in atoms.labels()[0]
+    assert atoms.atoms[0].source == ("x", "y")
+
+
+def test_dedupe_raises_when_two_forms_share_a_label(monkeypatch):
+    from atomcat import atomspec
+    from atomcat.errors import LabelCollision
+    a = module_of_quiver(loop_quiver("c"), GF2)
+    b = module_of_quiver(loop_quiver("d"), GF2)
+    monkeypatch.setattr(atomspec, "canonical_simple_form",
+                        lambda simple: ("S(x)", simple))
+    with pytest.raises(LabelCollision):
+        atomspec._dedupe_simples([(a, "a"), (b, "b")])

@@ -4,14 +4,17 @@ import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
+from atomcat.atomspec import spectrum
 from atomcat.cli import cli_dispatch
 from atomcat.harness import (RunConfig, canonical_json,
                              check_poset_roundtrip, check_quiver_invariants,
                              config_from_env, random_poset, random_quiver,
                              run_suite, worked_examples)
-from atomcat.quiver import make_quiver
+from atomcat.linmod import FieldSpec
+from atomcat.quiver import loop_stripped_topo_order, make_quiver
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "examples.json"
 
@@ -191,3 +194,21 @@ class TestCli:
         monkeypatch.setenv("ATOMCAT_FIELD", "3")
         assert cli_dispatch(["spectrum", qpath]) == 0
         capsys.readouterr()
+
+
+def test_core_battery_at_p3_small_quivers():
+    """Every invariant holds at an odd prime on quivers with at most four
+    vertices, including non-DAG ones whose simples go through the
+    spin-up canonical form."""
+    cfg = RunConfig(p=3)
+    seeds = np.random.default_rng(7).integers(0, 2 ** 63 - 1, size=30)
+    non_dag, wide = 0, 0
+    for s in seeds:
+        q = random_quiver(int(s), 4, 3, 0.35)
+        checks = check_quiver_invariants(q, cfg)
+        assert all(checks.values()), (int(s), checks)
+        if loop_stripped_topo_order(q) is None:
+            non_dag += 1
+            wide += any(a.representative.dim > 1
+                        for a in spectrum(q, FieldSpec(3)).atoms)
+    assert non_dag and wide

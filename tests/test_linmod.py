@@ -375,3 +375,28 @@ def test_higher_dim_simple_is_found():
     mins = minimal_submodules(m)
     assert len(mins) == 1 and mins[0].dim == 2
     assert len(submodule_lattice(m)) == 2
+
+
+class TestCyclicScanMemo:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_memoized_scan_matches_fresh_module(self, p):
+        from atomcat.linmod import _distinct_cyclic
+        q = make_quiver(["a", "b", "c"], ["x", "y"],
+                        [("a", "b", "x"), ("b", "c", "y"), ("c", "b", "x"),
+                         ("a", "a", "y")])
+        m = module_of_quiver(q, FieldSpec(p))
+        first = _distinct_cyclic(m, 1000)
+        assert isinstance(first, tuple)
+        minimal_submodules(m)
+        submodule_lattice(m)
+        assert _distinct_cyclic(m, 1000) is first
+        fresh = _distinct_cyclic(module_of_quiver(q, FieldSpec(p)), 1000)
+        assert [s.key() for s in first] == [s.key() for s in fresh]
+
+    def test_smaller_budget_still_raises_after_memo(self):
+        q = make_quiver(["a", "b", "c", "d"], ["x"],
+                        [("a", "b", "x"), ("b", "c", "x"), ("c", "d", "x")])
+        m = module_of_quiver(q, GF2)
+        assert len(minimal_submodules(m)) == 1
+        with pytest.raises(BudgetExceeded):
+            minimal_submodules(m, budget=10)
