@@ -1,54 +1,11 @@
-"""Kernel backend selection.
+"""Name of the GF(2) kernel, for run environments that record it.
 
-The GF(2) kernels in `bitmat` exist in two flavours with identical
-semantics: numba-jitted loops and vectorised pure numpy.  The flavour is
-fixed at import time from the environment:
-
-    ATOMCAT_BACKEND=numba   use numba (default when numba imports)
-    ATOMCAT_BACKEND=numpy   force the pure-numpy path
-
-`ATOMCAT_NO_NUMBA=1` is an alias for ATOMCAT_BACKEND=numpy.
+There is one kernel per field: Python-int bitsets at p = 2 (`bitmat`)
+and dense int64 rows mod p otherwise (`modp`); nothing selects between
+alternatives.
 """
-
-import os
-import warnings
-
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _njit = None
-    HAS_NUMBA = False
-
-
-def _pick():
-    flag = os.environ.get("ATOMCAT_BACKEND", "").strip().lower()
-    if os.environ.get("ATOMCAT_NO_NUMBA", "").strip() in ("1", "true", "yes"):
-        flag = flag or "numpy"
-    if flag in ("", "auto"):
-        return HAS_NUMBA
-    if flag == "numpy":
-        return False
-    if flag == "numba":
-        if not HAS_NUMBA:
-            warnings.warn("ATOMCAT_BACKEND=numba but numba is not importable; "
-                          "falling back to numpy kernels")
-            return False
-        return True
-    raise ValueError(f"unknown ATOMCAT_BACKEND value: {flag!r}")
-
-
-USE_NUMBA = _pick()
 
 
 def selected():
-    """Name of the active kernel backend."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def jit(fn):
-    """Compile fn with numba when available, else return it unchanged."""
-    if HAS_NUMBA:
-        return _njit(cache=True)(fn)
-    return fn
+    """Name of the GF(2) kernel."""
+    return "int-bitset"

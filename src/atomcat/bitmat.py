@@ -1,473 +1,153 @@
-"""Packed GF(2) row-vector linear algebra.
+"""GF(2) row-vector linear algebra on Python-int bitsets.
 
-A vector over GF(2) is a little-endian bitset stored in a 1-d numpy
-uint64 array; a matrix is a 2-d uint64 array whose rows are packed
-vectors.  Row-reduction, row reduction against a basis, vector-matrix
-products and cyclic closures are the hot kernels of the whole package:
-they exist twice, as numba-jitted loops and as vectorised pure numpy,
-with identical semantics.  `atomcat.backend` decides which flavour the
-public names point at (see ATOMCAT_BACKEND).
+A vector over GF(2) is a Python int whose bit j is coordinate j, with
+no width limit; a matrix is a tuple of such rows.  This is the word
+packing of M4RI (Albrecht & Bard, "The M4RI library") with Python's
+arbitrary-precision ints as the words: one XOR adds two whole rows.
 
-Row spaces are always kept in fully reduced row-echelon form together
-with their ascending pivot-column list, which makes membership tests,
-coordinate extraction and canonical byte keys trivial.
+Row spaces are always kept in fully reduced row-echelon form: rows
+sorted by pivot, where a row's pivot is its lowest set bit, and no
+other row has a bit at that column.  The basis tuple together with its
+ascending pivot tuple is unique for the space, so the tuple itself is
+the hashable key of a row space.  Dense numpy 0/1 arrays come in and
+go out only through `pack_rows` / `unpack_rows`.
 """
 
 import numpy as np
 
-from . import backend
 
-WORD_BITS = 64
-_ONE = np.uint64(1)
-
-
-def n_words(ncols):
-    """Number of uint64 words needed for ncols bits (at least 1)."""
-    return max(1, (int(ncols) + WORD_BITS - 1) // WORD_BITS)
-
-
-def zero_vec(ncols):
-    return np.zeros(n_words(ncols), dtype=np.uint64)
-
-
-def zero_mat(nrows, ncols):
-    return np.zeros((nrows, n_words(ncols)), dtype=np.uint64)
-
-
-def get_bit(vec, j):
-    return int((vec[j >> 6] >> np.uint64(j & 63)) & _ONE)
-
-
-def set_bit(vec, j):
-    vec[j >> 6] |= _ONE << np.uint64(j & 63)
-
-
-def pack_rows(dense, ncols=None):
-    """Pack a (r, n) 0/1 array into (r, n_words(n)) uint64 rows."""
-    dense = np.asarray(dense, dtype=np.uint64) & _ONE
+def pack_rows(dense):
+    """Pack a (r, n) or (n,) 0/1 array into a tuple of int rows."""
+    dense = np.asarray(dense, dtype=np.int64) & 1
     if dense.ndim == 1:
         dense = dense[None, :]
-    r, n = dense.shape
-    if ncols is None:
-        ncols = n
-    w = n_words(ncols)
-    padded = np.zeros((r, w * WORD_BITS), dtype=np.uint64)
-    padded[:, :n] = dense
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    chunks = padded.reshape(r, w, WORD_BITS) << shifts
-    return np.bitwise_or.reduce(chunks, axis=2)
+    packed = np.packbits(dense.astype(np.uint8), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def pack_vec(dense, ncols=None):
-    return pack_rows(np.asarray(dense), ncols)[0]
+def unpack_rows(rows, ncols):
+    """Unpack int rows into a (len(rows), ncols) uint8 0/1 array."""
+    nbytes = (ncols + 7) // 8
+    mask = (1 << ncols) - 1
+    buf = b"".join((r & mask).to_bytes(nbytes, "little") for r in rows)
+    words = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(words, axis=1, count=ncols, bitorder="little")
 
 
-def unpack_rows(packed, ncols):
-    """Unpack (r, w) uint64 rows into a (r, ncols) uint8 array."""
-    if packed.ndim == 1:
-        packed = packed[None, :]
-    r, w = packed.shape
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    bits = (packed[:, :, None] >> shifts) & _ONE
-    return bits.reshape(r, w * WORD_BITS)[:, :ncols].astype(np.uint8)
+def _reduced(row, basis):
+    """`row` with the pivot bits of a reduced `basis` (pivot -> row)
+    eliminated."""
+    for piv, b in basis.items():
+        if row >> piv & 1:
+            row ^= b
+    return row
 
 
-def unpack_vec(vec, ncols):
-    return unpack_rows(vec, ncols)[0]
+def _admit(row, basis):
+    """Add a reduced nonzero row to a reduced basis dict, clearing its
+    pivot bit from the other rows."""
+    low = row & -row
+    for piv, b in basis.items():
+        if b & low:
+            basis[piv] = b ^ row
+    basis[low.bit_length() - 1] = row
 
 
-def bits_of(vec, ncols):
-    """Boolean array of the first ncols bits of a packed vector."""
-    idx = np.arange(ncols)
-    return ((vec[idx >> 6] >> (idx & 63).astype(np.uint64)) & _ONE).astype(bool)
+def _sorted(basis):
+    pivots = tuple(sorted(basis))
+    return tuple(basis[p] for p in pivots), pivots
 
 
-def is_zero(vec):
-    return not vec.any()
-
-
-def mat_key(mat):
-    """Canonical bytes key for a packed matrix (rref bases dedupe on it)."""
-    return mat.tobytes()
-
-
-# --------------------------------------------------------------------------
-# loop kernels (numba-jittable source)
-# --------------------------------------------------------------------------
-
-def _rref_loop(mat, ncols):
-    work = mat.copy()
-    nrows, w = work.shape
-    pivots = np.empty(min(nrows, ncols), dtype=np.int64)
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        wi = col >> 6
-        bit = _ONE << np.uint64(col & 63)
-        pr = -1
-        for i in range(r, nrows):
-            if work[i, wi] & bit:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            for j in range(w):
-                t = work[r, j]
-                work[r, j] = work[pr, j]
-                work[pr, j] = t
-        for i in range(nrows):
-            if i != r and (work[i, wi] & bit):
-                for j in range(w):
-                    work[i, j] ^= work[r, j]
-        pivots[r] = col
-        r += 1
-    return work[:r].copy(), pivots[:r].copy()
-
-
-def _reduce_row_loop(row, basis, pivots):
-    out = row.copy()
-    k, w = basis.shape
-    for i in range(k):
-        col = pivots[i]
-        wi = col >> 6
-        bit = _ONE << np.uint64(col & 63)
-        if out[wi] & bit:
-            for j in range(w):
-                out[j] ^= basis[i, j]
-    return out
-
-
-def _vec_mat_loop(v, act, n):
-    w = act.shape[1]
-    out = np.zeros(w, dtype=np.uint64)
-    for i in range(n):
-        if (v[i >> 6] >> np.uint64(i & 63)) & _ONE:
-            for j in range(w):
-                out[j] ^= act[i, j]
-    return out
-
-
-def _lowbit_loop(vec):
-    w = vec.shape[0]
-    for j in range(w):
-        x = vec[j]
-        if x != 0:
-            t = 0
-            while not (x & _ONE):
-                x >>= _ONE
-                t += 1
-            return (j << 6) + t
-    return -1
-
-
-def _cyclic_closure_loop(seed, acts, n):
-    # BFS span closure: every vector ever admitted gets all color actions
-    # applied; the basis stays in fully reduced rref with sorted pivots.
-    ncolors = acts.shape[0]
-    w = seed.shape[0]
-    basis = np.zeros((n if n > 0 else 1, w), dtype=np.uint64)
-    pivots = np.zeros(n if n > 0 else 1, dtype=np.int64)
-    pend = np.zeros((n if n > 0 else 1, w), dtype=np.uint64)
-    k = 0
-    npend = 0
-
-    u = seed.copy()
-    p = _lowbit_loop(u)
-    if p >= 0:
-        basis[0] = u
-        pivots[0] = p
-        k = 1
-        pend[0] = u
-        npend = 1
-
-    while npend > 0:
-        npend -= 1
-        v = pend[npend].copy()
-        for c in range(ncolors):
-            u = _vec_mat_loop(v, acts[c], n)
-            u = _reduce_row_loop(u, basis[:k], pivots[:k])
-            p = _lowbit_loop(u)
-            if p < 0:
-                continue
-            pos = k
-            for i in range(k):
-                if pivots[i] > p:
-                    pos = i
-                    break
-            for i in range(k, pos, -1):
-                basis[i] = basis[i - 1]
-                pivots[i] = pivots[i - 1]
-            basis[pos] = u
-            pivots[pos] = p
-            k += 1
-            wi = p >> 6
-            bit = _ONE << np.uint64(p & 63)
-            for i in range(k):
-                if i != pos and (basis[i, wi] & bit):
-                    for j in range(w):
-                        basis[i, j] ^= basis[pos, j]
-            pend[npend] = u
-            npend += 1
-    return basis[:k].copy(), pivots[:k].copy()
-
-
-# --------------------------------------------------------------------------
-# vectorised numpy kernels
-# --------------------------------------------------------------------------
-
-def _rref_numpy(mat, ncols):
-    work = mat.copy()
-    nrows = work.shape[0]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        wi = col >> 6
-        bit = _ONE << np.uint64(col & 63)
-        hits = np.nonzero(work[r:, wi] & bit)[0]
-        if hits.size == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            work[[r, pr]] = work[[pr, r]]
-        mask = (work[:, wi] & bit).astype(bool)
-        mask[r] = False
-        if mask.any():
-            work[mask] ^= work[r]
-        pivots.append(col)
-        r += 1
-    return work[:r].copy(), np.array(pivots, dtype=np.int64)
-
-
-def _reduce_row_numpy(row, basis, pivots):
-    out = row.copy()
-    for i in range(basis.shape[0]):
-        col = int(pivots[i])
-        if (out[col >> 6] >> np.uint64(col & 63)) & _ONE:
-            out ^= basis[i]
-    return out
-
-
-def _vec_mat_numpy(v, act, n):
-    mask = bits_of(v, n)
-    if not mask.any():
-        return np.zeros(act.shape[1], dtype=np.uint64)
-    return np.bitwise_xor.reduce(act[:n][mask], axis=0)
-
-
-def _lowbit_numpy(vec):
-    nz = np.nonzero(vec)[0]
-    if nz.size == 0:
-        return -1
-    j = int(nz[0])
-    x = int(vec[j])
-    return (j << 6) + (x & -x).bit_length() - 1
-
-
-def _cyclic_closure_numpy(seed, acts, n):
-    w = seed.shape[0]
-    basis = np.zeros((max(n, 1), w), dtype=np.uint64)
-    pivots = np.zeros(max(n, 1), dtype=np.int64)
-    k = 0
-    pend = []
-    u = seed.copy()
-    p = _lowbit_numpy(u)
-    if p >= 0:
-        basis[0] = u
-        pivots[0] = p
-        k = 1
-        pend.append(u.copy())
-    while pend:
-        v = pend.pop()
-        for c in range(acts.shape[0]):
-            u = _vec_mat_numpy(v, acts[c], n)
-            u = _reduce_row_numpy(u, basis[:k], pivots[:k])
-            p = _lowbit_numpy(u)
-            if p < 0:
-                continue
-            pos = int(np.searchsorted(pivots[:k], p))
-            basis[pos + 1:k + 1] = basis[pos:k].copy()
-            pivots[pos + 1:k + 1] = pivots[pos:k].copy()
-            basis[pos] = u
-            pivots[pos] = p
-            k += 1
-            wi = p >> 6
-            bit = _ONE << np.uint64(p & 63)
-            mask = (basis[:k, wi] & bit).astype(bool)
-            mask[pos] = False
-            if mask.any():
-                basis[:k][mask] ^= basis[pos]
-            pend.append(u.copy())
-    return basis[:k].copy(), pivots[:k].copy()
-
-
-# --------------------------------------------------------------------------
-# dispatch
-# --------------------------------------------------------------------------
-
-IMPL_NUMPY = {
-    "rref": _rref_numpy,
-    "reduce_row": _reduce_row_numpy,
-    "vec_mat": _vec_mat_numpy,
-    "cyclic_closure": _cyclic_closure_numpy,
-}
-
-if backend.HAS_NUMBA:
-    IMPL_NUMBA = {
-        "rref": backend.jit(_rref_loop),
-        "reduce_row": backend.jit(_reduce_row_loop),
-        "vec_mat": backend.jit(_vec_mat_loop),
-        "cyclic_closure": None,  # filled below, needs jitted helpers
-    }
-    _reduce_row_nb = IMPL_NUMBA["reduce_row"]
-    _vec_mat_nb = IMPL_NUMBA["vec_mat"]
-    _lowbit_nb = backend.jit(_lowbit_loop)
-
-    def _cyclic_src(seed, acts, n):  # pragma: no cover - compiled
-        ncolors = acts.shape[0]
-        w = seed.shape[0]
-        basis = np.zeros((n if n > 0 else 1, w), dtype=np.uint64)
-        pivots = np.zeros(n if n > 0 else 1, dtype=np.int64)
-        pend = np.zeros((n if n > 0 else 1, w), dtype=np.uint64)
-        k = 0
-        npend = 0
-        u = seed.copy()
-        p = _lowbit_nb(u)
-        if p >= 0:
-            basis[0] = u
-            pivots[0] = p
-            k = 1
-            pend[0] = u
-            npend = 1
-        while npend > 0:
-            npend -= 1
-            v = pend[npend].copy()
-            for c in range(ncolors):
-                u = _vec_mat_nb(v, acts[c], n)
-                u = _reduce_row_nb(u, basis[:k], pivots[:k])
-                p = _lowbit_nb(u)
-                if p < 0:
-                    continue
-                pos = k
-                for i in range(k):
-                    if pivots[i] > p:
-                        pos = i
-                        break
-                for i in range(k, pos, -1):
-                    basis[i] = basis[i - 1]
-                    pivots[i] = pivots[i - 1]
-                basis[pos] = u
-                pivots[pos] = p
-                k += 1
-                wi = p >> 6
-                bit = np.uint64(1) << np.uint64(p & 63)
-                for i in range(k):
-                    if i != pos and (basis[i, wi] & bit):
-                        for j in range(w):
-                            basis[i, j] ^= basis[pos, j]
-                pend[npend] = u
-                npend += 1
-        return basis[:k].copy(), pivots[:k].copy()
-
-    IMPL_NUMBA["cyclic_closure"] = backend.jit(_cyclic_src)
-else:  # pragma: no cover - exercised only without numba
-    IMPL_NUMBA = None
-
-_ACTIVE = IMPL_NUMBA if backend.USE_NUMBA else IMPL_NUMPY
-
-
-def rref(mat, ncols):
+def rref(mat):
     """Fully reduced row-echelon form.  Returns (basis, pivots)."""
-    if mat.shape[0] == 0:
-        return mat.copy(), np.empty(0, dtype=np.int64)
-    return _ACTIVE["rref"](np.ascontiguousarray(mat), ncols)
+    basis = {}
+    for row in mat:
+        row = _reduced(row, basis)
+        if row:
+            _admit(row, basis)
+    return _sorted(basis)
 
 
 def reduce_row(row, basis, pivots):
-    """Eliminate the pivot bits of `basis` from `row`."""
-    if basis.shape[0] == 0:
-        return row.copy()
-    return _ACTIVE["reduce_row"](row, basis, pivots)
+    """Eliminate the pivot bits of the rref `basis` from `row`."""
+    for b, piv in zip(basis, pivots):
+        if row >> piv & 1:
+            row ^= b
+    return row
 
 
-def vec_mat(v, act, n):
-    """Row vector times matrix: XOR of the action rows at set bits of v."""
-    return _ACTIVE["vec_mat"](v, act, n)
-
-
-def cyclic_closure(seed, acts, n):
-    """Smallest action-invariant row space containing `seed`.
-
-    acts is a (colors, n, words) stack; returns (basis, pivots) in rref.
-    """
-    if acts.shape[0] == 0:
-        # no actions present: the span of the seed alone
-        return rref(seed[None, :], n)
-    return _ACTIVE["cyclic_closure"](seed, np.ascontiguousarray(acts), n)
-
-
-def in_span(row, basis, pivots):
-    return is_zero(reduce_row(row, basis, pivots))
-
-
-def span_union(mats, ncols):
-    """rref basis of the union of several packed row spaces."""
-    rows = [m for m in mats if m.shape[0]]
-    if not rows:
-        return zero_mat(0, ncols), np.empty(0, dtype=np.int64)
-    return rref(np.vstack(rows), ncols)
-
-
-def nullspace(mat, ncols):
-    """Basis of {x : row · x = 0 for every row of mat} (packed rows)."""
-    red, piv = rref(mat, ncols)
-    pivset = set(int(p) for p in piv)
-    free = [j for j in range(ncols) if j not in pivset]
-    out = zero_mat(len(free), ncols)
-    for r, j in enumerate(free):
-        set_bit(out[r], j)
-        for i, p in enumerate(piv):
-            if get_bit(red[i], j):
-                set_bit(out[r], int(p))
+def vec_mat(v, act):
+    """Row vector times matrix: XOR of the rows of act at set bits of v."""
+    out = 0
+    i = 0
+    while v:
+        if v & 1:
+            out ^= act[i]
+        v >>= 1
+        i += 1
     return out
 
 
-def left_nullspace(act, nrows, ncols):
-    """Basis of {v : v · act = 0}, v packed over nrows coordinates."""
-    dense = unpack_rows(act, ncols)[:nrows]
-    return nullspace(pack_rows(dense.T, nrows), nrows)
+def cyclic_closure(seed, acts):
+    """Smallest row space containing `seed` and invariant under every
+    matrix in `acts`; returns (basis, pivots) in rref.  Every admitted
+    vector gets each action applied once."""
+    basis = {}
+    pending = []
+    if seed:
+        _admit(seed, basis)
+        pending.append(seed)
+    while pending:
+        v = pending.pop()
+        for act in acts:
+            u = _reduced(vec_mat(v, act), basis)
+            if u:
+                _admit(u, basis)
+                pending.append(u)
+    return _sorted(basis)
 
 
-def transpose(mat, nrows, ncols):
-    dense = unpack_rows(mat, ncols)[:nrows]
-    return pack_rows(dense.T, nrows)
+def nullspace(mat, ncols):
+    """Basis of {x : row . x = 0 for every row of mat}, x over ncols
+    coordinates; one vector per free column of the rref."""
+    red, piv = rref(mat)
+    pivset = set(piv)
+    out = []
+    for j in range(ncols):
+        if j in pivset:
+            continue
+        x = 1 << j
+        for r, p in zip(red, piv):
+            if r >> j & 1:
+                x |= 1 << p
+        out.append(x)
+    return tuple(out)
 
 
-def coords_in_basis(row, basis, pivots, ncols):
-    """Coefficients of `row` in an rref basis, or None if not in the span.
+def left_nullspace(mat, nrows, ncols):
+    """Basis of {v : v . mat = 0}, v over the first nrows rows of mat."""
+    cols = [0] * ncols
+    for i, row in enumerate(mat[:nrows]):
+        j = 0
+        while row:
+            if row & 1:
+                cols[j] |= 1 << i
+            row >>= 1
+            j += 1
+    return nullspace(cols, nrows)
+
+
+def coords_in_basis(row, basis, pivots):
+    """Coefficients of `row` in an rref basis, as a bitset over the
+    basis rows, or None if `row` is not in the span.
 
     With a fully reduced basis the coefficient of basis row i is simply
     the bit of `row` at pivot column i.
     """
-    coeffs = np.array([get_bit(row, int(p)) for p in pivots], dtype=np.uint8)
-    rec = zero_vec(ncols)
-    for i, c in enumerate(coeffs):
-        if c:
-            rec ^= basis[i]
-    if not np.array_equal(rec, row):
-        return None
-    return coeffs
-
-
-def enumerate_nonzero_vectors(n):
-    """All 2^n - 1 nonzero packed vectors of length n, in integer order."""
-    w = n_words(n)
-    mask = (1 << 64) - 1
-    for x in range(1, 1 << n):
-        vec = np.empty(w, dtype=np.uint64)
-        for j in range(w):
-            vec[j] = (x >> (64 * j)) & mask
-        yield vec
+    coeffs = 0
+    rec = 0
+    for i, (b, piv) in enumerate(zip(basis, pivots)):
+        if row >> piv & 1:
+            coeffs |= 1 << i
+            rec ^= b
+    return coeffs if rec == row else None

@@ -60,7 +60,6 @@ def build_parser():
     p.add_argument("suite", choices=harness.SUITES)
     p.add_argument("--count", type=int, default=None,
                    help="number of random cases")
-    p.add_argument("--workers", type=int, default=0)
     _common_flags(p)
 
     p = sub.add_parser("examples",
@@ -150,8 +149,7 @@ def cmd_preset(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    result = harness.run_suite(args.suite, cfg, count=args.count,
-                               workers=args.workers)
+    result = harness.run_suite(args.suite, cfg, count=args.count)
     for line in result.log_lines():
         print(line)
     if cfg.out:

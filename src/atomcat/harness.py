@@ -2,13 +2,12 @@
 
 All randomness flows from one 64-bit seed through numpy's PCG64
 generator (via numpy.random.default_rng), so suites reproduce across
-platforms.  Each suite case is independent and pure; results are
-collected in case order regardless of execution order.
+platforms.  Each suite case is independent and pure; cases run one
+after another in case order.
 """
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -263,7 +262,7 @@ class SuiteResult:
 SUITES = ("core", "ordertop", "presets")
 
 
-def run_suite(name, cfg, count=None, workers=0):
+def run_suite(name, cfg, count=None):
     """Run a named invariant suite; deterministic in (name, seed)."""
     if name == "core":
         count = count or 200
@@ -275,7 +274,7 @@ def run_suite(name, cfg, count=None, workers=0):
             q = random_quiver(cs, 5, 3, 0.35)
             return check_quiver_invariants(q, cfg)
 
-        cases = _run_cases(case_seeds, run_case, workers)
+        cases = [(cs, run_case(cs)) for cs in case_seeds]
     elif name == "ordertop":
         count = count or 100
         rng = np.random.default_rng(cfg.seed)
@@ -285,7 +284,7 @@ def run_suite(name, cfg, count=None, workers=0):
         def run_case(cs):
             return check_poset_roundtrip(random_poset(cs, 5))
 
-        cases = _run_cases(case_seeds, run_case, workers)
+        cases = [(cs, run_case(cs)) for cs in case_seeds]
     elif name == "presets":
         names = list(generators.PRESET_NAMES)
 
@@ -301,7 +300,7 @@ def run_suite(name, cfg, count=None, workers=0):
                 max(cfg.depth, 4)))
             return checks
 
-        cases = _run_cases(names, run_case, workers)
+        cases = [(nm, run_case(nm)) for nm in names]
     else:
         raise ValueError(f"unknown suite: {name} (have {SUITES})")
 
@@ -309,14 +308,6 @@ def run_suite(name, cfg, count=None, workers=0):
                      for cid, checks in cases
                      for check, v in checks.items() if not v)
     return SuiteResult(name, tuple(cases), failures)
-
-
-def _run_cases(case_ids, fn, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, case_ids))
-        return list(zip(case_ids, results))
-    return [(cid, fn(cid)) for cid in case_ids]
 
 
 # -- worked examples ------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Field-dispatching facade over the GF(2) bitset kernels and mod-p code.
+"""Field-dispatching facade over the GF(2) bitset kernel and mod-p code.
 
-Modules and submodules never touch packed words or dense rows directly;
-they go through an ops object obtained from `ops_for(p)`.  For p = 2
-the representation is packed uint64 bitsets (`bitmat`), otherwise dense
-int64 rows mod p (`modp`).  All methods treat row spaces as immutable
-values in fully reduced row-echelon form.
+Modules and submodules never look inside a row; they go through an ops
+object obtained from `ops_for(p)`.  For p = 2 a row is a Python-int
+bitset and a matrix a tuple of rows (`bitmat`); otherwise a row is a
+dense int64 array mod p and a matrix a 2-d array (`modp`).  Callers
+rely only on what both layouts share: `len()`, indexing and iteration
+over rows, and matrices built by `stack`.  All methods treat row spaces
+as immutable values in fully reduced row-echelon form.
 """
 
 import numpy as np
@@ -16,42 +18,34 @@ class F2Ops:
     p = 2
 
     def pack(self, dense, n):
-        return bitmat.pack_rows(dense, n)
-
-    def pack_vec(self, dense, n):
-        return bitmat.pack_vec(dense, n)
+        return bitmat.pack_rows(dense)
 
     def unpack(self, rows, n):
         return bitmat.unpack_rows(rows, n)
 
-    def unpack_vec(self, vec, n):
-        return bitmat.unpack_vec(vec, n)
-
     def zero_vec(self, n):
-        return bitmat.zero_vec(n)
+        return 0
 
     def unit_vec(self, i, n):
-        v = bitmat.zero_vec(n)
-        bitmat.set_bit(v, i)
-        return v
+        return 1 << i
 
     def empty_mat(self, n):
-        return bitmat.zero_mat(0, n)
+        return ()
+
+    def stack(self, rows, n):
+        return tuple(rows)
 
     def rref(self, mat, n):
-        return bitmat.rref(mat, n)
+        return bitmat.rref(mat)
 
     def reduce_row(self, row, basis, pivots):
         return bitmat.reduce_row(row, basis, pivots)
 
     def vec_mat(self, v, act, n):
-        return bitmat.vec_mat(v, act, n)
+        return bitmat.vec_mat(v & ((1 << n) - 1), act)
 
     def cyclic_closure(self, seed, acts, n):
-        if not acts:
-            return bitmat.rref(seed[None, :], n)
-        stack = np.stack(acts)
-        return bitmat.cyclic_closure(seed, stack, n)
+        return bitmat.cyclic_closure(seed, acts)
 
     def nullspace(self, mat, n):
         return bitmat.nullspace(mat, n)
@@ -60,25 +54,26 @@ class F2Ops:
         return bitmat.left_nullspace(mat, nrows, n)
 
     def coords(self, row, basis, pivots, n):
-        return bitmat.coords_in_basis(row, basis, pivots, n)
-
-    def vstack(self, mats, n):
-        mats = [m for m in mats if m.shape[0]]
-        if not mats:
-            return self.empty_mat(n)
-        return np.vstack(mats)
+        return bitmat.coords_in_basis(row, basis, pivots)
 
     def is_zero(self, vec):
-        return bitmat.is_zero(vec)
+        return not vec
 
     def mat_key(self, mat):
-        return mat.tobytes()
+        return mat
 
-    def add(self, a, b):
-        return a ^ b
+    def order_key(self, mat, n):
+        # rows compare as little-endian bytes, not as ints (the orders
+        # differ above 8 columns): this order picks the minimal
+        # submodule `find_one_minimal` peels, so it fixes report sources
+        nbytes = (n + 7) // 8
+        return b"".join(r.to_bytes(nbytes, "little") for r in mat)
+
+    def add(self, a, b, c=1):
+        return a ^ b if c & 1 else a
 
     def enumerate_nonzero(self, n):
-        return bitmat.enumerate_nonzero_vectors(n)
+        return range(1, 1 << n)
 
     def count_nonzero_vectors(self, n):
         return (1 << n) - 1
@@ -94,14 +89,8 @@ class FpOps:
             out = out[None, :]
         return out
 
-    def pack_vec(self, dense, n):
-        return np.array(dense, dtype=np.int64) % self.p
-
     def unpack(self, rows, n):
         return np.array(rows, dtype=np.int64)
-
-    def unpack_vec(self, vec, n):
-        return np.array(vec, dtype=np.int64)
 
     def zero_vec(self, n):
         return np.zeros(n, dtype=np.int64)
@@ -114,6 +103,9 @@ class FpOps:
     def empty_mat(self, n):
         return np.zeros((0, n), dtype=np.int64)
 
+    def stack(self, rows, n):
+        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
     def rref(self, mat, n):
         return modp.rref(mat, self.p)
 
@@ -121,7 +113,7 @@ class FpOps:
         return modp.reduce_row(row, basis, pivots, self.p)
 
     def vec_mat(self, v, act, n):
-        return modp.vec_mat(v, act, self.p)
+        return modp.vec_mat(v[:n], act[:n], self.p)
 
     def cyclic_closure(self, seed, acts, n):
         return modp.cyclic_closure(seed, acts, self.p)
@@ -135,20 +127,17 @@ class FpOps:
     def coords(self, row, basis, pivots, n):
         return modp.coords_in_basis(row, basis, pivots, self.p)
 
-    def vstack(self, mats, n):
-        mats = [m for m in mats if m.shape[0]]
-        if not mats:
-            return self.empty_mat(n)
-        return np.vstack(mats)
-
     def is_zero(self, vec):
         return not vec.any()
 
     def mat_key(self, mat):
         return mat.tobytes()
 
-    def add(self, a, b):
-        return (a + b) % self.p
+    def order_key(self, mat, n):
+        return mat.tobytes()
+
+    def add(self, a, b, c=1):
+        return (a + c * b) % self.p
 
     def enumerate_nonzero(self, n):
         return modp.enumerate_nonzero_vectors(n, self.p)
@@ -185,7 +174,4 @@ def in_span(ops, row, basis, pivots):
 
 def span_contains(ops, big, big_piv, small, small_piv):
     """Whether the row space `small` is contained in `big`."""
-    for i in range(small.shape[0]):
-        if not in_span(ops, small[i], big, big_piv):
-            return False
-    return True
+    return all(in_span(ops, row, big, big_piv) for row in small)

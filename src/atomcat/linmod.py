@@ -139,10 +139,15 @@ class Submodule:
 
     @property
     def dim(self):
-        return self.basis.shape[0]
+        return len(self.basis)
 
     def key(self):
         return (self.dim, self.parent.ops.mat_key(self.basis))
+
+    def order_key(self):
+        """Listing order of submodules: by dimension, then basis rows."""
+        return (self.dim, self.parent.ops.order_key(self.basis,
+                                                    self.parent.dim))
 
     def contains_vec(self, vec):
         return linalg.in_span(self.parent.ops, vec, self.basis, self.pivots)
@@ -152,11 +157,8 @@ class Submodule:
                                     other.basis, other.pivots)
 
     def is_action_closed(self):
-        for i in range(self.dim):
-            for c in self.parent.colors:
-                if not self.contains_vec(self.parent.act(self.basis[i], c)):
-                    return False
-        return True
+        return all(self.contains_vec(self.parent.act(row, c))
+                   for row in self.basis for c in self.parent.colors)
 
     def __eq__(self, other):
         return (isinstance(other, Submodule) and self.parent is other.parent
@@ -171,8 +173,7 @@ class Submodule:
 
 def zero_submodule(module):
     ops = module.ops
-    return Submodule(module, ops.empty_mat(module.dim),
-                     np.empty(0, dtype=np.int64))
+    return Submodule(module, ops.empty_mat(module.dim), ())
 
 
 def full_submodule(module):
@@ -180,7 +181,7 @@ def full_submodule(module):
     if n == 0:
         return zero_submodule(module)
     basis = module.ops.pack(np.eye(n, dtype=np.int64), n)
-    return Submodule(module, basis, np.arange(n, dtype=np.int64))
+    return Submodule(module, basis, tuple(range(n)))
 
 
 def submodule_span(module, rows, check=True):
@@ -203,8 +204,8 @@ def cyclic_submodule(module, vec):
 
 def sum_submodules(a, b):
     ops = a.parent.ops
-    basis, piv = ops.rref(ops.vstack([a.basis, b.basis], a.parent.dim),
-                          a.parent.dim)
+    n = a.parent.dim
+    basis, piv = ops.rref(ops.stack([*a.basis, *b.basis], n), n)
     return Submodule(a.parent, basis, piv)
 
 
@@ -219,26 +220,18 @@ def intersect_submodules(a, b):
     ka, kb = a.dim, b.dim
     if ka == 0 or kb == 0:
         return zero_submodule(m)
-    stacked = ops.vstack([a.basis, b.basis], m.dim)
+    stacked = ops.stack([*a.basis, *b.basis], m.dim)
     ker = ops.left_nullspace(stacked, ka + kb, m.dim)
-    rows = []
-    for i in range(ker.shape[0]):
-        coeffs = ops.unpack_vec(ker[i], ka + kb)
-        vec = ops.zero_vec(m.dim)
-        for j in range(ka):
-            cj = int(coeffs[j]) % m.field.p
-            for _ in range(cj):
-                vec = ops.add(vec, a.basis[j])
-        rows.append(vec)
+    rows = [ops.vec_mat(x, a.basis, ka) for x in ker]
     if not rows:
         return zero_submodule(m)
-    basis, piv = ops.rref(ops.vstack([r[None, :] for r in rows], m.dim), m.dim)
+    basis, piv = ops.rref(ops.stack(rows, m.dim), m.dim)
     return Submodule(m, basis, piv)
 
 
 @dataclass
 class SubmoduleSet:
-    members: tuple  # canonically sorted by (dim, basis bytes)
+    members: tuple  # sorted by Submodule.order_key
     complete: bool
 
     def __iter__(self):
@@ -300,7 +293,7 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
 
     def overflow():
         part = SubmoduleSet(tuple(sorted(members.values(),
-                                         key=lambda s: s.key())), False)
+                                         key=Submodule.order_key)), False)
         return BudgetExceeded("lattice larger than budget",
                               budget=budget, partial=part)
 
@@ -317,8 +310,8 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
                 worklist.append(u)
                 if len(members) > budget:
                     raise overflow()
-    out = SubmoduleSet(tuple(sorted(members.values(), key=lambda s: s.key())),
-                       True)
+    out = SubmoduleSet(tuple(sorted(members.values(),
+                                    key=Submodule.order_key)), True)
     module._cache[cache_key] = out
     return out
 
@@ -333,32 +326,27 @@ def subquotient(module, lower, upper):
         raise NotNested("lower is not contained in upper")
     ops = module.ops
     n = module.dim
-    ext_rows = []
-    for i in range(upper.dim):
-        r = ops.reduce_row(upper.basis[i], lower.basis, lower.pivots)
-        if not ops.is_zero(r):
-            ext_rows.append(r)
+    ext_rows = [r for r in (ops.reduce_row(row, lower.basis, lower.pivots)
+                            for row in upper.basis)
+                if not ops.is_zero(r)]
     if not ext_rows:
         return FdModule(module.field, 0, (), {},
                         provenance={"kind": "subquotient", "of": module.provenance})
-    stacked = ops.vstack([r[None, :] if r.ndim == 1 else r for r in ext_rows], n)
-    ebasis, epiv = ops.rref(stacked, n)
-    k = ebasis.shape[0]
+    ebasis, epiv = ops.rref(ops.stack(ext_rows, n), n)
+    k = len(ebasis)
     labels = tuple(module.basis_labels[int(p)] for p in epiv)
     actions = {}
     for c in module.colors:
-        dense = np.zeros((k, k), dtype=np.int64)
-        nontrivial = False
-        for i in range(k):
-            w = module.act(ebasis[i], c)
+        # row i: coordinates of the image of quotient basis vector i
+        rows = []
+        for row in ebasis:
+            w = module.act(row, c)
             w = ops.reduce_row(w, lower.basis, lower.pivots)
             coeffs = ops.coords(w, ebasis, epiv, n)
             assert coeffs is not None, "upper must be action-closed"
-            if coeffs.any():
-                nontrivial = True
-                dense[i, :len(coeffs)] = coeffs
-        if nontrivial:
-            actions[c] = ops.pack(dense, k)
+            rows.append(coeffs)
+        if not all(ops.is_zero(r) for r in rows):
+            actions[c] = ops.stack(rows, k)
     return FdModule(module.field, k, labels, actions,
                     provenance={"kind": "subquotient",
                                 "pivot_labels": list(labels)})
@@ -397,28 +385,21 @@ def hom_basis(m, n):
     eye_m = np.eye(dm, dtype=np.int64)
     eye_n = np.eye(dn, dtype=np.int64)
     for c in colors:
-        am = (m.ops.unpack(m.actions[c], dm)[:dm].astype(np.int64)
+        am = (ops.unpack(m.actions[c], dm).astype(np.int64)
               if c in m.actions else np.zeros((dm, dm), dtype=np.int64))
-        an = (n.ops.unpack(n.actions[c], dn)[:dn].astype(np.int64)
+        an = (ops.unpack(n.actions[c], dn).astype(np.int64)
               if c in n.actions else np.zeros((dn, dn), dtype=np.int64))
         blocks.append((np.kron(am, eye_n) - np.kron(eye_m, an.T)) % p)
-    constraint = np.vstack(blocks) % p
-    if p == 2:
-        packed = ops.pack(constraint.astype(np.int64), dm * dn)
-        ns = ops.nullspace(packed, dm * dn)
-        rows = [ops.unpack_vec(ns[i], dm * dn) for i in range(ns.shape[0])]
-    else:
-        from . import modp
-        ns = modp.nullspace(constraint, p)
-        rows = [ns[i] for i in range(ns.shape[0])]
-    return [np.array(r, dtype=np.int64).reshape(dm, dn) for r in rows]
+    ns = ops.nullspace(ops.pack(np.concatenate(blocks), dm * dn), dm * dn)
+    return [np.array(r, dtype=np.int64).reshape(dm, dn)
+            for r in ops.unpack(ns, dm * dn)]
 
 
 def _is_invertible(dense, field):
     ops = field.ops
-    k = dense.shape[0]
+    k = len(dense)
     basis, _ = ops.rref(ops.pack(dense % field.p, k), k)
-    return basis.shape[0] == k
+    return len(basis) == k
 
 
 def is_isomorphic(m, n, cap=DEFAULT_ISO_CAP):
@@ -464,7 +445,6 @@ def _eigen_leaves(module):
     """Common-eigenvector subspaces: maximal subspaces on which every
     color acts as a scalar.  Every 1-dim invariant line lies in one."""
     ops = module.ops
-    p = module.field.p
     n = module.dim
     if n == 0:
         return []
@@ -473,35 +453,18 @@ def _eigen_leaves(module):
     for c in module.colors:
         new = []
         for basis, piv in leaves:
-            k = basis.shape[0]
-            if k == 0:
-                continue
-            images = [module.act(basis[i], c) for i in range(k)]
-            for lam in range(p):
-                if lam == 0:
-                    target_rows = images
-                elif p == 2:
-                    target_rows = [images[i] ^ basis[i] for i in range(k)]
-                else:
-                    target_rows = [(images[i] - lam * basis[i]) % p
-                                   for i in range(k)]
-                target = ops.vstack([r[None, :] for r in target_rows], n)
+            k = len(basis)
+            images = [module.act(row, c) for row in basis]
+            for lam in range(module.field.p):
+                # the lam-eigenvectors of c: kernel of (action - lam)
+                target = ops.stack([ops.add(img, row, -lam)
+                                    for img, row in zip(images, basis)], n)
                 ker = ops.left_nullspace(target, k, n)
-                if ker.shape[0] == 0:
+                if len(ker) == 0:
                     continue
-                rows = []
-                for i in range(ker.shape[0]):
-                    coeffs = ops.unpack_vec(ker[i], k)
-                    vec = ops.zero_vec(n)
-                    for j in range(k):
-                        cj = int(coeffs[j]) % p
-                        for _ in range(cj):
-                            vec = ops.add(vec, basis[j])
-                    rows.append(vec)
-                sub_basis, sub_piv = ops.rref(
-                    ops.vstack([r[None, :] for r in rows], n), n)
-                if sub_basis.shape[0]:
-                    new.append((sub_basis, sub_piv))
+                rows = [ops.vec_mat(x, basis, k) for x in ker]
+                sub_basis, sub_piv = ops.rref(ops.stack(rows, n), n)
+                new.append((sub_basis, sub_piv))
         leaves = new
         if not leaves:
             break
@@ -517,15 +480,15 @@ def find_one_minimal(module, budget=DEFAULT_BUDGET):
     """
     if module.dim == 0:
         return None
+    ops = module.ops
+    n = module.dim
     leaves = _eigen_leaves(module)
     if leaves:
-        basis, _ = min(leaves, key=lambda bp: module.ops.mat_key(bp[0]))
-        line = basis[0]
-        b, piv = module.ops.rref(line[None, :] if line.ndim == 1 else line,
-                                 module.dim)
+        basis, _ = min(leaves, key=lambda bp: ops.order_key(bp[0], n))
+        b, piv = ops.rref(ops.stack([basis[0]], n), n)
         return Submodule(module, b, piv)
     cyclics = _distinct_cyclic(module, budget)
-    return min(cyclics, key=lambda s: s.key())
+    return min(cyclics, key=Submodule.order_key)
 
 
 def minimal_submodules(module, budget=DEFAULT_BUDGET):
@@ -536,13 +499,14 @@ def minimal_submodules(module, budget=DEFAULT_BUDGET):
     """
     if module.dim == 0:
         return []
-    cyclics = sorted(_distinct_cyclic(module, budget), key=lambda s: s.key())
+    cyclics = sorted(_distinct_cyclic(module, budget),
+                     key=Submodule.order_key)
     out = []
     for s in cyclics:
         minimal = True
         for t in cyclics:
             if t.dim >= s.dim:
-                break  # sorted by (dim, key): nothing smaller remains
+                break  # sorted by dim first: nothing smaller remains
             if s.contains(t):
                 minimal = False
                 break

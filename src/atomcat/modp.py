@@ -1,9 +1,10 @@
-"""Dense linear algebra mod an odd prime p.
+"""Dense linear algebra mod a prime p: the kernel for odd primes.
 
 Row vectors are 1-d int64 arrays with entries in [0, p); matrices are
-2-d.  Only GF(2) sits on the hot path (see `bitmat`); these routines
-back the same operations for other prime fields and favour clarity over
-speed.
+2-d.  GF(2) has its own bitset kernel (`bitmat`); these routines back
+the same operations for the other prime fields and favour clarity over
+speed.  They are correct at p = 2 too, which makes them an independent
+check of `bitmat` in the tests.
 """
 
 import numpy as np

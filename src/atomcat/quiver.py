@@ -17,6 +17,7 @@ bundle colors, and regeneration is deterministic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,17 @@ class ColoredQuiver:
         return tuple(a for a in self.arrows if a.src == v)
 
     def loops_at(self, v):
-        return tuple(a for a in self.arrows if a.src == v and a.dst == v)
+        return self._loops.get(v, ())
+
+    @cached_property
+    def _loops(self):
+        """Loop arrows by vertex, in arrow order; built on first use
+        (the quiver is frozen, so it never goes stale)."""
+        loops = {}
+        for a in self.arrows:
+            if a.src == a.dst:
+                loops.setdefault(a.src, []).append(a)
+        return {v: tuple(arrows) for v, arrows in loops.items()}
 
     def to_json(self):
         return {"vertices": list(self.vertices),

@@ -1,11 +1,14 @@
-"""Kernel-level checks: packed GF(2) ops against dense numpy oracles,
-and agreement between the numba and numpy implementations."""
+"""Kernel-level checks: the GF(2) int-bitset kernel against a dense
+numpy RREF oracle and against `modp`'s dense routines run at p = 2."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomcat import bitmat, modp
+from atomcat.linalg import ops_for
+from atomcat.linmod import FieldSpec, module_of_quiver, submodule_lattice
+from atomcat.quiver import make_quiver
 
 
 def dense_rref_gf2(dense):
@@ -30,41 +33,103 @@ def dense_rref_gf2(dense):
     return work[:r], pivots
 
 
+def random_bits(draw, shape):
+    size = int(np.prod(shape))
+    bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    return np.array(bits, dtype=np.uint8).reshape(shape)
+
+
 @st.composite
 def dense_matrices(draw):
+    # widths cross a 64-bit word boundary and beyond
     r = draw(st.integers(0, 7))
     n = draw(st.integers(1, 130))
-    bits = draw(st.lists(st.integers(0, 1), min_size=r * n, max_size=r * n))
-    return np.array(bits, dtype=np.uint8).reshape(r, n)
+    return random_bits(draw, (r, n))
+
+
+@st.composite
+def actions_and_seed(draw):
+    n = draw(st.integers(1, 12))
+    colors = draw(st.integers(0, 3))
+    acts = [random_bits(draw, (n, n)) for _ in range(colors)]
+    return acts, random_bits(draw, (n,))
 
 
 @settings(max_examples=80, deadline=None)
 @given(dense_matrices())
 def test_rref_matches_dense_oracle(dense):
-    packed = bitmat.pack_rows(dense, dense.shape[1])
-    basis, pivots = bitmat.rref(packed, dense.shape[1])
+    basis, pivots = bitmat.rref(bitmat.pack_rows(dense))
     oracle, opiv = dense_rref_gf2(dense)
     assert list(pivots) == opiv
     assert np.array_equal(bitmat.unpack_rows(basis, dense.shape[1]), oracle)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
+@given(actions_and_seed())
+def test_cyclic_closure_matches_modp_at_p2(case):
+    acts, seed = case
+    n = len(seed)
+    basis, pivots = bitmat.cyclic_closure(
+        bitmat.pack_rows(seed)[0], [bitmat.pack_rows(a) for a in acts])
+    want, wpiv = modp.cyclic_closure(seed.astype(np.int64),
+                                     [a.astype(np.int64) for a in acts], 2)
+    assert list(pivots) == list(wpiv)
+    assert np.array_equal(bitmat.unpack_rows(basis, n), want)
+
+
+@settings(max_examples=80, deadline=None)
 @given(dense_matrices())
-def test_backends_agree_on_rref(dense):
-    packed = bitmat.pack_rows(dense, dense.shape[1])
-    n = dense.shape[1]
-    b1, p1 = bitmat._rref_numpy(packed, n)
-    b2, p2 = bitmat._rref_loop(packed, n)
-    assert np.array_equal(b1, b2) and np.array_equal(p1, p2)
-    if bitmat.IMPL_NUMBA is not None:
-        b3, p3 = bitmat.IMPL_NUMBA["rref"](np.ascontiguousarray(packed), n)
-        assert np.array_equal(b1, b3) and np.array_equal(p1, p3)
+def test_nullspaces_match_modp_at_p2(dense):
+    r, n = dense.shape
+    packed = bitmat.pack_rows(dense)
+    right = bitmat.nullspace(packed, n)
+    assert np.array_equal(bitmat.unpack_rows(right, n),
+                          modp.nullspace(dense.astype(np.int64), 2))
+    left = bitmat.left_nullspace(packed, r, n)
+    assert np.array_equal(bitmat.unpack_rows(left, r),
+                          modp.nullspace(dense.T.astype(np.int64), 2))
+
+
+def packed_word_bytes(rows, ncols):
+    """Rows as little-endian uint64 words, one word per 64 columns."""
+    words = max(1, (ncols + 63) // 64)
+    mask = (1 << 64) - 1
+    return np.array([[(r >> (64 * j)) & mask for j in range(words)]
+                     for r in rows], dtype=np.uint64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(9, 12), st.integers(1, 4),
+       st.lists(st.integers(0, 2 ** 48 - 1), min_size=2, max_size=12))
+def test_order_key_matches_packed_word_bytes(n, dim, draws):
+    ops = ops_for(2)
+    mask = (1 << n) - 1
+    bases = []
+    for x in draws:
+        rows = [(x >> (12 * i)) & mask for i in range(dim)]
+        bases.append(bitmat.rref(rows)[0])
+    bases = [b for b in bases if len(b) == dim]
+    by_key = sorted(bases, key=lambda b: ops.order_key(b, n))
+    by_bytes = sorted(bases, key=lambda b: packed_word_bytes(b, n))
+    assert by_key == by_bytes
+
+
+def test_lattice_order_matches_packed_word_bytes():
+    # directed 10-cycle: the invariant subspaces of a cyclic shift
+    verts = [f"v{i}" for i in range(10)]
+    q = make_quiver(verts, ["a"],
+                    [(verts[i], verts[(i + 1) % 10], "a") for i in range(10)])
+    m = module_of_quiver(q, FieldSpec(2))
+    members = submodule_lattice(m).members
+    assert len(members) == 9
+    assert list(members) == sorted(
+        members, key=lambda s: (s.dim, packed_word_bytes(s.basis, 10)))
 
 
 def test_pack_roundtrip():
     rng = np.random.default_rng(7)
     dense = rng.integers(0, 2, size=(5, 200), dtype=np.uint64).astype(np.uint8)
-    packed = bitmat.pack_rows(dense, 200)
+    packed = bitmat.pack_rows(dense)
     assert np.array_equal(bitmat.unpack_rows(packed, 200), dense)
 
 
@@ -73,13 +138,11 @@ def test_vec_mat_matches_dense():
     n = 70
     act_dense = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
     v_dense = rng.integers(0, 2, size=n).astype(np.uint8)
-    act = bitmat.pack_rows(act_dense, n)
-    v = bitmat.pack_vec(v_dense, n)
-    got = bitmat.unpack_vec(bitmat.vec_mat(v, act, n), n)
+    act = bitmat.pack_rows(act_dense)
+    v = bitmat.pack_rows(v_dense)[0]
+    got = bitmat.unpack_rows([bitmat.vec_mat(v, act)], n)[0]
     want = (v_dense @ act_dense) % 2
     assert np.array_equal(got, want)
-    got_np = bitmat.unpack_vec(bitmat._vec_mat_numpy(v, act, n), n)
-    assert np.array_equal(got_np, want)
 
 
 def test_cyclic_closure_nilpotent_chain():
@@ -88,39 +151,18 @@ def test_cyclic_closure_nilpotent_chain():
     act_dense = np.zeros((n, n), dtype=np.uint8)
     act_dense[0, 1] = 1
     act_dense[1, 2] = 1
-    act = bitmat.pack_rows(act_dense, n)
-    seed = bitmat.pack_vec([1, 0, 0], n)
-    basis, pivots = bitmat.cyclic_closure(seed, act[None] if act.ndim == 2 else act, n)
-    assert basis.shape[0] == 3
-    seed2 = bitmat.pack_vec([0, 0, 1], n)
-    basis2, _ = bitmat.cyclic_closure(seed2, np.stack([act]), n)
-    assert basis2.shape[0] == 1
-
-
-def test_cyclic_closure_backends_agree():
-    rng = np.random.default_rng(11)
-    n = 9
-    acts_dense = rng.integers(0, 2, size=(3, n, n)).astype(np.uint8)
-    acts = np.stack([bitmat.pack_rows(a, n) for a in acts_dense])
-    for seed_dense in (rng.integers(0, 2, size=n).astype(np.uint8) for _ in range(20)):
-        seed = bitmat.pack_vec(seed_dense, n)
-        b1, p1 = bitmat._cyclic_closure_numpy(seed, acts, n)
-        b2, p2 = bitmat._cyclic_closure_loop(seed, acts, n)
-        assert np.array_equal(b1, b2) and np.array_equal(p1, p2)
-        # invariance: every basis row maps back into the span
-        for i in range(b1.shape[0]):
-            for c in range(3):
-                img = bitmat.vec_mat(b1[i], acts[c], n)
-                assert bitmat.in_span(img, b1, p1)
+    act = bitmat.pack_rows(act_dense)
+    basis, pivots = bitmat.cyclic_closure(0b001, [act])
+    assert len(basis) == 3
+    basis2, _ = bitmat.cyclic_closure(0b100, [act])
+    assert len(basis2) == 1
 
 
 def test_nullspace():
     dense = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.uint8)
-    mat = bitmat.pack_rows(dense, 4)
-    ns = bitmat.nullspace(mat, 4)
-    assert ns.shape[0] == 2
-    for i in range(ns.shape[0]):
-        x = bitmat.unpack_vec(ns[i], 4)
+    ns = bitmat.nullspace(bitmat.pack_rows(dense), 4)
+    assert len(ns) == 2
+    for x in bitmat.unpack_rows(ns, 4):
         assert not ((dense @ x) % 2).any()
 
 
@@ -130,19 +172,18 @@ def test_left_nullspace():
     a = np.zeros((n, n), dtype=np.uint8)
     a[0, 1] = 1
     a[1, 2] = 1
-    act = bitmat.pack_rows(a, n)
-    ker = bitmat.left_nullspace(act, n, n)
-    assert ker.shape[0] == 1
-    assert np.array_equal(bitmat.unpack_vec(ker[0], n), [0, 0, 1])
+    ker = bitmat.left_nullspace(bitmat.pack_rows(a), n, n)
+    assert len(ker) == 1
+    assert np.array_equal(bitmat.unpack_rows(ker, n)[0], [0, 0, 1])
 
 
 def test_coords_in_basis():
     dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    basis, piv = bitmat.rref(bitmat.pack_rows(dense, 3), 3)
-    row = bitmat.pack_vec([1, 1, 0], 3)
-    coeffs = bitmat.coords_in_basis(row, basis, piv, 3)
-    assert list(coeffs) == [1, 1]
-    assert bitmat.coords_in_basis(bitmat.pack_vec([1, 0, 0], 3), basis, piv, 3) is None
+    basis, piv = bitmat.rref(bitmat.pack_rows(dense))
+    row = bitmat.pack_rows([1, 1, 0])[0]
+    assert bitmat.coords_in_basis(row, basis, piv) == 0b11
+    assert bitmat.coords_in_basis(bitmat.pack_rows([1, 0, 0])[0],
+                                  basis, piv) is None
 
 
 def test_modp_rref_gf3():
@@ -163,9 +204,8 @@ def test_modp_nullspace_gf5():
 
 
 def test_enumerate_nonzero_vectors():
-    vecs = list(bitmat.enumerate_nonzero_vectors(4))
+    vecs = list(ops_for(2).enumerate_nonzero(4))
     assert len(vecs) == 15
-    keys = {v.tobytes() for v in vecs}
-    assert len(keys) == 15
+    assert len(set(vecs)) == 15
     vecs3 = list(modp.enumerate_nonzero_vectors(2, 3))
     assert len(vecs3) == 8

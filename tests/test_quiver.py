@@ -36,6 +36,17 @@ class TestMakeQuiver:
             make_quiver(["v", "w"], ["c"],
                         [("v", "w", "c"), ("v", "w", "c")])
 
+    def test_loops_at_matches_scan(self):
+        q = make_quiver(["u", "v", "w"], ["a", "b", "c"],
+                        [("u", "u", "a"), ("u", "u", "b"), ("u", "v", "a"),
+                         ("v", "w", "c"), ("w", "w", "c", 2), ("w", "u", "b"),
+                         ("u", "u", "c")])
+        for v in q.vertices:
+            scan = tuple(a for a in q.arrows if a.src == v and a.dst == v)
+            assert q.loops_at(v) == scan
+        assert len(q.loops_at("u")) == 3 and q.loops_at("v") == ()
+        assert q.loops_at("nowhere") == ()
+
     def test_unknown_vertex_and_color(self):
         with pytest.raises(UnknownVertex):
             make_quiver(["v"], ["c"], [("v", "w", "c")])
