@@ -332,17 +332,20 @@ def _dag_vertex_simples(quiver, field, order):
     """Composition factors of a quiver module read off a loop-free
     topological order: the coordinate line of each vertex, in reverse
     order, is an invariant layer, and the layer's action scalars are
-    the vertex's loop values."""
-    ops = field.ops
+    the vertex's loop values.  Vertices with the same loop signature,
+    the (color, value mod p) pairs, share one module."""
+    ops, p = field.ops, field.p
+    modules = {}
     out = []
     for v in order:
-        actions = {}
-        for a in quiver.loops_at(v):
-            val = a.value % field.p
-            if val:
-                actions[a.color] = ops.pack(
-                    np.array([[val]], dtype=np.int64), 1)
-        out.append((FdModule(field, 1, (v,), actions), v))
+        sig = tuple((a.color, a.value % p) for a in quiver.loops_at(v)
+                    if a.value % p)
+        if sig not in modules:
+            modules[sig] = FdModule(field, 1, (v,), {
+                c: ops.stack([ops.add(ops.zero_vec(1), ops.unit_vec(0, 1),
+                                      val)], 1)
+                for c, val in sig})
+        out.append((modules[sig], v))
     return out
 
 

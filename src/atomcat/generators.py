@@ -18,10 +18,12 @@ regenerating at a deeper truncation extends the shallower quiver
 verbatim.
 """
 
-from .errors import DepthTooSmall, UnknownPreset, WindowTooSmall
+from itertools import repeat
+
+from .errors import ColorClash, DepthTooSmall, UnknownPreset, WindowTooSmall
 from .ordertop import normalize_poset, poset_invariants
-from .quiver import (Arrow, GeneratedQuiver, TruncationSpec, chain,
-                     disjoint_union, make_quiver)
+from .quiver import (Arrow, GeneratedQuiver, TruncationSpec, bundle_color,
+                     chain, make_quiver)
 
 
 def loop_point(tag):
@@ -58,44 +60,81 @@ def gen_realization_acc(poset, trunc):
     through J(p) in sorted order, trunc.depth full passes, the arrow
     leaving the j-th block of pass i tagged (p;i,j).  Deeper
     truncations append passes only, so vertex names are stable.
+
+    The quiver is emitted in one pass: each element's relative vertex
+    names and bundle colors are computed once, then the poset is walked
+    with every vertex's final prefix, so each vertex name, color and
+    arrow is made once and validated once.  `loop_point`, `chain` and
+    `disjoint_union` build the same quiver by nesting and are the
+    reference the tests hold this to.
     """
     if trunc.depth < 1:
         raise DepthTooSmall("need at least one pass", depth=trunc.depth)
     _check_ids(poset.elements)
     inv = poset_invariants(poset)
     maximal = set(inv.maximal)
-    quivers = {}
+    rel, blocks, bundles, loop_color = {}, {}, {}, {}
+    used = set()
     for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
         if p in maximal:
-            quivers[p] = loop_point(p)
+            rel[p] = (f"v({p})",)
+            loop_color[p] = f"c({p})"
+            used.add(loop_color[p])
             continue
         j_list = sorted(inv.j_sets[p])
-        blocks, tags = [], []
-        for i in range(trunc.depth):
-            for j, elem in enumerate(j_list):
-                blocks.append(quivers[elem])
-                tags.append(f"({p};{i},{j})")
-        tags.pop()  # the final block has no outgoing bundle
-        quivers[p] = chain(blocks, tags=tags).quiver
+        seq = j_list * trunc.depth
+        rel[p] = tuple(f"b{b}/{v}" for b, e in enumerate(seq) for v in rel[e])
+        # bundles[p][b][x][y] colors the arrow from vertex x of block b
+        # to vertex y of block b + 1
+        minted = []
+        for b in range(len(seq) - 1):
+            tag = f"({p};{b // len(j_list)},{b % len(j_list)})"
+            minted.append([[bundle_color(tag, v, w) for w in rel[seq[b + 1]]]
+                           for v in rel[seq[b]]])
+        fresh = {c for rows in minted for row in rows for c in row}
+        if not fresh.isdisjoint(used):
+            raise ColorClash("bundle color already in use",
+                             color=min(fresh & used))
+        used |= fresh
+        blocks[p], bundles[p] = seq, minted
 
-    union = disjoint_union([quivers[p] for p in poset.elements],
-                           names=list(poset.elements))
+    arrows = []
+    leaves = {q: [] for q in maximal}
+
+    def emit(p, prefix):
+        # final names of p's block under prefix, in the order of rel[p]
+        if p in maximal:
+            v = prefix + rel[p][0]
+            arrows.append(Arrow(v, v, loop_color[p]))
+            leaves[p].append(v)
+            return [v]
+        names, prev = [], None
+        for b, e in enumerate(blocks[p]):
+            cur = emit(e, f"{prefix}b{b}/")
+            if prev is not None:
+                for v, row in zip(prev, bundles[p][b - 1]):
+                    arrows.extend(map(Arrow, repeat(v), cur, row))
+            names.extend(cur)
+            prev = cur
+        return names
+
+    names = {p: emit(p, f"{p}/") for p in poset.elements}
+    union = make_quiver([v for vs in names.values() for v in vs], used,
+                        arrows)
     table = {}
     for p in poset.elements:
         if p not in maximal:
             table[f"chain({p})"] = {
                 "kind": "chain_limit",
                 "atom_label": f"chain({p})",
-                "vertices": [v for v in union.vertices
-                             if v.startswith(f"{p}/")],
+                "vertices": sorted(names[p]),
             }
     for q in sorted(maximal):
         table[f"simple({q})"] = {
             "kind": "simple",
             "atom_label": f"simple({q})",
-            "loop_colors": [f"c({q})"],
-            "vertices": [v for v in union.vertices
-                         if _base_vertex(v) == f"v({q})"],
+            "loop_colors": [loop_color[q]],
+            "vertices": sorted(leaves[q]),
         }
     return GeneratedQuiver(union, table)
 

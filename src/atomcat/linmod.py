@@ -82,10 +82,12 @@ class FdModule:
         return [self.actions[c] for c in self.colors]
 
     def key(self):
-        parts = [self.field.p, self.dim]
-        for c in self.colors:
-            parts.append((c, self.ops.mat_key(self.actions[c])))
-        return tuple(parts)
+        if "key" not in self._cache:
+            parts = [self.field.p, self.dim]
+            for c in self.colors:
+                parts.append((c, self.ops.mat_key(self.actions[c])))
+            self._cache["key"] = tuple(parts)
+        return self._cache["key"]
 
     def dense_actions(self):
         return {c: self.ops.unpack(self.actions[c], self.dim)[:self.dim].tolist()

@@ -14,10 +14,16 @@ and a two-step ladder.  Substitution mints the fresh color for a bundle
 arrow from (skeleton color, source block vertex, target block vertex),
 so identical blocks hanging off equally colored skeleton arrows share
 bundle colors, and regeneration is deterministic.
+
+`Arrow` is a named tuple, so an arrow compares equal to, hashes like
+and sorts like the plain tuple (src, dst, color, value); `make_quiver`
+takes either.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +33,7 @@ from .errors import (ColorClash, DuplicateArrow, EmptyRange, MissingBlock,
                      UnknownColor, UnknownVertex)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     src: str
     dst: str
     color: str
@@ -44,9 +49,6 @@ class ColoredQuiver:
     vertices: tuple
     colors: tuple
     arrows: tuple
-
-    def arrows_from(self, v):
-        return tuple(a for a in self.arrows if a.src == v)
 
     def loops_at(self, v):
         return self._loops.get(v, ())
@@ -118,16 +120,33 @@ class GeneratedQuiver:
         return data
 
 
+_SRC, _DST, _COLOR, _TRIPLE = (itemgetter(0), itemgetter(1), itemgetter(2),
+                               itemgetter(0, 1, 2))
+
+
 def make_quiver(vertices, colors, arrows):
-    """Validated colored quiver; arrows given as (src, dst, color[, value])."""
+    """Validated colored quiver; arrows given as (src, dst, color[, value]).
+
+    Arrows come out sorted by (src, dst, color).  The checks run as set
+    operations over all arrows; only when one fails does the per-arrow
+    scan run, so the error raised is the first fault in arrow order.
+    """
     vs = tuple(sorted(set(vertices)))
     cs = tuple(sorted(set(colors)))
     vset, cset = set(vs), set(cs)
+    out = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
+    if not (vset.issuperset(map(_SRC, out))
+            and vset.issuperset(map(_DST, out))
+            and cset.issuperset(map(_COLOR, out))
+            and len(set(map(_TRIPLE, out))) == len(out)):
+        _raise_first_fault(out, vset, cset)
+    out.sort()  # (src, dst, color) is unique, so value never decides
+    return ColoredQuiver(vs, cs, tuple(out))
+
+
+def _raise_first_fault(arrows, vset, cset):
     seen = set()
-    out = []
     for a in arrows:
-        if not isinstance(a, Arrow):
-            a = Arrow(*a)
         if a.src not in vset:
             raise UnknownVertex("arrow source not declared", vertex=a.src)
         if a.dst not in vset:
@@ -139,9 +158,6 @@ def make_quiver(vertices, colors, arrows):
             raise DuplicateArrow("two arrows share (src, dst, color)",
                                  src=a.src, dst=a.dst, color=a.color)
         seen.add(key)
-        out.append(a)
-    out.sort(key=lambda a: (a.src, a.dst, a.color))
-    return ColoredQuiver(vs, cs, tuple(out))
 
 
 def normalize(vertices, colors, arrows, p=2):

@@ -2,11 +2,15 @@
 
 import pytest
 
-from atomcat.errors import DepthTooSmall, UnknownPreset, WindowTooSmall
+from atomcat import generators, quiver
+from atomcat.errors import (ColorClash, DepthTooSmall, UnknownPreset,
+                            WindowTooSmall)
 from atomcat.generators import (gen_noatom, gen_realization_acc,
-                                gen_realization_general, preset)
-from atomcat.ordertop import normalize_poset
-from atomcat.quiver import (TruncationSpec, generated_from_json,
+                                gen_realization_general, loop_point, preset)
+from atomcat.harness import all_posets, random_poset
+from atomcat.ordertop import normalize_poset, poset_invariants
+from atomcat.quiver import (GeneratedQuiver, TruncationSpec, chain,
+                            disjoint_union, generated_from_json,
                             loop_stripped_topo_order, make_quiver)
 
 
@@ -90,6 +94,59 @@ class TestRealizationAcc:
         g = gen_realization_acc(CHAIN2, TruncationSpec(depth=2))
         g2 = generated_from_json(g.to_json())
         assert g2.quiver == g.quiver and g2.atom_table == g.atom_table
+
+    def test_one_pass_equals_nested_combinators(self):
+        posets = [(P, d) for n in range(1, 5) for P in all_posets(n)
+                  for d in (1, 2, 3)]
+        posets += [(random_poset(s, 6), 3) for s in range(8)]
+        for P, d in posets:
+            trunc = TruncationSpec(depth=d)
+            assert (gen_realization_acc(P, trunc).to_json()
+                    == nested_realization_acc(P, trunc).to_json())
+
+    def test_bundle_color_clash_detected(self, monkeypatch):
+        # a minted bundle color equal to the loop color of a block
+        def clashing(skeleton_color, src_vertex, dst_vertex):
+            return "c(p1)"
+        monkeypatch.setattr(generators, "bundle_color", clashing)
+        monkeypatch.setattr(quiver, "bundle_color", clashing)
+        for build in (gen_realization_acc, nested_realization_acc):
+            with pytest.raises(ColorClash):
+                build(CHAIN2, TruncationSpec(depth=2))
+
+
+def nested_realization_acc(poset, trunc):
+    """Reference acc realization built by nesting the combinators: a
+    loop point per maximal element, a `chain` of earlier blocks per
+    other element, then one `disjoint_union`."""
+    inv = poset_invariants(poset)
+    maximal = set(inv.maximal)
+    quivers = {}
+    for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
+        if p in maximal:
+            quivers[p] = loop_point(p)
+            continue
+        j_list = sorted(inv.j_sets[p])
+        blocks = [quivers[e] for _ in range(trunc.depth) for e in j_list]
+        tags = [f"({p};{i},{j})" for i in range(trunc.depth)
+                for j in range(len(j_list))][:-1]
+        quivers[p] = chain(blocks, tags=tags).quiver
+    union = disjoint_union([quivers[p] for p in poset.elements],
+                           names=list(poset.elements))
+    table = {}
+    for p in poset.elements:
+        if p not in maximal:
+            table[f"chain({p})"] = {
+                "kind": "chain_limit", "atom_label": f"chain({p})",
+                "vertices": [v for v in union.vertices
+                             if v.startswith(f"{p}/")]}
+    for q in sorted(maximal):
+        table[f"simple({q})"] = {
+            "kind": "simple", "atom_label": f"simple({q})",
+            "loop_colors": [f"c({q})"],
+            "vertices": [v for v in union.vertices
+                         if v.split("/")[-1] == f"v({q})"]}
+    return GeneratedQuiver(union, table)
 
 
 class TestRealizationGeneral:

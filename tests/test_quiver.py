@@ -1,11 +1,13 @@
 """Colored quiver layer: validation, combinators, generators' raw material."""
 
+import itertools
+
 import pytest
 
 from atomcat.errors import (ColorClash, DuplicateArrow, EmptyRange,
                             MissingBlock, NotAssociative, NotTargetClosed,
                             NotUnital, UnknownColor, UnknownVertex)
-from atomcat.quiver import (bundle_color, chain, disjoint_union,
+from atomcat.quiver import (Arrow, bundle_color, chain, disjoint_union,
                             full_subquiver, ladder, loop_stripped_topo_order,
                             make_quiver, normalize, quiver_from_json,
                             quiver_of_algebra, split_by_closed, substitute)
@@ -52,6 +54,60 @@ class TestMakeQuiver:
             make_quiver(["v"], ["c"], [("v", "w", "c")])
         with pytest.raises(UnknownColor):
             make_quiver(["v", "w"], [], [("v", "w", "c")])
+
+    def test_first_fault_in_arrow_order(self):
+        # several faults in every order: make_quiver raises what a
+        # per-arrow scan meets first, with the same context
+        good = [("v", "w", "c"), ("w", "w", "c", 2), ("w", "v", "d")]
+        faults = [("x", "w", "c"), ("v", "y", "d"), ("v", "v", "z"),
+                  ("v", "w", "c"), ("x", "y", "z")]
+        cases = 0
+        for k in (1, 2, 3):
+            for picked in itertools.permutations(faults, k):
+                for at in range(len(good) + 1):
+                    arrows = good[:at] + list(picked) + good[at:]
+                    want = first_fault_by_scan(["v", "w"], ["c", "d"],
+                                               arrows)
+                    with pytest.raises(want[0]) as got:
+                        make_quiver(["v", "w"], ["c", "d"], arrows)
+                    assert (type(got.value), got.value.context,
+                            str(got.value)) == want
+                    cases += 1
+        assert cases == 4 * (5 + 20 + 60)
+
+    def test_arrow_and_plain_tuples_agree(self):
+        vs, cs = ["u", "v", "w"], ["a", "b"]
+        triples = [("w", "u", "b"), ("u", "v", "a"), ("u", "u", "a"),
+                   ("v", "w", "b")]
+        quads = [t + (1 + i % 2,) for i, t in enumerate(triples)]
+        assert (make_quiver(vs, cs, [Arrow(*t) for t in triples])
+                == make_quiver(vs, cs, triples))
+        assert (make_quiver(vs, cs, [Arrow(*t) for t in quads])
+                == make_quiver(vs, cs, quads))
+        q = make_quiver(vs, cs, triples)
+        assert q.arrows == tuple(sorted(t + (1,) for t in triples))
+        assert all(type(a) is Arrow for a in q.arrows)
+        assert q.arrows[0].to_json() == {"src": "u", "dst": "u",
+                                         "color": "a", "value": 1}
+
+
+def first_fault_by_scan(vertices, colors, arrows):
+    """Reference for make_quiver's errors: check each arrow in order."""
+    seen = set()
+    for src, dst, color, *_ in arrows:
+        if src not in vertices:
+            return (UnknownVertex, {"vertex": src},
+                    "arrow source not declared")
+        if dst not in vertices:
+            return (UnknownVertex, {"vertex": dst},
+                    "arrow target not declared")
+        if color not in colors:
+            return UnknownColor, {"color": color}, "arrow color not declared"
+        if (src, dst, color) in seen:
+            return (DuplicateArrow, {"src": src, "dst": dst, "color": color},
+                    "two arrows share (src, dst, color)")
+        seen.add((src, dst, color))
+    return None
 
 
 class TestNormalize:
