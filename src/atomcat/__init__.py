@@ -15,8 +15,8 @@ from .atomspec import (Atom, AtomSet, SpectrumReport, aass, asupp,
                        localizing_subcategories, membership, spectrum)
 from .generators import (gen_noatom, gen_realization_acc,
                          gen_realization_general, preset, PRESET_NAMES)
-from .linmod import (FdModule, FieldSpec, Submodule, SubmoduleSet, Tristate,
-                     cyclic_submodule, hom_basis, is_essential, is_isomorphic,
+from .linmod import (FdModule, FieldSpec, Submodule, SubmoduleSet,
+                     cyclic_submodule, hom_basis, is_essential,
                      module_of_quiver, structure_report, submodule_lattice,
                      subquotient)
 from .ordertop import (FiniteTopology, Poset, alexandroff_of_poset,

@@ -90,9 +90,6 @@ def _spin_up(seed, color_cols, k, p):
     return tuple(form)
 
 
-_CANON_CACHE = {}
-
-
 def canonical_simple_form(simple):
     """Basis-independent canonical copy of a simple module, plus label.
 
@@ -105,11 +102,16 @@ def canonical_simple_form(simple):
     the same label, exactly when they are isomorphic.  Colors that act
     as zero are left out.  Seeds are taken with leading coordinate 1,
     since a scalar multiple of a seed spins up to the same form, so the
-    cost is (p^k - 1)/(p - 1) spin-ups.
+    cost is (p^k - 1)/(p - 1) spin-ups.  The result is kept in the
+    `linmod` structure store under the simple's key.
     """
-    cache_key = simple.key()
-    if cache_key in _CANON_CACHE:
-        return _CANON_CACHE[cache_key]
+    stored = simple.stored()
+    if "canon" not in stored:
+        stored["canon"] = _canonical_form(simple)
+    return stored["canon"]
+
+
+def _canonical_form(simple):
     p = simple.field.p
     k = simple.dim
     ops = simple.ops
@@ -137,7 +139,6 @@ def canonical_simple_form(simple):
         digest = hashlib.blake2b(repr((colors, best)).encode(),
                                  digest_size=6).hexdigest()
         label = f"S[{k}]{digest}"
-    _CANON_CACHE[cache_key] = (label, rep)
     return label, rep
 
 

@@ -12,10 +12,24 @@ the set of cyclic submodules (one per nonzero vector, all p^dim - 1 of
 them) under pairwise sums.  That enumeration is exact and exponential,
 so it is budget-guarded; the cheaper entry points (one minimal
 submodule, composition factors) avoid it where the structure allows.
+
+Structure store: the answers that depend only on a module's action
+matrices are computed once per process and kept in `_STORE`, keyed by
+`FdModule.key()` = (p, dim, the action matrices), so every module with
+equal actions shares them whatever its basis labels.  An entry holds
+the distinct cyclic submodules (scan order), the minimal submodules and,
+per budget, the lattice and the composition series, all as bare
+(basis, pivots) rows and action matrices with no parent module, plus
+the canonical simple form that `atomspec` names atoms by.  A module
+wraps stored rows as `Submodule`s of itself and relabels stored factors
+from its own basis labels, and keeps those wrappers in its `_cache`.
+Budget checks run before any lookup, entries that depend on a budget
+are keyed by it, and a computation that raises stores nothing.  The
+store is unbounded: it grows with the number of distinct modules a
+process meets.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,16 +37,9 @@ from . import linalg
 from .errors import BudgetExceeded, NotNested
 
 DEFAULT_BUDGET = 50_000
-DEFAULT_ISO_CAP = 1 << 16
 
-
-class Tristate(Enum):
-    YES = "yes"
-    NO = "no"
-    UNDECIDED = "undecided"
-
-    def __bool__(self):
-        raise TypeError("tristate answers must be compared explicitly")
+# FdModule.key() -> {entry name: label-free value}; see the module docstring
+_STORE = {}
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,11 @@ class FdModule:
                 parts.append((c, self.ops.mat_key(self.actions[c])))
             self._cache["key"] = tuple(parts)
         return self._cache["key"]
+
+    def stored(self):
+        """The structure-store entry shared by every module with this
+        module's key."""
+        return _STORE.setdefault(self.key(), {})
 
     def dense_actions(self):
         return {c: self.ops.unpack(self.actions[c], self.dim)[:self.dim].tolist()
@@ -182,7 +194,8 @@ def full_submodule(module):
     n = module.dim
     if n == 0:
         return zero_submodule(module)
-    basis = module.ops.pack(np.eye(n, dtype=np.int64), n)
+    ops = module.ops
+    basis = ops.stack([ops.unit_vec(i, n) for i in range(n)], n)
     return Submodule(module, basis, tuple(range(n)))
 
 
@@ -250,27 +263,51 @@ class SubmoduleSet:
                 if 0 < s.dim < self.members[-1].parent.dim]
 
 
-def _distinct_cyclic(module, budget):
-    """The distinct cyclic submodules, one seed scan per module: the
-    tuple is kept in the module's cache (the budget is checked first,
-    so a smaller budget still refuses)."""
+def _memo(module, name, compute, wrap):
+    """`wrap(module, value)` for the store entry `name` of the module's
+    key, computed by `compute(module)` on a miss; the wrapped result is
+    kept in the module's own cache.  A computation that raises stores
+    nothing."""
+    if name not in module._cache:
+        entry = module.stored()
+        if name not in entry:
+            entry[name] = compute(module)
+        module._cache[name] = wrap(module, entry[name])
+    return module._cache[name]
+
+
+def _rows(subs):
+    return tuple((s.basis, s.pivots) for s in subs)
+
+
+def _wrap(module, rows):
+    return tuple(Submodule(module, basis, piv) for basis, piv in rows)
+
+
+def _check_seeds(module, budget):
+    seeds = module.ops.count_nonzero_vectors(module.dim)
+    if seeds > budget:
+        raise BudgetExceeded("too many seed vectors", seeds=seeds,
+                             budget=budget, partial=None)
+
+
+def _scan_cyclic(module):
     ops = module.ops
     n = module.dim
-    if ops.count_nonzero_vectors(n) > budget:
-        raise BudgetExceeded("too many seed vectors",
-                             seeds=ops.count_nonzero_vectors(n),
-                             budget=budget, partial=None)
-    if "cyclic" in module._cache:
-        return module._cache["cyclic"]
     acts = module.action_stack()
     seen = {}
     for vec in ops.enumerate_nonzero(n):
         basis, piv = ops.cyclic_closure(vec, acts, n)
-        key = ops.mat_key(basis)
-        if key not in seen:
-            seen[key] = Submodule(module, basis, piv)
-    out = module._cache["cyclic"] = tuple(seen.values())
-    return out
+        seen.setdefault(ops.mat_key(basis), (basis, piv))
+    return tuple(seen.values())
+
+
+def _distinct_cyclic(module, budget):
+    """The distinct cyclic submodules in seed order, one seed scan per
+    key (the budget is checked first, so a smaller budget still
+    refuses)."""
+    _check_seeds(module, budget)
+    return _memo(module, "cyclic", _scan_cyclic, _wrap)
 
 
 def submodule_lattice(module, budget=DEFAULT_BUDGET):
@@ -281,16 +318,18 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
     closed under intersections as well).  Raises BudgetExceeded with
     the partial set attached when the member count passes the budget.
     """
-    cache_key = ("lattice", budget)
-    if cache_key in module._cache:
-        return module._cache[cache_key]
     if module.dim == 0:
-        out = SubmoduleSet((zero_submodule(module),), True)
-        module._cache[cache_key] = out
-        return out
-    members = {zero_submodule(module).key(): zero_submodule(module)}
-    cyclics = _distinct_cyclic(module, budget)
-    for s in cyclics:
+        return SubmoduleSet((zero_submodule(module),), True)
+    return _memo(module, ("lattice", budget),
+                 lambda m: _close_lattice(m, budget),
+                 lambda m, rows: SubmoduleSet(_wrap(m, rows), True))
+
+
+def _close_lattice(module, budget):
+    """Rows of every lattice member, sorted by `Submodule.order_key`."""
+    zero = zero_submodule(module)
+    members = {zero.key(): zero}
+    for s in _distinct_cyclic(module, budget):
         members[s.key()] = s
 
     def overflow():
@@ -312,10 +351,7 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
                 worklist.append(u)
                 if len(members) > budget:
                     raise overflow()
-    out = SubmoduleSet(tuple(sorted(members.values(),
-                                    key=Submodule.order_key)), True)
-    module._cache[cache_key] = out
-    return out
+    return _rows(sorted(members.values(), key=Submodule.order_key))
 
 
 def subquotient(module, lower, upper):
@@ -397,50 +433,6 @@ def hom_basis(m, n):
             for r in ops.unpack(ns, dm * dn)]
 
 
-def _is_invertible(dense, field):
-    ops = field.ops
-    k = len(dense)
-    basis, _ = ops.rref(ops.pack(dense % field.p, k), k)
-    return len(basis) == k
-
-
-def is_isomorphic(m, n, cap=DEFAULT_ISO_CAP):
-    """Tristate isomorphism test by exhaustive scan of the hom space."""
-    if m.field.p != n.field.p:
-        return Tristate.NO
-    if m.dim != n.dim:
-        return Tristate.NO
-    if m.dim == 0:
-        return Tristate.YES
-    if m.dim == 1:
-        # a scalar map commutes with everything: compare action scalars
-        scal = lambda mod, c: (int(mod.ops.unpack(mod.actions[c], 1)[0, 0])
-                               if c in mod.actions else 0)
-        colors = set(m.colors) | set(n.colors)
-        same = all(scal(m, c) == scal(n, c) for c in colors)
-        return Tristate.YES if same else Tristate.NO
-    homs = hom_basis(m, n)
-    if not homs or not hom_basis(n, m):
-        return Tristate.NO
-    p = m.field.p
-    k = len(homs)
-    total = p ** k - 1
-    count = 0
-    coeffs = np.zeros(k, dtype=np.int64)
-    while count < min(total, cap):
-        count += 1
-        x = count
-        for j in range(k):
-            coeffs[j] = x % p
-            x //= p
-        f = sum(int(coeffs[j]) * homs[j] for j in range(k)) % p
-        if _is_invertible(f, m.field):
-            return Tristate.YES
-    if total > cap:
-        return Tristate.UNDECIDED
-    return Tristate.NO
-
-
 # -- minimal submodules and composition factors ------------------------------
 
 def _eigen_leaves(module):
@@ -501,6 +493,12 @@ def minimal_submodules(module, budget=DEFAULT_BUDGET):
     """
     if module.dim == 0:
         return []
+    _check_seeds(module, budget)
+    return list(_memo(module, "minimal",
+                      lambda m: _rows(_minimal_cyclic(m, budget)), _wrap))
+
+
+def _minimal_cyclic(module, budget):
     cyclics = sorted(_distinct_cyclic(module, budget),
                      key=Submodule.order_key)
     out = []
@@ -520,14 +518,34 @@ def minimal_submodules(module, budget=DEFAULT_BUDGET):
 def composition_factors(module, budget=DEFAULT_BUDGET):
     """Multiset of simple factors, peeled minimal submodule by minimal
     submodule.  Returns (factor module, pivot label) pairs."""
+    return list(_memo(module, ("factors", budget),
+                      lambda m: _factor_series(m, budget), _relabel_factors))
+
+
+def _factor_series(module, budget):
+    """The composition series without labels: per factor, its dim, its
+    actions and the indices into `module.basis_labels` of its basis
+    labels (the peel runs on a copy labelled by index)."""
+    current = FdModule(module.field, module.dim, range(module.dim),
+                       module.actions)
     out = []
-    current = module
     while current.dim > 0:
         k = find_one_minimal(current, budget)
         factor = submodule_as_module(k)
-        out.append((factor, factor.basis_labels[0] if factor.dim else "?"))
+        out.append((factor.dim, factor.actions, factor.basis_labels))
         current = quotient_module(current, k)
-    return out
+    return tuple(out)
+
+
+def _relabel_factors(module, series):
+    out = []
+    for dim, actions, index in series:
+        labels = tuple(module.basis_labels[i] for i in index)
+        factor = FdModule(module.field, dim, labels, actions,
+                          provenance={"kind": "subquotient",
+                                      "pivot_labels": list(labels)})
+        out.append((factor, labels[0]))
+    return tuple(out)
 
 
 def is_essential(sub, module, budget=DEFAULT_BUDGET):

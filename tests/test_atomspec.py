@@ -15,10 +15,11 @@ from atomcat.atomspec import (Atom, asupp, aass, atom_equivalent, atom_of,
                               is_uniform, localize, localizing_subcategories,
                               membership, report_from_parts, spectrum)
 from atomcat.errors import NotMonoform, UnknownAtom, ZeroModule
-from atomcat.linmod import (FdModule, FieldSpec, Tristate, is_isomorphic,
-                            module_of_quiver, submodule_as_module,
-                            submodule_lattice, subquotient)
+from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
+                            submodule_as_module, submodule_lattice,
+                            subquotient)
 from atomcat.quiver import disjoint_union, make_quiver
+from iso_oracle import Tristate, is_isomorphic
 
 GF2 = FieldSpec(2)
 
@@ -560,3 +561,80 @@ def test_dedupe_raises_when_two_forms_share_a_label(monkeypatch):
                         lambda simple: ("S(x)", simple))
     with pytest.raises(LabelCollision):
         atomspec._dedupe_simples([(a, "a"), (b, "b")])
+
+
+# -- the structure store ------------------------------------------------------
+
+def renamed_cycle_quivers():
+    """One quiver under two vertex namings: a 2-cycle whose GF(2)
+    action has no eigenvector, and a third vertex mapping into it."""
+    def build(a, b, c):
+        return make_quiver([a, b, c], ["x", "y"],
+                           [(a, b, "x"), (b, a, "x"), (b, b, "x"),
+                            (c, a, "y")])
+    return build("a", "b", "c"), build("u", "v", "w")
+
+
+def test_equal_actions_share_atoms_with_own_sources():
+    q1, q2 = renamed_cycle_quivers()
+    m1, m2 = module_of_quiver(q1, GF2), module_of_quiver(q2, GF2)
+    assert m1.key() == m2.key()
+    for fn in (asupp, aass):
+        one, two = fn(m1), fn(m2)
+        assert one.labels() == two.labels()
+        assert [a.representative.key() for a in one] == \
+            [a.representative.key() for a in two]
+    # atoms sort by label: "S()" (the zero-action line) before "S[2]..."
+    assert [a.source for a in asupp(m1)] == [("c",), ("a",)]
+    assert [a.source for a in asupp(m2)] == [("w",), ("u",)]
+    assert [a.source for a in aass(m1)] == [("a",)]
+    assert [a.source for a in aass(m2)] == [("u",)]
+
+
+@st.composite
+def valued_quivers(draw, p, max_vertices):
+    nv = draw(st.integers(1, max_vertices))
+    vs = [f"v{i}" for i in range(nv)]
+    cs = ["c0", "c1"]
+    arrows = [(v, w, c, draw(st.integers(1, p - 1)))
+              for v in vs for w in vs for c in cs if draw(st.booleans())]
+    return make_quiver(vs, cs, arrows)
+
+
+def structure_view(module):
+    """Every stored answer about a module, with labels, sources and
+    parents spelled out."""
+    from atomcat.linmod import composition_factors, minimal_submodules
+    subs = lambda ss: [(s.key(), s.parent is module) for s in ss]
+    return {
+        "factors": [(f.key(), f.basis_labels, f.provenance, lbl)
+                    for f, lbl in composition_factors(module)],
+        "asupp": [(a.label, a.source) for a in asupp(module)],
+        "aass": [(a.label, a.source) for a in aass(module)],
+        "minimal": subs(minimal_submodules(module)),
+        "lattice": subs(submodule_lattice(module)),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_property_warm_store_matches_cleared_store(data):
+    from atomcat import linmod
+    from atomcat.linmod import quotient_module
+    p = data.draw(st.sampled_from((2, 3)))
+    q = data.draw(valued_quivers(p, 4 if p == 2 else 3))
+
+    def modules():
+        m = module_of_quiver(q, FieldSpec(p))
+        lat = submodule_lattice(m)
+        return [m] + [f(s) for s in lat for f in
+                      (submodule_as_module, lambda s: quotient_module(m, s))]
+
+    warm = [structure_view(mod) for mod in modules()]
+    again = [structure_view(mod) for mod in modules()]
+    cold = []
+    for i in range(len(warm)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linmod, "_STORE", {})
+            cold.append(structure_view(modules()[i]))
+    assert warm == again == cold

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from atomcat.errors import BudgetExceeded, NotNested
-from atomcat.linmod import (FdModule, FieldSpec, Tristate, composition_factors,
+from atomcat.linmod import (FdModule, FieldSpec, composition_factors,
                             cyclic_submodule, find_one_minimal, full_submodule,
                             hom_basis, intersect_submodules, is_essential,
-                            is_isomorphic, minimal_submodules, module_from_json,
+                            minimal_submodules, module_from_json,
                             module_of_quiver, structure_report,
                             submodule_lattice, submodule_span, subquotient,
                             sum_submodules, zero_submodule)
 from atomcat.quiver import make_quiver
+from iso_oracle import Tristate, is_isomorphic
 
 GF2 = FieldSpec(2)
 
@@ -399,3 +400,89 @@ class TestCyclicScanMemo:
         assert len(minimal_submodules(m)) == 1
         with pytest.raises(BudgetExceeded):
             minimal_submodules(m, budget=10)
+
+
+# -- the structure store -------------------------------------------------------
+
+def irreducible_plus_line(p, labels):
+    """A simple 2-dim block on the first two lines (no eigenvector: the
+    companion matrix of x^2 + x + 1 at p = 2, of x^2 + 1 at p = 3) and
+    a third line that color y sends into it."""
+    field = FieldSpec(p)
+    x = [[0, 1], [1, 1]] if p == 2 else [[0, 2], [1, 0]]
+    dense = {"x": np.array([[*x[0], 0], [*x[1], 0], [0, 0, 0]]),
+             "y": np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]])}
+    return FdModule(field, 3, labels,
+                    {c: field.ops.pack(m, 3) for c, m in dense.items()})
+
+
+def factor_view(factors):
+    return [(f.key(), f.basis_labels, f.provenance, lbl) for f, lbl in factors]
+
+
+class TestStructureStore:
+    RENAME = {"a": "u", "b": "v", "c": "w"}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_equal_actions_share_factors_with_own_labels(self, p,
+                                                         monkeypatch):
+        from atomcat import linmod
+        m1 = irreducible_plus_line(p, ("a", "b", "c"))
+        m2 = irreducible_plus_line(p, ("u", "v", "w"))
+        assert m1.key() == m2.key()
+        first, second = composition_factors(m1), composition_factors(m2)
+        assert [f.dim for f, _ in first] == [2, 1]
+        assert [lbl for _, lbl in first] == ["a", "c"]
+        assert [lbl for _, lbl in second] == ["u", "w"]
+        for (f1, _), (f2, _) in zip(first, second):
+            assert f1.key() == f2.key()
+            assert f2.basis_labels == tuple(self.RENAME[v]
+                                            for v in f1.basis_labels)
+            assert f2.provenance == {"kind": "subquotient",
+                                     "pivot_labels": list(f2.basis_labels)}
+        monkeypatch.setattr(linmod, "_STORE", {})
+        cold = composition_factors(irreducible_plus_line(p, ("u", "v", "w")))
+        assert factor_view(second) == factor_view(cold)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_equal_actions_get_submodules_of_their_own(self, p):
+        from atomcat.linmod import _distinct_cyclic
+        m1 = irreducible_plus_line(p, ("a", "b", "c"))
+        m2 = irreducible_plus_line(p, ("u", "v", "w"))
+        for fn in (minimal_submodules, submodule_lattice,
+                   lambda m: _distinct_cyclic(m, 1000)):
+            one, two = list(fn(m1)), list(fn(m2))
+            assert [s.key() for s in one] == [s.key() for s in two]
+            assert all(s.parent is m1 for s in one)
+            assert all(s.parent is m2 for s in two)
+
+    def test_smaller_budget_still_raises_after_a_hit(self):
+        # two copies of the x^2 + x + 1 block: no eigenvector at all, so
+        # composition factors need the 15-seed scan
+        block = np.array([[0, 1], [1, 1]])
+        dense = np.zeros((4, 4), dtype=np.int64)
+        dense[:2, :2] = dense[2:, 2:] = block
+
+        def module():
+            return FdModule(GF2, 4, tuple("abcd"),
+                            {"x": GF2.ops.pack(dense, 4)})
+
+        m = module()
+        assert [f.dim for f, _ in composition_factors(m)] == [2, 2]
+        assert len(minimal_submodules(m)) == 5
+        assert len(submodule_lattice(m)) == 7
+        for mod in (m, module()):
+            for fn in (composition_factors, minimal_submodules,
+                       submodule_lattice):
+                with pytest.raises(BudgetExceeded):
+                    fn(mod, budget=10)
+
+    def test_smaller_lattice_budget_still_overflows_after_a_hit(self):
+        # zero action on GF(2)^3: 7 seeds pass a budget of 10, and the
+        # 16 subspaces overflow it
+        m = FdModule(GF2, 3, tuple("abc"), {})
+        assert len(submodule_lattice(m)) == 16
+        for mod in (m, FdModule(GF2, 3, tuple("xyz"), {})):
+            with pytest.raises(BudgetExceeded) as ei:
+                submodule_lattice(mod, budget=10)
+            assert not ei.value.partial.complete
