@@ -36,10 +36,10 @@ from . import linmod
 from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
                      ZeroModule)
 from .linmod import (FdModule, FieldSpec, composition_factors, hom_basis,
-                     minimal_submodules, module_of_quiver, quotient_module,
+                     minimal_submodules, quotient_module,
                      submodule_as_module, submodule_lattice)
 from .ordertop import FiniteTopology, Poset, poset_of_topology
-from .quiver import loop_stripped_topo_order
+from .quiver import strong_components
 
 # explicit open-set families get unwieldy fast; 2^MAX_TOPOLOGY_ATOMS masks
 MAX_TOPOLOGY_ATOMS = 16
@@ -292,11 +292,10 @@ class SpectrumReport:
     opens: FiniteTopology
     order: Poset
     flags: dict  # label -> {maximal, minimal, represented_by_simple, ...}
+    p: int = 2
 
     def to_json(self):
-        p = (self.atoms.atoms[0].representative.field.p
-             if len(self.atoms) else 2)
-        return {"p": p,
+        return {"p": self.p,
                 "atoms": [a.to_json() for a in self.atoms],
                 "opens": [list(self.opens.subset_of(m))
                           for m in self.opens.opens],
@@ -329,27 +328,6 @@ def _flags_from(order, topo):
     return flags
 
 
-def _dag_vertex_simples(quiver, field, order):
-    """Composition factors of a quiver module read off a loop-free
-    topological order: the coordinate line of each vertex, in reverse
-    order, is an invariant layer, and the layer's action scalars are
-    the vertex's loop values.  Vertices with the same loop signature,
-    the (color, value mod p) pairs, share one module."""
-    ops, p = field.ops, field.p
-    modules = {}
-    out = []
-    for v in order:
-        sig = tuple((a.color, a.value % p) for a in quiver.loops_at(v)
-                    if a.value % p)
-        if sig not in modules:
-            modules[sig] = FdModule(field, 1, (v,), {
-                c: ops.stack([ops.add(ops.zero_vec(1), ops.unit_vec(0, 1),
-                                      val)], 1)
-                for c, val in sig})
-        out.append((modules[sig], v))
-    return out
-
-
 def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     """Atom spectrum of the category generated by the quiver module.
 
@@ -365,17 +343,38 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     the full power set and the specialization order is trivial.  The
     non-discrete spectra of the infinite constructions live in the
     symbolic predictor, not here.
+
+    Composition factors come from the strongly connected blocks, sinks
+    first: unions of leading blocks are target-closed, so by
+    Jordan-Hoelder the block modules have the quiver module's factors.
+    Blocks with equal index-renamed arrows (values mod p) share one
+    series; a factor's source is the block vertex at its pivot index,
+    and a BudgetExceeded names the block that hit the budget.
     """
-    topo_order = loop_stripped_topo_order(quiver)
-    if topo_order is not None:
-        simples = _dag_vertex_simples(quiver, field, topo_order)
-    else:
-        module = module_of_quiver(quiver, field)
-        simples = [(f, lbl) for f, lbl in composition_factors(module, budget)]
+    p = field.p
+    blocks = strong_components(quiver)
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    inner = [[] for _ in blocks]
+    for a in quiver.arrows:
+        if (i := block_of[a.src]) == block_of[a.dst]:
+            inner[i].append(a)
+    series, simples = {}, []
+    for block, arrows in zip(blocks, inner):
+        index = {v: i for i, v in enumerate(block)}
+        sig = (len(block), tuple((index[a.src], index[a.dst], a.color,
+                                  a.value % p) for a in arrows if a.value % p))
+        if sig not in series:
+            module = linmod._module_of_arrows(field, range(len(block)), sig[1])
+            try:
+                series[sig] = composition_factors(module, budget)
+            except BudgetExceeded as exc:
+                exc.context.update(block=list(block), dim=len(block))
+                raise
+        simples.extend((f, block[i]) for f, i in series[sig])
     atoms = _dedupe_simples(simples)
     topo = _power_set_topology(atoms.labels())
     order = poset_of_topology(topo)
-    return SpectrumReport(atoms, topo, order, _flags_from(order, topo))
+    return SpectrumReport(atoms, topo, order, _flags_from(order, topo), p)
 
 
 def report_from_json(data):
@@ -391,19 +390,20 @@ def report_from_json(data):
         rep = FdModule(field, dim, tuple(f"s{i}" for i in range(dim)),
                        actions)
         atoms.append(Atom(entry["label"], rep, tuple(entry["source"])))
-    return report_from_parts(atoms, [tuple(s) for s in data["opens"]])
+    return report_from_parts(atoms, [tuple(s) for s in data["opens"]],
+                             field.p)
 
 
-def report_from_parts(atoms, open_label_sets):
-    """Assemble a SpectrumReport from atoms plus an explicit open
-    family (used for hand-built and symbolic-window reports)."""
+def report_from_parts(atoms, open_label_sets, p=2):
+    """Assemble a SpectrumReport over GF(p) from atoms plus an explicit
+    open family (used for hand-built and symbolic-window reports)."""
     labels = tuple(sorted(a.label for a in atoms))
     proto = FiniteTopology(labels, ())
     masks = sorted({proto.mask_of(s) for s in open_label_sets})
     topo = FiniteTopology(labels, tuple(masks))
     order = poset_of_topology(topo)
     aset = AtomSet(tuple(sorted(atoms, key=lambda a: a.label)))
-    return SpectrumReport(aset, topo, order, _flags_from(order, topo))
+    return SpectrumReport(aset, topo, order, _flags_from(order, topo), p)
 
 
 def localize(report, label):
@@ -415,7 +415,7 @@ def localize(report, label):
     atoms = [a for a in report.atoms if a.label in keep]
     induced = {frozenset(set(report.opens.subset_of(m)) & keep)
                for m in report.opens.opens}
-    return report_from_parts(atoms, [tuple(s) for s in induced])
+    return report_from_parts(atoms, [tuple(s) for s in induced], report.p)
 
 
 def localizing_subcategories(report):

@@ -51,10 +51,7 @@ class FieldSpec:
     def __post_init__(self):
         if not linalg.is_prime(self.p):
             raise ValueError(f"field characteristic must be prime: {self.p}")
-
-    @property
-    def ops(self):
-        return linalg.ops_for(self.p)
+        object.__setattr__(self, "ops", linalg.ops_for(self.p))
 
 
 class FdModule:
@@ -67,11 +64,8 @@ class FdModule:
         assert len(self.basis_labels) == dim
         self.actions = dict(actions)  # color -> (dim x dim) internal matrix
         self.provenance = provenance
+        self.ops = field.ops
         self._cache = {}
-
-    @property
-    def ops(self):
-        return self.field.ops
 
     @property
     def colors(self):
@@ -126,21 +120,25 @@ def module_from_json(data):
 def module_of_quiver(quiver, field=FieldSpec(2)):
     """One basis line x_v per vertex; color c maps x_v to the sum of
     value * x_w over arrows (v, w, c)."""
-    ops = field.ops
-    n = len(quiver.vertices)
     index = {v: i for i, v in enumerate(quiver.vertices)}
-    dense = {}
-    for a in quiver.arrows:
-        if a.color not in dense:
-            dense[a.color] = np.zeros((n, n), dtype=np.int64)
-        dense[a.color][index[a.src], index[a.dst]] += a.value
-    actions = {}
-    for c, mat in dense.items():
-        mat %= field.p
-        if mat.any():
-            actions[c] = ops.pack(mat, n)
-    return FdModule(field, n, quiver.vertices, actions,
-                    provenance={"kind": "quiver"})
+    return _module_of_arrows(field, quiver.vertices, [
+        (index[a.src], index[a.dst], a.color, a.value) for a in quiver.arrows],
+        provenance={"kind": "quiver"})
+
+
+def _module_of_arrows(field, labels, arrows, provenance=None):
+    """One basis line per label, arrows as (src index, dst index, color,
+    value), at most one per (src, dst, color); zero colors left out."""
+    ops, n, rows = field.ops, len(labels), {}
+    for i, j, c, value in arrows:
+        if value % field.p:
+            if c not in rows:
+                rows[c] = [ops.zero_vec(n)] * n
+            rows[c][i] = ops.add(rows[c][i], ops.unit_vec(j, n),
+                                 value % field.p)
+    return FdModule(field, n, labels,
+                    {c: ops.stack(mat, n) for c, mat in rows.items()},
+                    provenance)
 
 
 class Submodule:

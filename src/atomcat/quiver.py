@@ -419,31 +419,52 @@ def generated_from_json(data):
                            tuple(dict(d) for d in fam) if fam is not None else None)
 
 
+def strong_components(quiver):
+    """Strongly connected blocks of the quiver with loops ignored, sinks
+    first: no arrow runs from a block to a later one, so every union of
+    leading blocks is target-closed.  Each block is a sorted tuple of
+    vertices.  Iterative Tarjan (R. Tarjan, "Depth-first search and
+    linear graph algorithms", SIAM J. Comput. 1972).
+    """
+    succ = {v: [] for v in quiver.vertices}
+    for src, dst, _, _ in quiver.arrows:
+        if src != dst:
+            succ[src].append(dst)
+    num, low, stack, blocks = {}, {}, [], []
+
+    def enter(v):
+        num[v] = low[v] = len(num)
+        stack.append(v)
+        return v, iter(succ[v]), len(stack) - 1
+
+    for root in quiver.vertices:
+        work = [] if root in num else [enter(root)]
+        while work:
+            v, it, height = work[-1]
+            for w in it:
+                if w not in num:
+                    work.append(enter(w))
+                    break
+                if num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == num[v]:
+                    blocks.append(tuple(sorted(stack[height:])))
+                    # done: a number above any live one lowers no low
+                    num.update(dict.fromkeys(stack[height:], len(succ)))
+                    del stack[height:]
+    return blocks
+
+
 def loop_stripped_topo_order(quiver):
     """Topological order of the quiver with loops removed, or None.
 
     When this succeeds the module of the quiver is triangular in that
-    vertex order, which downstream turns composition factor extraction
-    into a read-off.
+    vertex order: every non-loop arrow runs forward.
     """
-    order_in = {v: 0 for v in quiver.vertices}
-    outs = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        if a.src == a.dst:
-            continue
-        outs[a.src].append(a.dst)
-        order_in[a.dst] += 1
-    ready = sorted(v for v, d in order_in.items() if d == 0)
-    out = []
-    while ready:
-        v = ready.pop()
-        out.append(v)
-        added = []
-        for w in outs[v]:
-            order_in[w] -= 1
-            if order_in[w] == 0:
-                added.append(w)
-        ready.extend(sorted(added))
-    if len(out) != len(quiver.vertices):
-        return None
-    return out
+    blocks = strong_components(quiver)
+    acyclic = len(blocks) == len(quiver.vertices)
+    return [v for v, in reversed(blocks)] if acyclic else None

@@ -249,7 +249,7 @@ class TestSpectrum:
         assert rep.opens.opens == (0,)
 
     def test_dag_path_equals_generic_path(self):
-        # force the generic composition-factor path by adding a 2-cycle
+        # the block path's atoms against the whole module's factors
         q = loops_chain_quiver()
         rep_dag = spectrum(q)
         m = module_of_quiver(q, GF2)
@@ -432,6 +432,76 @@ def test_spectrum_report_json_roundtrip():
         assert back.to_json() == rep.to_json()
 
 
+def test_empty_spectrum_keeps_its_prime():
+    import json
+    from atomcat.atomspec import localize, report_from_json
+    rep = spectrum(make_quiver([], [], []), FieldSpec(3))
+    assert rep.p == 3 and rep.to_json()["p"] == 3
+    back = report_from_json(json.loads(json.dumps(rep.to_json())))
+    assert back.p == 3 and back.to_json() == rep.to_json()
+    loop = spectrum(loop_quiver(), FieldSpec(3))
+    assert localize(loop, "S(c)").to_json()["p"] == 3
+
+
+# -- the block path ------------------------------------------------------------
+
+def cycle_chain_quiver(cycles, length=3):
+    """`cycles` directed cycles of color c, each joined to the next by
+    an e-arrow: one strongly connected block per cycle."""
+    vs, arrows = [], []
+    for i in range(cycles):
+        ring = [f"k{i:02d}/{j}" for j in range(length)]
+        vs += ring
+        arrows += [(ring[j], ring[(j + 1) % length], "c")
+                   for j in range(length)]
+        if i:
+            arrows.append((f"k{i - 1:02d}/0", ring[0], "e"))
+    return make_quiver(vs, ["c", "e"], arrows)
+
+
+@pytest.mark.parametrize("p, dims", [(2, [1, 2]), (3, [1])])
+def test_chain_of_small_cycles_answers_block_by_block(p, dims):
+    # 42 vertices: 2^42 - 1 seeds for the whole module, 7 per block
+    q = cycle_chain_quiver(14)
+    rep = spectrum(q, FieldSpec(p))
+    assert sorted(a.representative.dim for a in rep.atoms) == dims
+    assert rep.atoms.labels()[0] == "S(c)"
+    one = spectrum(cycle_chain_quiver(1), FieldSpec(p))
+    assert rep.atoms.labels() == one.atoms.labels()
+    # every block contributes a source to every atom
+    for atom in rep.atoms:
+        assert {v.split("/")[0] for v in atom.source} == \
+            {f"k{i:02d}" for i in range(14)}
+    if p == 3:  # three factors per cycle, one pivot label per vertex
+        assert rep.atoms.atoms[0].source == q.vertices
+
+
+def test_arrows_vanishing_mod_p_keep_their_block():
+    # a 2-cycle of value-3 arrows is one block of two zero-action lines
+    q = make_quiver(["a", "b", "c"], ["x"],
+                    [("a", "b", "x", 3), ("b", "a", "x", 3)])
+    rep = spectrum(q, FieldSpec(3))
+    assert [(a.label, a.source) for a in rep.atoms] == \
+        [("S()", ("a", "b", "c"))]
+
+
+def test_budget_error_names_the_block():
+    from atomcat.errors import BudgetExceeded
+    # a 16-cycle of c with a d-loop on its first vertex: the only
+    # c-eigenline (all ones) is not d-stable, so no common eigenvector,
+    # and 2^16 - 1 seeds pass the default budget; a sink hangs below it
+    ring = [f"r{i:02d}" for i in range(16)]
+    arrows = [(ring[i], ring[(i + 1) % 16], "c") for i in range(16)]
+    arrows += [(ring[0], ring[0], "d"), (ring[3], "sink", "c")]
+    q = make_quiver(ring + ["sink"], ["c", "d"], arrows)
+    with pytest.raises(BudgetExceeded) as info:
+        spectrum(q, GF2)
+    ctx = info.value.context
+    assert ctx["block"] == ring and ctx["dim"] == 16
+    assert ctx["seeds"] == 2 ** 16 - 1 and ctx["budget"] == 50_000
+    assert info.value.partial is None
+
+
 # -- exact canonical forms at p = 2 and p = 3 --------------------------------
 
 import numpy as np
@@ -592,13 +662,42 @@ def test_equal_actions_share_atoms_with_own_sources():
 
 
 @st.composite
-def valued_quivers(draw, p, max_vertices):
+def valued_quivers(draw, p, max_vertices, dag=False):
+    """Random arrows with values in 1..p-1; with `dag`, only loops and
+    arrows from a vertex to a later one."""
     nv = draw(st.integers(1, max_vertices))
     vs = [f"v{i}" for i in range(nv)]
     cs = ["c0", "c1"]
     arrows = [(v, w, c, draw(st.integers(1, p - 1)))
-              for v in vs for w in vs for c in cs if draw(st.booleans())]
+              for i, v in enumerate(vs) for j, w in enumerate(vs)
+              for c in cs if (i <= j or not dag) and draw(st.booleans())]
     return make_quiver(vs, cs, arrows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_property_block_path_matches_whole_module_factors(data):
+    from atomcat.atomspec import _dedupe_simples
+    from atomcat.linmod import composition_factors
+    from atomcat.quiver import (full_subquiver, loop_stripped_topo_order,
+                                strong_components)
+    p = data.draw(st.sampled_from((2, 3)))
+    dag = data.draw(st.booleans())
+    q = data.draw(valued_quivers(p, 6 if p == 2 else 4, dag))
+    field = FieldSpec(p)
+    blocks = spectrum(q, field).atoms
+    whole = _dedupe_simples(composition_factors(module_of_quiver(q, field)))
+    assert blocks.labels() == whole.labels()
+    assert [a.representative.key() for a in blocks] == \
+        [a.representative.key() for a in whole]
+    if loop_stripped_topo_order(q) is not None:
+        assert [a.source for a in blocks] == [a.source for a in whole]
+    # sources: the pivot labels of each block's own subquiver module
+    per_block = _dedupe_simples([
+        pair for b in strong_components(q) for pair in
+        composition_factors(module_of_quiver(full_subquiver(q, b), field))])
+    assert [(a.label, a.source) for a in blocks] == \
+        [(a.label, a.source) for a in per_block]
 
 
 def structure_view(module):

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomcat.errors import (ColorClash, DuplicateArrow, EmptyRange,
                             MissingBlock, NotAssociative, NotTargetClosed,
@@ -10,7 +12,8 @@ from atomcat.errors import (ColorClash, DuplicateArrow, EmptyRange,
 from atomcat.quiver import (Arrow, bundle_color, chain, disjoint_union,
                             full_subquiver, ladder, loop_stripped_topo_order,
                             make_quiver, normalize, quiver_from_json,
-                            quiver_of_algebra, split_by_closed, substitute)
+                            quiver_of_algebra, split_by_closed,
+                            strong_components, substitute)
 
 
 def point(name="v", loop_color=None):
@@ -346,11 +349,76 @@ def test_json_roundtrip():
     assert quiver_from_json(q.to_json()) == q
 
 
+def runs_forward(q, order):
+    pos = {v: i for i, v in enumerate(order)}
+    return all(pos[a.src] < pos[a.dst] for a in q.arrows if a.src != a.dst)
+
+
 def test_topo_order():
-    assert loop_stripped_topo_order(path3()) is not None
+    assert runs_forward(path3(), loop_stripped_topo_order(path3()))
     cyc = make_quiver(["a", "b"], ["c", "d"],
                       [("a", "b", "c"), ("b", "a", "d")])
     assert loop_stripped_topo_order(cyc) is None
     loops = disjoint_union([point("v", "c0"), point("v", "c1")])
     order = loop_stripped_topo_order(loops)
     assert order is not None and len(order) == 2
+    assert runs_forward(loops, order)
+    # a diamond whose arrows run against the vertex names
+    diamond = make_quiver(["a", "b", "c", "d"], ["x"],
+                          [("d", "b", "x"), ("d", "c", "x"), ("b", "a", "x"),
+                           ("c", "a", "x"), ("a", "a", "x")])
+    assert runs_forward(diamond, loop_stripped_topo_order(diamond))
+
+
+@st.composite
+def random_digraphs(draw):
+    nv = draw(st.integers(0, 8))
+    vs = [f"v{i}" for i in range(nv)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                          max_size=3 * nv, unique=True)) if vs else []
+    return make_quiver(vs, ["c"], [(v, w, "c") for v, w in pairs])
+
+
+def reachability(q):
+    """Transitive closure by repeated squaring of the relation."""
+    reach = {(v, v) for v in q.vertices}
+    reach |= {(a.src, a.dst) for a in q.arrows}
+    while True:
+        more = reach | {(u, w) for u, v in reach for v2, w in reach
+                        if v == v2}
+        if more == reach:
+            return reach
+        reach = more
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_digraphs())
+def test_property_strong_components_match_closure_oracle(q):
+    blocks = strong_components(q)
+    reach = reachability(q)
+    assert sorted(v for b in blocks for v in b) == list(q.vertices)
+    for b in blocks:
+        assert list(b) == sorted(b)
+        others = [w for w in q.vertices if (b[0], w) in reach
+                  and (w, b[0]) in reach]
+        assert list(b) == others
+    # sinks first: no arrow runs from a block to a later one
+    pos = {v: i for i, b in enumerate(blocks) for v in b}
+    assert all(pos[a.src] >= pos[a.dst] for a in q.arrows)
+    order = loop_stripped_topo_order(q)
+    if all(len(b) == 1 for b in blocks):
+        assert runs_forward(q, order)
+    else:
+        assert order is None
+
+
+def test_strong_components_of_a_long_path_and_cycle():
+    # deeper than any recursion limit would allow
+    n = 5000
+    vs = [f"v{i:05d}" for i in range(n)]
+    path = make_quiver(vs, ["c"], [(vs[i], vs[i + 1], "c")
+                                   for i in range(n - 1)])
+    assert strong_components(path) == [(v,) for v in reversed(vs)]
+    cycle = make_quiver(vs, ["c"], [(vs[i], vs[(i + 1) % n], "c")
+                                    for i in range(n)])
+    assert strong_components(cycle) == [tuple(vs)]
