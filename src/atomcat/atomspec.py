@@ -27,7 +27,6 @@ available in the test suite as oracles.
 """
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,98 +46,41 @@ MAX_TOPOLOGY_ATOMS = 16
 
 # -- canonical representatives and labels ------------------------------------
 
-def _spin_up(seed, color_cols, k, p):
-    """Actions of the module in the standard basis spun up from `seed`.
-
-    Basis vectors are taken in order and, for each, the colors in sorted
-    order; an image joins the basis when it is independent of the
-    vectors kept so far.  Images are reduced against a semi-echelon
-    copy of the basis that tracks coordinates, so the coordinates of
-    the image of basis vector i under color c are row i of c's action
-    in the new basis.  Returns those rows, basis-vector-major:
-    form[i][j] is row i of the j-th color's matrix.
-    """
-    basis, echelon = [], []  # echelon rows: (pivot, row, coordinates)
-
-    def coords_of(w):
-        res, coords = list(w), [0] * k
-        for piv, row, comb in echelon:
-            a = res[piv]
-            if a:
-                res = [(x - a * y) % p for x, y in zip(res, row)]
-                coords = [(x + a * y) % p for x, y in zip(coords, comb)]
-        piv = next((j for j, x in enumerate(res) if x), None)
-        if piv is None:
-            return tuple(coords)
-        # res = b_m - sum(coords_t b_t) for the new basis vector b_m = w
-        m = len(basis)
-        basis.append(w)
-        inv = pow(res[piv], p - 2, p)
-        comb = [(-x) % p for x in coords]
-        comb[m] = 1
-        echelon.append((piv, [x * inv % p for x in res],
-                        [x * inv % p for x in comb]))
-        return tuple(int(j == m) for j in range(k))
-
-    coords_of(seed)
-    form = []
-    for b in basis:  # also visits the vectors appended on the way
-        form.append(tuple(
-            coords_of([sum(x * y for x, y in zip(b, col)) % p for col in cols])
-            for cols in color_cols))
-    assert len(basis) == k, "a simple module is spun up by every seed"
-    return tuple(form)
-
-
 def canonical_simple_form(simple):
     """Basis-independent canonical copy of a simple module, plus label.
 
-    Parker's standard basis (the Meat-Axe): every nonzero seed vector
-    of a simple module spins up to a basis, and writing the actions in
-    that basis gives one candidate form.  An isomorphism carries seeds
-    to seeds and candidate forms to equal candidate forms, so the
-    lexicographically least form over all seeds is exact for every
-    dimension and prime: two simples get the same representative, and
-    the same label, exactly when they are isomorphic.  Colors that act
-    as zero are left out.  Seeds are taken with leading coordinate 1,
-    since a scalar multiple of a seed spins up to the same form, so the
-    cost is (p^k - 1)/(p - 1) spin-ups.  The result is kept in the
-    `linmod` structure store under the simple's key.
+    Parker's standard basis (the Meat-Axe): every nonzero seed of a
+    simple module spins up to a basis, and the actions written in that
+    basis are one candidate form.  An isomorphism carries seeds to seeds
+    and forms to equal forms, so the least form over all seeds (as
+    coordinate tuples) is exact: two simples get the same representative
+    and label exactly when they are isomorphic.  Zero colors are left
+    out.  Seeds have leading coordinate 1 (a scalar multiple spins up to
+    the same form): (p^k - 1)/(p - 1) spin-ups in the field's kernel,
+    `bitmat.spin_up` on int bitsets or `modp.spin_up` on lists.  The
+    result is kept in the `linmod` structure store under the simple's key.
     """
     stored = simple.stored()
-    if "canon" not in stored:
-        stored["canon"] = _canonical_form(simple)
-    return stored["canon"]
-
-
-def _canonical_form(simple):
-    p = simple.field.p
-    k = simple.dim
-    ops = simple.ops
-    dense = {c: np.array(ops.unpack(simple.actions[c], k)[:k],
-                         dtype=np.int64) % p
-             for c in simple.colors}
-    colors = tuple(c for c in sorted(dense) if dense[c].any())
-    color_cols = [dense[c].T.tolist() for c in colors]
-    best = None
-    for seed in itertools.product(range(p), repeat=k):
-        if next((x for x in seed if x), 0) != 1:
-            continue
-        form = _spin_up(seed, color_cols, k, p)
-        if best is None or form < best:
-            best = form
-    mats = {c: np.array([best[i][j] for i in range(k)], dtype=np.int64)
-            for j, c in enumerate(colors)}
-    rep = FdModule(simple.field, k, tuple(f"s{i}" for i in range(k)),
-                   {c: ops.pack(m, k) for c, m in mats.items()})
+    if "canon" in stored:
+        return stored["canon"]
+    k, ops = simple.dim, simple.ops
+    colors = tuple(c for c in simple.colors
+                   if not all(map(ops.is_zero, simple.actions[c])))
+    acts = [simple.actions[c] for c in colors]
+    best = min(ops.spin_up(seed, acts, k) for seed in ops.line_seeds(k))
+    best = ops.unpack_form(best, k, len(colors))
+    rep = FdModule(simple.field, k, tuple(f"s{i}" for i in range(k)), {
+        c: ops.pack(np.array([row[j] for row in best], dtype=np.int64), k)
+        for j, c in enumerate(colors)})
     if k == 1:
-        parts = [c if m[0, 0] == 1 else f"{c}={m[0, 0]}"
-                 for c, m in mats.items()]
+        parts = (c if v == 1 else f"{c}={v}"
+                 for c, (v,) in zip(colors, best[0]))
         label = "S(" + ",".join(parts) + ")"
     else:
         digest = hashlib.blake2b(repr((colors, best)).encode(),
                                  digest_size=6).hexdigest()
         label = f"S[{k}]{digest}"
+    stored["canon"] = label, rep
     return label, rep
 
 

@@ -151,3 +151,34 @@ def coords_in_basis(row, basis, pivots):
             coeffs |= 1 << i
             rec ^= b
     return coeffs if rec == row else None
+
+
+def spin_up(seed, acts, k):
+    """`modp.spin_up` from a nonzero `seed`, as one int: k bits per image,
+    coordinate 0 highest, so keys compare as their `unpack_form` tuples.
+    A reduction step is one XOR on the row and one on its coordinates."""
+    top, key = 1 << (k - 1), 0
+    basis, echelon = [seed], [(seed & -seed, seed, top)]  # pivot/row/coords
+    for b in basis:  # also visits the vectors appended on the way
+        for act in acts:
+            res = w = vec_mat(b, act)
+            coords = 0
+            for low, row, comb in echelon:
+                if res & low:
+                    res ^= row
+                    coords ^= comb
+            if res:  # w = res + the basis vectors at coords
+                unit = top >> len(basis)
+                echelon.append((res & -res, res, coords ^ unit))
+                basis.append(w)
+                coords = unit
+            key = key << k | coords
+    assert len(basis) == k, "a simple module is spun up by every seed"
+    return key
+
+
+def unpack_form(key, k, m):
+    """A `spin_up` key over m actions as `modp.spin_up` nested tuples."""
+    bits = tuple(map(int, format(key, f"0{k * m * k}b")))
+    return tuple(tuple(bits[(i * m + j) * k:(i * m + j + 1) * k]
+                       for j in range(m)) for i in range(k))

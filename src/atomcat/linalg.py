@@ -9,6 +9,8 @@ over rows, and matrices built by `stack`.  All methods treat row spaces
 as immutable values in fully reduced row-echelon form.
 """
 
+import itertools
+
 import numpy as np
 
 from . import bitmat, modp
@@ -56,6 +58,12 @@ class F2Ops:
     def coords(self, row, basis, pivots, n):
         return bitmat.coords_in_basis(row, basis, pivots)
 
+    def spin_up(self, seed, acts, n):
+        return bitmat.spin_up(seed, acts, n)
+
+    def unpack_form(self, form, n, m):
+        return bitmat.unpack_form(form, n, m)
+
     def is_zero(self, vec):
         return not vec
 
@@ -74,6 +82,8 @@ class F2Ops:
 
     def enumerate_nonzero(self, n):
         return range(1, 1 << n)
+
+    line_seeds = enumerate_nonzero  # each line has one nonzero vector
 
     def count_nonzero_vectors(self, n):
         return (1 << n) - 1
@@ -126,6 +136,16 @@ class FpOps:
 
     def coords(self, row, basis, pivots, n):
         return modp.coords_in_basis(row, basis, pivots, self.p)
+
+    def line_seeds(self, n):  # one vector per line: leading coordinate 1
+        return (s for s in itertools.product(range(self.p), repeat=n)
+                if next((x for x in s if x), 0) == 1)
+
+    def spin_up(self, seed, acts, n):
+        return modp.spin_up(seed, acts, n, self.p)
+
+    def unpack_form(self, form, n, m):
+        return form
 
     def is_zero(self, vec):
         return not vec.any()

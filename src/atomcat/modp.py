@@ -103,3 +103,43 @@ def enumerate_nonzero_vectors(n, p):
             vec[j] = y % p
             y //= p
         yield vec.copy()
+
+
+def spin_up(seed, acts, k, p):
+    """Parker's standard basis (the Meat-Axe) spun up from `seed`: the
+    images of each basis vector in turn under `acts` join the basis when
+    independent of it.  They reduce against a semi-echelon copy of the
+    basis that tracks coordinates, so form[i][j], the coordinates of
+    the image of basis vector i under action j, is row i of action j in
+    the new basis.  Lists, not numpy rows, which are slower at k <= 8."""
+    color_cols = [(np.asarray(a, dtype=np.int64) % p).T.tolist() for a in acts]
+    basis, echelon = [], []  # echelon rows: (pivot, row, coordinates)
+
+    def coords_of(w):
+        res, coords = list(w), [0] * k
+        for piv, row, comb in echelon:
+            a = res[piv]
+            if a:
+                res = [(x - a * y) % p for x, y in zip(res, row)]
+                coords = [(x + a * y) % p for x, y in zip(coords, comb)]
+        piv = next((j for j, x in enumerate(res) if x), None)
+        if piv is None:
+            return tuple(coords)
+        # res = b_m - sum(coords_t b_t) for the new basis vector b_m = w
+        m = len(basis)
+        basis.append(w)
+        inv = pow(res[piv], p - 2, p)
+        comb = [(-x) % p for x in coords]
+        comb[m] = 1
+        echelon.append((piv, [x * inv % p for x in res],
+                        [x * inv % p for x in comb]))
+        return tuple(int(j == m) for j in range(k))
+
+    coords_of(seed)
+    form = []
+    for b in basis:  # also visits the vectors appended on the way
+        form.append(tuple(
+            coords_of([sum(x * y for x, y in zip(b, col)) % p for col in cols])
+            for cols in color_cols))
+    assert len(basis) == k, "a simple module is spun up by every seed"
+    return tuple(form)

@@ -120,16 +120,19 @@ class GeneratedQuiver:
         return data
 
 
-_SRC, _DST, _COLOR, _TRIPLE = (itemgetter(0), itemgetter(1), itemgetter(2),
-                               itemgetter(0, 1, 2))
+_SRC, _DST, _COLOR = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _same_triple(a, b):
+    return a[2] == b[2] and a[1] == b[1] and a[0] == b[0]
 
 
 def make_quiver(vertices, colors, arrows):
     """Validated colored quiver; arrows given as (src, dst, color[, value]).
 
-    Arrows come out sorted by (src, dst, color).  The checks run as set
-    operations over all arrows; only when one fails does the per-arrow
-    scan run, so the error raised is the first fault in arrow order.
+    Arrows come out sorted by (src, dst, color).  The checks run on all
+    arrows at once; only when one fails does the per-arrow scan run, so
+    the error raised is the first fault in arrow order.
     """
     vs = tuple(sorted(set(vertices)))
     cs = tuple(sorted(set(colors)))
@@ -138,10 +141,10 @@ def make_quiver(vertices, colors, arrows):
     if not (vset.issuperset(map(_SRC, out))
             and vset.issuperset(map(_DST, out))
             and cset.issuperset(map(_COLOR, out))
-            and len(set(map(_TRIPLE, out))) == len(out)):
+            and not any(map(_same_triple, ordered := sorted(out),
+                            ordered[1:]))):
         _raise_first_fault(out, vset, cset)
-    out.sort()  # (src, dst, color) is unique, so value never decides
-    return ColoredQuiver(vs, cs, tuple(out))
+    return ColoredQuiver(vs, cs, tuple(ordered))
 
 
 def _raise_first_fault(arrows, vset, cset):

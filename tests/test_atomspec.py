@@ -507,7 +507,7 @@ def test_budget_error_names_the_block():
 import numpy as np
 
 from atomcat import modp
-from atomcat.linmod import hom_basis
+from atomcat.linmod import hom_basis, structure_report
 
 
 @st.composite
@@ -620,6 +620,74 @@ def test_dedupe_keys_isomorphic_simples_to_one_atom():
     assert atoms.labels() == (canonical_simple_form(b)[0],)
     assert "?" not in atoms.labels()[0]
     assert atoms.atoms[0].source == ("x", "y")
+
+
+def cycle_and_loop(p, weights, loop=1, **extra):
+    """Dense actions of a simple module: a weighted k-cycle `c`, a loop
+    `d` on the first line and any extra colors."""
+    k = len(weights)
+    cycle = np.zeros((k, k), dtype=np.int64)
+    for i, w in enumerate(weights):
+        cycle[i, (i + 1) % k] = w
+    d = np.zeros((k, k), dtype=np.int64)
+    d[0, 0] = loop
+    return {"c": cycle, "d": d,
+            **{c: np.array(m, dtype=np.int64) for c, m in extra.items()}}
+
+
+# labels computed by the dense-list spin-up at both primes, kept
+# literally so that a change of form, order or digest shows
+PINNED_LABELS = [
+    (2, {"c": np.array([[1]]), "d": np.array([[0]])}, "S(c)"),
+    (3, {"c": np.array([[1]]), "d": np.array([[2]])}, "S(c,d=2)"),
+    (2, {"c": np.array([[0, 1], [1, 1]])}, "S[2]eb93380867e6"),
+    (2, cycle_and_loop(2, [1, 1, 1]), "S[3]a580f154955e"),
+    (2, cycle_and_loop(2, [1, 1, 1, 1], e=[[1, 0, 1, 1], [0, 1, 1, 0],
+                                           [1, 1, 0, 0], [0, 0, 0, 1]]),
+     "S[4]9486b0b226d6"),
+    # the cycle-plus-loop module of the dedupe test above
+    (2, cycle_and_loop(2, [1] * 5), "S[5]cb00460372c5"),
+    (3, cycle_and_loop(3, [1, 2]), "S[2]fb46d8b77195"),
+    (3, cycle_and_loop(3, [2, 1, 1], loop=2), "S[3]f22799c522ec"),
+    (3, cycle_and_loop(3, [1, 2, 2, 1], e=[[0, 2, 1, 0], [1, 0, 0, 2],
+                                           [2, 2, 0, 1], [0, 1, 1, 0]]),
+     "S[4]92b8a127f5ed"),
+    (3, cycle_and_loop(3, [1, 1, 2, 1, 1], loop=2), "S[5]e4c10a35fb9e"),
+]
+
+
+@pytest.mark.parametrize("p, dense, label", PINNED_LABELS)
+def test_canonical_labels_are_pinned(p, dense, label):
+    module = module_from_dense(p, dense)
+    assert structure_report(module).is_simple
+    assert canonical_simple_form(module)[0] == label
+    # a color acting as zero leaves label and representative alone
+    k = module.dim
+    zero = module_from_dense(p, {**dense, "z": np.zeros((k, k), np.int64)})
+    assert canonical_simple_form(zero)[0] == label
+    assert (canonical_simple_form(zero)[1].key()
+            == canonical_simple_form(module)[1].key())
+
+
+def test_canonical_representatives_are_pinned():
+    _, rep = canonical_simple_form(
+        module_from_dense(3, cycle_and_loop(3, [2, 1, 1], loop=2)))
+    assert rep.dense_actions() == {
+        "c": [[0, 1, 0], [0, 0, 1], [2, 0, 0]],
+        "d": [[0, 0, 0], [0, 0, 0], [0, 0, 2]]}
+    _, rep = canonical_simple_form(
+        module_from_dense(2, cycle_and_loop(2, [1, 1, 1])))
+    assert rep.dense_actions() == {
+        "c": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        "d": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_canonical_form_of_a_non_simple_module_fails_the_span_check(p):
+    # e0 spins up to both lines, e1 only to its own
+    module = module_from_dense(p, {"c": np.array([[0, 1], [0, 0]])})
+    with pytest.raises(AssertionError, match="spun up by every seed"):
+        canonical_simple_form(module)
 
 
 def test_dedupe_raises_when_two_forms_share_a_label(monkeypatch):

@@ -90,6 +90,38 @@ def test_nullspaces_match_modp_at_p2(dense):
                           modp.nullspace(dense.T.astype(np.int64), 2))
 
 
+@st.composite
+def gf2_simples(draw):
+    """Dense actions of a simple module over GF(2), in a drawn order: a
+    k-cycle and a loop on the first line (an invariant subspace reaches
+    that line along the cycle, then every line), plus up to two random
+    colors."""
+    k = draw(st.integers(1, 8))
+    loop = np.zeros((k, k), dtype=np.int64)
+    loop[0, 0] = 1
+    acts = [np.roll(np.eye(k, dtype=np.int64), 1, axis=1), loop]
+    acts += [random_bits(draw, (k, k)).astype(np.int64)
+             for _ in range(draw(st.integers(0, 2)))]
+    return k, draw(st.permutations(acts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(gf2_simples())
+def test_spin_up_matches_modp_at_p2_for_every_seed(case):
+    k, acts = case
+    packed = [bitmat.pack_rows(a) for a in acts]
+    keys, forms = [], []
+    for seed in range(1, 1 << k):
+        keys.append(bitmat.spin_up(seed, packed, k))
+        forms.append(modp.spin_up(tuple(seed >> t & 1 for t in range(k)),
+                                  acts, k, 2))
+        assert bitmat.unpack_form(keys[-1], k, len(acts)) == forms[-1]
+    # int keys order the seeds as the coordinate tuples do
+    seeds = range(len(keys))
+    assert (sorted(seeds, key=keys.__getitem__)
+            == sorted(seeds, key=forms.__getitem__))
+
+
 def packed_word_bytes(rows, ncols):
     """Rows as little-endian uint64 words, one word per 64 columns."""
     words = max(1, (ncols + 63) // 64)
