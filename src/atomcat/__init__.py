@@ -25,9 +25,9 @@ from .ordertop import (FiniteTopology, Poset, alexandroff_of_poset,
 from .predictor import (DiffReport, SymbolicSpectrum, crosscheck,
                         predict_chain, predict_disjoint_union, predict_noatom,
                         predict_preset, predict_realization)
-from .quiver import (Arrow, ColoredQuiver, GeneratedQuiver, TruncationSpec,
-                     chain, disjoint_union, full_subquiver, ladder,
-                     make_quiver, normalize, quiver_of_algebra,
-                     split_by_closed, substitute)
+from .quiver import (ColoredQuiver, GeneratedQuiver, TruncationSpec, chain,
+                     disjoint_union, full_subquiver, ladder, make_quiver,
+                     normalize, quiver_of_algebra, split_by_closed,
+                     substitute)
 
 __version__ = "0.1.0"

@@ -295,16 +295,20 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     """
     p = field.p
     blocks = strong_components(quiver)
-    block_of = {v: i for i, block in enumerate(blocks) for v in block}
-    inner = [[] for _ in blocks]
-    for a in quiver.arrows:
-        if (i := block_of[a.src]) == block_of[a.dst]:
-            inner[i].append(a)
+    # a one-vertex block's inner arrows are its loops
+    inner = [quiver.loops_at(b[0]) if len(b) == 1 else [] for b in blocks]
+    block_of = {v: i for i, b in enumerate(blocks) if len(b) > 1 for v in b}
+    if block_of:
+        for a in quiver.arrows:
+            i = block_of.get(a[0])
+            if i is not None and i == block_of.get(a[1]):
+                inner[i].append(a)
     series, simples = {}, []
     for block, arrows in zip(blocks, inner):
         index = {v: i for i, v in enumerate(block)}
-        sig = (len(block), tuple((index[a.src], index[a.dst], a.color,
-                                  a.value % p) for a in arrows if a.value % p))
+        sig = (len(block), tuple((index[src], index[dst], color, value % p)
+                                 for src, dst, color, value in arrows
+                                 if value % p))
         if sig not in series:
             module = linmod._module_of_arrows(field, range(len(block)), sig[1])
             try:

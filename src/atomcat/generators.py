@@ -22,8 +22,8 @@ from itertools import repeat
 
 from .errors import ColorClash, DepthTooSmall, UnknownPreset, WindowTooSmall
 from .ordertop import normalize_poset, poset_invariants
-from .quiver import (Arrow, GeneratedQuiver, TruncationSpec, bundle_color,
-                     chain, make_quiver)
+from .quiver import (GeneratedQuiver, TruncationSpec, bundle_color, chain,
+                     make_quiver)
 
 
 def loop_point(tag):
@@ -74,12 +74,12 @@ def gen_realization_acc(poset, trunc):
     inv = poset_invariants(poset)
     maximal = set(inv.maximal)
     rel, blocks, bundles, loop_color = {}, {}, {}, {}
-    used = set()
+    used = {}  # colors in minting order, which make_quiver sorts fast
     for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
         if p in maximal:
             rel[p] = (f"v({p})",)
             loop_color[p] = f"c({p})"
-            used.add(loop_color[p])
+            used[loop_color[p]] = None
             continue
         j_list = sorted(inv.j_sets[p])
         seq = j_list * trunc.depth
@@ -91,10 +91,11 @@ def gen_realization_acc(poset, trunc):
             tag = f"({p};{b // len(j_list)},{b % len(j_list)})"
             minted.append([[bundle_color(tag, v, w) for w in rel[seq[b + 1]]]
                            for v in rel[seq[b]]])
-        fresh = {c for rows in minted for row in rows for c in row}
-        if not fresh.isdisjoint(used):
+        fresh = dict.fromkeys(c for rows in minted for row in rows
+                              for c in row)
+        if not fresh.keys().isdisjoint(used):
             raise ColorClash("bundle color already in use",
-                             color=min(fresh & used))
+                             color=min(fresh.keys() & used.keys()))
         used |= fresh
         blocks[p], bundles[p] = seq, minted
 
@@ -105,7 +106,7 @@ def gen_realization_acc(poset, trunc):
         # final names of p's block under prefix, in the order of rel[p]
         if p in maximal:
             v = prefix + rel[p][0]
-            arrows.append(Arrow(v, v, loop_color[p]))
+            arrows.append((v, v, loop_color[p], 1))
             leaves[p].append(v)
             return [v]
         names, prev = [], None
@@ -113,12 +114,13 @@ def gen_realization_acc(poset, trunc):
             cur = emit(e, f"{prefix}b{b}/")
             if prev is not None:
                 for v, row in zip(prev, bundles[p][b - 1]):
-                    arrows.extend(map(Arrow, repeat(v), cur, row))
+                    arrows.extend(zip(repeat(v), cur, row, repeat(1)))
             names.extend(cur)
             prev = cur
         return names
 
     names = {p: emit(p, f"{p}/") for p in poset.elements}
+    del emit  # it refers to itself; free the arrows on return, not at a gc
     union = make_quiver([v for vs in names.values() for v in vs], used,
                         arrows)
     table = {}
@@ -188,11 +190,10 @@ def gen_realization_general(poset, trunc):
     words = _enumerate_words_general(poset, trunc.depth, window)
     vname = {w: f"v({_ser(w)})" for w in words}
 
-    arrows = {}
+    arrows = {}  # insertion-ordered set of arrows
 
     def add(src, dst, color):
-        arrows[(vname[src], vname[dst], color)] = Arrow(vname[src],
-                                                        vname[dst], color)
+        arrows[vname[src], vname[dst], color, 1] = None
 
     contexts = {}
     for w in words:
@@ -224,12 +225,9 @@ def gen_realization_general(poset, trunc):
             for e, w in tails:
                 add(ctx, w, f"ic[{theta};{i}]({_ser(e)})")
 
-    loops = []
-    for w in words:
-        loops.append(Arrow(vname[w], vname[w], f"loop[{w[-1]}]"))
-
-    all_arrows = list(arrows.values()) + loops
-    colors = sorted({a.color for a in all_arrows})
+    loops = [(vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words]
+    all_arrows = [*arrows, *loops]
+    colors = sorted({color for _, _, color, _ in all_arrows})
     q = make_quiver([vname[w] for w in words], colors, all_arrows)
 
     maximal = set(poset.maximal_elements())
@@ -293,11 +291,10 @@ def gen_noatom(trunc):
         frontier = new
     vname = {w: f"v({_ser(w)})" for w in words}
 
-    arrows = {}
+    arrows = {}  # insertion-ordered set of arrows
 
     def add(src, dst, color):
-        arrows[(vname[src], vname[dst], color)] = Arrow(vname[src],
-                                                        vname[dst], color)
+        arrows[vname[src], vname[dst], color, 1] = None
 
     contexts = {}
     for w in words:
@@ -318,9 +315,9 @@ def gen_noatom(trunc):
                     src = f + (i,)
                     add(src, w, f"ic[{i}]({_ser(e[1:])})")
 
-    loops = [Arrow(vname[w], vname[w], f"loop[{w[-1]}]") for w in words]
-    all_arrows = list(arrows.values()) + loops
-    colors = sorted({a.color for a in all_arrows})
+    loops = [(vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words]
+    all_arrows = [*arrows, *loops]
+    colors = sorted({color for _, _, color, _ in all_arrows})
     q = make_quiver([vname[w] for w in words], colors, all_arrows)
 
     table = {}

@@ -368,8 +368,8 @@ def worked_examples(cfg=RunConfig()):
     out["substitution_columns"] = {
         "vertices": len(subst.vertices),
         "arrows": len(subst.arrows),
-        "bundle_colors": sorted({a.color for a in subst.arrows
-                                 if a.color.startswith("!(")}),
+        "bundle_colors": sorted({color for _, _, color, _ in subst.arrows
+                                 if color.startswith("!(")}),
     }
 
     poset = normalize_poset([("p0", "p1")], ["p0", "p1"])

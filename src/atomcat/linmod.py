@@ -122,7 +122,8 @@ def module_of_quiver(quiver, field=FieldSpec(2)):
     value * x_w over arrows (v, w, c)."""
     index = {v: i for i, v in enumerate(quiver.vertices)}
     return _module_of_arrows(field, quiver.vertices, [
-        (index[a.src], index[a.dst], a.color, a.value) for a in quiver.arrows],
+        (index[src], index[dst], color, value)
+        for src, dst, color, value in quiver.arrows],
         provenance={"kind": "quiver"})
 
 

@@ -11,7 +11,6 @@ the specialization order x <= y iff every open set containing x also
 contains y.  On finite inputs these are mutually inverse.
 """
 
-import json
 from dataclasses import dataclass
 
 from .errors import (CycleDetected, InvalidTopology, NotKolmogorov,
@@ -328,7 +327,3 @@ def poset_isomorphic(p, q, size_cap=8):
     if backtrack(0):
         return dict(mapping)
     return None
-
-
-def topology_json_roundtrip(topology):
-    return topology_from_json(json.loads(json.dumps(topology.to_json())))

@@ -15,15 +15,13 @@ arrow from (skeleton color, source block vertex, target block vertex),
 so identical blocks hanging off equally colored skeleton arrows share
 bundle colors, and regeneration is deterministic.
 
-`Arrow` is a named tuple, so an arrow compares equal to, hashes like
-and sorts like the plain tuple (src, dst, color, value); `make_quiver`
-takes either.
+An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
+also takes 3-item arrows (src, dst, color) and gives them value 1.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,17 +29,6 @@ from . import modp
 from .errors import (ColorClash, DuplicateArrow, EmptyRange, MissingBlock,
                      NotAssociative, NotTargetClosed, NotUnital,
                      UnknownColor, UnknownVertex)
-
-
-class Arrow(NamedTuple):
-    src: str
-    dst: str
-    color: str
-    value: int = 1
-
-    def to_json(self):
-        return {"src": self.src, "dst": self.dst,
-                "color": self.color, "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -59,22 +46,23 @@ class ColoredQuiver:
         (the quiver is frozen, so it never goes stale)."""
         loops = {}
         for a in self.arrows:
-            if a.src == a.dst:
-                loops.setdefault(a.src, []).append(a)
+            if a[0] == a[1]:
+                loops.setdefault(a[0], []).append(a)
         return {v: tuple(arrows) for v, arrows in loops.items()}
 
     def to_json(self):
         return {"vertices": list(self.vertices),
                 "colors": list(self.colors),
-                "arrows": [a.to_json() for a in self.arrows]}
+                "arrows": [dict(zip(("src", "dst", "color", "value"), a))
+                           for a in self.arrows]}
 
     def to_dot(self):
         lines = ["digraph quiver {"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
-        for a in self.arrows:
-            label = a.color if a.value == 1 else f"{a.color}={a.value}"
-            lines.append(f'  "{a.src}" -> "{a.dst}" [label="{label}"];')
+        for src, dst, color, value in self.arrows:
+            label = color if value == 1 else f"{color}={value}"
+            lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -127,6 +115,17 @@ def _same_triple(a, b):
     return a[2] == b[2] and a[1] == b[1] and a[0] == b[0]
 
 
+def _as_arrows(arrows):
+    """Arrows as plain (src, dst, color, value) tuples, value 1 if left out."""
+    out = list(map(tuple, arrows))
+    if lengths := set(map(len, out)) - {4}:
+        if lengths != {3}:
+            raise TypeError("an arrow has 3 or 4 items, not "
+                            f"{min(lengths - {3})}")
+        out = [a if len(a) == 4 else (*a, 1) for a in out]
+    return out
+
+
 def make_quiver(vertices, colors, arrows):
     """Validated colored quiver; arrows given as (src, dst, color[, value]).
 
@@ -134,10 +133,12 @@ def make_quiver(vertices, colors, arrows):
     arrows at once; only when one fails does the per-arrow scan run, so
     the error raised is the first fault in arrow order.
     """
-    vs = tuple(sorted(set(vertices)))
-    cs = tuple(sorted(set(colors)))
+    # dict.fromkeys keeps first-seen order, which sorts faster than a
+    # set's hash order when the input is already nearly sorted
+    vs = tuple(sorted(dict.fromkeys(vertices)))
+    cs = tuple(sorted(dict.fromkeys(colors)))
     vset, cset = set(vs), set(cs)
-    out = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
+    out = _as_arrows(arrows)
     if not (vset.issuperset(map(_SRC, out))
             and vset.issuperset(map(_DST, out))
             and cset.issuperset(map(_COLOR, out))
@@ -149,17 +150,17 @@ def make_quiver(vertices, colors, arrows):
 
 def _raise_first_fault(arrows, vset, cset):
     seen = set()
-    for a in arrows:
-        if a.src not in vset:
-            raise UnknownVertex("arrow source not declared", vertex=a.src)
-        if a.dst not in vset:
-            raise UnknownVertex("arrow target not declared", vertex=a.dst)
-        if a.color not in cset:
-            raise UnknownColor("arrow color not declared", color=a.color)
-        key = (a.src, a.dst, a.color)
+    for src, dst, color, _ in arrows:
+        if src not in vset:
+            raise UnknownVertex("arrow source not declared", vertex=src)
+        if dst not in vset:
+            raise UnknownVertex("arrow target not declared", vertex=dst)
+        if color not in cset:
+            raise UnknownColor("arrow color not declared", color=color)
+        key = (src, dst, color)
         if key in seen:
             raise DuplicateArrow("two arrows share (src, dst, color)",
-                                 src=a.src, dst=a.dst, color=a.color)
+                                 src=src, dst=dst, color=color)
         seen.add(key)
 
 
@@ -170,12 +171,10 @@ def normalize(vertices, colors, arrows, p=2):
     always satisfies the no-shared-triple invariant.
     """
     sums = {}
-    for a in arrows:
-        if not isinstance(a, Arrow):
-            a = Arrow(*a)
-        key = (a.src, a.dst, a.color)
-        sums[key] = (sums.get(key, 0) + a.value) % p
-    merged = [Arrow(s, d, c, v) for (s, d, c), v in sums.items() if v != 0]
+    for src, dst, color, value in _as_arrows(arrows):
+        key = (src, dst, color)
+        sums[key] = (sums.get(key, 0) + value) % p
+    merged = [(*key, v) for key, v in sums.items() if v != 0]
     return make_quiver(vertices, colors, merged)
 
 
@@ -186,7 +185,7 @@ def full_subquiver(quiver, vertex_subset):
     if missing:
         raise UnknownVertex("subset not inside the quiver",
                             vertices=sorted(missing))
-    arrows = [a for a in quiver.arrows if a.src in keep and a.dst in keep]
+    arrows = [a for a in quiver.arrows if a[0] in keep and a[1] in keep]
     return make_quiver(sorted(keep), quiver.colors, arrows)
 
 
@@ -202,10 +201,10 @@ def split_by_closed(quiver, vertex_subset):
     if missing:
         raise UnknownVertex("subset not inside the quiver",
                             vertices=sorted(missing))
-    for a in quiver.arrows:
-        if a.src in keep and a.dst not in keep:
+    for src, dst, color, _ in quiver.arrows:
+        if src in keep and dst not in keep:
             raise NotTargetClosed("arrow escapes the subset",
-                                  src=a.src, dst=a.dst, color=a.color)
+                                  src=src, dst=dst, color=color)
     rest = [v for v in quiver.vertices if v not in keep]
     return full_subquiver(quiver, sorted(keep)), full_subquiver(quiver, rest)
 
@@ -225,8 +224,8 @@ def disjoint_union(quivers, names=None):
         ren = {v: f"{name}/{v}" for v in q.vertices}
         vertices.extend(ren.values())
         colors.update(q.colors)
-        arrows.extend(Arrow(ren[a.src], ren[a.dst], a.color, a.value)
-                      for a in q.arrows)
+        arrows.extend((ren[src], ren[dst], color, value)
+                      for src, dst, color, value in q.arrows)
     return make_quiver(vertices, sorted(colors), arrows)
 
 
@@ -256,25 +255,24 @@ def substitute(omega, blocks):
         q = blocks[w]
         ren = {v: f"{w}/{v}" for v in q.vertices}
         vertices.extend(ren.values())
-        arrows.extend(Arrow(ren[a.src], ren[a.dst], a.color, a.value)
-                      for a in q.arrows)
-    for rho in omega.arrows:
-        src_block, dst_block = blocks[rho.src], blocks[rho.dst]
-        for v in src_block.vertices:
-            for v2 in dst_block.vertices:
-                c = bundle_color(rho.color, v, v2)
+        arrows.extend((ren[src], ren[dst], color, value)
+                      for src, dst, color, value in q.arrows)
+    for w, w2, mu, _ in omega.arrows:
+        for v in blocks[w].vertices:
+            for v2 in blocks[w2].vertices:
+                c = bundle_color(mu, v, v2)
                 if c in block_colors:
                     raise ColorClash("bundle color already used by a block",
                                      color=c)
                 colors.add(c)
-                arrows.append(Arrow(f"{rho.src}/{v}", f"{rho.dst}/{v2}", c))
+                arrows.append((f"{w}/{v}", f"{w2}/{v2}", c, 1))
     return make_quiver(vertices, sorted(colors), arrows)
 
 
 def path_skeleton(n_blocks, tags):
     """Path quiver b0 -> b1 -> ... with the given arrow colors."""
     vertices = [f"b{i}" for i in range(n_blocks)]
-    arrows = [Arrow(f"b{i}", f"b{i+1}", tags[i]) for i in range(n_blocks - 1)]
+    arrows = [(f"b{i}", f"b{i+1}", tags[i], 1) for i in range(n_blocks - 1)]
     return make_quiver(vertices, sorted(set(tags[:max(0, n_blocks - 1)])), arrows)
 
 
@@ -319,19 +317,19 @@ def ladder(block, interval):
     for i in positions:
         ren = {v: f"{i}/{v}" for v in block.vertices}
         vertices.extend(ren.values())
-        arrows.extend(Arrow(ren[a.src], ren[a.dst], a.color, a.value)
-                      for a in block.arrows)
+        arrows.extend((ren[src], ren[dst], color, value)
+                      for src, dst, color, value in block.arrows)
     for i in positions:
         for v in block.vertices:
             for w in block.vertices:
                 if i - 1 >= lo:
                     c = f"1c({v},{w})"
                     colors.add(c)
-                    arrows.append(Arrow(f"{i}/{v}", f"{i-1}/{w}", c))
+                    arrows.append((f"{i}/{v}", f"{i-1}/{w}", c, 1))
                 if i - 2 >= lo:
                     c = f"2c[{i}]({v},{w})"
                     colors.add(c)
-                    arrows.append(Arrow(f"{i}/{v}", f"{i-2}/{w}", c))
+                    arrows.append((f"{i}/{v}", f"{i-2}/{w}", c, 1))
     q = make_quiver(vertices, sorted(colors), arrows)
     table = {f"pos({i})": {"kind": "block",
                            "vertices": [f"{i}/{v}" for v in block.vertices]}
@@ -403,15 +401,14 @@ def quiver_of_algebra(basis, structure, p=2, assoc_cap=4096):
             for b1 in basis:
                 val = int(right[b2][idx[b], idx[b1]])
                 if val % p:
-                    arrows.append(Arrow(f"v[{b}]", f"v[{b1}]",
-                                        f"c[{b2}]", val % p))
+                    arrows.append((f"v[{b}]", f"v[{b1}]", f"c[{b2}]",
+                                   val % p))
     return make_quiver(vertices, colors, arrows)
 
 
 def quiver_from_json(data):
     return make_quiver(data["vertices"], data["colors"],
-                       [Arrow(a["src"], a["dst"], a["color"],
-                              a.get("value", 1))
+                       [(a["src"], a["dst"], a["color"], a.get("value", 1))
                         for a in data["arrows"]])
 
 

@@ -1,5 +1,7 @@
 """Generators: truncation shapes, color discipline, atom tables."""
 
+import gc
+
 import pytest
 
 from atomcat import generators, quiver
@@ -28,10 +30,22 @@ DIAMOND = poset([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
 
 
 def loops_of(quiver):
-    return [a for a in quiver.arrows if a.src == a.dst]
+    return [a for a in quiver.arrows if a[0] == a[1]]
 
 
 class TestRealizationAcc:
+    def test_build_leaves_no_cyclic_garbage(self):
+        # a realization's arrows are freed by reference counting on
+        # return, not kept alive until the next full collection
+        y = poset([("d", "a"), ("a", "b"), ("a", "c")], ["a", "b", "c", "d"])
+        gc.collect()
+        gc.disable()
+        try:
+            gen_realization_acc(y, TruncationSpec(depth=3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_single_point(self):
         g = gen_realization_acc(POINT, TruncationSpec(depth=2))
         assert len(g.quiver.vertices) == 1
@@ -44,16 +58,16 @@ class TestRealizationAcc:
         p1 = [v for v in g.quiver.vertices if v.startswith("p1/")]
         p0 = [v for v in g.quiver.vertices if v.startswith("p0/")]
         assert len(p1) == 1 and len(p0) == 3
-        bundles = [a for a in g.quiver.arrows if a.color.startswith("!(")]
+        bundles = [a for a in g.quiver.arrows if a[2].startswith("!(")]
         assert len(bundles) == 2
-        tags = {a.color.split(";")[0] for a in bundles}
+        tags = {a[2].split(";")[0] for a in bundles}
         assert tags == {"!((p0"}
 
     def test_antichain_two_loop_points(self):
         g = gen_realization_acc(ANTICHAIN2, TruncationSpec(depth=2))
         assert len(g.quiver.vertices) == 2
         assert len(g.quiver.arrows) == 2
-        assert {a.color for a in g.quiver.arrows} == {"c(a)", "c(b)"}
+        assert {a[2] for a in g.quiver.arrows} == {"c(a)", "c(b)"}
 
     def test_diamond_depth2_block_sizes(self):
         # derived: J(a) = {b, c}, each pass contributes one copy of each;
@@ -189,8 +203,8 @@ class TestRealizationGeneral:
         vee = poset([("a", "b"), ("a", "c")], ["a", "b", "c"])
         g = gen_realization_general(vee, TruncationSpec(depth=1,
                                                         ladder_range=(0, 0)))
-        zero_family = [x for x in g.quiver.arrows if x.color.startswith("0c")]
-        assert [(x.src, x.dst) for x in zero_family] == \
+        zero_family = [x for x in g.quiver.arrows if x[2].startswith("0c")]
+        assert [(x[0], x[1]) for x in zero_family] == \
             [("v(a,0,c)", "v(a,0,b)")]
 
     def test_every_vertex_has_one_loop(self):
@@ -198,19 +212,19 @@ class TestRealizationGeneral:
                                                            ladder_range=(0, 1)))
         per_vertex = {}
         for a in loops_of(g.quiver):
-            per_vertex[a.src] = per_vertex.get(a.src, 0) + 1
+            per_vertex[a[0]] = per_vertex.get(a[0], 0) + 1
         assert set(per_vertex) == set(g.quiver.vertices)
         assert all(n == 1 for n in per_vertex.values())
 
     def test_step_colors_shared_skip_colors_positional(self):
         g = gen_realization_general(CHAIN2, TruncationSpec(depth=1,
                                                            ladder_range=(-1, 1)))
-        steps = [a for a in g.quiver.arrows if a.color.startswith("1c")]
-        skips = [a for a in g.quiver.arrows if a.color.startswith("2c")]
-        assert len(steps) == 2 and len({a.color for a in steps}) == 1
+        steps = [a for a in g.quiver.arrows if a[2].startswith("1c")]
+        skips = [a for a in g.quiver.arrows if a[2].startswith("2c")]
+        assert len(steps) == 2 and len({a[2] for a in steps}) == 1
         assert len(skips) == 1
         # skip colors appear once per enclosing context
-        assert len({a.color for a in skips}) == len(skips)
+        assert len({a[2] for a in skips}) == len(skips)
 
     def test_loop_colors_shared_across_copies(self):
         g = gen_realization_general(CHAIN2, TruncationSpec(depth=1,
@@ -218,7 +232,7 @@ class TestRealizationGeneral:
         loops = loops_of(g.quiver)
         by_color = {}
         for a in loops:
-            by_color.setdefault(a.color, []).append(a.src)
+            by_color.setdefault(a[2], []).append(a[0])
         # p1's loop sits on the bare word and on every nested copy
         assert len(by_color["loop[p1]"]) == 3
 
@@ -237,18 +251,18 @@ class TestNoAtom:
     def test_depth1_window01(self):
         g = gen_noatom(TruncationSpec(depth=1, ladder_range=(0, 1)))
         assert sorted(g.quiver.vertices) == ["v(0)", "v(0,1)", "v(1)"]
-        steps = [a for a in g.quiver.arrows if a.color.startswith("1c")]
-        fans = [a for a in g.quiver.arrows if a.color.startswith("ic")]
+        steps = [a for a in g.quiver.arrows if a[2].startswith("1c")]
+        fans = [a for a in g.quiver.arrows if a[2].startswith("ic")]
         assert len(steps) == 2 and len(fans) == 1
 
     def test_every_vertex_one_loop_keyed_by_last_entry(self):
         g = gen_noatom(TruncationSpec(depth=2, ladder_range=(0, 2)))
         for v in g.quiver.vertices:
             loops = [a for a in g.quiver.arrows
-                     if a.src == a.dst and a.src == v]
+                     if a[0] == a[1] and a[0] == v]
             assert len(loops) == 1
             last = v[2:-1].split(",")[-1]
-            assert loops[0].color == f"loop[{last}]"
+            assert loops[0][2] == f"loop[{last}]"
 
     def test_vertex_count_is_nonempty_subsets(self):
         # window {0..d}, any length: strictly increasing words are
@@ -286,24 +300,24 @@ class TestPresets:
         g = preset("infinite-chain", 4)
         assert len(g.quiver.vertices) == 4
         assert len(g.quiver.arrows) == 3
-        assert len({a.color for a in g.quiver.arrows}) == 3
+        assert len({a[2] for a in g.quiver.arrows}) == 3
 
     def test_aass_vs_asupp_depth3(self):
         g = preset("aass-vs-asupp", 3)
         assert len(g.quiver.vertices) == 4
-        bundles = [a for a in g.quiver.arrows if a.color.startswith("!(")]
+        bundles = [a for a in g.quiver.arrows if a[2].startswith("!(")]
         assert len(bundles) == 3  # 3 chain vertices x 1 terminal
 
     def test_max_not_open_depth2(self):
         g = preset("max-not-open", 2)
         assert len(g.quiver.vertices) == 4
-        assert {a.color for a in loops_of(g.quiver)} == {"c(0)", "c(1)"}
+        assert {a[2] for a in loops_of(g.quiver)} == {"c(0)", "c(1)"}
 
     def test_min_not_closed_shifted_blocks_share_colors(self):
         g = preset("min-not-closed", 2)
         # blocks are shifts 0..1 of length 2: vertices v(0),v(1) | v(1),v(2)
         assert len(g.quiver.vertices) == 4
-        c1_loops = [a for a in loops_of(g.quiver) if a.color == "c(1)"]
+        c1_loops = [a for a in loops_of(g.quiver) if a[2] == "c(1)"]
         assert len(c1_loops) == 2  # same loop color in both shifted copies
         assert set(g.atom_table) >= {"delta(0)", "delta(1)", "delta(2)",
                                      "gamma", "gamma'"}

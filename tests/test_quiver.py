@@ -1,5 +1,6 @@
 """Colored quiver layer: validation, combinators, generators' raw material."""
 
+import gc
 import itertools
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from atomcat.errors import (ColorClash, DuplicateArrow, EmptyRange,
                             MissingBlock, NotAssociative, NotTargetClosed,
                             NotUnital, UnknownColor, UnknownVertex)
-from atomcat.quiver import (Arrow, bundle_color, chain, disjoint_union,
+from atomcat.generators import gen_realization_acc
+from atomcat.ordertop import normalize_poset
+from atomcat.quiver import (TruncationSpec, bundle_color, chain, disjoint_union,
                             full_subquiver, ladder, loop_stripped_topo_order,
                             make_quiver, normalize, quiver_from_json,
                             quiver_of_algebra, split_by_closed,
@@ -30,11 +33,11 @@ def path3():
 class TestMakeQuiver:
     def test_one_arrow(self):
         q = make_quiver(["v", "w"], ["c"], [("v", "w", "c")])
-        assert len(q.arrows) == 1 and q.arrows[0].value == 1
+        assert len(q.arrows) == 1 and q.arrows[0][3] == 1
 
     def test_loop(self):
         q = point("v", "c")
-        assert q.arrows[0].src == q.arrows[0].dst == "v"
+        assert q.arrows[0][0] == q.arrows[0][1] == "v"
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateArrow):
@@ -47,7 +50,7 @@ class TestMakeQuiver:
                          ("v", "w", "c"), ("w", "w", "c", 2), ("w", "u", "b"),
                          ("u", "u", "c")])
         for v in q.vertices:
-            scan = tuple(a for a in q.arrows if a.src == v and a.dst == v)
+            scan = tuple(a for a in q.arrows if a[0] == v and a[1] == v)
             assert q.loops_at(v) == scan
         assert len(q.loops_at("u")) == 3 and q.loops_at("v") == ()
         assert q.loops_at("nowhere") == ()
@@ -83,15 +86,37 @@ class TestMakeQuiver:
         triples = [("w", "u", "b"), ("u", "v", "a"), ("u", "u", "a"),
                    ("v", "w", "b")]
         quads = [t + (1 + i % 2,) for i, t in enumerate(triples)]
-        assert (make_quiver(vs, cs, [Arrow(*t) for t in triples])
+        assert (make_quiver(vs, cs, [list(t) for t in triples])
                 == make_quiver(vs, cs, triples))
-        assert (make_quiver(vs, cs, [Arrow(*t) for t in quads])
+        assert (make_quiver(vs, cs, [list(t) for t in quads])
                 == make_quiver(vs, cs, quads))
         q = make_quiver(vs, cs, triples)
         assert q.arrows == tuple(sorted(t + (1,) for t in triples))
-        assert all(type(a) is Arrow for a in q.arrows)
-        assert q.arrows[0].to_json() == {"src": "u", "dst": "u",
-                                         "color": "a", "value": 1}
+        assert all(type(a) is tuple for a in q.arrows)
+        assert q.to_json()["arrows"][0] == {"src": "u", "dst": "u",
+                                            "color": "a", "value": 1}
+
+    def test_arrows_are_untracked_plain_tuples(self):
+        # exact tuples of strings and ints leave the cycle collector's
+        # lists at its next pass; tuple subclasses never do
+        vs, cs = ["u", "v"], ["a"]
+        arrows = [("u", "v", "a"), ["v", "v", "a", 2]]
+        made = [make_quiver(vs, cs, arrows), normalize(vs, cs, arrows, p=3),
+                quiver_from_json(make_quiver(vs, cs, arrows).to_json()),
+                gen_realization_acc(
+                    normalize_poset([("p0", "p1")], ["p0", "p1"]),
+                    TruncationSpec(depth=2)).quiver]
+        gc.collect()
+        for q in made:
+            assert q.arrows
+            for a in q.arrows:
+                assert type(a) is tuple and not gc.is_tracked(a)
+
+    @pytest.mark.parametrize("build", [make_quiver, normalize])
+    @pytest.mark.parametrize("bad", [("v", "w"), ("v", "w", "c", 1, 0)])
+    def test_arrow_of_wrong_length_is_type_error(self, build, bad):
+        with pytest.raises(TypeError):
+            build(["v", "w"], ["c"], [("v", "w", "c"), bad])
 
 
 def first_fault_by_scan(vertices, colors, arrows):
@@ -122,7 +147,7 @@ class TestNormalize:
     def test_gf3_merge(self):
         q = normalize(["v", "w"], ["c"],
                       [("v", "w", "c", 1), ("v", "w", "c", 1)], p=3)
-        assert len(q.arrows) == 1 and q.arrows[0].value == 2
+        assert len(q.arrows) == 1 and q.arrows[0][3] == 2
 
     def test_already_normal(self):
         q = normalize(["v", "w"], ["c"], [("v", "w", "c", 1)], p=2)
@@ -132,7 +157,7 @@ class TestNormalize:
 class TestSubquiver:
     def test_chain_prefix(self):
         q = full_subquiver(path3(), ["v1", "v2"])
-        assert [(a.src, a.dst) for a in q.arrows] == [("v1", "v2")]
+        assert [(a[0], a[1]) for a in q.arrows] == [("v1", "v2")]
 
     def test_full_and_empty(self):
         q = path3()
@@ -148,7 +173,7 @@ class TestSplit:
     def test_chain_tail(self):
         sub, quot = split_by_closed(path3(), ["v3"])
         assert sub.vertices == ("v3",)
-        assert [(a.src, a.dst) for a in quot.arrows] == [("v1", "v2")]
+        assert [(a[0], a[1]) for a in quot.arrows] == [("v1", "v2")]
 
     def test_not_closed(self):
         q = make_quiver(["v1", "v2"], ["c"], [("v1", "v2", "c")])
@@ -166,7 +191,7 @@ class TestDisjointUnion:
         q = disjoint_union([point("v", "c0"), point("v", "c1")])
         assert len(q.vertices) == 2
         assert len(q.arrows) == 2
-        assert all(a.src == a.dst for a in q.arrows)
+        assert all(a[0] == a[1] for a in q.arrows)
 
     def test_single_block_prefixing(self):
         q = disjoint_union([path3()])
@@ -198,12 +223,12 @@ class TestSubstitute:
         q = substitute(skel, {w: self.column() for w in skel.vertices})
         assert len(q.vertices) == 8
         assert len(q.arrows) == 4 + 3 * 4
-        a_colors = {a.color for a in q.arrows if "(a);" in a.color}
-        b_colors = {a.color for a in q.arrows if "(b);" in a.color}
+        a_colors = {a[2] for a in q.arrows if "(a);" in a[2]}
+        b_colors = {a[2] for a in q.arrows if "(b);" in a[2]}
         assert len(a_colors) == 4 and len(b_colors) == 4
         assert bundle_color("(a)", "v", "w") in a_colors
         # shared color across the two (a) bundles: 8 bundle arrows, 4 colors
-        n_a_arrows = sum(1 for a in q.arrows if a.color in a_colors)
+        n_a_arrows = sum(1 for a in q.arrows if a[2] in a_colors)
         assert n_a_arrows == 8
 
     def test_single_vertex_skeleton(self):
@@ -215,9 +240,9 @@ class TestSubstitute:
         skel = make_quiver(["x", "y"], ["m"], [("x", "y", "m")])
         big = make_quiver(["a", "b", "c"], [], [])
         q = substitute(skel, {"x": big, "y": self.column()})
-        bundle = [a for a in q.arrows if a.color.startswith("!(")]
+        bundle = [a for a in q.arrows if a[2].startswith("!(")]
         assert len(bundle) == 3 * 2
-        assert len({a.color for a in bundle}) == 6
+        assert len({a[2] for a in bundle}) == 6
 
     def test_missing_block(self):
         skel = make_quiver(["x"], [], [])
@@ -235,10 +260,10 @@ class TestChain:
     def test_three_loop_points(self):
         g = chain([point("v", "cL")] * 3)
         assert len(g.quiver.vertices) == 3
-        loops = [a for a in g.quiver.arrows if a.src == a.dst]
-        bundles = [a for a in g.quiver.arrows if a.src != a.dst]
+        loops = [a for a in g.quiver.arrows if a[0] == a[1]]
+        bundles = [a for a in g.quiver.arrows if a[0] != a[1]]
         assert len(loops) == 3 and len(bundles) == 2
-        assert len({a.color for a in bundles}) == 2
+        assert len({a[2] for a in bundles}) == 2
         assert "chain(inf)" in g.atom_table
 
     def test_single_block(self):
@@ -248,7 +273,7 @@ class TestChain:
 
     def test_bundle_arrow_count(self):
         g = chain([point("v"), point("v")])
-        assert sum(1 for a in g.quiver.arrows if a.src != a.dst) == 1
+        assert sum(1 for a in g.quiver.arrows if a[0] != a[1]) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyRange):
@@ -260,9 +285,9 @@ class TestLadder:
         g = ladder(point("v"), (0, 2))
         q = g.quiver
         assert len(q.vertices) == 3
-        steps = [a for a in q.arrows if a.color.startswith("1c")]
-        skips = [a for a in q.arrows if a.color.startswith("2c")]
-        assert len(steps) == 2 and len({a.color for a in steps}) == 1
+        steps = [a for a in q.arrows if a[2].startswith("1c")]
+        skips = [a for a in q.arrows if a[2].startswith("2c")]
+        assert len(steps) == 2 and len({a[2] for a in steps}) == 1
         assert len(skips) == 1
 
     def test_window1(self):
@@ -273,9 +298,9 @@ class TestLadder:
     def test_block2_window2_step_colors(self):
         blk = make_quiver(["v", "w"], [], [])
         g = ladder(blk, (0, 1))
-        steps = [a for a in g.quiver.arrows if a.color.startswith("1c")]
+        steps = [a for a in g.quiver.arrows if a[2].startswith("1c")]
         assert len(steps) == 4
-        assert len({a.color for a in steps}) == 4
+        assert len({a[2] for a in steps}) == 4
 
     def test_empty_window(self):
         with pytest.raises(EmptyRange):
@@ -292,13 +317,13 @@ class TestQuiverOfAlgebra:
         q = quiver_of_algebra(["1", "x"], structure, p=2)
         assert len(q.vertices) == 2
         # right multiplication by x kills x and sends 1 to x
-        cx = [a for a in q.arrows if a.color == "c[x]"]
-        assert [(a.src, a.dst) for a in cx] == [("v[1]", "v[x]")]
+        cx = [a for a in q.arrows if a[2] == "c[x]"]
+        assert [(a[0], a[1]) for a in cx] == [("v[1]", "v[x]")]
 
     def test_ground_field(self):
         q = quiver_of_algebra(["1"], {("1", "1"): {"1": 1}}, p=2)
         assert len(q.vertices) == 1
-        assert q.arrows[0].src == q.arrows[0].dst
+        assert q.arrows[0][0] == q.arrows[0][1]
 
     def test_upper_triangular_2x2(self):
         # basis e11, e22, e12 of upper triangular 2x2 matrices
@@ -351,7 +376,7 @@ def test_json_roundtrip():
 
 def runs_forward(q, order):
     pos = {v: i for i, v in enumerate(order)}
-    return all(pos[a.src] < pos[a.dst] for a in q.arrows if a.src != a.dst)
+    return all(pos[a[0]] < pos[a[1]] for a in q.arrows if a[0] != a[1])
 
 
 def test_topo_order():
@@ -382,7 +407,7 @@ def random_digraphs(draw):
 def reachability(q):
     """Transitive closure by repeated squaring of the relation."""
     reach = {(v, v) for v in q.vertices}
-    reach |= {(a.src, a.dst) for a in q.arrows}
+    reach |= {(a[0], a[1]) for a in q.arrows}
     while True:
         more = reach | {(u, w) for u, v in reach for v2, w in reach
                         if v == v2}
@@ -404,7 +429,7 @@ def test_property_strong_components_match_closure_oracle(q):
         assert list(b) == others
     # sinks first: no arrow runs from a block to a later one
     pos = {v: i for i, b in enumerate(blocks) for v in b}
-    assert all(pos[a.src] >= pos[a.dst] for a in q.arrows)
+    assert all(pos[a[0]] >= pos[a[1]] for a in q.arrows)
     order = loop_stripped_topo_order(q)
     if all(len(b) == 1 for b in blocks):
         assert runs_forward(q, order)
