@@ -21,7 +21,7 @@ from .linmod import (FdModule, FieldSpec, Submodule, SubmoduleSet,
                      subquotient)
 from .ordertop import (FiniteTopology, Poset, alexandroff_of_poset,
                        is_kolmogorov, normalize_poset, poset_invariants,
-                       poset_isomorphic, poset_of_topology)
+                       poset_isomorphic, poset_of_topology, topology_of_opens)
 from .predictor import (DiffReport, SymbolicSpectrum, crosscheck,
                         predict_chain, predict_disjoint_union, predict_noatom,
                         predict_preset, predict_realization)

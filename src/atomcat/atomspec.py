@@ -37,11 +37,10 @@ from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
 from .linmod import (FdModule, FieldSpec, composition_factors, hom_basis,
                      minimal_submodules, quotient_module,
                      submodule_as_module, submodule_lattice)
-from .ordertop import FiniteTopology, Poset, poset_of_topology
+from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset,
+                       alexandroff_of_poset, normalize_poset,
+                       poset_of_topology, topology_of_opens)
 from .quiver import strong_components
-
-# explicit open-set families get unwieldy fast; 2^MAX_TOPOLOGY_ATOMS masks
-MAX_TOPOLOGY_ATOMS = 16
 
 
 # -- canonical representatives and labels ------------------------------------
@@ -237,22 +236,22 @@ class SpectrumReport:
     p: int = 2
 
     def to_json(self):
-        return {"p": self.p,
-                "atoms": [a.to_json() for a in self.atoms],
-                "opens": [list(self.opens.subset_of(m))
-                          for m in self.opens.opens],
-                "order": [[a, b] for (a, b) in sorted(self.order.le)
-                          if a != b],
-                "flags": {k: dict(v) for k, v in self.flags.items()}}
+        """Open sets are listed while they can be; "order" fixes them."""
+        out = {"p": self.p, "atoms": [a.to_json() for a in self.atoms]}
+        if len(self.atoms) <= DEFAULT_POINT_CAP:
+            out["opens"] = [list(self.opens.subset_of(m))
+                            for m in self.opens.opens]
+        out["order"] = [[a, b] for (a, b) in sorted(self.order.le) if a != b]
+        out["flags"] = {k: dict(v) for k, v in self.flags.items()}
+        return out
 
 
-def _power_set_topology(labels):
-    pts = tuple(sorted(labels))
-    n = len(pts)
-    if n > MAX_TOPOLOGY_ATOMS:
-        raise BudgetExceeded("too many atoms for an explicit open family",
-                             atoms=n, cap=MAX_TOPOLOGY_ATOMS)
-    return FiniteTopology(pts, tuple(range(1 << n)))
+def _report(atoms, order, p):
+    """The report of atoms under a specialization order; the topology is
+    the order's Alexandroff topology."""
+    topo = alexandroff_of_poset(order)
+    aset = AtomSet(tuple(sorted(atoms, key=lambda a: a.label)))
+    return SpectrumReport(aset, topo, order, _flags_from(order, topo), p)
 
 
 def _flags_from(order, topo):
@@ -281,10 +280,10 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     of supports of composition factors.  Since the module here is
     finite dimensional, every object involved has finite length, each
     atom is the class of a simple subquotient, singleton atom sets are
-    therefore open, and the topology is discrete: the open family is
-    the full power set and the specialization order is trivial.  The
-    non-discrete spectra of the infinite constructions live in the
-    symbolic predictor, not here.
+    therefore open, and the topology is discrete: the specialization
+    order is the antichain on the labels and each minimal open set is a
+    single atom, at any atom count.  The non-discrete spectra of the
+    infinite constructions live in the symbolic predictor, not here.
 
     Composition factors come from the strongly connected blocks, sinks
     first: unions of leading blocks are target-closed, so by
@@ -318,14 +317,13 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
                 raise
         simples.extend((f, block[i]) for f, i in series[sig])
     atoms = _dedupe_simples(simples)
-    topo = _power_set_topology(atoms.labels())
-    order = poset_of_topology(topo)
-    return SpectrumReport(atoms, topo, order, _flags_from(order, topo), p)
+    return _report(atoms.atoms, normalize_poset([], atoms.labels()), p)
 
 
 def report_from_json(data):
-    """Rebuild a SpectrumReport from its JSON form (order and flags are
-    rederived from the open family, which defines them)."""
+    """Rebuild a SpectrumReport from its JSON form; the topology and the
+    flags are rederived from "order", which fixes them (U_x is the set
+    of atoms at or above x)."""
     field = FieldSpec(data.get("p", 2))
     ops = field.ops
     atoms = []
@@ -336,20 +334,19 @@ def report_from_json(data):
         rep = FdModule(field, dim, tuple(f"s{i}" for i in range(dim)),
                        actions)
         atoms.append(Atom(entry["label"], rep, tuple(entry["source"])))
-    return report_from_parts(atoms, [tuple(s) for s in data["opens"]],
-                             field.p)
+    labels = [a.label for a in atoms]
+    order = normalize_poset([tuple(pair) for pair in data["order"]], labels)
+    return _report(atoms, order, field.p)
 
 
 def report_from_parts(atoms, open_label_sets, p=2):
     """Assemble a SpectrumReport over GF(p) from atoms plus an explicit
-    open family (used for hand-built and symbolic-window reports)."""
+    open family (used for hand-built and symbolic-window reports); a
+    family that is not a topology raises InvalidTopology."""
     labels = tuple(sorted(a.label for a in atoms))
-    proto = FiniteTopology(labels, ())
-    masks = sorted({proto.mask_of(s) for s in open_label_sets})
-    topo = FiniteTopology(labels, tuple(masks))
-    order = poset_of_topology(topo)
-    aset = AtomSet(tuple(sorted(atoms, key=lambda a: a.label)))
-    return SpectrumReport(aset, topo, order, _flags_from(order, topo), p)
+    mask_of = FiniteTopology(labels, ()).mask_of
+    topo = topology_of_opens(labels, {mask_of(s) for s in open_label_sets})
+    return _report(atoms, poset_of_topology(topo), p)
 
 
 def localize(report, label):
@@ -359,13 +356,12 @@ def localize(report, label):
         raise UnknownAtom("label not in the spectrum", label=label)
     keep = {b for b in report.order.elements if report.order.leq(b, label)}
     atoms = [a for a in report.atoms if a.label in keep]
-    induced = {frozenset(set(report.opens.subset_of(m)) & keep)
-               for m in report.opens.opens}
-    return report_from_parts(atoms, [tuple(s) for s in induced], report.p)
+    return _report(atoms, report.order.restrict(keep), report.p)
 
 
 def localizing_subcategories(report):
-    """Open subsets stand in for localizing subcategories; list them."""
+    """Open subsets stand in for localizing subcategories; list them.
+    Listing is exponential: above 16 atoms it raises BudgetExceeded."""
     return [tuple(report.opens.subset_of(m)) for m in report.opens.opens]
 
 

@@ -32,10 +32,6 @@ class InvalidTopology(AtomcatError):
     code = "invalid_topology"
 
 
-class SizeBudgetExceeded(AtomcatError):
-    code = "size_budget_exceeded"
-
-
 # -- quivers ----------------------------------------------------------------
 
 class DuplicateArrow(AtomcatError):

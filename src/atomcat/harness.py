@@ -19,7 +19,7 @@ from .linmod import (FieldSpec, is_essential, module_of_quiver,
                      quotient_module, structure_report, submodule_as_module,
                      submodule_lattice, subquotient)
 from .ordertop import (alexandroff_of_poset, is_kolmogorov, normalize_poset,
-                       poset_of_topology)
+                       poset_isomorphic, poset_of_topology)
 from .quiver import (TruncationSpec, make_quiver, split_by_closed, substitute)
 
 
@@ -96,7 +96,6 @@ def all_posets(n):
     removed with the backtracking isomorphism test.  n = 4 yields the
     expected 16 classes.
     """
-    from .ordertop import poset_isomorphic
     elements = [f"e{i}" for i in range(n)]
     idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     reps = []

@@ -1,23 +1,26 @@
 """Finite posets, finite topologies, and the up-set correspondence.
 
 A finite poset is stored as its full relation (reflexive-transitive
-closure); a finite topology stores its points plus the open-set family
-as bitmasks over the sorted point list.  Both are immutable values and
-every operation here is a pure function.
+closure).  Every finite topology is Alexandroff: it is fixed by each
+point's minimal open set U_x, so it is stored as its sorted points plus
+one bitmask per point.  Both are immutable values and every operation
+here is a pure function.
 
 The two directions of the correspondence: a poset yields the topology
-whose opens are the up-closed subsets, and a Kolmogorov topology yields
-the specialization order x <= y iff every open set containing x also
-contains y.  On finite inputs these are mutually inverse.
+whose opens are the up-closed subsets (U_x is the up-set of x), and a
+Kolmogorov topology yields the specialization order x <= y iff every
+open set containing x also contains y, i.e. y lies in U_x.  On finite
+inputs these are mutually inverse and take O(n^2) steps; only listing
+the open sets (`FiniteTopology.opens`) is exponential, and capped.
 """
 
 from dataclasses import dataclass
 
-from .errors import (CycleDetected, InvalidTopology, NotKolmogorov,
-                     SizeBudgetExceeded, UnknownElement)
+from .errors import (BudgetExceeded, CycleDetected, InvalidTopology,
+                     NotKolmogorov, UnknownElement)
 
-# enumerating up-sets or validating a topology is exponential in the
-# point count; refuse beyond this many points unless the caller raises it
+# listing the open sets is exponential in the point count; refuse beyond
+# this many points
 DEFAULT_POINT_CAP = 16
 
 
@@ -86,10 +89,15 @@ class Poset:
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """Finite topology: sorted points, opens as sorted bitmasks."""
+    """Finite topology: sorted points plus each point's minimal open set.
+
+    `min_open[i]` is the bitmask of U_x for x = points[i], the
+    intersection of every open set containing x.  A set is open when it
+    contains U_x for each of its points x.
+    """
 
     points: tuple
-    opens: tuple  # ints; bit i refers to points[i]
+    min_open: tuple  # ints; bit j refers to points[j]
 
     def index(self, p):
         try:
@@ -106,28 +114,33 @@ class FiniteTopology:
     def subset_of(self, mask):
         return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
 
+    def _open_mask(self, mask):
+        return not any(u & ~mask for i, u in enumerate(self.min_open)
+                       if mask >> i & 1)
+
     def is_open(self, subset):
-        return self.mask_of(subset) in set(self.opens)
+        return self._open_mask(self.mask_of(subset))
 
     def is_closed(self, subset):
         full = (1 << len(self.points)) - 1
-        return (full ^ self.mask_of(subset)) in set(self.opens)
+        return self._open_mask(full ^ self.mask_of(subset))
 
-    def validate(self, cap=DEFAULT_POINT_CAP):
-        """Check the topology axioms; O(|opens|^2) union/intersection scan."""
+    def validate(self):
+        """Check that each U_x contains x and is open."""
+        return all(u >> i & 1 and self._open_mask(u)
+                   for i, u in enumerate(self.min_open))
+
+    @property
+    def opens(self):
+        """Every open set as a bitmask, ascending; exponential, so capped."""
         n = len(self.points)
-        if n > cap:
-            raise SizeBudgetExceeded("too many points to validate",
-                                     points=n, cap=cap)
-        full = (1 << n) - 1
-        fam = set(self.opens)
-        if 0 not in fam or full not in fam:
-            return False
-        for a in fam:
-            for b in fam:
-                if (a | b) not in fam or (a & b) not in fam:
-                    return False
-        return True
+        if n > DEFAULT_POINT_CAP:
+            raise BudgetExceeded("too many points to list open sets",
+                                 points=n, cap=DEFAULT_POINT_CAP)
+        hull = [0]  # hull[mask] = union of U_x over the points x in mask
+        for u in self.min_open:
+            hull += [h | u for h in hull]
+        return tuple(m for m, h in enumerate(hull) if h == m)
 
     def to_json(self):
         return {"points": list(self.points),
@@ -166,72 +179,55 @@ def poset_from_json(data):
     return normalize_poset([tuple(p) for p in data["le"]], data["elements"])
 
 
-def topology_from_json(data, cap=DEFAULT_POINT_CAP):
-    points = tuple(sorted(set(data["points"])))
-    topo = FiniteTopology(points, ())
-    masks = sorted({topo.mask_of(sub) for sub in data["opens"]})
-    topo = FiniteTopology(points, tuple(masks))
-    if not topo.validate(cap=cap):
+def topology_of_opens(points, masks):
+    """Topology on the points with the given open bitmasks.
+
+    U_x is the intersection of the members containing x.  The family is
+    a topology iff it holds the empty set, every U_x, and S | U_x for
+    each member S and point x: then every member is the union of the
+    U_x below it, so unions and intersections stay inside.
+    """
+    n = len(points)
+    family = set(masks)
+    min_open = []
+    for i in range(n):
+        u = (1 << n) - 1
+        for m in family:
+            if m >> i & 1:
+                u &= m
+        min_open.append(u)
+    if (0 not in family or not family.issuperset(min_open)
+            or any((s | u) not in family for s in family for u in min_open)):
         raise InvalidTopology("open family violates the topology axioms")
-    return topo
+    return FiniteTopology(tuple(points), tuple(min_open))
 
 
-def alexandroff_of_poset(poset, cap=DEFAULT_POINT_CAP):
-    """Topology of all up-closed subsets of the poset."""
-    n = len(poset.elements)
-    if n > cap:
-        raise SizeBudgetExceeded("too many elements to enumerate up-sets",
-                                 elements=n, cap=cap)
+def topology_from_json(data):
+    points = tuple(sorted(set(data["points"])))
+    mask_of = FiniteTopology(points, ()).mask_of
+    return topology_of_opens(points, {mask_of(sub) for sub in data["opens"]})
+
+
+def alexandroff_of_poset(poset):
+    """Topology whose opens are the up-closed subsets: U_x = up-set of x."""
     idx = {p: i for i, p in enumerate(poset.elements)}
-    up_masks = []
-    for p in poset.elements:
-        m = 0
-        for q in poset.up_set(p):
-            m |= 1 << idx[q]
-        up_masks.append(m)
-    opens = []
-    for mask in range(1 << n):
-        ok = True
-        for i in range(n):
-            if mask >> i & 1 and (mask & up_masks[i]) != up_masks[i]:
-                ok = False
-                break
-        if ok:
-            opens.append(mask)
-    return FiniteTopology(poset.elements, tuple(sorted(opens)))
+    return FiniteTopology(poset.elements, tuple(
+        sum(1 << idx[q] for q in poset.up_set(p)) for p in poset.elements))
 
 
 def is_kolmogorov(topology):
-    """True iff every pair of distinct points is separated by some open."""
-    n = len(topology.points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not any(bool(m >> i & 1) != bool(m >> j & 1)
-                       for m in topology.opens):
-                return False
-    return True
+    """True iff distinct points are separated: the U_x are distinct."""
+    return len(set(topology.min_open)) == len(topology.min_open)
 
 
 def poset_of_topology(topology):
-    """Specialization order of a finite Kolmogorov topology."""
+    """Specialization order of a finite Kolmogorov topology:
+    x <= y iff y lies in U_x."""
     if not is_kolmogorov(topology):
         raise NotKolmogorov("points are not pairwise separated")
-    n = len(topology.points)
-    # minimal neighborhood of each point: intersection of opens containing it
-    min_nbhd = []
-    for i in range(n):
-        m = (1 << n) - 1
-        for o in topology.opens:
-            if o >> i & 1:
-                m &= o
-        min_nbhd.append(m)
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            # x <= y iff every open containing x contains y
-            if min_nbhd[i] >> j & 1:
-                pairs.append((topology.points[i], topology.points[j]))
-    return normalize_poset(pairs, topology.points)
+    pts = topology.points
+    return normalize_poset([(x, pts[j]) for x, u in zip(pts, topology.min_open)
+                            for j in range(len(pts)) if u >> j & 1], pts)
 
 
 @dataclass(frozen=True)
@@ -286,8 +282,8 @@ def poset_isomorphic(p, q, size_cap=8):
         return None
     n = len(p.elements)
     if n > size_cap:
-        raise SizeBudgetExceeded("poset too large for isomorphism search",
-                                 size=n, cap=size_cap)
+        raise BudgetExceeded("poset too large for isomorphism search",
+                             size=n, cap=size_cap)
 
     def profile(poset, x):
         return (len(poset.up_set(x)), len(poset.down_set(x)))

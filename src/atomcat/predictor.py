@@ -74,7 +74,7 @@ class SymbolicSpectrum:
 def symbolic_from_json(data):
     atoms = tuple(SymAtom(a["label"], a["kind"]) for a in data["atoms"])
     labels = sorted(a.label for a in atoms)
-    order = _mk_order(labels, [tuple(p) for p in data["order"]])
+    order = normalize_poset([tuple(p) for p in data["order"]], labels)
     families = tuple(
         {"limit": f["limit"],
          "block_atom_sets": tuple(tuple(s) for s in f["block_atom_sets"]),
@@ -87,13 +87,9 @@ def symbolic_from_json(data):
                             dict(data.get("claims", {})))
 
 
-def _mk_order(labels, pairs):
-    return normalize_poset(pairs, labels)
-
-
 def atom_spectrum_point(label, kind="simple", provenance=""):
     atom = SymAtom(label, kind)
-    return SymbolicSpectrum((atom,), _mk_order([label], []),
+    return SymbolicSpectrum((atom,), normalize_poset([], [label]),
                             {label: provenance})
 
 
@@ -117,7 +113,7 @@ def predict_disjoint_union(specs):
         claims.update(s.claims)
     labels = sorted(atoms)
     return SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                            _mk_order(labels, pairs), prov,
+                            normalize_poset(pairs, labels), prov,
                             tuple(families), frozenset(continued), claims)
 
 
@@ -153,7 +149,7 @@ def predict_chain(blocks, limit_label, infinite=True, cycle_start=0,
                                        for b in blocks),
               "recurring": tuple(sorted(recurring))}
     return SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                            _mk_order(labels, pairs), prov,
+                            normalize_poset(pairs, labels), prov,
                             merged.chain_families + (family,),
                             merged.continued_below, dict(merged.claims))
 
@@ -225,12 +221,12 @@ def predict_realization(poset, mode="acc"):
                 pairs.append((f"gamma({p})", f"delta({q})"))
     labels = sorted(atoms)
     pre = SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                           _mk_order(labels, pairs), prov)
+                           normalize_poset(pairs, labels), prov)
     post_labels = sorted(l for l in labels if not l.startswith("delta("))
     post_pairs = [(a, b) for (a, b) in pairs
                   if not a.startswith("delta(") and not b.startswith("delta(")]
     post = SymbolicSpectrum(tuple(atoms[l] for l in post_labels),
-                            _mk_order(post_labels, post_pairs),
+                            normalize_poset(post_pairs, post_labels),
                             {l: prov[l] for l in post_labels})
     witness = {p: f"gamma({p})" for p in poset.elements}
     return RealizationResult(post, witness, pre)
@@ -265,7 +261,7 @@ def predict_noatom(trunc):
             prov[lbl] = "designated noetherian chain"
     labels = sorted(atoms)
     pre = SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                           _mk_order(labels, []), prov,
+                           normalize_poset([], labels), prov,
                            claims={"post_quotient_empty": True})
     return NoAtomPrediction(pre, True, "module of the first block",
                             absorption)
@@ -331,7 +327,7 @@ def predict_preset(name, depth):
                             for j in range(depth)),
                         "recurring": ("gamma'",)}
         labels = sorted(atoms)
-        order = _mk_order(labels, [("gamma", "gamma'")])
+        order = normalize_poset([("gamma", "gamma'")], labels)
         return SymbolicSpectrum(tuple(atoms[l] for l in labels), order, prov,
                                 (inner_family, outer_family))
     raise UnknownPreset("no such preset", name=name, known=list(PRESET_NAMES))

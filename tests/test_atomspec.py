@@ -14,7 +14,8 @@ from atomcat.atomspec import (Atom, asupp, aass, atom_equivalent, atom_of,
                               has_common_nonzero_subobject, is_monoform,
                               is_uniform, localize, localizing_subcategories,
                               membership, report_from_parts, spectrum)
-from atomcat.errors import NotMonoform, UnknownAtom, ZeroModule
+from atomcat.errors import (InvalidTopology, NotMonoform, UnknownAtom,
+                            ZeroModule)
 from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
                             submodule_as_module, submodule_lattice,
                             subquotient)
@@ -430,6 +431,68 @@ def test_spectrum_report_json_roundtrip():
         data = json.loads(json.dumps(rep.to_json()))
         back = report_from_json(data)
         assert back.to_json() == rep.to_json()
+
+
+def loop_points_quiver(n):
+    """n vertices, each with a loop of its own color: n discrete atoms."""
+    vs = [f"v{i:03d}" for i in range(n)]
+    cs = [f"c{i:03d}" for i in range(n)]
+    return make_quiver(vs, cs, [(v, v, c) for v, c in zip(vs, cs)])
+
+
+@pytest.mark.parametrize("n", [17, 300])
+def test_spectrum_beyond_the_listing_cap(n):
+    import json
+    from atomcat.atomspec import report_from_json
+    rep = spectrum(loop_points_quiver(n))
+    assert len(rep.atoms) == n
+    assert all(f["open_point"] and f["closed_point"]
+               for f in rep.flags.values())
+    data = json.loads(json.dumps(rep.to_json()))
+    assert "opens" not in data and data["order"] == []
+    assert report_from_json(data).to_json() == data
+
+
+def test_report_json_lists_opens_up_to_the_cap():
+    data = spectrum(loops_chain_quiver()).to_json()
+    assert len(data["opens"]) == 8 and data["opens"][0] == []
+    assert len(spectrum(loop_points_quiver(16)).to_json()["opens"]) == 1 << 16
+
+
+def vee_report():
+    """Hand-built spectrum alpha < beta, alpha < gamma."""
+    atoms = [Atom(lbl, FdModule(GF2, 1, ("s0",), {}))
+             for lbl in ("alpha", "beta", "gamma")]
+    return report_from_parts(atoms, [(), ("beta",), ("gamma",),
+                                     ("beta", "gamma"),
+                                     ("alpha", "beta", "gamma")])
+
+
+def localize_by_induced_family(report, label):
+    """Oracle: the subspace topology on the atoms at or below the label,
+    from the open family restricted to them."""
+    keep = {b for b in report.order.elements if report.order.leq(b, label)}
+    atoms = [a for a in report.atoms if a.label in keep]
+    induced = {frozenset(set(report.opens.subset_of(m)) & keep)
+               for m in report.opens.opens}
+    return report_from_parts(atoms, [tuple(s) for s in induced], report.p)
+
+
+def test_localize_matches_induced_family():
+    reports = [two_chain_report(), vee_report(),
+               spectrum(loops_chain_quiver()),
+               spectrum(loop_quiver(), FieldSpec(3))]
+    for rep in reports:
+        for lbl in rep.order.elements:
+            assert (localize(rep, lbl).to_json()
+                    == localize_by_induced_family(rep, lbl).to_json())
+
+
+def test_report_from_parts_rejects_a_non_topology():
+    a = Atom("alpha", FdModule(GF2, 1, ("s0",), {}))
+    b = Atom("beta", FdModule(GF2, 1, ("s0",), {}))
+    with pytest.raises(InvalidTopology):
+        report_from_parts([a, b], [(), ("alpha",), ("beta",)])
 
 
 def test_empty_spectrum_keeps_its_prime():

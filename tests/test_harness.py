@@ -168,6 +168,35 @@ class TestCli:
         back = json.loads(capsys.readouterr().out)
         assert back["le"] == [["a", "b"]]
 
+    def test_spectrum_beyond_the_listing_cap(self, tmp_path, capsys):
+        vs = [f"v{i:02d}" for i in range(17)]
+        qpath = self.write(tmp_path, "q.json", {
+            "vertices": vs, "colors": [f"c{v}" for v in vs],
+            "arrows": [{"src": v, "dst": v, "color": f"c{v}"} for v in vs]})
+        assert cli_dispatch(["spectrum", qpath]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["atoms"]) == 17
+        assert "opens" not in report and report["order"] == []
+
+    def test_convert_large_chain_topology_to_poset(self, tmp_path, capsys):
+        pts = [f"x{i:02d}" for i in range(20)]
+        opens = [pts[i:] for i in range(21)]  # up-sets of the chain
+        tpath = self.write(tmp_path, "t.json",
+                           {"points": pts, "opens": opens})
+        assert cli_dispatch(["convert", tpath, "--to", "poset"]) == 0
+        back = json.loads(capsys.readouterr().out)
+        assert len(back["le"]) == 20 * 19 // 2
+        assert ["x00", "x19"] in back["le"]
+
+    def test_convert_large_antichain_to_topology_refused(self, tmp_path,
+                                                         capsys):
+        ppath = self.write(tmp_path, "p.json", {
+            "elements": [f"e{i:02d}" for i in range(17)], "le": []})
+        assert cli_dispatch(["convert", ppath, "--to", "topology"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "budget_exceeded",
+                       "context": {"points": 17, "cap": 16}}
+
     def test_error_json_on_stderr(self, tmp_path, capsys):
         qpath = self.write(tmp_path, "bad.json", {
             "vertices": ["v"], "colors": [],

@@ -1,18 +1,19 @@
 """Poset / finite-topology layer: examples plus round-trip properties."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomcat.errors import (CycleDetected, NotKolmogorov, SizeBudgetExceeded,
-                            UnknownElement)
-from atomcat.ordertop import (FiniteTopology, alexandroff_of_poset,
-                              is_kolmogorov, normalize_poset,
-                              poset_from_json, poset_invariants,
-                              poset_isomorphic, poset_of_topology,
-                              topology_from_json)
+from atomcat.errors import (BudgetExceeded, CycleDetected, InvalidTopology,
+                            NotKolmogorov, UnknownElement)
+from atomcat.ordertop import (alexandroff_of_poset, is_kolmogorov,
+                              normalize_poset, poset_from_json,
+                              poset_invariants, poset_isomorphic,
+                              poset_of_topology, topology_from_json,
+                              topology_of_opens)
 
 
 def brute_up_sets(elements, le_pairs):
@@ -25,6 +26,15 @@ def brute_up_sets(elements, le_pairs):
             if all(q in s for p in s for (a, q) in le if a == p):
                 out.append(frozenset(s))
     return set(out)
+
+
+def pairwise_is_topology(n, family):
+    """Independent oracle: the family holds the empty and the full set and
+    is closed under pairwise unions and intersections."""
+    fam = set(family)
+    if 0 not in fam or (1 << n) - 1 not in fam:
+        return False
+    return all((a | b) in fam and (a & b) in fam for a in fam for b in fam)
 
 
 def chain(*names):
@@ -87,40 +97,99 @@ class TestAlexandroff:
 
     def test_cap(self):
         big = antichain(*[f"e{i}" for i in range(20)])
-        with pytest.raises(SizeBudgetExceeded):
-            alexandroff_of_poset(big)
+        topo = alexandroff_of_poset(big)
+        assert topo.min_open == tuple(1 << i for i in range(20))
+        with pytest.raises(BudgetExceeded):
+            topo.opens
+
+    def test_listing_opens_names_its_cap(self):
+        topo = alexandroff_of_poset(chain(*[f"e{i:02d}" for i in range(17)]))
+        assert is_kolmogorov(topo) and topo.validate()
+        with pytest.raises(BudgetExceeded) as info:
+            topo.opens
+        assert info.value.context == {"points": 17, "cap": 16}
+
+
+def _families(n):
+    """Every open family over n points: all sets of masks."""
+    masks = range(1 << n)
+    for r in range(len(masks) + 1):
+        yield from itertools.combinations(masks, r)
+
+
+def _random_families(n, count, rng):
+    """Random families, and topologies (a random family closed under
+    unions and intersections) with one mask toggled half of the time."""
+    full = (1 << n) - 1
+    for _ in range(count):
+        fam = {m for m in range(full + 1) if rng.random() < 0.3}
+        if rng.random() < 0.5:
+            fam |= {0, full}
+            while True:
+                more = {a | b for a in fam for b in fam}
+                more |= {a & b for a in fam for b in fam}
+                if more <= fam:
+                    break
+                fam |= more
+            if rng.random() < 0.5:
+                fam ^= {rng.randrange(full + 1)}
+        yield tuple(sorted(fam))
+
+
+class TestTopologyOfOpens:
+    def check(self, n, family):
+        points = tuple(f"x{i}" for i in range(n))
+        try:
+            topo = topology_of_opens(points, family)
+        except InvalidTopology:
+            assert not pairwise_is_topology(n, family), family
+            return
+        assert pairwise_is_topology(n, family), family
+        assert topo.validate()
+        assert topo.opens == tuple(sorted(set(family)))
+
+    def test_every_family_up_to_three_points(self):
+        for n in range(4):
+            for family in _families(n):
+                self.check(n, family)
+
+    def test_random_families_on_four_and_five_points(self):
+        rng = random.Random(13)
+        for n in (4, 5):
+            for family in _random_families(n, 1500, rng):
+                self.check(n, family)
 
 
 class TestKolmogorov:
     def test_discrete_true(self):
-        topo = FiniteTopology(("a", "b"), (0, 1, 2, 3))
+        topo = topology_of_opens(("a", "b"), (0, 1, 2, 3))
         assert is_kolmogorov(topo)
 
     def test_indiscrete_false(self):
-        topo = FiniteTopology(("a", "b"), (0, 3))
+        topo = topology_of_opens(("a", "b"), (0, 3))
         assert not is_kolmogorov(topo)
 
     def test_sierpinski(self):
         # opens over (a, b): {}, {b}, {a, b}; both pairs get separated
-        topo = FiniteTopology(("a", "b"), (0, 2, 3))
+        topo = topology_of_opens(("a", "b"), (0, 2, 3))
         assert is_kolmogorov(topo)
 
 
 class TestSpecialization:
     def test_discrete_gives_antichain(self):
-        topo = FiniteTopology(("a", "b"), (0, 1, 2, 3))
+        topo = topology_of_opens(("a", "b"), (0, 1, 2, 3))
         p = poset_of_topology(topo)
         assert not p.lt("a", "b") and not p.lt("b", "a")
 
     def test_sierpinski_order(self):
         # closure of {b} is {a, b}: complement scan of opens missing b
-        topo = FiniteTopology(("a", "b"), (0, 2, 3))
+        topo = topology_of_opens(("a", "b"), (0, 2, 3))
         p = poset_of_topology(topo)
         assert p.lt("a", "b")
 
     def test_indiscrete_rejected(self):
         with pytest.raises(NotKolmogorov):
-            poset_of_topology(FiniteTopology(("a", "b"), (0, 3)))
+            poset_of_topology(topology_of_opens(("a", "b"), (0, 3)))
 
 
 class TestInvariants:
@@ -163,7 +232,7 @@ class TestIsomorphism:
 
     def test_size_cap(self):
         big = antichain(*[f"e{i}" for i in range(9)])
-        with pytest.raises(SizeBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             poset_isomorphic(big, big)
 
 
@@ -185,6 +254,9 @@ def random_posets(draw):
 def test_roundtrip_is_identity(p):
     topo = alexandroff_of_poset(p)
     assert topo.validate()
+    assert topo.opens == tuple(sorted(set(topo.opens)))
+    assert ({frozenset(topo.subset_of(m)) for m in topo.opens}
+            == brute_up_sets(p.elements, p.le))
     assert is_kolmogorov(topo)
     back = poset_of_topology(topo)
     assert back.le == p.le

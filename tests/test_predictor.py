@@ -176,6 +176,15 @@ class TestCrosscheck:
         diff = crosscheck(res.pre_quotient, g)
         assert diff.unexpected == () and diff.order_violations == ()
 
+    def test_fan_beyond_the_listing_cap(self):
+        # a bottom below 17 maximal elements: 17 discrete atoms
+        leaves = [f"m{i:02d}" for i in range(17)]
+        fan = normalize_poset([("b", m) for m in leaves], ["b"] + leaves)
+        g = gen_realization_acc(fan, TruncationSpec(depth=2))
+        diff = crosscheck(predict_realization(fan, "acc").pre_quotient, g)
+        assert diff.ok()
+        assert len(diff.matched) == 17
+
     def test_monotone_matched_sets(self):
         res = predict_realization(DIAMOND, "acc")
         matched = []
