@@ -29,8 +29,6 @@ available in the test suite as oracles.
 import hashlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linmod
 from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
                      ZeroModule)
@@ -56,7 +54,7 @@ def canonical_simple_form(simple):
     and label exactly when they are isomorphic.  Zero colors are left
     out.  Seeds have leading coordinate 1 (a scalar multiple spins up to
     the same form): (p^k - 1)/(p - 1) spin-ups in the field's kernel,
-    `bitmat.spin_up` on int bitsets or `modp.spin_up` on lists.  The
+    `bitmat.spin_up` on int bitsets or `modp.spin_up` on tuple rows.  The
     result is kept in the `linmod` structure store under the simple's key.
     """
     stored = simple.stored()
@@ -69,7 +67,7 @@ def canonical_simple_form(simple):
     best = min(ops.spin_up(seed, acts, k) for seed in ops.line_seeds(k))
     best = ops.unpack_form(best, k, len(colors))
     rep = FdModule(simple.field, k, tuple(f"s{i}" for i in range(k)), {
-        c: ops.pack(np.array([row[j] for row in best], dtype=np.int64), k)
+        c: ops.pack([row[j] for row in best], k)
         for j, c in enumerate(colors)})
     if k == 1:
         parts = (c if v == 1 else f"{c}={v}"
@@ -329,7 +327,7 @@ def report_from_json(data):
     atoms = []
     for entry in data["atoms"]:
         dim = entry["dim"]
-        actions = {c: ops.pack(np.array(rows, dtype=np.int64), dim)
+        actions = {c: ops.pack(rows, dim)
                    for c, rows in entry["actions"].items()}
         rep = FdModule(field, dim, tuple(f"s{i}" for i in range(dim)),
                        actions)

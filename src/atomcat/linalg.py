@@ -1,12 +1,18 @@
 """Field-dispatching facade over the GF(2) bitset kernel and mod-p code.
 
 Modules and submodules never look inside a row; they go through an ops
-object obtained from `ops_for(p)`.  For p = 2 a row is a Python-int
-bitset and a matrix a tuple of rows (`bitmat`); otherwise a row is a
-dense int64 array mod p and a matrix a 2-d array (`modp`).  Callers
-rely only on what both layouts share: `len()`, indexing and iteration
-over rows, and matrices built by `stack`.  All methods treat row spaces
-as immutable values in fully reduced row-echelon form.
+object obtained from `ops_for(p)`.  Both fields share one layout: a
+matrix is a tuple of rows, built with `tuple(rows)`, and is its own
+hashable key.  For p = 2 a row is a Python-int bitset (`bitmat`);
+otherwise a row is a tuple of ints in [0, p) (`modp`).  Callers rely
+only on `len()`, indexing and iteration over rows.  All methods treat
+row spaces as immutable values in fully reduced row-echelon form.
+Dense numpy arrays come in and go out only through `pack` / `unpack`.
+
+`order_key` fixes the listing order of submodules.  Over an odd prime
+it is the tuple of rows itself, which for p < 256 sorts exactly as the
+rows' int64 `tobytes()` did; for larger primes that byte order was an
+artifact of the dtype and the tuple order is numeric.
 """
 
 import itertools
@@ -30,12 +36,6 @@ class F2Ops:
 
     def unit_vec(self, i, n):
         return 1 << i
-
-    def empty_mat(self, n):
-        return ()
-
-    def stack(self, rows, n):
-        return tuple(rows)
 
     def rref(self, mat, n):
         return bitmat.rref(mat)
@@ -67,9 +67,6 @@ class F2Ops:
     def is_zero(self, vec):
         return not vec
 
-    def mat_key(self, mat):
-        return mat
-
     def order_key(self, mat, n):
         # rows compare as little-endian bytes, not as ints (the orders
         # differ above 8 columns): this order picks the minimal
@@ -80,13 +77,8 @@ class F2Ops:
     def add(self, a, b, c=1):
         return a ^ b if c & 1 else a
 
-    def enumerate_nonzero(self, n):
+    def line_seeds(self, n):  # each line has one nonzero vector
         return range(1, 1 << n)
-
-    line_seeds = enumerate_nonzero  # each line has one nonzero vector
-
-    def count_nonzero_vectors(self, n):
-        return (1 << n) - 1
 
 
 class FpOps:
@@ -94,27 +86,16 @@ class FpOps:
         self.p = p
 
     def pack(self, dense, n):
-        out = np.array(dense, dtype=np.int64) % self.p
-        if out.ndim == 1:
-            out = out[None, :]
-        return out
+        return tuple(tuple(int(x) % self.p for x in row) for row in dense)
 
     def unpack(self, rows, n):
-        return np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
     def zero_vec(self, n):
-        return np.zeros(n, dtype=np.int64)
+        return (0,) * n
 
     def unit_vec(self, i, n):
-        v = np.zeros(n, dtype=np.int64)
-        v[i] = 1
-        return v
-
-    def empty_mat(self, n):
-        return np.zeros((0, n), dtype=np.int64)
-
-    def stack(self, rows, n):
-        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        return (0,) * i + (1,) + (0,) * (n - i - 1)
 
     def rref(self, mat, n):
         return modp.rref(mat, self.p)
@@ -123,16 +104,16 @@ class FpOps:
         return modp.reduce_row(row, basis, pivots, self.p)
 
     def vec_mat(self, v, act, n):
-        return modp.vec_mat(v[:n], act[:n], self.p)
+        return modp.vec_mat(v, act, self.p)
 
     def cyclic_closure(self, seed, acts, n):
         return modp.cyclic_closure(seed, acts, self.p)
 
     def nullspace(self, mat, n):
-        return modp.nullspace(mat, self.p)
+        return modp.nullspace(mat, n, self.p)
 
     def left_nullspace(self, mat, nrows, n):
-        return modp.nullspace(np.ascontiguousarray(mat[:nrows].T), self.p)
+        return modp.left_nullspace(mat, nrows, n, self.p)
 
     def coords(self, row, basis, pivots, n):
         return modp.coords_in_basis(row, basis, pivots, self.p)
@@ -148,22 +129,13 @@ class FpOps:
         return form
 
     def is_zero(self, vec):
-        return not vec.any()
-
-    def mat_key(self, mat):
-        return mat.tobytes()
+        return not any(vec)
 
     def order_key(self, mat, n):
-        return mat.tobytes()
+        return mat
 
     def add(self, a, b, c=1):
-        return (a + c * b) % self.p
-
-    def enumerate_nonzero(self, n):
-        return modp.enumerate_nonzero_vectors(n, self.p)
-
-    def count_nonzero_vectors(self, n):
-        return self.p ** n - 1
+        return tuple((x + c * y) % self.p for x, y in zip(a, b))
 
 
 _F2 = F2Ops()

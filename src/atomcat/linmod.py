@@ -8,10 +8,13 @@ that color.
 
 Submodules are action-invariant row spaces kept in reduced row-echelon
 form; the whole submodule lattice of a module is enumerated by closing
-the set of cyclic submodules (one per nonzero vector, all p^dim - 1 of
-them) under pairwise sums.  That enumeration is exact and exponential,
-so it is budget-guarded; the cheaper entry points (one minimal
-submodule, composition factors) avoid it where the structure allows.
+the set of cyclic submodules under pairwise sums.  The cyclic scan
+closes one seed per line, (p^dim - 1)/(p - 1) of them, since a seed and
+its nonzero multiples span the same submodule; its budget still counts
+all p^dim - 1 nonzero vectors.  That enumeration is exact and
+exponential, so it is budget-guarded; the cheaper entry points (one
+minimal submodule, composition factors) avoid it where the structure
+allows.
 
 Structure store: the answers that depend only on a module's action
 matrices are computed once per process and kept in `_STORE`, keyed by
@@ -30,8 +33,6 @@ process meets.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotNested
@@ -86,7 +87,7 @@ class FdModule:
         if "key" not in self._cache:
             parts = [self.field.p, self.dim]
             for c in self.colors:
-                parts.append((c, self.ops.mat_key(self.actions[c])))
+                parts.append((c, self.actions[c]))
             self._cache["key"] = tuple(parts)
         return self._cache["key"]
 
@@ -112,8 +113,7 @@ def module_from_json(data):
     field = FieldSpec(data["p"])
     dim = data["dim"]
     ops = field.ops
-    actions = {c: ops.pack(np.array(rows, dtype=np.int64), dim)
-               for c, rows in data["actions"].items()}
+    actions = {c: ops.pack(rows, dim) for c, rows in data["actions"].items()}
     return FdModule(field, dim, data["labels"], actions)
 
 
@@ -138,7 +138,7 @@ def _module_of_arrows(field, labels, arrows, provenance=None):
             rows[c][i] = ops.add(rows[c][i], ops.unit_vec(j, n),
                                  value % field.p)
     return FdModule(field, n, labels,
-                    {c: ops.stack(mat, n) for c, mat in rows.items()},
+                    {c: tuple(mat) for c, mat in rows.items()},
                     provenance)
 
 
@@ -155,7 +155,7 @@ class Submodule:
         return len(self.basis)
 
     def key(self):
-        return (self.dim, self.parent.ops.mat_key(self.basis))
+        return (self.dim, self.basis)
 
     def order_key(self):
         """Listing order of submodules: by dimension, then basis rows."""
@@ -185,8 +185,7 @@ class Submodule:
 
 
 def zero_submodule(module):
-    ops = module.ops
-    return Submodule(module, ops.empty_mat(module.dim), ())
+    return Submodule(module, (), ())
 
 
 def full_submodule(module):
@@ -194,7 +193,7 @@ def full_submodule(module):
     if n == 0:
         return zero_submodule(module)
     ops = module.ops
-    basis = ops.stack([ops.unit_vec(i, n) for i in range(n)], n)
+    basis = tuple(ops.unit_vec(i, n) for i in range(n))
     return Submodule(module, basis, tuple(range(n)))
 
 
@@ -219,7 +218,7 @@ def cyclic_submodule(module, vec):
 def sum_submodules(a, b):
     ops = a.parent.ops
     n = a.parent.dim
-    basis, piv = ops.rref(ops.stack([*a.basis, *b.basis], n), n)
+    basis, piv = ops.rref((*a.basis, *b.basis), n)
     return Submodule(a.parent, basis, piv)
 
 
@@ -234,12 +233,11 @@ def intersect_submodules(a, b):
     ka, kb = a.dim, b.dim
     if ka == 0 or kb == 0:
         return zero_submodule(m)
-    stacked = ops.stack([*a.basis, *b.basis], m.dim)
-    ker = ops.left_nullspace(stacked, ka + kb, m.dim)
+    ker = ops.left_nullspace((*a.basis, *b.basis), ka + kb, m.dim)
     rows = [ops.vec_mat(x, a.basis, ka) for x in ker]
     if not rows:
         return zero_submodule(m)
-    basis, piv = ops.rref(ops.stack(rows, m.dim), m.dim)
+    basis, piv = ops.rref(rows, m.dim)
     return Submodule(m, basis, piv)
 
 
@@ -284,7 +282,7 @@ def _wrap(module, rows):
 
 
 def _check_seeds(module, budget):
-    seeds = module.ops.count_nonzero_vectors(module.dim)
+    seeds = module.field.p ** module.dim - 1
     if seeds > budget:
         raise BudgetExceeded("too many seed vectors", seeds=seeds,
                              budget=budget, partial=None)
@@ -295,9 +293,9 @@ def _scan_cyclic(module):
     n = module.dim
     acts = module.action_stack()
     seen = {}
-    for vec in ops.enumerate_nonzero(n):
+    for vec in ops.line_seeds(n):
         basis, piv = ops.cyclic_closure(vec, acts, n)
-        seen.setdefault(ops.mat_key(basis), (basis, piv))
+        seen.setdefault(basis, (basis, piv))
     return tuple(seen.values())
 
 
@@ -369,9 +367,9 @@ def subquotient(module, lower, upper):
     if not ext_rows:
         return FdModule(module.field, 0, (), {},
                         provenance={"kind": "subquotient", "of": module.provenance})
-    ebasis, epiv = ops.rref(ops.stack(ext_rows, n), n)
+    ebasis, epiv = ops.rref(ext_rows, n)
     k = len(ebasis)
-    labels = tuple(module.basis_labels[int(p)] for p in epiv)
+    labels = tuple(module.basis_labels[p] for p in epiv)
     actions = {}
     for c in module.colors:
         # row i: coordinates of the image of quotient basis vector i
@@ -383,7 +381,7 @@ def subquotient(module, lower, upper):
             assert coeffs is not None, "upper must be action-closed"
             rows.append(coeffs)
         if not all(ops.is_zero(r) for r in rows):
-            actions[c] = ops.stack(rows, k)
+            actions[c] = tuple(rows)
     return FdModule(module.field, k, labels, actions,
                     provenance={"kind": "subquotient",
                                 "pivot_labels": list(labels)})
@@ -400,36 +398,32 @@ def quotient_module(module, sub):
 
 def hom_basis(m, n):
     """Basis of {F : F intertwines every color action}, maps as dense
-    (dim_m x dim_n) row-convention matrices (f(v) = v @ F)."""
+    (dim_m x dim_n) int64 row-convention matrices (f(v) = v @ F): the
+    nullspace of the equations A_m F - F A_n = 0, one per color and
+    entry (i, j), over the unknowns F[k, l] at column k * dim_n + l."""
     if m.field.p != n.field.p:
         raise ValueError("modules live over different prime fields")
-    p = m.field.p
     ops = m.ops
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    colors = sorted(set(m.colors) | set(n.colors))
-    if not colors:
-        # no actions anywhere: every linear map intertwines
-        out = []
+    am, an = m.dense_actions(), n.dense_actions()
+    eqs = []
+    for c in sorted(set(am) | set(an)):
+        a, b = am.get(c), an.get(c)
         for i in range(dm):
             for j in range(dn):
-                f = np.zeros((dm, dn), dtype=np.int64)
-                f[i, j] = 1
-                out.append(f)
-        return out
-    blocks = []
-    eye_m = np.eye(dm, dtype=np.int64)
-    eye_n = np.eye(dn, dtype=np.int64)
-    for c in colors:
-        am = (ops.unpack(m.actions[c], dm).astype(np.int64)
-              if c in m.actions else np.zeros((dm, dm), dtype=np.int64))
-        an = (ops.unpack(n.actions[c], dn).astype(np.int64)
-              if c in n.actions else np.zeros((dn, dn), dtype=np.int64))
-        blocks.append((np.kron(am, eye_n) - np.kron(eye_m, an.T)) % p)
-    ns = ops.nullspace(ops.pack(np.concatenate(blocks), dm * dn), dm * dn)
-    return [np.array(r, dtype=np.int64).reshape(dm, dn)
-            for r in ops.unpack(ns, dm * dn)]
+                row = [0] * (dm * dn)
+                if a:
+                    for k in range(dm):
+                        row[k * dn + j] += a[i][k]
+                if b:
+                    for l in range(dn):
+                        row[i * dn + l] -= b[l][j]
+                eqs.append(row)
+    ns = ops.nullspace(ops.pack(eqs, dm * dn), dm * dn)
+    return [f.reshape(dm, dn)
+            for f in ops.unpack(ns, dm * dn).astype("int64")]
 
 
 # -- minimal submodules and composition factors ------------------------------
@@ -450,13 +444,13 @@ def _eigen_leaves(module):
             images = [module.act(row, c) for row in basis]
             for lam in range(module.field.p):
                 # the lam-eigenvectors of c: kernel of (action - lam)
-                target = ops.stack([ops.add(img, row, -lam)
-                                    for img, row in zip(images, basis)], n)
+                target = tuple(ops.add(img, row, -lam)
+                               for img, row in zip(images, basis))
                 ker = ops.left_nullspace(target, k, n)
                 if len(ker) == 0:
                     continue
                 rows = [ops.vec_mat(x, basis, k) for x in ker]
-                sub_basis, sub_piv = ops.rref(ops.stack(rows, n), n)
+                sub_basis, sub_piv = ops.rref(rows, n)
                 new.append((sub_basis, sub_piv))
         leaves = new
         if not leaves:
@@ -478,7 +472,7 @@ def find_one_minimal(module, budget=DEFAULT_BUDGET):
     leaves = _eigen_leaves(module)
     if leaves:
         basis, _ = min(leaves, key=lambda bp: ops.order_key(bp[0], n))
-        b, piv = ops.rref(ops.stack([basis[0]], n), n)
+        b, piv = ops.rref(basis[:1], n)
         return Submodule(module, b, piv)
     cyclics = _distinct_cyclic(module, budget)
     return min(cyclics, key=Submodule.order_key)

@@ -1,108 +1,120 @@
-"""Dense linear algebra mod a prime p: the kernel for odd primes.
+"""Row-vector linear algebra mod a prime p: the kernel for odd primes.
 
-Row vectors are 1-d int64 arrays with entries in [0, p); matrices are
-2-d.  GF(2) has its own bitset kernel (`bitmat`); these routines back
-the same operations for the other prime fields and favour clarity over
-speed.  They are correct at p = 2 too, which makes them an independent
-check of `bitmat` in the tests.
+A vector over GF(p) is a tuple of ints in [0, p) and a matrix a tuple of
+such rows, so a matrix is its own hashable key.  GF(2) has its own
+bitset kernel (`bitmat`), and these routines mirror its structure: row
+spaces are kept fully reduced, every pivot (a row's first nonzero
+coordinate) is 1 and no other row has a nonzero entry in a pivot
+column, so the sorted basis tuple with its ascending pivot tuple is
+unique for the space.  They are correct at p = 2 too, which makes them
+an independent check of `bitmat` in the tests.
 """
 
-import numpy as np
+
+def _reduced(row, basis, p):
+    """`row` with the pivot columns of a reduced `basis` (pivot -> row)
+    eliminated."""
+    for piv, b in basis.items():
+        a = row[piv]
+        if a:
+            row = tuple((x - a * y) % p for x, y in zip(row, b))
+    return row
 
 
-def _inv(a, p):
-    return pow(int(a), p - 2, p)
+def _admit(row, basis, p):
+    """Add a reduced nonzero row to a reduced basis dict, scaled to a
+    unit pivot and cleared from the pivot column of the other rows."""
+    piv = next(j for j, x in enumerate(row) if x)
+    inv = pow(row[piv], p - 2, p)
+    row = tuple(x * inv % p for x in row)
+    for q, b in basis.items():
+        a = b[piv]
+        if a:
+            basis[q] = tuple((x - a * y) % p for x, y in zip(b, row))
+    basis[piv] = row
+    return row
+
+
+def _sorted(basis):
+    pivots = tuple(sorted(basis))
+    return tuple(basis[q] for q in pivots), pivots
 
 
 def rref(mat, p):
-    """Reduced row-echelon form mod p.  Returns (basis, pivots)."""
-    work = np.array(mat, dtype=np.int64) % p
-    nrows, ncols = work.shape
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        hits = np.nonzero(work[r:, col])[0]
-        if hits.size == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            work[[r, pr]] = work[[pr, r]]
-        work[r] = (work[r] * _inv(work[r, col], p)) % p
-        mask = work[:, col] != 0
-        mask[r] = False
-        if mask.any():
-            work[mask] = (work[mask] - np.outer(work[mask, col], work[r])) % p
-        pivots.append(col)
-        r += 1
-    return work[:r].copy(), np.array(pivots, dtype=np.int64)
+    """Fully reduced row-echelon form of rows in [0, p).  Returns
+    (basis, pivots)."""
+    basis = {}
+    for row in mat:
+        row = _reduced(row, basis, p)
+        if any(row):
+            _admit(row, basis, p)
+    return _sorted(basis)
 
 
 def reduce_row(row, basis, pivots, p):
-    out = np.array(row, dtype=np.int64) % p
-    for i in range(basis.shape[0]):
-        c = out[int(pivots[i])]
-        if c:
-            out = (out - c * basis[i]) % p
-    return out
+    """Eliminate the pivot columns of the rref `basis` from `row`."""
+    for b, piv in zip(basis, pivots):
+        a = row[piv]
+        if a:
+            row = tuple((x - a * y) % p for x, y in zip(row, b))
+    return row
 
 
 def vec_mat(v, act, p):
-    return (np.asarray(v, dtype=np.int64) @ act) % p
+    """Row vector times matrix: the rows of act weighted by v."""
+    out = [0] * len(act[0])
+    for a, row in zip(v, act):
+        if a:
+            out = [x + a * y for x, y in zip(out, row)]
+    return tuple(x % p for x in out)
 
 
 def cyclic_closure(seed, acts, p):
-    """Smallest action-invariant row space containing seed (rref basis)."""
-    n = seed.shape[0]
-    basis = np.zeros((0, n), dtype=np.int64)
-    pivots = np.empty(0, dtype=np.int64)
-    pend = []
-    u = np.asarray(seed, dtype=np.int64) % p
-    if u.any():
-        basis, pivots = rref(u[None, :], p)
-        pend.append(u)
-    while pend:
-        v = pend.pop()
+    """Smallest row space containing `seed` and invariant under every
+    matrix in `acts`; returns (basis, pivots) in rref.  Every admitted
+    vector gets each action applied once."""
+    basis = {}
+    pending = []
+    if any(seed):
+        pending.append(_admit(seed, basis, p))
+    while pending:
+        v = pending.pop()
         for act in acts:
-            u = reduce_row(vec_mat(v, act, p), basis, pivots, p)
-            if u.any():
-                basis, pivots = rref(np.vstack([basis, u]), p)
-                pend.append(u)
-    return basis, pivots
+            u = _reduced(vec_mat(v, act, p), basis, p)
+            if any(u):
+                pending.append(_admit(u, basis, p))
+    return _sorted(basis)
 
 
-def nullspace(mat, p):
-    """Basis of {x : mat @ x = 0} as rows."""
+def nullspace(mat, ncols, p):
+    """Basis of {x : row . x = 0 for every row of mat}, x over ncols
+    coordinates; one vector per free column of the rref."""
     red, piv = rref(mat, p)
-    ncols = mat.shape[1]
-    pivset = set(int(q) for q in piv)
-    free = [j for j in range(ncols) if j not in pivset]
-    out = np.zeros((len(free), ncols), dtype=np.int64)
-    for r, j in enumerate(free):
-        out[r, j] = 1
-        for i, q in enumerate(piv):
-            out[r, int(q)] = (-red[i, j]) % p
-    return out
+    pivset = set(piv)
+    out = []
+    for j in range(ncols):
+        if j in pivset:
+            continue
+        x = [0] * ncols
+        x[j] = 1
+        for r, q in zip(red, piv):
+            x[q] = -r[j] % p
+        out.append(tuple(x))
+    return tuple(out)
+
+
+def left_nullspace(mat, nrows, ncols, p):
+    """Basis of {v : v . mat = 0}, v over the first nrows rows of mat."""
+    return nullspace(tuple(zip(*mat[:nrows])), nrows, p)
 
 
 def coords_in_basis(row, basis, pivots, p):
-    coeffs = np.array([row[int(q)] for q in pivots], dtype=np.int64) % p
-    rec = (coeffs @ basis) % p if basis.shape[0] else np.zeros_like(row)
-    if not np.array_equal(rec % p, np.asarray(row) % p):
+    """Coefficients of `row` in an rref basis, or None if `row` is not in
+    the span.  With unit pivots and a fully reduced basis the coefficient
+    of basis row i is the entry of `row` at pivot column i."""
+    if any(reduce_row(row, basis, pivots, p)):
         return None
-    return coeffs
-
-
-def enumerate_nonzero_vectors(n, p):
-    vec = np.zeros(n, dtype=np.int64)
-    total = p ** n
-    for x in range(1, total):
-        y = x
-        for j in range(n):
-            vec[j] = y % p
-            y //= p
-        yield vec.copy()
+    return tuple(row[q] for q in pivots)
 
 
 def spin_up(seed, acts, k, p):
@@ -111,8 +123,7 @@ def spin_up(seed, acts, k, p):
     independent of it.  They reduce against a semi-echelon copy of the
     basis that tracks coordinates, so form[i][j], the coordinates of
     the image of basis vector i under action j, is row i of action j in
-    the new basis.  Lists, not numpy rows, which are slower at k <= 8."""
-    color_cols = [(np.asarray(a, dtype=np.int64) % p).T.tolist() for a in acts]
+    the new basis."""
     basis, echelon = [], []  # echelon rows: (pivot, row, coordinates)
 
     def coords_of(w):
@@ -138,8 +149,6 @@ def spin_up(seed, acts, k, p):
     coords_of(seed)
     form = []
     for b in basis:  # also visits the vectors appended on the way
-        form.append(tuple(
-            coords_of([sum(x * y for x, y in zip(b, col)) % p for col in cols])
-            for cols in color_cols))
+        form.append(tuple(coords_of(vec_mat(b, a, p)) for a in acts))
     assert len(basis) == k, "a simple module is spun up by every seed"
     return tuple(form)

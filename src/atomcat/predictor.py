@@ -22,8 +22,6 @@ contradicts, is a violation.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .atomspec import FieldSpec, atom_equivalent, spectrum
 from .errors import NotFinite, UnknownPreset
 from .generators import PRESET_NAMES, _simple_label, gen_noatom
@@ -498,8 +496,7 @@ def noatom_absorption_check(prediction, gen, field=FieldSpec(2),
             results[atom.label] = False
             continue
         ops = field.ops
-        actions = {c: ops.pack(np.array([[1]], dtype=np.int64), 1)
-                   for c in fam["loop_colors"]}
+        actions = {c: ops.pack([[1]], 1) for c in fam["loop_colors"]}
         rep = FdModule(field, 1, ("f0",), actions)
         results[atom.label] = atom_equivalent(atom.representative, rep,
                                               budget)

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-import numpy as np
-
 from . import modp
 from .errors import (ColorClash, DuplicateArrow, EmptyRange, MissingBlock,
                      NotAssociative, NotTargetClosed, NotUnital,
@@ -348,49 +346,37 @@ def quiver_of_algebra(basis, structure, p=2, assoc_cap=4096):
     basis = list(basis)
     n = len(basis)
     idx = {b: i for i, b in enumerate(basis)}
-    right = {}  # right[b''] as an n x n matrix, row = source basis element
+    right = {}  # right[b''] as n rows mod p, row = source basis element
     for b2 in basis:
-        mat = np.zeros((n, n), dtype=np.int64)
+        mat = [[0] * n for _ in range(n)]
         for b in basis:
             for b1, coeff in structure.get((b, b2), {}).items():
-                mat[idx[b], idx[b1]] = coeff % p
-        right[b2] = mat
-
-    def mul_vec(vec, b2):
-        return (vec @ right[b2]) % p
+                mat[idx[b]][idx[b1]] = coeff % p
+        right[b2] = tuple(map(tuple, mat))
 
     if n ** 3 <= assoc_cap:
         for a in basis:
-            va = np.zeros(n, dtype=np.int64)
-            va[idx[a]] = 1
+            left_a = [right[b][idx[a]] for b in basis]  # row k: a * basis[k]
             for b in basis:
-                ab = mul_vec(va, b)
+                ab = right[b][idx[a]]
                 for c in basis:
-                    lhs = mul_vec(ab, c)
-                    bc = mul_vec(np.eye(n, dtype=np.int64)[idx[b]], c)
-                    rhs = np.zeros(n, dtype=np.int64)
-                    for k in range(n):
-                        if bc[k]:
-                            rhs = rhs + int(bc[k]) * mul_vec(va, basis[k])
-                    rhs %= p
-                    if not np.array_equal(lhs, rhs % p):
+                    # (a b) c against a (b c), with b c as a row over basis
+                    if (modp.vec_mat(ab, right[c], p)
+                            != modp.vec_mat(right[c][idx[b]], left_a, p)):
                         raise NotAssociative("structure constants violate "
                                              "associativity", triple=[a, b, c])
 
     # two-sided identity: solve e * b = b and b * e = b for all b
-    rows, rhs = [], []
+    aug = []
     for b in basis:
         for j in range(n):
-            rows.append([right[b][i, j] for i in range(n)])
-            rhs.append(1 if j == idx[b] else 0)
+            aug.append([right[b][i][j] for i in range(n)] + [int(j == idx[b])])
     for b in basis:
         for j in range(n):
-            rows.append([right[bi][idx[b], j] for bi in basis])
-            rhs.append(1 if j == idx[b] else 0)
-    aug = np.column_stack([np.array(rows, dtype=np.int64) % p,
-                           np.array(rhs, dtype=np.int64)])
-    red, piv = modp.rref(aug, p)
-    if n in set(int(q) for q in piv):
+            aug.append([right[bi][idx[b]][j] for bi in basis]
+                       + [int(j == idx[b])])
+    _, piv = modp.rref(aug, p)
+    if n in piv:
         raise NotUnital("no two-sided identity in the span of the basis")
 
     vertices = [f"v[{b}]" for b in basis]
@@ -399,10 +385,9 @@ def quiver_of_algebra(basis, structure, p=2, assoc_cap=4096):
     for b2 in basis:
         for b in basis:
             for b1 in basis:
-                val = int(right[b2][idx[b], idx[b1]])
-                if val % p:
-                    arrows.append((f"v[{b}]", f"v[{b1}]", f"c[{b2}]",
-                                   val % p))
+                val = right[b2][idx[b]][idx[b1]]
+                if val:
+                    arrows.append((f"v[{b}]", f"v[{b1}]", f"c[{b2}]", val))
     return make_quiver(vertices, colors, arrows)
 
 

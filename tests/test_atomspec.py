@@ -608,8 +608,8 @@ def base_changes(draw, p, k):
                 up[i, j] = draw(st.integers(0, p - 1))
     perm = np.eye(k, dtype=np.int64)[draw(st.permutations(range(k)))]
     t = perm @ low @ up % p
-    red, _ = modp.rref(np.hstack([t, np.eye(k, dtype=np.int64)]), p)
-    return t, red[:, k:]
+    red, _ = modp.rref(np.hstack([t, np.eye(k, dtype=np.int64)]).tolist(), p)
+    return t, np.array(red)[:, k:]
 
 
 def module_from_dense(p, dense):

@@ -1,11 +1,14 @@
 """Kernel-level checks: the GF(2) int-bitset kernel against a dense
-numpy RREF oracle and against `modp`'s dense routines run at p = 2."""
+numpy RREF oracle and against `modp` run at p = 2, and the `modp`
+tuple-row kernel against the dense numpy routines of `dense_modp` at
+p = 3 and 5."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomcat import bitmat, modp
+import dense_modp
+from atomcat import bitmat, harness, modp
 from atomcat.linalg import ops_for
 from atomcat.linmod import FieldSpec, module_of_quiver, submodule_lattice
 from atomcat.quiver import make_quiver
@@ -71,10 +74,10 @@ def test_cyclic_closure_matches_modp_at_p2(case):
     n = len(seed)
     basis, pivots = bitmat.cyclic_closure(
         bitmat.pack_rows(seed)[0], [bitmat.pack_rows(a) for a in acts])
-    want, wpiv = modp.cyclic_closure(seed.astype(np.int64),
-                                     [a.astype(np.int64) for a in acts], 2)
+    want, wpiv = modp.cyclic_closure(seed.tolist(),
+                                     [a.tolist() for a in acts], 2)
     assert list(pivots) == list(wpiv)
-    assert np.array_equal(bitmat.unpack_rows(basis, n), want)
+    assert bitmat.unpack_rows(basis, n).tolist() == [list(r) for r in want]
 
 
 @settings(max_examples=80, deadline=None)
@@ -83,11 +86,11 @@ def test_nullspaces_match_modp_at_p2(dense):
     r, n = dense.shape
     packed = bitmat.pack_rows(dense)
     right = bitmat.nullspace(packed, n)
-    assert np.array_equal(bitmat.unpack_rows(right, n),
-                          modp.nullspace(dense.astype(np.int64), 2))
+    assert (bitmat.unpack_rows(right, n).tolist()
+            == [list(x) for x in modp.nullspace(dense.tolist(), n, 2)])
     left = bitmat.left_nullspace(packed, r, n)
-    assert np.array_equal(bitmat.unpack_rows(left, r),
-                          modp.nullspace(dense.T.astype(np.int64), 2))
+    assert (bitmat.unpack_rows(left, r).tolist()
+            == [list(x) for x in modp.nullspace(dense.T.tolist(), r, 2)])
 
 
 @st.composite
@@ -114,7 +117,7 @@ def test_spin_up_matches_modp_at_p2_for_every_seed(case):
     for seed in range(1, 1 << k):
         keys.append(bitmat.spin_up(seed, packed, k))
         forms.append(modp.spin_up(tuple(seed >> t & 1 for t in range(k)),
-                                  acts, k, 2))
+                                  [a.tolist() for a in acts], k, 2))
         assert bitmat.unpack_form(keys[-1], k, len(acts)) == forms[-1]
     # int keys order the seeds as the coordinate tuples do
     seeds = range(len(keys))
@@ -219,25 +222,152 @@ def test_coords_in_basis():
 
 
 def test_modp_rref_gf3():
-    mat = np.array([[2, 1, 0], [1, 1, 0], [0, 0, 2]], dtype=np.int64)
+    mat = ((2, 1, 0), (1, 1, 0), (0, 0, 2))
     basis, piv = modp.rref(mat, 3)
-    assert basis.shape[0] == 3
+    assert len(basis) == 3
     assert list(piv) == [0, 1, 2]
     # unit pivots, fully reduced
-    assert np.array_equal(basis, np.eye(3, dtype=np.int64))
+    assert basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_modp_nullspace_gf5():
-    mat = np.array([[1, 2, 3]], dtype=np.int64)
-    ns = modp.nullspace(mat, 5)
-    assert ns.shape[0] == 2
+    mat = ((1, 2, 3),)
+    ns = modp.nullspace(mat, 3, 5)
+    assert len(ns) == 2
     for row in ns:
-        assert (mat @ row) % 5 == 0
+        assert sum(a * x for a, x in zip(mat[0], row)) % 5 == 0
 
 
-def test_enumerate_nonzero_vectors():
-    vecs = list(ops_for(2).enumerate_nonzero(4))
+def test_line_seeds():
+    vecs = list(ops_for(2).line_seeds(4))
     assert len(vecs) == 15
     assert len(set(vecs)) == 15
-    vecs3 = list(modp.enumerate_nonzero_vectors(2, 3))
-    assert len(vecs3) == 8
+    # one vector per line of GF(3)^2, the one with leading coordinate 1
+    assert sorted(ops_for(3).line_seeds(2)) == [(0, 1), (1, 0), (1, 1),
+                                                (1, 2)]
+
+
+# -- the GF(p) tuple-row kernel against the dense oracle ---------------------
+
+@st.composite
+def fp_cases(draw):
+    """A prime, an r x n matrix over GF(p) (random, zero or of full rank
+    r <= n, r = 0 included), a vector and up to three n x n actions, all
+    as lists of ints in [0, p)."""
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 9))
+    entry = st.integers(0, p - 1)
+
+    def rows(r, m):
+        return [draw(st.lists(entry, min_size=m, max_size=m))
+                for _ in range(r)]
+
+    kind = draw(st.sampled_from(["random", "zero", "full"]))
+    r = draw(st.integers(0, min(n, 6) if kind == "full" else 6))
+    mat = rows(r, n)
+    if kind == "zero":
+        mat = [[0] * n for _ in range(r)]
+    elif kind == "full":
+        # a nonzero entry in a column of its own per row: rank r
+        cols = draw(st.permutations(range(n)))[:r]
+        for i, row in enumerate(mat):
+            for c in cols:
+                row[c] = 0
+            row[cols[i]] = draw(st.integers(1, p - 1))
+    acts = [rows(n, n) for _ in range(draw(st.integers(0, 3)))]
+    return p, n, mat, draw(st.lists(entry, min_size=n, max_size=n)), acts
+
+
+def dense(mat, n):
+    return np.array(mat, dtype=np.int64).reshape(len(mat), n)
+
+
+def as_lists(rows):
+    return [list(map(int, r)) for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_cases())
+def test_fp_rref_and_reduce_row_match_dense_oracle(case):
+    p, n, mat, vec, _ = case
+    basis, piv = modp.rref(tuple(map(tuple, mat)), p)
+    want, wpiv = dense_modp.rref(dense(mat, n), p)
+    assert list(piv) == wpiv.tolist()
+    assert as_lists(basis) == want.tolist()
+    got = modp.reduce_row(tuple(vec), basis, piv, p)
+    assert list(got) == dense_modp.reduce_row(vec, want, wpiv, p).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_cases())
+def test_fp_nullspaces_match_dense_oracle(case):
+    p, n, mat, _, _ = case
+    rows = tuple(map(tuple, mat))
+    assert (as_lists(modp.nullspace(rows, n, p))
+            == dense_modp.nullspace(dense(mat, n), p).tolist())
+    r = len(mat)
+    assert (as_lists(modp.left_nullspace(rows, r, n, p))
+            == dense_modp.nullspace(dense(mat, n).T, p).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_cases(), st.data())
+def test_fp_coords_in_basis_match_dense_oracle(case, data):
+    p, n, mat, vec, _ = case
+    basis, piv = modp.rref(tuple(map(tuple, mat)), p)
+    want, wpiv = dense_modp.rref(dense(mat, n), p)
+    # a combination of the basis, and an arbitrary vector
+    comb = data.draw(st.lists(st.integers(0, p - 1), min_size=len(basis),
+                              max_size=len(basis)))
+    inside = (np.array(comb, dtype=np.int64) @ want) % p
+    for row in (inside.tolist(), vec):
+        coeffs = modp.coords_in_basis(tuple(row), basis, piv, p)
+        if dense_modp.reduce_row(row, want, wpiv, p).any():
+            assert coeffs is None
+        else:
+            rebuilt = (np.array(coeffs, dtype=np.int64) @ want) % p
+            assert rebuilt.tolist() == list(row)
+    # a fully reduced basis has one set of coordinates per span vector
+    assert (modp.coords_in_basis(tuple(inside.tolist()), basis, piv, p)
+            == tuple(comb))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_cases())
+def test_fp_cyclic_closure_matches_dense_oracle(case):
+    p, n, _, seed, acts = case
+    basis, piv = modp.cyclic_closure(tuple(seed),
+                                     [tuple(map(tuple, a)) for a in acts], p)
+    want, wpiv = dense_modp.cyclic_closure(
+        np.array(seed, dtype=np.int64), [dense(a, n) for a in acts], p)
+    assert list(piv) == wpiv.tolist()
+    assert as_lists(basis) == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(2, 4), st.integers(1, 3),
+       st.lists(st.integers(0, 2 ** 48 - 1), min_size=2, max_size=12))
+def test_fp_order_key_matches_int64_bytes(p, n, dim, draws):
+    ops = ops_for(p)
+    bases = []
+    for x in draws:
+        digits = [x // p ** t % p for t in range(n * dim)]
+        rows = [tuple(digits[i * n:(i + 1) * n]) for i in range(dim)]
+        bases.append(modp.rref(rows, p)[0])
+    by_key = sorted(bases, key=lambda b: ops.order_key(b, n))
+    by_bytes = sorted(bases, key=lambda b: dense(b, n).tobytes())
+    assert by_key == by_bytes
+
+
+def test_fp_lattice_order_matches_int64_bytes():
+    # lattices of a directed 4-cycle and of a few random quivers
+    verts = [f"v{i}" for i in range(4)]
+    cycle = make_quiver(verts, ["a"], [(verts[i], verts[(i + 1) % 4], "a")
+                                       for i in range(4)])
+    quivers = [cycle] + [harness.random_quiver(s, 4, 2, 0.4) for s in range(8)]
+    for p in (3, 5):
+        for q in quivers:
+            m = module_of_quiver(q, FieldSpec(p))
+            members = submodule_lattice(m).members
+            assert list(members) == sorted(
+                members, key=lambda s: (s.dim, dense(s.basis, m.dim).tobytes()))

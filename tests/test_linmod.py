@@ -201,9 +201,8 @@ class TestSubquotient:
 
     def test_middle_layer(self):
         m = chain_module(3)
-        low = submodule_span(m, m.ops.stack([m.ops.unit_vec(2, 3)], 3))
-        upp = submodule_span(
-            m, m.ops.stack([m.ops.unit_vec(1, 3), m.ops.unit_vec(2, 3)], 3))
+        low = submodule_span(m, (m.ops.unit_vec(2, 3),))
+        upp = submodule_span(m, (m.ops.unit_vec(1, 3), m.ops.unit_vec(2, 3)))
         q = subquotient(m, low, upp)
         assert q.dim == 1
         assert q.actions == {}  # zero action on the layer
@@ -217,8 +216,8 @@ class TestSubquotient:
 
     def test_not_nested(self):
         m = FdModule(GF2, 2, ("a", "b"), {})
-        s1 = submodule_span(m, m.ops.stack([m.ops.unit_vec(0, 2)], 2))
-        s2 = submodule_span(m, m.ops.stack([m.ops.unit_vec(1, 2)], 2))
+        s1 = submodule_span(m, (m.ops.unit_vec(0, 2),))
+        s2 = submodule_span(m, (m.ops.unit_vec(1, 2),))
         with pytest.raises(NotNested):
             subquotient(m, s1, s2)
 
