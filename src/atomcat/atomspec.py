@@ -15,6 +15,10 @@ available in the test suite as oracles.
   monoform module is uniform, and its class equals the class of its
   socle, so every atom of a finite-dimensional module is represented
   by a simple module.
+* A module is monoform exactly when it is uniform and its socle class
+  occurs once among its composition factors (`is_monoform`), so the
+  predicate needs the minimal submodules and one composition series,
+  not the submodule lattice.
 * The atom support of a finite-length module is exactly the set of
   classes of its composition factors: simples are monoform
   subquotients, and conversely the socle of any monoform subquotient
@@ -33,8 +37,7 @@ from . import linmod
 from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
                      ZeroModule)
 from .linmod import (FdModule, FieldSpec, composition_factors, hom_basis,
-                     minimal_submodules, quotient_module,
-                     submodule_as_module, submodule_lattice)
+                     minimal_submodules, submodule_as_module)
 from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset,
                        alexandroff_of_poset, normalize_poset,
                        poset_of_topology, topology_of_opens)
@@ -137,8 +140,9 @@ def _dedupe_simples(simples_with_sources):
 
 def _simples_isomorphic(a, b):
     """Schur's lemma: a nonzero map between simple modules is an
-    isomorphism, so one hom-space nullspace decides."""
-    return a.dim == b.dim and bool(hom_basis(a, b))
+    isomorphism, so one hom-space nullspace decides; equal action
+    matrices (equal keys) need none."""
+    return a.dim == b.dim and (a.key() == b.key() or bool(hom_basis(a, b)))
 
 
 def has_common_nonzero_subobject(m, n, budget=linmod.DEFAULT_BUDGET):
@@ -165,9 +169,14 @@ def is_monoform(module, budget=linmod.DEFAULT_BUDGET):
     """No nonzero submodule of H embeds into any proper quotient H/L.
 
     Non-uniform modules fail immediately: disjoint L1, L2 make L1 a
-    common subobject of H and H/L2.  For uniform H it suffices to test
-    whether the socle embeds into H/L, for every nonzero L in the
-    lattice.
+    common subobject of H and H/L2.  A uniform H, with socle S, is
+    monoform exactly when S occurs once among its composition factors.
+    A second factor X/Y isomorphic to S, with Y containing S (every
+    nonzero submodule does), embeds S in the proper quotient H/Y.
+    Conversely, if a nonzero submodule K embeds in H/L, L nonzero, then
+    so does S, which K contains: S is a factor of H/L.  L contains S
+    too, so S is a factor of L, and the factors of H are those of L
+    and of H/L together (Jordan-Hoelder).
     """
     if module.dim == 0:
         raise ZeroModule("monoformness is undefined for the zero module")
@@ -175,15 +184,8 @@ def is_monoform(module, budget=linmod.DEFAULT_BUDGET):
     if len(mins) != 1:
         return False
     socle = submodule_as_module(mins[0])
-    lat = submodule_lattice(module, budget)
-    for sub in lat.nonzero():
-        quot = quotient_module(module, sub)
-        if quot.dim == 0:
-            continue
-        for k in minimal_submodules(quot, budget):
-            if _simples_isomorphic(socle, submodule_as_module(k)):
-                return False
-    return True
+    return sum(_simples_isomorphic(socle, f)
+               for f, _ in composition_factors(module, budget)) == 1
 
 
 def atom_equivalent(h1, h2, budget=linmod.DEFAULT_BUDGET):

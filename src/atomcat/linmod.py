@@ -10,11 +10,11 @@ Submodules are action-invariant row spaces kept in reduced row-echelon
 form; the whole submodule lattice of a module is enumerated by closing
 the set of cyclic submodules under pairwise sums.  The cyclic scan
 closes one seed per line, (p^dim - 1)/(p - 1) of them, since a seed and
-its nonzero multiples span the same submodule; its budget still counts
-all p^dim - 1 nonzero vectors.  That enumeration is exact and
-exponential, so it is budget-guarded; the cheaper entry points (one
-minimal submodule, composition factors) avoid it where the structure
-allows.
+its nonzero multiples span the same submodule, and its budget counts
+those lines.  That enumeration is exact and exponential, so it is
+budget-guarded; the cheaper entry points (one minimal submodule,
+composition factors, the structure report) avoid it where the
+structure allows.
 
 Structure store: the answers that depend only on a module's action
 matrices are computed once per process and kept in `_STORE`, keyed by
@@ -282,7 +282,8 @@ def _wrap(module, rows):
 
 
 def _check_seeds(module, budget):
-    seeds = module.field.p ** module.dim - 1
+    p = module.field.p
+    seeds = (p ** module.dim - 1) // (p - 1)
     if seeds > budget:
         raise BudgetExceeded("too many seed vectors", seeds=seeds,
                              budget=budget, partial=None)
@@ -556,49 +557,15 @@ class StructureReport:
     is_simple: bool
     composition_length: int
     socle: Submodule
-    radical_series_lengths: tuple
 
 
 def structure_report(module, budget=DEFAULT_BUDGET):
-    """Exact structural summary from the full lattice."""
-    lat = submodule_lattice(module, budget)
-    nonzero = lat.nonzero()
-    minimal = [s for s in nonzero
-               if not any(t.dim and t.dim < s.dim and s.contains(t)
-                          for t in nonzero)]
+    """Exact structural summary, with no lattice walk: the composition
+    length is the number of composition factors (Jordan-Hoelder), and
+    the socle is the sum of the minimal submodules."""
+    length = len(composition_factors(module, budget))
     socle = zero_submodule(module)
-    for s in minimal:
+    for s in minimal_submodules(module, budget):
         socle = sum_submodules(socle, s)
-    # composition length: longest chain through the lattice
-    by_key = sorted(lat, key=lambda s: s.dim)
-    longest = {}
-    for s in by_key:
-        best = 0
-        for t in by_key:
-            if t.dim < s.dim and s.contains(t):
-                best = max(best, longest[t.key()])
-        longest[s.key()] = best + 1
-    comp_len = max(longest.values()) - 1 if longest else 0
-
-    rad_layers = []
-    current = full_submodule(module)
-    while current.dim > 0:
-        members = [s for s in lat
-                   if s.dim < current.dim and current.contains(s)]
-        maximal_in = [s for s in members
-                      if not any(t.dim > s.dim and t.contains(s)
-                                 for t in members)]
-        if not maximal_in:
-            rad_layers.append(current.dim)
-            break
-        rad = maximal_in[0]
-        for s in maximal_in[1:]:
-            rad = intersect_submodules(rad, s)
-        rad_layers.append(current.dim - rad.dim)
-        current = rad
-    return StructureReport(
-        is_simple=(module.dim > 0 and len(lat) == 2),
-        composition_length=comp_len,
-        socle=socle,
-        radical_series_lengths=tuple(rad_layers),
-    )
+    return StructureReport(is_simple=length == 1,
+                           composition_length=length, socle=socle)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, atom_equivalent, spectrum
 from .errors import NotFinite, UnknownPreset
-from .generators import PRESET_NAMES, _simple_label, gen_noatom
+from .generators import (PRESET_NAMES, _descending_window_poset,
+                         _simple_label, gen_noatom)
 from .linmod import DEFAULT_BUDGET, FdModule
 from .ordertop import Poset, normalize_poset, poset_invariants
 
@@ -282,7 +283,7 @@ def predict_preset(name, depth):
         return out
     if name == "no-minimal-atom":
         window = max(depth, 2)
-        poset = _descending(window)
+        poset = _descending_window_poset(window)
         res = predict_realization(poset, "acc")
         bottom = res.witness[f"p{window - 1}"]
         out = _with_continued(res.spectrum, {bottom})
@@ -290,7 +291,7 @@ def predict_preset(name, depth):
         return out
     if name == "no-dcc":
         window = max(depth, 2)
-        poset = _descending(window, with_bottom=True)
+        poset = _descending_window_poset(window, with_bottom=True)
         res = predict_realization(poset, "acc")
         descent = [res.witness[f"p{i}"] for i in range(window)]
         res.spectrum.claims["infinite_descent"] = descent
@@ -329,15 +330,6 @@ def predict_preset(name, depth):
         return SymbolicSpectrum(tuple(atoms[l] for l in labels), order, prov,
                                 (inner_family, outer_family))
     raise UnknownPreset("no such preset", name=name, known=list(PRESET_NAMES))
-
-
-def _descending(n, with_bottom=False):
-    elems = [f"p{i}" for i in range(n)]
-    pairs = [(elems[i + 1], elems[i]) for i in range(n - 1)]
-    if with_bottom:
-        elems.append("pinf")
-        pairs.append(("pinf", elems[n - 1]))
-    return normalize_poset(pairs, elems)
 
 
 def _with_continued(spec, extra):

@@ -335,13 +335,13 @@ def ladder(block, interval):
     return GeneratedQuiver(q, table)
 
 
-def quiver_of_algebra(basis, structure, p=2, assoc_cap=4096):
+def quiver_of_algebra(basis, structure, p=2):
     """Quiver whose module is the right regular representation.
 
     basis: list of basis element names.  structure maps (b, b'') to a
-    dict {b': coeff} expressing b * b'' in the basis.  Associativity and
-    the existence of a two-sided identity are checked (the former only
-    while len(basis)^3 <= assoc_cap).
+    dict {b': coeff} expressing b * b'' in the basis.  Associativity (on
+    every basis triple) and the existence of a two-sided identity are
+    checked.
     """
     basis = list(basis)
     n = len(basis)
@@ -354,17 +354,16 @@ def quiver_of_algebra(basis, structure, p=2, assoc_cap=4096):
                 mat[idx[b]][idx[b1]] = coeff % p
         right[b2] = tuple(map(tuple, mat))
 
-    if n ** 3 <= assoc_cap:
-        for a in basis:
-            left_a = [right[b][idx[a]] for b in basis]  # row k: a * basis[k]
-            for b in basis:
-                ab = right[b][idx[a]]
-                for c in basis:
-                    # (a b) c against a (b c), with b c as a row over basis
-                    if (modp.vec_mat(ab, right[c], p)
-                            != modp.vec_mat(right[c][idx[b]], left_a, p)):
-                        raise NotAssociative("structure constants violate "
-                                             "associativity", triple=[a, b, c])
+    for a in basis:
+        left_a = [right[b][idx[a]] for b in basis]  # row k: a * basis[k]
+        for b in basis:
+            ab = right[b][idx[a]]
+            for c in basis:
+                # (a b) c against a (b c), with b c as a row over basis
+                if (modp.vec_mat(ab, right[c], p)
+                        != modp.vec_mat(right[c][idx[b]], left_a, p)):
+                    raise NotAssociative("structure constants violate "
+                                         "associativity", triple=[a, b, c])
 
     # two-sided identity: solve e * b = b and b * e = b for all b
     aug = []

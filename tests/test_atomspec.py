@@ -21,6 +21,7 @@ from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
                             subquotient)
 from atomcat.quiver import disjoint_union, make_quiver
 from iso_oracle import Tristate, is_isomorphic
+from strategies import valued_quivers
 
 GF2 = FieldSpec(2)
 
@@ -792,17 +793,44 @@ def test_equal_actions_share_atoms_with_own_sources():
     assert [a.source for a in aass(m2)] == [("u",)]
 
 
-@st.composite
-def valued_quivers(draw, p, max_vertices, dag=False):
-    """Random arrows with values in 1..p-1; with `dag`, only loops and
-    arrows from a vertex to a later one."""
-    nv = draw(st.integers(1, max_vertices))
-    vs = [f"v{i}" for i in range(nv)]
-    cs = ["c0", "c1"]
-    arrows = [(v, w, c, draw(st.integers(1, p - 1)))
-              for i, v in enumerate(vs) for j, w in enumerate(vs)
-              for c in cs if (i <= j or not dag) and draw(st.booleans())]
-    return make_quiver(vs, cs, arrows)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_monoform_matches_brute_oracle(data):
+    """Uniform with the socle class once among the factors agrees with
+    the literal definition on every submodule and quotient."""
+    from atomcat.linmod import quotient_module
+    p = data.draw(st.sampled_from((2, 3)))
+    q = data.draw(valued_quivers(p, 4 if p == 2 else 3))
+    m = module_of_quiver(q, FieldSpec(p))
+    for s in submodule_lattice(m):
+        for h in (submodule_as_module(s), quotient_module(m, s)):
+            if h.dim:
+                assert is_monoform(h) == brute_monoform(h)
+
+
+def star_module(k, p):
+    """v_i -> v0 with color c_i for 0 < i < k: uniform with socle x_v0,
+    and k zero-action composition factors."""
+    vs = [f"v{i}" for i in range(k)]
+    arrows = [(v, "v0", f"c{i}") for i, v in enumerate(vs) if i]
+    return module_of_quiver(make_quiver(vs, [a[2] for a in arrows], arrows),
+                            FieldSpec(p))
+
+
+@pytest.mark.parametrize("k, p", [(7, 2), (6, 3)])
+def test_star_answers_without_a_lattice(k, p, monkeypatch):
+    from atomcat import linmod
+
+    def refuse(module, budget):
+        raise AssertionError("the submodule lattice was enumerated")
+
+    monkeypatch.setattr(linmod, "_STORE", {})
+    monkeypatch.setattr(linmod, "_close_lattice", refuse)
+    m = star_module(k, p)
+    assert is_uniform(m) and not is_monoform(m)
+    rep = structure_report(m)
+    assert not rep.is_simple
+    assert rep.composition_length == k and rep.socle.dim == 1
 
 
 @settings(max_examples=80, deadline=None)

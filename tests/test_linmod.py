@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomcat.errors import BudgetExceeded, NotNested
 from atomcat.linmod import (FdModule, FieldSpec, composition_factors,
@@ -16,10 +18,12 @@ from atomcat.linmod import (FdModule, FieldSpec, composition_factors,
                             hom_basis, intersect_submodules, is_essential,
                             minimal_submodules, module_from_json,
                             module_of_quiver, structure_report,
-                            submodule_lattice, submodule_span, subquotient,
-                            sum_submodules, zero_submodule)
+                            submodule_as_module, submodule_lattice,
+                            submodule_span, subquotient, sum_submodules,
+                            zero_submodule)
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
+from strategies import valued_quivers
 
 GF2 = FieldSpec(2)
 
@@ -262,6 +266,66 @@ class TestIso:
         assert is_isomorphic(m, module_of_quiver(q, GF2)) is Tristate.YES
 
 
+# -- lattice oracles for the structure report ---------------------------------
+
+def longest_chain(module):
+    """Oracle: the length of a longest chain of submodules, by a walk
+    over the whole lattice."""
+    lat = sorted(submodule_lattice(module), key=lambda s: s.dim)
+    longest = {}
+    for s in lat:
+        longest[s.key()] = 1 + max((longest[t.key()] for t in lat
+                                    if t.dim < s.dim and s.contains(t)),
+                                   default=0)
+    return max(longest.values()) - 1
+
+
+def lattice_socle(module):
+    """Oracle: the sum of the lattice-minimal nonzero members."""
+    nonzero = submodule_lattice(module).nonzero()
+    socle = zero_submodule(module)
+    for s in nonzero:
+        if not any(0 < t.dim < s.dim and s.contains(t) for t in nonzero):
+            socle = sum_submodules(socle, s)
+    return socle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_structure_report_matches_lattice_oracles(data):
+    """On a module and all its submodules and quotients: simple exactly
+    when the lattice has two members, length the longest chain, socle
+    the sum of the lattice-minimal members."""
+    p = data.draw(st.sampled_from((2, 3)))
+    q = data.draw(valued_quivers(p, 4 if p == 2 else 3))
+    m = module_of_quiver(q, FieldSpec(p))
+    lat = submodule_lattice(m)
+    for s in lat:
+        for h in (submodule_as_module(s),
+                  subquotient(m, s, full_submodule(m))):
+            rep = structure_report(h)
+            assert rep.is_simple == (len(submodule_lattice(h)) == 2)
+            assert rep.composition_length == longest_chain(h)
+            assert rep.socle.key() == lattice_socle(h).key()
+
+
+def test_seed_budget_counts_lines():
+    # a 4-cycle at p = 3: 80 nonzero vectors on 40 lines, and
+    # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) splits it into three simples
+    def cycle(k):
+        vs = [f"v{i}" for i in range(k)]
+        return module_of_quiver(make_quiver(
+            vs, ["c"], [(vs[i], vs[(i + 1) % k], "c") for i in range(k)]),
+            FieldSpec(3))
+
+    mins = minimal_submodules(cycle(4), budget=50)
+    assert sorted(s.dim for s in mins) == [1, 1, 2]
+    # a 5-cycle: 242 vectors on 121 lines
+    with pytest.raises(BudgetExceeded) as ei:
+        minimal_submodules(cycle(5), budget=50)
+    assert ei.value.context["seeds"] == 121
+
+
 class TestStructure:
     def test_one_dim_simple(self):
         rep = structure_report(loop_point())
@@ -274,7 +338,6 @@ class TestStructure:
         assert rep.composition_length == 3
         assert rep.socle.dim == 1
         assert rep.socle.contains_vec(m.ops.unit_vec(2, 3))
-        assert rep.radical_series_lengths == (1, 1, 1)
 
     def test_zero_module(self):
         m = FdModule(GF2, 0, (), {})
@@ -330,9 +393,9 @@ class TestCompositionFactors:
         assert keys == [("c0",), ("c1",)]
 
     def test_factor_count_equals_composition_length(self):
-        for m in (chain_module(2), chain_module(4), loop_point()):
-            assert len(composition_factors(m)) == \
-                structure_report(m).composition_length
+        for m in (chain_module(2), chain_module(4), loop_point(),
+                  FdModule(GF2, 3, tuple("abc"), {})):
+            assert len(composition_factors(m)) == longest_chain(m)
 
 
 def test_gf3_module_roundtrip():

@@ -363,6 +363,17 @@ class TestQuiverOfAlgebra:
         with pytest.raises(NotAssociative):
             quiver_of_algebra(["1", "x"], bad, p=2)
 
+    def test_not_associative_on_a_large_basis(self):
+        # 1, x1..x16 with x1 x2 = x3 and x3 x4 = x5, other products of
+        # the x's zero: (x1 x2) x4 = x5 but x1 (x2 x4) = 0
+        xs = [f"x{i}" for i in range(1, 17)]
+        structure = {("1", b): {b: 1} for b in ["1"] + xs}
+        structure.update({(b, "1"): {b: 1} for b in xs})
+        structure[("x1", "x2")] = {"x3": 1}
+        structure[("x3", "x4")] = {"x5": 1}
+        with pytest.raises(NotAssociative):
+            quiver_of_algebra(["1"] + xs, structure, p=2)
+
     def test_not_unital(self):
         structure = {("a", "a"): {}}
         with pytest.raises(NotUnital):
