@@ -69,8 +69,9 @@ class F2Ops:
 
     def order_key(self, mat, n):
         # rows compare as little-endian bytes, not as ints (the orders
-        # differ above 8 columns): this order picks the minimal
-        # submodule `find_one_minimal` peels, so it fixes report sources
+        # differ above 8 columns): when no coordinate line is a common
+        # eigenvector, this order picks the minimal submodule
+        # `find_one_minimal` peels, so it fixes report sources
         nbytes = (n + 7) // 8
         return b"".join(r.to_bytes(nbytes, "little") for r in mat)
 

@@ -463,14 +463,24 @@ def find_one_minimal(module, budget=DEFAULT_BUDGET):
     """Some minimal (simple) submodule, or None for the zero module.
 
     Fast path: common-eigenvector lines, which cover every construction
-    in this package.  Fallback: scan all cyclic submodules (budgeted);
-    a smallest one is minimal.
+    in this package.  A coordinate line among them comes first (the
+    lowest coordinate): in a quiver module it is a sink vertex, so a
+    module that is triangular (a DAG plus loops) is peeled sink by sink
+    and each factor is labelled by its own vertex.  Fallback: scan all
+    cyclic submodules (budgeted); a smallest one is minimal.
     """
     if module.dim == 0:
         return None
     ops = module.ops
     n = module.dim
     leaves = _eigen_leaves(module)
+    # a common eigenspace holds the unit vector e_i iff its rref row at
+    # pivot i is e_i
+    units = [i for basis, piv in leaves for row, i in zip(basis, piv)
+             if row == ops.unit_vec(i, n)]
+    if units:
+        i = min(units)
+        return Submodule(module, (ops.unit_vec(i, n),), (i,))
     if leaves:
         basis, _ = min(leaves, key=lambda bp: ops.order_key(bp[0], n))
         b, piv = ops.rref(basis[:1], n)

@@ -859,6 +859,31 @@ def test_property_block_path_matches_whole_module_factors(data):
         [(a.label, a.source) for a in per_block]
 
 
+@pytest.mark.parametrize("p, nv, arrows", [
+    # the eigenvector x_v2 + x_v3 of c1 has pivot v2; peeling it first
+    # named S(c1) after v2
+    (3, 4, [("v3", "v2", "c1", 1), ("v3", "v3", "c1", 1)]),
+    (2, 5, [("v0", "v0", "c1", 1), ("v0", "v1", "c1", 1),
+            ("v0", "v4", "c0", 1), ("v0", "v4", "c1", 1),
+            ("v1", "v1", "c0", 1), ("v1", "v2", "c0", 1),
+            ("v1", "v3", "c0", 1), ("v1", "v3", "c1", 1),
+            ("v2", "v2", "c0", 1), ("v2", "v2", "c1", 1),
+            ("v2", "v4", "c1", 1), ("v3", "v2", "c0", 1),
+            ("v3", "v2", "c1", 1), ("v3", "v4", "c1", 1),
+            ("v4", "v4", "c0", 1)]),
+])
+def test_dag_factor_sources_are_their_vertices(p, nv, arrows):
+    """On a DAG plus loops every vertex carries one factor, and the
+    whole module's peel names each factor by that vertex."""
+    from atomcat.atomspec import _dedupe_simples
+    from atomcat.linmod import composition_factors
+    q = make_quiver([f"v{i}" for i in range(nv)], ["c0", "c1"], arrows)
+    field = FieldSpec(p)
+    whole = _dedupe_simples(composition_factors(module_of_quiver(q, field)))
+    assert [(a.label, a.source) for a in spectrum(q, field).atoms] == \
+        [(a.label, a.source) for a in whole]
+
+
 def structure_view(module):
     """Every stored answer about a module, with labels, sources and
     parents spelled out."""
