@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from . import linmod
 from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
                      ZeroModule)
-from .linmod import (FdModule, FieldSpec, composition_factors, hom_basis,
-                     minimal_submodules, submodule_as_module)
+from .linmod import (FdModule, FieldSpec, actions_from_json,
+                     composition_factors, hom_basis, minimal_submodules,
+                     submodule_as_module)
 from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset,
                        alexandroff_of_poset, normalize_poset,
                        poset_of_topology, topology_of_opens)
@@ -325,14 +326,11 @@ def report_from_json(data):
     flags are rederived from "order", which fixes them (U_x is the set
     of atoms at or above x)."""
     field = FieldSpec(data.get("p", 2))
-    ops = field.ops
     atoms = []
     for entry in data["atoms"]:
         dim = entry["dim"]
-        actions = {c: ops.pack(rows, dim)
-                   for c, rows in entry["actions"].items()}
         rep = FdModule(field, dim, tuple(f"s{i}" for i in range(dim)),
-                       actions)
+                       actions_from_json(field, dim, entry["actions"]))
         atoms.append(Atom(entry["label"], rep, tuple(entry["source"])))
     labels = [a.label for a in atoms]
     order = normalize_poset([tuple(pair) for pair in data["order"]], labels)

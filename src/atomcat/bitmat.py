@@ -9,29 +9,9 @@ Row spaces are always kept in fully reduced row-echelon form: rows
 sorted by pivot, where a row's pivot is its lowest set bit, and no
 other row has a bit at that column.  The basis tuple together with its
 ascending pivot tuple is unique for the space, so the tuple itself is
-the hashable key of a row space.  Dense numpy 0/1 arrays come in and
-go out only through `pack_rows` / `unpack_rows`.
+the hashable key of a row space.  Dense 0/1 rows come in and go out
+only through `linalg.F2Ops.pack` / `unpack`.
 """
-
-import numpy as np
-
-
-def pack_rows(dense):
-    """Pack a (r, n) or (n,) 0/1 array into a tuple of int rows."""
-    dense = np.asarray(dense, dtype=np.int64) & 1
-    if dense.ndim == 1:
-        dense = dense[None, :]
-    packed = np.packbits(dense.astype(np.uint8), axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
-def unpack_rows(rows, ncols):
-    """Unpack int rows into a (len(rows), ncols) uint8 0/1 array."""
-    nbytes = (ncols + 7) // 8
-    mask = (1 << ncols) - 1
-    buf = b"".join((r & mask).to_bytes(nbytes, "little") for r in rows)
-    words = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(words, axis=1, count=ncols, bitorder="little")
 
 
 def _reduced(row, basis):

@@ -2,15 +2,14 @@
 
 All randomness flows from one 64-bit seed through numpy's PCG64
 generator (via numpy.random.default_rng), so suites reproduce across
-platforms.  Each suite case is independent and pure; cases run one
-after another in case order.
+platforms.  numpy is imported by `_rng` on the first draw, so importing
+the package does not load it.  Each suite case is independent and pure;
+cases run one after another in case order.
 """
 
 import json
 import os
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import atomspec, generators, linmod, predictor
 from .atomspec import aass, asupp, is_monoform, is_uniform, spectrum
@@ -58,11 +57,22 @@ def config_from_env(base=None):
     return replace(cfg, **updates) if updates else cfg
 
 
+def _rng(seed):
+    """numpy's PCG64 generator for `seed`; numpy loads on the first call."""
+    import numpy as np
+    return np.random.default_rng(seed)
+
+
+def _case_seeds(seed, count):
+    """The `count` case seeds a suite draws from its suite seed."""
+    return [int(s) for s in _rng(seed).integers(0, 2 ** 63 - 1, size=count)]
+
+
 def random_quiver(seed, max_vertices=5, max_colors=3, arrow_density=0.35):
     """Deterministic random quiver (PCG64 stream from the seed)."""
     if max_vertices < 1 or max_colors < 1:
         raise ValueError("bounds must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     nv = int(rng.integers(1, max_vertices + 1))
     nc = int(rng.integers(1, max_colors + 1))
     vertices = [f"v{i}" for i in range(nv)]
@@ -77,7 +87,7 @@ def random_quiver(seed, max_vertices=5, max_colors=3, arrow_density=0.35):
 
 
 def random_poset(seed, max_elements=5):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = int(rng.integers(1, max_elements + 1))
     elements = [f"p{i}" for i in range(n)]
     pairs = []
@@ -264,26 +274,18 @@ SUITES = ("core", "ordertop", "presets")
 def run_suite(name, cfg, count=None):
     """Run a named invariant suite; deterministic in (name, seed)."""
     if name == "core":
-        count = count or 200
-        rng = np.random.default_rng(cfg.seed)
-        case_seeds = [int(s) for s in
-                      rng.integers(0, 2 ** 63 - 1, size=count)]
-
         def run_case(cs):
             q = random_quiver(cs, 5, 3, 0.35)
             return check_quiver_invariants(q, cfg)
 
-        cases = [(cs, run_case(cs)) for cs in case_seeds]
+        cases = [(cs, run_case(cs))
+                 for cs in _case_seeds(cfg.seed, count or 200)]
     elif name == "ordertop":
-        count = count or 100
-        rng = np.random.default_rng(cfg.seed)
-        case_seeds = [int(s) for s in
-                      rng.integers(0, 2 ** 63 - 1, size=count)]
-
         def run_case(cs):
             return check_poset_roundtrip(random_poset(cs, 5))
 
-        cases = [(cs, run_case(cs)) for cs in case_seeds]
+        cases = [(cs, run_case(cs))
+                 for cs in _case_seeds(cfg.seed, count or 100)]
     elif name == "presets":
         names = list(generators.PRESET_NAMES)
 

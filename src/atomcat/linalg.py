@@ -7,7 +7,8 @@ hashable key.  For p = 2 a row is a Python-int bitset (`bitmat`);
 otherwise a row is a tuple of ints in [0, p) (`modp`).  Callers rely
 only on `len()`, indexing and iteration over rows.  All methods treat
 row spaces as immutable values in fully reduced row-echelon form.
-Dense numpy arrays come in and go out only through `pack` / `unpack`.
+A dense matrix is a list of int rows with entries in [0, p) in both
+fields; `pack` takes any iterable of int rows and `unpack` gives lists.
 
 `order_key` fixes the listing order of submodules.  Over an odd prime
 it is the tuple of rows itself, which for p < 256 sorts exactly as the
@@ -17,8 +18,6 @@ artifact of the dtype and the tuple order is numeric.
 
 import itertools
 
-import numpy as np
-
 from . import bitmat, modp
 
 
@@ -26,10 +25,11 @@ class F2Ops:
     p = 2
 
     def pack(self, dense, n):
-        return bitmat.pack_rows(dense)
+        return tuple(sum(1 << j for j, x in enumerate(row) if x & 1)
+                     for row in dense)
 
     def unpack(self, rows, n):
-        return bitmat.unpack_rows(rows, n)
+        return [[r >> j & 1 for j in range(n)] for r in rows]
 
     def zero_vec(self, n):
         return 0
@@ -90,7 +90,7 @@ class FpOps:
         return tuple(tuple(int(x) % self.p for x in row) for row in dense)
 
     def unpack(self, rows, n):
-        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        return [list(r) for r in rows]
 
     def zero_vec(self, n):
         return (0,) * n

@@ -97,7 +97,7 @@ class FdModule:
         return _STORE.setdefault(self.key(), {})
 
     def dense_actions(self):
-        return {c: self.ops.unpack(self.actions[c], self.dim)[:self.dim].tolist()
+        return {c: self.ops.unpack(self.actions[c], self.dim)
                 for c in self.colors}
 
     def to_json(self):
@@ -109,12 +109,23 @@ class FdModule:
         return f"FdModule(p={self.field.p}, dim={self.dim}, colors={len(self.actions)})"
 
 
+def actions_from_json(field, dim, dense):
+    """Pack JSON action matrices {color: rows}; raises ValueError naming
+    the color unless its matrix is `dim` rows of `dim` ints."""
+    for c, rows in dense.items():
+        if not (isinstance(rows, list) and len(rows) == dim and all(
+                isinstance(row, list) and len(row) == dim
+                and all(isinstance(x, int) for x in row) for row in rows)):
+            raise ValueError(f"action of color {c!r} is not {dim} rows "
+                             f"of {dim} ints")
+    return {c: field.ops.pack(rows, dim) for c, rows in dense.items()}
+
+
 def module_from_json(data):
     field = FieldSpec(data["p"])
     dim = data["dim"]
-    ops = field.ops
-    actions = {c: ops.pack(rows, dim) for c, rows in data["actions"].items()}
-    return FdModule(field, dim, data["labels"], actions)
+    return FdModule(field, dim, data["labels"],
+                    actions_from_json(field, dim, data["actions"]))
 
 
 def module_of_quiver(quiver, field=FieldSpec(2)):
@@ -398,10 +409,10 @@ def quotient_module(module, sub):
 
 
 def hom_basis(m, n):
-    """Basis of {F : F intertwines every color action}, maps as dense
-    (dim_m x dim_n) int64 row-convention matrices (f(v) = v @ F): the
+    """Basis of {F : F intertwines every color action}, each map as
+    dim_m rows of dim_n ints in [0, p), row convention (f(v) = v F): the
     nullspace of the equations A_m F - F A_n = 0, one per color and
-    entry (i, j), over the unknowns F[k, l] at column k * dim_n + l."""
+    entry (i, j), over the unknowns F[k][l] at column k * dim_n + l."""
     if m.field.p != n.field.p:
         raise ValueError("modules live over different prime fields")
     ops = m.ops
@@ -423,8 +434,8 @@ def hom_basis(m, n):
                         row[i * dn + l] -= b[l][j]
                 eqs.append(row)
     ns = ops.nullspace(ops.pack(eqs, dm * dn), dm * dn)
-    return [f.reshape(dm, dn)
-            for f in ops.unpack(ns, dm * dn).astype("int64")]
+    return [[f[k * dn:(k + 1) * dn] for k in range(dm)]
+            for f in ops.unpack(ns, dm * dn)]
 
 
 # -- minimal submodules and composition factors ------------------------------

@@ -23,6 +23,9 @@ from .errors import (BudgetExceeded, CycleDetected, InvalidTopology,
 # this many points
 DEFAULT_POINT_CAP = 16
 
+# the backtracking isomorphism search is exponential; refuse larger posets
+ISO_SIZE_CAP = 8
+
 
 @dataclass(frozen=True)
 class Poset:
@@ -272,18 +275,18 @@ def poset_invariants(poset):
     )
 
 
-def poset_isomorphic(p, q, size_cap=8):
+def poset_isomorphic(p, q):
     """Order isomorphism p -> q as a dict, or None.
 
     Exhaustive backtracking with degree-profile pruning; intended for
-    small posets, refuses above size_cap.
+    small posets, refuses above ISO_SIZE_CAP elements.
     """
     if len(p.elements) != len(q.elements):
         return None
     n = len(p.elements)
-    if n > size_cap:
+    if n > ISO_SIZE_CAP:
         raise BudgetExceeded("poset too large for isomorphism search",
-                             size=n, cap=size_cap)
+                             size=n, cap=ISO_SIZE_CAP)
 
     def profile(poset, x):
         return (len(poset.up_set(x)), len(poset.down_set(x)))

@@ -41,12 +41,12 @@ def is_isomorphic(m, n, cap=DEFAULT_ISO_CAP):
         return Tristate.YES
     if m.dim == 1:
         # a scalar map commutes with everything: compare action scalars
-        scal = lambda mod, c: (int(mod.ops.unpack(mod.actions[c], 1)[0, 0])
+        scal = lambda mod, c: (mod.ops.unpack(mod.actions[c], 1)[0][0]
                                if c in mod.actions else 0)
         colors = set(m.colors) | set(n.colors)
         same = all(scal(m, c) == scal(n, c) for c in colors)
         return Tristate.YES if same else Tristate.NO
-    homs = hom_basis(m, n)
+    homs = [np.array(h, dtype=np.int64) for h in hom_basis(m, n)]
     if not homs or not hom_basis(n, m):
         return Tristate.NO
     p = m.field.p

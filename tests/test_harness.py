@@ -3,10 +3,13 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import atomcat
 from atomcat.atomspec import spectrum
 from atomcat.cli import cli_dispatch
 from atomcat.harness import (RunConfig, canonical_json,
@@ -218,6 +221,28 @@ class TestCli:
         monkeypatch.setenv("ATOMCAT_FIELD", "3")
         assert cli_dispatch(["spectrum", qpath]) == 0
         capsys.readouterr()
+
+
+def test_numpy_loads_only_to_draw_case_streams(tmp_path):
+    """Importing the package and the CLI, and a spectrum run, leave numpy
+    unloaded; the first seeded draw loads it."""
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps({
+        "vertices": ["a", "b"], "colors": ["x"],
+        "arrows": [{"src": "a", "dst": "b", "color": "x"}]}))
+    code = (
+        "import sys\n"
+        "import atomcat, atomcat.cli\n"
+        "from atomcat import harness\n"
+        f"assert atomcat.cli.cli_dispatch(['spectrum', {str(qpath)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'loaded before any draw'\n"
+        "harness.random_quiver(1)\n"
+        "assert 'numpy' in sys.modules\n")
+    src = pathlib.Path(atomcat.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_core_battery_at_p3_small_quivers():

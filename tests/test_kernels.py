@@ -3,6 +3,8 @@ numpy RREF oracle and against `modp` run at p = 2, and the `modp`
 tuple-row kernel against the dense numpy routines of `dense_modp` at
 p = 3 and 5."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,21 @@ from hypothesis import strategies as st
 import dense_modp
 from atomcat import bitmat, harness, modp
 from atomcat.linalg import ops_for
-from atomcat.linmod import FieldSpec, module_of_quiver, submodule_lattice
+from atomcat.linmod import (FieldSpec, hom_basis, module_of_quiver,
+                            submodule_lattice)
 from atomcat.quiver import make_quiver
+
+
+def pack_rows(dense):
+    """A dense 0/1 array, or one 0/1 vector, as int-bitset rows."""
+    dense = np.atleast_2d(dense)
+    return ops_for(2).pack(dense, dense.shape[1])
+
+
+def unpack_rows(rows, ncols):
+    """Int-bitset rows as a (len(rows), ncols) uint8 0/1 array."""
+    return np.array(ops_for(2).unpack(rows, ncols),
+                    dtype=np.uint8).reshape(len(rows), ncols)
 
 
 def dense_rref_gf2(dense):
@@ -61,10 +76,10 @@ def actions_and_seed(draw):
 @settings(max_examples=80, deadline=None)
 @given(dense_matrices())
 def test_rref_matches_dense_oracle(dense):
-    basis, pivots = bitmat.rref(bitmat.pack_rows(dense))
+    basis, pivots = bitmat.rref(pack_rows(dense))
     oracle, opiv = dense_rref_gf2(dense)
     assert list(pivots) == opiv
-    assert np.array_equal(bitmat.unpack_rows(basis, dense.shape[1]), oracle)
+    assert np.array_equal(unpack_rows(basis, dense.shape[1]), oracle)
 
 
 @settings(max_examples=80, deadline=None)
@@ -73,23 +88,23 @@ def test_cyclic_closure_matches_modp_at_p2(case):
     acts, seed = case
     n = len(seed)
     basis, pivots = bitmat.cyclic_closure(
-        bitmat.pack_rows(seed)[0], [bitmat.pack_rows(a) for a in acts])
+        pack_rows(seed)[0], [pack_rows(a) for a in acts])
     want, wpiv = modp.cyclic_closure(seed.tolist(),
                                      [a.tolist() for a in acts], 2)
     assert list(pivots) == list(wpiv)
-    assert bitmat.unpack_rows(basis, n).tolist() == [list(r) for r in want]
+    assert unpack_rows(basis, n).tolist() == [list(r) for r in want]
 
 
 @settings(max_examples=80, deadline=None)
 @given(dense_matrices())
 def test_nullspaces_match_modp_at_p2(dense):
     r, n = dense.shape
-    packed = bitmat.pack_rows(dense)
+    packed = pack_rows(dense)
     right = bitmat.nullspace(packed, n)
-    assert (bitmat.unpack_rows(right, n).tolist()
+    assert (unpack_rows(right, n).tolist()
             == [list(x) for x in modp.nullspace(dense.tolist(), n, 2)])
     left = bitmat.left_nullspace(packed, r, n)
-    assert (bitmat.unpack_rows(left, r).tolist()
+    assert (unpack_rows(left, r).tolist()
             == [list(x) for x in modp.nullspace(dense.T.tolist(), r, 2)])
 
 
@@ -112,7 +127,7 @@ def gf2_simples(draw):
 @given(gf2_simples())
 def test_spin_up_matches_modp_at_p2_for_every_seed(case):
     k, acts = case
-    packed = [bitmat.pack_rows(a) for a in acts]
+    packed = [pack_rows(a) for a in acts]
     keys, forms = [], []
     for seed in range(1, 1 << k):
         keys.append(bitmat.spin_up(seed, packed, k))
@@ -162,10 +177,21 @@ def test_lattice_order_matches_packed_word_bytes():
 
 
 def test_pack_roundtrip():
+    # 200 columns: a GF(2) row spans more than one machine word
     rng = np.random.default_rng(7)
-    dense = rng.integers(0, 2, size=(5, 200), dtype=np.uint64).astype(np.uint8)
-    packed = bitmat.pack_rows(dense)
-    assert np.array_equal(bitmat.unpack_rows(packed, 200), dense)
+    verts = ["a", "b", "c"]
+    q = make_quiver(verts, ["x", "y"], [("a", "b", "x"), ("b", "c", "x"),
+                                        ("c", "a", "x"), ("a", "a", "y")])
+    for p in (2, 3, 5):
+        ops = ops_for(p)
+        d = rng.integers(-p, 3 * p, size=(5, 200))
+        back = ops.unpack(ops.pack(d, 200), 200)
+        assert back == (d % p).tolist()
+        assert all(type(x) is int for row in back for x in row)
+        # dense matrices leave the library as plain int lists
+        m = module_of_quiver(q, FieldSpec(p))
+        assert json.dumps(m.dense_actions())
+        assert json.dumps(hom_basis(m, m))
 
 
 def test_vec_mat_matches_dense():
@@ -173,9 +199,9 @@ def test_vec_mat_matches_dense():
     n = 70
     act_dense = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
     v_dense = rng.integers(0, 2, size=n).astype(np.uint8)
-    act = bitmat.pack_rows(act_dense)
-    v = bitmat.pack_rows(v_dense)[0]
-    got = bitmat.unpack_rows([bitmat.vec_mat(v, act)], n)[0]
+    act = pack_rows(act_dense)
+    v = pack_rows(v_dense)[0]
+    got = unpack_rows([bitmat.vec_mat(v, act)], n)[0]
     want = (v_dense @ act_dense) % 2
     assert np.array_equal(got, want)
 
@@ -186,7 +212,7 @@ def test_cyclic_closure_nilpotent_chain():
     act_dense = np.zeros((n, n), dtype=np.uint8)
     act_dense[0, 1] = 1
     act_dense[1, 2] = 1
-    act = bitmat.pack_rows(act_dense)
+    act = pack_rows(act_dense)
     basis, pivots = bitmat.cyclic_closure(0b001, [act])
     assert len(basis) == 3
     basis2, _ = bitmat.cyclic_closure(0b100, [act])
@@ -195,9 +221,9 @@ def test_cyclic_closure_nilpotent_chain():
 
 def test_nullspace():
     dense = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.uint8)
-    ns = bitmat.nullspace(bitmat.pack_rows(dense), 4)
+    ns = bitmat.nullspace(pack_rows(dense), 4)
     assert len(ns) == 2
-    for x in bitmat.unpack_rows(ns, 4):
+    for x in unpack_rows(ns, 4):
         assert not ((dense @ x) % 2).any()
 
 
@@ -207,17 +233,17 @@ def test_left_nullspace():
     a = np.zeros((n, n), dtype=np.uint8)
     a[0, 1] = 1
     a[1, 2] = 1
-    ker = bitmat.left_nullspace(bitmat.pack_rows(a), n, n)
+    ker = bitmat.left_nullspace(pack_rows(a), n, n)
     assert len(ker) == 1
-    assert np.array_equal(bitmat.unpack_rows(ker, n)[0], [0, 0, 1])
+    assert np.array_equal(unpack_rows(ker, n)[0], [0, 0, 1])
 
 
 def test_coords_in_basis():
     dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    basis, piv = bitmat.rref(bitmat.pack_rows(dense))
-    row = bitmat.pack_rows([1, 1, 0])[0]
+    basis, piv = bitmat.rref(pack_rows(dense))
+    row = pack_rows([1, 1, 0])[0]
     assert bitmat.coords_in_basis(row, basis, piv) == 0b11
-    assert bitmat.coords_in_basis(bitmat.pack_rows([1, 0, 0])[0],
+    assert bitmat.coords_in_basis(pack_rows([1, 0, 0])[0],
                                   basis, piv) is None
 
 

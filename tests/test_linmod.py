@@ -125,6 +125,20 @@ class TestModuleOfQuiver:
         m2 = module_from_json(m.to_json())
         assert m2.key() == m.key()
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("rows", [
+        [[1, 0]], [[1, 0, 1], [0, 1, 0]], [[1, 0], [1]], [[1, 0], [0, 0.5]],
+    ], ids=["short", "wide", "ragged", "float"])
+    def test_json_actions_must_be_dim_by_dim(self, p, rows):
+        from atomcat.atomspec import report_from_json
+        with pytest.raises(ValueError, match="'zeta'"):
+            module_from_json({"p": p, "dim": 2, "labels": ["a", "b"],
+                              "actions": {"zeta": rows}})
+        with pytest.raises(ValueError, match="'zeta'"):
+            report_from_json({"p": p, "order": [], "atoms": [
+                {"label": "x", "dim": 2, "source": ["a", "b"],
+                 "actions": {"zeta": rows}}]})
+
 
 class TestCyclic:
     def test_zero_vector(self):
@@ -239,7 +253,7 @@ class TestHom:
 
     def test_identity_present(self):
         m = chain_module(3)
-        homs = hom_basis(m, m)
+        homs = [np.array(h, dtype=np.int64) for h in hom_basis(m, m)]
         eye = np.eye(3, dtype=np.int64)
         combos = set()
         for bits in itertools.product([0, 1], repeat=len(homs)):
