@@ -67,6 +67,15 @@ def gen_realization_acc(poset, trunc):
     arrow is made once and validated once.  `loop_point`, `chain` and
     `disjoint_union` build the same quiver by nesting and are the
     reference the tests hold this to.
+
+    Working set: while colors are minted, one set of them guards
+    against clashes and a flat list keeps them in minting order; the
+    set is dropped before the arrows are emitted, and the per-element
+    bundle color rows before `make_quiver` validates.  Validation then
+    holds the vertex and color lists, the arrow list and what
+    `make_quiver` itself holds (one color set, one arrow copy) beyond
+    the finished quiver.  `make_quiver` sorts the colors from minting
+    order, which is nearly sorted already.
     """
     if trunc.depth < 1:
         raise DepthTooSmall("need at least one pass", depth=trunc.depth)
@@ -74,12 +83,13 @@ def gen_realization_acc(poset, trunc):
     inv = poset_invariants(poset)
     maximal = set(inv.maximal)
     rel, blocks, bundles, loop_color = {}, {}, {}, {}
-    used = {}  # colors in minting order, which make_quiver sorts fast
+    colors, used = [], set()  # minting order, which make_quiver sorts fast
     for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
         if p in maximal:
             rel[p] = (f"v({p})",)
             loop_color[p] = f"c({p})"
-            used[loop_color[p]] = None
+            colors.append(loop_color[p])
+            used.add(loop_color[p])
             continue
         j_list = sorted(inv.j_sets[p])
         seq = j_list * trunc.depth
@@ -91,13 +101,14 @@ def gen_realization_acc(poset, trunc):
             tag = f"({p};{b // len(j_list)},{b % len(j_list)})"
             minted.append([[bundle_color(tag, v, w) for w in rel[seq[b + 1]]]
                            for v in rel[seq[b]]])
-        fresh = dict.fromkeys(c for rows in minted for row in rows
-                              for c in row)
-        if not fresh.keys().isdisjoint(used):
+        fresh = [c for rows in minted for row in rows for c in row]
+        if not used.isdisjoint(fresh):
             raise ColorClash("bundle color already in use",
-                             color=min(fresh.keys() & used.keys()))
-        used |= fresh
+                             color=min(used.intersection(fresh)))
+        used.update(fresh)
+        colors += fresh
         blocks[p], bundles[p] = seq, minted
+    used = fresh = None  # emitting the arrows needs neither
 
     arrows = []
     leaves = {q: [] for q in maximal}
@@ -120,8 +131,10 @@ def gen_realization_acc(poset, trunc):
         return names
 
     names = {p: emit(p, f"{p}/") for p in poset.elements}
-    del emit  # it refers to itself; free the arrows on return, not at a gc
-    union = make_quiver([v for vs in names.values() for v in vs], used,
+    # emit refers to itself: delete it to free the arrows on return, not
+    # at a gc; the bundle rows go before validation
+    del emit, bundles
+    union = make_quiver([v for vs in names.values() for v in vs], colors,
                         arrows)
     table = {}
     for p in poset.elements:

@@ -62,7 +62,9 @@ class FdModule:
         self.field = field
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
-        assert len(self.basis_labels) == dim
+        if len(self.basis_labels) != dim:
+            raise ValueError(f"{len(self.basis_labels)} basis labels for "
+                             f"dimension {dim}")
         self.actions = dict(actions)  # color -> (dim x dim) internal matrix
         self.provenance = provenance
         self.ops = field.ops

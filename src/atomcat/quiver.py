@@ -21,6 +21,7 @@ also takes 3-item arrows (src, dst, color) and gives them value 1.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from . import modp
@@ -124,26 +125,44 @@ def _as_arrows(arrows):
     return out
 
 
+def _sorted_unique(items):
+    """The items sorted without repeats, as a tuple and as a set.  The
+    sort starts from the given order, not a set's hash order, so items
+    given nearly sorted (as the generators mint names) sort fast."""
+    ordered = sorted(items)
+    members = set(ordered)
+    if len(members) < len(ordered):
+        ordered = sorted(members)
+    return tuple(ordered), members
+
+
 def make_quiver(vertices, colors, arrows):
     """Validated colored quiver; arrows given as (src, dst, color[, value]).
 
     Arrows come out sorted by (src, dst, color).  The checks run on all
     arrows at once; only when one fails does the per-arrow scan run, so
     the error raised is the first fault in arrow order.
+
+    Vertices and colors are sorted from the given order.  Beyond the
+    inputs and the result, validation holds one set of the vertices,
+    one of the colors and one private copy of the arrows, sorted in
+    place to find shared triples.  The caller's arrows are left as
+    given and read again only when two share a triple, to name the
+    first repeat in the caller's order.
     """
-    # dict.fromkeys keeps first-seen order, which sorts faster than a
-    # set's hash order when the input is already nearly sorted
-    vs = tuple(sorted(dict.fromkeys(vertices)))
-    cs = tuple(sorted(dict.fromkeys(colors)))
-    vset, cset = set(vs), set(cs)
+    vs, vset = _sorted_unique(vertices)
+    cs, cset = _sorted_unique(colors)
+    if not isinstance(arrows, (list, tuple)):
+        arrows = list(arrows)  # it may have to be read twice
     out = _as_arrows(arrows)
     if not (vset.issuperset(map(_SRC, out))
             and vset.issuperset(map(_DST, out))
-            and cset.issuperset(map(_COLOR, out))
-            and not any(map(_same_triple, ordered := sorted(out),
-                            ordered[1:]))):
+            and cset.issuperset(map(_COLOR, out))):
         _raise_first_fault(out, vset, cset)
-    return ColoredQuiver(vs, cs, tuple(ordered))
+    out.sort()
+    if any(map(_same_triple, out, islice(out, 1, None))):
+        _raise_first_fault(_as_arrows(arrows), vset, cset)
+    return ColoredQuiver(vs, cs, tuple(out))
 
 
 def _raise_first_fault(arrows, vset, cset):
@@ -391,9 +410,15 @@ def quiver_of_algebra(basis, structure, p=2):
 
 
 def quiver_from_json(data):
-    return make_quiver(data["vertices"], data["colors"],
-                       [(a["src"], a["dst"], a["color"], a.get("value", 1))
-                        for a in data["arrows"]])
+    """Quiver from its JSON form; raises ValueError naming the arrow when
+    a value is not a JSON integer."""
+    arrows = [(a["src"], a["dst"], a["color"], a.get("value", 1))
+              for a in data["arrows"]]
+    for a in arrows:
+        if type(a[3]) is not int:  # bool is a JSON true/false, not a number
+            raise ValueError(f"arrow {list(a[:3])} has value {a[3]!r}, "
+                             "not an integer")
+    return make_quiver(data["vertices"], data["colors"], arrows)
 
 
 def generated_from_json(data):

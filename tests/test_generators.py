@@ -1,6 +1,7 @@
 """Generators: truncation shapes, color discipline, atom tables."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -125,8 +126,38 @@ class TestRealizationAcc:
         monkeypatch.setattr(generators, "bundle_color", clashing)
         monkeypatch.setattr(quiver, "bundle_color", clashing)
         for build in (gen_realization_acc, nested_realization_acc):
-            with pytest.raises(ColorClash):
+            with pytest.raises(ColorClash) as got:
                 build(CHAIN2, TruncationSpec(depth=2))
+            assert got.value.context["color"] == "c(p1)"
+
+    def test_bundle_color_clash_names_the_least_clashing_color(
+            self, monkeypatch):
+        # p0's bundle colors: c(p1) and c(p2) clash with the loop colors
+        # of the maximal elements, z(...) do not; the least clash is named
+        def clashing(skeleton_color, src_vertex, dst_vertex):
+            return {"v(p2)": "c(p2)", "v(p1)": "c(p1)"}.get(
+                dst_vertex, f"z({skeleton_color})")
+        monkeypatch.setattr(generators, "bundle_color", clashing)
+        v = poset([("p0", "p1"), ("p0", "p2")], ["p0", "p1", "p2"])
+        with pytest.raises(ColorClash) as got:
+            gen_realization_acc(v, TruncationSpec(depth=2))
+        assert got.value.context == {"color": "c(p1)"}
+
+    def test_working_set_of_the_largest_listed_truncation(self):
+        # the benchmark's largest realize-acc truncation (519 vertices,
+        # 31,952 arrows, 26,654 colors): building it may hold at most
+        # 1.75x the memory the finished realization keeps
+        P = random_poset(7134768400813504092, 6)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = gen_realization_acc(P, TruncationSpec(depth=6))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(g.quiver.vertices), len(g.quiver.arrows),
+                len(g.quiver.colors)) == (519, 31952, 26654)
+        assert peak <= 1.75 * kept, (peak, kept)
 
 
 def nested_realization_acc(poset, trunc):

@@ -209,6 +209,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "unknown_color"
 
+    @pytest.mark.parametrize("value", ["1", 1.5])
+    def test_spectrum_rejects_non_integer_arrow_value(self, tmp_path, capsys,
+                                                      value):
+        qpath = self.write(tmp_path, "bad.json", {
+            "vertices": ["v", "w"], "colors": ["c"],
+            "arrows": [{"src": "v", "dst": "w", "color": "c",
+                        "value": value}]})
+        assert cli_dispatch(["spectrum", qpath]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io_or_value_error"
+        assert "['v', 'w', 'c']" in err["context"]["detail"]
+
     def test_no_partial_output_on_error(self, tmp_path):
         qpath = self.write(tmp_path, "bad.json", {"vertices": []})
         out = str(tmp_path / "never.json")

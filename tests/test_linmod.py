@@ -140,6 +140,13 @@ class TestModuleOfQuiver:
                  "actions": {"zeta": rows}}]})
 
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_json_labels_must_number_dim(self, labels):
+        with pytest.raises(ValueError, match="basis labels"):
+            module_from_json({"p": 2, "dim": 2, "labels": labels,
+                              "actions": {}})
+
+
 class TestCyclic:
     def test_zero_vector(self):
         m = chain_module(3)

@@ -63,10 +63,14 @@ class TestMakeQuiver:
 
     def test_first_fault_in_arrow_order(self):
         # several faults in every order: make_quiver raises what a
-        # per-arrow scan meets first, with the same context
+        # per-arrow scan meets first, with the same context; the repeats
+        # of ("w", "w", "c") and ("w", "v", "d") carry other values, so
+        # only the sort brings them next to their twins, and it may
+        # bring another repeat up first
         good = [("v", "w", "c"), ("w", "w", "c", 2), ("w", "v", "d")]
         faults = [("x", "w", "c"), ("v", "y", "d"), ("v", "v", "z"),
-                  ("v", "w", "c"), ("x", "y", "z")]
+                  ("v", "w", "c"), ("x", "y", "z"), ("w", "w", "c", 1),
+                  ("w", "v", "d", 2)]
         cases = 0
         for k in (1, 2, 3):
             for picked in itertools.permutations(faults, k):
@@ -74,12 +78,33 @@ class TestMakeQuiver:
                     arrows = good[:at] + list(picked) + good[at:]
                     want = first_fault_by_scan(["v", "w"], ["c", "d"],
                                                arrows)
-                    with pytest.raises(want[0]) as got:
-                        make_quiver(["v", "w"], ["c", "d"], arrows)
-                    assert (type(got.value), got.value.context,
-                            str(got.value)) == want
+                    for given in (arrows, iter(arrows)):
+                        with pytest.raises(want[0]) as got:
+                            make_quiver(["v", "w"], ["c", "d"], given)
+                        assert (type(got.value), got.value.context,
+                                str(got.value)) == want
                     cases += 1
-        assert cases == 4 * (5 + 20 + 60)
+        assert cases == 4 * (7 + 42 + 210)
+
+    def test_caller_arrows_left_unmodified(self):
+        arrows = [("w", "v", "b", 2), ("u", "v", "a"), ["v", "v", "a"],
+                  ("u", "u", "b", 1)]
+        before = [list(a) for a in arrows]
+        kept = list(arrows)
+        q = make_quiver(["u", "v", "w"], ["a", "b"], arrows)
+        assert [list(a) for a in arrows] == before
+        assert all(a is b for a, b in zip(arrows, kept))
+        assert q.arrows == (("u", "u", "b", 1), ("u", "v", "a", 1),
+                            ("v", "v", "a", 1), ("w", "v", "b", 2))
+
+    def test_repeated_vertices_and_colors_deduplicated_sorted(self):
+        q = make_quiver(["w", "v", "w", "v"], ["d", "c", "d", "e", "c"],
+                        [("v", "w", "d")])
+        assert q.vertices == ("v", "w") and q.colors == ("c", "d", "e")
+        q = make_quiver(iter(["w", "v"]), (c for c in "dcd"),
+                        iter([("w", "v", "c")]))
+        assert q.vertices == ("v", "w") and q.colors == ("c", "d")
+        assert q.arrows == (("w", "v", "c", 1),)
 
     def test_arrow_and_plain_tuples_agree(self):
         vs, cs = ["u", "v", "w"], ["a", "b"]
@@ -383,6 +408,14 @@ class TestQuiverOfAlgebra:
 def test_json_roundtrip():
     q = path3()
     assert quiver_from_json(q.to_json()) == q
+
+
+@pytest.mark.parametrize("value", ["1", 1.5, 1.0, True, None, [1]])
+def test_json_arrow_value_must_be_an_integer(value):
+    data = path3().to_json()
+    data["arrows"][1]["value"] = value
+    with pytest.raises(ValueError, match=r"\['v2', 'v3', 'c23'\]"):
+        quiver_from_json(data)
 
 
 def runs_forward(q, order):
