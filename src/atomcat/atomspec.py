@@ -47,6 +47,15 @@ from .quiver import strong_components
 
 # -- canonical representatives and labels ------------------------------------
 
+def _line_label(values):
+    """Label of the one-dimensional simple on which each color c acts by
+    the nonzero scalar values[c]: S(c,d=2,...), colors sorted, a unit
+    scalar left unwritten.  `canonical_simple_form` names every
+    dimension-1 simple this way."""
+    return "S(" + ",".join(c if v == 1 else f"{c}={v}"
+                           for c, v in sorted(values.items())) + ")"
+
+
 def canonical_simple_form(simple):
     """Basis-independent canonical copy of a simple module, plus label.
 
@@ -74,9 +83,7 @@ def canonical_simple_form(simple):
         c: ops.pack([row[j] for row in best], k)
         for j, c in enumerate(colors)})
     if k == 1:
-        parts = (c if v == 1 else f"{c}={v}"
-                 for c, (v,) in zip(colors, best[0]))
-        label = "S(" + ",".join(parts) + ")"
+        label = _line_label({c: v for c, (v,) in zip(colors, best[0])})
     else:
         digest = hashlib.blake2b(repr((colors, best)).encode(),
                                  digest_size=6).hexdigest()

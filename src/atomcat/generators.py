@@ -11,13 +11,19 @@ prefix-stable window:
   (element, integer, element, ...) with step/skip/fan arrow families
   whose colors are deliberately shared across word prefixes;
 * the atom-free construction over strictly increasing integer words;
-* named presets for the counter-example spectra.
+* named presets for the counter-example spectra, one builder per name
+  in the `_PRESETS` table.
+
+The two word-indexed constructions share one word-tree builder
+(`_words`, `_word_quiver`); each adds only its step rule, its arrow
+families as (src word, dst word, color) triples, and its atom table.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
 verbatim.
 """
 
+from functools import partial
 from itertools import repeat
 
 from .errors import ColorClash, DepthTooSmall, UnknownPreset, WindowTooSmall
@@ -30,12 +36,6 @@ def loop_point(tag):
     """Single vertex v(tag) with loop color c(tag)."""
     v, c = f"v({tag})", f"c({tag})"
     return make_quiver([v], [c], [(v, v, c)])
-
-
-def _simple_label(loop_colors):
-    """Brute-force atom label expected for a one-line module carrying
-    exactly these unit loops (mirrors atomspec's canonical label)."""
-    return "S(" + ",".join(sorted(loop_colors)) + ")"
 
 
 def _base_vertex(name):
@@ -154,29 +154,58 @@ def gen_realization_acc(poset, trunc):
     return GeneratedQuiver(union, table)
 
 
-# -- general realization -------------------------------------------------------
+# -- word-indexed realizations ------------------------------------------------
 
 def _ser(word):
     return ",".join(str(x) for x in word)
 
 
-def _enumerate_words_general(poset, depth, window):
-    """Alternating words (e0, i1, e1, ...) with strictly increasing
-    poset elements and integers from the window; at most depth pairs."""
-    words = [(e,) for e in poset.elements]
-    frontier = list(words)
+def _words(roots, steps, depth):
+    """Words grown from the one-entry words of the roots: each of at
+    most depth rounds extends every word of the last round by each tuple
+    steps(last entry) returns.  Shortest words come first."""
+    words = frontier = [(r,) for r in roots]
     for _ in range(depth):
-        new = []
-        for w in frontier:
-            for e2 in poset.elements:
-                if poset.lt(w[-1], e2):
-                    for i in window:
-                        new.append(w + (i, e2))
-        if not new:
+        frontier = [w + s for w in frontier for s in steps(w[-1])]
+        if not frontier:
             break
-        words.extend(new)
-        frontier = new
+        words = words + frontier
     return words
+
+
+def _word_quiver(words, arrows):
+    """Quiver on the words, vertex v(w) for word w, from (src word, dst
+    word, color) triples, each kept once in first-seen order, plus one
+    loop[last entry] per word.  Returns (quiver, vname)."""
+    vname = {w: f"v({_ser(w)})" for w in words}
+    arrows = [*dict.fromkeys((vname[s], vname[d], c, 1) for s, d, c in arrows),
+              *((vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words)]
+    colors = sorted({color for _, _, color, _ in arrows})
+    return make_quiver(list(vname.values()), colors, arrows), vname
+
+
+def _general_arrows(words):
+    # (prefix up to an element, integer after it) -> [(tail, word)]
+    contexts = {}
+    for w in words:
+        for j in range(1, len(w), 2):
+            contexts.setdefault(w[:j], {}).setdefault(w[j], []).append(
+                (w[j + 1:], w))
+    for ctx, by_i in contexts.items():
+        theta = ctx[-1]
+        for i, tails in by_i.items():
+            for e, w in tails:
+                # family 0: descend the well-order inside one position
+                for e2, w2 in tails:
+                    if e2[0] < e[0]:
+                        yield w, w2, f"0c[{theta}]({_ser(e)}|{_ser(e2)})"
+                # families 1 and 2: step down the integer index
+                for e2, w2 in by_i.get(i - 1, ()):
+                    yield w, w2, f"1c[{theta}]({_ser(e)}|{_ser(e2)})"
+                for e2, w2 in by_i.get(i - 2, ()):
+                    yield w, w2, f"2c[{theta};{i}]({_ser(e)}|{_ser(e2)})"
+                # family inf: fan from the bare context word
+                yield ctx, w, f"ic[{theta};{i}]({_ser(e)})"
 
 
 def gen_realization_general(poset, trunc):
@@ -189,87 +218,58 @@ def gen_realization_general(poset, trunc):
     down by one with position-independent colors (family 1) or by two
     with per-position colors (family 2), and the bare prefix word fans
     out to all its extensions (family inf).  Colors omit the prefix on
-    purpose: deeper copies reuse the colors of shallower ones.
+    purpose: deeper copies reuse the colors of shallower ones.  Words
+    alternate strictly increasing elements with integers of the window,
+    at most depth pairs.
     """
     if trunc.depth < 0:
         raise DepthTooSmall("word length bound must be >= 0",
                             depth=trunc.depth)
     _check_ids(poset.elements)
     window = trunc.ladder_values()
-    if window is None or len(window) == 0:
+    if not window:
         raise WindowTooSmall("need a nonempty integer window",
                              ladder_range=trunc.ladder_range)
-    window = list(window)
-    words = _enumerate_words_general(poset, trunc.depth, window)
-    vname = {w: f"v({_ser(w)})" for w in words}
-
-    arrows = {}  # insertion-ordered set of arrows
-
-    def add(src, dst, color):
-        arrows[vname[src], vname[dst], color, 1] = None
-
-    contexts = {}
-    for w in words:
-        n_pairs = (len(w) - 1) // 2
-        for k in range(n_pairs):
-            ctx = w[:2 * k + 1]
-            i = w[2 * k + 1]
-            tail = w[2 * k + 2:]
-            contexts.setdefault(ctx, []).append((i, tail, w))
-
-    for ctx, items in contexts.items():
-        theta = ctx[-1]
-        by_i = {}
-        for i, tail, w in items:
-            by_i.setdefault(i, []).append((tail, w))
-        for i, tails in by_i.items():
-            # family 0: descend the well-order inside one position
-            for e, w in tails:
-                for e2, w2 in tails:
-                    if e2[0] < e[0]:
-                        add(w, w2, f"0c[{theta}]({_ser(e)}|{_ser(e2)})")
-            # families 1 and 2: step down the integer index
-            for e, w in tails:
-                for e2, w2 in by_i.get(i - 1, ()):
-                    add(w, w2, f"1c[{theta}]({_ser(e)}|{_ser(e2)})")
-                for e2, w2 in by_i.get(i - 2, ()):
-                    add(w, w2, f"2c[{theta};{i}]({_ser(e)}|{_ser(e2)})")
-            # family inf: fan from the bare context word
-            for e, w in tails:
-                add(ctx, w, f"ic[{theta};{i}]({_ser(e)})")
-
-    loops = [(vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words]
-    all_arrows = [*arrows, *loops]
-    colors = sorted({color for _, _, color, _ in all_arrows})
-    q = make_quiver([vname[w] for w in words], colors, all_arrows)
+    words = _words(poset.elements,
+                   lambda e: [(i, e2) for e2 in poset.elements
+                              if poset.lt(e, e2) for i in window],
+                   trunc.depth)
+    q, vname = _word_quiver(words, _general_arrows(words))
 
     maximal = set(poset.maximal_elements())
     table = {}
     for e in poset.elements:
-        ending = [vname[w] for w in words if w[-1] == e]
-        table[f"delta({e})"] = {
+        delta = table[f"delta({e})"] = {
             "kind": "simple",
             "atom_label": f"gamma({e})" if e in maximal else f"delta({e})",
             "loop_colors": [f"loop[{e}]"],
-            "vertices": ending,
+            "vertices": [vname[w] for w in words if w[-1] == e],
         }
-        if e not in maximal:
-            table[f"gamma({e})"] = {
-                "kind": "chain_limit",
-                "atom_label": f"gamma({e})",
-                "vertices": [vname[w] for w in words if w[0] == e],
-            }
-        else:
-            table[f"gamma({e})"] = {
-                "kind": "simple",
-                "atom_label": f"gamma({e})",
-                "loop_colors": [f"loop[{e}]"],
-                "vertices": ending,
-            }
+        table[f"gamma({e})"] = dict(delta) if e in maximal else {
+            "kind": "chain_limit", "atom_label": f"gamma({e})",
+            "vertices": [vname[w] for w in words if w[0] == e]}
     return GeneratedQuiver(q, table)
 
 
 # -- the atom-free construction ------------------------------------------------
+
+def _noatom_arrows(words):
+    # (prefix, next entry) -> [(tail from that entry, word)]
+    contexts = {}
+    for w in words:
+        for k in range(len(w)):
+            contexts.setdefault(w[:k], {}).setdefault(w[k], []).append(
+                (w[k:], w))
+    for f, by_first in contexts.items():
+        for i, tails in by_first.items():
+            for e, w in tails:
+                # family 1: into the next integer level, prefix-shared color
+                for e2, w2 in by_first.get(i + 1, ()):
+                    yield w, w2, f"1c({_ser(e)}|{_ser(e2)})"
+                # family inf: fan from the one-step prefix
+                if len(e) >= 2:
+                    yield f + (i,), w, f"ic[{i}]({_ser(e[1:])})"
+
 
 def gen_noatom(trunc):
     """Strictly increasing integer words, step and fan families only.
@@ -285,53 +285,13 @@ def gen_noatom(trunc):
                             depth=trunc.depth)
     window = trunc.ladder_values()
     if window is None:
-        window = range(0, max(trunc.depth, 0) + 1)
+        window = range(trunc.depth + 1)
     window = [i for i in window if i >= 0]
     if not window:
         raise DepthTooSmall("empty integer window", ladder_range=trunc.ladder_range)
-
-    words = [(i,) for i in window]
-    frontier = list(words)
-    for _ in range(trunc.depth):
-        new = []
-        for w in frontier:
-            for i in window:
-                if i > w[-1]:
-                    new.append(w + (i,))
-        if not new:
-            break
-        words.extend(new)
-        frontier = new
-    vname = {w: f"v({_ser(w)})" for w in words}
-
-    arrows = {}  # insertion-ordered set of arrows
-
-    def add(src, dst, color):
-        arrows[vname[src], vname[dst], color, 1] = None
-
-    contexts = {}
-    for w in words:
-        for k in range(len(w)):
-            contexts.setdefault(w[:k], []).append((w[k:], w))
-
-    for f, items in contexts.items():
-        by_first = {}
-        for tail, w in items:
-            by_first.setdefault(tail[0], []).append((tail, w))
-        for i, tails in by_first.items():
-            for e, w in tails:
-                # family 1: into the next integer level, prefix-shared color
-                for e2, w2 in by_first.get(i + 1, ()):
-                    add(w, w2, f"1c({_ser(e)}|{_ser(e2)})")
-                # family inf: fan from the one-step prefix
-                if len(e) >= 2:
-                    src = f + (i,)
-                    add(src, w, f"ic[{i}]({_ser(e[1:])})")
-
-    loops = [(vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words]
-    all_arrows = [*arrows, *loops]
-    colors = sorted({color for _, _, color, _ in all_arrows})
-    q = make_quiver([vname[w] for w in words], colors, all_arrows)
+    words = _words(window, lambda i: [(j,) for j in window if j > i],
+                   trunc.depth)
+    q, vname = _word_quiver(words, _noatom_arrows(words))
 
     table = {}
     family = []
@@ -346,7 +306,7 @@ def gen_noatom(trunc):
                        "label": f"noeth-loop({i})",
                        "loop_colors": [f"loop[{i}]"]})
     for w in words:
-        if len(w) >= 1 and w == tuple(range(w[0], w[0] + len(w))):
+        if w == tuple(range(w[0], w[0] + len(w))):
             family.append({"kind": "chain",
                            "label": f"noeth-chain({_ser(w)})",
                            "word": list(w)})
@@ -354,10 +314,6 @@ def gen_noatom(trunc):
 
 
 # -- presets --------------------------------------------------------------------
-
-PRESET_NAMES = ("infinite-chain", "aass-vs-asupp", "no-minimal-atom",
-                "no-dcc", "max-not-open", "min-not-closed")
-
 
 def _preset_infinite_chain(depth):
     vs = [f"v{i}" for i in range(depth)]
@@ -373,17 +329,15 @@ def _preset_infinite_chain(depth):
 
 
 def _preset_aass_vs_asupp(depth):
-    inner = _preset_infinite_chain(depth).quiver
-    terminal = make_quiver(["t"], [], [])
-    g = chain([inner, terminal], tags=["(G';0)"])
+    q = chain([_preset_infinite_chain(depth).quiver,
+               make_quiver(["t"], [], [])], tags=["(G';0)"]).quiver
     table = {
         "alpha": {"kind": "chain_limit", "atom_label": "alpha",
-                  "vertices": [v for v in g.quiver.vertices
-                               if v.startswith("b0/")]},
+                  "vertices": [v for v in q.vertices if v.startswith("b0/")]},
         "beta": {"kind": "simple", "atom_label": "beta",
-                 "loop_colors": [], "vertices": list(g.quiver.vertices)},
+                 "loop_colors": [], "vertices": list(q.vertices)},
     }
-    return GeneratedQuiver(g.quiver, table)
+    return GeneratedQuiver(q, table)
 
 
 def _descending_window_poset(n, with_bottom=False):
@@ -395,15 +349,22 @@ def _descending_window_poset(n, with_bottom=False):
     return normalize_poset(pairs, elems)
 
 
+def _preset_descending(depth, with_bottom=False):
+    """acc realization of the descending window poset: no-minimal-atom,
+    and no-dcc with a bottom element below the window."""
+    poset = _descending_window_poset(max(depth, 2), with_bottom)
+    return gen_realization_acc(poset, TruncationSpec(depth=depth))
+
+
+def _outer_chain(blocks):
+    return chain(blocks, tags=[f"(G;{j})" for j in range(len(blocks) - 1)])
+
+
 def _preset_max_not_open(depth):
-    inner = {}
-    for i in range(depth):
-        blocks = [loop_point(i)] * depth
-        tags = [f"(g{i};{j})" for j in range(depth - 1)]
-        inner[i] = chain(blocks, tags=tags).quiver
-    outer = chain([inner[i] for i in range(depth)],
-                  tags=[f"(G;{j})" for j in range(depth - 1)])
-    q = outer.quiver
+    q = _outer_chain([
+        chain([loop_point(i)] * depth,
+              tags=[f"(g{i};{j})" for j in range(depth - 1)]).quiver
+        for i in range(depth)]).quiver
     table = {"gamma": {"kind": "chain_limit", "atom_label": "gamma",
                        "vertices": list(q.vertices)}}
     for i in range(depth):
@@ -421,23 +382,16 @@ def _preset_max_not_open(depth):
 def _shifted_loop_chain(start, length):
     """Loop points start..start+length-1 joined by absolutely named step
     arrows, so different shifts are literal color-sharing subquivers."""
-    vertices, colors, arrows = [], set(), []
-    for m in range(start, start + length):
-        v, c = f"v({m})", f"c({m})"
-        vertices.append(v)
-        colors.add(c)
-        arrows.append((v, v, c))
-        if m > start:
-            step = f"step({m-1})"
-            colors.add(step)
-            arrows.append((f"v({m-1})", v, step))
-    return make_quiver(vertices, sorted(colors), arrows)
+    ms = range(start, start + length)
+    arrows = [*((f"v({m})", f"v({m})", f"c({m})") for m in ms),
+              *((f"v({m-1})", f"v({m})", f"step({m-1})") for m in ms[1:])]
+    return make_quiver([f"v({m})" for m in ms], [a[2] for a in arrows],
+                       arrows)
 
 
 def _preset_min_not_closed(depth):
-    blocks = [_shifted_loop_chain(j, depth) for j in range(depth)]
-    outer = chain(blocks, tags=[f"(G;{j})" for j in range(depth - 1)])
-    q = outer.quiver
+    q = _outer_chain([_shifted_loop_chain(j, depth)
+                      for j in range(depth)]).quiver
     table = {
         "gamma": {"kind": "chain_limit", "atom_label": "gamma",
                   "vertices": list(q.vertices)},
@@ -454,26 +408,22 @@ def _preset_min_not_closed(depth):
     return GeneratedQuiver(q, table)
 
 
+_PRESETS = {
+    "infinite-chain": _preset_infinite_chain,
+    "aass-vs-asupp": _preset_aass_vs_asupp,
+    "no-minimal-atom": _preset_descending,
+    "no-dcc": partial(_preset_descending, with_bottom=True),
+    "max-not-open": _preset_max_not_open,
+    "min-not-closed": _preset_min_not_closed,
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name, depth):
     """Truncated quiver of a named counter-example construction."""
     if depth < 1:
         raise DepthTooSmall("presets need depth >= 1", depth=depth)
-    if name == "infinite-chain":
-        return _preset_infinite_chain(depth)
-    if name == "aass-vs-asupp":
-        return _preset_aass_vs_asupp(depth)
-    if name == "no-minimal-atom":
-        window = max(depth, 2)
-        return gen_realization_acc(_descending_window_poset(window),
-                                   TruncationSpec(depth=depth))
-    if name == "no-dcc":
-        window = max(depth, 2)
-        return gen_realization_acc(
-            _descending_window_poset(window, with_bottom=True),
-            TruncationSpec(depth=depth))
-    if name == "max-not-open":
-        return _preset_max_not_open(depth)
-    if name == "min-not-closed":
-        return _preset_min_not_closed(depth)
-    raise UnknownPreset("no such preset", name=name,
-                        known=list(PRESET_NAMES))
+    if name not in _PRESETS:
+        raise UnknownPreset("no such preset", name=name,
+                            known=list(PRESET_NAMES))
+    return _PRESETS[name](depth)

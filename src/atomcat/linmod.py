@@ -58,7 +58,7 @@ class FieldSpec:
 class FdModule:
     """Immutable-by-convention module: never mutate after construction."""
 
-    def __init__(self, field, dim, basis_labels, actions, provenance=None):
+    def __init__(self, field, dim, basis_labels, actions):
         self.field = field
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
@@ -66,7 +66,6 @@ class FdModule:
             raise ValueError(f"{len(self.basis_labels)} basis labels for "
                              f"dimension {dim}")
         self.actions = dict(actions)  # color -> (dim x dim) internal matrix
-        self.provenance = provenance
         self.ops = field.ops
         self._cache = {}
 
@@ -113,11 +112,12 @@ class FdModule:
 
 def actions_from_json(field, dim, dense):
     """Pack JSON action matrices {color: rows}; raises ValueError naming
-    the color unless its matrix is `dim` rows of `dim` ints."""
+    the color unless its matrix is `dim` rows of `dim` ints (JSON
+    true/false are not ints here)."""
     for c, rows in dense.items():
         if not (isinstance(rows, list) and len(rows) == dim and all(
                 isinstance(row, list) and len(row) == dim
-                and all(isinstance(x, int) for x in row) for row in rows)):
+                and all(type(x) is int for x in row) for row in rows)):
             raise ValueError(f"action of color {c!r} is not {dim} rows "
                              f"of {dim} ints")
     return {c: field.ops.pack(rows, dim) for c, rows in dense.items()}
@@ -136,11 +136,10 @@ def module_of_quiver(quiver, field=FieldSpec(2)):
     index = {v: i for i, v in enumerate(quiver.vertices)}
     return _module_of_arrows(field, quiver.vertices, [
         (index[src], index[dst], color, value)
-        for src, dst, color, value in quiver.arrows],
-        provenance={"kind": "quiver"})
+        for src, dst, color, value in quiver.arrows])
 
 
-def _module_of_arrows(field, labels, arrows, provenance=None):
+def _module_of_arrows(field, labels, arrows):
     """One basis line per label, arrows as (src index, dst index, color,
     value), at most one per (src, dst, color); zero colors left out."""
     ops, n, rows = field.ops, len(labels), {}
@@ -151,8 +150,7 @@ def _module_of_arrows(field, labels, arrows, provenance=None):
             rows[c][i] = ops.add(rows[c][i], ops.unit_vec(j, n),
                                  value % field.p)
     return FdModule(field, n, labels,
-                    {c: tuple(mat) for c, mat in rows.items()},
-                    provenance)
+                    {c: tuple(mat) for c, mat in rows.items()})
 
 
 class Submodule:
@@ -368,8 +366,8 @@ def _close_lattice(module, budget):
 def subquotient(module, lower, upper):
     """Module structure on upper/lower with induced color actions.
 
-    Synthetic basis labels carry the parent label of each quotient
-    basis vector's pivot coordinate, so provenance survives peeling.
+    Each quotient basis vector takes the parent's label of its pivot
+    coordinate, so labels survive peeling.
     """
     if not upper.contains(lower):
         raise NotNested("lower is not contained in upper")
@@ -379,8 +377,7 @@ def subquotient(module, lower, upper):
                             for row in upper.basis)
                 if not ops.is_zero(r)]
     if not ext_rows:
-        return FdModule(module.field, 0, (), {},
-                        provenance={"kind": "subquotient", "of": module.provenance})
+        return FdModule(module.field, 0, (), {})
     ebasis, epiv = ops.rref(ext_rows, n)
     k = len(ebasis)
     labels = tuple(module.basis_labels[p] for p in epiv)
@@ -396,9 +393,7 @@ def subquotient(module, lower, upper):
             rows.append(coeffs)
         if not all(ops.is_zero(r) for r in rows):
             actions[c] = tuple(rows)
-    return FdModule(module.field, k, labels, actions,
-                    provenance={"kind": "subquotient",
-                                "pivot_labels": list(labels)})
+    return FdModule(module.field, k, labels, actions)
 
 
 def submodule_as_module(sub):
@@ -558,9 +553,7 @@ def _relabel_factors(module, series):
     out = []
     for dim, actions, index in series:
         labels = tuple(module.basis_labels[i] for i in index)
-        factor = FdModule(module.field, dim, labels, actions,
-                          provenance={"kind": "subquotient",
-                                      "pivot_labels": list(labels)})
+        factor = FdModule(module.field, dim, labels, actions)
         out.append((factor, labels[0]))
     return tuple(out)
 

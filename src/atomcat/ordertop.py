@@ -178,8 +178,26 @@ def normalize_poset(raw_pairs, elements):
     return Poset(elems, le)
 
 
+def _json_names(data, key):
+    """The names array data[key] of a JSON object; raises ValueError
+    unless it is an array of all strings or all (non-bool) integers,
+    the names that sort and print as vertex, color and element ids."""
+    names = data[key] if isinstance(data, dict) else None
+    if not (isinstance(names, list)
+            and (all(type(x) is str for x in names)
+                 or all(type(x) is int for x in names))):
+        raise ValueError(f"{key!r} must be an array of all strings or all "
+                         "integers")
+    return names
+
+
 def poset_from_json(data):
-    return normalize_poset([tuple(p) for p in data["le"]], data["elements"])
+    elements = _json_names(data, "elements")
+    if not (isinstance(data["le"], list) and all(
+            isinstance(p, list) and len(p) == 2
+            and all(type(x) in (str, int) for x in p) for p in data["le"])):
+        raise ValueError("'le' must be an array of [lower, upper] pairs")
+    return normalize_poset([tuple(p) for p in data["le"]], elements)
 
 
 def topology_of_opens(points, masks):
@@ -206,7 +224,7 @@ def topology_of_opens(points, masks):
 
 
 def topology_from_json(data):
-    points = tuple(sorted(set(data["points"])))
+    points = tuple(sorted(set(_json_names(data, "points"))))
     mask_of = FiniteTopology(points, ()).mask_of
     return topology_of_opens(points, {mask_of(sub) for sub in data["opens"]})
 

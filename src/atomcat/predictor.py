@@ -22,10 +22,9 @@ contradicts, is a violation.
 
 from dataclasses import dataclass, field
 
-from .atomspec import FieldSpec, atom_equivalent, spectrum
+from .atomspec import FieldSpec, _line_label, atom_equivalent, spectrum
 from .errors import NotFinite, UnknownPreset
-from .generators import (PRESET_NAMES, _descending_window_poset,
-                         _simple_label, gen_noatom)
+from .generators import PRESET_NAMES, _descending_window_poset, gen_noatom
 from .linmod import DEFAULT_BUDGET, FdModule
 from .ordertop import Poset, normalize_poset, poset_invariants
 
@@ -444,7 +443,7 @@ def crosscheck(sym, gen, field=FieldSpec(2), budget=DEFAULT_BUDGET):
     for key, entry in gen.atom_table.items():
         if entry.get("kind") != "simple":
             continue
-        lbl = _simple_label(entry["loop_colors"])
+        lbl = _line_label(dict.fromkeys(entry["loop_colors"], 1))
         credit.setdefault(lbl, set()).add(entry.get("atom_label", key))
 
     sym_labels = set(sym.labels())
@@ -480,7 +479,8 @@ def noatom_absorption_check(prediction, gen, field=FieldSpec(2),
     fam_by_label = {}
     for fam in gen.noetherian_family or ():
         if fam["kind"] == "loop_simple":
-            fam_by_label[_simple_label(fam["loop_colors"])] = fam
+            lbl = _line_label(dict.fromkeys(fam["loop_colors"], 1))
+            fam_by_label[lbl] = fam
     results = {}
     for atom in report.atoms:
         fam = fam_by_label.get(atom.label)

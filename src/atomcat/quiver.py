@@ -7,10 +7,11 @@ declaredness is that no two arrows share (source, target, color); a
 color may well label many arrows, and that sharing is what later glues
 simple modules together.
 
-Combinators: full subquivers, target-closed splitting, disjoint unions,
-substitution of blocks into a skeleton quiver (complete bipartite
-bundles of freshly colored arrows per skeleton arrow), finite chains,
-and a two-step ladder.  Substitution mints the fresh color for a bundle
+Combinators: full subquivers, target-closed splitting, substitution of
+blocks into a skeleton quiver (complete bipartite bundles of freshly
+colored arrows per skeleton arrow), and built on it disjoint unions
+(a skeleton without arrows) and finite chains (a path skeleton); also a
+two-step ladder.  Substitution mints the fresh color for a bundle
 arrow from (skeleton color, source block vertex, target block vertex),
 so identical blocks hanging off equally colored skeleton arrows share
 bundle colors, and regeneration is deterministic.
@@ -28,6 +29,7 @@ from . import modp
 from .errors import (ColorClash, DuplicateArrow, EmptyRange, MissingBlock,
                      NotAssociative, NotTargetClosed, NotUnital,
                      UnknownColor, UnknownVertex)
+from .ordertop import _json_names
 
 
 @dataclass(frozen=True)
@@ -231,19 +233,14 @@ def disjoint_union(quivers, names=None):
 
     Sharing colors (rather than renaming them per block) is deliberate:
     equal blocks in different positions must stay isomorphic as
-    modules.
+    modules.  This is `substitute` on a skeleton without arrows, one
+    vertex per block name; repeated names raise ValueError.
     """
-    if names is None:
-        names = [str(i) for i in range(len(quivers))]
-    vertices, arrows = [], []
-    colors = set()
-    for name, q in zip(names, quivers):
-        ren = {v: f"{name}/{v}" for v in q.vertices}
-        vertices.extend(ren.values())
-        colors.update(q.colors)
-        arrows.extend((ren[src], ren[dst], color, value)
-                      for src, dst, color, value in q.arrows)
-    return make_quiver(vertices, sorted(colors), arrows)
+    names = list(map(str, range(len(quivers)) if names is None else names))
+    if len(set(names)) < len(names):
+        raise ValueError(f"block names repeat: {names}")
+    blocks = dict(zip(names, quivers))
+    return substitute(make_quiver(blocks, [], []), blocks)
 
 
 def bundle_color(skeleton_color, src_vertex, dst_vertex):
@@ -260,20 +257,17 @@ def substitute(omega, blocks):
     Freshness of the minted colors against all block colors is
     enforced, mirroring the disjointness in the construction.
     """
-    block_colors = set()
+    vertices, arrows, block_colors = [], [], set()
     for w in omega.vertices:
         if w not in blocks:
             raise MissingBlock("skeleton vertex without a block", vertex=w)
-        block_colors.update(blocks[w].colors)
-
-    vertices, arrows = [], []
-    colors = set(block_colors)
-    for w in omega.vertices:
         q = blocks[w]
+        block_colors.update(q.colors)
         ren = {v: f"{w}/{v}" for v in q.vertices}
         vertices.extend(ren.values())
         arrows.extend((ren[src], ren[dst], color, value)
                       for src, dst, color, value in q.arrows)
+    colors = set(block_colors)
     for w, w2, mu, _ in omega.arrows:
         for v in blocks[w].vertices:
             for v2 in blocks[w2].vertices:
@@ -410,15 +404,25 @@ def quiver_of_algebra(basis, structure, p=2):
 
 
 def quiver_from_json(data):
-    """Quiver from its JSON form; raises ValueError naming the arrow when
-    a value is not a JSON integer."""
+    """Quiver from its JSON form.  Raises ValueError unless each names
+    field is an array of all strings or all integers and each arrow an
+    object whose ends and color are strings or integers and whose value
+    is an integer; a bad arrow is named."""
+    vertices = _json_names(data, "vertices")
+    colors = _json_names(data, "colors")
+    if not (isinstance(data["arrows"], list)
+            and all(isinstance(a, dict) for a in data["arrows"])):
+        raise ValueError("arrows must be an array of objects")
     arrows = [(a["src"], a["dst"], a["color"], a.get("value", 1))
               for a in data["arrows"]]
     for a in arrows:
-        if type(a[3]) is not int:  # bool is a JSON true/false, not a number
-            raise ValueError(f"arrow {list(a[:3])} has value {a[3]!r}, "
-                             "not an integer")
-    return make_quiver(data["vertices"], data["colors"], arrows)
+        # bool is a JSON true/false, not a number
+        if not (type(a[3]) is int
+                and all(type(x) in (str, int) for x in a[:3])):
+            raise ValueError(f"arrow {list(a[:3])} has value {a[3]!r}; ends "
+                             "and color must be strings or integers, the "
+                             "value an integer")
+    return make_quiver(vertices, colors, arrows)
 
 
 def generated_from_json(data):

@@ -890,7 +890,7 @@ def structure_view(module):
     from atomcat.linmod import composition_factors, minimal_submodules
     subs = lambda ss: [(s.key(), s.parent is module) for s in ss]
     return {
-        "factors": [(f.key(), f.basis_labels, f.provenance, lbl)
+        "factors": [(f.key(), f.basis_labels, lbl)
                     for f, lbl in composition_factors(module)],
         "asupp": [(a.label, a.source) for a in asupp(module)],
         "aass": [(a.label, a.source) for a in aass(module)],

@@ -1,0 +1,128 @@
+"""Characterization of the constructions: one sha256 of `to_json()` per
+case, checked against `tests/golden/constructions.json`.
+
+The grid covers the truncation builders, the predictions and the preset
+claims.  A case that raises records the error class instead of a digest.
+After a deliberate change of output, rewrite the golden file with
+
+    PYTHONPATH=src python tests/test_constructions.py
+"""
+
+import hashlib
+import json
+import pathlib
+
+from atomcat import generators, predictor, quiver
+from atomcat.errors import AtomcatError
+from atomcat.harness import all_posets
+from atomcat.quiver import TruncationSpec, make_quiver
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "constructions.json"
+
+GENERAL_WINDOWS = ((0, 0), (0, 1), (-1, 1), (0, 2))
+NOATOM_WINDOWS = (None, (0, 0), (0, 3), (-2, 2), (1, 4))
+
+
+def _realization_json(res):
+    return {"spectrum": res.spectrum.to_json(), "witness": res.witness,
+            "pre_quotient": res.pre_quotient.to_json()}
+
+
+def _noatom_json(pred):
+    return {"pre_spectrum": pred.pre_spectrum.to_json(),
+            "post_quotient_empty": pred.post_quotient_empty,
+            "nonzero_witness": pred.nonzero_witness,
+            "absorption": pred.absorption}
+
+
+def _preset_prediction_json(name, depth):
+    sym = predictor.predict_preset(name, depth)
+    return {"symbolic": sym.to_json(),
+            "claims": predictor.check_preset_claims(name, sym, depth)}
+
+
+def _small_blocks():
+    a = make_quiver(["x", "y"], ["c", "d"],
+                    [("x", "x", "c"), ("x", "y", "d")])
+    b = make_quiver(["z"], ["c"], [("z", "z", "c", 2)])
+    return a, b
+
+
+def cases():
+    """(case id, thunk returning a JSON-able value), in a fixed order."""
+    posets = [(f"n{n}.{i}", p) for n in range(1, 5)
+              for i, p in enumerate(all_posets(n))]
+    for pid, p in posets:
+        for depth in range(3):
+            for window in GENERAL_WINDOWS:
+                trunc = TruncationSpec(depth=depth, ladder_range=window)
+                yield (f"general/{pid}/d{depth}/w{window}",
+                       lambda p=p, t=trunc:
+                       generators.gen_realization_general(p, t).to_json())
+        for depth in range(1, 4):
+            trunc = TruncationSpec(depth=depth)
+            yield (f"acc/{pid}/d{depth}",
+                   lambda p=p, t=trunc:
+                   generators.gen_realization_acc(p, t).to_json())
+        for mode in ("acc", "general"):
+            yield (f"predict-realization/{pid}/{mode}",
+                   lambda p=p, m=mode:
+                   _realization_json(predictor.predict_realization(p, m)))
+    for depth in range(5):
+        for window in NOATOM_WINDOWS:
+            trunc = TruncationSpec(depth=depth, ladder_range=window)
+            yield (f"noatom/d{depth}/w{window}",
+                   lambda t=trunc: generators.gen_noatom(t).to_json())
+            yield (f"predict-noatom/d{depth}/w{window}",
+                   lambda t=trunc: _noatom_json(predictor.predict_noatom(t)))
+    # depth 5 is left out: no-dcc alone has 2 million arrows there
+    for name in generators.PRESET_NAMES:
+        for depth in range(1, 5):
+            yield (f"preset/{name}/d{depth}",
+                   lambda n=name, d=depth: generators.preset(n, d).to_json())
+            yield (f"predict-preset/{name}/d{depth}",
+                   lambda n=name, d=depth: _preset_prediction_json(n, d))
+    yield "preset/unknown/d0", lambda: generators.preset("nope", 0)
+    yield "preset/unknown/d1", lambda: generators.preset("nope", 1)
+    yield ("general/empty-window",
+           lambda: generators.gen_realization_general(
+               posets[0][1], TruncationSpec(depth=1, ladder_range=(1, 0))))
+    yield ("noatom/negative-window",
+           lambda: generators.gen_noatom(
+               TruncationSpec(depth=1, ladder_range=(-3, -1))))
+    a, b = _small_blocks()
+    for block in ("a", "b"):
+        for interval in ((0, 0), (0, 2), (-1, 2)):
+            yield (f"ladder/{block}/{interval}",
+                   lambda q={"a": a, "b": b}[block], i=interval:
+                   quiver.ladder(q, i).to_json())
+    yield "union/a,b", lambda: quiver.disjoint_union([a, b]).to_json()
+    yield ("union/a,a/named",
+           lambda: quiver.disjoint_union([a, a], names=["l", "r"]).to_json())
+    yield "union/empty", lambda: quiver.disjoint_union([]).to_json()
+    yield "chain/a,b", lambda: quiver.chain([a, b]).to_json()
+    yield "chain/b,a,b", lambda: quiver.chain([b, a, b]).to_json()
+
+
+def fingerprint(thunk):
+    try:
+        data = thunk()
+    except (AtomcatError, ValueError) as err:  # refusals are behaviour too
+        return f"error:{type(err).__name__}"
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def fingerprints():
+    return {case_id: fingerprint(thunk) for case_id, thunk in cases()}
+
+
+def test_constructions_match_golden_fingerprints():
+    want = json.loads(GOLDEN.read_text())
+    got = fingerprints()
+    assert list(got) == list(want)
+    changed = [k for k in want if got[k] != want[k]]
+    assert not changed, changed[:10]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(fingerprints(), indent=1) + "\n")

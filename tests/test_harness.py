@@ -221,6 +221,40 @@ class TestCli:
         assert err["error"] == "io_or_value_error"
         assert "['v', 'w', 'c']" in err["context"]["detail"]
 
+    @pytest.mark.parametrize("command, data", [
+        ("spectrum", {"vertices": ["a", 1], "colors": [], "arrows": []}),
+        ("spectrum", {"vertices": ["a"], "colors": ["c", True],
+                      "arrows": []}),
+        ("spectrum", {"vertices": "ab", "colors": [], "arrows": []}),
+        ("spectrum", {"vertices": ["a"], "colors": ["c"],
+                      "arrows": [["a", "a", "c"]]}),
+        ("spectrum", {"vertices": ["a"], "colors": ["c"],
+                      "arrows": [{"src": ["a"], "dst": "a", "color": "c"}]}),
+        ("spectrum", ["a"]),
+        ("realize", {"elements": ["a", 1], "le": []}),
+        ("realize", {"elements": "ab", "le": []}),
+        ("realize", {"elements": ["a", "b"], "le": [["a", ["b"]]]}),
+        ("realize", {"elements": ["a", "b"], "le": ["ab"]}),
+    ], ids=["mixed-vertices", "bool-color", "string-vertices", "list-arrow",
+            "list-src", "not-an-object", "mixed-elements", "string-elements",
+            "list-in-pair", "string-pair"])
+    def test_malformed_json_is_a_value_error(self, tmp_path, capsys, command,
+                                             data):
+        path = self.write(tmp_path, "bad.json", data)
+        assert cli_dispatch([command, path]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io_or_value_error"
+
+    def test_integer_names_still_load(self, tmp_path, capsys):
+        qpath = self.write(tmp_path, "q.json", {
+            "vertices": [1, 2], "colors": [0],
+            "arrows": [{"src": 1, "dst": 2, "color": 0}]})
+        assert cli_dispatch(["spectrum", qpath]) == 0
+        ppath = self.write(tmp_path, "p.json", {"elements": [1, 2],
+                                                "le": [[1, 2]]})
+        assert cli_dispatch(["realize", ppath, "--mode", "acc"]) == 0
+        capsys.readouterr()
+
     def test_no_partial_output_on_error(self, tmp_path):
         qpath = self.write(tmp_path, "bad.json", {"vertices": []})
         out = str(tmp_path / "never.json")

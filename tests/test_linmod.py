@@ -128,7 +128,8 @@ class TestModuleOfQuiver:
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("rows", [
         [[1, 0]], [[1, 0, 1], [0, 1, 0]], [[1, 0], [1]], [[1, 0], [0, 0.5]],
-    ], ids=["short", "wide", "ragged", "float"])
+        [[True, 0], [0, 1]],
+    ], ids=["short", "wide", "ragged", "float", "bool"])
     def test_json_actions_must_be_dim_by_dim(self, p, rows):
         from atomcat.atomspec import report_from_json
         with pytest.raises(ValueError, match="'zeta'"):
@@ -500,7 +501,7 @@ def irreducible_plus_line(p, labels):
 
 
 def factor_view(factors):
-    return [(f.key(), f.basis_labels, f.provenance, lbl) for f, lbl in factors]
+    return [(f.key(), f.basis_labels, lbl) for f, lbl in factors]
 
 
 class TestStructureStore:
@@ -521,8 +522,6 @@ class TestStructureStore:
             assert f1.key() == f2.key()
             assert f2.basis_labels == tuple(self.RENAME[v]
                                             for v in f1.basis_labels)
-            assert f2.provenance == {"kind": "subquotient",
-                                     "pivot_labels": list(f2.basis_labels)}
         monkeypatch.setattr(linmod, "_STORE", {})
         cold = composition_factors(irreducible_plus_line(p, ("u", "v", "w")))
         assert factor_view(second) == factor_view(cold)

@@ -231,6 +231,12 @@ class TestDisjointUnion:
         q = disjoint_union([point("v", "c"), point("v", "c")])
         assert q.colors == ("c",)
 
+    @pytest.mark.parametrize("names", [["x", "x"], [1, "1"]])
+    def test_repeated_names_rejected(self, names):
+        # repeated names would merge the blocks' vertices
+        with pytest.raises(ValueError, match="repeat"):
+            disjoint_union([point("v", "c0"), point("v", "c1")], names=names)
+
 
 class TestSubstitute:
     def column(self):
