@@ -225,12 +225,8 @@ def asupp(module, budget=linmod.DEFAULT_BUDGET):
 def aass(module, budget=linmod.DEFAULT_BUDGET):
     """Associated atoms: classes of monoform submodules = classes of
     minimal submodules."""
-    mins = minimal_submodules(module, budget)
-    simples = []
-    for s in mins:
-        as_mod = submodule_as_module(s)
-        simples.append((as_mod, as_mod.basis_labels[0] if as_mod.dim else None))
-    return _dedupe_simples(simples)
+    simples = map(submodule_as_module, minimal_submodules(module, budget))
+    return _dedupe_simples([(m, m.basis_labels[0]) for m in simples])
 
 
 # -- spectra ------------------------------------------------------------------

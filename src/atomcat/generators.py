@@ -419,11 +419,17 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset(name, depth):
-    """Truncated quiver of a named counter-example construction."""
+def require_preset(name, depth):
+    """Refuse a preset request, depth before name; the truncation and
+    the symbolic window share these refusals."""
     if depth < 1:
         raise DepthTooSmall("presets need depth >= 1", depth=depth)
     if name not in _PRESETS:
         raise UnknownPreset("no such preset", name=name,
                             known=list(PRESET_NAMES))
+
+
+def preset(name, depth):
+    """Truncated quiver of a named counter-example construction."""
+    require_preset(name, depth)
     return _PRESETS[name](depth)

@@ -73,9 +73,6 @@ class FdModule:
     def colors(self):
         return tuple(sorted(self.actions))
 
-    def action(self, color):
-        return self.actions[color]
-
     def act(self, vec, color):
         if color not in self.actions:
             return self.ops.zero_vec(self.dim)
@@ -265,10 +262,6 @@ class SubmoduleSet:
 
     def nonzero(self):
         return [s for s in self.members if s.dim > 0]
-
-    def proper_nonzero(self):
-        return [s for s in self.members
-                if 0 < s.dim < self.members[-1].parent.dim]
 
 
 def _memo(module, name, compute, wrap):

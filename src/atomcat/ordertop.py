@@ -225,8 +225,13 @@ def topology_of_opens(points, masks):
 
 def topology_from_json(data):
     points = tuple(sorted(set(_json_names(data, "points"))))
+    opens = data["opens"]
+    if not (isinstance(opens, list) and all(
+            isinstance(sub, list) and all(type(x) in (str, int) for x in sub)
+            for sub in opens)):
+        raise ValueError("'opens' must be an array of arrays of point names")
     mask_of = FiniteTopology(points, ()).mask_of
-    return topology_of_opens(points, {mask_of(sub) for sub in data["opens"]})
+    return topology_of_opens(points, {mask_of(sub) for sub in opens})
 
 
 def alexandroff_of_poset(poset):

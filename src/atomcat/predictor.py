@@ -12,6 +12,10 @@ evaluate topology claims that no finite window can state directly:
 * continued_below marks window atoms that have further atoms below
   them in the full object (pure truncation artifacts).
 
+Every spectrum is built by `_spectrum`; a post-quotient spectrum is
+`quotient(pre, absorbed)`, the pre-quotient one minus the up-closure
+of the absorbed atoms.
+
 Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
 atom table.  Chain-limit atoms are invisible at any finite truncation
@@ -23,8 +27,8 @@ contradicts, is a violation.
 from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, atom_equivalent, spectrum
-from .errors import NotFinite, UnknownPreset
-from .generators import PRESET_NAMES, _descending_window_poset, gen_noatom
+from .errors import NotFinite
+from .generators import _descending_window_poset, gen_noatom, require_preset
 from .linmod import DEFAULT_BUDGET, FdModule
 from .ordertop import Poset, normalize_poset, poset_invariants
 
@@ -69,87 +73,83 @@ class SymbolicSpectrum:
                 "claims": {k: v for k, v in self.claims.items()}}
 
 
+def _spectrum(atoms, pairs, provenance, chain_families=(),
+              continued_below=(), claims=()):
+    """The one way a SymbolicSpectrum is built: the first atom of each
+    label, sorted by label, ordered by the closure of the <= pairs.
+    provenance keeps its given order, which `to_json()` writes."""
+    first = {}
+    for a in atoms:
+        first.setdefault(a.label, a)
+    labels = sorted(first)
+    return SymbolicSpectrum(tuple(first[l] for l in labels),
+                            normalize_poset(pairs, labels), dict(provenance),
+                            tuple(chain_families), frozenset(continued_below),
+                            dict(claims))
+
+
 def symbolic_from_json(data):
-    atoms = tuple(SymAtom(a["label"], a["kind"]) for a in data["atoms"])
-    labels = sorted(a.label for a in atoms)
-    order = normalize_poset([tuple(p) for p in data["order"]], labels)
-    families = tuple(
-        {"limit": f["limit"],
-         "block_atom_sets": tuple(tuple(s) for s in f["block_atom_sets"]),
-         "recurring": tuple(f["recurring"])}
-        for f in data.get("chain_families", ()))
-    return SymbolicSpectrum(tuple(sorted(atoms, key=lambda a: a.label)),
-                            order, dict(data.get("provenance", {})),
-                            families,
-                            frozenset(data.get("continued_below", ())),
-                            dict(data.get("claims", {})))
+    return _spectrum(
+        (SymAtom(a["label"], a["kind"]) for a in data["atoms"]),
+        [tuple(p) for p in data["order"]], data.get("provenance", {}),
+        ({"limit": f["limit"],
+          "block_atom_sets": tuple(tuple(s) for s in f["block_atom_sets"]),
+          "recurring": tuple(f["recurring"])}
+         for f in data.get("chain_families", ())),
+        data.get("continued_below", ()), data.get("claims", {}))
 
 
-def atom_spectrum_point(label, kind="simple", provenance=""):
-    atom = SymAtom(label, kind)
-    return SymbolicSpectrum((atom,), normalize_poset([], [label]),
-                            {label: provenance})
+def atom_spectrum_point(label, *, provenance=""):
+    return _spectrum((SymAtom(label, "simple"),), (), {label: provenance})
 
 
 def predict_disjoint_union(specs):
     """Union of the component spectra; atoms with equal labels are the
     same atom (labels encode the defining colors, so equal blocks with
     shared colors merge and disjointly colored ones stay apart)."""
-    atoms = {}
-    pairs = []
-    prov = {}
-    families = []
-    continued = set()
-    claims = {}
-    for s in specs:
-        for a in s.atoms:
-            atoms.setdefault(a.label, a)
-        pairs.extend((x, y) for (x, y) in s.order.le if x != y)
-        prov.update(s.provenance)
-        families.extend(s.chain_families)
-        continued |= set(s.continued_below)
-        claims.update(s.claims)
-    labels = sorted(atoms)
-    return SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                            normalize_poset(pairs, labels), prov,
-                            tuple(families), frozenset(continued), claims)
+    return _spectrum([a for s in specs for a in s.atoms],
+                     [pair for s in specs for pair in s.order.le],
+                     {k: v for s in specs for k, v in s.provenance.items()},
+                     [f for s in specs for f in s.chain_families],
+                     [l for s in specs for l in s.continued_below],
+                     {k: v for s in specs for k, v in s.claims.items()})
 
 
-def predict_chain(blocks, limit_label, infinite=True, cycle_start=0,
-                  recurring=None, provenance=""):
-    """Spectrum of a chain of blocks joined by fresh bundles.
+def predict_chain(blocks, limit_label, cycle_start=0, provenance=""):
+    """Spectrum of an infinite chain of blocks joined by fresh bundles.
 
-    blocks are the block spectra in window order.  When infinite, a
-    chain-limit atom is added below exactly the recurring atoms; by
-    default those are the atoms of blocks[cycle_start:], the repeating
-    part.  cycle_start = len(blocks) expresses a window of pairwise
-    distinct blocks none of which repeats.
+    blocks are the block spectra in window order.  A chain-limit atom is
+    added below exactly the recurring atoms, those of blocks[cycle_start:],
+    the repeating part.  cycle_start = len(blocks) expresses a window of
+    pairwise distinct blocks none of which repeats.
     """
     merged = predict_disjoint_union(blocks)
-    if not infinite:
-        return merged
-    if recurring is None:
-        recurring = set()
-        for b in blocks[cycle_start:]:
-            recurring |= set(b.labels())
-    recurring = frozenset(recurring)
-    atoms = dict((a.label, a) for a in merged.atoms)
-    if limit_label in atoms:
+    if limit_label in merged.labels():
         raise ValueError(f"limit label collides with a block atom: {limit_label}")
-    atoms[limit_label] = SymAtom(limit_label, "chain_limit")
-    pairs = [(x, y) for (x, y) in merged.order.le if x != y]
-    pairs.extend((limit_label, b) for b in recurring)
-    labels = sorted(atoms)
-    prov = dict(merged.provenance)
-    prov[limit_label] = provenance or "chain limit"
+    recurring = sorted({l for b in blocks[cycle_start:] for l in b.labels()})
     family = {"limit": limit_label,
               "block_atom_sets": tuple(tuple(sorted(b.labels()))
                                        for b in blocks),
-              "recurring": tuple(sorted(recurring))}
-    return SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                            normalize_poset(pairs, labels), prov,
-                            merged.chain_families + (family,),
-                            merged.continued_below, dict(merged.claims))
+              "recurring": tuple(recurring)}
+    return _spectrum(merged.atoms + (SymAtom(limit_label, "chain_limit"),),
+                     list(merged.order.le)
+                     + [(limit_label, b) for b in recurring],
+                     {**merged.provenance,
+                      limit_label: provenance or "chain limit"},
+                     merged.chain_families + (family,),
+                     merged.continued_below, merged.claims)
+
+
+def quotient(sym, absorbed):
+    """Spectrum after the quotient by the localizing subcategory whose
+    atom support is the up-closure of `absorbed`: ASpec(A/X) = ASpec A
+    minus ASupp X (Kanda, Adv. Math. 2012).  The order is restricted,
+    provenance comes in label order; families and claims are dropped."""
+    gone = {q for a in absorbed for q in sym.order.up_set(a)}
+    kept = [a for a in sym.atoms if a.label not in gone]
+    return _spectrum(kept, [(x, y) for (x, y) in sym.order.le
+                            if x not in gone and y not in gone],
+                     {a.label: sym.provenance[a.label] for a in kept})
 
 
 @dataclass
@@ -163,13 +163,12 @@ def _acc_spectrum(poset, inv, p, memo):
     if p in memo:
         return memo[p]
     if p in set(inv.maximal):
-        out = atom_spectrum_point(f"simple({p})", "simple",
+        out = atom_spectrum_point(f"simple({p})",
                                   provenance=f"loop point of {p}")
     else:
         blocks = [_acc_spectrum(poset, inv, q, memo)
                   for q in sorted(inv.j_sets[p])]
-        out = predict_chain(blocks, f"chain({p})", infinite=True,
-                            cycle_start=0,
+        out = predict_chain(blocks, f"chain({p})",
                             provenance=f"chain over J({p})")
     memo[p] = out
     return out
@@ -182,7 +181,7 @@ def predict_realization(poset, mode="acc"):
     poset.  general mode: one chain-limit atom per element plus one
     simple atom per non-maximal element, with the maximal elements'
     limits identified with their loop simples, then the quotient
-    removing the non-maximal simples.
+    absorbing the non-maximal simples.
     """
     if not isinstance(poset, Poset):
         raise NotFinite("expected a finite poset value")
@@ -199,17 +198,17 @@ def predict_realization(poset, mode="acc"):
         raise ValueError(f"unknown realization mode: {mode}")
 
     maximal = set(inv.maximal)
-    atoms = {}
+    atoms = []
     pairs = []
     prov = {}
     for p in poset.elements:
         g = f"gamma({p})"
-        atoms[g] = SymAtom(g, "simple" if p in maximal else "chain_limit")
+        atoms.append(SymAtom(g, "simple" if p in maximal else "chain_limit"))
         prov[g] = f"block limit of {p}" + \
             (" (= its loop simple)" if p in maximal else "")
         if p not in maximal:
             d = f"delta({p})"
-            atoms[d] = SymAtom(d, "simple")
+            atoms.append(SymAtom(d, "simple"))
             prov[d] = f"loop simple of {p}"
     for p in poset.elements:
         for q in poset.elements:
@@ -217,15 +216,9 @@ def predict_realization(poset, mode="acc"):
                 pairs.append((f"gamma({p})", f"gamma({q})"))
             if poset.lt(p, q) and q not in maximal:
                 pairs.append((f"gamma({p})", f"delta({q})"))
-    labels = sorted(atoms)
-    pre = SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                           normalize_poset(pairs, labels), prov)
-    post_labels = sorted(l for l in labels if not l.startswith("delta("))
-    post_pairs = [(a, b) for (a, b) in pairs
-                  if not a.startswith("delta(") and not b.startswith("delta(")]
-    post = SymbolicSpectrum(tuple(atoms[l] for l in post_labels),
-                            normalize_poset(post_pairs, post_labels),
-                            {l: prov[l] for l in post_labels})
+    pre = _spectrum(atoms, pairs, prov)
+    post = quotient(pre, [f"delta({p})" for p in poset.elements
+                          if p not in maximal])
     witness = {p: f"gamma({p})" for p in poset.elements}
     return RealizationResult(post, witness, pre)
 
@@ -244,23 +237,20 @@ def predict_noatom(trunc):
     quotient absorbs everything: post-quotient spectrum empty, while
     the module of the first block stays nonzero."""
     gen = gen_noatom(trunc)
-    atoms = {}
+    atoms = []
     prov = {}
     absorption = {}
     for key, entry in gen.atom_table.items():
-        atoms[key] = SymAtom(key, "simple")
+        atoms.append(SymAtom(key, "simple"))
         prov[key] = "loop simple " + ",".join(entry["loop_colors"])
         idx = key[key.index("(") + 1:-1]
         absorption[key] = f"noeth-loop({idx})"
     for fam in gen.noetherian_family or ():
         if fam["kind"] == "chain":
             lbl = fam["label"]
-            atoms[lbl] = SymAtom(lbl, "chain_limit")
+            atoms.append(SymAtom(lbl, "chain_limit"))
             prov[lbl] = "designated noetherian chain"
-    labels = sorted(atoms)
-    pre = SymbolicSpectrum(tuple(atoms[l] for l in labels),
-                           normalize_poset([], labels), prov,
-                           claims={"post_quotient_empty": True})
+    pre = _spectrum(atoms, (), prov, claims={"post_quotient_empty": True})
     return NoAtomPrediction(pre, True, "module of the first block",
                             absorption)
 
@@ -269,73 +259,61 @@ def predict_noatom(trunc):
 
 def predict_preset(name, depth):
     """Windowed symbolic spectrum of a named counter-example preset."""
+    require_preset(name, depth)
     if name == "infinite-chain":
-        delta = atom_spectrum_point("delta", "simple", "point class")
-        return predict_chain([delta], "gamma", infinite=True, cycle_start=0,
-                             provenance="chain of points")
+        delta = atom_spectrum_point("delta", provenance="point class")
+        return predict_chain([delta], "gamma", provenance="chain of points")
     if name == "aass-vs-asupp":
-        delta = atom_spectrum_point("beta", "simple", "point class")
-        inner = predict_chain([delta], "alpha", infinite=True, cycle_start=0,
+        beta = atom_spectrum_point("beta", provenance="point class")
+        inner = predict_chain([beta], "alpha",
                               provenance="infinite chain of points")
-        out = predict_disjoint_union([inner, delta])
-        out.claims.update({"aass": ["beta"], "asupp": ["alpha", "beta"]})
-        return out
+        return _annotated(inner, claims={"aass": ["beta"],
+                                         "asupp": ["alpha", "beta"]})
     if name == "no-minimal-atom":
         window = max(depth, 2)
-        poset = _descending_window_poset(window)
-        res = predict_realization(poset, "acc")
+        res = predict_realization(_descending_window_poset(window), "acc")
         bottom = res.witness[f"p{window - 1}"]
-        out = _with_continued(res.spectrum, {bottom})
-        out.claims["no_minimal_atom"] = True
-        return out
+        return _annotated(res.spectrum, continued_below={bottom},
+                          claims={"no_minimal_atom": True})
     if name == "no-dcc":
         window = max(depth, 2)
         poset = _descending_window_poset(window, with_bottom=True)
         res = predict_realization(poset, "acc")
         descent = [res.witness[f"p{i}"] for i in range(window)]
-        res.spectrum.claims["infinite_descent"] = descent
-        return res.spectrum
+        return _annotated(res.spectrum, claims={"infinite_descent": descent})
     if name == "max-not-open":
-        blocks = [predict_chain([atom_spectrum_point(f"delta({i})", "simple")],
-                                f"gamma({i})", infinite=True, cycle_start=0)
+        blocks = [predict_chain([atom_spectrum_point(f"delta({i})")],
+                                f"gamma({i})")
                   for i in range(depth)]
-        return predict_chain(blocks, "gamma", infinite=True,
-                             cycle_start=len(blocks),
+        return predict_chain(blocks, "gamma", cycle_start=len(blocks),
                              provenance="chain of pairwise distinct blocks")
-    if name == "min-not-closed":
-        # shifted copies of one chain of distinct loop points: the inner
-        # limit gamma' is the only atom recurring in every outer block,
-        # each delta eventually drops out of the shifted windows
-        n_delta = 2 * depth - 1
-        delta_labels = [f"delta({i})" for i in range(n_delta)]
-        atoms = {"gamma": SymAtom("gamma", "chain_limit"),
-                 "gamma'": SymAtom("gamma'", "chain_limit")}
-        for d in delta_labels:
-            atoms[d] = SymAtom(d, "simple")
-        prov = {"gamma": "outer chain limit over shifted copies",
-                "gamma'": "inner chain limit, shared by all shifts"}
-        prov.update({d: "loop simple" for d in delta_labels})
-        inner_family = {"limit": "gamma'",
-                        "block_atom_sets": tuple((d,) for d in delta_labels),
-                        "recurring": ()}
-        outer_family = {"limit": "gamma",
-                        "block_atom_sets": tuple(
-                            tuple(sorted(["gamma'"] +
-                                         delta_labels[j:j + depth]))
-                            for j in range(depth)),
-                        "recurring": ("gamma'",)}
-        labels = sorted(atoms)
-        order = normalize_poset([("gamma", "gamma'")], labels)
-        return SymbolicSpectrum(tuple(atoms[l] for l in labels), order, prov,
-                                (inner_family, outer_family))
-    raise UnknownPreset("no such preset", name=name, known=list(PRESET_NAMES))
+    # min-not-closed: shifted copies of one chain of distinct loop points:
+    # the inner limit gamma' is the only atom recurring in every outer
+    # block, each delta eventually drops out of the shifted windows
+    delta_labels = [f"delta({i})" for i in range(2 * depth - 1)]
+    atoms = [SymAtom("gamma", "chain_limit"), SymAtom("gamma'", "chain_limit")]
+    atoms.extend(SymAtom(d, "simple") for d in delta_labels)
+    prov = {"gamma": "outer chain limit over shifted copies",
+            "gamma'": "inner chain limit, shared by all shifts"}
+    prov.update({d: "loop simple" for d in delta_labels})
+    inner_family = {"limit": "gamma'",
+                    "block_atom_sets": tuple((d,) for d in delta_labels),
+                    "recurring": ()}
+    outer_family = {"limit": "gamma",
+                    "block_atom_sets": tuple(
+                        tuple(sorted(["gamma'"] + delta_labels[j:j + depth]))
+                        for j in range(depth)),
+                    "recurring": ("gamma'",)}
+    return _spectrum(atoms, [("gamma", "gamma'")], prov,
+                     (inner_family, outer_family))
 
 
-def _with_continued(spec, extra):
-    return SymbolicSpectrum(spec.atoms, spec.order, spec.provenance,
-                            spec.chain_families,
-                            spec.continued_below | frozenset(extra),
-                            spec.claims)
+def _annotated(sym, continued_below=(), claims=()):
+    """sym with more continued-below atoms and claims."""
+    return _spectrum(sym.atoms, sym.order.le, sym.provenance,
+                     sym.chain_families,
+                     sym.continued_below | frozenset(continued_below),
+                     {**sym.claims, **dict(claims)})
 
 
 # -- claim checkers ------------------------------------------------------------
@@ -389,6 +367,7 @@ def check_min_not_closed(sym):
 
 def check_preset_claims(name, sym, depth):
     """Evaluate the structural claims a preset's window must witness."""
+    require_preset(name, depth)
     if name == "no-minimal-atom":
         return {"no_minimal_atom": check_no_minimal_atom(sym)}
     if name == "no-dcc":
@@ -403,9 +382,7 @@ def check_preset_claims(name, sym, depth):
         asupp_l = set(sym.claims.get("asupp", ()))
         return {"aass_strictly_inside_asupp": aass_l < asupp_l,
                 "two_atom_chain": sym.order.lt("alpha", "beta")}
-    if name == "infinite-chain":
-        return {"limit_below_simple": sym.order.lt("gamma", "delta")}
-    raise UnknownPreset("no such preset", name=name)
+    return {"limit_below_simple": sym.order.lt("gamma", "delta")}
 
 
 # -- brute-force crosscheck ------------------------------------------------------

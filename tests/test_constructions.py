@@ -3,14 +3,18 @@ case, checked against `tests/golden/constructions.json`.
 
 The grid covers the truncation builders, the predictions and the preset
 claims.  A case that raises records the error class instead of a digest.
-After a deliberate change of output, rewrite the golden file with
 
-    PYTHONPATH=src python tests/test_constructions.py
+    PYTHONPATH=src python tests/test_constructions.py [--write]
+
+lists the case ids whose digest differs from the golden file (added and
+dropped cases included) and exits 1 if there are any.  Only with
+`--write`, after a deliberate change of output, does it rewrite the file.
 """
 
 import hashlib
 import json
 import pathlib
+import sys
 
 from atomcat import generators, predictor, quiver
 from atomcat.errors import AtomcatError
@@ -124,5 +128,18 @@ def test_constructions_match_golden_fingerprints():
     assert not changed, changed[:10]
 
 
+def main(argv):
+    want = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    got = fingerprints()
+    changed = [k for k in {**want, **got} if want.get(k) != got.get(k)]
+    for case_id in changed:
+        print(case_id)
+    print(f"{len(changed)} of {len(got)} digests differ", file=sys.stderr)
+    if "--write" in argv:
+        GOLDEN.write_text(json.dumps(got, indent=1) + "\n")
+        return 0
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(fingerprints(), indent=1) + "\n")
+    sys.exit(main(sys.argv[1:]))

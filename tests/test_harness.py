@@ -235,13 +235,19 @@ class TestCli:
         ("realize", {"elements": "ab", "le": []}),
         ("realize", {"elements": ["a", "b"], "le": [["a", ["b"]]]}),
         ("realize", {"elements": ["a", "b"], "le": ["ab"]}),
+        ("convert --to poset", {"points": ["a", "b"],
+                                "opens": [[], "b", ["a", "b"]]}),
+        ("convert --to poset", {"points": ["a", "b"], "opens": [[], 5]}),
+        ("convert --to poset", {"points": ["a", "b"], "opens": "ab"}),
+        ("convert --to poset", {"points": ["a", "b"], "opens": [[True]]}),
     ], ids=["mixed-vertices", "bool-color", "string-vertices", "list-arrow",
             "list-src", "not-an-object", "mixed-elements", "string-elements",
-            "list-in-pair", "string-pair"])
+            "list-in-pair", "string-pair", "string-open", "int-open",
+            "string-opens", "bool-point"])
     def test_malformed_json_is_a_value_error(self, tmp_path, capsys, command,
                                              data):
         path = self.write(tmp_path, "bad.json", data)
-        assert cli_dispatch([command, path]) == 1
+        assert cli_dispatch(command.split() + [path]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io_or_value_error"
 

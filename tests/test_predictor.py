@@ -2,7 +2,10 @@
 
 import itertools
 
-from atomcat.generators import (gen_noatom, gen_realization_acc,
+import pytest
+
+from atomcat.errors import AtomcatError
+from atomcat.generators import (PRESET_NAMES, gen_noatom, gen_realization_acc,
                                 gen_realization_general, preset)
 from atomcat.ordertop import normalize_poset, poset_isomorphic
 from atomcat.predictor import (DiffReport, atom_spectrum_point,
@@ -11,7 +14,8 @@ from atomcat.predictor import (DiffReport, atom_spectrum_point,
                                check_preset_claims, crosscheck,
                                noatom_absorption_check, predict_chain,
                                predict_disjoint_union, predict_noatom,
-                               predict_preset, predict_realization)
+                               predict_preset, predict_realization,
+                               quotient, symbolic_from_json)
 from atomcat.quiver import GeneratedQuiver, TruncationSpec, make_quiver
 
 CHAIN2 = normalize_poset([("p0", "p1")], ["p0", "p1"])
@@ -20,7 +24,7 @@ DIAMOND = normalize_poset([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
 
 
 def point(label):
-    return atom_spectrum_point(label, "simple")
+    return atom_spectrum_point(label)
 
 
 class TestDisjointUnion:
@@ -40,13 +44,14 @@ class TestDisjointUnion:
 
 class TestChain:
     def test_infinite_repetition_adds_limit_below(self):
-        out = predict_chain([point("S(c)")], "lim", infinite=True)
+        out = predict_chain([point("S(c)")], "lim")
         assert set(out.labels()) == {"S(c)", "lim"}
         assert out.order.lt("lim", "S(c)")
         assert out.kind_of("lim") == "chain_limit"
 
     def test_finite_chain_has_no_limit(self):
-        out = predict_chain([point("S(c)")] * 3, "lim", infinite=False)
+        # a finite chain's spectrum is the disjoint union of its blocks
+        out = predict_disjoint_union([point("S(c)")] * 3)
         assert out.labels() == ("S(c)",)
         # brute force confirms: a finite 3-chain of one loop point has a
         # single atom and nothing below it
@@ -57,19 +62,43 @@ class TestChain:
         assert rep.atoms.labels() == ("S(c)",)
 
     def test_repeating_part_of_two_blocks(self):
-        out = predict_chain([point("A"), point("B")], "lim", infinite=True,
-                            cycle_start=0)
+        out = predict_chain([point("A"), point("B")], "lim", cycle_start=0)
         assert out.order.lt("lim", "A") and out.order.lt("lim", "B")
 
     def test_prefix_blocks_do_not_receive_the_limit(self):
-        out = predict_chain([point("A"), point("B")], "lim", infinite=True,
-                            cycle_start=1)
+        out = predict_chain([point("A"), point("B")], "lim", cycle_start=1)
         assert not out.order.lt("lim", "A")
         assert out.order.lt("lim", "B")
 
     def test_limit_is_minimal(self):
-        out = predict_chain([point("A"), point("B")], "lim", infinite=True)
+        out = predict_chain([point("A"), point("B")], "lim")
         assert "lim" in out.order.minimal_elements()
+
+
+class TestQuotient:
+    CHAIN = symbolic_from_json({
+        "atoms": [{"label": l, "kind": "simple"} for l in "abc"],
+        "order": [["a", "b"], ["b", "c"]],
+        "provenance": {"c": "top", "a": "bottom", "b": "middle"}})
+
+    def test_absorbs_the_up_closure(self):
+        out = quotient(self.CHAIN, {"b"})
+        assert out.labels() == ("a",)
+        assert out.order.le == {("a", "a")}
+
+    def test_absorbing_the_minimum_leaves_nothing(self):
+        assert quotient(self.CHAIN, {"a"}).labels() == ()
+
+    def test_absorbing_nothing_changes_nothing(self):
+        out = quotient(self.CHAIN, set())
+        assert out.labels() == ("a", "b", "c")
+        assert out.order.le == self.CHAIN.order.le
+
+    def test_provenance_in_label_order(self):
+        out = quotient(self.CHAIN, set())
+        assert list(out.provenance.items()) == [
+            ("a", "bottom"), ("b", "middle"), ("c", "top")]
+        assert list(quotient(self.CHAIN, {"c"}).provenance) == ["a", "b"]
 
 
 def all_posets_up_to(n):
@@ -275,6 +304,23 @@ class TestPresetPredictions:
                 assert sym.kind_of(lbl) == "chain_limit", (name, lbl)
 
 
+def _refusal(call):
+    with pytest.raises(AtomcatError) as err:
+        call()
+    return type(err.value), err.value.context
+
+
+@pytest.mark.parametrize("name, depth", [(n, 0) for n in PRESET_NAMES]
+                         + [("nope", 0), ("nope", 1)])
+def test_preset_refusals_match_the_truncation(name, depth):
+    """The symbolic side refuses a preset request exactly as `preset`
+    does: depth before name, with the same context."""
+    want = _refusal(lambda: preset(name, depth))
+    assert _refusal(lambda: predict_preset(name, depth)) == want
+    sym = predict_preset("infinite-chain", 1)
+    assert _refusal(lambda: check_preset_claims(name, sym, depth)) == want
+
+
 def test_diffreport_json_roundtrip():
     from atomcat.predictor import diff_from_json
     d = DiffReport(("a",), ("b",), (), (("x", "y"),))
@@ -287,7 +333,6 @@ def test_diffreport_json_roundtrip():
 
 def test_symbolic_json_roundtrip():
     import json
-    from atomcat.predictor import symbolic_from_json
     for name in ("max-not-open", "min-not-closed", "no-dcc"):
         sym = predict_preset(name, 3)
         data = json.loads(json.dumps(sym.to_json()))
