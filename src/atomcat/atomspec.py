@@ -218,15 +218,36 @@ def atom_of(module, budget=linmod.DEFAULT_BUDGET):
 def asupp(module, budget=linmod.DEFAULT_BUDGET):
     """Atom support: classes of monoform subquotients = classes of
     composition factors (finite length)."""
-    factors = composition_factors(module, budget)
-    return _dedupe_simples([(f, lbl) for f, lbl in factors])
+    return _stored_atoms(module, ("asupp", budget),
+                         lambda m: composition_factors(m, budget))
 
 
 def aass(module, budget=linmod.DEFAULT_BUDGET):
     """Associated atoms: classes of monoform submodules = classes of
     minimal submodules."""
-    simples = map(submodule_as_module, minimal_submodules(module, budget))
-    return _dedupe_simples([(m, m.basis_labels[0]) for m in simples])
+    if module.dim:
+        linmod._check_seeds(module, budget)
+    return _stored_atoms(module, ("aass", budget), lambda m: [
+        (s, s.basis_labels[0])
+        for s in map(submodule_as_module, minimal_submodules(m, budget))])
+
+
+def _stored_atoms(module, name, simples_of):
+    """`_dedupe_simples(simples_of(module))` through the store entry
+    `name`, which keeps per class its label, its representative and its
+    sources as basis indices: `simples_of` runs on a copy labelled by
+    index, and the sources are mapped through the module's labels."""
+    def classes(m):
+        atoms = _dedupe_simples(simples_of(linmod.indexed_copy(m)))
+        return tuple((a.label, a.representative, a.source) for a in atoms)
+
+    def relabel(m, stored):
+        labels = m.basis_labels
+        return AtomSet(tuple(
+            Atom(label, rep, tuple(sorted(labels[i] for i in sources)))
+            for label, rep, sources in stored))
+
+    return linmod._memo(module, name, classes, relabel)
 
 
 # -- spectra ------------------------------------------------------------------

@@ -153,7 +153,8 @@ def spin_up(seed, acts, k):
                 basis.append(w)
                 coords = unit
             key = key << k | coords
-    assert len(basis) == k, "a simple module is spun up by every seed"
+    if len(basis) != k:
+        raise ValueError("a simple module is spun up by every seed")
     return key
 
 

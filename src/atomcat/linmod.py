@@ -23,13 +23,18 @@ equal actions shares them whatever its basis labels.  An entry holds
 the distinct cyclic submodules (scan order), the minimal submodules and,
 per budget, the lattice and the composition series, all as bare
 (basis, pivots) rows and action matrices with no parent module, plus
-the canonical simple form that `atomspec` names atoms by.  A module
-wraps stored rows as `Submodule`s of itself and relabels stored factors
-from its own basis labels, and keeps those wrappers in its `_cache`.
-Budget checks run before any lookup, entries that depend on a budget
-are keyed by it, and a computation that raises stores nothing.  The
-store is unbounded: it grows with the number of distinct modules a
-process meets.
+the canonical simple form that `atomspec` names atoms by.  It also
+holds, under ("subquotient", lower basis, upper basis), each
+subquotient asked for, as its pivot indices and (color, matrix) pairs,
+and `atomspec`'s ("asupp", budget) and ("aass", budget) atom classes,
+as (label, representative, source basis indices).  A module wraps
+stored rows as `Submodule`s of itself and relabels stored factors,
+subquotients and atom sources from its own basis labels, and keeps
+those wrappers in its `_cache`.  Budget checks run before any lookup,
+entries that depend on a budget are keyed by it, and a computation
+that raises stores nothing.  The store is unbounded: it grows with the
+number of distinct modules a process meets, and by one subquotient
+entry per pair of bases met per module.
 """
 
 from dataclasses import dataclass
@@ -360,8 +365,26 @@ def subquotient(module, lower, upper):
     """Module structure on upper/lower with induced color actions.
 
     Each quotient basis vector takes the parent's label of its pivot
-    coordinate, so labels survive peeling.
+    coordinate, so labels survive peeling.  The pivots and the actions
+    are stored under the pair of (canonical, rref) bases.
     """
+    return _memo(module, ("subquotient", lower.basis, upper.basis),
+                 lambda m: _subquotient_rows(m, lower, upper),
+                 _labelled_module)
+
+
+def _labelled_module(module, rows):
+    """The module stored as (indices into `module.basis_labels`, (color,
+    matrix) pairs), labelled from `module`."""
+    index, actions = rows
+    return FdModule(module.field, len(index),
+                    tuple(module.basis_labels[i] for i in index),
+                    dict(actions))
+
+
+def _subquotient_rows(module, lower, upper):
+    """The pivots of upper/lower's basis in the parent and its actions,
+    as (color, matrix) pairs."""
     if not upper.contains(lower):
         raise NotNested("lower is not contained in upper")
     ops = module.ops
@@ -370,11 +393,9 @@ def subquotient(module, lower, upper):
                             for row in upper.basis)
                 if not ops.is_zero(r)]
     if not ext_rows:
-        return FdModule(module.field, 0, (), {})
+        return (), ()
     ebasis, epiv = ops.rref(ext_rows, n)
-    k = len(ebasis)
-    labels = tuple(module.basis_labels[p] for p in epiv)
-    actions = {}
+    actions = []
     for c in module.colors:
         # row i: coordinates of the image of quotient basis vector i
         rows = []
@@ -382,11 +403,12 @@ def subquotient(module, lower, upper):
             w = module.act(row, c)
             w = ops.reduce_row(w, lower.basis, lower.pivots)
             coeffs = ops.coords(w, ebasis, epiv, n)
-            assert coeffs is not None, "upper must be action-closed"
+            if coeffs is None:
+                raise ValueError("upper must be action-closed")
             rows.append(coeffs)
         if not all(ops.is_zero(r) for r in rows):
-            actions[c] = tuple(rows)
-    return FdModule(module.field, k, labels, actions)
+            actions.append((c, tuple(rows)))
+    return epiv, tuple(actions)
 
 
 def submodule_as_module(sub):
@@ -528,27 +550,30 @@ def composition_factors(module, budget=DEFAULT_BUDGET):
 
 
 def _factor_series(module, budget):
-    """The composition series without labels: per factor, its dim, its
-    actions and the indices into `module.basis_labels` of its basis
-    labels (the peel runs on a copy labelled by index)."""
-    current = FdModule(module.field, module.dim, range(module.dim),
-                       module.actions)
+    """The composition series without labels, each factor stored as a
+    subquotient is: the indices into `module.basis_labels` of its basis
+    labels and its (color, matrix) pairs (the peel runs on a copy
+    labelled by index)."""
+    current = indexed_copy(module)
     out = []
     while current.dim > 0:
         k = find_one_minimal(current, budget)
         factor = submodule_as_module(k)
-        out.append((factor.dim, factor.actions, factor.basis_labels))
+        out.append((factor.basis_labels, tuple(factor.actions.items())))
         current = quotient_module(current, k)
     return tuple(out)
 
 
+def indexed_copy(module):
+    """The module with basis labels 0, 1, ..., dim - 1: answers computed
+    on it name basis lines by index, to be relabelled per module."""
+    return FdModule(module.field, module.dim, range(module.dim),
+                    module.actions)
+
+
 def _relabel_factors(module, series):
-    out = []
-    for dim, actions, index in series:
-        labels = tuple(module.basis_labels[i] for i in index)
-        factor = FdModule(module.field, dim, labels, actions)
-        out.append((factor, labels[0]))
-    return tuple(out)
+    factors = (_labelled_module(module, rows) for rows in series)
+    return tuple((f, f.basis_labels[0]) for f in factors)
 
 
 def is_essential(sub, module, budget=DEFAULT_BUDGET):

@@ -150,5 +150,6 @@ def spin_up(seed, acts, k, p):
     form = []
     for b in basis:  # also visits the vectors appended on the way
         form.append(tuple(coords_of(vec_mat(b, a, p)) for a in acts))
-    assert len(basis) == k, "a simple module is spun up by every seed"
+    if len(basis) != k:
+        raise ValueError("a simple module is spun up by every seed")
     return tuple(form)

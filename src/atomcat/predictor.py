@@ -371,8 +371,7 @@ def check_preset_claims(name, sym, depth):
     if name == "no-minimal-atom":
         return {"no_minimal_atom": check_no_minimal_atom(sym)}
     if name == "no-dcc":
-        return {"no_dcc": check_infinite_descent(sym,
-                                                 min_length=min(4, depth))}
+        return {"no_dcc": check_infinite_descent(sym, min_length=4)}
     if name == "max-not-open":
         return {"max_not_open": check_max_not_open(sym)}
     if name == "min-not-closed":

@@ -1,7 +1,8 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and small modules shared by the test modules."""
 
 from hypothesis import strategies as st
 
+from atomcat.linmod import FdModule, FieldSpec
 from atomcat.quiver import make_quiver
 
 
@@ -16,3 +17,15 @@ def valued_quivers(draw, p, max_vertices, dag=False):
               for i, v in enumerate(vs) for j, w in enumerate(vs)
               for c in cs if (i <= j or not dag) and draw(st.booleans())]
     return make_quiver(vs, cs, arrows)
+
+
+def irreducible_plus_line(p, labels):
+    """A simple 2-dim block on the first two lines (no eigenvector: the
+    companion matrix of x^2 + x + 1 at p = 2, of x^2 + 1 at p = 3) and
+    a third line that color y sends into it."""
+    field = FieldSpec(p)
+    x = [[0, 1], [1, 1]] if p == 2 else [[0, 2], [1, 0]]
+    dense = {"x": [[*x[0], 0], [*x[1], 0], [0, 0, 0]],
+             "y": [[0, 0, 0], [0, 0, 0], [1, 0, 0]]}
+    return FdModule(field, 3, labels,
+                    {c: field.ops.pack(m, 3) for c, m in dense.items()})

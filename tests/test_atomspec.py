@@ -21,7 +21,7 @@ from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
                             subquotient)
 from atomcat.quiver import disjoint_union, make_quiver
 from iso_oracle import Tristate, is_isomorphic
-from strategies import valued_quivers
+from strategies import irreducible_plus_line, valued_quivers
 
 GF2 = FieldSpec(2)
 
@@ -750,7 +750,7 @@ def test_canonical_representatives_are_pinned():
 def test_canonical_form_of_a_non_simple_module_fails_the_span_check(p):
     # e0 spins up to both lines, e1 only to its own
     module = module_from_dense(p, {"c": np.array([[0, 1], [0, 0]])})
-    with pytest.raises(AssertionError, match="spun up by every seed"):
+    with pytest.raises(ValueError, match="spun up by every seed"):
         canonical_simple_form(module)
 
 
@@ -791,6 +791,60 @@ def test_equal_actions_share_atoms_with_own_sources():
     assert [a.source for a in asupp(m2)] == [("w",), ("u",)]
     assert [a.source for a in aass(m1)] == [("a",)]
     assert [a.source for a in aass(m2)] == [("u",)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_supports_are_stored_by_basis_index(p):
+    from atomcat.linmod import DEFAULT_BUDGET
+    m = irreducible_plus_line(p, ("a", "b", "c"))
+    support, associated = asupp(m), aass(m)
+    stored = m.stored()
+    for name, atoms in (("asupp", support), ("aass", associated)):
+        assert stored[(name, DEFAULT_BUDGET)] == tuple(
+            (a.label, a.representative, tuple("abc".index(v)
+                                              for v in a.source))
+            for a in atoms)
+    assert [a.source for a in support] == [("c",), ("a",)]
+    assert [a.source for a in associated] == [("a",)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_equal_actions_get_supports_with_own_sources(p, monkeypatch):
+    from atomcat import linmod
+
+    def view(module):
+        return [[(a.label, a.representative.key(), a.source)
+                 for a in fn(module)] for fn in (asupp, aass)]
+
+    # labels that sort the other way round from the basis order
+    one = view(irreducible_plus_line(p, ("a", "b", "c")))
+    two = view(irreducible_plus_line(p, ("z", "y", "x")))
+    assert [[src for _, _, src in atoms] for atoms in two] == \
+        [[("x",), ("z",)], [("z",)]]
+    assert [[(lbl, key) for lbl, key, _ in atoms] for atoms in one] == \
+        [[(lbl, key) for lbl, key, _ in atoms] for atoms in two]
+    monkeypatch.setattr(linmod, "_STORE", {})
+    assert view(irreducible_plus_line(p, ("z", "y", "x"))) == two
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_supports_with_a_smaller_budget_still_raise_after_a_hit(p):
+    from atomcat.errors import BudgetExceeded
+    # two copies of the 2-dim simple: no eigenvector at all, so the
+    # composition factors need the seed scan, which 10 cannot cover
+    x = [[0, 1], [1, 1]] if p == 2 else [[0, 2], [1, 0]]
+    dense = [[*x[0], 0, 0], [*x[1], 0, 0], [0, 0, *x[0]], [0, 0, *x[1]]]
+
+    def module():
+        return FdModule(FieldSpec(p), 4, tuple("abcd"),
+                        {"x": FieldSpec(p).ops.pack(dense, 4)})
+
+    m = module()
+    assert len(asupp(m)) == len(aass(m)) == 1
+    for mod in (m, module()):
+        for fn in (asupp, aass):
+            with pytest.raises(BudgetExceeded):
+                fn(mod, budget=10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -889,7 +943,11 @@ def structure_view(module):
     parents spelled out."""
     from atomcat.linmod import composition_factors, minimal_submodules
     subs = lambda ss: [(s.key(), s.parent is module) for s in ss]
+    lat = list(submodule_lattice(module))
     return {
+        "subquotients": [(s.key(), t.key(), q.key(), q.basis_labels)
+                         for t in lat for s in lat if t.contains(s)
+                         for q in (subquotient(module, s, t),)],
         "factors": [(f.key(), f.basis_labels, lbl)
                     for f, lbl in composition_factors(module)],
         "asupp": [(a.label, a.source) for a in asupp(module)],

@@ -17,13 +17,13 @@ from atomcat.linmod import (FdModule, FieldSpec, composition_factors,
                             cyclic_submodule, find_one_minimal, full_submodule,
                             hom_basis, intersect_submodules, is_essential,
                             minimal_submodules, module_from_json,
-                            module_of_quiver, structure_report,
-                            submodule_as_module, submodule_lattice,
-                            submodule_span, subquotient, sum_submodules,
-                            zero_submodule)
+                            module_of_quiver, quotient_module,
+                            structure_report, submodule_as_module,
+                            submodule_lattice, submodule_span, subquotient,
+                            sum_submodules, zero_submodule)
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
-from strategies import valued_quivers
+from strategies import irreducible_plus_line, valued_quivers
 
 GF2 = FieldSpec(2)
 
@@ -246,6 +246,16 @@ class TestSubquotient:
         s2 = submodule_span(m, (m.ops.unit_vec(1, 2),))
         with pytest.raises(NotNested):
             subquotient(m, s1, s2)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_upper_not_action_closed_is_a_value_error(self, p):
+        m = irreducible_plus_line(p, ("a", "b", "c"))
+        # y sends line c into the block, outside span(c)
+        upper = submodule_span(m, (m.ops.unit_vec(2, 3),), check=False)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="action-closed"):
+                subquotient(m, zero_submodule(m), upper)
+        assert ("subquotient", (), upper.basis) not in m.stored()
 
 
 class TestHom:
@@ -488,16 +498,10 @@ class TestCyclicScanMemo:
 
 # -- the structure store -------------------------------------------------------
 
-def irreducible_plus_line(p, labels):
-    """A simple 2-dim block on the first two lines (no eigenvector: the
-    companion matrix of x^2 + x + 1 at p = 2, of x^2 + 1 at p = 3) and
-    a third line that color y sends into it."""
-    field = FieldSpec(p)
-    x = [[0, 1], [1, 1]] if p == 2 else [[0, 2], [1, 0]]
-    dense = {"x": np.array([[*x[0], 0], [*x[1], 0], [0, 0, 0]]),
-             "y": np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]])}
-    return FdModule(field, 3, labels,
-                    {c: field.ops.pack(m, 3) for c, m in dense.items()})
+def nested_pairs(module):
+    """Every (lower, upper) pair of lattice members with lower in upper."""
+    lat = list(submodule_lattice(module))
+    return [(s, t) for t in lat for s in lat if t.contains(s)]
 
 
 def factor_view(factors):
@@ -558,6 +562,56 @@ class TestStructureStore:
                        submodule_lattice):
                 with pytest.raises(BudgetExceeded):
                     fn(mod, budget=10)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_subquotients_are_stored_per_pair_of_bases(self, p):
+        m = irreducible_plus_line(p, ("a", "b", "c"))
+        pairs = nested_pairs(m)
+        quotients = [subquotient(m, s, t) for s, t in pairs]
+        stored = m.stored()
+        assert {k for k in stored if k[0] == "subquotient"} == {
+            ("subquotient", s.basis, t.basis) for s, t in pairs}
+        for (s, t), q in zip(pairs, quotients):
+            pivots, actions = stored[("subquotient", s.basis, t.basis)]
+            assert q.basis_labels == tuple("abc"[i] for i in pivots)
+            assert actions == tuple(sorted(q.actions.items()))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_upper_over_different_lowers(self, p):
+        m = irreducible_plus_line(p, ("a", "b", "c"))
+        block = minimal_submodules(m)[0]
+        assert subquotient(m, zero_submodule(m), full_submodule(m)).dim == 3
+        top = quotient_module(m, block)
+        assert (top.dim, top.basis_labels) == (1, ("c",))
+        assert submodule_as_module(block).basis_labels == ("a", "b")
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_equal_actions_get_subquotients_with_own_labels(self, p,
+                                                            monkeypatch):
+        from atomcat import linmod
+        m1 = irreducible_plus_line(p, ("a", "b", "c"))
+        m2 = irreducible_plus_line(p, ("u", "v", "w"))
+        one = [subquotient(m1, s, t) for s, t in nested_pairs(m1)]
+        two = [subquotient(m2, s, t) for s, t in nested_pairs(m2)]
+        assert [q.key() for q in one] == [q.key() for q in two]
+        assert [q.basis_labels for q in two] == [
+            tuple(self.RENAME[v] for v in q.basis_labels) for q in one]
+        monkeypatch.setattr(linmod, "_STORE", {})
+        m3 = irreducible_plus_line(p, ("u", "v", "w"))
+        cold = [subquotient(m3, s, t) for s, t in nested_pairs(m3)]
+        assert [(q.key(), q.basis_labels) for q in cold] == \
+            [(q.key(), q.basis_labels) for q in two]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_reversed_pair_still_not_nested_after_a_hit(self, p):
+        m = irreducible_plus_line(p, ("a", "b", "c"))
+        block, full = minimal_submodules(m)[0], full_submodule(m)
+        assert subquotient(m, block, full).dim == 1
+        for mod in (m, irreducible_plus_line(p, ("u", "v", "w"))):
+            with pytest.raises(NotNested):
+                subquotient(mod, full_submodule(mod),
+                            minimal_submodules(mod)[0])
+        assert ("subquotient", full.basis, block.basis) not in m.stored()
 
     def test_smaller_lattice_budget_still_overflows_after_a_hit(self):
         # zero action on GF(2)^3: 7 seeds pass a budget of 10, and the

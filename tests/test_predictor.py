@@ -269,6 +269,15 @@ class TestPresetPredictions:
         assert check_infinite_descent(sym, 4)
         assert not check_infinite_descent(predict_preset("no-dcc", 2), 4)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_no_dcc_claim_needs_a_descent_of_four(self, depth):
+        # the window's descent has max(depth, 2) atoms: at depths 1-3 it
+        # is too short to witness an infinite descent
+        sym = predict_preset("no-dcc", depth)
+        held = check_preset_claims("no-dcc", sym, depth)
+        assert held == {"no_dcc": depth >= 4}
+        assert held["no_dcc"] == check_infinite_descent(sym, 4)
+
     def test_max_not_open(self):
         sym = predict_preset("max-not-open", 4)
         assert check_max_not_open(sym)
