@@ -40,7 +40,7 @@ from .linmod import (FdModule, FieldSpec, actions_from_json,
                      composition_factors, hom_basis, minimal_submodules,
                      submodule_as_module)
 from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset,
-                       alexandroff_of_poset, normalize_poset,
+                       _json_names, alexandroff_of_poset, normalize_poset,
                        poset_of_topology, topology_of_opens)
 from .quiver import strong_components
 
@@ -352,10 +352,13 @@ def report_from_json(data):
     field = FieldSpec(data.get("p", 2))
     atoms = []
     for entry in data["atoms"]:
-        dim = entry["dim"]
+        label, dim = entry["label"], entry["dim"]
+        if any(a.label == label for a in atoms):
+            raise ValueError(f"atom label {label!r} appears more than once")
+        actions = actions_from_json(field, dim, entry["actions"])
         rep = FdModule(field, dim, tuple(f"s{i}" for i in range(dim)),
-                       actions_from_json(field, dim, entry["actions"]))
-        atoms.append(Atom(entry["label"], rep, tuple(entry["source"])))
+                       actions)
+        atoms.append(Atom(label, rep, tuple(_json_names(entry, "source"))))
     labels = [a.label for a in atoms]
     order = normalize_poset([tuple(pair) for pair in data["order"]], labels)
     return _report(atoms, order, field.p)

@@ -110,6 +110,19 @@ def cmd_spectrum(args, cfg):
     return 0
 
 
+def _construction_report(cfg, gen, shown, checked, **extra):
+    """Crosscheck the window `checked` against the truncation `gen` and
+    emit the generated quiver, the symbolic spectrum `shown`, the diff
+    and `extra` (a witness or claims); exit 0 when the diff is ok and
+    every claim holds, else 2."""
+    diff = predictor.crosscheck(checked, gen, cfg.field, cfg.budget)
+    _emit(cfg, {"generated": gen.to_json(), "symbolic": shown.to_json(),
+                "diff": diff.to_json(), **extra},
+          dots=[(".dot", shown.order.to_dot()),
+                (".quiver.dot", gen.quiver.to_dot())])
+    return 0 if diff.ok() and all(extra.get("claims", {}).values()) else 2
+
+
 def cmd_realize(args, cfg):
     with open(args.poset) as fh:
         poset = poset_from_json(json.load(fh))
@@ -120,32 +133,16 @@ def cmd_realize(args, cfg):
     else:
         gen = generators.gen_realization_general(poset, trunc)
     res = predictor.predict_realization(poset, args.mode)
-    diff = predictor.crosscheck(res.pre_quotient, gen, cfg.field, cfg.budget)
-    payload = {
-        "generated": gen.to_json(),
-        "symbolic": res.spectrum.to_json(),
-        "witness": res.witness,
-        "diff": diff.to_json(),
-    }
-    _emit(cfg, payload, dots=[(".dot", res.spectrum.order.to_dot()),
-                              (".quiver.dot", gen.quiver.to_dot())])
-    return 0 if diff.ok() else 2
+    return _construction_report(cfg, gen, res.spectrum, res.pre_quotient,
+                                witness=res.witness)
 
 
 def cmd_preset(args, cfg):
     gen = generators.preset(args.name, cfg.depth)
     sym = predictor.predict_preset(args.name, cfg.depth)
-    diff = predictor.crosscheck(sym, gen, cfg.field, cfg.budget)
-    claims = predictor.check_preset_claims(args.name, sym, cfg.depth)
-    payload = {
-        "generated": gen.to_json(),
-        "symbolic": sym.to_json(),
-        "claims": claims,
-        "diff": diff.to_json(),
-    }
-    _emit(cfg, payload, dots=[(".dot", sym.order.to_dot()),
-                              (".quiver.dot", gen.quiver.to_dot())])
-    return 0 if diff.ok() and all(claims.values()) else 2
+    return _construction_report(
+        cfg, gen, sym, sym,
+        claims=predictor.check_preset_claims(args.name, sym, cfg.depth))
 
 
 def cmd_verify(args, cfg):

@@ -43,9 +43,9 @@ class RunConfig:
 ENV_PREFIX = "ATOMCAT_"
 
 
-def config_from_env(base=None):
-    """Apply ATOMCAT_* environment overrides on top of a base config."""
-    cfg = base or RunConfig()
+def config_from_env():
+    """The default RunConfig with ATOMCAT_* environment overrides."""
+    cfg = RunConfig()
     mapping = {"FIELD": ("p", int), "BUDGET": ("budget", int),
                "DEPTH": ("depth", int), "SEED": ("seed", int),
                "OUT": ("out", str)}
@@ -272,7 +272,10 @@ SUITES = ("core", "ordertop", "presets")
 
 
 def run_suite(name, cfg, count=None):
-    """Run a named invariant suite; deterministic in (name, seed)."""
+    """Run a named invariant suite; deterministic in (name, seed).
+    count (default 200 for core, 100 for ordertop) must be >= 1."""
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1: {count}")
     if name == "core":
         def run_case(cs):
             q = random_quiver(cs, 5, 3, 0.35)
@@ -382,11 +385,11 @@ def worked_examples(cfg=RunConfig()):
     trunc = TruncationSpec(depth=2, ladder_range=(0, 2))
     gen = generators.gen_noatom(trunc)
     pred = predictor.predict_noatom(trunc)
-    absorbed = predictor.noatom_absorption_check(pred, gen, field, cfg.budget)
+    diff = predictor.crosscheck(pred.pre_spectrum, gen, field, cfg.budget)
     out["no_atom_depth2"] = {
         "vertices": len(gen.quiver.vertices),
         "post_quotient_empty": pred.post_quotient_empty,
-        "all_atoms_absorbed": bool(absorbed) and all(absorbed.values()),
+        "all_atoms_absorbed": bool(diff.matched) and not diff.unexpected,
     }
 
     sym = predictor.predict_preset("min-not-closed", 3)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import BudgetExceeded, NotNested
+from .ordertop import _json_names
 
 DEFAULT_BUDGET = 50_000
 
@@ -55,8 +56,8 @@ class FieldSpec:
     p: int = 2
 
     def __post_init__(self):
-        if not linalg.is_prime(self.p):
-            raise ValueError(f"field characteristic must be prime: {self.p}")
+        if type(self.p) is not int or not linalg.is_prime(self.p):
+            raise ValueError(f"field characteristic must be prime: {self.p!r}")
         object.__setattr__(self, "ops", linalg.ops_for(self.p))
 
 
@@ -113,9 +114,11 @@ class FdModule:
 
 
 def actions_from_json(field, dim, dense):
-    """Pack JSON action matrices {color: rows}; raises ValueError naming
-    the color unless its matrix is `dim` rows of `dim` ints (JSON
-    true/false are not ints here)."""
+    """Pack JSON action matrices {color: rows}; raises ValueError unless
+    `dim` is an int >= 0, and naming the color unless its matrix is
+    `dim` rows of `dim` ints (JSON true/false are not ints here)."""
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"'dim' must be an integer >= 0: {dim!r}")
     for c, rows in dense.items():
         if not (isinstance(rows, list) and len(rows) == dim and all(
                 isinstance(row, list) and len(row) == dim
@@ -128,7 +131,7 @@ def actions_from_json(field, dim, dense):
 def module_from_json(data):
     field = FieldSpec(data["p"])
     dim = data["dim"]
-    return FdModule(field, dim, data["labels"],
+    return FdModule(field, dim, _json_names(data, "labels"),
                     actions_from_json(field, dim, data["actions"]))
 
 

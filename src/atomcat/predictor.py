@@ -20,16 +20,17 @@ Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
 atom table.  Chain-limit atoms are invisible at any finite truncation
 (finite length forces discreteness), so they land in `missing`; any
-brute atom with no symbolic counterpart, or any order pair the window
-contradicts, is a violation.
+brute atom with no symbolic counterpart is a violation.  Every
+construction goes through it, the atom-free one included: that
+truncation passes when each brute atom is a loop simple of the window.
 """
 
 from dataclasses import dataclass, field
 
-from .atomspec import FieldSpec, _line_label, atom_equivalent, spectrum
+from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite
 from .generators import _descending_window_poset, gen_noatom, require_preset
-from .linmod import DEFAULT_BUDGET, FdModule
+from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset, poset_invariants
 
 
@@ -325,12 +326,15 @@ def check_no_minimal_atom(sym):
     return bool(minimal) and minimal <= set(sym.continued_below)
 
 
-def check_infinite_descent(sym, min_length=4):
-    """The claimed family is a strictly descending chain in the window,
-    long enough to witness the failure of the descending chain
-    condition."""
+MIN_DESCENT = 4  # atoms a window's descent needs to witness no-dcc
+
+
+def check_infinite_descent(sym):
+    """The claimed family is a strictly descending chain in the window
+    of at least MIN_DESCENT atoms, long enough to witness the failure
+    of the descending chain condition."""
     descent = sym.claims.get("infinite_descent", [])
-    if len(descent) < min_length:
+    if len(descent) < MIN_DESCENT:
         return False
     return all(sym.order.lt(descent[i + 1], descent[i])
                for i in range(len(descent) - 1))
@@ -371,7 +375,7 @@ def check_preset_claims(name, sym, depth):
     if name == "no-minimal-atom":
         return {"no_minimal_atom": check_no_minimal_atom(sym)}
     if name == "no-dcc":
-        return {"no_dcc": check_infinite_descent(sym, min_length=4)}
+        return {"no_dcc": check_infinite_descent(sym)}
     if name == "max-not-open":
         return {"max_not_open": check_max_not_open(sym)}
     if name == "min-not-closed":
@@ -412,9 +416,11 @@ def diff_from_json(data):
 
 def crosscheck(sym, gen, field=FieldSpec(2), budget=DEFAULT_BUDGET):
     """Align the brute-force spectrum of a truncation with a symbolic
-    window through the generator's atom table."""
+    window through the generator's atom table.  A brute atom no table
+    entry credits to a window atom is unexpected.  The spectrum of a
+    finite-dimensional module is discrete, so it witnesses no order
+    pair and order_violations is empty."""
     report = spectrum(gen.quiver, field, budget)
-    brute_labels = set(report.atoms.labels())
     credit = {}  # brute label -> symbolic labels it witnesses
     for key, entry in gen.atom_table.items():
         if entry.get("kind") != "simple":
@@ -425,47 +431,13 @@ def crosscheck(sym, gen, field=FieldSpec(2), budget=DEFAULT_BUDGET):
     sym_labels = set(sym.labels())
     matched = set()
     unexpected = []
-    for b in sorted(brute_labels):
+    for b in report.atoms.labels():
         hits = credit.get(b, set()) & sym_labels
         if hits:
             matched |= hits
         else:
             unexpected.append(b)
     missing = sorted(sym_labels - matched)
-
-    violations = []
-    brute_to_sym = {b: sorted(credit.get(b, set()) & matched)
-                    for b in brute_labels}
-    for (x, y) in report.order.le:
-        if x == y:
-            continue
-        for sx in brute_to_sym.get(x, ()):
-            for sy in brute_to_sym.get(y, ()):
-                if not sym.order.leq(sx, sy):
-                    violations.append((sx, sy))
     return DiffReport(tuple(sorted(matched)), tuple(missing),
-                      tuple(unexpected), tuple(sorted(set(violations))))
+                      tuple(unexpected), ())
 
-
-def noatom_absorption_check(prediction, gen, field=FieldSpec(2),
-                            budget=DEFAULT_BUDGET):
-    """Every brute-force atom of the truncation must be atom-equivalent
-    to a designated noetherian loop simple."""
-    report = spectrum(gen.quiver, field, budget)
-    fam_by_label = {}
-    for fam in gen.noetherian_family or ():
-        if fam["kind"] == "loop_simple":
-            lbl = _line_label(dict.fromkeys(fam["loop_colors"], 1))
-            fam_by_label[lbl] = fam
-    results = {}
-    for atom in report.atoms:
-        fam = fam_by_label.get(atom.label)
-        if fam is None:
-            results[atom.label] = False
-            continue
-        ops = field.ops
-        actions = {c: ops.pack([[1]], 1) for c in fam["loop_colors"]}
-        rep = FdModule(field, 1, ("f0",), actions)
-        results[atom.label] = atom_equivalent(atom.representative, rep,
-                                              budget)
-    return results

@@ -17,8 +17,8 @@ from atomcat.linmod import (FieldSpec, is_essential, module_of_quiver,
                             structure_report, submodule_lattice)
 from atomcat.ordertop import poset_isomorphic
 from atomcat.predictor import (check_preset_claims, crosscheck,
-                               noatom_absorption_check, predict_noatom,
-                               predict_preset, predict_realization)
+                               predict_noatom, predict_preset,
+                               predict_realization)
 from atomcat.quiver import TruncationSpec, make_quiver
 
 GF2 = FieldSpec(2)
@@ -158,8 +158,9 @@ def test_criterion_07_no_atom():
         trunc = TruncationSpec(depth=d, ladder_range=(0, d))
         gen = gen_noatom(trunc)
         pred = predict_noatom(trunc)
-        absorption = noatom_absorption_check(pred, gen, GF2, CFG.budget)
-        assert absorption and all(absorption.values()), f"depth {d}"
+        for field in (GF2, FieldSpec(3)):
+            diff = crosscheck(pred.pre_spectrum, gen, field, CFG.budget)
+            assert diff.matched and not diff.unexpected, (d, field.p)
         assert pred.post_quotient_empty
         assert len(gen.quiver.vertices) > 0  # pre-quotient module nonzero
         assert module_of_quiver(gen.quiver, GF2).dim > 0

@@ -434,6 +434,19 @@ def test_spectrum_report_json_roundtrip():
         assert back.to_json() == rep.to_json()
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("dim", True, "'dim'"), ("source", "v", "'source'"),
+    ("label", "S(x)", r"'S\(x\)' appears more than once")],
+    ids=["bool-dim", "string-source", "repeated-label"])
+def test_report_json_rejects_malformed_atoms(key, value, match):
+    from atomcat.atomspec import report_from_json
+    q = make_quiver(["a", "b"], ["x", "y"], [("a", "a", "x"), ("b", "b", "y")])
+    data = spectrum(q).to_json()
+    data["atoms"][1][key] = value
+    with pytest.raises(ValueError, match=match):
+        report_from_json(data)
+
+
 def loop_points_quiver(n):
     """n vertices, each with a loop of its own color: n discrete atoms."""
     vs = [f"v{i:03d}" for i in range(n)]

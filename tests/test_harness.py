@@ -200,6 +200,13 @@ class TestCli:
         assert err == {"error": "budget_exceeded",
                        "context": {"points": 17, "cap": 16}}
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_verify_count_below_one_is_a_value_error(self, capsys, count):
+        assert cli_dispatch(["verify", "ordertop", "--count", count]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io_or_value_error"
+        assert "count" in err["context"]["detail"]
+
     def test_error_json_on_stderr(self, tmp_path, capsys):
         qpath = self.write(tmp_path, "bad.json", {
             "vertices": ["v"], "colors": [],

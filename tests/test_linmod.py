@@ -147,6 +147,27 @@ class TestModuleOfQuiver:
             module_from_json({"p": 2, "dim": 2, "labels": labels,
                               "actions": {}})
 
+    @pytest.mark.parametrize("p", [3.0, "2"])
+    def test_field_must_be_an_int_prime(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            FieldSpec(p)
+
+    def test_json_float_field_rejected(self):
+        with pytest.raises(ValueError, match="prime: 3.0"):
+            module_from_json({"p": 3.0, "dim": 1, "labels": ["a"],
+                              "actions": {"c": [[1]]}})
+
+    @pytest.mark.parametrize("dim", [1.0, True])
+    def test_json_dim_must_be_an_int(self, dim):
+        with pytest.raises(ValueError, match="'dim'"):
+            module_from_json({"p": 2, "dim": dim, "labels": ["a"],
+                              "actions": {"c": [[1]]}})
+
+    def test_json_labels_must_be_an_array(self):
+        with pytest.raises(ValueError, match="'labels'"):
+            module_from_json({"p": 2, "dim": 2, "labels": "ab",
+                              "actions": {}})
+
 
 class TestCyclic:
     def test_zero_vector(self):

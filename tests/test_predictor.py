@@ -1,21 +1,23 @@
 """Symbolic spectra, order rules, claim checkers, brute crosschecks."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from atomcat.errors import AtomcatError
 from atomcat.generators import (PRESET_NAMES, gen_noatom, gen_realization_acc,
                                 gen_realization_general, preset)
+from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset, poset_isomorphic
 from atomcat.predictor import (DiffReport, atom_spectrum_point,
                                check_infinite_descent, check_max_not_open,
                                check_min_not_closed, check_no_minimal_atom,
                                check_preset_claims, crosscheck,
-                               noatom_absorption_check, predict_chain,
-                               predict_disjoint_union, predict_noatom,
-                               predict_preset, predict_realization,
-                               quotient, symbolic_from_json)
+                               predict_chain, predict_disjoint_union,
+                               predict_noatom, predict_preset,
+                               predict_realization, quotient,
+                               symbolic_from_json)
 from atomcat.quiver import GeneratedQuiver, TruncationSpec, make_quiver
 
 CHAIN2 = normalize_poset([("p0", "p1")], ["p0", "p1"])
@@ -233,12 +235,23 @@ class TestNoAtomPrediction:
         assert len(gen.quiver.vertices) > 0  # nonzero module witness
 
     def test_absorption_at_depths(self):
-        for d in (1, 2, 3):
+        # every truncation atom is credited to a loop simple of the window
+        for p, d in itertools.product((2, 3), (1, 2, 3)):
             tr = TruncationSpec(depth=d, ladder_range=(0, d))
-            pred = predict_noatom(tr)
-            gen = gen_noatom(tr)
-            results = noatom_absorption_check(pred, gen)
-            assert results and all(results.values())
+            diff = crosscheck(predict_noatom(tr).pre_spectrum,
+                              gen_noatom(tr), FieldSpec(p))
+            assert diff.matched and diff.ok(), (p, d)
+            assert set(diff.matched) == {f"delta({i})" for i in range(d + 1)}
+
+    def test_uncredited_loop_simple_is_unexpected(self):
+        # a table that lacks delta(0) leaves the brute S(loop[0]) uncredited
+        tr = TruncationSpec(depth=1, ladder_range=(0, 1))
+        gen = gen_noatom(tr)
+        crippled = replace(gen, atom_table={
+            k: v for k, v in gen.atom_table.items() if k != "delta(0)"})
+        diff = crosscheck(predict_noatom(tr).pre_spectrum, crippled)
+        assert diff.unexpected == ("S(loop[0])",)
+        assert not diff.ok()
 
     def test_crosscheck_matches_deltas(self):
         tr = TruncationSpec(depth=1, ladder_range=(0, 1))
@@ -266,8 +279,8 @@ class TestPresetPredictions:
 
     def test_no_dcc(self):
         sym = predict_preset("no-dcc", 4)
-        assert check_infinite_descent(sym, 4)
-        assert not check_infinite_descent(predict_preset("no-dcc", 2), 4)
+        assert check_infinite_descent(sym)
+        assert not check_infinite_descent(predict_preset("no-dcc", 2))
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_no_dcc_claim_needs_a_descent_of_four(self, depth):
@@ -276,7 +289,7 @@ class TestPresetPredictions:
         sym = predict_preset("no-dcc", depth)
         held = check_preset_claims("no-dcc", sym, depth)
         assert held == {"no_dcc": depth >= 4}
-        assert held["no_dcc"] == check_infinite_descent(sym, 4)
+        assert held["no_dcc"] == check_infinite_descent(sym)
 
     def test_max_not_open(self):
         sym = predict_preset("max-not-open", 4)
