@@ -39,8 +39,8 @@ from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
 from .linmod import (FdModule, FieldSpec, actions_from_json,
                      composition_factors, hom_basis, minimal_submodules,
                      submodule_as_module)
-from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset,
-                       _json_names, alexandroff_of_poset, normalize_poset,
+from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset, _json_names,
+                       _json_pairs, alexandroff_of_poset, normalize_poset,
                        poset_of_topology, topology_of_opens)
 from .quiver import strong_components
 
@@ -348,8 +348,14 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
 def report_from_json(data):
     """Rebuild a SpectrumReport from its JSON form; the topology and the
     flags are rederived from "order", which fixes them (U_x is the set
-    of atoms at or above x)."""
+    of atoms at or above x); malformed atoms, labels (all strings or all
+    integers) or order pairs raise ValueError."""
     field = FieldSpec(data.get("p", 2))
+    if not (isinstance(data["atoms"], list)
+            and all(isinstance(e, dict) for e in data["atoms"])):
+        raise ValueError("'atoms' must be an array of atom objects")
+    labels = _json_names({"atom labels": [e["label"] for e in data["atoms"]]},
+                         "atom labels")
     atoms = []
     for entry in data["atoms"]:
         label, dim = entry["label"], entry["dim"]
@@ -359,8 +365,7 @@ def report_from_json(data):
         rep = FdModule(field, dim, tuple(f"s{i}" for i in range(dim)),
                        actions)
         atoms.append(Atom(label, rep, tuple(_json_names(entry, "source"))))
-    labels = [a.label for a in atoms]
-    order = normalize_poset([tuple(pair) for pair in data["order"]], labels)
+    order = normalize_poset(_json_pairs(data, "order"), labels)
     return _report(atoms, order, field.p)
 
 

@@ -11,24 +11,35 @@ prefix-stable window:
   (element, integer, element, ...) with step/skip/fan arrow families
   whose colors are deliberately shared across word prefixes;
 * the atom-free construction over strictly increasing integer words;
-* named presets for the counter-example spectra, one builder per name
-  in the `_PRESETS` table.
+* named presets for the counter-example spectra, one term per name in
+  the `_PRESETS` table.
 
 The two word-indexed constructions share one word-tree builder
 (`_words`, `_word_quiver`); each adds only its step rule, its arrow
 families as (src word, dst word, color) triples, and its atom table.
+
+Construction terms are read by `truncate` as a truncated quiver with
+its atom table and by `predictor.window` as a symbolic spectrum.
+`Point(label, tag, loop=True)` is vertex v(tag), with loop c(tag) if
+loop, and the simple atom `label`.  `Chain(blocks, tags, limit=None,
+recurring=None)` joins the blocks by bundles tagged `tags`: a window of
+an infinite chain whose atom `limit` lies below the `recurring` atoms
+(None: all of them), or a finite chain if limit is None; a block
+repeated by identity is one block of the window.  `Union(terms, names)`
+puts term i under names[i].  The presets and `acc_term` are terms.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
 verbatim.
 """
 
+from collections import namedtuple
 from functools import partial
 from itertools import repeat
 
 from .errors import ColorClash, DepthTooSmall, UnknownPreset, WindowTooSmall
 from .ordertop import normalize_poset, poset_invariants
-from .quiver import (GeneratedQuiver, TruncationSpec, bundle_color, chain,
+from .quiver import (GeneratedQuiver, bundle_color, chain, disjoint_union,
                      make_quiver)
 
 
@@ -36,10 +47,6 @@ def loop_point(tag):
     """Single vertex v(tag) with loop color c(tag)."""
     v, c = f"v({tag})", f"c({tag})"
     return make_quiver([v], [c], [(v, v, c)])
-
-
-def _base_vertex(name):
-    return name.split("/")[-1]
 
 
 def _check_ids(elements):
@@ -54,19 +61,12 @@ def _check_ids(elements):
 # -- realization with ascending chain condition -------------------------------
 
 def gen_realization_acc(poset, trunc):
-    """Disjoint union over p of the truncated block quivers.
-
-    Maximal p: a loop point.  Non-maximal p: a chain whose blocks cycle
-    through J(p) in sorted order, trunc.depth full passes, the arrow
-    leaving the j-th block of pass i tagged (p;i,j).  Deeper
-    truncations append passes only, so vertex names are stable.
-
-    The quiver is emitted in one pass: each element's relative vertex
-    names and bundle colors are computed once, then the poset is walked
-    with every vertex's final prefix, so each vertex name, color and
-    arrow is made once and validated once.  `loop_point`, `chain` and
-    `disjoint_union` build the same quiver by nesting and are the
-    reference the tests hold this to.
+    """`truncate(acc_term(poset, trunc.depth))`, which the tests hold
+    this to, emitted in one pass: each element's relative vertex names
+    and bundle colors are computed once, then the poset is walked with
+    every vertex's final prefix, so each vertex name, color and arrow is
+    made once and validated once.  Deeper truncations append passes
+    only, so vertex names are stable.
 
     Working set: while colors are minted, one set of them guards
     against clashes and a flat list keeps them in minting order; the
@@ -313,108 +313,137 @@ def gen_noatom(trunc):
     return GeneratedQuiver(q, table, tuple(family))
 
 
+# -- construction terms -------------------------------------------------------
+
+Point = namedtuple("Point", "label tag loop provenance", defaults=(True, ""))
+Chain = namedtuple("Chain", "blocks tags limit recurring provenance",
+                   defaults=(None, None, ""))
+Union = namedtuple("Union", "terms names")
+
+
+def acc_term(poset, depth):
+    """The acc realization as a term: a union over the poset of a loop
+    point per maximal p and a chain of depth passes through the terms of
+    J(p) per other p, the bundle leaving the j-th block of pass i tagged
+    (p;i,j).  Each element's term is one object, wherever it occurs."""
+    inv = poset_invariants(poset)
+    terms = {}
+    for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
+        js = sorted(inv.j_sets[p])
+        if not js:
+            terms[p] = Point(f"simple({p})", p,
+                             provenance=f"loop point of {p}")
+            continue
+        tags = [f"({p};{i},{j})" for i in range(depth) for j in range(len(js))]
+        terms[p] = Chain([terms[e] for _ in range(depth) for e in js],
+                         tags[:-1], f"chain({p})",
+                         provenance=f"chain over J({p})")
+    return Union([terms[p] for p in poset.elements], poset.elements)
+
+
+def truncate(term):
+    """The truncated quiver of a term with its atom table, each subterm
+    built once by `loop_point` (or as a bare vertex), `chain` or
+    `disjoint_union`.  A simple
+    entry collects every occurrence of its point; a chain limit's entry
+    has the vertices of its shallowest occurrence, the first one at that
+    depth.  Entries come in the order their labels are first met."""
+    quivers, table, depth_of = {}, {}, {}
+
+    def build(t):
+        if id(t) not in quivers:
+            if isinstance(t, Point):
+                quivers[id(t)] = (loop_point(t.tag) if t.loop else
+                                  make_quiver([f"v({t.tag})"], [], []))
+            elif isinstance(t, Chain):
+                quivers[id(t)] = chain(list(map(build, t.blocks)), t.tags)
+            else:
+                quivers[id(t)] = disjoint_union(list(map(build, t.terms)),
+                                                t.names)
+        return quivers[id(t)]
+
+    def walk(t, prefix, depth):
+        if isinstance(t, Point):
+            table.setdefault(t.label, {
+                "kind": "simple", "atom_label": t.label,
+                "loop_colors": [f"c({t.tag})"] if t.loop else [],
+                "vertices": []})["vertices"].append(f"{prefix}v({t.tag})")
+        elif isinstance(t, Union):
+            for s, name in zip(t.terms, t.names):
+                walk(s, f"{prefix}{name}/", depth + 1)
+        else:
+            if t.limit and depth < depth_of.get(t.limit, depth + 1):
+                depth_of[t.limit] = depth
+                table[t.limit] = {
+                    "kind": "chain_limit", "atom_label": t.limit,
+                    "vertices": [prefix + v for v in quivers[id(t)].vertices]}
+            for i, b in enumerate(t.blocks):
+                walk(b, f"{prefix}b{i}/", depth + 1)
+
+    q = build(term)
+    walk(term, "", 0)
+    for entry in table.values():
+        entry["vertices"].sort()
+    return GeneratedQuiver(q, table)
+
+
 # -- presets --------------------------------------------------------------------
 
-def _preset_infinite_chain(depth):
-    vs = [f"v{i}" for i in range(depth)]
-    arrows = [(vs[i], vs[i + 1], f"c{i},{i+1}") for i in range(depth - 1)]
-    q = make_quiver(vs, [a[2] for a in arrows], arrows)
-    table = {
-        "gamma": {"kind": "chain_limit", "atom_label": "gamma",
-                  "vertices": list(vs)},
-        "delta": {"kind": "simple", "atom_label": "delta",
-                  "loop_colors": [], "vertices": list(vs)},
-    }
-    return GeneratedQuiver(q, table)
+def _tags(name, n):
+    return [f"({name};{j})" for j in range(n - 1)]
 
 
-def _preset_aass_vs_asupp(depth):
-    q = chain([_preset_infinite_chain(depth).quiver,
-               make_quiver(["t"], [], [])], tags=["(G';0)"]).quiver
-    table = {
-        "alpha": {"kind": "chain_limit", "atom_label": "alpha",
-                  "vertices": [v for v in q.vertices if v.startswith("b0/")]},
-        "beta": {"kind": "simple", "atom_label": "beta",
-                 "loop_colors": [], "vertices": list(q.vertices)},
-    }
-    return GeneratedQuiver(q, table)
+def _points_chain(depth, label, limit, provenance):
+    """depth copies of one loop-free point, chained."""
+    point = Point(label, label, loop=False, provenance="point class")
+    return Chain([point] * depth, _tags(label, depth), limit,
+                 provenance=provenance)
 
 
-def _descending_window_poset(n, with_bottom=False):
-    elems = [f"p{i}" for i in range(n)]
-    pairs = [(elems[i + 1], elems[i]) for i in range(n - 1)]
-    if with_bottom:
-        elems.append("pinf")
-        pairs.append(("pinf", elems[n - 1]))
-    return normalize_poset(pairs, elems)
+def _descending_window(depth):
+    """The window p0 > p1 > ... of the no-minimal-atom and no-dcc presets."""
+    return [f"p{i}" for i in range(max(depth, 2))]
 
 
-def _preset_descending(depth, with_bottom=False):
-    """acc realization of the descending window poset: no-minimal-atom,
-    and no-dcc with a bottom element below the window."""
-    poset = _descending_window_poset(max(depth, 2), with_bottom)
-    return gen_realization_acc(poset, TruncationSpec(depth=depth))
+def _descending_term(depth, with_bottom=False):
+    """acc realization of the descending window, for no-dcc with a
+    bottom element pinf below it."""
+    elems = _descending_window(depth) + (["pinf"] if with_bottom else [])
+    return acc_term(normalize_poset(list(zip(elems[1:], elems)), elems), depth)
 
 
-def _outer_chain(blocks):
-    return chain(blocks, tags=[f"(G;{j})" for j in range(len(blocks) - 1)])
+def _max_not_open(depth):
+    # pairwise distinct blocks, each an infinite chain of one loop point
+    blocks = [Chain([Point(f"delta({i})", i)] * depth, _tags(f"g{i}", depth),
+                    f"gamma({i})") for i in range(depth)]
+    return Chain(blocks, _tags("G", depth), "gamma", recurring=(),
+                 provenance="chain of pairwise distinct blocks")
 
 
-def _preset_max_not_open(depth):
-    q = _outer_chain([
-        chain([loop_point(i)] * depth,
-              tags=[f"(g{i};{j})" for j in range(depth - 1)]).quiver
-        for i in range(depth)]).quiver
-    table = {"gamma": {"kind": "chain_limit", "atom_label": "gamma",
-                       "vertices": list(q.vertices)}}
-    for i in range(depth):
-        table[f"gamma({i})"] = {
-            "kind": "chain_limit", "atom_label": f"gamma({i})",
-            "vertices": [v for v in q.vertices if v.startswith(f"b{i}/")]}
-        table[f"delta({i})"] = {
-            "kind": "simple", "atom_label": f"delta({i})",
-            "loop_colors": [f"c({i})"],
-            "vertices": [v for v in q.vertices
-                         if _base_vertex(v) == f"v({i})"]}
-    return GeneratedQuiver(q, table)
-
-
-def _shifted_loop_chain(start, length):
-    """Loop points start..start+length-1 joined by absolutely named step
-    arrows, so different shifts are literal color-sharing subquivers."""
-    ms = range(start, start + length)
-    arrows = [*((f"v({m})", f"v({m})", f"c({m})") for m in ms),
-              *((f"v({m-1})", f"v({m})", f"step({m-1})") for m in ms[1:])]
-    return make_quiver([f"v({m})" for m in ms], [a[2] for a in arrows],
-                       arrows)
-
-
-def _preset_min_not_closed(depth):
-    q = _outer_chain([_shifted_loop_chain(j, depth)
-                      for j in range(depth)]).quiver
-    table = {
-        "gamma": {"kind": "chain_limit", "atom_label": "gamma",
-                  "vertices": list(q.vertices)},
-        "gamma'": {"kind": "chain_limit", "atom_label": "gamma'",
-                   "vertices": [v for v in q.vertices
-                                if v.startswith("b0/")]},
-    }
-    for i in range(2 * depth - 1):
-        vs = [v for v in q.vertices if _base_vertex(v) == f"v({i})"]
-        if vs:
-            table[f"delta({i})"] = {
-                "kind": "simple", "atom_label": f"delta({i})",
-                "loop_colors": [f"c({i})"], "vertices": vs}
-    return GeneratedQuiver(q, table)
+def _min_not_closed(depth):
+    # shifts of one chain of distinct loop points, sharing colors by
+    # absolute tags: gamma' recurs in every outer block, no delta(m) does
+    points = [Point(f"delta({m})", m, provenance="loop simple")
+              for m in range(2 * depth - 1)]
+    blocks = [Chain(points[j:j + depth],
+                    [f"(s;{m})" for m in range(j, j + depth - 1)], "gamma'",
+                    recurring=(), provenance="inner chain limit of a shift")
+              for j in range(depth)]
+    return Chain(blocks, _tags("G", depth), "gamma", recurring=("gamma'",),
+                 provenance="outer chain limit over shifted copies")
 
 
 _PRESETS = {
-    "infinite-chain": _preset_infinite_chain,
-    "aass-vs-asupp": _preset_aass_vs_asupp,
-    "no-minimal-atom": _preset_descending,
-    "no-dcc": partial(_preset_descending, with_bottom=True),
-    "max-not-open": _preset_max_not_open,
-    "min-not-closed": _preset_min_not_closed,
+    "infinite-chain": lambda depth: _points_chain(depth, "delta", "gamma",
+                                                  "chain of points"),
+    "aass-vs-asupp": lambda depth: Chain(
+        [_points_chain(depth, "beta", "alpha", "infinite chain of points"),
+         Point("beta", "t", loop=False, provenance="point class")],
+        ["(G';0)"]),
+    "no-minimal-atom": _descending_term,
+    "no-dcc": partial(_descending_term, with_bottom=True),
+    "max-not-open": _max_not_open,
+    "min-not-closed": _min_not_closed,
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -429,7 +458,12 @@ def require_preset(name, depth):
                             known=list(PRESET_NAMES))
 
 
-def preset(name, depth):
-    """Truncated quiver of a named counter-example construction."""
+def preset_term(name, depth):
+    """The term of a named counter-example construction at a depth."""
     require_preset(name, depth)
     return _PRESETS[name](depth)
+
+
+def preset(name, depth):
+    """Truncated quiver of a named counter-example construction."""
+    return truncate(preset_term(name, depth))

@@ -273,7 +273,7 @@ SUITES = ("core", "ordertop", "presets")
 
 def run_suite(name, cfg, count=None):
     """Run a named invariant suite; deterministic in (name, seed).
-    count (default 200 for core, 100 for ordertop) must be >= 1."""
+    count (default 200 core, 100 ordertop, all presets) must be >= 1."""
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1: {count}")
     if name == "core":
@@ -290,7 +290,7 @@ def run_suite(name, cfg, count=None):
         cases = [(cs, run_case(cs))
                  for cs in _case_seeds(cfg.seed, count or 100)]
     elif name == "presets":
-        names = list(generators.PRESET_NAMES)
+        names = generators.PRESET_NAMES[:count]
 
         def run_case(preset_name):
             gen = generators.preset(preset_name, max(cfg.depth, 2))

@@ -115,10 +115,12 @@ class FdModule:
 
 def actions_from_json(field, dim, dense):
     """Pack JSON action matrices {color: rows}; raises ValueError unless
-    `dim` is an int >= 0, and naming the color unless its matrix is
-    `dim` rows of `dim` ints (JSON true/false are not ints here)."""
+    `dim` is an int >= 0 and dense an object, naming the color unless its
+    matrix is `dim` rows of `dim` ints (JSON true/false are not ints)."""
     if type(dim) is not int or dim < 0:
         raise ValueError(f"'dim' must be an integer >= 0: {dim!r}")
+    if not isinstance(dense, dict):
+        raise ValueError("'actions' must be an object of color: rows")
     for c, rows in dense.items():
         if not (isinstance(rows, list) and len(rows) == dim and all(
                 isinstance(row, list) and len(row) == dim

@@ -191,13 +191,18 @@ def _json_names(data, key):
     return names
 
 
+def _json_pairs(data, key):
+    """data[key], an array of [lower, upper] name pairs, as tuples."""
+    if not (isinstance(data[key], list) and all(
+            isinstance(p, list) and len(p) == 2
+            and all(type(x) in (str, int) for x in p) for p in data[key])):
+        raise ValueError(f"{key!r} must be an array of [lower, upper] pairs")
+    return [tuple(p) for p in data[key]]
+
+
 def poset_from_json(data):
     elements = _json_names(data, "elements")
-    if not (isinstance(data["le"], list) and all(
-            isinstance(p, list) and len(p) == 2
-            and all(type(x) in (str, int) for x in p) for p in data["le"])):
-        raise ValueError("'le' must be an array of [lower, upper] pairs")
-    return normalize_poset([tuple(p) for p in data["le"]], elements)
+    return normalize_poset(_json_pairs(data, "le"), elements)
 
 
 def topology_of_opens(points, masks):

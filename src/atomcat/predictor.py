@@ -14,7 +14,8 @@ evaluate topology claims that no finite window can state directly:
 
 Every spectrum is built by `_spectrum`; a post-quotient spectrum is
 `quotient(pre, absorbed)`, the pre-quotient one minus the up-closure
-of the absorbed atoms.
+of the absorbed atoms.  `window` reads a construction term of
+`generators`, which `generators.truncate` reads as a truncation.
 
 Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
@@ -29,15 +30,16 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite
-from .generators import _descending_window_poset, gen_noatom, require_preset
+from .generators import (Chain, Point, Union, _descending_window, acc_term,
+                         gen_noatom, preset_term, require_preset)
 from .linmod import DEFAULT_BUDGET
-from .ordertop import Poset, normalize_poset, poset_invariants
+from .ordertop import Poset, normalize_poset
 
 
 @dataclass(frozen=True)
 class SymAtom:
     label: str
-    kind: str  # "simple" | "chain_limit" | "block"
+    kind: str  # "simple" | "chain_limit"
 
 
 @dataclass
@@ -116,18 +118,18 @@ def predict_disjoint_union(specs):
                      {k: v for s in specs for k, v in s.claims.items()})
 
 
-def predict_chain(blocks, limit_label, cycle_start=0, provenance=""):
+def predict_chain(blocks, limit_label, recurring=None, provenance=""):
     """Spectrum of an infinite chain of blocks joined by fresh bundles.
 
     blocks are the block spectra in window order.  A chain-limit atom is
-    added below exactly the recurring atoms, those of blocks[cycle_start:],
-    the repeating part.  cycle_start = len(blocks) expresses a window of
-    pairwise distinct blocks none of which repeats.
+    added below exactly the recurring atoms, those that occur in
+    infinitely many blocks; None means every atom of the blocks, and ()
+    a chain of pairwise distinct blocks none of which repeats.
     """
     merged = predict_disjoint_union(blocks)
     if limit_label in merged.labels():
         raise ValueError(f"limit label collides with a block atom: {limit_label}")
-    recurring = sorted({l for b in blocks[cycle_start:] for l in b.labels()})
+    recurring = sorted(merged.labels() if recurring is None else recurring)
     family = {"limit": limit_label,
               "block_atom_sets": tuple(tuple(sorted(b.labels()))
                                        for b in blocks),
@@ -160,45 +162,54 @@ class RealizationResult:
     pre_quotient: SymbolicSpectrum  # what a truncation gets compared to
 
 
-def _acc_spectrum(poset, inv, p, memo):
-    if p in memo:
-        return memo[p]
-    if p in set(inv.maximal):
-        out = atom_spectrum_point(f"simple({p})",
-                                  provenance=f"loop point of {p}")
-    else:
-        blocks = [_acc_spectrum(poset, inv, q, memo)
-                  for q in sorted(inv.j_sets[p])]
-        out = predict_chain(blocks, f"chain({p})",
-                            provenance=f"chain over J({p})")
-    memo[p] = out
-    return out
+def window(term):
+    """Symbolic spectrum of a construction term, each distinct subterm
+    read once: a point is `atom_spectrum_point`, a chain with a limit
+    `predict_chain` over its distinct blocks, a finite chain or a union
+    `predict_disjoint_union` over its distinct subterms."""
+    memo = {}
+
+    def read(t):
+        if id(t) in memo:
+            return memo[id(t)]
+        if isinstance(t, Point):
+            out = atom_spectrum_point(t.label, provenance=t.provenance)
+        else:
+            subterms = t.terms if isinstance(t, Union) else t.blocks
+            parts = [read(s) for s in {id(s): s for s in subterms}.values()]
+            out = (predict_disjoint_union(parts)
+                   if isinstance(t, Union) or t.limit is None else
+                   predict_chain(parts, t.limit, t.recurring, t.provenance))
+        memo[id(t)] = out
+        return out
+    return read(term)
+
+
+def _element_labels(union):
+    """Poset element -> the atom its term in the union is labelled by."""
+    return {p: t.limit if isinstance(t, Chain) else t.label
+            for p, t in zip(union.names, union.terms)}
 
 
 def predict_realization(poset, mode="acc"):
     """Symbolic spectrum of the realization of a finite poset.
 
-    acc mode: recursive chain-over-J(p) blocks, disjoint union over the
-    poset.  general mode: one chain-limit atom per element plus one
-    simple atom per non-maximal element, with the maximal elements'
+    acc mode: the window of `acc_term`, the witness read from the
+    element terms.  general mode: one chain-limit atom per element plus
+    one simple atom per non-maximal element, with the maximal elements'
     limits identified with their loop simples, then the quotient
     absorbing the non-maximal simples.
     """
     if not isinstance(poset, Poset):
         raise NotFinite("expected a finite poset value")
-    inv = poset_invariants(poset)
     if mode == "acc":
-        memo = {}
-        spec = predict_disjoint_union(
-            [_acc_spectrum(poset, inv, p, memo) for p in poset.elements])
-        maximal = set(inv.maximal)
-        witness = {p: (f"simple({p})" if p in maximal else f"chain({p})")
-                   for p in poset.elements}
-        return RealizationResult(spec, witness, spec)
+        term = acc_term(poset, 1)
+        spec = window(term)
+        return RealizationResult(spec, _element_labels(term), spec)
     if mode != "general":
         raise ValueError(f"unknown realization mode: {mode}")
 
-    maximal = set(inv.maximal)
+    maximal = set(poset.maximal_elements())
     atoms = []
     pairs = []
     prov = {}
@@ -259,54 +270,21 @@ def predict_noatom(trunc):
 # -- presets -------------------------------------------------------------------
 
 def predict_preset(name, depth):
-    """Windowed symbolic spectrum of a named counter-example preset."""
-    require_preset(name, depth)
-    if name == "infinite-chain":
-        delta = atom_spectrum_point("delta", provenance="point class")
-        return predict_chain([delta], "gamma", provenance="chain of points")
+    """Windowed symbolic spectrum of a named counter-example preset: the
+    window of its term, with the claims the preset states."""
+    term = preset_term(name, depth)
+    sym = window(term)
     if name == "aass-vs-asupp":
-        beta = atom_spectrum_point("beta", provenance="point class")
-        inner = predict_chain([beta], "alpha",
-                              provenance="infinite chain of points")
-        return _annotated(inner, claims={"aass": ["beta"],
-                                         "asupp": ["alpha", "beta"]})
-    if name == "no-minimal-atom":
-        window = max(depth, 2)
-        res = predict_realization(_descending_window_poset(window), "acc")
-        bottom = res.witness[f"p{window - 1}"]
-        return _annotated(res.spectrum, continued_below={bottom},
+        return _annotated(sym, claims={"aass": ["beta"],
+                                       "asupp": ["alpha", "beta"]})
+    if name in ("no-minimal-atom", "no-dcc"):
+        labels = _element_labels(term)
+        descent = [labels[p] for p in _descending_window(depth)]
+        if name == "no-dcc":
+            return _annotated(sym, claims={"infinite_descent": descent})
+        return _annotated(sym, continued_below={descent[-1]},
                           claims={"no_minimal_atom": True})
-    if name == "no-dcc":
-        window = max(depth, 2)
-        poset = _descending_window_poset(window, with_bottom=True)
-        res = predict_realization(poset, "acc")
-        descent = [res.witness[f"p{i}"] for i in range(window)]
-        return _annotated(res.spectrum, claims={"infinite_descent": descent})
-    if name == "max-not-open":
-        blocks = [predict_chain([atom_spectrum_point(f"delta({i})")],
-                                f"gamma({i})")
-                  for i in range(depth)]
-        return predict_chain(blocks, "gamma", cycle_start=len(blocks),
-                             provenance="chain of pairwise distinct blocks")
-    # min-not-closed: shifted copies of one chain of distinct loop points:
-    # the inner limit gamma' is the only atom recurring in every outer
-    # block, each delta eventually drops out of the shifted windows
-    delta_labels = [f"delta({i})" for i in range(2 * depth - 1)]
-    atoms = [SymAtom("gamma", "chain_limit"), SymAtom("gamma'", "chain_limit")]
-    atoms.extend(SymAtom(d, "simple") for d in delta_labels)
-    prov = {"gamma": "outer chain limit over shifted copies",
-            "gamma'": "inner chain limit, shared by all shifts"}
-    prov.update({d: "loop simple" for d in delta_labels})
-    inner_family = {"limit": "gamma'",
-                    "block_atom_sets": tuple((d,) for d in delta_labels),
-                    "recurring": ()}
-    outer_family = {"limit": "gamma",
-                    "block_atom_sets": tuple(
-                        tuple(sorted(["gamma'"] + delta_labels[j:j + depth]))
-                        for j in range(depth)),
-                    "recurring": ("gamma'",)}
-    return _spectrum(atoms, [("gamma", "gamma'")], prov,
-                     (inner_family, outer_family))
+    return sym
 
 
 def _annotated(sym, continued_below=(), claims=()):

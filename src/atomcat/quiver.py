@@ -280,13 +280,6 @@ def substitute(omega, blocks):
     return make_quiver(vertices, sorted(colors), arrows)
 
 
-def path_skeleton(n_blocks, tags):
-    """Path quiver b0 -> b1 -> ... with the given arrow colors."""
-    vertices = [f"b{i}" for i in range(n_blocks)]
-    arrows = [(f"b{i}", f"b{i+1}", tags[i], 1) for i in range(n_blocks - 1)]
-    return make_quiver(vertices, sorted(set(tags[:max(0, n_blocks - 1)])), arrows)
-
-
 def chain(blocks, tags=None):
     """Finite chain of blocks joined by pairwise distinctly colored bundles.
 
@@ -301,14 +294,9 @@ def chain(blocks, tags=None):
         raise ValueError(f"need {len(blocks) - 1} tags, got {len(tags)}")
     if len(set(tags)) != len(tags):
         raise ColorClash("chain tags must be pairwise distinct", tags=list(tags))
-    skel = path_skeleton(len(blocks), list(tags))
-    q = substitute(skel, {f"b{i}": b for i, b in enumerate(blocks)})
-    table = {"chain(inf)": {"kind": "chain_limit",
-                            "vertices": list(q.vertices)}}
-    for i, b in enumerate(blocks):
-        table[f"block{i}"] = {"kind": "block",
-                              "vertices": [f"b{i}/{v}" for v in b.vertices]}
-    return GeneratedQuiver(q, table)
+    names = [f"b{i}" for i in range(len(blocks))]  # the path skeleton
+    return substitute(make_quiver(names, tags, zip(names, names[1:], tags)),
+                      dict(zip(names, blocks)))
 
 
 def ladder(block, interval):

@@ -447,6 +447,44 @@ def test_report_json_rejects_malformed_atoms(key, value, match):
         report_from_json(data)
 
 
+def _two_atom_report_json():
+    q = make_quiver(["a", "b"], ["x", "y"], [("a", "a", "x"), ("b", "b", "y")])
+    return spectrum(q).to_json()
+
+
+def test_report_json_actions_must_be_an_object():
+    from atomcat.atomspec import report_from_json
+    data = _two_atom_report_json()
+    data["atoms"][1]["actions"] = [[1]]
+    with pytest.raises(ValueError, match="'actions'"):
+        report_from_json(data)
+
+
+@pytest.mark.parametrize("label", [["L"], 5], ids=["array", "int-among-strings"])
+def test_report_json_labels_all_strings_or_all_integers(label):
+    from atomcat.atomspec import report_from_json
+    data = _two_atom_report_json()
+    data["atoms"][1]["label"] = label
+    with pytest.raises(ValueError, match="'atom labels'"):
+        report_from_json(data)
+
+
+def test_report_json_atoms_must_be_an_array_of_objects():
+    from atomcat.atomspec import report_from_json
+    data = _two_atom_report_json()
+    data["atoms"] = "no"
+    with pytest.raises(ValueError, match="'atoms'"):
+        report_from_json(data)
+
+
+def test_report_json_order_must_be_pairs():
+    from atomcat.atomspec import report_from_json
+    data = _two_atom_report_json()
+    data["order"] = [[["S(x)"], "S(y)"]]
+    with pytest.raises(ValueError, match="'order'"):
+        report_from_json(data)
+
+
 def loop_points_quiver(n):
     """n vertices, each with a loop of its own color: n discrete atoms."""
     vs = [f"v{i:03d}" for i in range(n)]

@@ -8,12 +8,12 @@ import pytest
 from atomcat import generators, quiver
 from atomcat.errors import (ColorClash, DepthTooSmall, UnknownPreset,
                             WindowTooSmall)
-from atomcat.generators import (gen_noatom, gen_realization_acc,
-                                gen_realization_general, loop_point, preset)
+from atomcat.generators import (Chain, Point, Union, acc_term, gen_noatom,
+                                gen_realization_acc, gen_realization_general,
+                                preset, truncate)
 from atomcat.harness import all_posets, random_poset
-from atomcat.ordertop import normalize_poset, poset_invariants
-from atomcat.quiver import (GeneratedQuiver, TruncationSpec, chain,
-                            disjoint_union, generated_from_json,
+from atomcat.ordertop import normalize_poset
+from atomcat.quiver import (TruncationSpec, chain, generated_from_json,
                             loop_stripped_topo_order, make_quiver)
 
 
@@ -111,13 +111,17 @@ class TestRealizationAcc:
         assert g2.quiver == g.quiver and g2.atom_table == g.atom_table
 
     def test_one_pass_equals_nested_combinators(self):
+        # the term interpreter nests loop_point, chain and disjoint_union
         posets = [(P, d) for n in range(1, 5) for P in all_posets(n)
                   for d in (1, 2, 3)]
-        posets += [(random_poset(s, 6), 3) for s in range(8)]
+        posets += [(random_poset(s, 6), d) for s in range(8) for d in (1, 3)]
+        # names that list the bottom last, after its blocks' own chains
+        posets += [(poset([("z", "m"), ("m", "a")], ["a", "m", "z"]), 2)]
         for P, d in posets:
-            trunc = TruncationSpec(depth=d)
-            assert (gen_realization_acc(P, trunc).to_json()
-                    == nested_realization_acc(P, trunc).to_json())
+            fast = gen_realization_acc(P, TruncationSpec(depth=d))
+            ref = truncate(acc_term(P, d))
+            assert fast.quiver.to_json() == ref.quiver.to_json(), (P, d)
+            assert fast.atom_table == ref.atom_table, (P, d)
 
     def test_bundle_color_clash_detected(self, monkeypatch):
         # a minted bundle color equal to the loop color of a block
@@ -125,9 +129,10 @@ class TestRealizationAcc:
             return "c(p1)"
         monkeypatch.setattr(generators, "bundle_color", clashing)
         monkeypatch.setattr(quiver, "bundle_color", clashing)
-        for build in (gen_realization_acc, nested_realization_acc):
+        for build in (lambda: gen_realization_acc(CHAIN2, TruncationSpec(2)),
+                      lambda: truncate(acc_term(CHAIN2, 2))):
             with pytest.raises(ColorClash) as got:
-                build(CHAIN2, TruncationSpec(depth=2))
+                build()
             assert got.value.context["color"] == "c(p1)"
 
     def test_bundle_color_clash_names_the_least_clashing_color(
@@ -160,38 +165,36 @@ class TestRealizationAcc:
         assert peak <= 1.75 * kept, (peak, kept)
 
 
-def nested_realization_acc(poset, trunc):
-    """Reference acc realization built by nesting the combinators: a
-    loop point per maximal element, a `chain` of earlier blocks per
-    other element, then one `disjoint_union`."""
-    inv = poset_invariants(poset)
-    maximal = set(inv.maximal)
-    quivers = {}
-    for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
-        if p in maximal:
-            quivers[p] = loop_point(p)
-            continue
-        j_list = sorted(inv.j_sets[p])
-        blocks = [quivers[e] for _ in range(trunc.depth) for e in j_list]
-        tags = [f"({p};{i},{j})" for i in range(trunc.depth)
-                for j in range(len(j_list))][:-1]
-        quivers[p] = chain(blocks, tags=tags).quiver
-    union = disjoint_union([quivers[p] for p in poset.elements],
-                           names=list(poset.elements))
-    table = {}
-    for p in poset.elements:
-        if p not in maximal:
-            table[f"chain({p})"] = {
-                "kind": "chain_limit", "atom_label": f"chain({p})",
-                "vertices": [v for v in union.vertices
-                             if v.startswith(f"{p}/")]}
-    for q in sorted(maximal):
-        table[f"simple({q})"] = {
-            "kind": "simple", "atom_label": f"simple({q})",
-            "loop_colors": [f"c({q})"],
-            "vertices": [v for v in union.vertices
-                         if v.split("/")[-1] == f"v({q})"]}
-    return GeneratedQuiver(union, table)
+class TestTruncate:
+    def test_simple_entry_collects_every_occurrence(self):
+        a = Point("A", "a")
+        g = truncate(Chain([a, Point("B", "b"), a], ["t0", "t1"], "lim"))
+        assert g.atom_table["A"] == {
+            "kind": "simple", "atom_label": "A", "loop_colors": ["c(a)"],
+            "vertices": ["b0/v(a)", "b2/v(a)"]}
+        assert list(g.atom_table) == ["lim", "A", "B"]
+
+    def test_loop_free_point(self):
+        g = truncate(Point("A", "a", loop=False))
+        assert g.quiver.arrows == () and g.quiver.vertices == ("v(a)",)
+        assert g.atom_table["A"]["loop_colors"] == []
+
+    def test_chain_limit_takes_its_shallowest_occurrence(self):
+        # inner occurs first at depth 2 (inside outer), then twice at
+        # depth 1: its entry keeps its place but takes the vertices of
+        # the first depth-1 occurrence
+        inner = Chain([Point("A", "a")] * 2, ["i0"], "inner")
+        outer = Chain([inner], [], "outer")
+        g = truncate(Union([outer, inner, inner], ["x", "y", "z"]))
+        assert list(g.atom_table) == ["outer", "inner", "A"]
+        assert g.atom_table["inner"]["vertices"] == ["y/b0/v(a)",
+                                                     "y/b1/v(a)"]
+        assert g.atom_table["outer"]["vertices"] == ["x/b0/b0/v(a)",
+                                                     "x/b0/b1/v(a)"]
+
+    def test_unlimited_chain_has_no_entry(self):
+        g = truncate(Chain([Point("A", "a"), Point("B", "b")], ["t"]))
+        assert set(g.atom_table) == {"A", "B"}
 
 
 class TestRealizationGeneral:
@@ -337,7 +340,8 @@ class TestPresets:
         g = preset("aass-vs-asupp", 3)
         assert len(g.quiver.vertices) == 4
         bundles = [a for a in g.quiver.arrows if a[2].startswith("!(")]
-        assert len(bundles) == 3  # 3 chain vertices x 1 terminal
+        # 2 inside the chain of 3 points, 3 chain vertices x 1 terminal
+        assert len(bundles) == 5
 
     def test_max_not_open_depth2(self):
         g = preset("max-not-open", 2)
@@ -372,8 +376,8 @@ def test_chain_cyclic_generation_ignores_trailing_blocks():
     from atomcat.linmod import FieldSpec, cyclic_submodule, module_of_quiver
     from atomcat.quiver import chain
     blk = make_quiver(["u", "w"], ["cl"], [("u", "u", "cl"), ("w", "w", "cl")])
-    g = chain([blk, blk, blk], tags=["t0", "t1"])
-    m = module_of_quiver(g.quiver, FieldSpec(2))
+    m = module_of_quiver(chain([blk, blk, blk], tags=["t0", "t1"]),
+                         FieldSpec(2))
     idx = {v: i for i, v in enumerate(m.basis_labels)}
     lead = [v for v in m.basis_labels if v.startswith("b0/")]
     trail = [v for v in m.basis_labels if v.startswith("b1/")]

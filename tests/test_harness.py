@@ -12,6 +12,7 @@ import pytest
 import atomcat
 from atomcat.atomspec import spectrum
 from atomcat.cli import cli_dispatch
+from atomcat.generators import PRESET_NAMES
 from atomcat.harness import (RunConfig, canonical_json,
                              check_poset_roundtrip, check_quiver_invariants,
                              config_from_env, random_poset, random_quiver,
@@ -155,6 +156,12 @@ class TestCli:
                              "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "ordertop: PASS (4 cases)" in out
+
+    def test_verify_presets_runs_the_first_count_names(self, capsys):
+        assert cli_dispatch(["verify", "presets", "--count", "1"]) == 0
+        assert "presets: PASS (1 cases)" in capsys.readouterr().out
+        res = run_suite("presets", RunConfig(seed=0, depth=2), count=2)
+        assert [cid for cid, _ in res.cases] == list(PRESET_NAMES[:2])
 
     def test_examples_command(self, capsys):
         assert cli_dispatch(["examples"]) == 0

@@ -163,6 +163,11 @@ class TestModuleOfQuiver:
             module_from_json({"p": 2, "dim": dim, "labels": ["a"],
                               "actions": {"c": [[1]]}})
 
+    def test_json_actions_must_be_an_object(self):
+        with pytest.raises(ValueError, match="'actions'"):
+            module_from_json({"p": 2, "dim": 1, "labels": ["a"],
+                              "actions": [[1]]})
+
     def test_json_labels_must_be_an_array(self):
         with pytest.raises(ValueError, match="'labels'"):
             module_from_json({"p": 2, "dim": 2, "labels": "ab",

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from atomcat.errors import AtomcatError
-from atomcat.generators import (PRESET_NAMES, gen_noatom, gen_realization_acc,
-                                gen_realization_general, preset)
+from atomcat.generators import (PRESET_NAMES, Chain, Point, Union,
+                                gen_noatom, gen_realization_acc,
+                                gen_realization_general, preset, preset_term)
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset, poset_isomorphic
 from atomcat.predictor import (DiffReport, atom_spectrum_point,
@@ -17,7 +18,7 @@ from atomcat.predictor import (DiffReport, atom_spectrum_point,
                                predict_chain, predict_disjoint_union,
                                predict_noatom, predict_preset,
                                predict_realization, quotient,
-                               symbolic_from_json)
+                               symbolic_from_json, window)
 from atomcat.quiver import GeneratedQuiver, TruncationSpec, make_quiver
 
 CHAIN2 = normalize_poset([("p0", "p1")], ["p0", "p1"])
@@ -60,21 +61,64 @@ class TestChain:
         from atomcat.atomspec import spectrum
         from atomcat.quiver import chain, make_quiver
         blk = make_quiver(["v"], ["c"], [("v", "v", "c")])
-        rep = spectrum(chain([blk] * 3).quiver)
+        rep = spectrum(chain([blk] * 3))
         assert rep.atoms.labels() == ("S(c)",)
 
     def test_repeating_part_of_two_blocks(self):
-        out = predict_chain([point("A"), point("B")], "lim", cycle_start=0)
+        out = predict_chain([point("A"), point("B")], "lim",
+                            recurring=("A", "B"))
         assert out.order.lt("lim", "A") and out.order.lt("lim", "B")
 
     def test_prefix_blocks_do_not_receive_the_limit(self):
-        out = predict_chain([point("A"), point("B")], "lim", cycle_start=1)
+        # block A is a prefix: its atoms are left out of the recurring ones
+        out = predict_chain([point("A"), point("B")], "lim", recurring=("B",))
         assert not out.order.lt("lim", "A")
         assert out.order.lt("lim", "B")
+
+    def test_pairwise_distinct_blocks_recur_nowhere(self):
+        out = predict_chain([point("A"), point("B")], "lim", recurring=())
+        assert out.order.le == {(l, l) for l in ("A", "B", "lim")}
+        assert out.chain_families[0]["recurring"] == ()
 
     def test_limit_is_minimal(self):
         out = predict_chain([point("A"), point("B")], "lim")
         assert "lim" in out.order.minimal_elements()
+
+
+class TestWindow:
+    def test_repeated_block_enters_once(self):
+        a = Point("A", "a")
+        out = window(Chain([a, a, a], ["t0", "t1"], "lim"))
+        assert out.chain_families[0]["block_atom_sets"] == (("A",),)
+        assert out.order.lt("lim", "A")
+
+    def test_equal_but_distinct_blocks_stay_apart(self):
+        out = window(Chain([Point("A", "a"), Point("A", "a")], ["t"], "lim"))
+        assert out.chain_families[0]["block_atom_sets"] == (("A",), ("A",))
+
+    def test_recurring_atoms_alone_lie_above_the_limit(self):
+        blocks = [Point("A", "a"), Point("B", "b")]
+        out = window(Chain(blocks, ["t"], "lim", recurring=("B",)))
+        assert not out.order.lt("lim", "A")
+        assert out.order.lt("lim", "B")
+        assert window(Chain(blocks, ["t"], "lim", recurring=())).order.le \
+            == {(l, l) for l in ("A", "B", "lim")}
+
+    def test_finite_chain_and_union_are_unions(self):
+        blocks = [Point("A", "a"), Point("B", "b", provenance="bee")]
+        for term in (Chain(blocks, ["t"]), Union(blocks, ["x", "y"])):
+            out = window(term)
+            assert out.labels() == ("A", "B") and out.chain_families == ()
+            assert out.provenance == {"A": "", "B": "bee"}
+
+    def test_min_not_closed_outer_limit_sits_below_gamma_prime_only(self):
+        for depth in (1, 2, 3, 4):
+            assert preset_term("min-not-closed", depth).recurring == ("gamma'",)
+            sym = predict_preset("min-not-closed", depth)
+            assert sym.chain_families[-1]["recurring"] == ("gamma'",)
+            assert set(sym.order.up_set("gamma")) == {"gamma", "gamma'"}
+            assert [f["limit"] for f in sym.chain_families] == \
+                ["gamma'"] * depth + ["gamma"]
 
 
 class TestQuotient:

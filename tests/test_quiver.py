@@ -289,22 +289,20 @@ class TestSubstitute:
 
 class TestChain:
     def test_three_loop_points(self):
-        g = chain([point("v", "cL")] * 3)
-        assert len(g.quiver.vertices) == 3
-        loops = [a for a in g.quiver.arrows if a[0] == a[1]]
-        bundles = [a for a in g.quiver.arrows if a[0] != a[1]]
+        q = chain([point("v", "cL")] * 3)
+        assert len(q.vertices) == 3
+        loops = [a for a in q.arrows if a[0] == a[1]]
+        bundles = [a for a in q.arrows if a[0] != a[1]]
         assert len(loops) == 3 and len(bundles) == 2
         assert len({a[2] for a in bundles}) == 2
-        assert "chain(inf)" in g.atom_table
 
     def test_single_block(self):
-        g = chain([point("v", "cL")])
-        assert len(g.quiver.vertices) == 1
-        assert set(g.atom_table) == {"chain(inf)", "block0"}
+        q = chain([point("v", "cL")])
+        assert q.vertices == ("b0/v",)
 
     def test_bundle_arrow_count(self):
-        g = chain([point("v"), point("v")])
-        assert sum(1 for a in g.quiver.arrows if a[0] != a[1]) == 1
+        q = chain([point("v"), point("v")])
+        assert sum(1 for a in q.arrows if a[0] != a[1]) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyRange):
