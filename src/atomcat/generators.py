@@ -18,15 +18,17 @@ The two word-indexed constructions share one word-tree builder
 (`_words`, `_word_quiver`); each adds only its step rule, its arrow
 families as (src word, dst word, color) triples, and its atom table.
 
-Construction terms are read by `truncate` as a truncated quiver with
-its atom table and by `predictor.window` as a symbolic spectrum.
+Construction terms are read by `truncate`, the one builder of the
+chain-shaped constructions, as a truncated quiver with its atom table
+in one pass, and by `predictor.window` as a symbolic spectrum.
 `Point(label, tag, loop=True)` is vertex v(tag), with loop c(tag) if
 loop, and the simple atom `label`.  `Chain(blocks, tags, limit=None,
 recurring=None)` joins the blocks by bundles tagged `tags`: a window of
 an infinite chain whose atom `limit` lies below the `recurring` atoms
 (None: all of them), or a finite chain if limit is None; a block
 repeated by identity is one block of the window.  `Union(terms, names)`
-puts term i under names[i].  The presets and `acc_term` are terms.
+puts term i under names[i].  The presets are terms, and the acc
+realization is `truncate(acc_term(...))`.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
@@ -39,14 +41,8 @@ from itertools import repeat
 
 from .errors import ColorClash, DepthTooSmall, UnknownPreset, WindowTooSmall
 from .ordertop import normalize_poset, poset_invariants
-from .quiver import (GeneratedQuiver, bundle_color, chain, disjoint_union,
+from .quiver import (GeneratedQuiver, _chain_tags, _union_names, bundle_color,
                      make_quiver)
-
-
-def loop_point(tag):
-    """Single vertex v(tag) with loop color c(tag)."""
-    v, c = f"v({tag})", f"c({tag})"
-    return make_quiver([v], [c], [(v, v, c)])
 
 
 def _check_ids(elements):
@@ -56,102 +52,6 @@ def _check_ids(elements):
     if bad:
         raise ValueError(f"element ids may not contain structural "
                          f"characters: {bad}")
-
-
-# -- realization with ascending chain condition -------------------------------
-
-def gen_realization_acc(poset, trunc):
-    """`truncate(acc_term(poset, trunc.depth))`, which the tests hold
-    this to, emitted in one pass: each element's relative vertex names
-    and bundle colors are computed once, then the poset is walked with
-    every vertex's final prefix, so each vertex name, color and arrow is
-    made once and validated once.  Deeper truncations append passes
-    only, so vertex names are stable.
-
-    Working set: while colors are minted, one set of them guards
-    against clashes and a flat list keeps them in minting order; the
-    set is dropped before the arrows are emitted, and the per-element
-    bundle color rows before `make_quiver` validates.  Validation then
-    holds the vertex and color lists, the arrow list and what
-    `make_quiver` itself holds (one color set, one arrow copy) beyond
-    the finished quiver.  `make_quiver` sorts the colors from minting
-    order, which is nearly sorted already.
-    """
-    if trunc.depth < 1:
-        raise DepthTooSmall("need at least one pass", depth=trunc.depth)
-    _check_ids(poset.elements)
-    inv = poset_invariants(poset)
-    maximal = set(inv.maximal)
-    rel, blocks, bundles, loop_color = {}, {}, {}, {}
-    colors, used = [], set()  # minting order, which make_quiver sorts fast
-    for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
-        if p in maximal:
-            rel[p] = (f"v({p})",)
-            loop_color[p] = f"c({p})"
-            colors.append(loop_color[p])
-            used.add(loop_color[p])
-            continue
-        j_list = sorted(inv.j_sets[p])
-        seq = j_list * trunc.depth
-        rel[p] = tuple(f"b{b}/{v}" for b, e in enumerate(seq) for v in rel[e])
-        # bundles[p][b][x][y] colors the arrow from vertex x of block b
-        # to vertex y of block b + 1
-        minted = []
-        for b in range(len(seq) - 1):
-            tag = f"({p};{b // len(j_list)},{b % len(j_list)})"
-            minted.append([[bundle_color(tag, v, w) for w in rel[seq[b + 1]]]
-                           for v in rel[seq[b]]])
-        fresh = [c for rows in minted for row in rows for c in row]
-        if not used.isdisjoint(fresh):
-            raise ColorClash("bundle color already in use",
-                             color=min(used.intersection(fresh)))
-        used.update(fresh)
-        colors += fresh
-        blocks[p], bundles[p] = seq, minted
-    used = fresh = None  # emitting the arrows needs neither
-
-    arrows = []
-    leaves = {q: [] for q in maximal}
-
-    def emit(p, prefix):
-        # final names of p's block under prefix, in the order of rel[p]
-        if p in maximal:
-            v = prefix + rel[p][0]
-            arrows.append((v, v, loop_color[p], 1))
-            leaves[p].append(v)
-            return [v]
-        names, prev = [], None
-        for b, e in enumerate(blocks[p]):
-            cur = emit(e, f"{prefix}b{b}/")
-            if prev is not None:
-                for v, row in zip(prev, bundles[p][b - 1]):
-                    arrows.extend(zip(repeat(v), cur, row, repeat(1)))
-            names.extend(cur)
-            prev = cur
-        return names
-
-    names = {p: emit(p, f"{p}/") for p in poset.elements}
-    # emit refers to itself: delete it to free the arrows on return, not
-    # at a gc; the bundle rows go before validation
-    del emit, bundles
-    union = make_quiver([v for vs in names.values() for v in vs], colors,
-                        arrows)
-    table = {}
-    for p in poset.elements:
-        if p not in maximal:
-            table[f"chain({p})"] = {
-                "kind": "chain_limit",
-                "atom_label": f"chain({p})",
-                "vertices": sorted(names[p]),
-            }
-    for q in sorted(maximal):
-        table[f"simple({q})"] = {
-            "kind": "simple",
-            "atom_label": f"simple({q})",
-            "loop_colors": [loop_color[q]],
-            "vertices": sorted(leaves[q]),
-        }
-    return GeneratedQuiver(union, table)
 
 
 # -- word-indexed realizations ------------------------------------------------
@@ -342,49 +242,131 @@ def acc_term(poset, depth):
 
 
 def truncate(term):
-    """The truncated quiver of a term with its atom table, each subterm
-    built once by `loop_point` (or as a bare vertex), `chain` or
-    `disjoint_union`.  A simple
-    entry collects every occurrence of its point; a chain limit's entry
-    has the vertices of its shallowest occurrence, the first one at that
-    depth.  Entries come in the order their labels are first met."""
-    quivers, table, depth_of = {}, {}, {}
+    """The truncated quiver of a term with its atom table, in one pass.
 
-    def build(t):
-        if id(t) not in quivers:
-            if isinstance(t, Point):
-                quivers[id(t)] = (loop_point(t.tag) if t.loop else
-                                  make_quiver([f"v({t.tag})"], [], []))
-            elif isinstance(t, Chain):
-                quivers[id(t)] = chain(list(map(build, t.blocks)), t.tags)
-            else:
-                quivers[id(t)] = disjoint_union(list(map(build, t.terms)),
-                                                t.names)
-        return quivers[id(t)]
+    Each distinct subterm (by identity) is prepared once, children
+    first: its vertex names relative to itself (v(tag), b{i}/... or
+    {name}/...), the distinct subterms inside it and, for a chain, its
+    bundle color rows, bundle_color(tags[i], v, w) for vertex v of
+    block i and w of block i + 1.  Then one walk with every vertex's
+    final prefix makes each vertex name, color and arrow once, and one
+    `make_quiver` validates them.  Refusals are those of `quiver.chain`
+    and `disjoint_union`; as in `substitute`, a chain's bundle colors
+    must avoid the colors inside its own blocks (sibling chains may
+    share theirs), and ColorClash names the least clashing color of the
+    first chain that clashes.
 
-    def walk(t, prefix, depth):
+    A simple entry collects every occurrence of its point; a chain
+    limit's entry has the vertices of its shallowest occurrence, the
+    first one at that depth.  Entries come in first-met order.
+
+    Working set: colors reach `make_quiver` as one flat list in minting
+    order, nearly sorted already.  The set of colors minted so far goes
+    before the arrows are emitted, the relative names and bundle rows
+    before validation, which then holds the vertex, color and arrow
+    lists and `make_quiver`'s own color set and arrow copy beyond the
+    finished quiver.
+    """
+    rel, below, rows, loop_color = {}, {}, {}, {}
+    colors, minted = [], set()  # minting order, and as a set
+
+    def prepare(t):
+        if id(t) in rel:
+            return
+        below[id(t)] = {id(t)}  # the distinct subterms of t, t included
         if isinstance(t, Point):
-            table.setdefault(t.label, {
-                "kind": "simple", "atom_label": t.label,
-                "loop_colors": [f"c({t.tag})"] if t.loop else [],
-                "vertices": []})["vertices"].append(f"{prefix}v({t.tag})")
-        elif isinstance(t, Union):
-            for s, name in zip(t.terms, t.names):
-                walk(s, f"{prefix}{name}/", depth + 1)
-        else:
-            if t.limit and depth < depth_of.get(t.limit, depth + 1):
-                depth_of[t.limit] = depth
-                table[t.limit] = {
-                    "kind": "chain_limit", "atom_label": t.limit,
-                    "vertices": [prefix + v for v in quivers[id(t)].vertices]}
-            for i, b in enumerate(t.blocks):
-                walk(b, f"{prefix}b{i}/", depth + 1)
+            rel[id(t)] = (f"v({t.tag})",)
+            if t.loop:
+                c = loop_color[id(t)] = f"c({t.tag})"
+                colors.append(c)
+                minted.add(c)
+            return
+        subterms = t.terms if isinstance(t, Union) else t.blocks
+        for s in subterms:
+            prepare(s)
+        inside = set().union(*(below[id(s)] for s in subterms))
+        below[id(t)].update(inside)
+        if isinstance(t, Union):
+            names = _union_names(t.names, len(t.terms))
+            rel[id(t)] = tuple(f"{name}/{v}" for name, s in zip(names, t.terms)
+                               for v in rel[id(s)])
+            return
+        tags = _chain_tags(t.tags, len(t.blocks))
+        rel[id(t)] = tuple(f"b{i}/{v}" for i, b in enumerate(t.blocks)
+                           for v in rel[id(b)])
+        # rows[id(t)][i][x][y] colors the arrow from vertex x of block i
+        # to vertex y of block i + 1
+        rows[id(t)] = [[[bundle_color(tag, v, w) for w in rel[id(b2)]]
+                        for v in rel[id(b)]]
+                       for tag, b, b2 in zip(tags, t.blocks, t.blocks[1:])]
+        fresh = [c for block in rows[id(t)] for row in block for c in row]
+        if not minted.isdisjoint(fresh):
+            # a color minted before may be inside the blocks
+            held = {loop_color[s] for s in inside if s in loop_color}
+            held.update(c for s in inside for block in rows.get(s, ())
+                        for row in block for c in row)
+            if not held.isdisjoint(fresh):
+                raise ColorClash("bundle color already used by a block",
+                                 color=min(held.intersection(fresh)))
+        minted.update(fresh)
+        colors.extend(fresh)
 
-    q = build(term)
-    walk(term, "", 0)
+    arrows, table, depth_of = [], {}, {}
+
+    def emit(t, prefix, depth):
+        # final names of t's vertices under prefix, in relative order
+        if isinstance(t, Point):
+            v = prefix + rel[id(t)][0]
+            loop = loop_color.get(id(t))
+            if loop:
+                arrows.append((v, v, loop, 1))
+            if t.label not in table:
+                table[t.label] = {"kind": "simple", "atom_label": t.label,
+                                  "loop_colors": [loop] if loop else [],
+                                  "vertices": []}
+            table[t.label]["vertices"].append(v)
+            return [v]
+        names = []
+        if isinstance(t, Union):
+            for s, name in zip(t.terms, t.names):
+                names += emit(s, f"{prefix}{name}/", depth + 1)
+            return names
+        if t.limit and depth < depth_of.get(t.limit, depth + 1):
+            depth_of[t.limit] = depth
+            # names fills in as the blocks are emitted
+            table[t.limit] = {"kind": "chain_limit", "atom_label": t.limit,
+                              "vertices": names}
+        bundles, prev = rows[id(t)], None
+        for i, b in enumerate(t.blocks):
+            cur = emit(b, f"{prefix}b{i}/", depth + 1)
+            if prev is not None:
+                for v, row in zip(prev, bundles[i - 1]):
+                    arrows.extend(zip(repeat(v), cur, row, repeat(1)))
+            names += cur
+            prev = cur
+        return names
+
+    prepare(term)
+    # prepare and emit refer to themselves: delete them to free what
+    # they hold on return, not at a gc; the color set goes before the
+    # arrows, the relative names and bundle rows before validation
+    del prepare, below, minted
+    vertices = emit(term, "", 0)
+    del emit, rel, rows
+    union = make_quiver(vertices, colors, arrows)
     for entry in table.values():
         entry["vertices"].sort()
-    return GeneratedQuiver(q, table)
+    return GeneratedQuiver(union, table)
+
+
+def gen_realization_acc(poset, trunc):
+    """The acc realization truncated after trunc.depth passes,
+    `truncate(acc_term(poset, trunc.depth))`.  Deeper truncations
+    append passes only, so vertex names are stable."""
+    if trunc.depth < 1:
+        raise DepthTooSmall("need at least one pass", depth=trunc.depth)
+    _check_ids(poset.elements)
+    return truncate(acc_term(poset, trunc.depth))
 
 
 # -- presets --------------------------------------------------------------------

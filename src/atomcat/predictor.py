@@ -252,12 +252,14 @@ def predict_noatom(trunc):
     atoms = []
     prov = {}
     absorption = {}
+    loop_simples = {tuple(fam["loop_colors"]): fam["label"]
+                    for fam in gen.noetherian_family
+                    if fam["kind"] == "loop_simple"}
     for key, entry in gen.atom_table.items():
         atoms.append(SymAtom(key, "simple"))
         prov[key] = "loop simple " + ",".join(entry["loop_colors"])
-        idx = key[key.index("(") + 1:-1]
-        absorption[key] = f"noeth-loop({idx})"
-    for fam in gen.noetherian_family or ():
+        absorption[key] = loop_simples[tuple(entry["loop_colors"])]
+    for fam in gen.noetherian_family:
         if fam["kind"] == "chain":
             lbl = fam["label"]
             atoms.append(SymAtom(lbl, "chain_limit"))

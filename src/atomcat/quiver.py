@@ -236,11 +236,16 @@ def disjoint_union(quivers, names=None):
     modules.  This is `substitute` on a skeleton without arrows, one
     vertex per block name; repeated names raise ValueError.
     """
-    names = list(map(str, range(len(quivers)) if names is None else names))
+    blocks = dict(zip(_union_names(names, len(quivers)), quivers))
+    return substitute(make_quiver(blocks, [], []), blocks)
+
+
+def _union_names(names, n):
+    """n block names as strings, 0..n-1 if None; refuses repeats."""
+    names = list(map(str, range(n) if names is None else names))
     if len(set(names)) < len(names):
         raise ValueError(f"block names repeat: {names}")
-    blocks = dict(zip(names, quivers))
-    return substitute(make_quiver(blocks, [], []), blocks)
+    return names
 
 
 def bundle_color(skeleton_color, src_vertex, dst_vertex):
@@ -280,20 +285,27 @@ def substitute(omega, blocks):
     return make_quiver(vertices, sorted(colors), arrows)
 
 
+def _chain_tags(tags, n):
+    """The bundle tags of a chain of n blocks, (chain;i) if None;
+    refuses an empty chain, a tag count other than n - 1 and repeats."""
+    if not n:
+        raise EmptyRange("chain needs at least one block")
+    if tags is None:
+        tags = [f"(chain;{i})" for i in range(n - 1)]
+    if len(tags) != n - 1:
+        raise ValueError(f"need {n - 1} tags, got {len(tags)}")
+    if len(set(tags)) != len(tags):
+        raise ColorClash("chain tags must be pairwise distinct", tags=list(tags))
+    return tags
+
+
 def chain(blocks, tags=None):
     """Finite chain of blocks joined by pairwise distinctly colored bundles.
 
     tags supplies the skeleton arrow colors; nested chains must pass
     tags that stay clear of the colors minted inside the blocks.
     """
-    if not blocks:
-        raise EmptyRange("chain needs at least one block")
-    if tags is None:
-        tags = [f"(chain;{i})" for i in range(len(blocks) - 1)]
-    if len(tags) != len(blocks) - 1:
-        raise ValueError(f"need {len(blocks) - 1} tags, got {len(tags)}")
-    if len(set(tags)) != len(tags):
-        raise ColorClash("chain tags must be pairwise distinct", tags=list(tags))
+    tags = _chain_tags(tags, len(blocks))
     names = [f"b{i}" for i in range(len(blocks))]  # the path skeleton
     return substitute(make_quiver(names, tags, zip(names, names[1:], tags)),
                       dict(zip(names, blocks)))
@@ -329,11 +341,7 @@ def ladder(block, interval):
                     c = f"2c[{i}]({v},{w})"
                     colors.add(c)
                     arrows.append((f"{i}/{v}", f"{i-2}/{w}", c, 1))
-    q = make_quiver(vertices, sorted(colors), arrows)
-    table = {f"pos({i})": {"kind": "block",
-                           "vertices": [f"{i}/{v}" for v in block.vertices]}
-             for i in positions}
-    return GeneratedQuiver(q, table)
+    return make_quiver(vertices, sorted(colors), arrows)
 
 
 def quiver_of_algebra(basis, structure, p=2):

@@ -6,14 +6,16 @@ import tracemalloc
 import pytest
 
 from atomcat import generators, quiver
-from atomcat.errors import (ColorClash, DepthTooSmall, UnknownPreset,
-                            WindowTooSmall)
-from atomcat.generators import (Chain, Point, Union, acc_term, gen_noatom,
-                                gen_realization_acc, gen_realization_general,
-                                preset, truncate)
+from atomcat.errors import (ColorClash, DepthTooSmall, EmptyRange,
+                            UnknownPreset, WindowTooSmall)
+from atomcat.generators import (PRESET_NAMES, Chain, Point, Union, acc_term,
+                                gen_noatom, gen_realization_acc,
+                                gen_realization_general, preset, preset_term,
+                                truncate)
 from atomcat.harness import all_posets, random_poset
 from atomcat.ordertop import normalize_poset
-from atomcat.quiver import (TruncationSpec, chain, generated_from_json,
+from atomcat.quiver import (GeneratedQuiver, TruncationSpec, chain,
+                            disjoint_union, generated_from_json,
                             loop_stripped_topo_order, make_quiver)
 
 
@@ -36,14 +38,17 @@ def loops_of(quiver):
 
 class TestRealizationAcc:
     def test_build_leaves_no_cyclic_garbage(self):
-        # a realization's arrows are freed by reference counting on
+        # a truncation's arrows are freed by reference counting on
         # return, not kept alive until the next full collection
         y = poset([("d", "a"), ("a", "b"), ("a", "c")], ["a", "b", "c", "d"])
+        builds = [lambda: gen_realization_acc(y, TruncationSpec(depth=3))]
+        builds += [lambda n=n: preset(n, 3) for n in PRESET_NAMES]
         gc.collect()
         gc.disable()
         try:
-            gen_realization_acc(y, TruncationSpec(depth=3))
-            assert gc.collect() == 0
+            for build in builds:
+                build()
+                assert gc.collect() == 0, build
         finally:
             gc.enable()
 
@@ -110,19 +115,6 @@ class TestRealizationAcc:
         g2 = generated_from_json(g.to_json())
         assert g2.quiver == g.quiver and g2.atom_table == g.atom_table
 
-    def test_one_pass_equals_nested_combinators(self):
-        # the term interpreter nests loop_point, chain and disjoint_union
-        posets = [(P, d) for n in range(1, 5) for P in all_posets(n)
-                  for d in (1, 2, 3)]
-        posets += [(random_poset(s, 6), d) for s in range(8) for d in (1, 3)]
-        # names that list the bottom last, after its blocks' own chains
-        posets += [(poset([("z", "m"), ("m", "a")], ["a", "m", "z"]), 2)]
-        for P, d in posets:
-            fast = gen_realization_acc(P, TruncationSpec(depth=d))
-            ref = truncate(acc_term(P, d))
-            assert fast.quiver.to_json() == ref.quiver.to_json(), (P, d)
-            assert fast.atom_table == ref.atom_table, (P, d)
-
     def test_bundle_color_clash_detected(self, monkeypatch):
         # a minted bundle color equal to the loop color of a block
         def clashing(skeleton_color, src_vertex, dst_vertex):
@@ -164,8 +156,117 @@ class TestRealizationAcc:
                 len(g.quiver.colors)) == (519, 31952, 26654)
         assert peak <= 1.75 * kept, (peak, kept)
 
+    def test_working_set_of_the_largest_golden_preset(self):
+        # no-dcc at depth 4 nests four acc chains, one inside the next
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = preset("no-dcc", 4)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(g.quiver.vertices), len(g.quiver.arrows)) == (341, 17732)
+        assert peak <= 1.75 * kept, (peak, kept)
+
+
+def nested(term):
+    """The oracle for `truncate`: every subterm built on its own by the
+    quiver combinators (a point as a one-vertex quiver, a chain by
+    `chain`, a union by `disjoint_union`), the atom table read off the
+    nested quivers by a second walk."""
+    quivers, table, depth_of = {}, {}, {}
+
+    def build(t):
+        if id(t) not in quivers:
+            if isinstance(t, Point):
+                v, c = f"v({t.tag})", f"c({t.tag})"
+                quivers[id(t)] = (make_quiver([v], [c], [(v, v, c)]) if t.loop
+                                  else make_quiver([v], [], []))
+            elif isinstance(t, Chain):
+                quivers[id(t)] = chain([build(b) for b in t.blocks], t.tags)
+            else:
+                quivers[id(t)] = disjoint_union([build(s) for s in t.terms],
+                                                t.names)
+        return quivers[id(t)]
+
+    def walk(t, prefix, depth):
+        if isinstance(t, Point):
+            table.setdefault(t.label, {
+                "kind": "simple", "atom_label": t.label,
+                "loop_colors": [f"c({t.tag})"] if t.loop else [],
+                "vertices": []})["vertices"].append(f"{prefix}v({t.tag})")
+        elif isinstance(t, Union):
+            for s, name in zip(t.terms, t.names):
+                walk(s, f"{prefix}{name}/", depth + 1)
+        else:
+            if t.limit and depth < depth_of.get(t.limit, depth + 1):
+                depth_of[t.limit] = depth
+                table[t.limit] = {
+                    "kind": "chain_limit", "atom_label": t.limit,
+                    "vertices": [prefix + v for v in quivers[id(t)].vertices]}
+            for i, b in enumerate(t.blocks):
+                walk(b, f"{prefix}b{i}/", depth + 1)
+
+    q = build(term)
+    walk(term, "", 0)
+    for entry in table.values():
+        entry["vertices"].sort()
+    return GeneratedQuiver(q, table)
+
+
+def assert_truncates_as_nested(term, case):
+    got, want = truncate(term), nested(term)
+    assert got.quiver == want.quiver, case
+    assert list(got.atom_table.items()) == list(want.atom_table.items()), case
+
 
 class TestTruncate:
+    def test_presets_equal_nested_combinators(self):
+        for name in PRESET_NAMES:
+            for d in (1, 2, 3, 4):
+                assert_truncates_as_nested(preset_term(name, d), (name, d))
+
+    def test_acc_terms_equal_nested_combinators(self):
+        posets = [(P, d) for n in range(1, 5) for P in all_posets(n)
+                  for d in (1, 2, 3)]
+        posets += [(random_poset(s, 6), 1 + s % 3) for s in range(16)]
+        # names that list the bottom last, after its blocks' own chains
+        posets += [(poset([("z", "m"), ("m", "a")], ["a", "m", "z"]), 2)]
+        for P, d in posets:
+            assert_truncates_as_nested(acc_term(P, d), (P, d))
+
+    def test_unions_inside_chains_equal_nested_combinators(self):
+        a, b = Point("A", "a"), Point("B", "b", loop=False)
+        pair = Union([a, Chain([b, a], ["u"], "lim")], ["l", "r"])
+        term = Union([Chain([pair, a, pair], ["s0", "s1"], "outer"),
+                      pair], [0, 1])
+        assert_truncates_as_nested(term, term)
+
+    def test_bundle_color_clash_with_a_nested_chain(self, monkeypatch):
+        # the outer bundle mints the color the inner bundle minted
+        monkeypatch.setattr(generators, "bundle_color", lambda *_: "k")
+        inner = Chain([Point("A", "a"), Point("B", "b")], ["i"])
+        with pytest.raises(ColorClash) as got:
+            truncate(Chain([inner, Point("C", "c")], ["o"]))
+        assert got.value.context == {"color": "k"}
+
+    def test_refuses_an_empty_chain(self):
+        with pytest.raises(EmptyRange):
+            truncate(Chain([], []))
+
+    def test_refuses_a_wrong_tag_count(self):
+        with pytest.raises(ValueError):
+            truncate(Chain([Point("A", "a"), Point("B", "b")], []))
+
+    def test_refuses_repeated_tags(self):
+        with pytest.raises(ColorClash):
+            truncate(Chain([Point("A", "a")] * 3, ["t", "t"]))
+
+    def test_refuses_repeated_union_names(self):
+        with pytest.raises(ValueError):
+            truncate(Union([Point("A", "a", loop=False),
+                            Point("B", "b", loop=False)], ["x", "x"]))
+
     def test_simple_entry_collects_every_occurrence(self):
         a = Point("A", "a")
         g = truncate(Chain([a, Point("B", "b"), a], ["t0", "t1"], "lim"))

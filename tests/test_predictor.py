@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from atomcat import predictor
 from atomcat.errors import AtomcatError
 from atomcat.generators import (PRESET_NAMES, Chain, Point, Union,
                                 gen_noatom, gen_realization_acc,
@@ -296,6 +297,18 @@ class TestNoAtomPrediction:
         diff = crosscheck(predict_noatom(tr).pre_spectrum, crippled)
         assert diff.unexpected == ("S(loop[0])",)
         assert not diff.ok()
+
+    def test_absorption_reads_loop_colors_not_labels(self, monkeypatch):
+        # each table entry goes to the loop simple with its loop colors,
+        # whatever the entry is called
+        def renamed(trunc):
+            gen = gen_noatom(trunc)
+            return replace(gen, atom_table={
+                f"atom<{k}>": v for k, v in gen.atom_table.items()})
+        monkeypatch.setattr(predictor, "gen_noatom", renamed)
+        pred = predict_noatom(TruncationSpec(depth=1, ladder_range=(0, 1)))
+        assert pred.absorption == {"atom<delta(0)>": "noeth-loop(0)",
+                                   "atom<delta(1)>": "noeth-loop(1)"}
 
     def test_crosscheck_matches_deltas(self):
         tr = TruncationSpec(depth=1, ladder_range=(0, 1))

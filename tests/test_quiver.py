@@ -311,8 +311,7 @@ class TestChain:
 
 class TestLadder:
     def test_point_window3(self):
-        g = ladder(point("v"), (0, 2))
-        q = g.quiver
+        q = ladder(point("v"), (0, 2))
         assert len(q.vertices) == 3
         steps = [a for a in q.arrows if a[2].startswith("1c")]
         skips = [a for a in q.arrows if a[2].startswith("2c")]
@@ -320,14 +319,14 @@ class TestLadder:
         assert len(skips) == 1
 
     def test_window1(self):
-        g = ladder(point("v", "c"), (5, 5))
-        assert len(g.quiver.vertices) == 1
-        assert len(g.quiver.arrows) == 1  # just the block loop
+        q = ladder(point("v", "c"), (5, 5))
+        assert len(q.vertices) == 1
+        assert len(q.arrows) == 1  # just the block loop
 
     def test_block2_window2_step_colors(self):
         blk = make_quiver(["v", "w"], [], [])
-        g = ladder(blk, (0, 1))
-        steps = [a for a in g.quiver.arrows if a[2].startswith("1c")]
+        q = ladder(blk, (0, 1))
+        steps = [a for a in q.arrows if a[2].startswith("1c")]
         assert len(steps) == 4
         assert len({a[2] for a in steps}) == 4
 
