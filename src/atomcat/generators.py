@@ -7,28 +7,30 @@ prefix-stable window:
   poset element, maximal elements become loop points, non-maximal ones
   become chains cycling through J(p) (the minimal elements above p),
   depth counting whole passes through J(p);
-* the general poset realization indexed by alternating words
-  (element, integer, element, ...) with step/skip/fan arrow families
-  whose colors are deliberately shared across word prefixes;
+* the general poset realization, a nested substitution whose vertices
+  are the alternating words (element, integer, element, ...), with
+  step/skip/fan arrow families whose colors are deliberately shared
+  across word prefixes;
 * the atom-free construction over strictly increasing integer words;
 * named presets for the counter-example spectra, one term per name in
   the `_PRESETS` table.
 
-The two word-indexed constructions share one word-tree builder
-(`_words`, `_word_quiver`); each adds only its step rule, its arrow
-families as (src word, dst word, color) triples, and its atom table.
+Construction terms are read by `truncate` as a truncated quiver with
+its atom table in one pass, and by `predictor.window` as a symbolic
+spectrum.  `Point(label, tag, loop=True)` is vertex v(tag), with loop
+c(tag) if loop, and the simple atom `label`.  A `Composite` is
+`quiver.substitute` of its blocks into a skeleton: block k under
+names[k], and per skeleton arrow (i, j, tag) the bundle from block i to
+block j.  Its `limit`, if any, is the atom of an infinite construction
+that the composite truncates, lying below the `recurring` atoms (None:
+all of them); a block repeated by identity is one block of the window.
+`chain_term` puts blocks b0, b1, ... on a path skeleton and
+`union_term` puts terms under names on a skeleton without arrows.  The
+presets and both poset realizations are terms: `truncate(acc_term(...))`
+and `truncate(general_term(...))`.
 
-Construction terms are read by `truncate`, the one builder of the
-chain-shaped constructions, as a truncated quiver with its atom table
-in one pass, and by `predictor.window` as a symbolic spectrum.
-`Point(label, tag, loop=True)` is vertex v(tag), with loop c(tag) if
-loop, and the simple atom `label`.  `Chain(blocks, tags, limit=None,
-recurring=None)` joins the blocks by bundles tagged `tags`: a window of
-an infinite chain whose atom `limit` lies below the `recurring` atoms
-(None: all of them), or a finite chain if limit is None; a block
-repeated by identity is one block of the window.  `Union(terms, names)`
-puts term i under names[i].  The presets are terms, and the acc
-realization is `truncate(acc_term(...))`.
+The atom-free construction stays a word tree: its step colors repeat
+across nesting levels, which substitution's fresh-color rule refuses.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
@@ -54,171 +56,31 @@ def _check_ids(elements):
                          f"characters: {bad}")
 
 
-# -- word-indexed realizations ------------------------------------------------
-
-def _ser(word):
-    return ",".join(str(x) for x in word)
-
-
-def _words(roots, steps, depth):
-    """Words grown from the one-entry words of the roots: each of at
-    most depth rounds extends every word of the last round by each tuple
-    steps(last entry) returns.  Shortest words come first."""
-    words = frontier = [(r,) for r in roots]
-    for _ in range(depth):
-        frontier = [w + s for w in frontier for s in steps(w[-1])]
-        if not frontier:
-            break
-        words = words + frontier
-    return words
-
-
-def _word_quiver(words, arrows):
-    """Quiver on the words, vertex v(w) for word w, from (src word, dst
-    word, color) triples, each kept once in first-seen order, plus one
-    loop[last entry] per word.  Returns (quiver, vname)."""
-    vname = {w: f"v({_ser(w)})" for w in words}
-    arrows = [*dict.fromkeys((vname[s], vname[d], c, 1) for s, d, c in arrows),
-              *((vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words)]
-    colors = sorted({color for _, _, color, _ in arrows})
-    return make_quiver(list(vname.values()), colors, arrows), vname
-
-
-def _general_arrows(words):
-    # (prefix up to an element, integer after it) -> [(tail, word)]
-    contexts = {}
-    for w in words:
-        for j in range(1, len(w), 2):
-            contexts.setdefault(w[:j], {}).setdefault(w[j], []).append(
-                (w[j + 1:], w))
-    for ctx, by_i in contexts.items():
-        theta = ctx[-1]
-        for i, tails in by_i.items():
-            for e, w in tails:
-                # family 0: descend the well-order inside one position
-                for e2, w2 in tails:
-                    if e2[0] < e[0]:
-                        yield w, w2, f"0c[{theta}]({_ser(e)}|{_ser(e2)})"
-                # families 1 and 2: step down the integer index
-                for e2, w2 in by_i.get(i - 1, ()):
-                    yield w, w2, f"1c[{theta}]({_ser(e)}|{_ser(e2)})"
-                for e2, w2 in by_i.get(i - 2, ()):
-                    yield w, w2, f"2c[{theta};{i}]({_ser(e)}|{_ser(e2)})"
-                # family inf: fan from the bare context word
-                yield ctx, w, f"ic[{theta};{i}]({_ser(e)})"
-
-
-def gen_realization_general(poset, trunc):
-    """Word-indexed realization quiver with four arrow families.
-
-    Levels: a materialized word w = (e0, i1, e1, ...) splits at every
-    element position into (prefix f, element, integer, tail).  Within
-    one (prefix, element, integer) context, same-position arrows step
-    down the well-order (family 0), position arrows step the integer
-    down by one with position-independent colors (family 1) or by two
-    with per-position colors (family 2), and the bare prefix word fans
-    out to all its extensions (family inf).  Colors omit the prefix on
-    purpose: deeper copies reuse the colors of shallower ones.  Words
-    alternate strictly increasing elements with integers of the window,
-    at most depth pairs.
-    """
-    if trunc.depth < 0:
-        raise DepthTooSmall("word length bound must be >= 0",
-                            depth=trunc.depth)
-    _check_ids(poset.elements)
-    window = trunc.ladder_values()
-    if not window:
-        raise WindowTooSmall("need a nonempty integer window",
-                             ladder_range=trunc.ladder_range)
-    words = _words(poset.elements,
-                   lambda e: [(i, e2) for e2 in poset.elements
-                              if poset.lt(e, e2) for i in window],
-                   trunc.depth)
-    q, vname = _word_quiver(words, _general_arrows(words))
-
-    maximal = set(poset.maximal_elements())
-    table = {}
-    for e in poset.elements:
-        delta = table[f"delta({e})"] = {
-            "kind": "simple",
-            "atom_label": f"gamma({e})" if e in maximal else f"delta({e})",
-            "loop_colors": [f"loop[{e}]"],
-            "vertices": [vname[w] for w in words if w[-1] == e],
-        }
-        table[f"gamma({e})"] = dict(delta) if e in maximal else {
-            "kind": "chain_limit", "atom_label": f"gamma({e})",
-            "vertices": [vname[w] for w in words if w[0] == e]}
-    return GeneratedQuiver(q, table)
-
-
-# -- the atom-free construction ------------------------------------------------
-
-def _noatom_arrows(words):
-    # (prefix, next entry) -> [(tail from that entry, word)]
-    contexts = {}
-    for w in words:
-        for k in range(len(w)):
-            contexts.setdefault(w[:k], {}).setdefault(w[k], []).append(
-                (w[k:], w))
-    for f, by_first in contexts.items():
-        for i, tails in by_first.items():
-            for e, w in tails:
-                # family 1: into the next integer level, prefix-shared color
-                for e2, w2 in by_first.get(i + 1, ()):
-                    yield w, w2, f"1c({_ser(e)}|{_ser(e2)})"
-                # family inf: fan from the one-step prefix
-                if len(e) >= 2:
-                    yield f + (i,), w, f"ic[{i}]({_ser(e[1:])})"
-
-
-def gen_noatom(trunc):
-    """Strictly increasing integer words, step and fan families only.
-
-    Step colors are keyed by the (tail, tail) pair and fan colors by
-    (last prefix entry, tail), both independent of the enclosing
-    prefix: the quiver is self-similar, every vertex carries exactly
-    one loop loop[last entry], and no infinite-dimensional monoform
-    submodule survives, which is the whole point.
-    """
-    if trunc.depth < 0:
-        raise DepthTooSmall("word length bound must be >= 0",
-                            depth=trunc.depth)
-    window = trunc.ladder_values()
-    if window is None:
-        window = range(trunc.depth + 1)
-    window = [i for i in window if i >= 0]
-    if not window:
-        raise DepthTooSmall("empty integer window", ladder_range=trunc.ladder_range)
-    words = _words(window, lambda i: [(j,) for j in window if j > i],
-                   trunc.depth)
-    q, vname = _word_quiver(words, _noatom_arrows(words))
-
-    table = {}
-    family = []
-    for i in window:
-        table[f"delta({i})"] = {
-            "kind": "simple",
-            "atom_label": f"delta({i})",
-            "loop_colors": [f"loop[{i}]"],
-            "vertices": [vname[w] for w in words if w[-1] == i],
-        }
-        family.append({"kind": "loop_simple",
-                       "label": f"noeth-loop({i})",
-                       "loop_colors": [f"loop[{i}]"]})
-    for w in words:
-        if w == tuple(range(w[0], w[0] + len(w))):
-            family.append({"kind": "chain",
-                           "label": f"noeth-chain({_ser(w)})",
-                           "word": list(w)})
-    return GeneratedQuiver(q, table, tuple(family))
-
-
 # -- construction terms -------------------------------------------------------
 
 Point = namedtuple("Point", "label tag loop provenance", defaults=(True, ""))
-Chain = namedtuple("Chain", "blocks tags limit recurring provenance",
-                   defaults=(None, None, ""))
-Union = namedtuple("Union", "terms names")
+Composite = namedtuple("Composite",
+                       "blocks names arrows limit recurring provenance",
+                       defaults=(None, None, ""))
+
+
+def chain_term(blocks, tags, limit=None, recurring=None, provenance=""):
+    """The blocks on a path skeleton, block i named b{i} and joined to
+    block i + 1 by a bundle tagged tags[i].  Refuses what `quiver.chain`
+    refuses: no blocks, a tag count other than len(blocks) - 1, and
+    repeated tags."""
+    tags = _chain_tags(tags, len(blocks))
+    return Composite(tuple(blocks), tuple(f"b{i}" for i in range(len(blocks))),
+                     tuple((i, i + 1, tag) for i, tag in enumerate(tags)),
+                     limit, recurring, provenance)
+
+
+def union_term(terms, names):
+    """terms[i] under names[i], with no skeleton arrows.  Refuses what
+    `quiver.disjoint_union` refuses: repeated names and a name count
+    other than the term count."""
+    _union_names(names, len(terms))
+    return Composite(tuple(terms), tuple(names), ())
 
 
 def acc_term(poset, depth):
@@ -226,6 +88,7 @@ def acc_term(poset, depth):
     point per maximal p and a chain of depth passes through the terms of
     J(p) per other p, the bundle leaving the j-th block of pass i tagged
     (p;i,j).  Each element's term is one object, wherever it occurs."""
+    _check_ids(poset.elements)
     inv = poset_invariants(poset)
     terms = {}
     for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
@@ -235,26 +98,82 @@ def acc_term(poset, depth):
                              provenance=f"loop point of {p}")
             continue
         tags = [f"({p};{i},{j})" for i in range(depth) for j in range(len(js))]
-        terms[p] = Chain([terms[e] for _ in range(depth) for e in js],
-                         tags[:-1], f"chain({p})",
-                         provenance=f"chain over J({p})")
-    return Union([terms[p] for p in poset.elements], poset.elements)
+        terms[p] = chain_term([terms[e] for _ in range(depth) for e in js],
+                              tags[:-1], f"chain({p})",
+                              provenance=f"chain over J({p})")
+    return union_term([terms[p] for p in poset.elements], poset.elements)
+
+
+def general_term(poset, depth, ints):
+    """The general realization as a term: T(e, depth) under each element
+    id e, over the integer window ints.
+
+    T(e, d) is the loop point gamma(e) if e is maximal.  Otherwise it is
+    a root, the loop point delta(e), named r, and a block T(q, d - 1)
+    named "i,q" for each i in ints and q > e (none at d = 0), with limit
+    gamma(e) below the atoms of every q > e.  Its skeleton arrows:
+    ic[e;i;q] fans out from the root to block (i, q); 0c[e](q|q2) runs
+    from (i, q) to (i, q2) when q2 < q, descending the id order inside
+    one position; 1c[e](q|q2) steps from (i, q) to (i - 1, q2) and
+    2c[e;i](q|q2) skips to (i - 2, q2).  Only fan and skip tags name
+    the position, so step and same-position colors are shared along the
+    window, and since one object stands for each T(e, d), deeper copies
+    mint the colors of shallower ones.  Each vertex is a word (e, i1,
+    e1, ...) of strictly increasing elements, its loop keyed by its
+    last element.
+    """
+    _check_ids(poset.elements)
+    maximal = set(poset.maximal_elements())
+    above = {e: [q for q in poset.elements if poset.lt(e, q)]
+             for e in poset.elements}
+    points = {e: Point(f"gamma({e})", e, provenance=f"block limit of {e} "
+                       "(= its loop simple)") if e in maximal else
+              Point(f"delta({e})", e, provenance=f"loop simple of {e}")
+              for e in poset.elements}
+    terms = {}  # (e, d) -> T(e, d), built shallowest first
+    for d in range(depth + 1):
+        for e in poset.elements:
+            if e in maximal:
+                terms[e, d] = points[e]
+                continue
+            pairs = [(i, q) for i in ints for q in above[e]] if d else []
+            at = {pair: k for k, pair in enumerate(pairs, 1)}
+            arrows = []
+            for (i, q), k in at.items():
+                arrows.append((0, k, f"ic[{e};{i};{q}]"))
+                for q2 in above[e]:
+                    if q2 < q:
+                        arrows.append((k, at[i, q2], f"0c[{e}]({q}|{q2})"))
+                    if (i - 1, q2) in at:
+                        arrows.append((k, at[i - 1, q2], f"1c[{e}]({q}|{q2})"))
+                    if (i - 2, q2) in at:
+                        arrows.append((k, at[i - 2, q2],
+                                       f"2c[{e};{i}]({q}|{q2})"))
+            recurring = ({f"gamma({q})" for q in above[e]}
+                         | {points[q].label for q in above[e]}) if d else ()
+            terms[e, d] = Composite(
+                (points[e], *(terms[q, d - 1] for _, q in pairs)),
+                ("r", *(f"{i},{q}" for i, q in pairs)), tuple(arrows),
+                f"gamma({e})", tuple(sorted(recurring)),
+                f"block limit of {e}")
+    return union_term([terms[e, depth] for e in poset.elements],
+                      poset.elements)
 
 
 def truncate(term):
     """The truncated quiver of a term with its atom table, in one pass.
 
     Each distinct subterm (by identity) is prepared once, children
-    first: its vertex names relative to itself (v(tag), b{i}/... or
-    {name}/...), the distinct subterms inside it and, for a chain, its
-    bundle color rows, bundle_color(tags[i], v, w) for vertex v of
-    block i and w of block i + 1.  Then one walk with every vertex's
-    final prefix makes each vertex name, color and arrow once, and one
-    `make_quiver` validates them.  Refusals are those of `quiver.chain`
-    and `disjoint_union`; as in `substitute`, a chain's bundle colors
-    must avoid the colors inside its own blocks (sibling chains may
-    share theirs), and ColorClash names the least clashing color of the
-    first chain that clashes.
+    first: its vertex names relative to itself (v(tag) or
+    {name}/...), the distinct subterms inside it and, for a composite,
+    the bundle color rows of each skeleton arrow (i, j, tag),
+    bundle_color(tag, v, w) for vertex v of block i and w of block j,
+    made once per distinct (tag, block i, block j).  Then one walk with
+    every vertex's final prefix makes each vertex name, color and arrow
+    once, and one `make_quiver` validates them.  As in `substitute`, a
+    composite's bundle colors must avoid the colors inside its own
+    blocks (sibling composites may share theirs), and ColorClash names
+    the least clashing color of the first composite that clashes.
 
     A simple entry collects every occurrence of its point; a chain
     limit's entry has the vertices of its shallowest occurrence, the
@@ -281,25 +200,22 @@ def truncate(term):
                 colors.append(c)
                 minted.add(c)
             return
-        subterms = t.terms if isinstance(t, Union) else t.blocks
-        for s in subterms:
-            prepare(s)
-        inside = set().union(*(below[id(s)] for s in subterms))
+        for b in t.blocks:
+            prepare(b)
+        inside = set().union(*(below[id(b)] for b in t.blocks))
         below[id(t)].update(inside)
-        if isinstance(t, Union):
-            names = _union_names(t.names, len(t.terms))
-            rel[id(t)] = tuple(f"{name}/{v}" for name, s in zip(names, t.terms)
-                               for v in rel[id(s)])
-            return
-        tags = _chain_tags(t.tags, len(t.blocks))
-        rel[id(t)] = tuple(f"b{i}/{v}" for i, b in enumerate(t.blocks)
+        rel[id(t)] = tuple(f"{name}/{v}" for name, b in zip(t.names, t.blocks)
                            for v in rel[id(b)])
-        # rows[id(t)][i][x][y] colors the arrow from vertex x of block i
-        # to vertex y of block i + 1
-        rows[id(t)] = [[[bundle_color(tag, v, w) for w in rel[id(b2)]]
-                        for v in rel[id(b)]]
-                       for tag, b, b2 in zip(tags, t.blocks, t.blocks[1:])]
-        fresh = [c for block in rows[id(t)] for row in block for c in row]
+        # rows[id(t)][k][x][y] colors the arrow from vertex x of the
+        # source block of skeleton arrow k to vertex y of its target
+        made, rows[id(t)] = {}, []
+        for i, j, tag in t.arrows:
+            key = tag, id(t.blocks[i]), id(t.blocks[j])
+            if key not in made:
+                made[key] = [[bundle_color(tag, v, w) for w in rel[key[2]]]
+                             for v in rel[key[1]]]
+            rows[id(t)].append(made[key])
+        fresh = [c for block in made.values() for row in block for c in row]
         if not minted.isdisjoint(fresh):
             # a color minted before may be inside the blocks
             held = {loop_color[s] for s in inside if s in loop_color}
@@ -327,23 +243,18 @@ def truncate(term):
             table[t.label]["vertices"].append(v)
             return [v]
         names = []
-        if isinstance(t, Union):
-            for s, name in zip(t.terms, t.names):
-                names += emit(s, f"{prefix}{name}/", depth + 1)
-            return names
         if t.limit and depth < depth_of.get(t.limit, depth + 1):
             depth_of[t.limit] = depth
-            # names fills in as the blocks are emitted
+            # names fills in once the blocks are emitted
             table[t.limit] = {"kind": "chain_limit", "atom_label": t.limit,
                               "vertices": names}
-        bundles, prev = rows[id(t)], None
-        for i, b in enumerate(t.blocks):
-            cur = emit(b, f"{prefix}b{i}/", depth + 1)
-            if prev is not None:
-                for v, row in zip(prev, bundles[i - 1]):
-                    arrows.extend(zip(repeat(v), cur, row, repeat(1)))
-            names += cur
-            prev = cur
+        blocks = [emit(b, f"{prefix}{name}/", depth + 1)
+                  for name, b in zip(t.names, t.blocks)]
+        for (i, j, _), bundle in zip(t.arrows, rows[id(t)]):
+            for v, row in zip(blocks[i], bundle):
+                arrows.extend(zip(repeat(v), blocks[j], row, repeat(1)))
+        for block in blocks:
+            names += block
         return names
 
     prepare(term)
@@ -365,8 +276,103 @@ def gen_realization_acc(poset, trunc):
     append passes only, so vertex names are stable."""
     if trunc.depth < 1:
         raise DepthTooSmall("need at least one pass", depth=trunc.depth)
-    _check_ids(poset.elements)
     return truncate(acc_term(poset, trunc.depth))
+
+
+def gen_realization_general(poset, trunc):
+    """The general realization over the words of at most trunc.depth
+    (integer, element) steps, integers from trunc's ladder window:
+    `truncate(general_term(poset, trunc.depth, window))`.  Colors omit
+    the word prefix, so deeper copies reuse the colors of shallower
+    ones, and deeper truncations only add words."""
+    if trunc.depth < 0:
+        raise DepthTooSmall("word length bound must be >= 0",
+                            depth=trunc.depth)
+    window = trunc.ladder_values()
+    if not window:
+        raise WindowTooSmall("need a nonempty integer window",
+                             ladder_range=trunc.ladder_range)
+    return truncate(general_term(poset, trunc.depth, window))
+
+
+# -- the atom-free construction ------------------------------------------------
+
+def _ser(word):
+    return ",".join(str(x) for x in word)
+
+
+def _noatom_arrows(words):
+    # (prefix, next entry) -> [(tail from that entry, word)]
+    contexts = {}
+    for w in words:
+        for k in range(len(w)):
+            contexts.setdefault(w[:k], {}).setdefault(w[k], []).append(
+                (w[k:], w))
+    for f, by_first in contexts.items():
+        for i, tails in by_first.items():
+            for e, w in tails:
+                # family 1: into the next integer level, prefix-shared color
+                for e2, w2 in by_first.get(i + 1, ()):
+                    yield w, w2, f"1c({_ser(e)}|{_ser(e2)})"
+                # family inf: fan from the one-step prefix
+                if len(e) >= 2:
+                    yield f + (i,), w, f"ic[{i}]({_ser(e[1:])})"
+
+
+def gen_noatom(trunc):
+    """Strictly increasing integer words, step and fan families only.
+
+    Step colors are keyed by the (tail, tail) pair and fan colors by
+    (last prefix entry, tail), both independent of the enclosing
+    prefix: the quiver is self-similar, every vertex carries exactly
+    one loop loop[last entry], and no infinite-dimensional monoform
+    submodule survives, which is the whole point.  The step colors
+    repeat across nesting levels (word (0,1) steps to (0,2) and, one
+    level up, (1) to (2) under one color), so substitution, which
+    mints fresh bundle colors, cannot build it: the words are grown
+    here, at most depth rounds from the one-entry words, shortest
+    first.
+    """
+    if trunc.depth < 0:
+        raise DepthTooSmall("word length bound must be >= 0",
+                            depth=trunc.depth)
+    window = trunc.ladder_values()
+    if window is None:
+        window = range(trunc.depth + 1)
+    window = [i for i in window if i >= 0]
+    if not window:
+        raise DepthTooSmall("empty integer window", ladder_range=trunc.ladder_range)
+    words = frontier = [(i,) for i in window]
+    for _ in range(trunc.depth):
+        frontier = [w + (j,) for w in frontier for j in window if j > w[-1]]
+        if not frontier:
+            break
+        words = words + frontier
+    vname = {w: f"v({_ser(w)})" for w in words}
+    arrows = [*dict.fromkeys((vname[s], vname[d], c, 1)
+                             for s, d, c in _noatom_arrows(words)),
+              *((vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words)]
+    q = make_quiver(list(vname.values()),
+                    sorted({color for _, _, color, _ in arrows}), arrows)
+
+    table = {}
+    family = []
+    for i in window:
+        table[f"delta({i})"] = {
+            "kind": "simple",
+            "atom_label": f"delta({i})",
+            "loop_colors": [f"loop[{i}]"],
+            "vertices": [vname[w] for w in words if w[-1] == i],
+        }
+        family.append({"kind": "loop_simple",
+                       "label": f"noeth-loop({i})",
+                       "loop_colors": [f"loop[{i}]"]})
+    for w in words:
+        if w == tuple(range(w[0], w[0] + len(w))):
+            family.append({"kind": "chain",
+                           "label": f"noeth-chain({_ser(w)})",
+                           "word": list(w)})
+    return GeneratedQuiver(q, table, tuple(family))
 
 
 # -- presets --------------------------------------------------------------------
@@ -378,8 +384,8 @@ def _tags(name, n):
 def _points_chain(depth, label, limit, provenance):
     """depth copies of one loop-free point, chained."""
     point = Point(label, label, loop=False, provenance="point class")
-    return Chain([point] * depth, _tags(label, depth), limit,
-                 provenance=provenance)
+    return chain_term([point] * depth, _tags(label, depth), limit,
+                      provenance=provenance)
 
 
 def _descending_window(depth):
@@ -396,10 +402,11 @@ def _descending_term(depth, with_bottom=False):
 
 def _max_not_open(depth):
     # pairwise distinct blocks, each an infinite chain of one loop point
-    blocks = [Chain([Point(f"delta({i})", i)] * depth, _tags(f"g{i}", depth),
-                    f"gamma({i})") for i in range(depth)]
-    return Chain(blocks, _tags("G", depth), "gamma", recurring=(),
-                 provenance="chain of pairwise distinct blocks")
+    blocks = [chain_term([Point(f"delta({i})", i)] * depth,
+                         _tags(f"g{i}", depth), f"gamma({i})")
+              for i in range(depth)]
+    return chain_term(blocks, _tags("G", depth), "gamma", recurring=(),
+                      provenance="chain of pairwise distinct blocks")
 
 
 def _min_not_closed(depth):
@@ -407,18 +414,20 @@ def _min_not_closed(depth):
     # absolute tags: gamma' recurs in every outer block, no delta(m) does
     points = [Point(f"delta({m})", m, provenance="loop simple")
               for m in range(2 * depth - 1)]
-    blocks = [Chain(points[j:j + depth],
-                    [f"(s;{m})" for m in range(j, j + depth - 1)], "gamma'",
-                    recurring=(), provenance="inner chain limit of a shift")
+    blocks = [chain_term(points[j:j + depth],
+                         [f"(s;{m})" for m in range(j, j + depth - 1)],
+                         "gamma'", recurring=(),
+                         provenance="inner chain limit of a shift")
               for j in range(depth)]
-    return Chain(blocks, _tags("G", depth), "gamma", recurring=("gamma'",),
-                 provenance="outer chain limit over shifted copies")
+    return chain_term(blocks, _tags("G", depth), "gamma",
+                      recurring=("gamma'",),
+                      provenance="outer chain limit over shifted copies")
 
 
 _PRESETS = {
     "infinite-chain": lambda depth: _points_chain(depth, "delta", "gamma",
                                                   "chain of points"),
-    "aass-vs-asupp": lambda depth: Chain(
+    "aass-vs-asupp": lambda depth: chain_term(
         [_points_chain(depth, "beta", "alpha", "infinite chain of points"),
          Point("beta", "t", loop=False, provenance="point class")],
         ["(G';0)"]),

@@ -15,7 +15,8 @@ evaluate topology claims that no finite window can state directly:
 Every spectrum is built by `_spectrum`; a post-quotient spectrum is
 `quotient(pre, absorbed)`, the pre-quotient one minus the up-closure
 of the absorbed atoms.  `window` reads a construction term of
-`generators`, which `generators.truncate` reads as a truncation.
+`generators` (a preset or a poset realization, acc or general), which
+`generators.truncate` reads as a truncation.
 
 Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite
-from .generators import (Chain, Point, Union, _descending_window, acc_term,
-                         gen_noatom, preset_term, require_preset)
+from .generators import (Point, _descending_window, acc_term, gen_noatom,
+                         general_term, preset_term, require_preset)
 from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
 
@@ -164,9 +165,9 @@ class RealizationResult:
 
 def window(term):
     """Symbolic spectrum of a construction term, each distinct subterm
-    read once: a point is `atom_spectrum_point`, a chain with a limit
-    `predict_chain` over its distinct blocks, a finite chain or a union
-    `predict_disjoint_union` over its distinct subterms."""
+    read once: a point is `atom_spectrum_point`, a composite with a
+    limit `predict_chain` over its distinct blocks, and one without
+    `predict_disjoint_union` over them.  Skeleton arrows do not enter."""
     memo = {}
 
     def read(t):
@@ -175,10 +176,8 @@ def window(term):
         if isinstance(t, Point):
             out = atom_spectrum_point(t.label, provenance=t.provenance)
         else:
-            subterms = t.terms if isinstance(t, Union) else t.blocks
-            parts = [read(s) for s in {id(s): s for s in subterms}.values()]
-            out = (predict_disjoint_union(parts)
-                   if isinstance(t, Union) or t.limit is None else
+            parts = [read(b) for b in {id(b): b for b in t.blocks}.values()]
+            out = (predict_disjoint_union(parts) if t.limit is None else
                    predict_chain(parts, t.limit, t.recurring, t.provenance))
         memo[id(t)] = out
         return out
@@ -187,18 +186,18 @@ def window(term):
 
 def _element_labels(union):
     """Poset element -> the atom its term in the union is labelled by."""
-    return {p: t.limit if isinstance(t, Chain) else t.label
-            for p, t in zip(union.names, union.terms)}
+    return {p: t.label if isinstance(t, Point) else t.limit
+            for p, t in zip(union.names, union.blocks)}
 
 
 def predict_realization(poset, mode="acc"):
     """Symbolic spectrum of the realization of a finite poset.
 
     acc mode: the window of `acc_term`, the witness read from the
-    element terms.  general mode: one chain-limit atom per element plus
-    one simple atom per non-maximal element, with the maximal elements'
-    limits identified with their loop simples, then the quotient
-    absorbing the non-maximal simples.
+    element terms.  general mode: the window of `general_term` at depth
+    1 over the integer 0, where gamma(p) lies below gamma(q) and
+    delta(q) for every q > p, then the quotient absorbing the roots
+    delta(p) of the non-maximal elements; the witness is gamma(p).
     """
     if not isinstance(poset, Poset):
         raise NotFinite("expected a finite poset value")
@@ -208,31 +207,10 @@ def predict_realization(poset, mode="acc"):
         return RealizationResult(spec, _element_labels(term), spec)
     if mode != "general":
         raise ValueError(f"unknown realization mode: {mode}")
-
-    maximal = set(poset.maximal_elements())
-    atoms = []
-    pairs = []
-    prov = {}
-    for p in poset.elements:
-        g = f"gamma({p})"
-        atoms.append(SymAtom(g, "simple" if p in maximal else "chain_limit"))
-        prov[g] = f"block limit of {p}" + \
-            (" (= its loop simple)" if p in maximal else "")
-        if p not in maximal:
-            d = f"delta({p})"
-            atoms.append(SymAtom(d, "simple"))
-            prov[d] = f"loop simple of {p}"
-    for p in poset.elements:
-        for q in poset.elements:
-            if poset.leq(p, q):
-                pairs.append((f"gamma({p})", f"gamma({q})"))
-            if poset.lt(p, q) and q not in maximal:
-                pairs.append((f"gamma({p})", f"delta({q})"))
-    pre = _spectrum(atoms, pairs, prov)
-    post = quotient(pre, [f"delta({p})" for p in poset.elements
-                          if p not in maximal])
-    witness = {p: f"gamma({p})" for p in poset.elements}
-    return RealizationResult(post, witness, pre)
+    term = general_term(poset, 1, (0,))
+    pre = window(term)
+    roots = [t.blocks[0].label for t in term.blocks if not isinstance(t, Point)]
+    return RealizationResult(quotient(pre, roots), _element_labels(term), pre)
 
 
 @dataclass

@@ -234,15 +234,19 @@ def disjoint_union(quivers, names=None):
     Sharing colors (rather than renaming them per block) is deliberate:
     equal blocks in different positions must stay isomorphic as
     modules.  This is `substitute` on a skeleton without arrows, one
-    vertex per block name; repeated names raise ValueError.
+    vertex per block name; repeated names, or a name count other than
+    the block count, raise ValueError.
     """
     blocks = dict(zip(_union_names(names, len(quivers)), quivers))
     return substitute(make_quiver(blocks, [], []), blocks)
 
 
 def _union_names(names, n):
-    """n block names as strings, 0..n-1 if None; refuses repeats."""
+    """n block names as strings, 0..n-1 if None; refuses a name count
+    other than n and repeats."""
     names = list(map(str, range(n) if names is None else names))
+    if len(names) != n:
+        raise ValueError(f"need {n} block names, got {len(names)}")
     if len(set(names)) < len(names):
         raise ValueError(f"block names repeat: {names}")
     return names

@@ -8,15 +8,15 @@ import pytest
 from atomcat import generators, quiver
 from atomcat.errors import (ColorClash, DepthTooSmall, EmptyRange,
                             UnknownPreset, WindowTooSmall)
-from atomcat.generators import (PRESET_NAMES, Chain, Point, Union, acc_term,
+from atomcat.generators import (PRESET_NAMES, Point, acc_term, chain_term,
                                 gen_noatom, gen_realization_acc,
-                                gen_realization_general, preset, preset_term,
-                                truncate)
+                                gen_realization_general, general_term, preset,
+                                preset_term, truncate, union_term)
 from atomcat.harness import all_posets, random_poset
 from atomcat.ordertop import normalize_poset
-from atomcat.quiver import (GeneratedQuiver, TruncationSpec, chain,
-                            disjoint_union, generated_from_json,
-                            loop_stripped_topo_order, make_quiver)
+from atomcat.quiver import (GeneratedQuiver, TruncationSpec,
+                            generated_from_json, loop_stripped_topo_order,
+                            make_quiver, substitute)
 
 
 def poset(pairs, elems):
@@ -41,7 +41,8 @@ class TestRealizationAcc:
         # a truncation's arrows are freed by reference counting on
         # return, not kept alive until the next full collection
         y = poset([("d", "a"), ("a", "b"), ("a", "c")], ["a", "b", "c", "d"])
-        builds = [lambda: gen_realization_acc(y, TruncationSpec(depth=3))]
+        builds = [lambda: gen_realization_acc(y, TruncationSpec(depth=3)),
+                  lambda: gen_realization_general(y, TruncationSpec(2, (-1, 1)))]
         builds += [lambda n=n: preset(n, 3) for n in PRESET_NAMES]
         gc.collect()
         gc.disable()
@@ -170,10 +171,10 @@ class TestRealizationAcc:
 
 
 def nested(term):
-    """The oracle for `truncate`: every subterm built on its own by the
-    quiver combinators (a point as a one-vertex quiver, a chain by
-    `chain`, a union by `disjoint_union`), the atom table read off the
-    nested quivers by a second walk."""
+    """The oracle for `truncate`: every subterm built on its own (a
+    point as a one-vertex quiver, a composite by `substitute` on its
+    skeleton), the atom table read off the nested quivers by a second
+    walk."""
     quivers, table, depth_of = {}, {}, {}
 
     def build(t):
@@ -182,11 +183,12 @@ def nested(term):
                 v, c = f"v({t.tag})", f"c({t.tag})"
                 quivers[id(t)] = (make_quiver([v], [c], [(v, v, c)]) if t.loop
                                   else make_quiver([v], [], []))
-            elif isinstance(t, Chain):
-                quivers[id(t)] = chain([build(b) for b in t.blocks], t.tags)
             else:
-                quivers[id(t)] = disjoint_union([build(s) for s in t.terms],
-                                                t.names)
+                skeleton = make_quiver(
+                    t.names, {tag for _, _, tag in t.arrows},
+                    [(t.names[i], t.names[j], tag) for i, j, tag in t.arrows])
+                quivers[id(t)] = substitute(skeleton, {
+                    name: build(b) for name, b in zip(t.names, t.blocks)})
         return quivers[id(t)]
 
     def walk(t, prefix, depth):
@@ -195,17 +197,14 @@ def nested(term):
                 "kind": "simple", "atom_label": t.label,
                 "loop_colors": [f"c({t.tag})"] if t.loop else [],
                 "vertices": []})["vertices"].append(f"{prefix}v({t.tag})")
-        elif isinstance(t, Union):
-            for s, name in zip(t.terms, t.names):
-                walk(s, f"{prefix}{name}/", depth + 1)
-        else:
-            if t.limit and depth < depth_of.get(t.limit, depth + 1):
-                depth_of[t.limit] = depth
-                table[t.limit] = {
-                    "kind": "chain_limit", "atom_label": t.limit,
-                    "vertices": [prefix + v for v in quivers[id(t)].vertices]}
-            for i, b in enumerate(t.blocks):
-                walk(b, f"{prefix}b{i}/", depth + 1)
+            return
+        if t.limit and depth < depth_of.get(t.limit, depth + 1):
+            depth_of[t.limit] = depth
+            table[t.limit] = {
+                "kind": "chain_limit", "atom_label": t.limit,
+                "vertices": [prefix + v for v in quivers[id(t)].vertices]}
+        for name, b in zip(t.names, t.blocks):
+            walk(b, f"{prefix}{name}/", depth + 1)
 
     q = build(term)
     walk(term, "", 0)
@@ -235,41 +234,54 @@ class TestTruncate:
         for P, d in posets:
             assert_truncates_as_nested(acc_term(P, d), (P, d))
 
+    def test_general_terms_equal_nested_combinators(self):
+        for n in range(1, 5):
+            for P in all_posets(n):
+                for d in (0, 1, 2):
+                    for ints in ((0,), (-1, 0, 1)):
+                        assert_truncates_as_nested(general_term(P, d, ints),
+                                                   (P, d, ints))
+
     def test_unions_inside_chains_equal_nested_combinators(self):
         a, b = Point("A", "a"), Point("B", "b", loop=False)
-        pair = Union([a, Chain([b, a], ["u"], "lim")], ["l", "r"])
-        term = Union([Chain([pair, a, pair], ["s0", "s1"], "outer"),
-                      pair], [0, 1])
+        pair = union_term([a, chain_term([b, a], ["u"], "lim")], ["l", "r"])
+        term = union_term([chain_term([pair, a, pair], ["s0", "s1"], "outer"),
+                           pair], [0, 1])
         assert_truncates_as_nested(term, term)
 
     def test_bundle_color_clash_with_a_nested_chain(self, monkeypatch):
         # the outer bundle mints the color the inner bundle minted
         monkeypatch.setattr(generators, "bundle_color", lambda *_: "k")
-        inner = Chain([Point("A", "a"), Point("B", "b")], ["i"])
+        inner = chain_term([Point("A", "a"), Point("B", "b")], ["i"])
         with pytest.raises(ColorClash) as got:
-            truncate(Chain([inner, Point("C", "c")], ["o"]))
+            truncate(chain_term([inner, Point("C", "c")], ["o"]))
         assert got.value.context == {"color": "k"}
 
     def test_refuses_an_empty_chain(self):
         with pytest.raises(EmptyRange):
-            truncate(Chain([], []))
+            chain_term([], [])
 
     def test_refuses_a_wrong_tag_count(self):
         with pytest.raises(ValueError):
-            truncate(Chain([Point("A", "a"), Point("B", "b")], []))
+            chain_term([Point("A", "a"), Point("B", "b")], [])
 
     def test_refuses_repeated_tags(self):
         with pytest.raises(ColorClash):
-            truncate(Chain([Point("A", "a")] * 3, ["t", "t"]))
+            chain_term([Point("A", "a")] * 3, ["t", "t"])
 
     def test_refuses_repeated_union_names(self):
         with pytest.raises(ValueError):
-            truncate(Union([Point("A", "a", loop=False),
-                            Point("B", "b", loop=False)], ["x", "x"]))
+            union_term([Point("A", "a", loop=False),
+                        Point("B", "b", loop=False)], ["x", "x"])
+
+    def test_refuses_a_wrong_union_name_count(self):
+        # one name for two members would drop the second member
+        with pytest.raises(ValueError, match="names"):
+            truncate(union_term([Point("A", "a"), Point("B", "b")], ["x"]))
 
     def test_simple_entry_collects_every_occurrence(self):
         a = Point("A", "a")
-        g = truncate(Chain([a, Point("B", "b"), a], ["t0", "t1"], "lim"))
+        g = truncate(chain_term([a, Point("B", "b"), a], ["t0", "t1"], "lim"))
         assert g.atom_table["A"] == {
             "kind": "simple", "atom_label": "A", "loop_colors": ["c(a)"],
             "vertices": ["b0/v(a)", "b2/v(a)"]}
@@ -284,9 +296,9 @@ class TestTruncate:
         # inner occurs first at depth 2 (inside outer), then twice at
         # depth 1: its entry keeps its place but takes the vertices of
         # the first depth-1 occurrence
-        inner = Chain([Point("A", "a")] * 2, ["i0"], "inner")
-        outer = Chain([inner], [], "outer")
-        g = truncate(Union([outer, inner, inner], ["x", "y", "z"]))
+        inner = chain_term([Point("A", "a")] * 2, ["i0"], "inner")
+        outer = chain_term([inner], [], "outer")
+        g = truncate(union_term([outer, inner, inner], ["x", "y", "z"]))
         assert list(g.atom_table) == ["outer", "inner", "A"]
         assert g.atom_table["inner"]["vertices"] == ["y/b0/v(a)",
                                                      "y/b1/v(a)"]
@@ -294,7 +306,7 @@ class TestTruncate:
                                                      "x/b0/b1/v(a)"]
 
     def test_unlimited_chain_has_no_entry(self):
-        g = truncate(Chain([Point("A", "a"), Point("B", "b")], ["t"]))
+        g = truncate(chain_term([Point("A", "a"), Point("B", "b")], ["t"]))
         assert set(g.atom_table) == {"A", "B"}
 
 
@@ -302,7 +314,7 @@ class TestRealizationGeneral:
     def test_single_point(self):
         g = gen_realization_general(POINT, TruncationSpec(depth=1,
                                                           ladder_range=(0, 0)))
-        assert list(g.quiver.vertices) == ["v(p)"]
+        assert list(g.quiver.vertices) == ["p/v(p)"]
         assert len(loops_of(g.quiver)) == 1
 
     def test_chain2_window3_vertex_count(self):
@@ -335,27 +347,33 @@ class TestRealizationGeneral:
                 count_words(poset, trunc.depth, hi - lo + 1)
 
     def test_same_position_arrows_descend_the_well_order(self):
+        # words (a, i, e) sit at a/i,e/...: the word (a, 0, c) points
+        # to (a, 0, b), and nothing points back up the id order
         vee = poset([("a", "b"), ("a", "c")], ["a", "b", "c"])
         g = gen_realization_general(vee, TruncationSpec(depth=1,
                                                         ladder_range=(0, 0)))
-        zero_family = [x for x in g.quiver.arrows if x[2].startswith("0c")]
+        zero_family = [x for x in g.quiver.arrows if x[2].startswith("!(0c")]
         assert [(x[0], x[1]) for x in zero_family] == \
-            [("v(a,0,c)", "v(a,0,b)")]
+            [("a/0,c/v(c)", "a/0,b/v(b)")]
 
     def test_every_vertex_has_one_loop(self):
         g = gen_realization_general(CHAIN4, TruncationSpec(depth=2,
                                                            ladder_range=(0, 1)))
         per_vertex = {}
         for a in loops_of(g.quiver):
-            per_vertex[a[0]] = per_vertex.get(a[0], 0) + 1
+            per_vertex.setdefault(a[0], []).append(a[2])
         assert set(per_vertex) == set(g.quiver.vertices)
-        assert all(n == 1 for n in per_vertex.values())
+        for v, loops in per_vertex.items():
+            # the word is the first element, then one i,e per step
+            steps = [part for part in v.split("/") if "," in part]
+            last = steps[-1].split(",")[1] if steps else v.split("/")[0]
+            assert loops == [f"c({last})"], v
 
     def test_step_colors_shared_skip_colors_positional(self):
         g = gen_realization_general(CHAIN2, TruncationSpec(depth=1,
                                                            ladder_range=(-1, 1)))
-        steps = [a for a in g.quiver.arrows if a[2].startswith("1c")]
-        skips = [a for a in g.quiver.arrows if a[2].startswith("2c")]
+        steps = [a for a in g.quiver.arrows if a[2].startswith("!(1c")]
+        skips = [a for a in g.quiver.arrows if a[2].startswith("!(2c")]
         assert len(steps) == 2 and len({a[2] for a in steps}) == 1
         assert len(skips) == 1
         # skip colors appear once per enclosing context
@@ -369,7 +387,7 @@ class TestRealizationGeneral:
         for a in loops:
             by_color.setdefault(a[2], []).append(a[0])
         # p1's loop sits on the bare word and on every nested copy
-        assert len(by_color["loop[p1]"]) == 3
+        assert len(by_color["c(p1)"]) == 3
 
     def test_window_required(self):
         with pytest.raises(WindowTooSmall):

@@ -7,9 +7,10 @@ import pytest
 
 from atomcat import predictor
 from atomcat.errors import AtomcatError
-from atomcat.generators import (PRESET_NAMES, Chain, Point, Union,
+from atomcat.generators import (PRESET_NAMES, Point, chain_term,
                                 gen_noatom, gen_realization_acc,
-                                gen_realization_general, preset, preset_term)
+                                gen_realization_general, preset, preset_term,
+                                union_term)
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset, poset_isomorphic
 from atomcat.predictor import (DiffReport, atom_spectrum_point,
@@ -89,25 +90,28 @@ class TestChain:
 class TestWindow:
     def test_repeated_block_enters_once(self):
         a = Point("A", "a")
-        out = window(Chain([a, a, a], ["t0", "t1"], "lim"))
+        out = window(chain_term([a, a, a], ["t0", "t1"], "lim"))
         assert out.chain_families[0]["block_atom_sets"] == (("A",),)
         assert out.order.lt("lim", "A")
 
     def test_equal_but_distinct_blocks_stay_apart(self):
-        out = window(Chain([Point("A", "a"), Point("A", "a")], ["t"], "lim"))
+        out = window(chain_term([Point("A", "a"), Point("A", "a")], ["t"],
+                                "lim"))
         assert out.chain_families[0]["block_atom_sets"] == (("A",), ("A",))
 
     def test_recurring_atoms_alone_lie_above_the_limit(self):
         blocks = [Point("A", "a"), Point("B", "b")]
-        out = window(Chain(blocks, ["t"], "lim", recurring=("B",)))
+        out = window(chain_term(blocks, ["t"], "lim", recurring=("B",)))
         assert not out.order.lt("lim", "A")
         assert out.order.lt("lim", "B")
-        assert window(Chain(blocks, ["t"], "lim", recurring=())).order.le \
+        assert window(chain_term(blocks, ["t"], "lim",
+                                 recurring=())).order.le \
             == {(l, l) for l in ("A", "B", "lim")}
 
     def test_finite_chain_and_union_are_unions(self):
         blocks = [Point("A", "a"), Point("B", "b", provenance="bee")]
-        for term in (Chain(blocks, ["t"]), Union(blocks, ["x", "y"])):
+        for term in (chain_term(blocks, ["t"]),
+                     union_term(blocks, ["x", "y"])):
             out = window(term)
             assert out.labels() == ("A", "B") and out.chain_families == ()
             assert out.provenance == {"A": "", "B": "bee"}
@@ -173,6 +177,17 @@ class TestRealizationPrediction:
         res = predict_realization(normalize_poset([], ["p"]), "acc")
         assert res.spectrum.labels() == ("simple(p)",)
 
+    @pytest.mark.parametrize("mode", ["acc", "general"])
+    def test_refuses_the_ids_the_truncation_refuses(self, mode):
+        # "a/b" would read as a vertex path in the truncation's names
+        bad = normalize_poset([("x", "a/b")], ["x", "a/b"])
+        build = {"acc": gen_realization_acc,
+                 "general": gen_realization_general}[mode]
+        with pytest.raises(ValueError, match="structural"):
+            build(bad, TruncationSpec(depth=1, ladder_range=(0, 0)))
+        with pytest.raises(ValueError, match="structural"):
+            predict_realization(bad, mode)
+
     def test_chain2_acc_order(self):
         res = predict_realization(CHAIN2, "acc")
         assert set(res.spectrum.labels()) == {"chain(p0)", "simple(p1)"}
@@ -195,8 +210,14 @@ class TestRealizationPrediction:
             for b in DIAMOND.elements:
                 assert DIAMOND.leq(a, b) == \
                     res.spectrum.order.leq(w[a], w[b])
-        # the pre-quotient window also carries the non-maximal simples
-        assert set(res.pre_quotient.labels()) >= set(res.spectrum.labels())
+        # the pre-quotient window also carries the non-maximal simples,
+        # delta(b) above gamma(a) exactly when a < b
+        pre = res.pre_quotient
+        assert set(pre.labels()) >= set(res.spectrum.labels())
+        for a in DIAMOND.elements:
+            for b in "abc":
+                assert DIAMOND.lt(a, b) == \
+                    pre.order.lt(f"gamma({a})", f"delta({b})")
 
     def test_general_witness_isomorphism_via_backtracker(self):
         res = predict_realization(DIAMOND, "general")

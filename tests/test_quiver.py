@@ -237,6 +237,11 @@ class TestDisjointUnion:
         with pytest.raises(ValueError, match="repeat"):
             disjoint_union([point("v", "c0"), point("v", "c1")], names=names)
 
+    def test_name_count_other_than_the_block_count_rejected(self):
+        # one name for two blocks would drop the second block
+        with pytest.raises(ValueError, match="names"):
+            disjoint_union([point("v", "c0"), point("v", "c0")], names=["x"])
+
 
 class TestSubstitute:
     def column(self):
