@@ -15,22 +15,23 @@ prefix-stable window:
 * named presets for the counter-example spectra, one term per name in
   the `_PRESETS` table.
 
-Construction terms are read by `truncate` as a truncated quiver with
-its atom table in one pass, and by `predictor.window` as a symbolic
-spectrum.  `Point(label, tag, loop=True)` is vertex v(tag), with loop
-c(tag) if loop, and the simple atom `label`.  A `Composite` is
-`quiver.substitute` of its blocks into a skeleton: block k under
+Every construction is a term, read by `truncate` as a truncated quiver
+with its atom table in one pass, and by `predictor.window` as a
+symbolic spectrum.  `Point(label, tag, loop=True)` is vertex v(tag),
+with loop c(tag) if loop, and the simple atom `label`.  A `Composite`
+is `quiver.substitute` of its blocks into a skeleton: block k under
 names[k], and per skeleton arrow (i, j, tag) the bundle from block i to
 block j.  Its `limit`, if any, is the atom of an infinite construction
 that the composite truncates, lying below the `recurring` atoms (None:
 all of them); a block repeated by identity is one block of the window.
+Its `shared` tags may mint bundle colors already inside its blocks,
+which substitution's fresh-color rule otherwise refuses.
+`composite_term` builds a composite on an acyclic skeleton,
 `chain_term` puts blocks b0, b1, ... on a path skeleton and
 `union_term` puts terms under names on a skeleton without arrows.  The
-presets and both poset realizations are terms: `truncate(acc_term(...))`
-and `truncate(general_term(...))`.
-
-The atom-free construction stays a word tree: its step colors repeat
-across nesting levels, which substitution's fresh-color rule refuses.
+presets, both poset realizations and the atom-free construction are
+terms: `truncate(acc_term(...))`, `truncate(general_term(...))` and
+`truncate(noatom_term(...))`.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
@@ -44,7 +45,7 @@ from itertools import repeat
 from .errors import ColorClash, DepthTooSmall, UnknownPreset, WindowTooSmall
 from .ordertop import normalize_poset, poset_invariants
 from .quiver import (GeneratedQuiver, _chain_tags, _union_names, bundle_color,
-                     make_quiver)
+                     loop_stripped_topo_order, make_quiver)
 
 
 def _check_ids(elements):
@@ -59,9 +60,26 @@ def _check_ids(elements):
 # -- construction terms -------------------------------------------------------
 
 Point = namedtuple("Point", "label tag loop provenance", defaults=(True, ""))
+_loop_color = "c({})".format  # the loop color of a looped point, by tag
 Composite = namedtuple("Composite",
-                       "blocks names arrows limit recurring provenance",
-                       defaults=(None, None, ""))
+                       "blocks names arrows limit recurring provenance shared",
+                       defaults=(None, None, "", ()))
+
+
+def composite_term(blocks, names, arrows, limit=None, recurring=None,
+                   provenance="", shared=()):
+    """blocks[k] under names[k] on a skeleton of (i, j, tag) arrows.
+    Refuses what `union_term` and `make_quiver` refuse, a cyclic
+    skeleton (a loop included) and a shared tag on no arrow."""
+    _union_names(names, len(blocks))
+    tags = {tag for _, _, tag in arrows}
+    if any(i == j for i, j, _ in arrows) or loop_stripped_topo_order(
+            make_quiver(range(len(blocks)), tags, arrows)) is None:
+        raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
+    if not tags.issuperset(shared):
+        raise ValueError(f"shared tags {shared} label no skeleton arrow")
+    return Composite(tuple(blocks), tuple(names), tuple(arrows), limit,
+                     recurring, provenance, tuple(shared))
 
 
 def chain_term(blocks, tags, limit=None, recurring=None, provenance=""):
@@ -151,9 +169,9 @@ def general_term(poset, depth, ints):
                                        f"2c[{e};{i}]({q}|{q2})"))
             recurring = ({f"gamma({q})" for q in above[e]}
                          | {points[q].label for q in above[e]}) if d else ()
-            terms[e, d] = Composite(
+            terms[e, d] = composite_term(
                 (points[e], *(terms[q, d - 1] for _, q in pairs)),
-                ("r", *(f"{i},{q}" for i, q in pairs)), tuple(arrows),
+                ("r", *(f"{i},{q}" for i, q in pairs)), arrows,
                 f"gamma({e})", tuple(sorted(recurring)),
                 f"block limit of {e}")
     return union_term([terms[e, depth] for e in poset.elements],
@@ -172,8 +190,9 @@ def truncate(term):
     every vertex's final prefix makes each vertex name, color and arrow
     once, and one `make_quiver` validates them.  As in `substitute`, a
     composite's bundle colors must avoid the colors inside its own
-    blocks (sibling composites may share theirs), and ColorClash names
-    the least clashing color of the first composite that clashes.
+    blocks (sibling composites may share theirs), except those of its
+    shared tags, and ColorClash names the least clashing color of the
+    first composite that clashes.
 
     A simple entry collects every occurrence of its point; a chain
     limit's entry has the vertices of its shallowest occurrence, the
@@ -196,7 +215,7 @@ def truncate(term):
         if isinstance(t, Point):
             rel[id(t)] = (f"v({t.tag})",)
             if t.loop:
-                c = loop_color[id(t)] = f"c({t.tag})"
+                c = loop_color[id(t)] = _loop_color(t.tag)
                 colors.append(c)
                 minted.add(c)
             return
@@ -217,13 +236,15 @@ def truncate(term):
             rows[id(t)].append(made[key])
         fresh = [c for block in made.values() for row in block for c in row]
         if not minted.isdisjoint(fresh):
-            # a color minted before may be inside the blocks
+            # only a shared tag's colors may already be inside the blocks
             held = {loop_color[s] for s in inside if s in loop_color}
             held.update(c for s in inside for block in rows.get(s, ())
                         for row in block for c in row)
-            if not held.isdisjoint(fresh):
+            if clash := held.intersection(
+                    c for (tag, _, _), block in made.items()
+                    if tag not in t.shared for row in block for c in row):
                 raise ColorClash("bundle color already used by a block",
-                                 color=min(held.intersection(fresh)))
+                                 color=min(clash))
         minted.update(fresh)
         colors.extend(fresh)
 
@@ -297,82 +318,65 @@ def gen_realization_general(poset, trunc):
 
 # -- the atom-free construction ------------------------------------------------
 
-def _ser(word):
-    return ",".join(str(x) for x in word)
-
-
-def _noatom_arrows(words):
-    # (prefix, next entry) -> [(tail from that entry, word)]
-    contexts = {}
-    for w in words:
-        for k in range(len(w)):
-            contexts.setdefault(w[:k], {}).setdefault(w[k], []).append(
-                (w[k:], w))
-    for f, by_first in contexts.items():
-        for i, tails in by_first.items():
-            for e, w in tails:
-                # family 1: into the next integer level, prefix-shared color
-                for e2, w2 in by_first.get(i + 1, ()):
-                    yield w, w2, f"1c({_ser(e)}|{_ser(e2)})"
-                # family inf: fan from the one-step prefix
-                if len(e) >= 2:
-                    yield f + (i,), w, f"ic[{i}]({_ser(e[1:])})"
-
-
-def gen_noatom(trunc):
-    """Strictly increasing integer words, step and fan families only.
-
-    Step colors are keyed by the (tail, tail) pair and fan colors by
-    (last prefix entry, tail), both independent of the enclosing
-    prefix: the quiver is self-similar, every vertex carries exactly
-    one loop loop[last entry], and no infinite-dimensional monoform
-    submodule survives, which is the whole point.  The step colors
-    repeat across nesting levels (word (0,1) steps to (0,2) and, one
-    level up, (1) to (2) under one color), so substitution, which
-    mints fresh bundle colors, cannot build it: the words are grown
-    here, at most depth rounds from the one-entry words, shortest
-    first.
-    """
+def noatom_window(trunc):
+    """The nonnegative integers of trunc's window, 0..depth if None."""
     if trunc.depth < 0:
         raise DepthTooSmall("word length bound must be >= 0",
                             depth=trunc.depth)
     window = trunc.ladder_values()
-    if window is None:
-        window = range(trunc.depth + 1)
-    window = [i for i in window if i >= 0]
-    if not window:
+    ints = [i for i in (range(trunc.depth + 1) if window is None else window)
+            if i >= 0]
+    if not ints:
         raise DepthTooSmall("empty integer window", ladder_range=trunc.ladder_range)
-    words = frontier = [(i,) for i in window]
-    for _ in range(trunc.depth):
-        frontier = [w + (j,) for w in frontier for j in window if j > w[-1]]
-        if not frontier:
-            break
-        words = words + frontier
-    vname = {w: f"v({_ser(w)})" for w in words}
-    arrows = [*dict.fromkeys((vname[s], vname[d], c, 1)
-                             for s, d, c in _noatom_arrows(words)),
-              *((vname[w], vname[w], f"loop[{w[-1]}]", 1) for w in words)]
-    q = make_quiver(list(vname.values()),
-                    sorted({color for _, _, color, _ in arrows}), arrows)
+    return ints
 
-    table = {}
-    family = []
-    for i in window:
-        table[f"delta({i})"] = {
-            "kind": "simple",
-            "atom_label": f"delta({i})",
-            "loop_colors": [f"loop[{i}]"],
-            "vertices": [vname[w] for w in words if w[-1] == i],
-        }
-        family.append({"kind": "loop_simple",
-                       "label": f"noeth-loop({i})",
-                       "loop_colors": [f"loop[{i}]"]})
-    for w in words:
-        if w == tuple(range(w[0], w[0] + len(w))):
-            family.append({"kind": "chain",
-                           "label": f"noeth-chain({_ser(w)})",
-                           "word": list(w)})
-    return GeneratedQuiver(q, table, tuple(family))
+
+def noatom_term(ints, depth):
+    """The atom-free construction over consecutive integers ints:
+    N(i, depth) under i for each i, block i joined to block i + 1 by the
+    step tag 1c[i].  N(i, d) holds the loop point delta(i) under r and
+    N(j, d - 1) under j for each j > i (none at d = 0), with fan tags
+    ic[i;j] from r to j and steps 1c[j]; vertex w0/.../wk/r/v(wk) is the
+    word (w0, ..., wk).  The paper's construction is self-similar: a word
+    steps to the word one integer up under one color whatever prefix
+    both extend.  Bundle colors omit the prefix, so a composite's steps
+    mint colors inside its blocks, and it declares them shared."""
+    def stepped(blocks, names, fans, first):
+        steps = [(k, k + 1, f"1c[{names[k]}]")
+                 for k in range(first, len(names) - 1)]
+        return composite_term(blocks, names, fans + steps,
+                              shared=[tag for _, _, tag in steps])
+
+    terms = {}  # (i, d) -> N(i, d), built shallowest first
+    for d in range(depth + 1):
+        for i in ints:
+            above = [j for j in ints if j > i] if d else []
+            terms[i, d] = stepped(
+                (Point(f"delta({i})", i, provenance=f"loop simple of {i}"),
+                 *(terms[j, d - 1] for j in above)), ("r", *map(str, above)),
+                [(0, k, f"ic[{i};{j}]") for k, j in enumerate(above, 1)], 1)
+    return stepped([terms[i, depth] for i in ints], list(map(str, ints)), [], 0)
+
+
+def noetherian_family(ints, depth):
+    """The designated noetherian family: the loop simple of each integer,
+    then the chain of each run i, ..., i + k in ints with k <= depth."""
+    runs = [range(i, i + k + 1) for k in range(depth + 1) for i in ints
+            if i + k in ints]
+    return tuple([{"kind": "loop_simple", "label": f"noeth-loop({i})",
+                   "loop_colors": [_loop_color(i)]} for i in ints]
+                 + [{"kind": "chain",
+                     "label": f"noeth-chain({','.join(map(str, r))})",
+                     "word": list(r)} for r in runs])
+
+
+def gen_noatom(trunc):
+    """The atom-free construction truncated to words of at most
+    trunc.depth + 1 integers: `truncate(noatom_term(...))`."""
+    ints = noatom_window(trunc)
+    gen = truncate(noatom_term(ints, trunc.depth))
+    return GeneratedQuiver(gen.quiver, gen.atom_table,
+                           noetherian_family(ints, trunc.depth))
 
 
 # -- presets --------------------------------------------------------------------
@@ -388,15 +392,14 @@ def _points_chain(depth, label, limit, provenance):
                       provenance=provenance)
 
 
-def _descending_window(depth):
-    """The window p0 > p1 > ... of the no-minimal-atom and no-dcc presets."""
-    return [f"p{i}" for i in range(max(depth, 2))]
+# the no-minimal-atom and no-dcc window p0 > p1 > p2 > p3, at every depth
+_DESCENDING_WINDOW = ("p0", "p1", "p2", "p3")
 
 
 def _descending_term(depth, with_bottom=False):
-    """acc realization of the descending window, for no-dcc with a
-    bottom element pinf below it."""
-    elems = _descending_window(depth) + (["pinf"] if with_bottom else [])
+    """acc realization of the descending window after depth passes, for
+    no-dcc with a bottom element pinf below it."""
+    elems = [*_DESCENDING_WINDOW, *(["pinf"] if with_bottom else [])]
     return acc_term(normalize_poset(list(zip(elems[1:], elems)), elems), depth)
 
 

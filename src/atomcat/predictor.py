@@ -15,8 +15,8 @@ evaluate topology claims that no finite window can state directly:
 Every spectrum is built by `_spectrum`; a post-quotient spectrum is
 `quotient(pre, absorbed)`, the pre-quotient one minus the up-closure
 of the absorbed atoms.  `window` reads a construction term of
-`generators` (a preset or a poset realization, acc or general), which
-`generators.truncate` reads as a truncation.
+`generators` (a preset, a poset realization or the atom-free term),
+which `generators.truncate` reads as a truncation.
 
 Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite
-from .generators import (Point, _descending_window, acc_term, gen_noatom,
-                         general_term, preset_term, require_preset)
+from .generators import (_DESCENDING_WINDOW, Point, _loop_color, acc_term,
+                         general_term, noatom_term, noatom_window,
+                         noetherian_family, preset_term, require_preset)
 from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
 
@@ -110,11 +111,18 @@ def atom_spectrum_point(label, *, provenance=""):
 def predict_disjoint_union(specs):
     """Union of the component spectra; atoms with equal labels are the
     same atom (labels encode the defining colors, so equal blocks with
-    shared colors merge and disjointly colored ones stay apart)."""
+    shared colors merge and disjointly colored ones stay apart).  A
+    chain family whose block atoms another family of its limit holds is
+    a copy or a shallower truncation of it, and goes."""
+    families = [f for s in specs for f in s.chain_families]
+    atoms = [set().union(*f["block_atom_sets"]) for f in families]
+    families = [f for k, f in enumerate(families) if not any(
+        g["limit"] == f["limit"] and atoms[k] <= atoms[m]
+        and (atoms[k] < atoms[m] or m < k) for m, g in enumerate(families))]
     return _spectrum([a for s in specs for a in s.atoms],
                      [pair for s in specs for pair in s.order.le],
                      {k: v for s in specs for k, v in s.provenance.items()},
-                     [f for s in specs for f in s.chain_families],
+                     families,
                      [l for s in specs for l in s.continued_below],
                      {k: v for s in specs for k, v in s.claims.items()})
 
@@ -222,29 +230,25 @@ class NoAtomPrediction:
 
 
 def predict_noatom(trunc):
-    """Before the quotient: loop simples per window integer plus the
-    designated noetherian chain atoms, pairwise incomparable.  The
-    quotient absorbs everything: post-quotient spectrum empty, while
+    """Before the quotient: the window of the atom-free term (a loop
+    simple per integer, absorbed by the family's loop simple of its loop
+    color) and the designated noetherian chains, pairwise incomparable.
+    The quotient absorbs everything: post-quotient spectrum empty, while
     the module of the first block stays nonzero."""
-    gen = gen_noatom(trunc)
-    atoms = []
-    prov = {}
-    absorption = {}
-    loop_simples = {tuple(fam["loop_colors"]): fam["label"]
-                    for fam in gen.noetherian_family
-                    if fam["kind"] == "loop_simple"}
-    for key, entry in gen.atom_table.items():
-        atoms.append(SymAtom(key, "simple"))
-        prov[key] = "loop simple " + ",".join(entry["loop_colors"])
-        absorption[key] = loop_simples[tuple(entry["loop_colors"])]
-    for fam in gen.noetherian_family:
-        if fam["kind"] == "chain":
-            lbl = fam["label"]
-            atoms.append(SymAtom(lbl, "chain_limit"))
-            prov[lbl] = "designated noetherian chain"
-    pre = _spectrum(atoms, (), prov, claims={"post_quotient_empty": True})
-    return NoAtomPrediction(pre, True, "module of the first block",
-                            absorption)
+    ints = noatom_window(trunc)
+    term = noatom_term(ints, trunc.depth)
+    family = noetherian_family(ints, trunc.depth)
+    loops = {f["loop_colors"][0]: f["label"] for f in family
+             if f["kind"] == "loop_simple"}
+    chains = {f["label"]: "designated noetherian chain" for f in family
+              if f["kind"] == "chain"}
+    sym = window(term)
+    pre = _spectrum(sym.atoms + tuple(SymAtom(l, "chain_limit") for l in chains),
+                    (), {**sym.provenance, **chains},
+                    claims={"post_quotient_empty": True})
+    return NoAtomPrediction(pre, True, "module of the first block", {
+        n.blocks[0].label: loops[_loop_color(n.blocks[0].tag)]
+        for n in term.blocks})
 
 
 # -- presets -------------------------------------------------------------------
@@ -259,7 +263,7 @@ def predict_preset(name, depth):
                                        "asupp": ["alpha", "beta"]})
     if name in ("no-minimal-atom", "no-dcc"):
         labels = _element_labels(term)
-        descent = [labels[p] for p in _descending_window(depth)]
+        descent = [labels[p] for p in _DESCENDING_WINDOW]
         if name == "no-dcc":
             return _annotated(sym, claims={"infinite_descent": descent})
         return _annotated(sym, continued_below={descent[-1]},
@@ -298,33 +302,25 @@ def check_infinite_descent(sym):
                for i in range(len(descent) - 1))
 
 
+def _limit_in_closure(sym, atoms):
+    """Some chain limit outside atoms has every basic neighborhood (a
+    tail of its block family) meeting atoms, so lies in their closure."""
+    return any(f["limit"] not in atoms and f["block_atom_sets"]
+               and all(atoms.intersection(s) for s in f["block_atom_sets"])
+               for f in sym.chain_families)
+
+
 def check_max_not_open(sym):
-    """The maximal atoms do not form an open set: the outermost chain
-    limit is maximal, but each of its basic neighborhoods (tails of the
-    block family) contains a non-maximal atom."""
-    maximal = set(sym.order.maximal_elements())
-    for fam in sym.chain_families:
-        if fam["limit"] not in maximal:
-            continue
-        sets = fam["block_atom_sets"]
-        if sets and all(any(a not in maximal for a in s) for s in sets):
-            return True
-    return False
+    """The maximal atoms do not form an open set: a maximal chain limit
+    lies in the closure of the non-maximal atoms."""
+    return _limit_in_closure(
+        sym, set(sym.labels()) - set(sym.order.maximal_elements()))
 
 
 def check_min_not_closed(sym):
-    """The minimal atoms do not form a closed set: some non-minimal
-    chain limit has every basic neighborhood meeting the minimal set,
-    hence lies in its closure."""
-    minimal = set(sym.order.minimal_elements())
-    for fam in sym.chain_families:
-        limit = fam["limit"]
-        if limit in minimal:
-            continue
-        sets = fam["block_atom_sets"]
-        if sets and all(any(a in minimal for a in s) for s in sets):
-            return True
-    return False
+    """The minimal atoms do not form a closed set: a non-minimal chain
+    limit lies in the closure of the minimal atoms."""
+    return _limit_in_closure(sym, set(sym.order.minimal_elements()))
 
 
 def check_preset_claims(name, sym, depth):

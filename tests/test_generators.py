@@ -7,16 +7,18 @@ import pytest
 
 from atomcat import generators, quiver
 from atomcat.errors import (ColorClash, DepthTooSmall, EmptyRange,
-                            UnknownPreset, WindowTooSmall)
+                            UnknownPreset, UnknownVertex, WindowTooSmall)
 from atomcat.generators import (PRESET_NAMES, Point, acc_term, chain_term,
-                                gen_noatom, gen_realization_acc,
-                                gen_realization_general, general_term, preset,
+                                composite_term, gen_noatom,
+                                gen_realization_acc, gen_realization_general,
+                                general_term, noatom_term, preset,
                                 preset_term, truncate, union_term)
 from atomcat.harness import all_posets, random_poset
 from atomcat.ordertop import normalize_poset
 from atomcat.quiver import (GeneratedQuiver, TruncationSpec,
                             generated_from_json, loop_stripped_topo_order,
                             make_quiver, substitute)
+from noatom_oracle import renamed, word_tree
 
 
 def poset(pairs, elems):
@@ -309,6 +311,50 @@ class TestTruncate:
         g = truncate(chain_term([Point("A", "a"), Point("B", "b")], ["t"]))
         assert set(g.atom_table) == {"A", "B"}
 
+    def test_composite_refuses_a_cyclic_skeleton(self):
+        # a 2-cycle would truncate to one 2-dim simple no window predicts
+        a, b = Point("A", "a"), Point("B", "b")
+        with pytest.raises(ValueError, match="cycle"):
+            composite_term((a, b), ("x", "y"), ((0, 1, "f"), (1, 0, "g")))
+        with pytest.raises(ValueError, match="cycle"):
+            composite_term((a, b), ("x", "y"), ((0, 0, "f"),))
+        with pytest.raises(UnknownVertex):
+            composite_term((a, b), ("x", "y"), ((0, 2, "f"),))
+        term = composite_term((a, b, a), ("x", "y", "z"),
+                              ((0, 1, "f"), (1, 2, "g"), (0, 2, "h")))
+        assert_truncates_as_nested(term, term)
+
+    def test_composite_refuses_a_shared_tag_without_an_arrow(self):
+        a, b = Point("A", "a"), Point("B", "b")
+        with pytest.raises(ValueError, match="shared"):
+            composite_term((a, b), ("x", "y"), ((0, 1, "f"),), shared=["g"])
+        with pytest.raises(ValueError, match="names"):
+            composite_term((a, b), ("x",), ())
+
+    def test_only_declared_tags_may_reuse_colors_inside_blocks(self):
+        # inner mints !(s;v(a),v(b)) between its blocks; the outer
+        # composite mints that color again between its own copies of
+        # the two points, which only a shared tag may do
+        a, b = Point("A", "a"), Point("B", "b")
+        inner = composite_term((a, b), ("b0", "b1"), ((0, 1, "s"),))
+        nested_ab = composite_term((inner, a, b), ("i", "b0", "b1"),
+                                   ((1, 2, "s"),), shared=["s"])
+        g = truncate(nested_ab)
+        assert [x[:3] for x in g.quiver.arrows if x[2].startswith("!(")] == [
+            ("b0/v(a)", "b1/v(b)", "!(s;v(a),v(b))"),
+            ("i/b0/v(a)", "i/b1/v(b)", "!(s;v(a),v(b))")]
+        with pytest.raises(ColorClash) as got:
+            truncate(nested_ab._replace(shared=()))
+        assert got.value.context == {"color": "!(s;v(a),v(b))"}
+        # a second tag clashing beside the shared one is still refused
+        inner2 = composite_term((a, b), ("b0", "b1"),
+                                ((0, 1, "s"), (0, 1, "u")))
+        both = composite_term((inner2, a, b), ("i", "b0", "b1"),
+                              ((1, 2, "s"), (1, 2, "u")), shared=["s"])
+        with pytest.raises(ColorClash) as got:
+            truncate(both)
+        assert got.value.context == {"color": "!(u;v(a),v(b))"}
+
 
 class TestRealizationGeneral:
     def test_single_point(self):
@@ -400,12 +446,26 @@ class TestRealizationGeneral:
         assert loop_stripped_topo_order(g.quiver) is not None
 
 
+def _color_classes(q, rename=lambda v: v):
+    """The arrow set of each color, as sorted (src, dst) pairs, sorted."""
+    by_color = {}
+    for src, dst, color, _ in q.arrows:
+        by_color.setdefault(color, []).append((rename(src), rename(dst)))
+    return sorted(sorted(pairs) for pairs in by_color.values())
+
+
+NOATOM_GRID = [TruncationSpec(depth=d, ladder_range=w) for d in range(5)
+               for w in (None, (0, 0), (0, 2), (0, 3), (0, 4), (1, 3), (0, 5),
+                         (-2, 2))]
+
+
 class TestNoAtom:
     def test_depth1_window01(self):
         g = gen_noatom(TruncationSpec(depth=1, ladder_range=(0, 1)))
-        assert sorted(g.quiver.vertices) == ["v(0)", "v(0,1)", "v(1)"]
-        steps = [a for a in g.quiver.arrows if a[2].startswith("1c")]
-        fans = [a for a in g.quiver.arrows if a[2].startswith("ic")]
+        assert sorted(g.quiver.vertices) == ["0/1/r/v(1)", "0/r/v(0)",
+                                             "1/r/v(1)"]
+        steps = [a for a in g.quiver.arrows if a[2].startswith("!(1c")]
+        fans = [a for a in g.quiver.arrows if a[2].startswith("!(ic")]
         assert len(steps) == 2 and len(fans) == 1
 
     def test_every_vertex_one_loop_keyed_by_last_entry(self):
@@ -414,8 +474,55 @@ class TestNoAtom:
             loops = [a for a in g.quiver.arrows
                      if a[0] == a[1] and a[0] == v]
             assert len(loops) == 1
-            last = v[2:-1].split(",")[-1]
-            assert loops[0][2] == f"loop[{last}]"
+            # w0/.../wk/r/v(wk): the word's last entry is the block
+            # name before r
+            last = v.split("/")[-3]
+            assert loops[0][2] == f"c({last})"
+
+    def test_equals_the_word_tree_up_to_renaming(self):
+        # word w is vertex w0/.../wk/r/v(wk); each color class of the
+        # word tree is one color class of the term, and back
+        for trunc in NOATOM_GRID:
+            got, want = gen_noatom(trunc), word_tree(trunc)
+            assert sorted(got.quiver.vertices) == sorted(
+                map(renamed, want.quiver.vertices)), trunc
+            assert len(got.quiver.arrows) == len(want.quiver.arrows), trunc
+            assert _color_classes(got.quiver) == _color_classes(
+                want.quiver, renamed), trunc
+            assert {k: e["vertices"] for k, e in got.atom_table.items()} == {
+                k: sorted(map(renamed, e["vertices"]))
+                for k, e in want.atom_table.items()}, trunc
+
+    def test_noetherian_family_equals_the_word_tree(self):
+        # the runs computed from the window are the word tree's
+        # consecutive words; loop loop[i] is the term's c(i)
+        def term_loop_colors(member):
+            if member["kind"] != "loop_simple":
+                return member
+            return {**member, "loop_colors": [
+                c.replace("loop[", "c(").replace("]", ")")
+                for c in member["loop_colors"]]}
+
+        for trunc in NOATOM_GRID:
+            want = word_tree(trunc).noetherian_family
+            assert gen_noatom(trunc).noetherian_family == tuple(
+                map(term_loop_colors, want)), trunc
+
+    def test_step_tags_must_be_shared(self):
+        # the 1c colors recur at every nesting level: without the shared
+        # tags, the fresh-color rule refuses the term
+        term = noatom_term([0, 1, 2], 2)
+        assert term.shared == ("1c[0]", "1c[1]")
+        assert term.blocks[0].shared == ("1c[1]",)
+
+        def unshared(t):
+            if isinstance(t, Point):
+                return t
+            return t._replace(blocks=tuple(map(unshared, t.blocks)),
+                              shared=())
+        with pytest.raises(ColorClash) as got:
+            truncate(unshared(term))
+        assert got.value.context["color"].startswith("!(1c[")
 
     def test_vertex_count_is_nonempty_subsets(self):
         # window {0..d}, any length: strictly increasing words are

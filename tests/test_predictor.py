@@ -9,8 +9,8 @@ from atomcat import predictor
 from atomcat.errors import AtomcatError
 from atomcat.generators import (PRESET_NAMES, Point, chain_term,
                                 gen_noatom, gen_realization_acc,
-                                gen_realization_general, preset, preset_term,
-                                union_term)
+                                gen_realization_general, noatom_term, preset,
+                                preset_term, union_term)
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset, poset_isomorphic
 from atomcat.predictor import (DiffReport, atom_spectrum_point,
@@ -124,6 +124,33 @@ class TestWindow:
             assert set(sym.order.up_set("gamma")) == {"gamma", "gamma'"}
             assert [f["limit"] for f in sym.chain_families] == \
                 ["gamma'"] * depth + ["gamma"]
+
+    def test_one_family_per_limit_the_deepest(self):
+        # on the diamond, T(b, 0) and T(b, 1) both truncate gamma(b); the
+        # depth-0 stub (blocks delta(b), nothing recurring) goes
+        families = predict_realization(DIAMOND, "general").pre_quotient \
+            .chain_families
+        assert sorted(f["limit"] for f in families) == \
+            ["gamma(a)", "gamma(b)", "gamma(c)"]
+        for q in "bc":
+            assert {"limit": f"gamma({q})",
+                    "block_atom_sets": ((f"delta({q})",), ("gamma(d)",)),
+                    "recurring": ("gamma(d)",)} in families
+        # the acc window meets chain(b) inside chain(a) and on its own
+        limits = [f["limit"] for f in
+                  predict_realization(DIAMOND, "acc").pre_quotient
+                  .chain_families]
+        assert sorted(limits) == ["chain(a)", "chain(b)", "chain(c)"]
+
+    def test_a_shallower_family_goes_whichever_comes_first(self):
+        a, b = Point("A", "a"), Point("B", "b")
+        stub = chain_term([a], [], "lim", recurring=())
+        deep = chain_term([a, b], ["t"], "lim", recurring=("B",))
+        for blocks in ([stub, deep], [deep, stub]):
+            out = window(union_term(blocks, ["x", "y"]))
+            assert out.chain_families == (
+                {"limit": "lim", "block_atom_sets": (("A",), ("B",)),
+                 "recurring": ("B",)},)
 
 
 class TestQuotient:
@@ -310,26 +337,36 @@ class TestNoAtomPrediction:
             assert set(diff.matched) == {f"delta({i})" for i in range(d + 1)}
 
     def test_uncredited_loop_simple_is_unexpected(self):
-        # a table that lacks delta(0) leaves the brute S(loop[0]) uncredited
+        # a table that lacks delta(0) leaves the brute S(c(0)) uncredited
         tr = TruncationSpec(depth=1, ladder_range=(0, 1))
         gen = gen_noatom(tr)
         crippled = replace(gen, atom_table={
             k: v for k, v in gen.atom_table.items() if k != "delta(0)"})
         diff = crosscheck(predict_noatom(tr).pre_spectrum, crippled)
-        assert diff.unexpected == ("S(loop[0])",)
+        assert diff.unexpected == ("S(c(0))",)
         assert not diff.ok()
 
     def test_absorption_reads_loop_colors_not_labels(self, monkeypatch):
-        # each table entry goes to the loop simple with its loop colors,
-        # whatever the entry is called
-        def renamed(trunc):
-            gen = gen_noatom(trunc)
-            return replace(gen, atom_table={
-                f"atom<{k}>": v for k, v in gen.atom_table.items()})
-        monkeypatch.setattr(predictor, "gen_noatom", renamed)
+        # each loop simple goes to the family's loop simple with its
+        # loop color, whatever the point is called
+        def renamed(ints, depth):
+            term = noatom_term(ints, depth)
+            return term._replace(blocks=tuple(
+                n._replace(blocks=(n.blocks[0]._replace(
+                    label=f"atom<{n.blocks[0].label}>"), *n.blocks[1:]))
+                for n in term.blocks))
+        monkeypatch.setattr(predictor, "noatom_term", renamed)
         pred = predict_noatom(TruncationSpec(depth=1, ladder_range=(0, 1)))
         assert pred.absorption == {"atom<delta(0)>": "noeth-loop(0)",
                                    "atom<delta(1)>": "noeth-loop(1)"}
+
+    def test_simple_atoms_are_the_window_of_the_term(self):
+        tr = TruncationSpec(depth=2, ladder_range=(0, 2))
+        pre = predict_noatom(tr).pre_spectrum
+        sym = window(noatom_term([0, 1, 2], 2))
+        assert [a for a in pre.atoms if a.kind == "simple"] == list(sym.atoms)
+        assert {a.label: pre.provenance[a.label] for a in sym.atoms} == \
+            sym.provenance
 
     def test_crosscheck_matches_deltas(self):
         tr = TruncationSpec(depth=1, ladder_range=(0, 1))
@@ -358,15 +395,19 @@ class TestPresetPredictions:
     def test_no_dcc(self):
         sym = predict_preset("no-dcc", 4)
         assert check_infinite_descent(sym)
-        assert not check_infinite_descent(predict_preset("no-dcc", 2))
+        # negative control: a claimed descent of three atoms
+        descent = sym.claims["infinite_descent"]
+        assert not check_infinite_descent(
+            replace(sym, claims={"infinite_descent": descent[:3]}))
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_no_dcc_claim_needs_a_descent_of_four(self, depth):
-        # the window's descent has max(depth, 2) atoms: at depths 1-3 it
-        # is too short to witness an infinite descent
+        # the window p0 > p1 > p2 > p3 is fixed, so every depth claims a
+        # descent of four atoms and witnesses it
         sym = predict_preset("no-dcc", depth)
         held = check_preset_claims("no-dcc", sym, depth)
-        assert held == {"no_dcc": depth >= 4}
+        assert len(sym.claims["infinite_descent"]) == 4
+        assert held == {"no_dcc": True}
         assert held["no_dcc"] == check_infinite_descent(sym)
 
     def test_max_not_open(self):
