@@ -13,8 +13,9 @@ from .atomspec import (Atom, AtomSet, SpectrumReport, aass, asupp,
                        atom_equivalent, has_common_nonzero_subobject,
                        is_monoform, is_uniform, localize,
                        localizing_subcategories, membership, spectrum)
-from .generators import (gen_noatom, gen_realization_acc,
-                         gen_realization_general, preset, PRESET_NAMES)
+from .generators import (chain, disjoint_union, gen_noatom,
+                         gen_realization_acc, gen_realization_general, preset,
+                         PRESET_NAMES, substitute)
 from .linmod import (FdModule, FieldSpec, Submodule, SubmoduleSet,
                      cyclic_submodule, hom_basis, is_essential,
                      module_of_quiver, structure_report, submodule_lattice,
@@ -23,11 +24,9 @@ from .ordertop import (FiniteTopology, Poset, alexandroff_of_poset,
                        is_kolmogorov, normalize_poset, poset_invariants,
                        poset_isomorphic, poset_of_topology, topology_of_opens)
 from .predictor import (DiffReport, SymbolicSpectrum, crosscheck,
-                        predict_chain, predict_disjoint_union, predict_noatom,
-                        predict_preset, predict_realization)
-from .quiver import (ColoredQuiver, GeneratedQuiver, TruncationSpec, chain,
-                     disjoint_union, full_subquiver, ladder, make_quiver,
-                     normalize, quiver_of_algebra, split_by_closed,
-                     substitute)
+                        predict_noatom, predict_preset, predict_realization)
+from .quiver import (ColoredQuiver, GeneratedQuiver, TruncationSpec,
+                     full_subquiver, make_quiver, normalize,
+                     quiver_of_algebra, split_by_closed)
 
 __version__ = "0.1.0"

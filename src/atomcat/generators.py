@@ -19,19 +19,22 @@ Every construction is a term, read by `truncate` as a truncated quiver
 with its atom table in one pass, and by `predictor.window` as a
 symbolic spectrum.  `Point(label, tag, loop=True)` is vertex v(tag),
 with loop c(tag) if loop, and the simple atom `label`.  A `Composite`
-is `quiver.substitute` of its blocks into a skeleton: block k under
-names[k], and per skeleton arrow (i, j, tag) the bundle from block i to
-block j.  Its `limit`, if any, is the atom of an infinite construction
-that the composite truncates, lying below the `recurring` atoms (None:
-all of them); a block repeated by identity is one block of the window.
-Its `shared` tags may mint bundle colors already inside its blocks,
-which substitution's fresh-color rule otherwise refuses.
-`composite_term` builds a composite on an acyclic skeleton,
+substitutes its blocks into a skeleton: block k under names[k], and per
+skeleton arrow (i, j, tag) the complete bipartite bundle from block i
+to block j, its colors minted fresh.  Its `limit`, if any, is the atom
+of an infinite construction that the composite truncates, lying below
+the `recurring` atoms (None: all of them); a block repeated by identity
+is one block of the window.  Its `shared` tags may mint bundle colors
+already inside its blocks, which the fresh-color rule otherwise
+refuses.  `composite_term` builds a composite on an acyclic skeleton,
 `chain_term` puts blocks b0, b1, ... on a path skeleton and
 `union_term` puts terms under names on a skeleton without arrows.  The
 presets, both poset realizations and the atom-free construction are
 terms: `truncate(acc_term(...))`, `truncate(general_term(...))` and
-`truncate(noatom_term(...))`.
+`truncate(noatom_term(...))`.  Substitution of quivers lives here too:
+a `ColoredQuiver` is a leaf term of `truncate`, so `substitute` (on any
+skeleton quiver), `disjoint_union` and `chain` are `truncate` of a
+composite whose blocks are quivers.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
@@ -42,10 +45,10 @@ from collections import namedtuple
 from functools import partial
 from itertools import repeat
 
-from .errors import ColorClash, DepthTooSmall, UnknownPreset, WindowTooSmall
+from .errors import (ColorClash, DepthTooSmall, EmptyRange, MissingBlock,
+                     UnknownPreset, UnknownVertex, WindowTooSmall)
 from .ordertop import normalize_poset, poset_invariants
-from .quiver import (GeneratedQuiver, _chain_tags, _union_names, bundle_color,
-                     loop_stripped_topo_order, make_quiver)
+from .quiver import ColoredQuiver, GeneratedQuiver, make_quiver
 
 
 def _check_ids(elements):
@@ -66,17 +69,64 @@ Composite = namedtuple("Composite",
                        defaults=(None, None, "", ()))
 
 
+def _bundle_color(skeleton_color, src_vertex, dst_vertex):
+    """Fresh color of a bundle arrow, from the tag and its ends' names."""
+    return f"!({skeleton_color};{src_vertex},{dst_vertex})"
+
+
+def _union_names(names, n):
+    """n block names as strings; refuses a name count other than n and
+    repeats."""
+    names = list(map(str, names))
+    if len(names) != n:
+        raise ValueError(f"need {n} block names, got {len(names)}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"block names repeat: {names}")
+    return names
+
+
+def _chain_tags(tags, n):
+    """The bundle tags of a chain of n blocks, (chain;i) if None;
+    refuses an empty chain, a tag count other than n - 1 and repeats."""
+    if not n:
+        raise EmptyRange("chain needs at least one block")
+    if tags is None:
+        tags = [f"(chain;{i})" for i in range(n - 1)]
+    if len(tags) != n - 1:
+        raise ValueError(f"need {n - 1} tags, got {len(tags)}")
+    if len(set(tags)) != len(tags):
+        raise ColorClash("chain tags must be pairwise distinct", tags=list(tags))
+    return tags
+
+
+def _require_acyclic(n, arrows):
+    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1 or
+    a cycle, a loop included, by Kahn's in-degree pass."""
+    entering, succ = [0] * n, [[] for _ in range(n)]
+    for i, j, _ in arrows:
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownVertex("skeleton arrow end outside the blocks",
+                                arrow=[i, j])
+        succ[i].append(j)
+        entering[j] += 1
+    ready = [k for k in range(n) if not entering[k]]
+    for k in ready:  # grows while it is read
+        for j in succ[k]:
+            entering[j] -= 1
+            if not entering[j]:
+                ready.append(j)
+    if len(ready) < n:
+        raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
+
+
 def composite_term(blocks, names, arrows, limit=None, recurring=None,
                    provenance="", shared=()):
     """blocks[k] under names[k] on a skeleton of (i, j, tag) arrows.
-    Refuses what `union_term` and `make_quiver` refuse, a cyclic
-    skeleton (a loop included) and a shared tag on no arrow."""
+    Refuses what `union_term` and `_require_acyclic` refuse and a
+    shared tag on no arrow."""
     _union_names(names, len(blocks))
-    tags = {tag for _, _, tag in arrows}
-    if any(i == j for i, j, _ in arrows) or loop_stripped_topo_order(
-            make_quiver(range(len(blocks)), tags, arrows)) is None:
-        raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
-    if not tags.issuperset(shared):
+    _require_acyclic(len(blocks), arrows)
+    if not {tag for _, _, tag in arrows}.issuperset(shared):
         raise ValueError(f"shared tags {shared} label no skeleton arrow")
     return Composite(tuple(blocks), tuple(names), tuple(arrows), limit,
                      recurring, provenance, tuple(shared))
@@ -84,8 +134,8 @@ def composite_term(blocks, names, arrows, limit=None, recurring=None,
 
 def chain_term(blocks, tags, limit=None, recurring=None, provenance=""):
     """The blocks on a path skeleton, block i named b{i} and joined to
-    block i + 1 by a bundle tagged tags[i].  Refuses what `quiver.chain`
-    refuses: no blocks, a tag count other than len(blocks) - 1, and
+    block i + 1 by a bundle tagged tags[i], (chain;i) if tags is None.
+    Refuses no blocks, a tag count other than len(blocks) - 1, and
     repeated tags."""
     tags = _chain_tags(tags, len(blocks))
     return Composite(tuple(blocks), tuple(f"b{i}" for i in range(len(blocks))),
@@ -94,9 +144,9 @@ def chain_term(blocks, tags, limit=None, recurring=None, provenance=""):
 
 
 def union_term(terms, names):
-    """terms[i] under names[i], with no skeleton arrows.  Refuses what
-    `quiver.disjoint_union` refuses: repeated names and a name count
-    other than the term count."""
+    """terms[i] under names[i], with no skeleton arrows.  Refuses
+    repeated names (as strings) and a name count other than the term
+    count."""
     _union_names(names, len(terms))
     return Composite(tuple(terms), tuple(names), ())
 
@@ -181,14 +231,16 @@ def general_term(poset, depth, ints):
 def truncate(term):
     """The truncated quiver of a term with its atom table, in one pass.
 
-    Each distinct subterm (by identity) is prepared once, children
-    first: its vertex names relative to itself (v(tag) or
-    {name}/...), the distinct subterms inside it and, for a composite,
-    the bundle color rows of each skeleton arrow (i, j, tag),
-    bundle_color(tag, v, w) for vertex v of block i and w of block j,
-    made once per distinct (tag, block i, block j).  Then one walk with
-    every vertex's final prefix makes each vertex name, color and arrow
-    once, and one `make_quiver` validates them.  As in `substitute`, a
+    A leaf is a `Point` or a `ColoredQuiver`, whose vertices go under
+    the prefix and whose arrows and declared colors are kept; it has no
+    atom table entry.  Each distinct subterm (by identity) is prepared
+    once, children first: its vertex names relative to itself (v(tag),
+    the quiver's own or {name}/...), the distinct subterms inside it
+    and, for a composite, the bundle color rows of each skeleton arrow
+    (i, j, tag), _bundle_color(tag, v, w) for vertex v of block i and w
+    of block j, made once per distinct (tag, block i, block j).  Then
+    one walk with every vertex's final prefix makes each vertex name,
+    color and arrow once, and one `make_quiver` validates them.  A
     composite's bundle colors must avoid the colors inside its own
     blocks (sibling composites may share theirs), except those of its
     shared tags, and ColorClash names the least clashing color of the
@@ -205,7 +257,7 @@ def truncate(term):
     lists and `make_quiver`'s own color set and arrow copy beyond the
     finished quiver.
     """
-    rel, below, rows, loop_color = {}, {}, {}, {}
+    rel, below, rows, loop_color, leaf_colors = {}, {}, {}, {}, {}
     colors, minted = [], set()  # minting order, and as a set
 
     def prepare(t):
@@ -219,6 +271,12 @@ def truncate(term):
                 colors.append(c)
                 minted.add(c)
             return
+        if isinstance(t, ColoredQuiver):
+            rel[id(t)] = tuple(map(str, t.vertices))
+            leaf_colors[id(t)] = t.colors
+            colors.extend(t.colors)
+            minted.update(t.colors)
+            return
         for b in t.blocks:
             prepare(b)
         inside = set().union(*(below[id(b)] for b in t.blocks))
@@ -231,13 +289,14 @@ def truncate(term):
         for i, j, tag in t.arrows:
             key = tag, id(t.blocks[i]), id(t.blocks[j])
             if key not in made:
-                made[key] = [[bundle_color(tag, v, w) for w in rel[key[2]]]
+                made[key] = [[_bundle_color(tag, v, w) for w in rel[key[2]]]
                              for v in rel[key[1]]]
             rows[id(t)].append(made[key])
         fresh = [c for block in made.values() for row in block for c in row]
         if not minted.isdisjoint(fresh):
             # only a shared tag's colors may already be inside the blocks
             held = {loop_color[s] for s in inside if s in loop_color}
+            held.update(c for s in inside for c in leaf_colors.get(s, ()))
             held.update(c for s in inside for block in rows.get(s, ())
                         for row in block for c in row)
             if clash := held.intersection(
@@ -263,6 +322,12 @@ def truncate(term):
                                   "vertices": []}
             table[t.label]["vertices"].append(v)
             return [v]
+        if isinstance(t, ColoredQuiver):
+            names = [prefix + v for v in rel[id(t)]]
+            at = dict(zip(t.vertices, names))
+            arrows.extend((at[src], at[dst], color, value)
+                          for src, dst, color, value in t.arrows)
+            return names
         names = []
         if t.limit and depth < depth_of.get(t.limit, depth + 1):
             depth_of[t.limit] = depth
@@ -282,13 +347,43 @@ def truncate(term):
     # prepare and emit refer to themselves: delete them to free what
     # they hold on return, not at a gc; the color set goes before the
     # arrows, the relative names and bundle rows before validation
-    del prepare, below, minted
+    del prepare, below, minted, leaf_colors
     vertices = emit(term, "", 0)
     del emit, rel, rows
     union = make_quiver(vertices, colors, arrows)
     for entry in table.values():
         entry["vertices"].sort()
     return GeneratedQuiver(union, table)
+
+
+def substitute(omega, blocks):
+    """Replace each vertex w of the skeleton quiver omega by the quiver
+    blocks[w] under w/, each skeleton arrow of color mu by the bundle
+    tagged mu: `truncate` of the composite of those quiver leaves.  Any
+    skeleton is accepted, cycles and loops included; a skeleton vertex
+    without a block raises MissingBlock."""
+    for w in omega.vertices:
+        if w not in blocks:
+            raise MissingBlock("skeleton vertex without a block", vertex=w)
+    at = {w: k for k, w in enumerate(omega.vertices)}
+    return truncate(Composite(
+        tuple(blocks[w] for w in omega.vertices), omega.vertices,
+        tuple((at[w], at[w2], mu) for w, w2, mu, _ in omega.arrows))).quiver
+
+
+def disjoint_union(quivers, names=None):
+    """Disjoint union, `truncate(union_term(...))`: block k under
+    names[k] (k if None), colors shared rather than renamed, so equal
+    blocks in different positions stay isomorphic as modules."""
+    names = range(len(quivers)) if names is None else names
+    return truncate(union_term(quivers, names)).quiver
+
+
+def chain(blocks, tags=None):
+    """Finite chain of blocks joined by pairwise distinctly colored
+    bundles, `truncate(chain_term(blocks, tags))`.  Nested chains must
+    pass tags that stay clear of the colors minted inside the blocks."""
+    return truncate(chain_term(blocks, tags)).quiver
 
 
 def gen_realization_acc(poset, trunc):

@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 from . import atomspec, generators, linmod, predictor
 from .atomspec import aass, asupp, is_monoform, is_uniform, spectrum
 from .errors import NotTargetClosed
+from .generators import substitute
 from .linmod import (FieldSpec, is_essential, module_of_quiver,
                      quotient_module, structure_report, submodule_as_module,
                      submodule_lattice, subquotient)
 from .ordertop import (alexandroff_of_poset, is_kolmogorov, normalize_poset,
                        poset_isomorphic, poset_of_topology)
-from .quiver import (TruncationSpec, make_quiver, split_by_closed, substitute)
+from .quiver import TruncationSpec, make_quiver, split_by_closed
 
 
 @dataclass(frozen=True)

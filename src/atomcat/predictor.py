@@ -14,9 +14,10 @@ evaluate topology claims that no finite window can state directly:
 
 Every spectrum is built by `_spectrum`; a post-quotient spectrum is
 `quotient(pre, absorbed)`, the pre-quotient one minus the up-closure
-of the absorbed atoms.  `window` reads a construction term of
-`generators` (a preset, a poset realization or the atom-free term),
-which `generators.truncate` reads as a truncation.
+of the absorbed atoms.  `window`, the one symbolic reader, reads a
+construction term of `generators` (a preset, a poset realization or
+the atom-free term), which `generators.truncate` reads as a
+truncation; unlike `truncate` it refuses a cyclic skeleton.
 
 Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
@@ -31,9 +32,10 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite
-from .generators import (_DESCENDING_WINDOW, Point, _loop_color, acc_term,
-                         general_term, noatom_term, noatom_window,
-                         noetherian_family, preset_term, require_preset)
+from .generators import (_DESCENDING_WINDOW, Point, _loop_color,
+                         _require_acyclic, acc_term, general_term,
+                         noatom_term, noatom_window, noetherian_family,
+                         preset_term, require_preset)
 from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
 
@@ -104,54 +106,6 @@ def symbolic_from_json(data):
         data.get("continued_below", ()), data.get("claims", {}))
 
 
-def atom_spectrum_point(label, *, provenance=""):
-    return _spectrum((SymAtom(label, "simple"),), (), {label: provenance})
-
-
-def predict_disjoint_union(specs):
-    """Union of the component spectra; atoms with equal labels are the
-    same atom (labels encode the defining colors, so equal blocks with
-    shared colors merge and disjointly colored ones stay apart).  A
-    chain family whose block atoms another family of its limit holds is
-    a copy or a shallower truncation of it, and goes."""
-    families = [f for s in specs for f in s.chain_families]
-    atoms = [set().union(*f["block_atom_sets"]) for f in families]
-    families = [f for k, f in enumerate(families) if not any(
-        g["limit"] == f["limit"] and atoms[k] <= atoms[m]
-        and (atoms[k] < atoms[m] or m < k) for m, g in enumerate(families))]
-    return _spectrum([a for s in specs for a in s.atoms],
-                     [pair for s in specs for pair in s.order.le],
-                     {k: v for s in specs for k, v in s.provenance.items()},
-                     families,
-                     [l for s in specs for l in s.continued_below],
-                     {k: v for s in specs for k, v in s.claims.items()})
-
-
-def predict_chain(blocks, limit_label, recurring=None, provenance=""):
-    """Spectrum of an infinite chain of blocks joined by fresh bundles.
-
-    blocks are the block spectra in window order.  A chain-limit atom is
-    added below exactly the recurring atoms, those that occur in
-    infinitely many blocks; None means every atom of the blocks, and ()
-    a chain of pairwise distinct blocks none of which repeats.
-    """
-    merged = predict_disjoint_union(blocks)
-    if limit_label in merged.labels():
-        raise ValueError(f"limit label collides with a block atom: {limit_label}")
-    recurring = sorted(merged.labels() if recurring is None else recurring)
-    family = {"limit": limit_label,
-              "block_atom_sets": tuple(tuple(sorted(b.labels()))
-                                       for b in blocks),
-              "recurring": tuple(recurring)}
-    return _spectrum(merged.atoms + (SymAtom(limit_label, "chain_limit"),),
-                     list(merged.order.le)
-                     + [(limit_label, b) for b in recurring],
-                     {**merged.provenance,
-                      limit_label: provenance or "chain limit"},
-                     merged.chain_families + (family,),
-                     merged.continued_below, merged.claims)
-
-
 def quotient(sym, absorbed):
     """Spectrum after the quotient by the localizing subcategory whose
     atom support is the up-closure of `absorbed`: ASpec(A/X) = ASpec A
@@ -173,22 +127,44 @@ class RealizationResult:
 
 def window(term):
     """Symbolic spectrum of a construction term, each distinct subterm
-    read once: a point is `atom_spectrum_point`, a composite with a
-    limit `predict_chain` over its distinct blocks, and one without
-    `predict_disjoint_union` over them.  Skeleton arrows do not enter."""
+    read once.  A point is its simple atom.  A composite on an acyclic
+    skeleton is the union of its distinct blocks' spectra, atoms with
+    equal labels one atom, less each chain family whose block atoms
+    another family of its limit holds (a copy or a shallower
+    truncation).  Its limit, if any, is added below its `recurring`
+    atoms (None: all) with its family, and may not be a block atom."""
     memo = {}
 
     def read(t):
         if id(t) in memo:
             return memo[id(t)]
         if isinstance(t, Point):
-            out = atom_spectrum_point(t.label, provenance=t.provenance)
-        else:
-            parts = [read(b) for b in {id(b): b for b in t.blocks}.values()]
-            out = (predict_disjoint_union(parts) if t.limit is None else
-                   predict_chain(parts, t.limit, t.recurring, t.provenance))
-        memo[id(t)] = out
-        return out
+            return memo.setdefault(id(t), _spectrum(
+                (SymAtom(t.label, "simple"),), (), {t.label: t.provenance}))
+        _require_acyclic(len(t.blocks), t.arrows)
+        parts = [read(b) for b in {id(b): b for b in t.blocks}.values()]
+        families = [f for s in parts for f in s.chain_families]
+        held = [set().union(*f["block_atom_sets"]) for f in families]
+        families = [f for k, f in enumerate(families) if not any(
+            g["limit"] == f["limit"] and held[k] <= held[m]
+            and (held[k] < held[m] or m < k) for m, g in enumerate(families))]
+        atoms = [a for s in parts for a in s.atoms]
+        pairs = [pair for s in parts for pair in s.order.le]
+        provenance = {k: v for s in parts for k, v in s.provenance.items()}
+        if t.limit is not None:
+            labels = {a.label for a in atoms}
+            if t.limit in labels:
+                raise ValueError("limit label collides with a block atom: "
+                                 f"{t.limit}")
+            recurring = tuple(sorted(labels if t.recurring is None
+                                     else t.recurring))
+            families.append({"limit": t.limit, "block_atom_sets": tuple(
+                s.labels() for s in parts), "recurring": recurring})
+            atoms.append(SymAtom(t.limit, "chain_limit"))
+            pairs += [(t.limit, b) for b in recurring]
+            provenance[t.limit] = t.provenance or "chain limit"
+        return memo.setdefault(id(t), _spectrum(atoms, pairs, provenance,
+                                                families))
     return read(term)
 
 

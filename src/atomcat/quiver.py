@@ -1,4 +1,4 @@
-"""Colored quivers and their combinators.
+"""Colored quivers: validation, subquivers, blocks and algebra quivers.
 
 A colored quiver is a finite directed graph whose arrows carry a color
 and a field value (an integer, reduced mod p only when a module is
@@ -7,14 +7,12 @@ declaredness is that no two arrows share (source, target, color); a
 color may well label many arrows, and that sharing is what later glues
 simple modules together.
 
-Combinators: full subquivers, target-closed splitting, substitution of
-blocks into a skeleton quiver (complete bipartite bundles of freshly
-colored arrows per skeleton arrow), and built on it disjoint unions
-(a skeleton without arrows) and finite chains (a path skeleton); also a
-two-step ladder.  Substitution mints the fresh color for a bundle
-arrow from (skeleton color, source block vertex, target block vertex),
-so identical blocks hanging off equally colored skeleton arrows share
-bundle colors, and regeneration is deterministic.
+Here: full subquivers, target-closed splitting, the strongly connected
+blocks (Tarjan) and the loop-stripped topological order, and the quiver
+of a finite-dimensional algebra's right regular representation.
+Substitution into a skeleton, and the disjoint unions and chains built
+on it, live in `generators`, where a quiver is a leaf term of
+`truncate`.
 
 An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
 also takes 3-item arrows (src, dst, color) and gives them value 1.
@@ -26,9 +24,8 @@ from itertools import islice
 from operator import itemgetter
 
 from . import modp
-from .errors import (ColorClash, DuplicateArrow, EmptyRange, MissingBlock,
-                     NotAssociative, NotTargetClosed, NotUnital,
-                     UnknownColor, UnknownVertex)
+from .errors import (DuplicateArrow, NotAssociative, NotTargetClosed,
+                     NotUnital, UnknownColor, UnknownVertex)
 from .ordertop import _json_names
 
 
@@ -226,126 +223,6 @@ def split_by_closed(quiver, vertex_subset):
                                   src=src, dst=dst, color=color)
     rest = [v for v in quiver.vertices if v not in keep]
     return full_subquiver(quiver, sorted(keep)), full_subquiver(quiver, rest)
-
-
-def disjoint_union(quivers, names=None):
-    """Disjoint union; vertices get a block prefix, colors are shared.
-
-    Sharing colors (rather than renaming them per block) is deliberate:
-    equal blocks in different positions must stay isomorphic as
-    modules.  This is `substitute` on a skeleton without arrows, one
-    vertex per block name; repeated names, or a name count other than
-    the block count, raise ValueError.
-    """
-    blocks = dict(zip(_union_names(names, len(quivers)), quivers))
-    return substitute(make_quiver(blocks, [], []), blocks)
-
-
-def _union_names(names, n):
-    """n block names as strings, 0..n-1 if None; refuses a name count
-    other than n and repeats."""
-    names = list(map(str, range(n) if names is None else names))
-    if len(names) != n:
-        raise ValueError(f"need {n} block names, got {len(names)}")
-    if len(set(names)) < len(names):
-        raise ValueError(f"block names repeat: {names}")
-    return names
-
-
-def bundle_color(skeleton_color, src_vertex, dst_vertex):
-    """Fresh color minted by substitution for one bundle arrow."""
-    return f"!({skeleton_color};{src_vertex},{dst_vertex})"
-
-
-def substitute(omega, blocks):
-    """Replace each skeleton vertex by a block quiver.
-
-    Block-internal arrows are kept (colors untouched); each skeleton
-    arrow of color mu becomes the complete bipartite bundle between the
-    two block vertex sets, arrow (v, v') colored bundle_color(mu, v, v').
-    Freshness of the minted colors against all block colors is
-    enforced, mirroring the disjointness in the construction.
-    """
-    vertices, arrows, block_colors = [], [], set()
-    for w in omega.vertices:
-        if w not in blocks:
-            raise MissingBlock("skeleton vertex without a block", vertex=w)
-        q = blocks[w]
-        block_colors.update(q.colors)
-        ren = {v: f"{w}/{v}" for v in q.vertices}
-        vertices.extend(ren.values())
-        arrows.extend((ren[src], ren[dst], color, value)
-                      for src, dst, color, value in q.arrows)
-    colors = set(block_colors)
-    for w, w2, mu, _ in omega.arrows:
-        for v in blocks[w].vertices:
-            for v2 in blocks[w2].vertices:
-                c = bundle_color(mu, v, v2)
-                if c in block_colors:
-                    raise ColorClash("bundle color already used by a block",
-                                     color=c)
-                colors.add(c)
-                arrows.append((f"{w}/{v}", f"{w2}/{v2}", c, 1))
-    return make_quiver(vertices, sorted(colors), arrows)
-
-
-def _chain_tags(tags, n):
-    """The bundle tags of a chain of n blocks, (chain;i) if None;
-    refuses an empty chain, a tag count other than n - 1 and repeats."""
-    if not n:
-        raise EmptyRange("chain needs at least one block")
-    if tags is None:
-        tags = [f"(chain;{i})" for i in range(n - 1)]
-    if len(tags) != n - 1:
-        raise ValueError(f"need {n - 1} tags, got {len(tags)}")
-    if len(set(tags)) != len(tags):
-        raise ColorClash("chain tags must be pairwise distinct", tags=list(tags))
-    return tags
-
-
-def chain(blocks, tags=None):
-    """Finite chain of blocks joined by pairwise distinctly colored bundles.
-
-    tags supplies the skeleton arrow colors; nested chains must pass
-    tags that stay clear of the colors minted inside the blocks.
-    """
-    tags = _chain_tags(tags, len(blocks))
-    names = [f"b{i}" for i in range(len(blocks))]  # the path skeleton
-    return substitute(make_quiver(names, tags, zip(names, names[1:], tags)),
-                      dict(zip(names, blocks)))
-
-
-def ladder(block, interval):
-    """Integer-indexed ladder of block copies with step and skip bundles.
-
-    Step arrows (i, v) -> (i-1, w) share the position-independent color
-    1c(v,w); skip arrows (i, v) -> (i-2, w) get per-position colors
-    2c[i](v,w).  Only arrows with both endpoints inside the interval are
-    materialized.
-    """
-    lo, hi = interval
-    if hi < lo:
-        raise EmptyRange("ladder interval is empty", interval=list(interval))
-    positions = list(range(lo, hi + 1))
-    vertices, arrows = [], []
-    colors = set(block.colors)
-    for i in positions:
-        ren = {v: f"{i}/{v}" for v in block.vertices}
-        vertices.extend(ren.values())
-        arrows.extend((ren[src], ren[dst], color, value)
-                      for src, dst, color, value in block.arrows)
-    for i in positions:
-        for v in block.vertices:
-            for w in block.vertices:
-                if i - 1 >= lo:
-                    c = f"1c({v},{w})"
-                    colors.add(c)
-                    arrows.append((f"{i}/{v}", f"{i-1}/{w}", c, 1))
-                if i - 2 >= lo:
-                    c = f"2c[{i}]({v},{w})"
-                    colors.add(c)
-                    arrows.append((f"{i}/{v}", f"{i-2}/{w}", c, 1))
-    return make_quiver(vertices, sorted(colors), arrows)
 
 
 def quiver_of_algebra(basis, structure, p=2):

@@ -19,7 +19,8 @@ from atomcat.errors import (InvalidTopology, NotMonoform, UnknownAtom,
 from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
                             submodule_as_module, submodule_lattice,
                             subquotient)
-from atomcat.quiver import disjoint_union, make_quiver
+from atomcat.generators import disjoint_union
+from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
 from strategies import irreducible_plus_line, valued_quivers
 

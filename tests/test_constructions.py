@@ -16,7 +16,7 @@ import json
 import pathlib
 import sys
 
-from atomcat import generators, predictor, quiver
+from atomcat import generators, predictor
 from atomcat.errors import AtomcatError
 from atomcat.harness import all_posets
 from atomcat.quiver import TruncationSpec, make_quiver
@@ -95,17 +95,12 @@ def cases():
            lambda: generators.gen_noatom(
                TruncationSpec(depth=1, ladder_range=(-3, -1))))
     a, b = _small_blocks()
-    for block in ("a", "b"):
-        for interval in ((0, 0), (0, 2), (-1, 2)):
-            yield (f"ladder/{block}/{interval}",
-                   lambda q={"a": a, "b": b}[block], i=interval:
-                   quiver.ladder(q, i).to_json())
-    yield "union/a,b", lambda: quiver.disjoint_union([a, b]).to_json()
-    yield ("union/a,a/named",
-           lambda: quiver.disjoint_union([a, a], names=["l", "r"]).to_json())
-    yield "union/empty", lambda: quiver.disjoint_union([]).to_json()
-    yield "chain/a,b", lambda: quiver.chain([a, b]).to_json()
-    yield "chain/b,a,b", lambda: quiver.chain([b, a, b]).to_json()
+    yield "union/a,b", lambda: generators.disjoint_union([a, b]).to_json()
+    yield ("union/a,a/named", lambda: generators.disjoint_union(
+        [a, a], names=["l", "r"]).to_json())
+    yield "union/empty", lambda: generators.disjoint_union([]).to_json()
+    yield "chain/a,b", lambda: generators.chain([a, b]).to_json()
+    yield "chain/b,a,b", lambda: generators.chain([b, a, b]).to_json()
 
 
 def fingerprint(thunk):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from atomcat import generators, quiver
+from atomcat import generators
 from atomcat.errors import (ColorClash, DepthTooSmall, EmptyRange,
                             UnknownPreset, UnknownVertex, WindowTooSmall)
 from atomcat.generators import (PRESET_NAMES, Point, acc_term, chain_term,
@@ -15,10 +15,11 @@ from atomcat.generators import (PRESET_NAMES, Point, acc_term, chain_term,
                                 preset_term, truncate, union_term)
 from atomcat.harness import all_posets, random_poset
 from atomcat.ordertop import normalize_poset
-from atomcat.quiver import (GeneratedQuiver, TruncationSpec,
+from atomcat.quiver import (ColoredQuiver, GeneratedQuiver, TruncationSpec,
                             generated_from_json, loop_stripped_topo_order,
-                            make_quiver, substitute)
+                            make_quiver)
 from noatom_oracle import renamed, word_tree
+from substitute_oracle import substitute
 
 
 def poset(pairs, elems):
@@ -122,8 +123,7 @@ class TestRealizationAcc:
         # a minted bundle color equal to the loop color of a block
         def clashing(skeleton_color, src_vertex, dst_vertex):
             return "c(p1)"
-        monkeypatch.setattr(generators, "bundle_color", clashing)
-        monkeypatch.setattr(quiver, "bundle_color", clashing)
+        monkeypatch.setattr(generators, "_bundle_color", clashing)
         for build in (lambda: gen_realization_acc(CHAIN2, TruncationSpec(2)),
                       lambda: truncate(acc_term(CHAIN2, 2))):
             with pytest.raises(ColorClash) as got:
@@ -137,7 +137,7 @@ class TestRealizationAcc:
         def clashing(skeleton_color, src_vertex, dst_vertex):
             return {"v(p2)": "c(p2)", "v(p1)": "c(p1)"}.get(
                 dst_vertex, f"z({skeleton_color})")
-        monkeypatch.setattr(generators, "bundle_color", clashing)
+        monkeypatch.setattr(generators, "_bundle_color", clashing)
         v = poset([("p0", "p1"), ("p0", "p2")], ["p0", "p1", "p2"])
         with pytest.raises(ColorClash) as got:
             gen_realization_acc(v, TruncationSpec(depth=2))
@@ -174,7 +174,8 @@ class TestRealizationAcc:
 
 def nested(term):
     """The oracle for `truncate`: every subterm built on its own (a
-    point as a one-vertex quiver, a composite by `substitute` on its
+    point as a one-vertex quiver, a quiver leaf as itself, a composite
+    by the arrow-by-arrow `substitute_oracle.substitute` on its
     skeleton), the atom table read off the nested quivers by a second
     walk."""
     quivers, table, depth_of = {}, {}, {}
@@ -185,6 +186,8 @@ def nested(term):
                 v, c = f"v({t.tag})", f"c({t.tag})"
                 quivers[id(t)] = (make_quiver([v], [c], [(v, v, c)]) if t.loop
                                   else make_quiver([v], [], []))
+            elif isinstance(t, ColoredQuiver):
+                quivers[id(t)] = t
             else:
                 skeleton = make_quiver(
                     t.names, {tag for _, _, tag in t.arrows},
@@ -194,6 +197,8 @@ def nested(term):
         return quivers[id(t)]
 
     def walk(t, prefix, depth):
+        if isinstance(t, ColoredQuiver):
+            return
         if isinstance(t, Point):
             table.setdefault(t.label, {
                 "kind": "simple", "atom_label": t.label,
@@ -253,11 +258,35 @@ class TestTruncate:
 
     def test_bundle_color_clash_with_a_nested_chain(self, monkeypatch):
         # the outer bundle mints the color the inner bundle minted
-        monkeypatch.setattr(generators, "bundle_color", lambda *_: "k")
+        monkeypatch.setattr(generators, "_bundle_color", lambda *_: "k")
         inner = chain_term([Point("A", "a"), Point("B", "b")], ["i"])
         with pytest.raises(ColorClash) as got:
             truncate(chain_term([inner, Point("C", "c")], ["o"]))
         assert got.value.context == {"color": "k"}
+
+    def test_quiver_leaves_equal_nested_combinators(self):
+        # a quiver leaf keeps its vertices, arrows and declared colors,
+        # and has no atom table entry
+        column = make_quiver(["v", "w"], ["c", "spare"], [("v", "w", "c", 2)])
+        inner = chain_term([column, Point("A", "a"), column], ["s0", "s1"],
+                           "lim")
+        term = union_term([inner, column, chain_term([inner, column], ["o"])],
+                          ["x", "y", "z"])
+        assert_truncates_as_nested(term, term)
+        g = truncate(term)
+        assert "spare" in g.quiver.colors and list(g.atom_table) == [
+            "lim", "A"]
+
+    def test_quiver_leaf_colors_are_inside_for_the_clash_check(self):
+        # the outer bundle mints a color that a nested leaf declares,
+        # though no arrow of the leaf wears it
+        poisoned = make_quiver(["v"], ["!(o;b0/v,v(c))"], [])
+        term = chain_term([chain_term([poisoned, Point("B", "b")], ["i"]),
+                           Point("C", "c")], ["o"])
+        for build in (truncate, nested):
+            with pytest.raises(ColorClash) as got:
+                build(term)
+            assert got.value.context == {"color": "!(o;b0/v,v(c))"}
 
     def test_refuses_an_empty_chain(self):
         with pytest.raises(EmptyRange):
@@ -318,8 +347,9 @@ class TestTruncate:
             composite_term((a, b), ("x", "y"), ((0, 1, "f"), (1, 0, "g")))
         with pytest.raises(ValueError, match="cycle"):
             composite_term((a, b), ("x", "y"), ((0, 0, "f"),))
-        with pytest.raises(UnknownVertex):
-            composite_term((a, b), ("x", "y"), ((0, 2, "f"),))
+        for end in ((0, 2, "f"), (-1, 0, "f")):
+            with pytest.raises(UnknownVertex):
+                composite_term((a, b), ("x", "y"), (end,))
         term = composite_term((a, b, a), ("x", "y", "z"),
                               ((0, 1, "f"), (1, 2, "g"), (0, 2, "h")))
         assert_truncates_as_nested(term, term)
@@ -600,7 +630,7 @@ def test_chain_cyclic_generation_ignores_trailing_blocks():
     # in a chain of blocks with fresh bundle colors, a vector's cyclic
     # submodule is decided by its leading-block part alone
     from atomcat.linmod import FieldSpec, cyclic_submodule, module_of_quiver
-    from atomcat.quiver import chain
+    from atomcat.generators import chain
     blk = make_quiver(["u", "w"], ["cl"], [("u", "u", "cl"), ("w", "w", "cl")])
     m = module_of_quiver(chain([blk, blk, blk], tags=["t0", "t1"]),
                          FieldSpec(2))

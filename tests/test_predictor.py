@@ -7,18 +7,16 @@ import pytest
 
 from atomcat import predictor
 from atomcat.errors import AtomcatError
-from atomcat.generators import (PRESET_NAMES, Point, chain_term,
+from atomcat.generators import (PRESET_NAMES, Composite, Point, chain_term,
                                 gen_noatom, gen_realization_acc,
                                 gen_realization_general, noatom_term, preset,
-                                preset_term, union_term)
+                                preset_term, truncate, union_term)
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset, poset_isomorphic
-from atomcat.predictor import (DiffReport, atom_spectrum_point,
-                               check_infinite_descent, check_max_not_open,
-                               check_min_not_closed, check_no_minimal_atom,
-                               check_preset_claims, crosscheck,
-                               predict_chain, predict_disjoint_union,
-                               predict_noatom, predict_preset,
+from atomcat.predictor import (DiffReport, check_infinite_descent,
+                               check_max_not_open, check_min_not_closed,
+                               check_no_minimal_atom, check_preset_claims,
+                               crosscheck, predict_noatom, predict_preset,
                                predict_realization, quotient,
                                symbolic_from_json, window)
 from atomcat.quiver import GeneratedQuiver, TruncationSpec, make_quiver
@@ -29,62 +27,80 @@ DIAMOND = normalize_poset([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
 
 
 def point(label):
-    return atom_spectrum_point(label)
+    """A loop point whose simple atom is label."""
+    return Point(label, label)
+
+
+def union(labels):
+    """The window of a union of one loop point per label."""
+    return window(union_term([point(l) for l in labels], labels))
+
+
+def limited(blocks, **kw):
+    """The window of a chain of blocks with the limit lim."""
+    tags = [f"t{i}" for i in range(len(blocks) - 1)]
+    return window(chain_term(blocks, tags, "lim", **kw))
 
 
 class TestDisjointUnion:
     def test_two_distinct_loop_points(self):
-        out = predict_disjoint_union([point("S(c0)"), point("S(c1)")])
+        out = union(["S(c0)", "S(c1)"])
         assert out.labels() == ("S(c0)", "S(c1)")
         assert not out.order.lt("S(c0)", "S(c1)")
 
     def test_identical_blocks_merge(self):
-        out = predict_disjoint_union([point("S(c)"), point("S(c)")])
+        # two distinct points with one label are one atom
+        out = window(union_term([point("S(c)"), point("S(c)")], ["x", "y"]))
         assert out.labels() == ("S(c)",)
 
     def test_empty(self):
-        out = predict_disjoint_union([])
-        assert out.labels() == ()
+        assert union([]).labels() == ()
 
 
 class TestChain:
     def test_infinite_repetition_adds_limit_below(self):
-        out = predict_chain([point("S(c)")], "lim")
+        out = limited([point("S(c)")])
         assert set(out.labels()) == {"S(c)", "lim"}
         assert out.order.lt("lim", "S(c)")
         assert out.kind_of("lim") == "chain_limit"
 
     def test_finite_chain_has_no_limit(self):
         # a finite chain's spectrum is the disjoint union of its blocks
-        out = predict_disjoint_union([point("S(c)")] * 3)
+        out = window(chain_term([point("S(c)")] * 3, ["t0", "t1"]))
         assert out.labels() == ("S(c)",)
         # brute force confirms: a finite 3-chain of one loop point has a
         # single atom and nothing below it
         from atomcat.atomspec import spectrum
-        from atomcat.quiver import chain, make_quiver
+        from atomcat.generators import chain
         blk = make_quiver(["v"], ["c"], [("v", "v", "c")])
         rep = spectrum(chain([blk] * 3))
         assert rep.atoms.labels() == ("S(c)",)
 
     def test_repeating_part_of_two_blocks(self):
-        out = predict_chain([point("A"), point("B")], "lim",
-                            recurring=("A", "B"))
+        out = limited([point("A"), point("B")], recurring=("A", "B"))
         assert out.order.lt("lim", "A") and out.order.lt("lim", "B")
 
     def test_prefix_blocks_do_not_receive_the_limit(self):
         # block A is a prefix: its atoms are left out of the recurring ones
-        out = predict_chain([point("A"), point("B")], "lim", recurring=("B",))
+        out = limited([point("A"), point("B")], recurring=("B",))
         assert not out.order.lt("lim", "A")
         assert out.order.lt("lim", "B")
 
     def test_pairwise_distinct_blocks_recur_nowhere(self):
-        out = predict_chain([point("A"), point("B")], "lim", recurring=())
+        out = limited([point("A"), point("B")], recurring=())
         assert out.order.le == {(l, l) for l in ("A", "B", "lim")}
         assert out.chain_families[0]["recurring"] == ()
 
     def test_limit_is_minimal(self):
-        out = predict_chain([point("A"), point("B")], "lim")
+        out = limited([point("A"), point("B")])
         assert "lim" in out.order.minimal_elements()
+
+    def test_limit_label_of_a_block_atom_refused(self):
+        with pytest.raises(ValueError, match="collides"):
+            limited([point("A"), point("lim")])
+        with pytest.raises(ValueError, match="collides"):
+            window(chain_term([chain_term([point("A")], [], "lim")], [],
+                              "lim"))
 
 
 class TestWindow:
@@ -141,6 +157,18 @@ class TestWindow:
                   predict_realization(DIAMOND, "acc").pre_quotient
                   .chain_families]
         assert sorted(limits) == ["chain(a)", "chain(b)", "chain(c)"]
+
+    def test_refuses_a_cyclic_skeleton_that_still_truncates(self):
+        # substitution is defined on any skeleton, so a directly built
+        # 2-cycle truncates, to one 2-dim simple that no window of A and
+        # B predicts; the window refuses it, also inside another term
+        a, b = Point("A", "a"), Point("B", "b")
+        for arrows in (((0, 1, "f"), (1, 0, "g")), ((1, 1, "f"),)):
+            term = Composite((a, b), ("x", "y"), arrows)
+            assert len(truncate(term).quiver.arrows) == 2 + len(arrows)
+            for t in (term, union_term([term, a], ["u", "v"])):
+                with pytest.raises(ValueError, match="cycle"):
+                    window(t)
 
     def test_a_shallower_family_goes_whichever_comes_first(self):
         a, b = Point("A", "a"), Point("B", "b")
@@ -278,8 +306,7 @@ class TestCrosscheck:
                                  "vertices": [f"v{i}"]}
                  for i in (1, 2, 3)}
         gen = GeneratedQuiver(q, table)
-        sym = predict_disjoint_union([point(f"delta({i})")
-                                      for i in (1, 2, 3)])
+        sym = union([f"delta({i})" for i in (1, 2, 3)])
         diff = crosscheck(sym, gen)
         assert set(diff.matched) == {"delta(1)", "delta(2)", "delta(3)"}
         assert diff.missing_in_brute == () and diff.unexpected == ()
@@ -414,14 +441,12 @@ class TestPresetPredictions:
         sym = predict_preset("max-not-open", 4)
         assert check_max_not_open(sym)
         # negative control: discrete spectra have open maximal sets
-        assert not check_max_not_open(
-            predict_disjoint_union([point("A"), point("B")]))
+        assert not check_max_not_open(union(["A", "B"]))
 
     def test_min_not_closed(self):
         sym = predict_preset("min-not-closed", 4)
         assert check_min_not_closed(sym)
-        assert not check_min_not_closed(
-            predict_disjoint_union([point("A"), point("B")]))
+        assert not check_min_not_closed(union(["A", "B"]))
         # minimal set: outer limit plus every loop simple
         minimal = set(sym.order.minimal_elements())
         assert "gamma" in minimal

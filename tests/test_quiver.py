@@ -1,4 +1,5 @@
-"""Colored quiver layer: validation, combinators, generators' raw material."""
+"""Colored quiver layer: validation, blocks, algebra quivers, and the
+combinators `generators` builds on quivers as leaf terms."""
 
 import gc
 import itertools
@@ -7,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomcat.errors import (ColorClash, DuplicateArrow, EmptyRange,
+from atomcat.errors import (AtomcatError, ColorClash, DuplicateArrow, EmptyRange,
                             MissingBlock, NotAssociative, NotTargetClosed,
                             NotUnital, UnknownColor, UnknownVertex)
-from atomcat.generators import gen_realization_acc
+from atomcat.generators import (chain, disjoint_union, gen_realization_acc,
+                                substitute)
 from atomcat.ordertop import normalize_poset
-from atomcat.quiver import (TruncationSpec, bundle_color, chain, disjoint_union,
-                            full_subquiver, ladder, loop_stripped_topo_order,
-                            make_quiver, normalize, quiver_from_json,
-                            quiver_of_algebra, split_by_closed,
-                            strong_components, substitute)
+from atomcat.quiver import (TruncationSpec, full_subquiver,
+                            loop_stripped_topo_order, make_quiver, normalize,
+                            quiver_from_json, quiver_of_algebra,
+                            split_by_closed, strong_components)
+from substitute_oracle import bundle_color
+from substitute_oracle import substitute as oracle_substitute
 
 
 def point(name="v", loop_color=None):
@@ -243,6 +246,34 @@ class TestDisjointUnion:
             disjoint_union([point("v", "c0"), point("v", "c0")], names=["x"])
 
 
+@st.composite
+def skeletons_with_blocks(draw):
+    """A skeleton on at most four vertices with any arrows, and a block
+    per vertex (perhaps one missing) drawn from at most three quivers."""
+    ws = [f"w{i}" for i in range(draw(st.integers(0, 4)))]
+    tags = ["m", "n"]
+    skel = make_quiver(ws, tags, draw(st.lists(
+        st.tuples(*[st.sampled_from(ws)] * 2, st.sampled_from(tags)),
+        max_size=6, unique=True)) if ws else [])
+    pool = ["c", "d", bundle_color("m", "v", "v"), bundle_color("n", "v", "w"),
+            bundle_color("m", "w", "x")]
+
+    def block():
+        vs = draw(st.lists(st.sampled_from("vwx"), max_size=3, unique=True))
+        cs = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+        arrows = draw(st.lists(
+            st.tuples(*[st.sampled_from(vs)] * 2, st.sampled_from(cs),
+                      st.integers(1, 2)),
+            max_size=4, unique_by=lambda a: a[:3])) if vs and cs else []
+        return make_quiver(vs, cs, arrows)
+
+    quivers = [block() for _ in range(draw(st.integers(1, 3)))]
+    blocks = {w: draw(st.sampled_from(quivers)) for w in ws}
+    if ws and draw(st.sampled_from([False] * 9 + [True])):
+        del blocks[draw(st.sampled_from(ws))]
+    return skel, blocks
+
+
 class TestSubstitute:
     def column(self):
         return make_quiver(["v", "w"], ["c"], [("v", "w", "c")])
@@ -291,6 +322,31 @@ class TestSubstitute:
         with pytest.raises(ColorClash):
             substitute(skel, {"x": poisoned, "y": poisoned})
 
+    @settings(max_examples=300, deadline=None)
+    @given(skeletons_with_blocks())
+    def test_equals_the_arrow_by_arrow_oracle(self, case):
+        # any skeleton, cycles and loops included; blocks repeat by
+        # identity, and their colors may be the bundle colors
+        skel, blocks = case
+        try:
+            want = oracle_substitute(skel, blocks)
+        except AtomcatError as err:
+            with pytest.raises(AtomcatError) as got:
+                substitute(skel, blocks)
+            assert type(got.value) is type(err)
+            if isinstance(err, ColorClash):
+                # the oracle names the first clash it meets, substitute
+                # the least clashing color
+                held = set().union(*(blocks[w].colors for w in skel.vertices))
+                clash = held.intersection(
+                    bundle_color(mu, v, v2) for w, w2, mu, _ in skel.arrows
+                    for v in blocks[w].vertices for v2 in blocks[w2].vertices)
+                assert got.value.context == {"color": min(clash)}
+            return
+        assert substitute(skel, blocks) == want
+
+
+
 
 class TestChain:
     def test_three_loop_points(self):
@@ -312,32 +368,6 @@ class TestChain:
     def test_empty_rejected(self):
         with pytest.raises(EmptyRange):
             chain([])
-
-
-class TestLadder:
-    def test_point_window3(self):
-        q = ladder(point("v"), (0, 2))
-        assert len(q.vertices) == 3
-        steps = [a for a in q.arrows if a[2].startswith("1c")]
-        skips = [a for a in q.arrows if a[2].startswith("2c")]
-        assert len(steps) == 2 and len({a[2] for a in steps}) == 1
-        assert len(skips) == 1
-
-    def test_window1(self):
-        q = ladder(point("v", "c"), (5, 5))
-        assert len(q.vertices) == 1
-        assert len(q.arrows) == 1  # just the block loop
-
-    def test_block2_window2_step_colors(self):
-        blk = make_quiver(["v", "w"], [], [])
-        q = ladder(blk, (0, 1))
-        steps = [a for a in q.arrows if a[2].startswith("1c")]
-        assert len(steps) == 4
-        assert len({a[2] for a in steps}) == 4
-
-    def test_empty_window(self):
-        with pytest.raises(EmptyRange):
-            ladder(point("v"), (1, 0))
 
 
 class TestQuiverOfAlgebra:
