@@ -18,8 +18,8 @@ from .generators import substitute
 from .linmod import (FieldSpec, is_essential, module_of_quiver,
                      quotient_module, structure_report, submodule_as_module,
                      submodule_lattice, subquotient)
-from .ordertop import (alexandroff_of_poset, is_kolmogorov, normalize_poset,
-                       poset_isomorphic, poset_of_topology)
+from .ordertop import (alexandroff_of_poset, canonical_form, is_kolmogorov,
+                       normalize_poset, poset_of_topology)
 from .quiver import TruncationSpec, make_quiver, split_by_closed
 
 
@@ -103,20 +103,18 @@ def all_posets(n):
     """One representative per isomorphism class of posets on n elements.
 
     Every finite poset admits a linear extension, so classes are covered
-    by relations whose pairs only point up in index; duplicates are
-    removed with the backtracking isomorphism test.  n = 4 yields the
-    expected 16 classes.
+    by relations whose pairs only point up in index.  The scan keeps the
+    first relation of each canonical form, in mask order.
     """
     elements = [f"e{i}" for i in range(n)]
     idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    reps = []
+    reps = {}
     for mask in range(1 << len(idx_pairs)):
         pairs = [(elements[i], elements[j])
                  for b, (i, j) in enumerate(idx_pairs) if mask >> b & 1]
         poset = normalize_poset(pairs, elements)
-        if not any(poset_isomorphic(poset, r) for r in reps):
-            reps.append(poset)
-    return reps
+        reps.setdefault(canonical_form(poset)[0], poset)
+    return list(reps.values())
 
 
 # -- invariant battery ---------------------------------------------------------

@@ -9,11 +9,6 @@ only on `len()`, indexing and iteration over rows.  All methods treat
 row spaces as immutable values in fully reduced row-echelon form.
 A dense matrix is a list of int rows with entries in [0, p) in both
 fields; `pack` takes any iterable of int rows and `unpack` gives lists.
-
-`order_key` fixes the listing order of submodules.  Over an odd prime
-it is the tuple of rows itself, which for p < 256 sorts exactly as the
-rows' int64 `tobytes()` did; for larger primes that byte order was an
-artifact of the dtype and the tuple order is numeric.
 """
 
 import itertools
@@ -66,14 +61,6 @@ class F2Ops:
 
     def is_zero(self, vec):
         return not vec
-
-    def order_key(self, mat, n):
-        # rows compare as little-endian bytes, not as ints (the orders
-        # differ above 8 columns): when no coordinate line is a common
-        # eigenvector, this order picks the minimal submodule
-        # `find_one_minimal` peels, so it fixes report sources
-        nbytes = (n + 7) // 8
-        return b"".join(r.to_bytes(nbytes, "little") for r in mat)
 
     def add(self, a, b, c=1):
         return a ^ b if c & 1 else a
@@ -131,9 +118,6 @@ class FpOps:
 
     def is_zero(self, vec):
         return not any(vec)
-
-    def order_key(self, mat, n):
-        return mat
 
     def add(self, a, b, c=1):
         return tuple((x + c * y) % self.p for x, y in zip(a, b))

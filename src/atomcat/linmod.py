@@ -173,12 +173,9 @@ class Submodule:
         return len(self.basis)
 
     def key(self):
+        """Identity and listing order of submodules: by dimension, then
+        basis rows."""
         return (self.dim, self.basis)
-
-    def order_key(self):
-        """Listing order of submodules: by dimension, then basis rows."""
-        return (self.dim, self.parent.ops.order_key(self.basis,
-                                                    self.parent.dim))
 
     def contains_vec(self, vec):
         return linalg.in_span(self.parent.ops, vec, self.basis, self.pivots)
@@ -261,7 +258,7 @@ def intersect_submodules(a, b):
 
 @dataclass
 class SubmoduleSet:
-    members: tuple  # sorted by Submodule.order_key
+    members: tuple  # sorted by Submodule.key
     complete: bool
 
     def __iter__(self):
@@ -338,7 +335,7 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
 
 
 def _close_lattice(module, budget):
-    """Rows of every lattice member, sorted by `Submodule.order_key`."""
+    """Rows of every lattice member, sorted by `Submodule.key`."""
     zero = zero_submodule(module)
     members = {zero.key(): zero}
     for s in _distinct_cyclic(module, budget):
@@ -346,7 +343,7 @@ def _close_lattice(module, budget):
 
     def overflow():
         part = SubmoduleSet(tuple(sorted(members.values(),
-                                         key=Submodule.order_key)), False)
+                                         key=Submodule.key)), False)
         return BudgetExceeded("lattice larger than budget",
                               budget=budget, partial=part)
 
@@ -363,7 +360,7 @@ def _close_lattice(module, budget):
                 worklist.append(u)
                 if len(members) > budget:
                     raise overflow()
-    return _rows(sorted(members.values(), key=Submodule.order_key))
+    return _rows(sorted(members.values(), key=Submodule.key))
 
 
 def subquotient(module, lower, upper):
@@ -510,11 +507,11 @@ def find_one_minimal(module, budget=DEFAULT_BUDGET):
         i = min(units)
         return Submodule(module, (ops.unit_vec(i, n),), (i,))
     if leaves:
-        basis, _ = min(leaves, key=lambda bp: ops.order_key(bp[0], n))
+        basis, _ = min(leaves)
         b, piv = ops.rref(basis[:1], n)
         return Submodule(module, b, piv)
     cyclics = _distinct_cyclic(module, budget)
-    return min(cyclics, key=Submodule.order_key)
+    return min(cyclics, key=Submodule.key)
 
 
 def minimal_submodules(module, budget=DEFAULT_BUDGET):
@@ -532,7 +529,7 @@ def minimal_submodules(module, budget=DEFAULT_BUDGET):
 
 def _minimal_cyclic(module, budget):
     cyclics = sorted(_distinct_cyclic(module, budget),
-                     key=Submodule.order_key)
+                     key=Submodule.key)
     out = []
     for s in cyclics:
         minimal = True

@@ -15,6 +15,8 @@ the open sets (`FiniteTopology.opens`) is exponential, and capped.
 """
 
 from dataclasses import dataclass
+from itertools import permutations, product
+from math import factorial, prod
 
 from .errors import (BudgetExceeded, CycleDetected, InvalidTopology,
                      NotKolmogorov, UnknownElement)
@@ -23,8 +25,9 @@ from .errors import (BudgetExceeded, CycleDetected, InvalidTopology,
 # this many points
 DEFAULT_POINT_CAP = 16
 
-# the backtracking isomorphism search is exponential; refuse larger posets
-ISO_SIZE_CAP = 8
+# the canonical form tries every order of the twin groups inside each
+# profile class; refuse beyond this many orderings (8!)
+ISO_ORDERINGS_CAP = 40320
 
 
 @dataclass(frozen=True)
@@ -303,54 +306,34 @@ def poset_invariants(poset):
     )
 
 
-def poset_isomorphic(p, q):
-    """Order isomorphism p -> q as a dict, or None.
+def canonical_form(poset):
+    """(form, ordering): equal forms exactly for isomorphic posets.
 
-    Exhaustive backtracking with degree-profile pruning; intended for
-    small posets, refuses above ISO_SIZE_CAP elements.
+    Elements are grouped by their (|up|, |down|) profile, classes in
+    profile order.  Inside a class, twins (equal strict up-sets and
+    strict down-sets, so swapped by an automorphism) stay together.
+    The form is the least <=-matrix, read row by row, over every order
+    of the twin groups inside each class; the ordering attains it.
+    Refuses when those orders exceed ISO_ORDERINGS_CAP.
     """
-    if len(p.elements) != len(q.elements):
-        return None
-    n = len(p.elements)
-    if n > ISO_SIZE_CAP:
-        raise BudgetExceeded("poset too large for isomorphism search",
-                             size=n, cap=ISO_SIZE_CAP)
+    classes = {}
+    for x in poset.elements:
+        up, down = frozenset(poset.up_set(x)), frozenset(poset.down_set(x))
+        twins = classes.setdefault((len(up), len(down)), {})
+        twins.setdefault((up - {x}, down - {x}), []).append(x)
+    groups = [list(classes[k].values()) for k in sorted(classes)]
+    orderings = prod(factorial(len(g)) for g in groups)
+    if orderings > ISO_ORDERINGS_CAP:
+        raise BudgetExceeded("too many orderings for the canonical form",
+                             orderings=orderings, cap=ISO_ORDERINGS_CAP)
+    orders = (tuple(x for cls in choice for twin in cls for x in twin)
+              for choice in product(*map(permutations, groups)))
+    return min((tuple(poset.leq(a, b) for a in order for b in order), order)
+               for order in orders)
 
-    def profile(poset, x):
-        return (len(poset.up_set(x)), len(poset.down_set(x)))
 
-    p_prof = {x: profile(p, x) for x in p.elements}
-    q_prof = {y: profile(q, y) for y in q.elements}
-    if sorted(p_prof.values()) != sorted(q_prof.values()):
-        return None
-
-    order = sorted(p.elements, key=lambda x: p_prof[x])
-    mapping = {}
-    used = set()
-
-    def consistent(x, y):
-        for x2, y2 in mapping.items():
-            if p.leq(x, x2) != q.leq(y, y2) or p.leq(x2, x) != q.leq(y2, y):
-                return False
-        return True
-
-    def backtrack(i):
-        if i == n:
-            return True
-        x = order[i]
-        for y in q.elements:
-            if y in used or q_prof[y] != p_prof[x]:
-                continue
-            if not consistent(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if backtrack(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    if backtrack(0):
-        return dict(mapping)
-    return None
+def poset_isomorphic(p, q):
+    """Order isomorphism p -> q as a dict, or None: the orderings that
+    attain equal canonical forms."""
+    (form_p, order_p), (form_q, order_q) = canonical_form(p), canonical_form(q)
+    return dict(zip(order_p, order_q)) if form_p == form_q else None

@@ -38,6 +38,7 @@ from .generators import (_DESCENDING_WINDOW, Point, _loop_color,
                          preset_term, require_preset)
 from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
+from .quiver import ColoredQuiver
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,8 @@ def window(term):
     equal labels one atom, less each chain family whose block atoms
     another family of its limit holds (a copy or a shallower
     truncation).  Its limit, if any, is added below its `recurring`
-    atoms (None: all) with its family, and may not be a block atom."""
+    atoms (None: all) with its family, and may not be a block atom.
+    A quiver leaf, which `truncate` takes as is, is refused."""
     memo = {}
 
     def read(t):
@@ -141,6 +143,8 @@ def window(term):
         if isinstance(t, Point):
             return memo.setdefault(id(t), _spectrum(
                 (SymAtom(t.label, "simple"),), (), {t.label: t.provenance}))
+        if isinstance(t, ColoredQuiver):
+            raise TypeError("a quiver leaf has no symbolic spectrum")
         _require_acyclic(len(t.blocks), t.arrows)
         parts = [read(b) for b in {id(b): b for b in t.blocks}.values()]
         families = [f for s in parts for f in s.chain_families]

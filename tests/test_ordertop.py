@@ -1,6 +1,7 @@
 """Poset / finite-topology layer: examples plus round-trip properties."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from atomcat.errors import (BudgetExceeded, CycleDetected, InvalidTopology,
                             NotKolmogorov, UnknownElement)
-from atomcat.ordertop import (alexandroff_of_poset, is_kolmogorov,
-                              normalize_poset, poset_from_json,
+from atomcat.harness import all_posets
+from atomcat.ordertop import (ISO_ORDERINGS_CAP, alexandroff_of_poset,
+                              is_kolmogorov, normalize_poset, poset_from_json,
                               poset_invariants, poset_isomorphic,
                               poset_of_topology, topology_from_json,
                               topology_of_opens)
+import poset_oracle
 
 
 def brute_up_sets(elements, le_pairs):
@@ -44,6 +47,14 @@ def chain(*names):
 
 def antichain(*names):
     return normalize_poset([], list(names))
+
+
+def is_order_isomorphism(w, p, q):
+    """w is a bijection p -> q with x <= y iff w(x) <= w(y)."""
+    return (sorted(w) == list(p.elements)
+            and sorted(w.values()) == list(q.elements)
+            and all(p.leq(a, b) == q.leq(w[a], w[b])
+                    for a in p.elements for b in p.elements))
 
 
 DIAMOND = normalize_poset([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
@@ -231,14 +242,54 @@ class TestIsomorphism:
             assert other.leq(w[a], w[b])
 
     def test_size_cap(self):
-        big = antichain(*[f"e{i}" for i in range(9)])
-        with pytest.raises(BudgetExceeded):
+        # nine disjoint 2-chains: nine bottoms and nine tops, no twins,
+        # so the canonical form would try 9!^2 orderings
+        pairs = [(f"a{i}", f"b{i}") for i in range(9)]
+        big = normalize_poset(pairs, [x for pair in pairs for x in pair])
+        with pytest.raises(BudgetExceeded) as got:
             poset_isomorphic(big, big)
+        assert got.value.context == {"orderings": math.factorial(9) ** 2,
+                                     "cap": ISO_ORDERINGS_CAP}
+
+    def test_long_chains_and_antichains_answer(self):
+        names = [f"e{i:02d}" for i in range(20)]
+        for p in (antichain(*names[:16]), chain(*names)):
+            assert poset_isomorphic(p, p) == {x: x for x in p.elements}
+            rename = dict(zip(p.elements, reversed(p.elements)))
+            other = normalize_poset([(rename[a], rename[b]) for a, b in p.le],
+                                    p.elements)
+            w = poset_isomorphic(p, other)
+            assert is_order_isomorphism(w, p, other)
+        assert poset_isomorphic(antichain(*names), chain(*names)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_backtracking_oracle(self, data):
+        p = data.draw(random_posets(max_size=7))
+        n = len(p.elements)
+        # half relabelled copies, half relabelled posets of the same size
+        q = p if data.draw(st.booleans()) else \
+            data.draw(random_posets(min_size=n, max_size=n))
+        perm = data.draw(st.permutations(range(n)))
+        names = {x: f"q{perm[i]}" for i, x in enumerate(q.elements)}
+        q = normalize_poset([(names[a], names[b]) for a, b in q.le],
+                            list(names.values()))
+        w = poset_isomorphic(p, q)
+        assert (w is None) == (poset_oracle.poset_isomorphic(p, q) is None)
+        assert w is None or is_order_isomorphism(w, p, q)
+
+    def test_all_posets_equal_the_pairwise_scan(self):
+        for n in range(1, 6):
+            assert all_posets(n) == poset_oracle.all_posets(n), n
+
+    def test_class_counts_match_oeis_a000112(self):
+        assert [len(all_posets(n)) for n in range(1, 7)] == \
+            [1, 2, 5, 16, 63, 318]
 
 
 @st.composite
-def random_posets(draw):
-    n = draw(st.integers(1, 5))
+def random_posets(draw, min_size=1, max_size=5):
+    n = draw(st.integers(min_size, max_size))
     elements = [f"p{i}" for i in range(n)]
     pairs = []
     # pairs only go upward in index: guarantees acyclicity

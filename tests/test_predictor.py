@@ -11,6 +11,7 @@ from atomcat.generators import (PRESET_NAMES, Composite, Point, chain_term,
                                 gen_noatom, gen_realization_acc,
                                 gen_realization_general, noatom_term, preset,
                                 preset_term, truncate, union_term)
+from atomcat.harness import all_posets
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset, poset_isomorphic
 from atomcat.predictor import (DiffReport, check_infinite_descent,
@@ -170,6 +171,15 @@ class TestWindow:
                 with pytest.raises(ValueError, match="cycle"):
                     window(t)
 
+    def test_refuses_a_quiver_leaf(self):
+        # truncate takes a quiver leaf as is; it has no symbolic spectrum
+        leaf = make_quiver(["v"], ["c"], [("v", "v", "c")])
+        term = union_term([leaf], ["x"])
+        assert truncate(term).quiver.vertices == ("x/v",)
+        for t in (term, chain_term([Point("A", "a"), term], ["t"], "lim")):
+            with pytest.raises(TypeError, match="quiver leaf"):
+                window(t)
+
     def test_a_shallower_family_goes_whichever_comes_first(self):
         a, b = Point("A", "a"), Point("B", "b")
         stub = chain_term([a], [], "lim", recurring=())
@@ -287,6 +297,22 @@ class TestRealizationPrediction:
 
 
 class TestCrosscheck:
+    def test_every_five_element_poset(self):
+        # acc at depths 2 and 3 over GF(2) and GF(3); general at depth 2
+        # over the window (0, 0)
+        for P in all_posets(5):
+            acc = predict_realization(P, "acc").pre_quotient
+            for depth in (2, 3):
+                gen = gen_realization_acc(P, TruncationSpec(depth=depth))
+                for p in (2, 3):
+                    diff = crosscheck(acc, gen, FieldSpec(p))
+                    assert diff.ok(), (P.le, depth, p)
+            gen = gen_realization_general(
+                P, TruncationSpec(depth=2, ladder_range=(0, 0)))
+            diff = crosscheck(predict_realization(P, "general").pre_quotient,
+                              gen)
+            assert diff.ok(), (P.le, "general")
+
     def test_chain2_acc_depth3(self):
         g = gen_realization_acc(CHAIN2, TruncationSpec(depth=3))
         res = predict_realization(CHAIN2, "acc")
