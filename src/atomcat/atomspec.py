@@ -42,7 +42,7 @@ from .linmod import (FdModule, FieldSpec, actions_from_json,
 from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset, _json_names,
                        _json_pairs, alexandroff_of_poset, normalize_poset,
                        poset_of_topology, topology_of_opens)
-from .quiver import strong_components
+from .quiver import blocks_with_arrows
 
 
 # -- canonical representatives and labels ------------------------------------
@@ -318,17 +318,8 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     and a BudgetExceeded names the block that hit the budget.
     """
     p = field.p
-    blocks = strong_components(quiver)
-    # a one-vertex block's inner arrows are its loops
-    inner = [quiver.loops_at(b[0]) if len(b) == 1 else [] for b in blocks]
-    block_of = {v: i for i, b in enumerate(blocks) if len(b) > 1 for v in b}
-    if block_of:
-        for a in quiver.arrows:
-            i = block_of.get(a[0])
-            if i is not None and i == block_of.get(a[1]):
-                inner[i].append(a)
     series, simples = {}, []
-    for block, arrows in zip(blocks, inner):
+    for block, arrows in blocks_with_arrows(quiver):
         index = {v: i for i, v in enumerate(block)}
         sig = (len(block), tuple((index[src], index[dst], color, value % p)
                                  for src, dst, color, value in arrows

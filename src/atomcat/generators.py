@@ -16,17 +16,18 @@ prefix-stable window:
   the `_PRESETS` table.
 
 Every construction is a term, read by `truncate` as a truncated quiver
-with its atom table in one pass, and by `predictor.window` as a
-symbolic spectrum.  `Point(label, tag, loop=True)` is vertex v(tag),
-with loop c(tag) if loop, and the simple atom `label`.  A `Composite`
+with its atom table in one pass (each bundle kept as one record), and
+by `predictor.window` as a symbolic spectrum.  `Point(label, tag,
+loop=True)` is vertex v(tag), with loop c(tag) if loop, and the simple
+atom `label`.  A `Composite`
 substitutes its blocks into a skeleton: block k under names[k], and per
 skeleton arrow (i, j, tag) the complete bipartite bundle from block i
 to block j, its colors minted fresh.  Its `limit`, if any, is the atom
 of an infinite construction that the composite truncates, lying below
 the `recurring` atoms (None: all of them); a block repeated by identity
-is one block of the window.  Its `shared` tags may mint bundle colors
-already inside its blocks, which the fresh-color rule otherwise
-refuses.  `composite_term` builds a composite on an acyclic skeleton,
+is one block of the window.  Its `shared` tags, which no skeleton
+loop may carry, may mint bundle colors already inside its blocks,
+which the fresh-color rule otherwise refuses.  `composite_term` builds a composite on an acyclic skeleton,
 `chain_term` puts blocks b0, b1, ... on a path skeleton and
 `union_term` puts terms under names on a skeleton without arrows.  The
 presets, both poset realizations and the atom-free construction are
@@ -41,14 +42,14 @@ regenerating at a deeper truncation extends the shallower quiver
 verbatim.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
-from itertools import repeat
 
-from .errors import (ColorClash, DepthTooSmall, EmptyRange, MissingBlock,
-                     UnknownPreset, UnknownVertex, WindowTooSmall)
+from .errors import (ColorClash, DepthTooSmall, DuplicateArrow, EmptyRange,
+                     MissingBlock, UnknownPreset, UnknownVertex,
+                     WindowTooSmall)
 from .ordertop import normalize_poset, poset_invariants
-from .quiver import ColoredQuiver, GeneratedQuiver, make_quiver
+from .quiver import ColoredQuiver, GeneratedQuiver, _bundle_quiver
 
 
 def _check_ids(elements):
@@ -232,33 +233,48 @@ def truncate(term):
     """The truncated quiver of a term with its atom table, in one pass.
 
     A leaf is a `Point` or a `ColoredQuiver`, whose vertices go under
-    the prefix and whose arrows and declared colors are kept; it has no
-    atom table entry.  Each distinct subterm (by identity) is prepared
-    once, children first: its vertex names relative to itself (v(tag),
-    the quiver's own or {name}/...), the distinct subterms inside it
-    and, for a composite, the bundle color rows of each skeleton arrow
-    (i, j, tag), _bundle_color(tag, v, w) for vertex v of block i and w
-    of block j, made once per distinct (tag, block i, block j).  Then
-    one walk with every vertex's final prefix makes each vertex name,
-    color and arrow once, and one `make_quiver` validates them.  A
-    composite's bundle colors must avoid the colors inside its own
-    blocks (sibling composites may share theirs), except those of its
-    shared tags, and ColorClash names the least clashing color of the
-    first composite that clashes.
+    the prefix and whose arrows, bundles and declared colors are kept;
+    it has no atom table entry.  Each distinct subterm (by identity) is
+    prepared once, children first: its vertex names relative to itself
+    (v(tag), the quiver's own or {name}/...), the distinct subterms
+    inside it and, for a composite, the bundle color rows of each
+    skeleton arrow (i, j, tag), _bundle_color(tag, v, w) for vertex v
+    of block i and w of block j, made once per distinct (tag, block i,
+    block j).  Then one walk with every vertex's final prefix makes each
+    vertex name and loop once and gives each skeleton arrow one bundle
+    record: the names of its source block, those of its target block
+    and its rows.  `_bundle_quiver` validates each record once.  Vertex
+    names may not repeat, since merged vertices make another module:
+    ValueError names the least repeated one.  A composite's bundle
+    colors must avoid the colors inside its own blocks (sibling
+    composites may share theirs), except those of its shared tags, and
+    ColorClash names the least clashing color of the first composite
+    that clashes.
+
+    A skeleton loop may not carry a shared tag (ValueError), and a
+    skeleton arrow repeated between nonempty blocks repeats a triple:
+    DuplicateArrow names its first arrow at the first such composite
+    met, children first, where `make_quiver` of the arrows would name
+    it.  No two records then share a (src, dst, color) triple: names
+    are distinct, a bundle joins two blocks of one composite or loops
+    on one, two bundles on the same blocks differ in tag, and a loop
+    bundle's colors are fresh.
 
     A simple entry collects every occurrence of its point; a chain
     limit's entry has the vertices of its shallowest occurrence, the
     first one at that depth.  Entries come in first-met order.
 
-    Working set: colors reach `make_quiver` as one flat list in minting
-    order, nearly sorted already.  The set of colors minted so far goes
-    before the arrows are emitted, the relative names and bundle rows
-    before validation, which then holds the vertex, color and arrow
-    lists and `make_quiver`'s own color set and arrow copy beyond the
-    finished quiver.
+    Working set: colors reach `_bundle_quiver` as one flat list in
+    minting order, nearly sorted already.  The set of colors minted so
+    far goes before the vertices are emitted, the relative names before
+    validation.  No bundle arrow is made: the quiver keeps each bundle's
+    name tuples and rows, the rows shared by every occurrence of their
+    composite.  Validation holds the vertex, color and loop lists and a
+    set each of the vertices and colors beyond the finished quiver.
     """
     rel, below, rows, loop_color, leaf_colors = {}, {}, {}, {}, {}
     colors, minted = [], set()  # minting order, and as a set
+    repeated = {}  # composite -> index of its first repeated bundle
 
     def prepare(t):
         if id(t) in rel:
@@ -286,11 +302,20 @@ def truncate(term):
         # rows[id(t)][k][x][y] colors the arrow from vertex x of the
         # source block of skeleton arrow k to vertex y of its target
         made, rows[id(t)] = {}, []
+        if any(i == j and tag in t.shared for i, j, tag in t.arrows):
+            raise ValueError("a skeleton loop may not carry a shared tag")
+        if len(set(t.arrows)) < len(t.arrows):
+            repeats = [k for k, (i, j, _) in enumerate(t.arrows)
+                       if t.arrows[k] in t.arrows[:k]
+                       and rel[id(t.blocks[i])] and rel[id(t.blocks[j])]]
+            if repeats:
+                repeated[id(t)] = repeats[0]
         for i, j, tag in t.arrows:
             key = tag, id(t.blocks[i]), id(t.blocks[j])
             if key not in made:
-                made[key] = [[_bundle_color(tag, v, w) for w in rel[key[2]]]
-                             for v in rel[key[1]]]
+                made[key] = tuple(tuple([_bundle_color(tag, v, w)
+                                         for w in rel[key[2]]])
+                                  for v in rel[key[1]])
             rows[id(t)].append(made[key])
         fresh = [c for block in made.values() for row in block for c in row]
         if not minted.isdisjoint(fresh):
@@ -307,7 +332,7 @@ def truncate(term):
         minted.update(fresh)
         colors.extend(fresh)
 
-    arrows, table, depth_of = [], {}, {}
+    arrows, bundles, table, depth_of = [], [], {}, {}
 
     def emit(t, prefix, depth):
         # final names of t's vertices under prefix, in relative order
@@ -326,7 +351,10 @@ def truncate(term):
             names = [prefix + v for v in rel[id(t)]]
             at = dict(zip(t.vertices, names))
             arrows.extend((at[src], at[dst], color, value)
-                          for src, dst, color, value in t.arrows)
+                          for src, dst, color, value in t.plain)
+            bundles.extend((tuple(map(at.get, sources)),
+                            tuple(map(at.get, targets)), rows)
+                           for sources, targets, rows in t.bundles)
             return names
         names = []
         if t.limit and depth < depth_of.get(t.limit, depth + 1):
@@ -334,11 +362,16 @@ def truncate(term):
             # names fills in once the blocks are emitted
             table[t.limit] = {"kind": "chain_limit", "atom_label": t.limit,
                               "vertices": names}
-        blocks = [emit(b, f"{prefix}{name}/", depth + 1)
+        blocks = [tuple(emit(b, f"{prefix}{name}/", depth + 1))
                   for name, b in zip(t.names, t.blocks)]
-        for (i, j, _), bundle in zip(t.arrows, rows[id(t)]):
-            for v, row in zip(blocks[i], bundle):
-                arrows.extend(zip(repeat(v), blocks[j], row, repeat(1)))
+        if id(t) in repeated:
+            k = repeated[id(t)]
+            i, j, _ = t.arrows[k]
+            raise DuplicateArrow("two arrows share (src, dst, color)",
+                                 src=blocks[i][0], dst=blocks[j][0],
+                                 color=rows[id(t)][k][0][0])
+        bundles.extend((blocks[i], blocks[j], bundle)
+                       for (i, j, _), bundle in zip(t.arrows, rows[id(t)]))
         for block in blocks:
             names += block
         return names
@@ -346,11 +379,14 @@ def truncate(term):
     prepare(term)
     # prepare and emit refer to themselves: delete them to free what
     # they hold on return, not at a gc; the color set goes before the
-    # arrows, the relative names and bundle rows before validation
+    # walk, the relative names before validation
     del prepare, below, minted, leaf_colors
     vertices = emit(term, "", 0)
     del emit, rel, rows
-    union = make_quiver(vertices, colors, arrows)
+    if len(set(vertices)) < len(vertices):
+        repeats = [v for v, k in Counter(vertices).items() if k > 1]
+        raise ValueError(f"vertex name {min(repeats)!r} repeats")
+    union = _bundle_quiver(vertices, colors, arrows, bundles)
     for entry in table.values():
         entry["vertices"].sort()
     return GeneratedQuiver(union, table)

@@ -16,11 +16,16 @@ on it, live in `generators`, where a quiver is a leaf term of
 
 An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
 also takes 3-item arrows (src, dst, color) and gives them value 1.
+A substitution puts a complete bipartite bundle on each skeleton
+arrow, and `generators.truncate` keeps such bundles as records, each
+validated once.  The blocks come from a graph with a hub node per
+bundle, so only bundles with arrows inside a block are ever expanded;
+`arrows` lists every arrow, made when it is first read.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from . import modp
@@ -29,24 +34,106 @@ from .errors import (DuplicateArrow, NotAssociative, NotTargetClosed,
 from .ordertop import _json_names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoredQuiver:
+    """A validated quiver: its plain arrows, sorted, and its bundles.
+
+    A bundle (sources, targets, rows) stands for the arrow (sources[x],
+    targets[y], rows[x][y], 1) for every x and y.  `arrows` lists all
+    arrows sorted, the bundles' expanded the first time it is read;
+    equality and hashing compare (vertices, colors, arrows), so a
+    quiver with bundles equals `make_quiver` of its arrows.
+    """
+
     vertices: tuple
     colors: tuple
-    arrows: tuple
+    plain: tuple
+    bundles: tuple = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, ColoredQuiver):
+            return NotImplemented
+        return ((self.vertices, self.colors, self.arrows)
+                == (other.vertices, other.colors, other.arrows))
+
+    def __hash__(self):
+        return hash((self.vertices, self.colors, self.arrows))
+
+    def __repr__(self):
+        return (f"ColoredQuiver(vertices={self.vertices!r}, "
+                f"colors={self.colors!r}, arrows={self.arrows!r})")
+
+    @cached_property
+    def arrows(self):
+        if not self.bundles:
+            return self.plain
+        return tuple(sorted(chain(self.plain, _expand(self.bundles))))
 
     def loops_at(self, v):
         return self._loops.get(v, ())
 
     @cached_property
     def _loops(self):
-        """Loop arrows by vertex, in arrow order; built on first use
-        (the quiver is frozen, so it never goes stale)."""
+        """Loop arrows by vertex, in arrow order: a loop lies inside the
+        block of its vertex."""
         loops = {}
-        for a in self.arrows:
-            if a[0] == a[1]:
-                loops.setdefault(a[0], []).append(a)
+        for _, arrows in self._blocks:
+            for a in arrows:
+                if a[0] == a[1]:
+                    loops.setdefault(a[0], []).append(a)
         return {v: tuple(arrows) for v, arrows in loops.items()}
+
+    @cached_property
+    def _blocks(self):
+        """The strongly connected blocks, loops ignored, sinks first,
+        each with the arrows inside it, sorted.
+
+        Tarjan runs on the hub graph.  Node i is vertex i, and a plain
+        non-loop arrow is an edge; bundle k is hub node n + k, with an
+        edge from each of its sources to it and from it to each of its
+        targets.  A path through a hub is an arrow, so two vertices
+        reach each other in the hub graph iff they do in the quiver,
+        and its components are the quiver's blocks.  A bundle with an
+        arrow inside a block lies in that block's component, so only
+        the bundles of components with a vertex and a hub are searched
+        for arrows inside a block.
+        """
+        vertices, n = self.vertices, len(self.vertices)
+        index = dict(zip(vertices, range(n)))
+        succ = [[] for _ in range(n)]
+        for src, dst, _, _ in self.plain:
+            if src != dst:
+                succ[index[src]].append(index[dst])
+        for sources, targets, _ in self.bundles:
+            for v in sources:
+                succ[index[v]].append(len(succ))
+            succ.append([index[w] for w in targets])
+        blocks, block_of, searched = [], [0] * n, []
+        for component in _tarjan(succ, n):
+            if len(component) == 1:
+                if component[0] < n:  # a hub alone holds no vertex
+                    block_of[component[0]] = len(blocks)
+                    blocks.append((vertices[component[0]],))
+                continue
+            members = sorted(i for i in component if i < n)
+            for i in members:
+                block_of[i] = len(blocks)
+            blocks.append(tuple(vertices[i] for i in members))
+            searched.extend(i - n for i in component if i >= n)
+        inner = {}
+        for a in self.plain:
+            b = block_of[index[a[0]]]
+            if a[0] == a[1] or b == block_of[index[a[1]]]:
+                inner.setdefault(b, []).append(a)
+        for k in searched:
+            sources, targets, rows = self.bundles[k]
+            for v, row in zip(sources, rows):
+                b = block_of[index[v]]
+                for w, color in zip(targets, row):
+                    if block_of[index[w]] == b:
+                        inner.setdefault(b, []).append((v, w, color, 1))
+        return [(block, tuple(sorted(inner[b])) if b in inner else ())
+                for b, block in enumerate(blocks)]
 
     def to_json(self):
         return {"vertices": list(self.vertices),
@@ -151,6 +238,11 @@ def make_quiver(vertices, colors, arrows):
     """
     vs, vset = _sorted_unique(vertices)
     cs, cset = _sorted_unique(colors)
+    return ColoredQuiver(vs, cs, _checked(arrows, vset, cset))
+
+
+def _checked(arrows, vset, cset):
+    """The arrows as plain tuples, sorted, or the first fault raised."""
     if not isinstance(arrows, (list, tuple)):
         arrows = list(arrows)  # it may have to be read twice
     out = _as_arrows(arrows)
@@ -161,7 +253,46 @@ def make_quiver(vertices, colors, arrows):
     out.sort()
     if any(map(_same_triple, out, islice(out, 1, None))):
         _raise_first_fault(_as_arrows(arrows), vset, cset)
-    return ColoredQuiver(vs, cs, tuple(out))
+    return tuple(out)
+
+
+def _bundle_quiver(vertices, colors, arrows, bundles):
+    """`make_quiver(vertices, colors, arrows + the bundles' arrows)`,
+    with the bundles kept as records (see `ColoredQuiver`).
+
+    Each end tuple and each rows of the bundles is checked once, not
+    arrow by arrow: ends declared and pairwise distinct, so a bundle's
+    arrows are, and rows of declared colors, one per source and each
+    one color per target (else ValueError).  If a check fails,
+    `make_quiver` of the plain arrows and then the bundles' arrows
+    raises the first fault (or holds them all).  The caller guarantees
+    that no (src, dst, color) triple lies in two bundles, nor in a
+    bundle and a plain arrow; `generators.truncate` proves it from its
+    term.
+    """
+    vs, vset = _sorted_unique(vertices)
+    cs, cset = _sorted_unique(colors)
+    plain = _checked(arrows, vset, cset)
+    bundles = tuple(bundles)
+    ends = {id(end): end for s, t, _ in bundles for end in (s, t)}
+    shapes = {(id(r), len(s), len(t)): r for s, t, r in bundles}
+    if any(len(r) != ns or set(map(len, r)) - {nt}
+           for (_, ns, nt), r in shapes.items()):
+        raise ValueError("bundle rows must be one per source, each one "
+                         "color per target")
+    if not (all(len(set(end)) == len(end) and vset.issuperset(end)
+                for end in ends.values())
+            and cset.issuperset(chain.from_iterable(
+                chain.from_iterable(shapes.values())))):
+        return make_quiver(vs, cs, [*plain, *_expand(bundles)])
+    return ColoredQuiver(vs, cs, plain, bundles)
+
+
+def _expand(bundles):
+    """The bundles' arrows, bundle by bundle, row by row."""
+    for sources, targets, rows in bundles:
+        for v, row in zip(sources, rows):
+            yield from zip(repeat(v), targets, row, repeat(1))
 
 
 def _raise_first_fault(arrows, vset, cset):
@@ -313,27 +444,45 @@ def strong_components(quiver):
     """Strongly connected blocks of the quiver with loops ignored, sinks
     first: no arrow runs from a block to a later one, so every union of
     leading blocks is target-closed.  Each block is a sorted tuple of
-    vertices.  Iterative Tarjan (R. Tarjan, "Depth-first search and
+    vertices.  Tarjan on the hub graph (see `ColoredQuiver._blocks`).
+    The order of two blocks neither of which reaches the other follows
+    the depth-first search, so a quiver with bundles may list them
+    otherwise than `make_quiver` of its arrows.
+    """
+    return [block for block, _ in quiver._blocks]
+
+
+def blocks_with_arrows(quiver):
+    """`strong_components`, each block paired with the sorted tuple of
+    the arrows inside it (a one-vertex block's are its loops); a bundle
+    is expanded only when it has an arrow inside a block."""
+    return list(quiver._blocks)
+
+
+def _tarjan(succ, roots):
+    """Strongly connected components of the graph on nodes 0, 1, ...
+    with successor lists succ, of the nodes reachable from 0..roots-1,
+    sinks first.  Iterative Tarjan (R. Tarjan, "Depth-first search and
     linear graph algorithms", SIAM J. Comput. 1972).
     """
-    succ = {v: [] for v in quiver.vertices}
-    for src, dst, _, _ in quiver.arrows:
-        if src != dst:
-            succ[src].append(dst)
-    num, low, stack, blocks = {}, {}, [], []
-
-    def enter(v):
-        num[v] = low[v] = len(num)
-        stack.append(v)
-        return v, iter(succ[v]), len(stack) - 1
-
-    for root in quiver.vertices:
-        work = [] if root in num else [enter(root)]
+    done = len(succ)  # a number above any live one, so it lowers no low
+    num, low = [-1] * done, [0] * done
+    stack, components, count = [], [], 0
+    for root in range(roots):
+        if num[root] >= 0:
+            continue
+        num[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]), 0)]
         while work:
             v, it, height = work[-1]
             for w in it:
-                if w not in num:
-                    work.append(enter(w))
+                if num[w] < 0:
+                    num[w] = low[w] = count
+                    count += 1
+                    work.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
                     break
                 if num[w] < low[v]:
                     low[v] = num[w]
@@ -341,12 +490,17 @@ def strong_components(quiver):
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
-                if low[v] == num[v]:
-                    blocks.append(tuple(sorted(stack[height:])))
-                    # done: a number above any live one lowers no low
-                    num.update(dict.fromkeys(stack[height:], len(succ)))
+                if low[v] < num[v]:
+                    continue
+                if height == len(stack) - 1:
+                    num[stack.pop()] = done
+                    components.append((v,))
+                else:
+                    components.append(stack[height:])
                     del stack[height:]
-    return blocks
+                    for w in components[-1]:
+                        num[w] = done
+    return components
 
 
 def loop_stripped_topo_order(quiver):

@@ -7,7 +7,8 @@ w/v, with the block's arrows and colors kept.  Each skeleton arrow
 (w, w2) of color mu becomes the complete bipartite bundle from block w
 to block w2, arrow (w/v, w2/v2) colored !(mu;v,v2).  A bundle color
 that is a block color raises ColorClash naming the first one met, in
-skeleton arrow order, then source and target vertex order.
+skeleton arrow order, then source and target vertex order, unless its
+skeleton color is one of the shared ones.
 """
 
 from atomcat.errors import ColorClash, MissingBlock
@@ -18,7 +19,7 @@ def bundle_color(skeleton_color, src_vertex, dst_vertex):
     return f"!({skeleton_color};{src_vertex},{dst_vertex})"
 
 
-def substitute(omega, blocks):
+def substitute(omega, blocks, shared=()):
     vertices, arrows, block_colors = [], [], set()
     for w in omega.vertices:
         if w not in blocks:
@@ -34,7 +35,7 @@ def substitute(omega, blocks):
         for v in blocks[w].vertices:
             for v2 in blocks[w2].vertices:
                 c = bundle_color(mu, v, v2)
-                if c in block_colors:
+                if c in block_colors and mu not in shared:
                     raise ColorClash("bundle color already used by a block",
                                      color=c)
                 colors.add(c)

@@ -11,7 +11,7 @@ from atomcat.generators import (PRESET_NAMES, Composite, Point, chain_term,
                                 gen_noatom, gen_realization_acc,
                                 gen_realization_general, noatom_term, preset,
                                 preset_term, truncate, union_term)
-from atomcat.harness import all_posets
+from atomcat.harness import all_posets, random_poset
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset, poset_isomorphic
 from atomcat.predictor import (DiffReport, check_infinite_descent,
@@ -312,6 +312,17 @@ class TestCrosscheck:
             diff = crosscheck(predict_realization(P, "general").pre_quotient,
                               gen)
             assert diff.ok(), (P.le, "general")
+
+    def test_acc_crosscheck_never_expands_arrows(self):
+        # the truncation keeps its bundles as records; blocks and
+        # spectra read them without making each arrow
+        posets = [P for n in range(1, 5) for P in all_posets(n)]
+        for P in posets + [random_poset(s, 6) for s in range(4)]:
+            acc = predict_realization(P, "acc").pre_quotient
+            for depth in (2, 3):
+                gen = gen_realization_acc(P, TruncationSpec(depth=depth))
+                assert crosscheck(acc, gen).ok(), (P.le, depth)
+                assert "arrows" not in vars(gen.quiver), (P.le, depth)
 
     def test_chain2_acc_depth3(self):
         g = gen_realization_acc(CHAIN2, TruncationSpec(depth=3))

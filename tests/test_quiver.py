@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomcat.atomspec import spectrum
 from atomcat.errors import (AtomcatError, ColorClash, DuplicateArrow, EmptyRange,
                             MissingBlock, NotAssociative, NotTargetClosed,
                             NotUnital, UnknownColor, UnknownVertex)
 from atomcat.generators import (chain, disjoint_union, gen_realization_acc,
                                 substitute)
+from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset
-from atomcat.quiver import (TruncationSpec, full_subquiver,
+from atomcat.quiver import (TruncationSpec, _bundle_quiver,
+                            blocks_with_arrows, full_subquiver,
                             loop_stripped_topo_order, make_quiver, normalize,
                             quiver_from_json, quiver_of_algebra,
                             split_by_closed, strong_components)
@@ -126,7 +129,8 @@ class TestMakeQuiver:
 
     def test_arrows_are_untracked_plain_tuples(self):
         # exact tuples of strings and ints leave the cycle collector's
-        # lists at its next pass; tuple subclasses never do
+        # lists at its next pass; tuple subclasses never do.  A
+        # truncation's bundle arrows are made when arrows is first read
         vs, cs = ["u", "v"], ["a"]
         arrows = [("u", "v", "a"), ["v", "v", "a", 2]]
         made = [make_quiver(vs, cs, arrows), normalize(vs, cs, arrows, p=3),
@@ -134,9 +138,10 @@ class TestMakeQuiver:
                 gen_realization_acc(
                     normalize_poset([("p0", "p1")], ["p0", "p1"]),
                     TruncationSpec(depth=2)).quiver]
+        assert all(q.arrows for q in made)
         gc.collect()
         for q in made:
-            assert q.arrows
+            assert type(q.arrows) is tuple
             for a in q.arrows:
                 assert type(a) is tuple and not gc.is_tracked(a)
 
@@ -244,6 +249,13 @@ class TestDisjointUnion:
         # one name for two blocks would drop the second block
         with pytest.raises(ValueError, match="names"):
             disjoint_union([point("v", "c0"), point("v", "c0")], names=["x"])
+
+    def test_colliding_vertex_names_rejected(self):
+        # x + a/b and x/a + b are both x/a/b: merging them would give
+        # one vertex with both loops, not the direct sum of two loops
+        with pytest.raises(ValueError, match="'x/a/b'"):
+            disjoint_union([point("a/b", "c"), point("b", "d")],
+                           names=["x", "x/a"])
 
 
 @st.composite
@@ -498,10 +510,11 @@ def reachability(q):
         reach = more
 
 
-@settings(max_examples=150, deadline=None)
-@given(random_digraphs())
-def test_property_strong_components_match_closure_oracle(q):
+def assert_blocks_match_closure_oracle(q):
+    """strong_components against reachability on the expanded arrows,
+    and each block's inner arrows against a scan of them."""
     blocks = strong_components(q)
+    inner = blocks_with_arrows(q)
     reach = reachability(q)
     assert sorted(v for b in blocks for v in b) == list(q.vertices)
     for b in blocks:
@@ -512,11 +525,118 @@ def test_property_strong_components_match_closure_oracle(q):
     # sinks first: no arrow runs from a block to a later one
     pos = {v: i for i, b in enumerate(blocks) for v in b}
     assert all(pos[a[0]] >= pos[a[1]] for a in q.arrows)
+    assert [b for b, _ in inner] == blocks
+    # the same blocks as the expanded quiver, perhaps in another order
+    assert sorted(blocks) == sorted(strong_components(
+        make_quiver(q.vertices, q.colors, q.arrows)))
+    for b, arrows in inner:
+        assert arrows == tuple(a for a in q.arrows
+                               if a[0] in b and a[1] in b)
+        for v in b:
+            assert q.loops_at(v) == tuple(a for a in arrows
+                                          if a[0] == a[1] == v)
     order = loop_stripped_topo_order(q)
     if all(len(b) == 1 for b in blocks):
         assert runs_forward(q, order)
     else:
         assert order is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_digraphs())
+def test_property_strong_components_match_closure_oracle(q):
+    assert_blocks_match_closure_oracle(q)
+
+
+def substituted(case):
+    """A skeletons_with_blocks case substituted, with bundles, and by
+    the arrow-by-arrow oracle; None if the oracle refuses it."""
+    skel, blocks = case
+    try:
+        want = oracle_substitute(skel, blocks)
+    except AtomcatError:
+        return None
+    return substitute(skel, blocks), want
+
+
+@settings(max_examples=200, deadline=None)
+@given(skeletons_with_blocks())
+def test_property_bundle_quiver_blocks_match_closure_oracle(case):
+    # cyclic skeletons put bundles inside blocks
+    if (pair := substituted(case)) is not None:
+        assert_blocks_match_closure_oracle(pair[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(skeletons_with_blocks(), st.sampled_from([2, 3]))
+def test_property_bundle_spectra_equal_expanded(case, p):
+    if (pair := substituted(case)) is not None:
+        got, want = pair
+        assert (spectrum(got, FieldSpec(p)).to_json()
+                == spectrum(want, FieldSpec(p)).to_json())
+        assert "arrows" not in vars(got)
+
+
+def expand(bundles):
+    return [(v, w, row[y], 1) for sources, targets, rows in bundles
+            for v, row in zip(sources, rows) for y, w in enumerate(targets)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(skeletons_with_blocks(), st.data())
+def test_property_bundle_validation_refuses_what_make_quiver_refuses(
+        case, data):
+    # a fault put into a substitution's records: an undeclared vertex
+    # or color, or a bundle end repeated with its row or column
+    if (pair := substituted(case)) is None:
+        return
+    q = pair[0]
+    vertices, colors, bundles = list(q.vertices), list(q.colors), list(q.bundles)
+    fault = data.draw(st.sampled_from(["none", "vertex", "color", "source",
+                                       "target"]))
+    if fault == "vertex" and vertices:
+        del vertices[data.draw(st.integers(0, len(vertices) - 1))]
+    if fault == "color" and colors:
+        del colors[data.draw(st.integers(0, len(colors) - 1))]
+    if fault in ("source", "target") and bundles:
+        k = data.draw(st.integers(0, len(bundles) - 1))
+        sources, targets, rows = bundles[k]
+        bundles[k] = ((sources + sources[:1], targets, rows + rows[:1])
+                      if fault == "source" else
+                      (sources, targets + targets[:1],
+                       tuple(row + row[:1] for row in rows)))
+    try:
+        want = make_quiver(vertices, colors, [*q.plain, *expand(bundles)])
+    except AtomcatError as err:
+        with pytest.raises(AtomcatError) as got:
+            _bundle_quiver(vertices, colors, q.plain, bundles)
+        assert (type(got.value), got.value.context, str(got.value)) == (
+            type(err), err.context, str(err))
+        return
+    assert _bundle_quiver(vertices, colors, q.plain, bundles) == want
+
+
+def test_bundle_rows_of_the_wrong_shape_rejected():
+    for rows in ((), (("c",),), (("c", "c"), ("c",))):
+        with pytest.raises(ValueError, match="rows"):
+            _bundle_quiver(["v", "w"], ["c"], [],
+                          [(("v", "w"), ("v",), rows)])
+
+
+def test_bundle_quiver_equals_make_quiver_of_its_arrows():
+    # a 2x2 bundle between the blocks of a 2-cycle lies inside one
+    # block; hash, repr and the JSON forms read the expanded arrows
+    bundles = [(("a", "b"), ("c", "d"), (("x", "y"), ("y", "x"))),
+               (("c", "d"), ("a",), (("z",), ("y",))),
+               (("d",), ("b",), (("z",),))]
+    q = _bundle_quiver("abcd", "xyz", [("a", "a", "x", 2)], bundles)
+    want = make_quiver("abcd", "xyz", [("a", "a", "x", 2)] + expand(bundles))
+    assert strong_components(q) == [("a", "b", "c", "d")] == [
+        b for b, _ in blocks_with_arrows(q)]
+    assert "arrows" not in vars(q)
+    assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
+    assert (q.to_json(), q.to_dot()) == (want.to_json(), want.to_dot())
+    assert blocks_with_arrows(q) == [(("a", "b", "c", "d"), want.arrows)]
 
 
 def test_strong_components_of_a_long_path_and_cycle():
