@@ -49,7 +49,8 @@ from .errors import (ColorClash, DepthTooSmall, DuplicateArrow, EmptyRange,
                      MissingBlock, UnknownPreset, UnknownVertex,
                      WindowTooSmall)
 from .ordertop import normalize_poset, poset_invariants
-from .quiver import ColoredQuiver, GeneratedQuiver, _bundle_quiver
+from .quiver import (BundleColors, ColoredQuiver, GeneratedQuiver,
+                     _bundle_quiver, _least_clash)
 
 
 def _check_ids(elements):
@@ -71,8 +72,13 @@ Composite = namedtuple("Composite",
 
 
 def _bundle_color(skeleton_color, src_vertex, dst_vertex):
-    """Fresh color of a bundle arrow, from the tag and its ends' names."""
+    """Fresh color of a bundle arrow, from the tag and its ends' names.
+    Every color of a tag starts with its head, `!(tag;`."""
     return f"!({skeleton_color};{src_vertex},{dst_vertex})"
+
+
+# the prefix of every color of a tag (see `BundleColors.head`)
+_bundle_color.head = "!({};".format
 
 
 def _union_names(names, n):
@@ -237,19 +243,22 @@ def truncate(term):
     it has no atom table entry.  Each distinct subterm (by identity) is
     prepared once, children first: its vertex names relative to itself
     (v(tag), the quiver's own or {name}/...), the distinct subterms
-    inside it and, for a composite, the bundle color rows of each
-    skeleton arrow (i, j, tag), _bundle_color(tag, v, w) for vertex v
-    of block i and w of block j, made once per distinct (tag, block i,
-    block j).  Then one walk with every vertex's final prefix makes each
-    vertex name and loop once and gives each skeleton arrow one bundle
-    record: the names of its source block, those of its target block
-    and its rows.  `_bundle_quiver` validates each record once.  Vertex
-    names may not repeat, since merged vertices make another module:
+    inside it and, for a composite, the `BundleColors` of each skeleton
+    arrow (i, j, tag): the tag and the relative names of blocks i and
+    j, one per distinct (tag, block i, block j), whose color for (v, w)
+    is _bundle_color(tag, v, w), rendered only when read.  Then one
+    walk with every vertex's final prefix makes each vertex name and
+    loop once and gives each skeleton arrow one bundle record: the
+    names of its source block, those of its target block and its
+    colors.  `_bundle_quiver` validates each record once.  Vertex names
+    may not repeat, since merged vertices make another module:
     ValueError names the least repeated one.  A composite's bundle
     colors must avoid the colors inside its own blocks (sibling
     composites may share theirs), except those of its shared tags, and
     ColorClash names the least clashing color of the first composite
-    that clashes.
+    that clashes.  `quiver._least_clash` decides this on the heads and
+    renders colors only where two can coincide, so a composite whose
+    tags are not prefix-related to those inside it renders none.
 
     A skeleton loop may not carry a shared tag (ValueError), and a
     skeleton arrow repeated between nonempty blocks repeats a triple:
@@ -264,16 +273,20 @@ def truncate(term):
     limit's entry has the vertices of its shallowest occurrence, the
     first one at that depth.  Entries come in first-met order.
 
-    Working set: colors reach `_bundle_quiver` as one flat list in
-    minting order, nearly sorted already.  The set of colors minted so
-    far goes before the vertices are emitted, the relative names before
-    validation.  No bundle arrow is made: the quiver keeps each bundle's
-    name tuples and rows, the rows shared by every occurrence of their
-    composite.  Validation holds the vertex, color and loop lists and a
-    set each of the vertices and colors beyond the finished quiver.
+    Working set: no bundle arrow and no bundle color is made.  The
+    quiver keeps each bundle's name tuples and its `BundleColors`,
+    whose relative names are shared by every occurrence of their
+    composite, and renders colors when `colors` or `arrows` is first
+    read.  The declared colors (loop colors and quiver leaves' colors)
+    reach `_bundle_quiver` as one flat list.  Validation holds the
+    vertex, declared color and loop lists and a set each of the
+    vertices and declared colors beyond the finished quiver.
     """
-    rel, below, rows, loop_color, leaf_colors = {}, {}, {}, {}, {}
-    colors, minted = [], set()  # minting order, and as a set
+    render = _bundle_color
+    rel, below, own, loop_color = {}, {}, {}, {}
+    # per subterm: the color strings and the BundleColors it holds
+    strings, tables = {}, {}
+    colors = []  # the declared colors, loop and leaf
     repeated = {}  # composite -> index of its first repeated bundle
 
     def prepare(t):
@@ -285,13 +298,13 @@ def truncate(term):
             if t.loop:
                 c = loop_color[id(t)] = _loop_color(t.tag)
                 colors.append(c)
-                minted.add(c)
+                strings[id(t)] = (c,)
             return
         if isinstance(t, ColoredQuiver):
             rel[id(t)] = tuple(map(str, t.vertices))
-            leaf_colors[id(t)] = t.colors
-            colors.extend(t.colors)
-            minted.update(t.colors)
+            strings[id(t)] = t.declared
+            colors.extend(t.declared)
+            tables[id(t)] = {id(c): c for _, _, c in t.bundles}.values()
             return
         for b in t.blocks:
             prepare(b)
@@ -299,9 +312,6 @@ def truncate(term):
         below[id(t)].update(inside)
         rel[id(t)] = tuple(f"{name}/{v}" for name, b in zip(t.names, t.blocks)
                            for v in rel[id(b)])
-        # rows[id(t)][k][x][y] colors the arrow from vertex x of the
-        # source block of skeleton arrow k to vertex y of its target
-        made, rows[id(t)] = {}, []
         if any(i == j and tag in t.shared for i, j, tag in t.arrows):
             raise ValueError("a skeleton loop may not carry a shared tag")
         if len(set(t.arrows)) < len(t.arrows):
@@ -310,27 +320,21 @@ def truncate(term):
                        and rel[id(t.blocks[i])] and rel[id(t.blocks[j])]]
             if repeats:
                 repeated[id(t)] = repeats[0]
+        made, own[id(t)] = {}, []
         for i, j, tag in t.arrows:
             key = tag, id(t.blocks[i]), id(t.blocks[j])
             if key not in made:
-                made[key] = tuple(tuple([_bundle_color(tag, v, w)
-                                         for w in rel[key[2]]])
-                                  for v in rel[key[1]])
-            rows[id(t)].append(made[key])
-        fresh = [c for block in made.values() for row in block for c in row]
-        if not minted.isdisjoint(fresh):
-            # only a shared tag's colors may already be inside the blocks
-            held = {loop_color[s] for s in inside if s in loop_color}
-            held.update(c for s in inside for c in leaf_colors.get(s, ()))
-            held.update(c for s in inside for block in rows.get(s, ())
-                        for row in block for c in row)
-            if clash := held.intersection(
-                    c for (tag, _, _), block in made.items()
-                    if tag not in t.shared for row in block for c in row):
-                raise ColorClash("bundle color already used by a block",
-                                 color=min(clash))
-        minted.update(fresh)
-        colors.extend(fresh)
+                made[key] = BundleColors(render, tag, rel[key[1]],
+                                         rel[key[2]])
+            own[id(t)].append(made[key])
+        tables[id(t)] = made.values()
+        # only a shared tag's colors may already be inside the blocks
+        fresh = [c for c in made.values() if c.tag not in t.shared]
+        if fresh and (clash := _least_clash(
+                fresh, [c for s in inside for c in tables.get(s, ())],
+                [c for s in inside for c in strings.get(s, ())])):
+            raise ColorClash("bundle color already used by a block",
+                             color=clash)
 
     arrows, bundles, table, depth_of = [], [], {}, {}
 
@@ -353,8 +357,8 @@ def truncate(term):
             arrows.extend((at[src], at[dst], color, value)
                           for src, dst, color, value in t.plain)
             bundles.extend((tuple(map(at.get, sources)),
-                            tuple(map(at.get, targets)), rows)
-                           for sources, targets, rows in t.bundles)
+                            tuple(map(at.get, targets)), colors)
+                           for sources, targets, colors in t.bundles)
             return names
         names = []
         if t.limit and depth < depth_of.get(t.limit, depth + 1):
@@ -369,20 +373,20 @@ def truncate(term):
             i, j, _ = t.arrows[k]
             raise DuplicateArrow("two arrows share (src, dst, color)",
                                  src=blocks[i][0], dst=blocks[j][0],
-                                 color=rows[id(t)][k][0][0])
-        bundles.extend((blocks[i], blocks[j], bundle)
-                       for (i, j, _), bundle in zip(t.arrows, rows[id(t)]))
+                                 color=own[id(t)][k].color(0, 0))
+        bundles.extend((blocks[i], blocks[j], c)
+                       for (i, j, _), c in zip(t.arrows, own[id(t)]))
         for block in blocks:
             names += block
         return names
 
     prepare(term)
     # prepare and emit refer to themselves: delete them to free what
-    # they hold on return, not at a gc; the color set goes before the
-    # walk, the relative names before validation
-    del prepare, below, minted, leaf_colors
+    # they hold on return, not at a gc; what the clash check read goes
+    # before the walk
+    del prepare, below, strings, tables
     vertices = emit(term, "", 0)
-    del emit, rel, rows
+    del emit, rel, own
     if len(set(vertices)) < len(vertices):
         repeats = [v for v, k in Counter(vertices).items() if k > 1]
         raise ValueError(f"vertex name {min(repeats)!r} repeats")

@@ -353,7 +353,18 @@ def crosscheck(sym, gen, field=FieldSpec(2), budget=DEFAULT_BUDGET):
     window through the generator's atom table.  A brute atom no table
     entry credits to a window atom is unexpected.  The spectrum of a
     finite-dimensional module is discrete, so it witnesses no order
-    pair and order_violations is empty."""
+    pair and order_violations is empty.
+
+    Why a truncation's atoms are atoms of the infinite construction:
+    every construction term is acyclic apart from loops (its skeletons
+    are paths, unions or pass `composite_term`'s acyclicity check, and
+    its leaves are points), so each vertex of a truncation is a block
+    of its own.  No path leaves a vertex and comes back, so the vertex
+    spans a subquotient of the module of every deeper truncation, of
+    which the truncation is a full subquiver, and so of the infinite
+    object; and ASupp of a subquotient lies in ASupp of the object
+    (Kanda 2012).  The tests hold every listed truncation to both facts.
+    """
     report = spectrum(gen.quiver, field, budget)
     credit = {}  # brute label -> symbolic labels it witnesses
     for key, entry in gen.atom_table.items():

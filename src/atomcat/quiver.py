@@ -18,11 +18,14 @@ An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
 also takes 3-item arrows (src, dst, color) and gives them value 1.
 A substitution puts a complete bipartite bundle on each skeleton
 arrow, and `generators.truncate` keeps such bundles as records, each
-validated once.  The blocks come from a graph with a hub node per
+validated once.  A record's colors are `BundleColors`: a tag and the
+relative names of the bundle's two blocks, rendered into color strings
+only when read.  The blocks come from a graph with a hub node per
 bundle, so only bundles with arrows inside a block are ever expanded;
-`arrows` lists every arrow, made when it is first read.
+`arrows` and `colors` list every arrow and color, made when first read.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -34,19 +37,76 @@ from .errors import (DuplicateArrow, NotAssociative, NotTargetClosed,
 from .ordertop import _json_names
 
 
+class BundleColors(namedtuple("BundleColors",
+                              "render tag sources targets")):
+    """The colors of a complete bipartite bundle: render(tag, v, w) on
+    its arrow from the source named v to the target named w, where
+    sources and targets list the names relative to the bundle's two
+    blocks, in the order of its ends.  One object serves every
+    occurrence of the composite that made it."""
+
+    __slots__ = ()
+
+    def color(self, x, y):
+        """The color of the arrow from source x to target y."""
+        return self.render(self.tag, self.sources[x], self.targets[y])
+
+    def rows(self):
+        """The colors, one row per source, one color per target."""
+        render, tag, targets = self.render, self.tag, self.targets
+        return ([render(tag, v, w) for w in targets] for v in self.sources)
+
+    def head(self):
+        """The prefix every color starts with: render.head(tag), or ""
+        when the renderer names no head, which may render any string."""
+        head = getattr(self.render, "head", None)
+        return head(self.tag) if head else ""
+
+
+def _least_clash(fresh, inner, strings):
+    """The least color of the fresh BundleColors that is one of the
+    strings or a color of the inner BundleColors, or None.
+
+    Every color starts with its head, so two colors of BundleColors can
+    be equal only where one head is a prefix of the other, and a string
+    can equal a color only where it starts with the color's head.
+    Colors are rendered only when such a pair or string exists, and
+    then those of the fresh and of the inner BundleColors so related.
+    """
+    heads = {c.head() for c in fresh}
+    lengths = {len(h) for h in heads}
+    prefixes = {h[:k] for h in heads for k in range(len(h) + 1)}
+
+    def headed(s):  # s starts with a fresh head
+        return any(s[:k] in heads for k in lengths)
+
+    near = [c for c in inner if c.head() in prefixes or headed(c.head())]
+    held = {s for s in strings if headed(s)}
+    if not (near or held):
+        return None
+    held.update(color for c in near for row in c.rows() for color in row)
+    clash = held.intersection(color for c in fresh for row in c.rows()
+                              for color in row)
+    return min(clash) if clash else None
+
+
 @dataclass(frozen=True, eq=False)
 class ColoredQuiver:
-    """A validated quiver: its plain arrows, sorted, and its bundles.
+    """A validated quiver: its declared colors, its plain arrows,
+    sorted, and its bundles.
 
-    A bundle (sources, targets, rows) stands for the arrow (sources[x],
-    targets[y], rows[x][y], 1) for every x and y.  `arrows` lists all
-    arrows sorted, the bundles' expanded the first time it is read;
-    equality and hashing compare (vertices, colors, arrows), so a
-    quiver with bundles equals `make_quiver` of its arrows.
+    A bundle (sources, targets, colors) stands for the arrow
+    (sources[x], targets[y], colors.color(x, y), 1) for every x and y.
+    `arrows` lists all arrows sorted, the bundles' expanded, and
+    `colors` the declared colors and the bundles' rendered, sorted
+    without repeats; each is made the first time it is read, and
+    without bundles it is the plain arrows or the declared colors.
+    Equality and hashing compare (vertices, colors, arrows), so a
+    quiver with bundles equals `make_quiver` of its colors and arrows.
     """
 
     vertices: tuple
-    colors: tuple
+    declared: tuple
     plain: tuple
     bundles: tuple = ()
 
@@ -68,6 +128,14 @@ class ColoredQuiver:
         if not self.bundles:
             return self.plain
         return tuple(sorted(chain(self.plain, _expand(self.bundles))))
+
+    @cached_property
+    def colors(self):
+        if not self.bundles:
+            return self.declared
+        tables = {id(c): c for _, _, c in self.bundles}.values()
+        return _sorted_unique(chain(self.declared, *(
+            chain.from_iterable(c.rows()) for c in tables)))[0]
 
     def loops_at(self, v):
         return self._loops.get(v, ())
@@ -126,12 +194,13 @@ class ColoredQuiver:
             if a[0] == a[1] or b == block_of[index[a[1]]]:
                 inner.setdefault(b, []).append(a)
         for k in searched:
-            sources, targets, rows = self.bundles[k]
-            for v, row in zip(sources, rows):
+            sources, targets, colors = self.bundles[k]
+            for x, v in enumerate(sources):
                 b = block_of[index[v]]
-                for w, color in zip(targets, row):
+                for y, w in enumerate(targets):
                     if block_of[index[w]] == b:
-                        inner.setdefault(b, []).append((v, w, color, 1))
+                        inner.setdefault(b, []).append(
+                            (v, w, colors.color(x, y), 1))
         return [(block, tuple(sorted(inner[b])) if b in inner else ())
                 for b, block in enumerate(blocks)]
 
@@ -257,41 +326,41 @@ def _checked(arrows, vset, cset):
 
 
 def _bundle_quiver(vertices, colors, arrows, bundles):
-    """`make_quiver(vertices, colors, arrows + the bundles' arrows)`,
-    with the bundles kept as records (see `ColoredQuiver`).
+    """`make_quiver(vertices, colors + the bundles' colors, arrows +
+    the bundles' arrows)`, with the bundles kept as records (see
+    `ColoredQuiver`).
 
-    Each end tuple and each rows of the bundles is checked once, not
-    arrow by arrow: ends declared and pairwise distinct, so a bundle's
-    arrows are, and rows of declared colors, one per source and each
-    one color per target (else ValueError).  If a check fails,
+    The plain arrows are checked against the declared colors.  A
+    bundle's colors are rendered from its `BundleColors`, so they are
+    declared by construction and no color string is made.  Each end
+    tuple is checked once, not arrow by arrow: one end per row or
+    column of its colors (else ValueError), declared and pairwise
+    distinct, so a bundle's arrows are.  If a check fails,
     `make_quiver` of the plain arrows and then the bundles' arrows
-    raises the first fault (or holds them all).  The caller guarantees
-    that no (src, dst, color) triple lies in two bundles, nor in a
-    bundle and a plain arrow; `generators.truncate` proves it from its
-    term.
+    raises the first fault.  The caller guarantees that no (src, dst,
+    color) triple lies in two bundles, nor in a bundle and a plain
+    arrow; `generators.truncate` proves it from its term.
     """
     vs, vset = _sorted_unique(vertices)
     cs, cset = _sorted_unique(colors)
     plain = _checked(arrows, vset, cset)
     bundles = tuple(bundles)
+    if any(len(s) != len(c.sources) or len(t) != len(c.targets)
+           for s, t, c in bundles):
+        raise ValueError("bundle ends must match the rows and columns of "
+                         "its colors")
+    quiver = ColoredQuiver(vs, cs, plain, bundles)
     ends = {id(end): end for s, t, _ in bundles for end in (s, t)}
-    shapes = {(id(r), len(s), len(t)): r for s, t, r in bundles}
-    if any(len(r) != ns or set(map(len, r)) - {nt}
-           for (_, ns, nt), r in shapes.items()):
-        raise ValueError("bundle rows must be one per source, each one "
-                         "color per target")
-    if not (all(len(set(end)) == len(end) and vset.issuperset(end)
-                for end in ends.values())
-            and cset.issuperset(chain.from_iterable(
-                chain.from_iterable(shapes.values())))):
-        return make_quiver(vs, cs, [*plain, *_expand(bundles)])
-    return ColoredQuiver(vs, cs, plain, bundles)
+    if not all(len(set(end)) == len(end) and vset.issuperset(end)
+               for end in ends.values()):
+        return make_quiver(vs, quiver.colors, [*plain, *_expand(bundles)])
+    return quiver
 
 
 def _expand(bundles):
     """The bundles' arrows, bundle by bundle, row by row."""
-    for sources, targets, rows in bundles:
-        for v, row in zip(sources, rows):
+    for sources, targets, colors in bundles:
+        for v, row in zip(sources, colors.rows()):
             yield from zip(repeat(v), targets, row, repeat(1))
 
 
@@ -431,13 +500,6 @@ def quiver_from_json(data):
                              "and color must be strings or integers, the "
                              "value an integer")
     return make_quiver(vertices, colors, arrows)
-
-
-def generated_from_json(data):
-    fam = data.get("noetherian_family")
-    return GeneratedQuiver(quiver_from_json(data),
-                           {k: dict(v) for k, v in data["atom_table"].items()},
-                           tuple(dict(d) for d in fam) if fam is not None else None)
 
 
 def strong_components(quiver):

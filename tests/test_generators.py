@@ -17,8 +17,8 @@ from atomcat.generators import (PRESET_NAMES, Composite, Point, acc_term,
 from atomcat.harness import all_posets, random_poset
 from atomcat.ordertop import normalize_poset
 from atomcat.quiver import (ColoredQuiver, GeneratedQuiver, TruncationSpec,
-                            generated_from_json, loop_stripped_topo_order,
-                            make_quiver)
+                            full_subquiver, loop_stripped_topo_order,
+                            make_quiver, quiver_from_json, strong_components)
 from noatom_oracle import renamed, word_tree
 from substitute_oracle import substitute
 
@@ -117,7 +117,9 @@ class TestRealizationAcc:
 
     def test_json_roundtrip(self):
         g = gen_realization_acc(CHAIN2, TruncationSpec(depth=2))
-        g2 = generated_from_json(g.to_json())
+        data = g.to_json()
+        g2 = GeneratedQuiver(quiver_from_json(data), {
+            k: dict(v) for k, v in data["atom_table"].items()})
         assert g2.quiver == g.quiver and g2.atom_table == g.atom_table
 
     def test_bundle_color_clash_detected(self, monkeypatch):
@@ -173,6 +175,36 @@ class TestRealizationAcc:
             tracemalloc.stop()
         assert (len(g.quiver.vertices), len(g.quiver.arrows)) == (341, 17732)
         assert peak <= 4.8e6, (peak, kept)
+
+    def test_kept_memory_of_a_deep_truncation(self):
+        # depth 5 of random_poset(1001, 6): 1,531 vertices and 145,730
+        # colors, which kept 16.0 MB as color strings; its records keep
+        # about 0.53 MB, bounded at 1.75x that
+        P = random_poset(1001, 6)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = gen_realization_acc(P, TruncationSpec(depth=5))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "colors" not in vars(g.quiver)
+        assert (len(g.quiver.vertices), len(g.quiver.colors)) == (1531, 145730)
+        assert kept <= 0.93e6, (kept, peak)
+
+    def test_acc_truncation_renders_no_color(self, monkeypatch):
+        # acc tags (p;i,j) are never prefix-related, so the clash check
+        # proves every composite clear without a color string
+        real, rendered = generators._bundle_color, []
+
+        def counting(*args):
+            rendered.append(args)
+            return real(*args)
+        counting.head = real.head
+        monkeypatch.setattr(generators, "_bundle_color", counting)
+        for P in [DIAMOND, CHAIN4] + [random_poset(s, 6) for s in range(4)]:
+            truncate(acc_term(P, 3))
+        assert rendered == []
 
 
 def nested(term):
@@ -323,6 +355,51 @@ class TestTruncate:
                 build(term)
             assert got.value.context == {"color": "!(o;b0/v,v(c))"}
 
+    def test_tag_with_a_semicolon_renders_an_outer_color(self):
+        # (a;x, b0/v(p), v(q)) and (a, x;b0/v(p), v(q)) are different
+        # triples that render one string; the outer tag a is not shared
+        p, q = Point("P", "p"), Point("Q", "q")
+        inner = composite_term((union_term([p], ["b0"]), q), ("l", "r"),
+                               ((0, 1, "a;x"),))
+        outer = composite_term((inner, union_term([p], ["x;b0"]), q),
+                               ("i", "s", "t"), ((1, 2, "a"),))
+        for build in (truncate, nested):
+            with pytest.raises(ColorClash) as got:
+                build(outer)
+            assert got.value.context == {"color": "!(a;x;b0/v(p),v(q))"}
+        apart = outer._replace(arrows=((1, 2, "ax"),))
+        assert truncate(apart).quiver == nested(apart).quiver
+
+    def test_commas_in_names_under_a_repeated_tag(self):
+        # the tag t recurs inside a nested block, and (t, u, v,w) and
+        # (t, u,v, w) render !(t;u,v,w): the least of the clashes is
+        # named
+        def leaf(*names):
+            return make_quiver(names, [], [])
+        inner = composite_term((leaf("u"), leaf("v,x", "v,w")), ("a", "b"),
+                               ((0, 1, "t"),))
+        outer = composite_term((inner, leaf("u,v"), leaf("x", "w", "y")),
+                               ("i", "c", "d"), ((1, 2, "t"),))
+        assert [a[2] for a in truncate(inner).quiver.arrows] == [
+            "!(t;u,v,w)", "!(t;u,v,x)"]
+        with pytest.raises(ColorClash) as got:
+            truncate(outer)
+        assert got.value.context == {"color": "!(t;u,v,w)"}
+        # a shared t may mint them again, as the oracle agrees
+        shared = outer._replace(shared=("t",))
+        assert truncate(shared).quiver == nested(shared).quiver
+
+    def test_tag_with_a_comma_and_semicolon_renders_another_tags_color(self):
+        # (a;b,c, d, v(e)) and (a, b,c;d, v(e)) render one string
+        e = Point("E", "e")
+        inner = composite_term((make_quiver(["d"], [], []), e), ("l", "r"),
+                               ((0, 1, "a;b,c"),))
+        outer = composite_term((inner, make_quiver(["b,c;d"], [], []), e),
+                               ("i", "s", "t"), ((1, 2, "a"),))
+        with pytest.raises(ColorClash) as got:
+            truncate(outer)
+        assert got.value.context == {"color": "!(a;b,c;d,v(e))"}
+
     def test_refuses_an_empty_chain(self):
         with pytest.raises(EmptyRange):
             chain_term([], [])
@@ -419,6 +496,50 @@ class TestTruncate:
         with pytest.raises(ColorClash) as got:
             truncate(both)
         assert got.value.context == {"color": "!(u;v(a),v(b))"}
+
+
+def deepening_pairs():
+    """(case, truncation, the same construction one step deeper): acc
+    terms of every poset with at most 4 elements at depths 1 to 3, the
+    presets at depths 1 to 3, and the atom-free construction over
+    {0, 1, 2} at depths 0 to 3."""
+    def acc(P):
+        return lambda d: gen_realization_acc(P, TruncationSpec(depth=d))
+
+    def named(name):
+        return lambda d: preset(name, d)
+
+    builds = [(P.le, acc(P), 1) for n in range(1, 5) for P in all_posets(n)]
+    builds += [(name, named(name), 1) for name in PRESET_NAMES]
+    builds += [("noatom", lambda d: gen_noatom(TruncationSpec(d, (0, 2))), 0)]
+    for case, build, first in builds:
+        gens = [build(d) for d in range(first, 5)]
+        for d, (shallow, deep) in enumerate(zip(gens, gens[1:]), first):
+            yield (case, d), shallow, deep
+
+
+class TestDeepening:
+    """What ties a truncation to the infinite construction: it is the
+    full subquiver of every deeper truncation on its vertices, and each
+    of its vertices is a block of its own."""
+
+    def test_truncation_is_a_full_subquiver_of_the_next(self):
+        for case, shallow, deep in deepening_pairs():
+            q = shallow.quiver
+            # full_subquiver reads colors, rendered from the records
+            sub = full_subquiver(deep.quiver, q.vertices)
+            assert (sub.vertices, sub.arrows) == (q.vertices, q.arrows), case
+            assert set(q.colors) <= set(sub.colors), case
+            for label, entry in shallow.atom_table.items():
+                if entry["kind"] == "simple":
+                    assert (deep.atom_table[label]["loop_colors"]
+                            == entry["loop_colors"]), (case, label)
+
+    def test_every_vertex_is_its_own_block(self):
+        for case, shallow, deep in deepening_pairs():
+            for g in (shallow, deep):
+                blocks = strong_components(g.quiver)
+                assert len(blocks) == len(g.quiver.vertices), case
 
 
 class TestRealizationGeneral:

@@ -315,7 +315,7 @@ class TestCrosscheck:
 
     def test_acc_crosscheck_never_expands_arrows(self):
         # the truncation keeps its bundles as records; blocks and
-        # spectra read them without making each arrow
+        # spectra read them without making each arrow or color
         posets = [P for n in range(1, 5) for P in all_posets(n)]
         for P in posets + [random_poset(s, 6) for s in range(4)]:
             acc = predict_realization(P, "acc").pre_quotient
@@ -323,6 +323,7 @@ class TestCrosscheck:
                 gen = gen_realization_acc(P, TruncationSpec(depth=depth))
                 assert crosscheck(acc, gen).ok(), (P.le, depth)
                 assert "arrows" not in vars(gen.quiver), (P.le, depth)
+                assert "colors" not in vars(gen.quiver), (P.le, depth)
 
     def test_chain2_acc_depth3(self):
         g = gen_realization_acc(CHAIN2, TruncationSpec(depth=3))

@@ -16,7 +16,7 @@ from atomcat.generators import (chain, disjoint_union, gen_realization_acc,
                                 substitute)
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset
-from atomcat.quiver import (TruncationSpec, _bundle_quiver,
+from atomcat.quiver import (BundleColors, TruncationSpec, _bundle_quiver,
                             blocks_with_arrows, full_subquiver,
                             loop_stripped_topo_order, make_quiver, normalize,
                             quiver_from_json, quiver_of_algebra,
@@ -574,12 +574,23 @@ def test_property_bundle_spectra_equal_expanded(case, p):
         got, want = pair
         assert (spectrum(got, FieldSpec(p)).to_json()
                 == spectrum(want, FieldSpec(p)).to_json())
-        assert "arrows" not in vars(got)
+        assert "arrows" not in vars(got) and "colors" not in vars(got)
 
 
 def expand(bundles):
-    return [(v, w, row[y], 1) for sources, targets, rows in bundles
-            for v, row in zip(sources, rows) for y, w in enumerate(targets)]
+    return [(v, w, c.render(c.tag, c.sources[x], c.targets[y]), 1)
+            for sources, targets, c in bundles
+            for x, v in enumerate(sources) for y, w in enumerate(targets)]
+
+
+def cell(rows, x, y):
+    return rows[x][y]
+
+
+def given_rows(rows):
+    """BundleColors whose color for (x, y) is rows[x][y]."""
+    return BundleColors(cell, rows, tuple(range(len(rows))),
+                        tuple(range(len(rows[0]) if rows else 0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -587,11 +598,13 @@ def expand(bundles):
 def test_property_bundle_validation_refuses_what_make_quiver_refuses(
         case, data):
     # a fault put into a substitution's records: an undeclared vertex
-    # or color, or a bundle end repeated with its row or column
+    # or plain color, or a bundle end repeated with its row or column;
+    # bundle colors are rendered from the records, so always declared
     if (pair := substituted(case)) is None:
         return
     q = pair[0]
-    vertices, colors, bundles = list(q.vertices), list(q.colors), list(q.bundles)
+    vertices, colors, bundles = (list(q.vertices), list(q.declared),
+                                 list(q.bundles))
     fault = data.draw(st.sampled_from(["none", "vertex", "color", "source",
                                        "target"]))
     if fault == "vertex" and vertices:
@@ -600,13 +613,16 @@ def test_property_bundle_validation_refuses_what_make_quiver_refuses(
         del colors[data.draw(st.integers(0, len(colors) - 1))]
     if fault in ("source", "target") and bundles:
         k = data.draw(st.integers(0, len(bundles) - 1))
-        sources, targets, rows = bundles[k]
-        bundles[k] = ((sources + sources[:1], targets, rows + rows[:1])
+        sources, targets, c = bundles[k]
+        bundles[k] = ((sources + sources[:1], targets,
+                       c._replace(sources=c.sources + c.sources[:1]))
                       if fault == "source" else
                       (sources, targets + targets[:1],
-                       tuple(row + row[:1] for row in rows)))
+                       c._replace(targets=c.targets + c.targets[:1])))
     try:
-        want = make_quiver(vertices, colors, [*q.plain, *expand(bundles)])
+        arrows = expand(bundles)
+        want = make_quiver(vertices, [*colors, *(a[2] for a in arrows)],
+                           [*q.plain, *arrows])
     except AtomcatError as err:
         with pytest.raises(AtomcatError) as got:
             _bundle_quiver(vertices, colors, q.plain, bundles)
@@ -617,23 +633,23 @@ def test_property_bundle_validation_refuses_what_make_quiver_refuses(
 
 
 def test_bundle_rows_of_the_wrong_shape_rejected():
-    for rows in ((), (("c",),), (("c", "c"), ("c",))):
+    for rows in ((), (("c",),), (("c", "c"), ("c", "c"))):
         with pytest.raises(ValueError, match="rows"):
             _bundle_quiver(["v", "w"], ["c"], [],
-                          [(("v", "w"), ("v",), rows)])
+                          [(("v", "w"), ("v",), given_rows(rows))])
 
 
 def test_bundle_quiver_equals_make_quiver_of_its_arrows():
     # a 2x2 bundle between the blocks of a 2-cycle lies inside one
     # block; hash, repr and the JSON forms read the expanded arrows
-    bundles = [(("a", "b"), ("c", "d"), (("x", "y"), ("y", "x"))),
-               (("c", "d"), ("a",), (("z",), ("y",))),
-               (("d",), ("b",), (("z",),))]
+    bundles = [(("a", "b"), ("c", "d"), given_rows((("x", "y"), ("y", "x")))),
+               (("c", "d"), ("a",), given_rows((("z",), ("y",)))),
+               (("d",), ("b",), given_rows((("z",),)))]
     q = _bundle_quiver("abcd", "xyz", [("a", "a", "x", 2)], bundles)
     want = make_quiver("abcd", "xyz", [("a", "a", "x", 2)] + expand(bundles))
     assert strong_components(q) == [("a", "b", "c", "d")] == [
         b for b, _ in blocks_with_arrows(q)]
-    assert "arrows" not in vars(q)
+    assert "arrows" not in vars(q) and "colors" not in vars(q)
     assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
     assert (q.to_json(), q.to_dot()) == (want.to_json(), want.to_dot())
     assert blocks_with_arrows(q) == [(("a", "b", "c", "d"), want.arrows)]
