@@ -36,12 +36,10 @@ from dataclasses import dataclass
 from . import linmod
 from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
                      ZeroModule)
-from .linmod import (FdModule, FieldSpec, actions_from_json,
-                     composition_factors, hom_basis, minimal_submodules,
-                     submodule_as_module)
-from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset, _json_names,
-                       _json_pairs, alexandroff_of_poset, normalize_poset,
-                       poset_of_topology, topology_of_opens)
+from .linmod import (FdModule, FieldSpec, composition_factors, hom_basis,
+                     minimal_submodules, submodule_as_module)
+from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset,
+                       alexandroff_of_poset, normalize_poset)
 from .quiver import blocks_with_arrows
 
 
@@ -334,40 +332,6 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
         simples.extend((f, block[i]) for f, i in series[sig])
     atoms = _dedupe_simples(simples)
     return _report(atoms.atoms, normalize_poset([], atoms.labels()), p)
-
-
-def report_from_json(data):
-    """Rebuild a SpectrumReport from its JSON form; the topology and the
-    flags are rederived from "order", which fixes them (U_x is the set
-    of atoms at or above x); malformed atoms, labels (all strings or all
-    integers) or order pairs raise ValueError."""
-    field = FieldSpec(data.get("p", 2))
-    if not (isinstance(data["atoms"], list)
-            and all(isinstance(e, dict) for e in data["atoms"])):
-        raise ValueError("'atoms' must be an array of atom objects")
-    labels = _json_names({"atom labels": [e["label"] for e in data["atoms"]]},
-                         "atom labels")
-    atoms = []
-    for entry in data["atoms"]:
-        label, dim = entry["label"], entry["dim"]
-        if any(a.label == label for a in atoms):
-            raise ValueError(f"atom label {label!r} appears more than once")
-        actions = actions_from_json(field, dim, entry["actions"])
-        rep = FdModule(field, dim, tuple(f"s{i}" for i in range(dim)),
-                       actions)
-        atoms.append(Atom(label, rep, tuple(_json_names(entry, "source"))))
-    order = normalize_poset(_json_pairs(data, "order"), labels)
-    return _report(atoms, order, field.p)
-
-
-def report_from_parts(atoms, open_label_sets, p=2):
-    """Assemble a SpectrumReport over GF(p) from atoms plus an explicit
-    open family (used for hand-built and symbolic-window reports); a
-    family that is not a topology raises InvalidTopology."""
-    labels = tuple(sorted(a.label for a in atoms))
-    mask_of = FiniteTopology(labels, ()).mask_of
-    topo = topology_of_opens(labels, {mask_of(s) for s in open_label_sets})
-    return _report(atoms, poset_of_topology(topo), p)
 
 
 def localize(report, label):

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import BudgetExceeded, NotNested
-from .ordertop import _json_names
 
 DEFAULT_BUDGET = 50_000
 
@@ -111,30 +110,6 @@ class FdModule:
 
     def __repr__(self):
         return f"FdModule(p={self.field.p}, dim={self.dim}, colors={len(self.actions)})"
-
-
-def actions_from_json(field, dim, dense):
-    """Pack JSON action matrices {color: rows}; raises ValueError unless
-    `dim` is an int >= 0 and dense an object, naming the color unless its
-    matrix is `dim` rows of `dim` ints (JSON true/false are not ints)."""
-    if type(dim) is not int or dim < 0:
-        raise ValueError(f"'dim' must be an integer >= 0: {dim!r}")
-    if not isinstance(dense, dict):
-        raise ValueError("'actions' must be an object of color: rows")
-    for c, rows in dense.items():
-        if not (isinstance(rows, list) and len(rows) == dim and all(
-                isinstance(row, list) and len(row) == dim
-                and all(type(x) is int for x in row) for row in rows)):
-            raise ValueError(f"action of color {c!r} is not {dim} rows "
-                             f"of {dim} ints")
-    return {c: field.ops.pack(rows, dim) for c, rows in dense.items()}
-
-
-def module_from_json(data):
-    field = FieldSpec(data["p"])
-    dim = data["dim"]
-    return FdModule(field, dim, _json_names(data, "labels"),
-                    actions_from_json(field, dim, data["actions"]))
 
 
 def module_of_quiver(quiver, field=FieldSpec(2)):
@@ -212,17 +187,6 @@ def full_submodule(module):
     return Submodule(module, basis, tuple(range(n)))
 
 
-def submodule_span(module, rows, check=True):
-    """Submodule spanned by given packed rows; rows must already be
-    action-closed as a set (checked unless told otherwise)."""
-    ops = module.ops
-    basis, piv = ops.rref(rows, module.dim)
-    sub = Submodule(module, basis, piv)
-    if check and not sub.is_action_closed():
-        raise ValueError("row span is not action-invariant")
-    return sub
-
-
 def cyclic_submodule(module, vec):
     """Smallest action-closed subspace containing vec (breadth-first)."""
     ops = module.ops
@@ -235,25 +199,6 @@ def sum_submodules(a, b):
     n = a.parent.dim
     basis, piv = ops.rref((*a.basis, *b.basis), n)
     return Submodule(a.parent, basis, piv)
-
-
-def intersect_submodules(a, b):
-    """Intersection of two invariant row spaces (itself invariant).
-
-    Coefficient rows (x, y) with x . A + y . B = 0 parametrize the
-    intersection through x . A.
-    """
-    m = a.parent
-    ops = m.ops
-    ka, kb = a.dim, b.dim
-    if ka == 0 or kb == 0:
-        return zero_submodule(m)
-    ker = ops.left_nullspace((*a.basis, *b.basis), ka + kb, m.dim)
-    rows = [ops.vec_mat(x, a.basis, ka) for x in ker]
-    if not rows:
-        return zero_submodule(m)
-    basis, piv = ops.rref(rows, m.dim)
-    return Submodule(m, basis, piv)
 
 
 @dataclass

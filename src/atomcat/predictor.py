@@ -59,12 +59,6 @@ class SymbolicSpectrum:
     def labels(self):
         return tuple(a.label for a in self.atoms)
 
-    def kind_of(self, label):
-        for a in self.atoms:
-            if a.label == label:
-                return a.kind
-        return None
-
     def to_json(self):
         return {"atoms": [{"label": a.label, "kind": a.kind}
                           for a in self.atoms],
@@ -94,17 +88,6 @@ def _spectrum(atoms, pairs, provenance, chain_families=(),
                             normalize_poset(pairs, labels), dict(provenance),
                             tuple(chain_families), frozenset(continued_below),
                             dict(claims))
-
-
-def symbolic_from_json(data):
-    return _spectrum(
-        (SymAtom(a["label"], a["kind"]) for a in data["atoms"]),
-        [tuple(p) for p in data["order"]], data.get("provenance", {}),
-        ({"limit": f["limit"],
-          "block_atom_sets": tuple(tuple(s) for s in f["block_atom_sets"]),
-          "recurring": tuple(f["recurring"])}
-         for f in data.get("chain_families", ())),
-        data.get("continued_below", ()), data.get("claims", {}))
 
 
 def quotient(sym, absorbed):
@@ -339,13 +322,6 @@ class DiffReport:
                 "missing_in_brute": list(self.missing_in_brute),
                 "unexpected": list(self.unexpected),
                 "order_violations": [list(v) for v in self.order_violations]}
-
-
-def diff_from_json(data):
-    return DiffReport(tuple(data["matched"]),
-                      tuple(data["missing_in_brute"]),
-                      tuple(data["unexpected"]),
-                      tuple(tuple(v) for v in data["order_violations"]))
 
 
 def crosscheck(sym, gen, field=FieldSpec(2), budget=DEFAULT_BUDGET):

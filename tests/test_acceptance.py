@@ -105,7 +105,7 @@ def test_criterion_04_aass_vs_asupp():
         assert set(diff.matched) == {"beta"}
         sym_asupp = set(sym.claims["asupp"])
         assert sym_asupp > set(diff.matched)  # alpha is extra, unseen
-        assert sym.kind_of("alpha") == "chain_limit"
+        assert {a.label: a.kind for a in sym.atoms}["alpha"] == "chain_limit"
     elapsed = time.perf_counter() - t0
     report(4, "associated atoms stay strictly inside the support", elapsed)
 

@@ -9,16 +9,17 @@ input.
 
 import pytest
 
-from atomcat.atomspec import (Atom, asupp, aass, atom_equivalent, atom_of,
-                              canonical_simple_form,
+from atomcat.atomspec import (Atom, _report, asupp, aass, atom_equivalent,
+                              atom_of, canonical_simple_form,
                               has_common_nonzero_subobject, is_monoform,
                               is_uniform, localize, localizing_subcategories,
-                              membership, report_from_parts, spectrum)
-from atomcat.errors import (InvalidTopology, NotMonoform, UnknownAtom,
-                            ZeroModule)
+                              membership, spectrum)
+from atomcat.errors import NotMonoform, UnknownAtom, ZeroModule
 from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
                             submodule_as_module, submodule_lattice,
-                            subquotient)
+                            subquotient, sum_submodules)
+from atomcat.ordertop import (FiniteTopology, poset_of_topology,
+                              topology_of_opens)
 from atomcat.generators import disjoint_union
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
@@ -74,11 +75,11 @@ def brute_monoform(h):
 
 
 def brute_uniform(u):
-    from atomcat.linmod import intersect_submodules
+    """Every two nonzero submodules meet: dim a + dim b > dim(a + b)."""
     nz = submodule_lattice(u).nonzero()
     for a in nz:
         for b in nz:
-            if intersect_submodules(a, b).dim == 0:
+            if a.dim + b.dim == sum_submodules(a, b).dim:
                 return False
     return True
 
@@ -273,6 +274,15 @@ class TestSpectrum:
         assert data["order"] == []
 
 
+def report_from_parts(atoms, open_label_sets, p=2):
+    """A hand-built SpectrumReport over GF(p): atoms, and an open family
+    given as label sets."""
+    labels = tuple(sorted(a.label for a in atoms))
+    mask_of = FiniteTopology(labels, ()).mask_of
+    topo = topology_of_opens(labels, {mask_of(s) for s in open_label_sets})
+    return _report(atoms, poset_of_topology(topo), p)
+
+
 def two_chain_report():
     """Hand-built spectrum alpha < beta (the window of an infinite
     chain construction)."""
@@ -425,67 +435,6 @@ def test_spectrum_over_gf3():
     assert aass(m).labels() == ("S(d)",)
 
 
-def test_spectrum_report_json_roundtrip():
-    import json
-    from atomcat.atomspec import report_from_json
-    for q in (loops_chain_quiver(), chain_quiver(3)):
-        rep = spectrum(q)
-        data = json.loads(json.dumps(rep.to_json()))
-        back = report_from_json(data)
-        assert back.to_json() == rep.to_json()
-
-
-@pytest.mark.parametrize("key, value, match", [
-    ("dim", True, "'dim'"), ("source", "v", "'source'"),
-    ("label", "S(x)", r"'S\(x\)' appears more than once")],
-    ids=["bool-dim", "string-source", "repeated-label"])
-def test_report_json_rejects_malformed_atoms(key, value, match):
-    from atomcat.atomspec import report_from_json
-    q = make_quiver(["a", "b"], ["x", "y"], [("a", "a", "x"), ("b", "b", "y")])
-    data = spectrum(q).to_json()
-    data["atoms"][1][key] = value
-    with pytest.raises(ValueError, match=match):
-        report_from_json(data)
-
-
-def _two_atom_report_json():
-    q = make_quiver(["a", "b"], ["x", "y"], [("a", "a", "x"), ("b", "b", "y")])
-    return spectrum(q).to_json()
-
-
-def test_report_json_actions_must_be_an_object():
-    from atomcat.atomspec import report_from_json
-    data = _two_atom_report_json()
-    data["atoms"][1]["actions"] = [[1]]
-    with pytest.raises(ValueError, match="'actions'"):
-        report_from_json(data)
-
-
-@pytest.mark.parametrize("label", [["L"], 5], ids=["array", "int-among-strings"])
-def test_report_json_labels_all_strings_or_all_integers(label):
-    from atomcat.atomspec import report_from_json
-    data = _two_atom_report_json()
-    data["atoms"][1]["label"] = label
-    with pytest.raises(ValueError, match="'atom labels'"):
-        report_from_json(data)
-
-
-def test_report_json_atoms_must_be_an_array_of_objects():
-    from atomcat.atomspec import report_from_json
-    data = _two_atom_report_json()
-    data["atoms"] = "no"
-    with pytest.raises(ValueError, match="'atoms'"):
-        report_from_json(data)
-
-
-def test_report_json_order_must_be_pairs():
-    from atomcat.atomspec import report_from_json
-    data = _two_atom_report_json()
-    data["order"] = [[["S(x)"], "S(y)"]]
-    with pytest.raises(ValueError, match="'order'"):
-        report_from_json(data)
-
-
 def loop_points_quiver(n):
     """n vertices, each with a loop of its own color: n discrete atoms."""
     vs = [f"v{i:03d}" for i in range(n)]
@@ -496,14 +445,12 @@ def loop_points_quiver(n):
 @pytest.mark.parametrize("n", [17, 300])
 def test_spectrum_beyond_the_listing_cap(n):
     import json
-    from atomcat.atomspec import report_from_json
     rep = spectrum(loop_points_quiver(n))
     assert len(rep.atoms) == n
     assert all(f["open_point"] and f["closed_point"]
                for f in rep.flags.values())
     data = json.loads(json.dumps(rep.to_json()))
     assert "opens" not in data and data["order"] == []
-    assert report_from_json(data).to_json() == data
 
 
 def test_report_json_lists_opens_up_to_the_cap():
@@ -541,20 +488,9 @@ def test_localize_matches_induced_family():
                     == localize_by_induced_family(rep, lbl).to_json())
 
 
-def test_report_from_parts_rejects_a_non_topology():
-    a = Atom("alpha", FdModule(GF2, 1, ("s0",), {}))
-    b = Atom("beta", FdModule(GF2, 1, ("s0",), {}))
-    with pytest.raises(InvalidTopology):
-        report_from_parts([a, b], [(), ("alpha",), ("beta",)])
-
-
 def test_empty_spectrum_keeps_its_prime():
-    import json
-    from atomcat.atomspec import localize, report_from_json
     rep = spectrum(make_quiver([], [], []), FieldSpec(3))
     assert rep.p == 3 and rep.to_json()["p"] == 3
-    back = report_from_json(json.loads(json.dumps(rep.to_json())))
-    assert back.p == 3 and back.to_json() == rep.to_json()
     loop = spectrum(loop_quiver(), FieldSpec(3))
     assert localize(loop, "S(c)").to_json()["p"] == 3
 

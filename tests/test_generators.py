@@ -1,5 +1,6 @@
 """Generators: truncation shapes, color discipline, atom tables."""
 
+import functools
 import gc
 import tracemalloc
 
@@ -148,9 +149,9 @@ class TestRealizationAcc:
 
     def test_working_set_of_the_largest_listed_truncation(self):
         # the benchmark's largest realize-acc truncation (519 vertices,
-        # 31,952 arrows, 26,654 colors): building it may hold at most
-        # 8.4 MB, 1.75x what the realization kept when it held its
-        # arrows (about 4.8 MB); it keeps bundles now, about 2.9 MB
+        # 31,952 arrows, 26,654 colors): its build peaks near 0.27 MB
+        # with bundle colors as records (5.74 MB as color strings),
+        # bounded at 1.75x that
         P = random_poset(7134768400813504092, 6)
         gc.collect()
         tracemalloc.start()
@@ -161,11 +162,12 @@ class TestRealizationAcc:
             tracemalloc.stop()
         assert (len(g.quiver.vertices), len(g.quiver.arrows),
                 len(g.quiver.colors)) == (519, 31952, 26654)
-        assert peak <= 8.4e6, (peak, kept)
+        assert peak <= 0.47e6, (peak, kept)
 
     def test_working_set_of_the_largest_golden_preset(self):
         # no-dcc at depth 4 nests four acc chains, one inside the next;
-        # at most 4.8 MB, 1.75x what it kept when it held its arrows
+        # its build peaks near 0.21 MB (2.34 MB as color strings),
+        # bounded at 1.75x that
         gc.collect()
         tracemalloc.start()
         try:
@@ -174,7 +176,7 @@ class TestRealizationAcc:
         finally:
             tracemalloc.stop()
         assert (len(g.quiver.vertices), len(g.quiver.arrows)) == (341, 17732)
-        assert peak <= 4.8e6, (peak, kept)
+        assert peak <= 0.37e6, (peak, kept)
 
     def test_kept_memory_of_a_deep_truncation(self):
         # depth 5 of random_poset(1001, 6): 1,531 vertices and 145,730
@@ -498,30 +500,87 @@ class TestTruncate:
         assert got.value.context == {"color": "!(u;v(a),v(b))"}
 
 
+@functools.cache
 def deepening_pairs():
-    """(case, truncation, the same construction one step deeper): acc
-    terms of every poset with at most 4 elements at depths 1 to 3, the
-    presets at depths 1 to 3, and the atom-free construction over
-    {0, 1, 2} at depths 0 to 3."""
+    """(case, truncation, the same construction one step deeper), where
+    a case starts with its family:
+    - "acc": the acc terms of every poset with at most 4 elements at
+      depths 1 to 3;
+    - "general": the general terms of the same posets at depths 0 and 1
+      over the windows (0, 0), (0, 1) and (-1, 1);
+    - "window": the depth-1 general term over (0, 0) against the window
+      grown upward to (0, 1) and downward to (-1, 0);
+    - "preset": the presets at depths 1 to 3;
+    - "noatom": the atom-free construction over {0, 1, 2} at depths 0
+      to 3, and over {0, 1} against {0, 1, 2} at the same depths."""
     def acc(P):
         return lambda d: gen_realization_acc(P, TruncationSpec(depth=d))
+
+    def general(P, window):
+        return lambda d: gen_realization_general(P, TruncationSpec(d, window))
 
     def named(name):
         return lambda d: preset(name, d)
 
-    builds = [(P.le, acc(P), 1) for n in range(1, 5) for P in all_posets(n)]
-    builds += [(name, named(name), 1) for name in PRESET_NAMES]
-    builds += [("noatom", lambda d: gen_noatom(TruncationSpec(d, (0, 2))), 0)]
-    for case, build, first in builds:
-        gens = [build(d) for d in range(first, 5)]
-        for d, (shallow, deep) in enumerate(zip(gens, gens[1:]), first):
-            yield (case, d), shallow, deep
+    posets = [P for n in range(1, 5) for P in all_posets(n)]
+    builds = [(("acc", P.le), acc(P), range(1, 5)) for P in posets]
+    builds += [(("general", P.le, window), general(P, window), range(3))
+               for P in posets for window in ((0, 0), (0, 1), (-1, 1))]
+    builds += [(("preset", name), named(name), range(1, 5))
+               for name in PRESET_NAMES]
+    builds += [(("noatom",), lambda d: gen_noatom(TruncationSpec(d, (0, 2))),
+                range(5))]
+    pairs = []
+    for case, build, depths in builds:
+        gens = [build(d) for d in depths]
+        pairs += [((*case, d), shallow, deep) for d, shallow, deep
+                  in zip(depths, gens, gens[1:])]
+    for P in posets:
+        base = general(P, (0, 0))(1)
+        pairs += [(("window", P.le, wider), base, general(P, wider)(1))
+                  for wider in ((0, 1), (-1, 0))]
+    pairs += [(("noatom", "window", d), gen_noatom(TruncationSpec(d, (0, 1))),
+               gen_noatom(TruncationSpec(d, (0, 2)))) for d in range(4)]
+    return tuple(pairs)
+
+
+def is_convex(quiver, vertices):
+    """Whether no path of the quiver leaves the vertex set and comes
+    back, by reachability on the hub graph of `ColoredQuiver._blocks`:
+    one node per vertex, and a hub per bundle with an edge from each of
+    its sources and to each of its targets."""
+    inside = set(vertices)
+    succ = {v: [] for v in quiver.vertices}
+    for src, dst, _, _ in quiver.plain:
+        succ[src].append(dst)
+    hubs = {}
+    for k, (sources, targets, _) in enumerate(quiver.bundles):
+        hubs[("hub", k)] = targets
+        for v in sources:
+            succ[v].append(("hub", k))
+    succ.update(hubs)
+    # a path leaves the set at the first vertex outside it, so a hub
+    # entered from inside is passed through
+    entered = {w for v in inside for w in succ[v]}
+    out = {x for w in entered for x in hubs.get(w, (w,))} - inside
+    todo = list(out)
+    seen = set(todo)
+    while todo:
+        for w in succ[todo.pop()]:
+            if w in inside:
+                return False
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return True
 
 
 class TestDeepening:
     """What ties a truncation to the infinite construction: it is the
     full subquiver of every deeper truncation on its vertices, and each
-    of its vertices is a block of its own."""
+    of its vertices is a block of its own.  Its vertex set need not be
+    convex in the deeper one, so its module need not be a subquotient of
+    the deeper module."""
 
     def test_truncation_is_a_full_subquiver_of_the_next(self):
         for case, shallow, deep in deepening_pairs():
@@ -540,6 +599,22 @@ class TestDeepening:
             for g in (shallow, deep):
                 blocks = strong_components(g.quiver)
                 assert len(blocks) == len(g.quiver.vertices), case
+
+    def test_windows_grown_downward_are_convex(self):
+        down = [(case, shallow, deep) for case, shallow, deep
+                in deepening_pairs() if case[0] == "window"
+                and case[2] == (-1, 0)]
+        assert len(down) == 24
+        for case, shallow, deep in down:
+            assert is_convex(deep.quiver, shallow.quiver.vertices), case
+
+    def test_a_deeper_acc_chain_is_not_convex(self):
+        # e0/b0/b1/v(e2) -> e0/b0/b2/v(e2), new at depth 3 -> e0/b1/b0/v(e2)
+        chain3 = poset([("e0", "e1"), ("e1", "e2")], ["e0", "e1", "e2"])
+        shallow, deep = (gen_realization_acc(chain3, TruncationSpec(depth=d))
+                         for d in (2, 3))
+        assert not is_convex(deep.quiver, shallow.quiver.vertices)
+        assert is_convex(deep.quiver, deep.quiver.vertices)
 
 
 class TestRealizationGeneral:

@@ -6,6 +6,7 @@ subset and filters for action invariance.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomcat.errors import BudgetExceeded, NotNested
-from atomcat.linmod import (FdModule, FieldSpec, composition_factors,
-                            cyclic_submodule, find_one_minimal, full_submodule,
-                            hom_basis, intersect_submodules, is_essential,
-                            minimal_submodules, module_from_json,
+from atomcat.linmod import (FdModule, FieldSpec, Submodule,
+                            composition_factors, cyclic_submodule,
+                            find_one_minimal, full_submodule, hom_basis,
+                            is_essential, minimal_submodules,
                             module_of_quiver, quotient_module,
                             structure_report, submodule_as_module,
-                            submodule_lattice, submodule_span, subquotient,
-                            sum_submodules, zero_submodule)
+                            submodule_lattice, subquotient, sum_submodules,
+                            zero_submodule)
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
 from strategies import irreducible_plus_line, valued_quivers
@@ -104,6 +105,21 @@ def chain_module(k, prefix="v"):
         make_quiver(vs, [a[2] for a in arrows], arrows), GF2)
 
 
+def submodule_span(module, rows, check=True):
+    """The span of packed rows as a Submodule; unless told otherwise,
+    the rows must span an action-closed subspace."""
+    basis, piv = module.ops.rref(rows, module.dim)
+    sub = Submodule(module, basis, piv)
+    if check and not sub.is_action_closed():
+        raise ValueError("row span is not action-invariant")
+    return sub
+
+
+def meet_dim(a, b):
+    """dim(a & b) = dim a + dim b - dim(a + b)."""
+    return a.dim + b.dim - sum_submodules(a, b).dim
+
+
 class TestModuleOfQuiver:
     def test_loop_point(self):
         m = loop_point()
@@ -120,58 +136,10 @@ class TestModuleOfQuiver:
         m = module_of_quiver(make_quiver([], [], []), GF2)
         assert m.dim == 0 and m.actions == {}
 
-    def test_json_roundtrip(self):
-        m = chain_module(3)
-        m2 = module_from_json(m.to_json())
-        assert m2.key() == m.key()
-
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("rows", [
-        [[1, 0]], [[1, 0, 1], [0, 1, 0]], [[1, 0], [1]], [[1, 0], [0, 0.5]],
-        [[True, 0], [0, 1]],
-    ], ids=["short", "wide", "ragged", "float", "bool"])
-    def test_json_actions_must_be_dim_by_dim(self, p, rows):
-        from atomcat.atomspec import report_from_json
-        with pytest.raises(ValueError, match="'zeta'"):
-            module_from_json({"p": p, "dim": 2, "labels": ["a", "b"],
-                              "actions": {"zeta": rows}})
-        with pytest.raises(ValueError, match="'zeta'"):
-            report_from_json({"p": p, "order": [], "atoms": [
-                {"label": "x", "dim": 2, "source": ["a", "b"],
-                 "actions": {"zeta": rows}}]})
-
-
-    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
-    def test_json_labels_must_number_dim(self, labels):
-        with pytest.raises(ValueError, match="basis labels"):
-            module_from_json({"p": 2, "dim": 2, "labels": labels,
-                              "actions": {}})
-
     @pytest.mark.parametrize("p", [3.0, "2"])
     def test_field_must_be_an_int_prime(self, p):
-        with pytest.raises(ValueError, match="prime"):
+        with pytest.raises(ValueError, match=re.escape(f"prime: {p!r}")):
             FieldSpec(p)
-
-    def test_json_float_field_rejected(self):
-        with pytest.raises(ValueError, match="prime: 3.0"):
-            module_from_json({"p": 3.0, "dim": 1, "labels": ["a"],
-                              "actions": {"c": [[1]]}})
-
-    @pytest.mark.parametrize("dim", [1.0, True])
-    def test_json_dim_must_be_an_int(self, dim):
-        with pytest.raises(ValueError, match="'dim'"):
-            module_from_json({"p": 2, "dim": dim, "labels": ["a"],
-                              "actions": {"c": [[1]]}})
-
-    def test_json_actions_must_be_an_object(self):
-        with pytest.raises(ValueError, match="'actions'"):
-            module_from_json({"p": 2, "dim": 1, "labels": ["a"],
-                              "actions": [[1]]})
-
-    def test_json_labels_must_be_an_array(self):
-        with pytest.raises(ValueError, match="'labels'"):
-            module_from_json({"p": 2, "dim": 2, "labels": "ab",
-                              "actions": {}})
 
 
 class TestCyclic:
@@ -198,10 +166,8 @@ class TestCyclic:
         vec = m.ops.unit_vec(1, 3)
         cyc = cyclic_submodule(m, vec)
         containing = [s for s in lat if s.contains_vec(vec)]
-        meet = containing[0]
-        for s in containing[1:]:
-            meet = intersect_submodules(meet, s)
-        assert meet.key() == cyc.key()
+        assert cyc in containing
+        assert all(meet_dim(cyc, s) == cyc.dim for s in containing)
 
 
 class TestLattice:
@@ -230,7 +196,9 @@ class TestLattice:
         for a in lat:
             for b in lat:
                 assert sum_submodules(a, b).key() in keys
-                assert intersect_submodules(a, b).key() in keys
+                # a member inside a and b of dimension dim(a & b) is a & b
+                assert any(a.contains(s) and b.contains(s)
+                           and s.dim == meet_dim(a, b) for s in lat)
 
     def test_budget(self):
         m = FdModule(GF2, 4, tuple("abcd"), {})

@@ -18,8 +18,7 @@ from atomcat.predictor import (DiffReport, check_infinite_descent,
                                check_max_not_open, check_min_not_closed,
                                check_no_minimal_atom, check_preset_claims,
                                crosscheck, predict_noatom, predict_preset,
-                               predict_realization, quotient,
-                               symbolic_from_json, window)
+                               predict_realization, quotient, window)
 from atomcat.quiver import GeneratedQuiver, TruncationSpec, make_quiver
 
 CHAIN2 = normalize_poset([("p0", "p1")], ["p0", "p1"])
@@ -63,7 +62,7 @@ class TestChain:
         out = limited([point("S(c)")])
         assert set(out.labels()) == {"S(c)", "lim"}
         assert out.order.lt("lim", "S(c)")
-        assert out.kind_of("lim") == "chain_limit"
+        assert {a.label: a.kind for a in out.atoms}["lim"] == "chain_limit"
 
     def test_finite_chain_has_no_limit(self):
         # a finite chain's spectrum is the disjoint union of its blocks
@@ -192,10 +191,10 @@ class TestWindow:
 
 
 class TestQuotient:
-    CHAIN = symbolic_from_json({
-        "atoms": [{"label": l, "kind": "simple"} for l in "abc"],
-        "order": [["a", "b"], ["b", "c"]],
-        "provenance": {"c": "top", "a": "bottom", "b": "middle"}})
+    CHAIN = predictor._spectrum(
+        [predictor.SymAtom(l, "simple") for l in "abc"],
+        [("a", "b"), ("b", "c")],
+        {"c": "top", "a": "bottom", "b": "middle"})
 
     def test_absorbs_the_up_closure(self):
         out = quotient(self.CHAIN, {"b"})
@@ -503,9 +502,10 @@ class TestPresetPredictions:
     def test_preset_missing_atoms_are_chain_limits(self):
         for name in ("infinite-chain", "max-not-open", "min-not-closed"):
             sym = predict_preset(name, 2)
+            kind = {a.label: a.kind for a in sym.atoms}
             diff = crosscheck(sym, preset(name, 2))
             for lbl in diff.missing_in_brute:
-                assert sym.kind_of(lbl) == "chain_limit", (name, lbl)
+                assert kind[lbl] == "chain_limit", (name, lbl)
 
 
 def _refusal(call):
@@ -526,20 +526,10 @@ def test_preset_refusals_match_the_truncation(name, depth):
 
 
 def test_diffreport_json_roundtrip():
-    from atomcat.predictor import diff_from_json
+    import json
     d = DiffReport(("a",), ("b",), (), (("x", "y"),))
     data = d.to_json()
     assert data["matched"] == ["a"] and data["missing_in_brute"] == ["b"]
+    assert json.loads(json.dumps(data)) == data
     assert not d.ok()
-    assert diff_from_json(data) == d
     assert DiffReport((), (), (), ()).ok()
-
-
-def test_symbolic_json_roundtrip():
-    import json
-    for name in ("max-not-open", "min-not-closed", "no-dcc"):
-        sym = predict_preset(name, 3)
-        data = json.loads(json.dumps(sym.to_json()))
-        back = symbolic_from_json(data)
-        assert back.to_json() == sym.to_json()
-        assert back.order.le == sym.order.le
