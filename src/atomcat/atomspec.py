@@ -121,18 +121,18 @@ class AtomSet:
 
 
 def _dedupe_simples(simples_with_sources):
-    """Partition simple modules into isomorphism classes -> AtomSet.
+    """Partition simple modules, given as (simple, sources) pairs, into
+    isomorphism classes -> AtomSet, each atom with its class's sources.
 
     Classes are keyed by the canonical form itself, which is exact; a
     label shared by two different forms is a digest collision and
     raises rather than merging two classes.
     """
     classes = {}
-    for simple, src in simples_with_sources:
+    for simple, srcs in simples_with_sources:
         label, rep = canonical_simple_form(simple)
         _, _, sources = classes.setdefault(rep.key(), (label, rep, set()))
-        if src is not None:
-            sources.add(src)
+        sources.update(srcs)
     atoms = {}
     for label, rep, sources in classes.values():
         if label in atoms:
@@ -216,8 +216,8 @@ def atom_of(module, budget=linmod.DEFAULT_BUDGET):
 def asupp(module, budget=linmod.DEFAULT_BUDGET):
     """Atom support: classes of monoform subquotients = classes of
     composition factors (finite length)."""
-    return _stored_atoms(module, ("asupp", budget),
-                         lambda m: composition_factors(m, budget))
+    return _stored_atoms(module, ("asupp", budget), lambda m: [
+        (f, (i,)) for f, i in composition_factors(m, budget)])
 
 
 def aass(module, budget=linmod.DEFAULT_BUDGET):
@@ -226,15 +226,16 @@ def aass(module, budget=linmod.DEFAULT_BUDGET):
     if module.dim:
         linmod._check_seeds(module, budget)
     return _stored_atoms(module, ("aass", budget), lambda m: [
-        (s, s.basis_labels[0])
+        (s, s.basis_labels[:1])
         for s in map(submodule_as_module, minimal_submodules(m, budget))])
 
 
 def _stored_atoms(module, name, simples_of):
     """`_dedupe_simples(simples_of(module))` through the store entry
     `name`, which keeps per class its label, its representative and its
-    sources as basis indices: `simples_of` runs on a copy labelled by
-    index, and the sources are mapped through the module's labels."""
+    sources as basis indices: `simples_of` gives (simple, sources)
+    pairs on a copy labelled by index, and the sources are mapped
+    through the module's labels."""
     def classes(m):
         atoms = _dedupe_simples(simples_of(linmod.indexed_copy(m)))
         return tuple((a.label, a.representative, a.source) for a in atoms)
@@ -311,25 +312,29 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     Composition factors come from the strongly connected blocks, sinks
     first: unions of leading blocks are target-closed, so by
     Jordan-Hoelder the block modules have the quiver module's factors.
-    Blocks with equal index-renamed arrows (values mod p) share one
-    series; a factor's source is the block vertex at its pivot index,
-    and a BudgetExceeded names the block that hit the budget.
+    Blocks are grouped by their index-renamed arrows (values mod p), in
+    block order; each group's series is computed once and each of its
+    factors canonical-formed once.  A factor's sources are the group's
+    block vertices at its pivot index, and a BudgetExceeded names the
+    first block whose series hit the budget.
     """
     p = field.p
-    series, simples = {}, []
+    groups = {}
     for block, arrows in blocks_with_arrows(quiver):
         index = {v: i for i, v in enumerate(block)}
         sig = (len(block), tuple((index[src], index[dst], color, value % p)
                                  for src, dst, color, value in arrows
                                  if value % p))
-        if sig not in series:
-            module = linmod._module_of_arrows(field, range(len(block)), sig[1])
-            try:
-                series[sig] = composition_factors(module, budget)
-            except BudgetExceeded as exc:
-                exc.context.update(block=list(block), dim=len(block))
-                raise
-        simples.extend((f, block[i]) for f, i in series[sig])
+        groups.setdefault(sig, []).append(block)
+    simples = []
+    for (dim, arrows), blocks in groups.items():
+        module = linmod._module_of_arrows(field, range(dim), arrows)
+        try:
+            series = composition_factors(module, budget)
+        except BudgetExceeded as exc:
+            exc.context.update(block=list(blocks[0]), dim=dim)
+            raise
+        simples.extend((f, [b[i] for b in blocks]) for f, i in series)
     atoms = _dedupe_simples(simples)
     return _report(atoms.atoms, normalize_poset([], atoms.labels()), p)
 

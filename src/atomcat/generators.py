@@ -46,11 +46,12 @@ from collections import Counter, namedtuple
 from functools import partial
 
 from .errors import (ColorClash, DepthTooSmall, DuplicateArrow, EmptyRange,
-                     MissingBlock, UnknownPreset, UnknownVertex,
-                     WindowTooSmall)
+                     MissingBlock, UnknownPreset, WindowTooSmall)
 from .ordertop import normalize_poset, poset_invariants
 from .quiver import (BundleColors, ColoredQuiver, GeneratedQuiver,
                      _bundle_quiver, _least_clash)
+from .skeleton import (_composite_blocks, _renamed_blocks, _require_acyclic,
+                       _skeleton_parts)
 
 
 def _check_ids(elements):
@@ -104,26 +105,6 @@ def _chain_tags(tags, n):
     if len(set(tags)) != len(tags):
         raise ColorClash("chain tags must be pairwise distinct", tags=list(tags))
     return tags
-
-
-def _require_acyclic(n, arrows):
-    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1 or
-    a cycle, a loop included, by Kahn's in-degree pass."""
-    entering, succ = [0] * n, [[] for _ in range(n)]
-    for i, j, _ in arrows:
-        if not (0 <= i < n and 0 <= j < n):
-            raise UnknownVertex("skeleton arrow end outside the blocks",
-                                arrow=[i, j])
-        succ[i].append(j)
-        entering[j] += 1
-    ready = [k for k in range(n) if not entering[k]]
-    for k in ready:  # grows while it is read
-        for j in succ[k]:
-            entering[j] -= 1
-            if not entering[j]:
-                ready.append(j)
-    if len(ready) < n:
-        raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
 
 
 def composite_term(blocks, names, arrows, limit=None, recurring=None,
@@ -273,6 +254,15 @@ def truncate(term):
     limit's entry has the vertices of its shallowest occurrence, the
     first one at that depth.  Entries come in first-met order.
 
+    The strongly connected blocks are read off the term and handed to
+    the quiver: prepare runs `skeleton._skeleton_parts` once per
+    distinct composite, and the walk lists the blocks sources first.  A
+    point is a block with its loop (the tuple in the arrows), a quiver
+    leaf brings its own blocks, and a composite keeps its blocks'
+    blocks unless its skeleton merges some (`_composite_blocks`, the
+    only place a bundle is expanded).  The list is reversed once, so
+    the quiver's blocks come sinks first.
+
     Working set: no bundle arrow and no bundle color is made.  The
     quiver keeps each bundle's name tuples and its `BundleColors`,
     whose relative names are shared by every occurrence of their
@@ -283,7 +273,7 @@ def truncate(term):
     vertices and declared colors beyond the finished quiver.
     """
     render = _bundle_color
-    rel, below, own, loop_color = {}, {}, {}, {}
+    rel, below, own, loop_color, plan, count = {}, {}, {}, {}, {}, {}
     # per subterm: the color strings and the BundleColors it holds
     strings, tables = {}, {}
     colors = []  # the declared colors, loop and leaf
@@ -294,7 +284,7 @@ def truncate(term):
             return
         below[id(t)] = {id(t)}  # the distinct subterms of t, t included
         if isinstance(t, Point):
-            rel[id(t)] = (f"v({t.tag})",)
+            rel[id(t)], count[id(t)] = (f"v({t.tag})",), 1
             if t.loop:
                 c = loop_color[id(t)] = _loop_color(t.tag)
                 colors.append(c)
@@ -302,6 +292,7 @@ def truncate(term):
             return
         if isinstance(t, ColoredQuiver):
             rel[id(t)] = tuple(map(str, t.vertices))
+            count[id(t)] = len(t._blocks)
             strings[id(t)] = t.declared
             colors.extend(t.declared)
             tables[id(t)] = {id(c): c for _, _, c in t.bundles}.values()
@@ -312,6 +303,8 @@ def truncate(term):
         below[id(t)].update(inside)
         rel[id(t)] = tuple(f"{name}/{v}" for name, b in zip(t.names, t.blocks)
                            for v in rel[id(b)])
+        plan[id(t)], count[id(t)] = _skeleton_parts(
+            t.arrows, [count[id(b)] for b in t.blocks])
         if any(i == j and tag in t.shared for i, j, tag in t.arrows):
             raise ValueError("a skeleton loop may not carry a shared tag")
         if len(set(t.arrows)) < len(t.arrows):
@@ -337,6 +330,7 @@ def truncate(term):
                              color=clash)
 
     arrows, bundles, table, depth_of = [], [], {}, {}
+    found = []  # the blocks, sources first
 
     def emit(t, prefix, depth):
         # final names of t's vertices under prefix, in relative order
@@ -350,7 +344,9 @@ def truncate(term):
                                   "loop_colors": [loop] if loop else [],
                                   "vertices": []}
             table[t.label]["vertices"].append(v)
-            return [v]
+            names = v,
+            found.append((names, (arrows[-1],) if loop else ()))
+            return names
         if isinstance(t, ColoredQuiver):
             names = [prefix + v for v in rel[id(t)]]
             at = dict(zip(t.vertices, names))
@@ -359,6 +355,7 @@ def truncate(term):
             bundles.extend((tuple(map(at.get, sources)),
                             tuple(map(at.get, targets)), colors)
                            for sources, targets, colors in t.bundles)
+            found.extend(reversed(_renamed_blocks(t, at)))
             return names
         names = []
         if t.limit and depth < depth_of.get(t.limit, depth + 1):
@@ -366,6 +363,7 @@ def truncate(term):
             # names fills in once the blocks are emitted
             table[t.limit] = {"kind": "chain_limit", "atom_label": t.limit,
                               "vertices": names}
+        start = len(found), len(arrows), len(bundles)
         blocks = [tuple(emit(b, f"{prefix}{name}/", depth + 1))
                   for name, b in zip(t.names, t.blocks)]
         if id(t) in repeated:
@@ -376,6 +374,9 @@ def truncate(term):
                                  color=own[id(t)][k].color(0, 0))
         bundles.extend((blocks[i], blocks[j], c)
                        for (i, j, _), c in zip(t.arrows, own[id(t)]))
+        if plan[id(t)]:
+            _composite_blocks(plan[id(t)], blocks, found, arrows, bundles,
+                              start)
         for block in blocks:
             names += block
         return names
@@ -386,11 +387,12 @@ def truncate(term):
     # before the walk
     del prepare, below, strings, tables
     vertices = emit(term, "", 0)
-    del emit, rel, own
+    del emit, rel, own, plan
+    found.reverse()
     if len(set(vertices)) < len(vertices):
         repeats = [v for v, k in Counter(vertices).items() if k > 1]
         raise ValueError(f"vertex name {min(repeats)!r} repeats")
-    union = _bundle_quiver(vertices, colors, arrows, bundles)
+    union = _bundle_quiver(vertices, colors, arrows, bundles, found)
     for entry in table.values():
         entry["vertices"].sort()
     return GeneratedQuiver(union, table)

@@ -152,16 +152,9 @@ class Submodule:
         basis rows."""
         return (self.dim, self.basis)
 
-    def contains_vec(self, vec):
-        return linalg.in_span(self.parent.ops, vec, self.basis, self.pivots)
-
     def contains(self, other):
         return linalg.span_contains(self.parent.ops, self.basis, self.pivots,
                                     other.basis, other.pivots)
-
-    def is_action_closed(self):
-        return all(self.contains_vec(self.parent.act(row, c))
-                   for row in self.basis for c in self.parent.colors)
 
     def __eq__(self, other):
         return (isinstance(other, Submodule) and self.parent is other.parent
@@ -211,9 +204,6 @@ class SubmoduleSet:
 
     def __len__(self):
         return len(self.members)
-
-    def nonzero(self):
-        return [s for s in self.members if s.dim > 0]
 
 
 def _memo(module, name, compute, wrap):

@@ -281,10 +281,10 @@ def poset_invariants(poset):
     V(p) \\ {p} = union of V(p') over p' in J(p), which is re-checked
     and reported.
     """
-    has_3chain = any(poset.lt(x, y) and poset.lt(y, z)
-                     for x in poset.elements
-                     for y in poset.elements
-                     for z in poset.elements)
+    # x < y < z for some x, z iff y has an element strictly below it
+    # and one strictly above: one pass over the order pairs
+    above_some = {y for x, y in poset.le if x != y}
+    has_3chain = any(y in above_some for y, z in poset.le if y != z)
     j_sets = {}
     covering_ok = True
     for p in poset.elements:

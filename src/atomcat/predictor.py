@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite
-from .generators import (_DESCENDING_WINDOW, Point, _loop_color,
-                         _require_acyclic, acc_term, general_term,
-                         noatom_term, noatom_window, noetherian_family,
-                         preset_term, require_preset)
+from .generators import (_DESCENDING_WINDOW, Point, _loop_color, acc_term,
+                         general_term, noatom_term, noatom_window,
+                         noetherian_family, preset_term, require_preset)
 from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
 from .quiver import ColoredQuiver
+from .skeleton import _require_acyclic
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,12 @@ A substitution puts a complete bipartite bundle on each skeleton
 arrow, and `generators.truncate` keeps such bundles as records, each
 validated once.  A record's colors are `BundleColors`: a tag and the
 relative names of the bundle's two blocks, rendered into color strings
-only when read.  The blocks come from a graph with a hub node per
-bundle, so only bundles with arrows inside a block are ever expanded;
-`arrows` and `colors` list every arrow and color, made when first read.
+only when read.  A bundle joins every vertex of one block to every
+vertex of the other, so a truncation's strongly connected blocks follow
+from its term's skeletons: `truncate` reads them off (see `skeleton`)
+and hands them to `_bundle_quiver`, and only bundles inside a block are
+ever expanded.  `arrows` and `colors` list every arrow and color, made
+when first read.
 """
 
 from collections import namedtuple
@@ -154,55 +157,27 @@ class ColoredQuiver:
     @cached_property
     def _blocks(self):
         """The strongly connected blocks, loops ignored, sinks first,
-        each with the arrows inside it, sorted.
-
-        Tarjan runs on the hub graph.  Node i is vertex i, and a plain
-        non-loop arrow is an edge; bundle k is hub node n + k, with an
-        edge from each of its sources to it and from it to each of its
-        targets.  A path through a hub is an arrow, so two vertices
-        reach each other in the hub graph iff they do in the quiver,
-        and its components are the quiver's blocks.  A bundle with an
-        arrow inside a block lies in that block's component, so only
-        the bundles of components with a vertex and a hub are searched
-        for arrows inside a block.
-        """
+        each with the arrows inside it, sorted: Tarjan on the arrows.
+        `_bundle_quiver` sets them for a quiver with bundles, as
+        `generators.truncate` derives them from its term."""
         vertices, n = self.vertices, len(self.vertices)
         index = dict(zip(vertices, range(n)))
         succ = [[] for _ in range(n)]
-        for src, dst, _, _ in self.plain:
+        for src, dst, _, _ in self.arrows:
             if src != dst:
                 succ[index[src]].append(index[dst])
-        for sources, targets, _ in self.bundles:
-            for v in sources:
-                succ[index[v]].append(len(succ))
-            succ.append([index[w] for w in targets])
-        blocks, block_of, searched = [], [0] * n, []
+        blocks, block_of = [], [0] * n
         for component in _tarjan(succ, n):
-            if len(component) == 1:
-                if component[0] < n:  # a hub alone holds no vertex
-                    block_of[component[0]] = len(blocks)
-                    blocks.append((vertices[component[0]],))
-                continue
-            members = sorted(i for i in component if i < n)
+            members = sorted(component)
             for i in members:
                 block_of[i] = len(blocks)
             blocks.append(tuple(vertices[i] for i in members))
-            searched.extend(i - n for i in component if i >= n)
-        inner = {}
-        for a in self.plain:
+        inner = [[] for _ in blocks]
+        for a in self.arrows:
             b = block_of[index[a[0]]]
-            if a[0] == a[1] or b == block_of[index[a[1]]]:
-                inner.setdefault(b, []).append(a)
-        for k in searched:
-            sources, targets, colors = self.bundles[k]
-            for x, v in enumerate(sources):
-                b = block_of[index[v]]
-                for y, w in enumerate(targets):
-                    if block_of[index[w]] == b:
-                        inner.setdefault(b, []).append(
-                            (v, w, colors.color(x, y), 1))
-        return [(block, tuple(sorted(inner[b])) if b in inner else ())
-                for b, block in enumerate(blocks)]
+            if b == block_of[index[a[1]]]:
+                inner[b].append(a)
+        return [(block, tuple(arrows)) for block, arrows in zip(blocks, inner)]
 
     def to_json(self):
         return {"vertices": list(self.vertices),
@@ -325,10 +300,11 @@ def _checked(arrows, vset, cset):
     return tuple(out)
 
 
-def _bundle_quiver(vertices, colors, arrows, bundles):
+def _bundle_quiver(vertices, colors, arrows, bundles, blocks):
     """`make_quiver(vertices, colors + the bundles' colors, arrows +
     the bundles' arrows)`, with the bundles kept as records (see
-    `ColoredQuiver`).
+    `ColoredQuiver`) and `blocks` as its `_blocks`, which the caller
+    derives: `generators.truncate` reads them off its term.
 
     The plain arrows are checked against the declared colors.  A
     bundle's colors are rendered from its `BundleColors`, so they are
@@ -354,6 +330,7 @@ def _bundle_quiver(vertices, colors, arrows, bundles):
     if not all(len(set(end)) == len(end) and vset.issuperset(end)
                for end in ends.values()):
         return make_quiver(vs, quiver.colors, [*plain, *_expand(bundles)])
+    vars(quiver)["_blocks"] = blocks
     return quiver
 
 
@@ -506,10 +483,10 @@ def strong_components(quiver):
     """Strongly connected blocks of the quiver with loops ignored, sinks
     first: no arrow runs from a block to a later one, so every union of
     leading blocks is target-closed.  Each block is a sorted tuple of
-    vertices.  Tarjan on the hub graph (see `ColoredQuiver._blocks`).
-    The order of two blocks neither of which reaches the other follows
-    the depth-first search, so a quiver with bundles may list them
-    otherwise than `make_quiver` of its arrows.
+    vertices (see `ColoredQuiver._blocks`).  The order of two blocks
+    neither of which reaches the other follows the depth-first search
+    on the arrows, or for a truncation its term, so a quiver with
+    bundles may list them otherwise than `make_quiver` of its arrows.
     """
     return [block for block, _ in quiver._blocks]
 
@@ -517,7 +494,7 @@ def strong_components(quiver):
 def blocks_with_arrows(quiver):
     """`strong_components`, each block paired with the sorted tuple of
     the arrows inside it (a one-vertex block's are its loops); a bundle
-    is expanded only when it has an arrow inside a block."""
+    is expanded only when it lies inside a block."""
     return list(quiver._blocks)
 
 

@@ -1,0 +1,103 @@
+"""Skeletons of construction terms: the refusal of a cyclic skeleton,
+and the strongly connected blocks of a substitution read off its
+skeletons.
+
+A `generators.Composite` puts each of its blocks (children) on a vertex
+of a skeleton, and each skeleton arrow (i, j, tag) becomes a complete
+bipartite bundle from every vertex of child i to every vertex of child
+j.  So a truncation's blocks follow from its term: `generators.truncate`
+runs `_skeleton_parts` once per distinct composite, on a graph with one
+node per child, and `_composite_blocks` per occurrence that merges or
+reorders its children's blocks.  `_require_acyclic` is the check that
+`composite_term` and `predictor.window` share.
+"""
+
+from itertools import accumulate, chain, islice
+
+from .errors import UnknownVertex
+from .quiver import _expand, _tarjan
+
+
+def _require_acyclic(n, arrows):
+    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1 or
+    a cycle, a loop included, by Kahn's in-degree pass."""
+    entering, succ = [0] * n, [[] for _ in range(n)]
+    for i, j, _ in arrows:
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownVertex("skeleton arrow end outside the blocks",
+                                arrow=[i, j])
+        succ[i].append(j)
+        entering[j] += 1
+    ready = [k for k in range(n) if not entering[k]]
+    for k in ready:  # grows while it is read
+        for j in succ[k]:
+            entering[j] -= 1
+            if not entering[j]:
+                ready.append(j)
+    if len(ready) < n:
+        raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
+
+
+def _skeleton_parts(arrows, counts):
+    """How a composite's blocks follow from its skeleton's (i, j, tag)
+    arrows, given the number of blocks of each child: (plan, count).
+
+    A bundle joins every vertex of one block to every vertex of the
+    other, so the vertices of a strongly connected component of two or
+    more children, or of one child with a skeleton loop, all reach each
+    other and merge into one block; any other child keeps its blocks.
+    Only arrows between nonempty children count, since a bundle with an
+    empty end has no arrows.  Tarjan runs on the reversed skeleton, so
+    its components come sources first.  plan lists them, each as its
+    child indices and, unless it merges, the slice its child's blocks
+    fill among the children's; plan is None when it keeps every child's
+    blocks in child order.  count is the composite's block count.
+    """
+    n = len(counts)
+    pred, looped = [[] for _ in range(n)], [False] * n
+    for i, j, _ in arrows:
+        if counts[i] and counts[j]:
+            if i == j:
+                looped[i] = True
+            else:
+                pred[j].append(i)
+    ends = list(accumulate(counts, initial=0))
+    components = _tarjan(pred, n)
+    if not any(looped) and components == [(k,) for k in range(n)]:
+        return None, ends[-1]
+    plan = [(c, None if len(c) > 1 or looped[c[0]] else
+             slice(ends[c[0]], ends[c[0] + 1])) for c in components]
+    return plan, sum(1 if kept is None else counts[c[0]] for c, kept in plan)
+
+
+def _composite_blocks(plan, names, found, arrows, bundles, start):
+    """Put a composite occurrence's blocks, sources first, in place of
+    its children's in found[start[0]:], by its plan (`_skeleton_parts`).
+    names[k] are the vertices of its child k, and arrows[start[1]:] and
+    bundles[start[2]:] were emitted inside it, its own bundles included.
+    A merged component is one block of its children's vertices, with
+    every arrow among them, sorted: the arrows and bundles emitted
+    inside those children and the composite's bundles among them,
+    expanded, which is the only place a bundle is.  Each bundle joins
+    blocks of one child or two whole children, so it lies among them
+    iff its first source and first target do."""
+    blocks, out = found[start[0]:], []
+    for members, kept in plan:
+        if kept is not None:
+            out += blocks[kept]
+            continue
+        inside = {v for k in members for v in names[k]}
+        out.append((tuple(sorted(inside)), tuple(sorted(chain(
+            (a for a in islice(arrows, start[1], None)
+             if a[0] in inside and a[1] in inside),
+            _expand(b for b in islice(bundles, start[2], None)
+                    if b[0] and b[1] and b[0][0] in inside
+                    and b[1][0] in inside))))))
+    found[start[0]:] = out
+
+
+def _renamed_blocks(quiver, at):
+    """The quiver's blocks with each vertex v renamed at[v], sorted."""
+    return [(tuple(sorted(map(at.get, block))),
+             tuple(sorted((at[v], at[w], c, x) for v, w, c, x in inner)))
+            for block, inner in quiver._blocks]

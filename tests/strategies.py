@@ -1,7 +1,9 @@
-"""Hypothesis strategies and small modules shared by the test modules."""
+"""Hypothesis strategies, small modules and submodule helpers shared by
+the test modules."""
 
 from hypothesis import strategies as st
 
+from atomcat import linalg
 from atomcat.linmod import FdModule, FieldSpec
 from atomcat.quiver import make_quiver
 
@@ -29,3 +31,19 @@ def irreducible_plus_line(p, labels):
              "y": [[0, 0, 0], [0, 0, 0], [1, 0, 0]]}
     return FdModule(field, 3, labels,
                     {c: field.ops.pack(m, 3) for c, m in dense.items()})
+
+
+def contains_vec(sub, vec):
+    """Whether the submodule holds the packed row vec."""
+    return linalg.in_span(sub.parent.ops, vec, sub.basis, sub.pivots)
+
+
+def is_action_closed(sub):
+    """Whether every color maps the submodule's basis rows into it."""
+    return all(contains_vec(sub, sub.parent.act(row, c))
+               for row in sub.basis for c in sub.parent.colors)
+
+
+def nonzero_members(lattice):
+    """The nonzero submodules of a lattice, in listing order."""
+    return [s for s in lattice.members if s.dim > 0]

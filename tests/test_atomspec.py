@@ -23,7 +23,8 @@ from atomcat.ordertop import (FiniteTopology, poset_of_topology,
 from atomcat.generators import disjoint_union
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
-from strategies import irreducible_plus_line, valued_quivers
+from strategies import (irreducible_plus_line, nonzero_members,
+                        valued_quivers)
 
 GF2 = FieldSpec(2)
 
@@ -56,8 +57,8 @@ def monoform_dim2():
 # -- literal oracles ----------------------------------------------------------
 
 def brute_common(m, n):
-    for s in submodule_lattice(m).nonzero():
-        for t in submodule_lattice(n).nonzero():
+    for s in nonzero_members(submodule_lattice(m)):
+        for t in nonzero_members(submodule_lattice(n)):
             if is_isomorphic(submodule_as_module(s),
                              submodule_as_module(t)) is Tristate.YES:
                 return True
@@ -66,7 +67,7 @@ def brute_common(m, n):
 
 def brute_monoform(h):
     lat = submodule_lattice(h)
-    for sub in lat.nonzero():
+    for sub in nonzero_members(lat):
         quot = subquotient(h, sub, [s for s in lat
                                     if s.dim == h.dim][0])
         if quot.dim and brute_common(h, quot):
@@ -76,7 +77,7 @@ def brute_monoform(h):
 
 def brute_uniform(u):
     """Every two nonzero submodules meet: dim a + dim b > dim(a + b)."""
-    nz = submodule_lattice(u).nonzero()
+    nz = nonzero_members(submodule_lattice(u))
     for a in nz:
         for b in nz:
             if a.dim + b.dim == sum_submodules(a, b).dim:
@@ -259,7 +260,7 @@ class TestSpectrum:
         m = module_of_quiver(q, GF2)
         from atomcat.atomspec import _dedupe_simples
         from atomcat.linmod import composition_factors
-        generic = _dedupe_simples(list(composition_factors(m)))
+        generic = _dedupe_simples((f, [i]) for f, i in composition_factors(m))
         assert set(generic.labels()) == set(rep_dag.atoms.labels())
 
     def test_cyclic_quiver_works(self):
@@ -668,7 +669,7 @@ def test_dedupe_keys_isomorphic_simples_to_one_atom():
     b = module_from_dense(p, {"c": t @ cycle @ tinv % p,
                               "d": t @ loop @ tinv % p})
     from atomcat.atomspec import _dedupe_simples
-    atoms = _dedupe_simples([(a, "x"), (b, "y")])
+    atoms = _dedupe_simples([(a, ["x"]), (b, ["y"])])
     assert atoms.labels() == (canonical_simple_form(b)[0],)
     assert "?" not in atoms.labels()[0]
     assert atoms.atoms[0].source == ("x", "y")
@@ -750,7 +751,7 @@ def test_dedupe_raises_when_two_forms_share_a_label(monkeypatch):
     monkeypatch.setattr(atomspec, "canonical_simple_form",
                         lambda simple: ("S(x)", simple))
     with pytest.raises(LabelCollision):
-        atomspec._dedupe_simples([(a, "a"), (b, "b")])
+        atomspec._dedupe_simples([(a, ["a"]), (b, ["b"])])
 
 
 # -- the structure store ------------------------------------------------------
@@ -887,7 +888,8 @@ def test_property_block_path_matches_whole_module_factors(data):
     q = data.draw(valued_quivers(p, 6 if p == 2 else 4, dag))
     field = FieldSpec(p)
     blocks = spectrum(q, field).atoms
-    whole = _dedupe_simples(composition_factors(module_of_quiver(q, field)))
+    whole = _dedupe_simples((f, [i]) for f, i in composition_factors(
+        module_of_quiver(q, field)))
     assert blocks.labels() == whole.labels()
     assert [a.representative.key() for a in blocks] == \
         [a.representative.key() for a in whole]
@@ -895,7 +897,7 @@ def test_property_block_path_matches_whole_module_factors(data):
         assert [a.source for a in blocks] == [a.source for a in whole]
     # sources: the pivot labels of each block's own subquiver module
     per_block = _dedupe_simples([
-        pair for b in strong_components(q) for pair in
+        (f, [i]) for b in strong_components(q) for f, i in
         composition_factors(module_of_quiver(full_subquiver(q, b), field))])
     assert [(a.label, a.source) for a in blocks] == \
         [(a.label, a.source) for a in per_block]
@@ -921,7 +923,8 @@ def test_dag_factor_sources_are_their_vertices(p, nv, arrows):
     from atomcat.linmod import composition_factors
     q = make_quiver([f"v{i}" for i in range(nv)], ["c0", "c1"], arrows)
     field = FieldSpec(p)
-    whole = _dedupe_simples(composition_factors(module_of_quiver(q, field)))
+    whole = _dedupe_simples((f, [i]) for f, i in composition_factors(
+        module_of_quiver(q, field)))
     assert [(a.label, a.source) for a in spectrum(q, field).atoms] == \
         [(a.label, a.source) for a in whole]
 

@@ -208,6 +208,48 @@ class TestRealizationAcc:
             truncate(acc_term(P, 3))
         assert rendered == []
 
+    def test_crosscheck_reads_blocks_off_the_term(self, monkeypatch):
+        # Tarjan sees a skeleton, one node per block of a composite,
+        # never the truncation's vertices; and spectrum canonical-forms
+        # one simple per distinct block signature, not one per block
+        from atomcat import atomspec, quiver, skeleton
+        from atomcat.predictor import crosscheck, predict_realization
+        real, sizes = quiver._tarjan, []
+        real_form, forms = atomspec.canonical_simple_form, []
+
+        def recording(succ, roots):
+            sizes.append(len(succ))
+            return real(succ, roots)
+
+        def forming(simple):
+            forms.append(simple)
+            return real_form(simple)
+        monkeypatch.setattr(quiver, "_tarjan", recording)
+        monkeypatch.setattr(skeleton, "_tarjan", recording)
+        monkeypatch.setattr(atomspec, "canonical_simple_form", forming)
+        # the benchmark's largest listed truncation (519 vertices)
+        for P, depth in [(DIAMOND, 3), (random_poset(7134768400813504092, 6),
+                                        6)]:
+            sizes.clear()
+            forms.clear()
+            gen = gen_realization_acc(P, TruncationSpec(depth=depth))
+            sym = predict_realization(P, "acc").pre_quotient
+            assert crosscheck(sym, gen).ok()
+            assert "arrows" not in vars(gen.quiver)
+            assert "colors" not in vars(gen.quiver)
+            blocks = quiver.blocks_with_arrows(gen.quiver)
+            signatures = {tuple(a[2] for a in arrows) for _, arrows in blocks}
+            assert all(len(b) == 1 for b, _ in blocks)
+            assert len(forms) == len(signatures) < len(blocks)
+            todo, seen, widest = [acc_term(P, depth)], set(), 0
+            while todo:
+                t = todo.pop()
+                if isinstance(t, Composite) and id(t) not in seen:
+                    seen.add(id(t))
+                    widest = max(widest, len(t.blocks))
+                    todo.extend(t.blocks)
+            assert sizes and max(sizes) <= widest < len(gen.quiver.vertices)
+
 
 def nested(term):
     """The oracle for `truncate`: every subterm built on its own (a
@@ -546,9 +588,10 @@ def deepening_pairs():
 
 def is_convex(quiver, vertices):
     """Whether no path of the quiver leaves the vertex set and comes
-    back, by reachability on the hub graph of `ColoredQuiver._blocks`:
-    one node per vertex, and a hub per bundle with an edge from each of
-    its sources and to each of its targets."""
+    back, by reachability on its own hub graph, independent of how
+    `ColoredQuiver._blocks` are found: one node per vertex, and a hub
+    per bundle with an edge from each of its sources and to each of its
+    targets."""
     inside = set(vertices)
     succ = {v: [] for v in quiver.vertices}
     for src, dst, _, _ in quiver.plain:
@@ -884,7 +927,7 @@ def test_spectrum_dag_path_agrees_with_generic_on_realization():
     g = gen_realization_acc(DIAMOND, TruncationSpec(depth=2))
     dag_labels = set(spectrum(g.quiver).atoms.labels())
     m = module_of_quiver(g.quiver, FieldSpec(2))
-    generic = _dedupe_simples(list(composition_factors(m)))
+    generic = _dedupe_simples((f, [i]) for f, i in composition_factors(m))
     assert set(generic.labels()) == dag_labels
 
 

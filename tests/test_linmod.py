@@ -24,7 +24,8 @@ from atomcat.linmod import (FdModule, FieldSpec, Submodule,
                             zero_submodule)
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
-from strategies import irreducible_plus_line, valued_quivers
+from strategies import (contains_vec, irreducible_plus_line,
+                        is_action_closed, nonzero_members, valued_quivers)
 
 GF2 = FieldSpec(2)
 
@@ -110,7 +111,7 @@ def submodule_span(module, rows, check=True):
     the rows must span an action-closed subspace."""
     basis, piv = module.ops.rref(rows, module.dim)
     sub = Submodule(module, basis, piv)
-    if check and not sub.is_action_closed():
+    if check and not is_action_closed(sub):
         raise ValueError("row span is not action-invariant")
     return sub
 
@@ -165,7 +166,7 @@ class TestCyclic:
         lat = submodule_lattice(m)
         vec = m.ops.unit_vec(1, 3)
         cyc = cyclic_submodule(m, vec)
-        containing = [s for s in lat if s.contains_vec(vec)]
+        containing = [s for s in lat if contains_vec(s, vec)]
         assert cyc in containing
         assert all(meet_dim(cyc, s) == cyc.dim for s in containing)
 
@@ -209,7 +210,7 @@ class TestLattice:
     def test_all_members_action_closed(self):
         m = chain_module(3)
         for s in submodule_lattice(m):
-            assert s.is_action_closed()
+            assert is_action_closed(s)
 
 
 class TestSubquotient:
@@ -308,7 +309,7 @@ def longest_chain(module):
 
 def lattice_socle(module):
     """Oracle: the sum of the lattice-minimal nonzero members."""
-    nonzero = submodule_lattice(module).nonzero()
+    nonzero = nonzero_members(submodule_lattice(module))
     socle = zero_submodule(module)
     for s in nonzero:
         if not any(0 < t.dim < s.dim and s.contains(t) for t in nonzero):
@@ -363,7 +364,7 @@ class TestStructure:
         assert not rep.is_simple
         assert rep.composition_length == 3
         assert rep.socle.dim == 1
-        assert rep.socle.contains_vec(m.ops.unit_vec(2, 3))
+        assert contains_vec(rep.socle, m.ops.unit_vec(2, 3))
 
     def test_zero_module(self):
         m = FdModule(GF2, 0, (), {})
@@ -388,7 +389,7 @@ class TestEssentialAndMinimal:
         for m in (chain_module(3), FdModule(GF2, 3, tuple("abc"), {}),
                   loop_point()):
             lat = submodule_lattice(m)
-            nonzero = lat.nonzero()
+            nonzero = nonzero_members(lat)
             expect = {s.key() for s in nonzero
                       if not any(0 < t.dim < s.dim and s.contains(t)
                                  for t in nonzero)}

@@ -1,8 +1,10 @@
-"""Every public module-level function of the library has a caller: a
-`Name` or `Attribute` node naming it somewhere in `src/atomcat` or
-`perfbench/`, or an import into the package namespace by
-`atomcat/__init__.py`.  Tests do not count as callers, so a function
-that only its own tests call fails here: delete it, or give it a use."""
+"""Every public module-level function of the library, and every public
+method of a module-level class, has a caller: a `Name` or `Attribute`
+node naming it somewhere in `src/atomcat` or `perfbench/`, or, for a
+function, an import into the package namespace by
+`atomcat/__init__.py`.  Tests do not count as callers, so a function or
+method that only its own tests call fails here: delete it, or give it a
+use."""
 
 import ast
 from pathlib import Path
@@ -18,16 +20,31 @@ def _trees(folder):
             for path in sorted(folder.glob("*.py"))}
 
 
+def _named(trees):
+    """Every name a `Name` or `Attribute` node of the trees reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def test_every_public_function_has_a_caller():
     src = _trees(SRC)
-    named = {node.id if isinstance(node, ast.Name) else node.attr
-             for tree in [*src.values(), *_trees(PERFBENCH).values()]
-             for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+    named = _named([*src.values(), *_trees(PERFBENCH).values()])
     used = named | {alias.name for node in src["__init__"].body
                     if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
     unused = [f"{module}.{node.name}" for module, tree in src.items()
               for node in tree.body if isinstance(node, ast.FunctionDef)
               and not node.name.startswith("_") and node.name not in used]
+    assert not unused, ", ".join(unused)
+
+
+def test_every_public_method_has_a_caller():
+    src = _trees(SRC)
+    named = _named([*src.values(), *_trees(PERFBENCH).values()])
+    unused = [f"{module}.{cls.name}.{node.name}"
+              for module, tree in src.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_") and node.name not in named]
     assert not unused, ", ".join(unused)

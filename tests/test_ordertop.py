@@ -300,6 +300,14 @@ def random_posets(draw, min_size=1, max_size=5):
     return normalize_poset(pairs, elements)
 
 
+@settings(max_examples=150, deadline=None)
+@given(random_posets(max_size=7))
+def test_3chain_matches_the_triple_scan(P):
+    triples = any(P.lt(x, y) and P.lt(y, z) for x in P.elements
+                  for y in P.elements for z in P.elements)
+    assert poset_invariants(P).has_3chain == triples
+
+
 @settings(max_examples=120, deadline=None)
 @given(random_posets())
 def test_roundtrip_is_identity(p):
