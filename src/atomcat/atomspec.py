@@ -8,9 +8,10 @@ every implementation here; the exhaustive nested-pair definitions stay
 available in the test suite as oracles.
 
 * A common nonzero subobject of M and N exists iff some minimal
-  submodule of M is isomorphic to a minimal submodule of N: any common
-  subobject contains a simple one, and a simple common subobject is a
-  minimal submodule on both sides.
+  submodule of M is isomorphic to a minimal submodule of N, that is,
+  iff their associated atoms (`aass`) meet: any common subobject
+  contains a simple one, and a simple common subobject is a minimal
+  submodule on both sides.
 * A uniform module has exactly one minimal submodule (its socle); a
   monoform module is uniform, and its class equals the class of its
   socle, so every atom of a finite-dimensional module is represented
@@ -34,12 +35,10 @@ import hashlib
 from dataclasses import dataclass
 
 from . import linmod
-from .errors import (BudgetExceeded, LabelCollision, NotMonoform, UnknownAtom,
-                     ZeroModule)
+from .errors import BudgetExceeded, LabelCollision, NotMonoform, ZeroModule
 from .linmod import (FdModule, FieldSpec, composition_factors, hom_basis,
                      minimal_submodules, submodule_as_module)
-from .ordertop import (DEFAULT_POINT_CAP, FiniteTopology, Poset,
-                       alexandroff_of_poset, normalize_poset)
+from .ordertop import FiniteTopology
 from .quiver import blocks_with_arrows
 
 
@@ -151,19 +150,6 @@ def _simples_isomorphic(a, b):
     return a.dim == b.dim and (a.key() == b.key() or bool(hom_basis(a, b)))
 
 
-def has_common_nonzero_subobject(m, n, budget=linmod.DEFAULT_BUDGET):
-    """Whether a nonzero module embeds in both m and n.
-
-    Equivalent to: some minimal submodule of m is isomorphic to a
-    minimal submodule of n (see the module docstring).
-    """
-    if m.dim == 0 or n.dim == 0:
-        return False
-    mins_m = [submodule_as_module(s) for s in minimal_submodules(m, budget)]
-    mins_n = [submodule_as_module(s) for s in minimal_submodules(n, budget)]
-    return any(_simples_isomorphic(a, b) for a in mins_m for b in mins_n)
-
-
 def is_uniform(module, budget=linmod.DEFAULT_BUDGET):
     """Any two nonzero submodules intersect, i.e. one minimal submodule."""
     if module.dim == 0:
@@ -192,13 +178,6 @@ def is_monoform(module, budget=linmod.DEFAULT_BUDGET):
     socle = submodule_as_module(mins[0])
     return sum(_simples_isomorphic(socle, f)
                for f, _ in composition_factors(module, budget)) == 1
-
-
-def atom_equivalent(h1, h2, budget=linmod.DEFAULT_BUDGET):
-    for h in (h1, h2):
-        if not is_monoform(h, budget):
-            raise NotMonoform("atom equivalence needs monoform arguments")
-    return has_common_nonzero_subobject(h1, h2, budget)
 
 
 def atom_of(module, budget=linmod.DEFAULT_BUDGET):
@@ -253,44 +232,22 @@ def _stored_atoms(module, name, simples_of):
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """The atoms of a quiver module's category.  Their topology is
+    discrete (see `spectrum`), so the report lists no order pair."""
+
     atoms: AtomSet
-    opens: FiniteTopology
-    order: Poset
-    flags: dict  # label -> {maximal, minimal, represented_by_simple, ...}
     p: int = 2
 
+    @property
+    def opens(self):
+        """The discrete topology on the atom labels; `perfbench/tracer.py`
+        counts its open sets."""
+        return FiniteTopology(self.atoms.labels(),
+                              tuple(1 << i for i in range(len(self.atoms))))
+
     def to_json(self):
-        """Open sets are listed while they can be; "order" fixes them."""
-        out = {"p": self.p, "atoms": [a.to_json() for a in self.atoms]}
-        if len(self.atoms) <= DEFAULT_POINT_CAP:
-            out["opens"] = [list(self.opens.subset_of(m))
-                            for m in self.opens.opens]
-        out["order"] = [[a, b] for (a, b) in sorted(self.order.le) if a != b]
-        out["flags"] = {k: dict(v) for k, v in self.flags.items()}
-        return out
-
-
-def _report(atoms, order, p):
-    """The report of atoms under a specialization order; the topology is
-    the order's Alexandroff topology."""
-    topo = alexandroff_of_poset(order)
-    aset = AtomSet(tuple(sorted(atoms, key=lambda a: a.label)))
-    return SpectrumReport(aset, topo, order, _flags_from(order, topo), p)
-
-
-def _flags_from(order, topo):
-    flags = {}
-    maximal = set(order.maximal_elements())
-    minimal = set(order.minimal_elements())
-    for lbl in order.elements:
-        flags[lbl] = {
-            "maximal": lbl in maximal,
-            "minimal": lbl in minimal,
-            "represented_by_simple": True,
-            "open_point": topo.is_open([lbl]),
-            "closed_point": topo.is_closed([lbl]),
-        }
-    return flags
+        return {"p": self.p, "atoms": [a.to_json() for a in self.atoms],
+                "order": []}
 
 
 def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
@@ -335,27 +292,4 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
             exc.context.update(block=list(blocks[0]), dim=dim)
             raise
         simples.extend((f, [b[i] for b in blocks]) for f, i in series)
-    atoms = _dedupe_simples(simples)
-    return _report(atoms.atoms, normalize_poset([], atoms.labels()), p)
-
-
-def localize(report, label):
-    """Restrict the spectrum to the closed subset of classes at or
-    below the given atom; the atom becomes the greatest element."""
-    if label not in report.order.elements:
-        raise UnknownAtom("label not in the spectrum", label=label)
-    keep = {b for b in report.order.elements if report.order.leq(b, label)}
-    atoms = [a for a in report.atoms if a.label in keep]
-    return _report(atoms, report.order.restrict(keep), report.p)
-
-
-def localizing_subcategories(report):
-    """Open subsets stand in for localizing subcategories; list them.
-    Listing is exponential: above 16 atoms it raises BudgetExceeded."""
-    return [tuple(report.opens.subset_of(m)) for m in report.opens.opens]
-
-
-def membership(module, open_labels, budget=linmod.DEFAULT_BUDGET):
-    """Does the module's atom support sit inside the given open set?"""
-    support = asupp(module, budget)
-    return set(support.labels()) <= set(open_labels)
+    return SpectrumReport(_dedupe_simples(simples), p)

@@ -16,8 +16,8 @@ from . import generators, harness, predictor
 from .atomspec import spectrum
 from .errors import AtomcatError
 from .harness import canonical_json, config_from_env
-from .ordertop import (alexandroff_of_poset, poset_from_json,
-                       poset_of_topology, topology_from_json)
+from .ordertop import (alexandroff_of_poset, normalize_poset,
+                       poset_from_json, poset_of_topology, topology_from_json)
 from .quiver import TruncationSpec, quiver_from_json
 
 
@@ -104,9 +104,10 @@ def cmd_spectrum(args, cfg):
     with open(args.quiver) as fh:
         quiver = quiver_from_json(json.load(fh))
     report = spectrum(quiver, cfg.field, cfg.budget)
+    # the spectrum is discrete: its Hasse diagram has no edge
+    hasse = normalize_poset([], report.atoms.labels()).to_dot()
     _emit(cfg, report.to_json(),
-          dots=[(".dot", report.order.to_dot()),
-                (".quiver.dot", quiver.to_dot())])
+          dots=[(".dot", hasse), (".quiver.dot", quiver.to_dot())])
     return 0
 
 

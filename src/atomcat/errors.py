@@ -60,14 +60,6 @@ class MissingBlock(AtomcatError):
     code = "missing_block"
 
 
-class NotAssociative(AtomcatError):
-    code = "not_associative"
-
-
-class NotUnital(AtomcatError):
-    code = "not_unital"
-
-
 class DepthTooSmall(AtomcatError):
     code = "depth_too_small"
 
@@ -108,10 +100,6 @@ class BudgetExceeded(AtomcatError):
 
 class NotMonoform(AtomcatError):
     code = "not_monoform"
-
-
-class UnknownAtom(AtomcatError):
-    code = "unknown_atom"
 
 
 class LabelCollision(AtomcatError):

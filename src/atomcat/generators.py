@@ -34,8 +34,8 @@ presets, both poset realizations and the atom-free construction are
 terms: `truncate(acc_term(...))`, `truncate(general_term(...))` and
 `truncate(noatom_term(...))`.  Substitution of quivers lives here too:
 a `ColoredQuiver` is a leaf term of `truncate`, so `substitute` (on any
-skeleton quiver), `disjoint_union` and `chain` are `truncate` of a
-composite whose blocks are quivers.
+skeleton quiver) and `chain` are `truncate` of a composite whose
+blocks are quivers.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
@@ -411,14 +411,6 @@ def substitute(omega, blocks):
     return truncate(Composite(
         tuple(blocks[w] for w in omega.vertices), omega.vertices,
         tuple((at[w], at[w2], mu) for w, w2, mu, _ in omega.arrows))).quiver
-
-
-def disjoint_union(quivers, names=None):
-    """Disjoint union, `truncate(union_term(...))`: block k under
-    names[k] (k if None), colors shared rather than renamed, so equal
-    blocks in different positions stay isomorphic as modules."""
-    names = range(len(quivers)) if names is None else names
-    return truncate(union_term(quivers, names)).quiver
 
 
 def chain(blocks, tags=None):

@@ -210,15 +210,10 @@ def check_quiver_invariants(quiver, cfg):
                     excl_ok = False
     out["monoform_exclusion"] = excl_ok
 
-    report = spectrum(quiver, field, cfg.budget)
-    out["spectrum_kolmogorov"] = is_kolmogorov(report.opens)
-    out["singleton_open_iff_simple"] = all(
-        f["open_point"] == f["represented_by_simple"]
-        for f in report.flags.values())
     out["atom_reps_are_simple"] = all(
         a.representative.dim == 1
         or structure_report(a.representative, cfg.budget).is_simple
-        for a in report.atoms)
+        for a in spectrum(quiver, field, cfg.budget).atoms)
     return out
 
 
@@ -324,24 +319,15 @@ def worked_examples(cfg=RunConfig()):
     chain3 = make_quiver(
         ["v1", "v2", "v3"], ["c12", "c23"],
         [("v1", "v2", "c12"), ("v2", "v3", "c23")])
-    rep = spectrum(chain3, field)
     out["chain_of_three"] = {
-        "atoms": sorted(rep.atoms.labels()),
-        "opens": len(rep.opens.opens),
-        "all_simple": all(f["represented_by_simple"]
-                          for f in rep.flags.values()),
-    }
+        "atoms": sorted(spectrum(chain3, field).atoms.labels())}
 
     loops = make_quiver(
         ["v1", "v2", "v3"], ["c1", "c2", "c3", "c12", "c23"],
         [("v1", "v1", "c1"), ("v2", "v2", "c2"), ("v3", "v3", "c3"),
          ("v1", "v2", "c12"), ("v2", "v3", "c23")])
-    rep = spectrum(loops, field)
     out["loops_chain"] = {
-        "atoms": sorted(rep.atoms.labels()),
-        "discrete": len(rep.opens.opens) == 1 << len(rep.atoms),
-        "order_trivial": all(a == b for (a, b) in rep.order.le),
-    }
+        "atoms": sorted(spectrum(loops, field).atoms.labels())}
 
     gen = generators.preset("infinite-chain", 4)
     module = module_of_quiver(gen.quiver, field)

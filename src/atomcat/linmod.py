@@ -7,11 +7,11 @@ basis line per vertex, and a color acts by summing along the arrows of
 that color.
 
 Submodules are action-invariant row spaces kept in reduced row-echelon
-form; the whole submodule lattice of a module is enumerated by closing
-the set of cyclic submodules under pairwise sums.  The cyclic scan
-closes one seed per line, (p^dim - 1)/(p - 1) of them, since a seed and
-its nonzero multiples span the same submodule, and its budget counts
-those lines.  That enumeration is exact and exponential, so it is
+form; the whole submodule lattice of a module is enumerated by joining
+each distinct cyclic submodule in turn into the members found so far.
+The cyclic scan closes one seed per line, (p^dim - 1)/(p - 1) of them,
+since a seed and its nonzero multiples span the same submodule, and its
+budget counts those lines.  That enumeration is exact and exponential, so it is
 budget-guarded; the cheaper entry points (one minimal submodule,
 composition factors, the structure report) avoid it where the
 structure allows.
@@ -180,13 +180,6 @@ def full_submodule(module):
     return Submodule(module, basis, tuple(range(n)))
 
 
-def cyclic_submodule(module, vec):
-    """Smallest action-closed subspace containing vec (breadth-first)."""
-    ops = module.ops
-    basis, piv = ops.cyclic_closure(vec, module.action_stack(), module.dim)
-    return Submodule(module, basis, piv)
-
-
 def sum_submodules(a, b):
     ops = a.parent.ops
     n = a.parent.dim
@@ -255,10 +248,10 @@ def _distinct_cyclic(module, budget):
 
 
 def submodule_lattice(module, budget=DEFAULT_BUDGET):
-    """Every submodule: cyclic submodules closed under pairwise sums.
+    """Every submodule: the sums of sets of cyclic submodules.
 
     Any submodule is the sum of the cyclic submodules of its elements,
-    so this closure is the complete lattice (and thus automatically
+    so these sums are the complete lattice (and thus automatically
     closed under intersections as well).  Raises BudgetExceeded with
     the partial set attached when the member count passes the budget.
     """
@@ -270,31 +263,21 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
 
 
 def _close_lattice(module, budget):
-    """Rows of every lattice member, sorted by `Submodule.key`."""
+    """Rows of every lattice member, sorted by `Submodule.key`: each
+    distinct cyclic submodule in turn is joined into every member found
+    so far that does not already contain it, so the members are the
+    sums of every set of the cyclic submodules joined."""
     zero = zero_submodule(module)
     members = {zero.key(): zero}
-    for s in _distinct_cyclic(module, budget):
-        members[s.key()] = s
-
-    def overflow():
-        part = SubmoduleSet(tuple(sorted(members.values(),
-                                         key=Submodule.key)), False)
-        return BudgetExceeded("lattice larger than budget",
-                              budget=budget, partial=part)
-
-    if len(members) > budget:
-        raise overflow()
-    worklist = list(members.values())
-    while worklist:
-        s = worklist.pop()
-        for t in list(members.values()):
-            u = sum_submodules(s, t)
-            k = u.key()
-            if k not in members:
-                members[k] = u
-                worklist.append(u)
-                if len(members) > budget:
-                    raise overflow()
+    for c in _distinct_cyclic(module, budget):
+        for s in [s for s in members.values() if not s.contains(c)]:
+            u = sum_submodules(s, c)
+            members.setdefault(u.key(), u)
+            if len(members) > budget:
+                part = SubmoduleSet(tuple(sorted(members.values(),
+                                                 key=Submodule.key)), False)
+                raise BudgetExceeded("lattice larger than budget",
+                                     budget=budget, partial=part)
     return _rows(sorted(members.values(), key=Submodule.key))
 
 

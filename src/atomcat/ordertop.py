@@ -330,10 +330,3 @@ def canonical_form(poset):
               for choice in product(*map(permutations, groups)))
     return min((tuple(poset.leq(a, b) for a in order for b in order), order)
                for order in orders)
-
-
-def poset_isomorphic(p, q):
-    """Order isomorphism p -> q as a dict, or None: the orderings that
-    attain equal canonical forms."""
-    (form_p, order_p), (form_q, order_q) = canonical_form(p), canonical_form(q)
-    return dict(zip(order_p, order_q)) if form_p == form_q else None

@@ -152,7 +152,11 @@ def window(term):
             provenance[t.limit] = t.provenance or "chain limit"
         return memo.setdefault(id(t), _spectrum(atoms, pairs, provenance,
                                                 families))
-    return read(term)
+    out = read(term)
+    # read refers to itself: delete it to free the memo on return, not
+    # at a gc
+    del read
+    return out
 
 
 def _element_labels(union):

@@ -1,4 +1,4 @@
-"""Colored quivers: validation, subquivers, blocks and algebra quivers.
+"""Colored quivers: validation, subquivers and blocks.
 
 A colored quiver is a finite directed graph whose arrows carry a color
 and a field value (an integer, reduced mod p only when a module is
@@ -8,11 +8,9 @@ color may well label many arrows, and that sharing is what later glues
 simple modules together.
 
 Here: full subquivers, target-closed splitting, the strongly connected
-blocks (Tarjan) and the loop-stripped topological order, and the quiver
-of a finite-dimensional algebra's right regular representation.
-Substitution into a skeleton, and the disjoint unions and chains built
-on it, live in `generators`, where a quiver is a leaf term of
-`truncate`.
+blocks (Tarjan) and the loop-stripped topological order.  Substitution
+into a skeleton, and the unions and chains built on it, live in
+`generators`, where a quiver is a leaf term of `truncate`.
 
 An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
 also takes 3-item arrows (src, dst, color) and gives them value 1.
@@ -34,9 +32,8 @@ from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
-from . import modp
-from .errors import (DuplicateArrow, NotAssociative, NotTargetClosed,
-                     NotUnital, UnknownColor, UnknownVertex)
+from .errors import (DuplicateArrow, NotTargetClosed, UnknownColor,
+                     UnknownVertex)
 from .ordertop import _json_names
 
 
@@ -357,20 +354,6 @@ def _raise_first_fault(arrows, vset, cset):
         seen.add(key)
 
 
-def normalize(vertices, colors, arrows, p=2):
-    """Merge colliding (src, dst, color) arrows by summing values mod p.
-
-    Zero-valued arrows (after reduction) are dropped, so the result
-    always satisfies the no-shared-triple invariant.
-    """
-    sums = {}
-    for src, dst, color, value in _as_arrows(arrows):
-        key = (src, dst, color)
-        sums[key] = (sums.get(key, 0) + value) % p
-    merged = [(*key, v) for key, v in sums.items() if v != 0]
-    return make_quiver(vertices, colors, merged)
-
-
 def full_subquiver(quiver, vertex_subset):
     """Keep exactly the arrows with both ends inside the subset."""
     keep = set(vertex_subset)
@@ -400,61 +383,6 @@ def split_by_closed(quiver, vertex_subset):
                                   src=src, dst=dst, color=color)
     rest = [v for v in quiver.vertices if v not in keep]
     return full_subquiver(quiver, sorted(keep)), full_subquiver(quiver, rest)
-
-
-def quiver_of_algebra(basis, structure, p=2):
-    """Quiver whose module is the right regular representation.
-
-    basis: list of basis element names.  structure maps (b, b'') to a
-    dict {b': coeff} expressing b * b'' in the basis.  Associativity (on
-    every basis triple) and the existence of a two-sided identity are
-    checked.
-    """
-    basis = list(basis)
-    n = len(basis)
-    idx = {b: i for i, b in enumerate(basis)}
-    right = {}  # right[b''] as n rows mod p, row = source basis element
-    for b2 in basis:
-        mat = [[0] * n for _ in range(n)]
-        for b in basis:
-            for b1, coeff in structure.get((b, b2), {}).items():
-                mat[idx[b]][idx[b1]] = coeff % p
-        right[b2] = tuple(map(tuple, mat))
-
-    for a in basis:
-        left_a = [right[b][idx[a]] for b in basis]  # row k: a * basis[k]
-        for b in basis:
-            ab = right[b][idx[a]]
-            for c in basis:
-                # (a b) c against a (b c), with b c as a row over basis
-                if (modp.vec_mat(ab, right[c], p)
-                        != modp.vec_mat(right[c][idx[b]], left_a, p)):
-                    raise NotAssociative("structure constants violate "
-                                         "associativity", triple=[a, b, c])
-
-    # two-sided identity: solve e * b = b and b * e = b for all b
-    aug = []
-    for b in basis:
-        for j in range(n):
-            aug.append([right[b][i][j] for i in range(n)] + [int(j == idx[b])])
-    for b in basis:
-        for j in range(n):
-            aug.append([right[bi][idx[b]][j] for bi in basis]
-                       + [int(j == idx[b])])
-    _, piv = modp.rref(aug, p)
-    if n in piv:
-        raise NotUnital("no two-sided identity in the span of the basis")
-
-    vertices = [f"v[{b}]" for b in basis]
-    colors = [f"c[{b}]" for b in basis]
-    arrows = []
-    for b2 in basis:
-        for b in basis:
-            for b1 in basis:
-                val = right[b2][idx[b]][idx[b1]]
-                if val:
-                    arrows.append((f"v[{b}]", f"v[{b1}]", f"c[{b2}]", val))
-    return make_quiver(vertices, colors, arrows)
 
 
 def quiver_from_json(data):

@@ -4,7 +4,8 @@ the test modules."""
 from hypothesis import strategies as st
 
 from atomcat import linalg
-from atomcat.linmod import FdModule, FieldSpec
+from atomcat.generators import truncate, union_term
+from atomcat.linmod import FdModule, FieldSpec, Submodule
 from atomcat.quiver import make_quiver
 
 
@@ -19,6 +20,13 @@ def valued_quivers(draw, p, max_vertices, dag=False):
               for i, v in enumerate(vs) for j, w in enumerate(vs)
               for c in cs if (i <= j or not dag) and draw(st.booleans())]
     return make_quiver(vs, cs, arrows)
+
+
+def disjoint_union(quivers, names=None):
+    """The quivers side by side, `truncate(union_term(...))`: block k
+    under names[k] (k if None), colors shared rather than renamed."""
+    names = range(len(quivers)) if names is None else names
+    return truncate(union_term(quivers, names)).quiver
 
 
 def irreducible_plus_line(p, labels):
@@ -36,6 +44,14 @@ def irreducible_plus_line(p, labels):
 def contains_vec(sub, vec):
     """Whether the submodule holds the packed row vec."""
     return linalg.in_span(sub.parent.ops, vec, sub.basis, sub.pivots)
+
+
+def cyclic_submodule(module, vec):
+    """The smallest submodule holding the packed row vec, by the
+    field kernel's `cyclic_closure`."""
+    basis, piv = module.ops.cyclic_closure(vec, module.action_stack(),
+                                           module.dim)
+    return Submodule(module, basis, piv)
 
 
 def is_action_closed(sub):

@@ -9,22 +9,17 @@ input.
 
 import pytest
 
-from atomcat.atomspec import (Atom, _report, asupp, aass, atom_equivalent,
-                              atom_of, canonical_simple_form,
-                              has_common_nonzero_subobject, is_monoform,
-                              is_uniform, localize, localizing_subcategories,
-                              membership, spectrum)
-from atomcat.errors import NotMonoform, UnknownAtom, ZeroModule
+from atomcat.atomspec import (asupp, aass, atom_of, canonical_simple_form,
+                              is_monoform, is_uniform, spectrum)
+from atomcat.errors import NotMonoform, ZeroModule
 from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
-                            submodule_as_module, submodule_lattice,
-                            subquotient, sum_submodules)
-from atomcat.ordertop import (FiniteTopology, poset_of_topology,
-                              topology_of_opens)
-from atomcat.generators import disjoint_union
+                            structure_report, submodule_as_module,
+                            submodule_lattice, subquotient, sum_submodules)
+from atomcat.ordertop import poset_of_topology
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
-from strategies import (irreducible_plus_line, nonzero_members,
-                        valued_quivers)
+from strategies import (disjoint_union, irreducible_plus_line,
+                        nonzero_members, valued_quivers)
 
 GF2 = FieldSpec(2)
 
@@ -45,6 +40,21 @@ def loops_chain_quiver():
         ["v1", "v2", "v3"], ["c1", "c2", "c3", "c12", "c23"],
         [("v1", "v1", "c1"), ("v2", "v2", "c2"), ("v3", "v3", "c3"),
          ("v1", "v2", "c12"), ("v2", "v3", "c23")])
+
+
+def has_common_nonzero_subobject(m, n):
+    """A common nonzero subobject contains a simple one, a minimal
+    submodule on both sides, so m and n share one exactly when their
+    associated atoms meet."""
+    return bool(set(aass(m).labels()) & set(aass(n).labels()))
+
+
+def atom_equivalent(h1, h2):
+    """Atom equivalence by its definition: monoform modules sharing a
+    nonzero subobject."""
+    if not (is_monoform(h1) and is_monoform(h2)):
+        raise NotMonoform("atom equivalence needs monoform arguments")
+    return has_common_nonzero_subobject(h1, h2)
 
 
 def monoform_dim2():
@@ -239,14 +249,15 @@ class TestSpectrum:
         rep = spectrum(chain_quiver(3))
         assert len(rep.atoms) == 1
         assert len(rep.opens.opens) == 2
-        assert all(f["represented_by_simple"] for f in rep.flags.values())
+        assert all(structure_report(a.representative).is_simple
+                   for a in rep.atoms)
 
     def test_loops_discrete(self):
         rep = spectrum(loops_chain_quiver())
         assert len(rep.atoms) == 3
         assert len(rep.opens.opens) == 8
-        assert all(not rep.order.lt(a, b)
-                   for a in rep.order.elements for b in rep.order.elements)
+        assert poset_of_topology(rep.opens).le == {
+            (a, a) for a in rep.atoms.labels()}
 
     def test_empty_quiver(self):
         rep = spectrum(make_quiver([], [], []))
@@ -275,76 +286,27 @@ class TestSpectrum:
         assert data["order"] == []
 
 
-def report_from_parts(atoms, open_label_sets, p=2):
-    """A hand-built SpectrumReport over GF(p): atoms, and an open family
-    given as label sets."""
-    labels = tuple(sorted(a.label for a in atoms))
-    mask_of = FiniteTopology(labels, ()).mask_of
-    topo = topology_of_opens(labels, {mask_of(s) for s in open_label_sets})
-    return _report(atoms, poset_of_topology(topo), p)
-
-
-def two_chain_report():
-    """Hand-built spectrum alpha < beta (the window of an infinite
-    chain construction)."""
-    a = Atom("alpha", FdModule(GF2, 1, ("s0",), {}))
-    b = Atom("beta", module_of_quiver(loop_quiver("t"), GF2))
-    return report_from_parts([a, b], [(), ("beta",), ("alpha", "beta")])
-
-
-class TestLocalize:
-    def test_discrete_three_atoms(self):
-        rep = spectrum(loops_chain_quiver())
-        lbl = rep.atoms.labels()[0]
-        loc = localize(rep, lbl)
-        assert loc.atoms.labels() == (lbl,)
-
-    def test_two_chain_at_top(self):
-        rep = two_chain_report()
-        assert rep.order.lt("alpha", "beta")
-        loc = localize(rep, "beta")
-        assert set(loc.atoms.labels()) == {"alpha", "beta"}
-        # beta is the unique greatest element after localizing
-        assert loc.order.maximal_elements() == ("beta",)
-
-    def test_two_chain_at_bottom(self):
-        loc = localize(two_chain_report(), "alpha")
-        assert loc.atoms.labels() == ("alpha",)
-
-    def test_unknown(self):
-        with pytest.raises(UnknownAtom):
-            localize(two_chain_report(), "gamma")
-
-
 class TestLocalizingSubcategories:
+    """The spectrum is discrete, so every set of atoms is open, and a
+    module lies in the localizing subcategory of a set exactly when its
+    atom support is inside the set."""
+
     def test_discrete_count(self):
         rep = spectrum(loops_chain_quiver())
-        assert len(localizing_subcategories(rep)) == 8
+        assert len(rep.opens.opens) == 8
 
     def test_membership_whole(self):
         q = loops_chain_quiver()
         rep = spectrum(q)
         m = module_of_quiver(q, GF2)
-        assert membership(m, rep.atoms.labels())
+        assert set(asupp(m).labels()) == set(rep.atoms.labels())
 
     def test_membership_simple_iff_in_set(self):
         rep = spectrum(loops_chain_quiver())
         s = module_of_quiver(loop_quiver("c1"), GF2)
         cls = asupp(s).labels()[0]
-        assert membership(s, (cls,))
-        others = tuple(l for l in rep.atoms.labels() if l != cls)
-        assert not membership(s, others)
-
-
-def test_flags_match_point_topology_characterization():
-    # on a finite spectrum: maximal iff the singleton is open, minimal
-    # iff it is closed
-    reports = [spectrum(loops_chain_quiver()), spectrum(chain_quiver(3)),
-               two_chain_report(), localize(two_chain_report(), "beta")]
-    for rep in reports:
-        for lbl, f in rep.flags.items():
-            assert f["maximal"] == f["open_point"], lbl
-            assert f["minimal"] == f["closed_point"], lbl
+        assert asupp(s).labels() == (cls,)
+        assert cls in rep.atoms.labels()
 
 
 def test_canonical_form_dim1_labels():
@@ -443,57 +405,20 @@ def loop_points_quiver(n):
     return make_quiver(vs, cs, [(v, v, c) for v, c in zip(vs, cs)])
 
 
-@pytest.mark.parametrize("n", [17, 300])
+@pytest.mark.parametrize("n", [17, 20, 300])
 def test_spectrum_beyond_the_listing_cap(n):
+    # no cap refuses a discrete spectrum, at any atom count
     import json
     rep = spectrum(loop_points_quiver(n))
     assert len(rep.atoms) == n
-    assert all(f["open_point"] and f["closed_point"]
-               for f in rep.flags.values())
     data = json.loads(json.dumps(rep.to_json()))
-    assert "opens" not in data and data["order"] == []
-
-
-def test_report_json_lists_opens_up_to_the_cap():
-    data = spectrum(loops_chain_quiver()).to_json()
-    assert len(data["opens"]) == 8 and data["opens"][0] == []
-    assert len(spectrum(loop_points_quiver(16)).to_json()["opens"]) == 1 << 16
-
-
-def vee_report():
-    """Hand-built spectrum alpha < beta, alpha < gamma."""
-    atoms = [Atom(lbl, FdModule(GF2, 1, ("s0",), {}))
-             for lbl in ("alpha", "beta", "gamma")]
-    return report_from_parts(atoms, [(), ("beta",), ("gamma",),
-                                     ("beta", "gamma"),
-                                     ("alpha", "beta", "gamma")])
-
-
-def localize_by_induced_family(report, label):
-    """Oracle: the subspace topology on the atoms at or below the label,
-    from the open family restricted to them."""
-    keep = {b for b in report.order.elements if report.order.leq(b, label)}
-    atoms = [a for a in report.atoms if a.label in keep]
-    induced = {frozenset(set(report.opens.subset_of(m)) & keep)
-               for m in report.opens.opens}
-    return report_from_parts(atoms, [tuple(s) for s in induced], report.p)
-
-
-def test_localize_matches_induced_family():
-    reports = [two_chain_report(), vee_report(),
-               spectrum(loops_chain_quiver()),
-               spectrum(loop_quiver(), FieldSpec(3))]
-    for rep in reports:
-        for lbl in rep.order.elements:
-            assert (localize(rep, lbl).to_json()
-                    == localize_by_induced_family(rep, lbl).to_json())
+    assert set(data) == {"p", "atoms", "order"} and data["order"] == []
+    assert len(data["atoms"]) == n
 
 
 def test_empty_spectrum_keeps_its_prime():
     rep = spectrum(make_quiver([], [], []), FieldSpec(3))
     assert rep.p == 3 and rep.to_json()["p"] == 3
-    loop = spectrum(loop_quiver(), FieldSpec(3))
-    assert localize(loop, "S(c)").to_json()["p"] == 3
 
 
 # -- the block path ------------------------------------------------------------
@@ -560,7 +485,7 @@ def test_budget_error_names_the_block():
 import numpy as np
 
 from atomcat import modp
-from atomcat.linmod import hom_basis, structure_report
+from atomcat.linmod import hom_basis
 
 
 @st.composite

@@ -45,6 +45,11 @@ def _preset_prediction_json(name, depth):
             "claims": predictor.check_preset_claims(name, sym, depth)}
 
 
+def _union_json(blocks, names):
+    return generators.truncate(generators.union_term(blocks, names)) \
+        .quiver.to_json()
+
+
 def _small_blocks():
     a = make_quiver(["x", "y"], ["c", "d"],
                     [("x", "x", "c"), ("x", "y", "d")])
@@ -95,10 +100,9 @@ def cases():
            lambda: generators.gen_noatom(
                TruncationSpec(depth=1, ladder_range=(-3, -1))))
     a, b = _small_blocks()
-    yield "union/a,b", lambda: generators.disjoint_union([a, b]).to_json()
-    yield ("union/a,a/named", lambda: generators.disjoint_union(
-        [a, a], names=["l", "r"]).to_json())
-    yield "union/empty", lambda: generators.disjoint_union([]).to_json()
+    yield "union/a,b", lambda: _union_json([a, b], [0, 1])
+    yield "union/a,a/named", lambda: _union_json([a, a], ["l", "r"])
+    yield "union/empty", lambda: _union_json([], [])
     yield "chain/a,b", lambda: generators.chain([a, b]).to_json()
     yield "chain/b,a,b", lambda: generators.chain([b, a, b]).to_json()
 

@@ -15,17 +15,18 @@ from hypothesis import strategies as st
 
 from atomcat.errors import BudgetExceeded, NotNested
 from atomcat.linmod import (FdModule, FieldSpec, Submodule,
-                            composition_factors, cyclic_submodule,
-                            find_one_minimal, full_submodule, hom_basis,
-                            is_essential, minimal_submodules,
-                            module_of_quiver, quotient_module,
-                            structure_report, submodule_as_module,
-                            submodule_lattice, subquotient, sum_submodules,
-                            zero_submodule)
+                            composition_factors, find_one_minimal,
+                            full_submodule, hom_basis, is_essential,
+                            minimal_submodules, module_of_quiver,
+                            quotient_module, structure_report,
+                            submodule_as_module, submodule_lattice,
+                            subquotient, sum_submodules, zero_submodule)
 from atomcat.quiver import make_quiver
+import dense_modp
 from iso_oracle import Tristate, is_isomorphic
-from strategies import (contains_vec, irreducible_plus_line,
-                        is_action_closed, nonzero_members, valued_quivers)
+from strategies import (contains_vec, cyclic_submodule,
+                        irreducible_plus_line, is_action_closed,
+                        nonzero_members, valued_quivers)
 
 GF2 = FieldSpec(2)
 
@@ -211,6 +212,56 @@ class TestLattice:
         m = chain_module(3)
         for s in submodule_lattice(m):
             assert is_action_closed(s)
+
+
+def rref_key(rows, p):
+    """The reduced row-echelon rows of a dense matrix as a tuple."""
+    rows = np.array(rows, dtype=np.int64).reshape(-1, np.shape(rows)[-1])
+    return tuple(map(tuple, dense_modp.rref(rows, p)[0].tolist()))
+
+
+def invariant_subspaces_modp(module):
+    """Oracle at any prime: the row-echelon span of every set of at most
+    dim vectors of GF(p)^dim, kept when every color maps it into
+    itself."""
+    p, n = module.field.p, module.dim
+    acts = [np.array(a, dtype=np.int64)
+            for a in module.dense_actions().values()]
+    vectors = list(itertools.product(range(p), repeat=n))[1:]
+    spans = {rref_key(combo, p) for size in range(1, n + 1)
+             for combo in itertools.combinations(vectors, size)}
+    return {()} | {key for key in spans if all(
+        len(rref_key([*key, *(np.array(key) @ a % p)], p)) == len(key)
+        for a in acts)}
+
+
+@st.composite
+def sparse_quivers(draw, p, max_vertices):
+    """At most two valued arrows per vertex: sparse quivers have the
+    largest lattices, with sums of three or more cyclic submodules."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    triples = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs),
+                                      st.sampled_from(("c0", "c1"))),
+                            max_size=2 * len(vs), unique=True))
+    return make_quiver(vs, ["c0", "c1"], [
+        (*t, draw(st.integers(1, p - 1))) for t in triples])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_property_lattice_is_every_invariant_subspace(data):
+    # p = 2 on up to 4 vertices against the GF(2) span oracle, p = 3 on
+    # up to 3 against the dense mod-p one
+    p = data.draw(st.sampled_from((2, 3)))
+    q = data.draw(st.one_of(valued_quivers(p, 4 if p == 2 else 3),
+                            sparse_quivers(p, 4 if p == 2 else 3)))
+    m = module_of_quiver(q, FieldSpec(p))
+    lat = submodule_lattice(m)
+    if p == 2:
+        assert lattice_keys(m, lat) == all_invariant_subspaces(m)
+    else:
+        assert {rref_key(m.ops.unpack(s.basis, m.dim), p) if s.dim else ()
+                for s in lat} == invariant_subspaces_modp(m)
 
 
 class TestSubquotient:

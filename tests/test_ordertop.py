@@ -12,8 +12,8 @@ from atomcat.errors import (BudgetExceeded, CycleDetected, InvalidTopology,
                             NotKolmogorov, UnknownElement)
 from atomcat.harness import all_posets
 from atomcat.ordertop import (ISO_ORDERINGS_CAP, alexandroff_of_poset,
-                              is_kolmogorov, normalize_poset, poset_from_json,
-                              poset_invariants, poset_isomorphic,
+                              canonical_form, is_kolmogorov, normalize_poset,
+                              poset_from_json, poset_invariants,
                               poset_of_topology, topology_from_json,
                               topology_of_opens)
 import poset_oracle
@@ -55,6 +55,13 @@ def is_order_isomorphism(w, p, q):
             and sorted(w.values()) == list(q.elements)
             and all(p.leq(a, b) == q.leq(w[a], w[b])
                     for a in p.elements for b in p.elements))
+
+
+def poset_isomorphic(p, q):
+    """Order isomorphism p -> q as a dict, or None, from equal canonical
+    forms: the orderings that attain them match p to q."""
+    (form_p, order_p), (form_q, order_q) = canonical_form(p), canonical_form(q)
+    return dict(zip(order_p, order_q)) if form_p == form_q else None
 
 
 DIAMOND = normalize_poset([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],

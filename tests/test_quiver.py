@@ -1,5 +1,5 @@
-"""Colored quiver layer: validation, blocks, algebra quivers, and the
-combinators `generators` builds on quivers as leaf terms."""
+"""Colored quiver layer: validation, blocks, and the combinators
+`generators` builds on quivers as leaf terms."""
 
 import gc
 import itertools
@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from atomcat.atomspec import spectrum
 from atomcat.errors import (AtomcatError, BudgetExceeded, ColorClash,
                             DuplicateArrow, EmptyRange, MissingBlock,
-                            NotAssociative, NotTargetClosed, NotUnital,
-                            UnknownColor, UnknownVertex)
-from atomcat.generators import (Composite, Point, chain, disjoint_union,
-                                gen_realization_acc, substitute, truncate)
+                            NotTargetClosed, UnknownColor, UnknownVertex)
+from atomcat.generators import (Composite, Point, chain, gen_realization_acc,
+                                substitute, truncate)
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset
 from atomcat.quiver import (BundleColors, TruncationSpec, _bundle_quiver,
                             blocks_with_arrows, full_subquiver,
-                            loop_stripped_topo_order, make_quiver, normalize,
-                            quiver_from_json, quiver_of_algebra,
-                            split_by_closed, strong_components)
+                            loop_stripped_topo_order, make_quiver,
+                            quiver_from_json, split_by_closed,
+                            strong_components)
+from strategies import disjoint_union
 from substitute_oracle import bundle_color
 from substitute_oracle import substitute as oracle_substitute
 
@@ -134,7 +134,7 @@ class TestMakeQuiver:
         # truncation's bundle arrows are made when arrows is first read
         vs, cs = ["u", "v"], ["a"]
         arrows = [("u", "v", "a"), ["v", "v", "a", 2]]
-        made = [make_quiver(vs, cs, arrows), normalize(vs, cs, arrows, p=3),
+        made = [make_quiver(vs, cs, arrows),
                 quiver_from_json(make_quiver(vs, cs, arrows).to_json()),
                 gen_realization_acc(
                     normalize_poset([("p0", "p1")], ["p0", "p1"]),
@@ -146,7 +146,7 @@ class TestMakeQuiver:
             for a in q.arrows:
                 assert type(a) is tuple and not gc.is_tracked(a)
 
-    @pytest.mark.parametrize("build", [make_quiver, normalize])
+    @pytest.mark.parametrize("build", [make_quiver])
     @pytest.mark.parametrize("bad", [("v", "w"), ("v", "w", "c", 1, 0)])
     def test_arrow_of_wrong_length_is_type_error(self, build, bad):
         with pytest.raises(TypeError):
@@ -170,22 +170,6 @@ def first_fault_by_scan(vertices, colors, arrows):
                     "two arrows share (src, dst, color)")
         seen.add((src, dst, color))
     return None
-
-
-class TestNormalize:
-    def test_gf2_cancellation(self):
-        q = normalize(["v", "w"], ["c"],
-                      [("v", "w", "c", 1), ("v", "w", "c", 1)], p=2)
-        assert q.arrows == ()
-
-    def test_gf3_merge(self):
-        q = normalize(["v", "w"], ["c"],
-                      [("v", "w", "c", 1), ("v", "w", "c", 1)], p=3)
-        assert len(q.arrows) == 1 and q.arrows[0][3] == 2
-
-    def test_already_normal(self):
-        q = normalize(["v", "w"], ["c"], [("v", "w", "c", 1)], p=2)
-        assert len(q.arrows) == 1
 
 
 class TestSubquiver:
@@ -381,79 +365,6 @@ class TestChain:
     def test_empty_rejected(self):
         with pytest.raises(EmptyRange):
             chain([])
-
-
-class TestQuiverOfAlgebra:
-    def test_dual_numbers_gf2(self):
-        # k[x]/(x^2): basis 1, x with x*x = 0
-        structure = {
-            ("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
-            ("x", "1"): {"x": 1}, ("x", "x"): {},
-        }
-        q = quiver_of_algebra(["1", "x"], structure, p=2)
-        assert len(q.vertices) == 2
-        # right multiplication by x kills x and sends 1 to x
-        cx = [a for a in q.arrows if a[2] == "c[x]"]
-        assert [(a[0], a[1]) for a in cx] == [("v[1]", "v[x]")]
-
-    def test_ground_field(self):
-        q = quiver_of_algebra(["1"], {("1", "1"): {"1": 1}}, p=2)
-        assert len(q.vertices) == 1
-        assert q.arrows[0][0] == q.arrows[0][1]
-
-    def test_upper_triangular_2x2(self):
-        # basis e11, e22, e12 of upper triangular 2x2 matrices
-        b = ["e11", "e22", "e12"]
-        structure = {
-            ("e11", "e11"): {"e11": 1}, ("e11", "e12"): {"e12": 1},
-            ("e22", "e22"): {"e22": 1},
-            ("e12", "e22"): {"e12": 1},
-        }
-        q = quiver_of_algebra(b, structure, p=2)
-        assert len(q.vertices) == 3
-        # the quiver module is the right regular representation: the
-        # action of c[b2] on the line of b is exactly b * b2 in the basis
-        from atomcat.linmod import FieldSpec, module_of_quiver
-        m = module_of_quiver(q, FieldSpec(2))
-        assert m.dim == 3
-        dense = m.dense_actions()
-        order = list(m.basis_labels)
-        for (x, y), prods in structure.items():
-            row = dense.get(f"c[{y}]", [[0] * 3] * 3)[order.index(f"v[{x}]")]
-            expect = [0, 0, 0]
-            for z, coeff in prods.items():
-                expect[order.index(f"v[{z}]")] = coeff % 2
-            assert row == expect, (x, y)
-
-    def test_not_associative(self):
-        structure = {
-            ("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
-            ("x", "1"): {"x": 1}, ("x", "x"): {"1": 1, "x": 1},
-        }
-        # x(xx) = x + x^2 = 1 + 2x vs (xx)x = (1+x)x = x + x^2: fine mod 2;
-        # poison instead with a non-associative table
-        bad = {
-            ("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
-            ("x", "1"): {}, ("x", "x"): {"1": 1},
-        }
-        with pytest.raises(NotAssociative):
-            quiver_of_algebra(["1", "x"], bad, p=2)
-
-    def test_not_associative_on_a_large_basis(self):
-        # 1, x1..x16 with x1 x2 = x3 and x3 x4 = x5, other products of
-        # the x's zero: (x1 x2) x4 = x5 but x1 (x2 x4) = 0
-        xs = [f"x{i}" for i in range(1, 17)]
-        structure = {("1", b): {b: 1} for b in ["1"] + xs}
-        structure.update({(b, "1"): {b: 1} for b in xs})
-        structure[("x1", "x2")] = {"x3": 1}
-        structure[("x3", "x4")] = {"x5": 1}
-        with pytest.raises(NotAssociative):
-            quiver_of_algebra(["1"] + xs, structure, p=2)
-
-    def test_not_unital(self):
-        structure = {("a", "a"): {}}
-        with pytest.raises(NotUnital):
-            quiver_of_algebra(["a"], structure, p=2)
 
 
 def test_json_roundtrip():
