@@ -64,8 +64,14 @@ def canonical_simple_form(simple):
     and label exactly when they are isomorphic.  Zero colors are left
     out.  Seeds have leading coordinate 1 (a scalar multiple spins up to
     the same form): (p^k - 1)/(p - 1) spin-ups in the field's kernel,
-    `bitmat.spin_up` on int bitsets or `modp.spin_up` on tuple rows.  The
-    result is kept in the `linmod` structure store under the simple's key.
+    `bitmat.spin_up` on int bitsets or `modp.spin_up` on tuple rows.
+    Each is bounded by the least form found so far and stops as soon as
+    its leading entries exceed it, which leaves the least form, ties
+    included, unchanged.  A seed that fails to span raises ValueError
+    when its spin-up runs to the end, so a module that is not simple is
+    refused unless each of its non-spanning seeds is cut off by the
+    bound first.  The result is kept in the `linmod` structure store
+    under the simple's key.
     """
     stored = simple.stored()
     if "canon" in stored:
@@ -74,7 +80,11 @@ def canonical_simple_form(simple):
     colors = tuple(c for c in simple.colors
                    if not all(map(ops.is_zero, simple.actions[c])))
     acts = [simple.actions[c] for c in colors]
-    best = min(ops.spin_up(seed, acts, k) for seed in ops.line_seeds(k))
+    best = None
+    for seed in ops.line_seeds(k):
+        form = ops.spin_up(seed, acts, k, best)
+        if form is not None:
+            best = form
     best = ops.unpack_form(best, k, len(colors))
     rep = FdModule(simple.field, k, tuple(f"s{i}" for i in range(k)), {
         c: ops.pack([row[j] for row in best], k)

@@ -13,6 +13,10 @@ the hashable key of a row space.  Dense 0/1 rows come in and go out
 only through `linalg.F2Ops.pack` / `unpack`.
 """
 
+from itertools import islice
+
+from .quiver import _tarjan
+
 
 def _reduced(row, basis):
     """`row` with the pivot bits of a reduced `basis` (pivot -> row)
@@ -68,23 +72,72 @@ def vec_mat(v, act):
     return out
 
 
-def cyclic_closure(seed, acts):
-    """Smallest row space containing `seed` and invariant under every
-    matrix in `acts`; returns (basis, pivots) in rref.  Every admitted
-    vector gets each action applied once."""
-    basis = {}
-    pending = []
-    if seed:
-        _admit(seed, basis)
-        pending.append(seed)
-    while pending:
-        v = pending.pop()
-        for act in acts:
-            u = _reduced(vec_mat(v, act), basis)
-            if u:
-                _admit(u, basis)
-                pending.append(u)
-    return _sorted(basis)
+def cyclic_submodules(acts, n):
+    """The distinct cyclic submodules of GF(2)^n under `acts`, each
+    (basis, pivots) in rref, listed at their least seed of
+    `range(1, 2**n)` (every line of GF(2)^n is one nonzero vector).
+
+    One pass over the image graph, seed v -> v A for each A in `acts`.
+    The cyclic submodule of v is span(v) plus those of its images, so
+    the seeds of a strongly connected component share one; each
+    component is closed once (`quiver._tarjan` gives them sinks first),
+    from its members and its successors' closures, and left as soon as
+    it reaches full rank.  Images come by linearity, and node 0, the
+    zero vector, closes to the zero space.
+    """
+    size = 1 << n
+    images = []
+    for act in acts:
+        img = [0]
+        for row in act:  # v with top bit i: (v - 2**i) A + row i of A
+            img += [w ^ row for w in img]
+        images.append(img)
+    succ = list(zip(*images)) or [()] * size
+    del images
+    full = tuple(1 << i for i in range(n)), tuple(range(n))
+    closure, spaces = [None] * size, {}
+    closure[0] = (), ()
+    for comp in _tarjan(succ, size):
+        if not comp[0]:
+            continue
+        # the span of the members and of the successors' closures, from
+        # a copy of the first closure met; it is that closure when
+        # nothing else adds to it
+        rows, first, space = [], None, None
+        for v in comp:
+            rows.append(v)
+            for w in succ[v]:
+                c = closure[w]
+                if c is None or c is first:
+                    continue
+                if c is full:
+                    space = full
+                    break
+                if first is None:
+                    first = c
+                else:
+                    rows += c[0]
+            if space:
+                break
+        if space is None:
+            first = first or ((), ())
+            basis = dict(zip(first[1], first[0]))
+            for row in rows:
+                row = _reduced(row, basis)
+                if row:
+                    _admit(row, basis)
+                    if len(basis) == n:
+                        break
+            if len(basis) == n:
+                space = full
+            elif len(basis) > len(first[0]):
+                space = _sorted(basis)
+                space = spaces.setdefault(space, space)
+            else:
+                space = first
+        for v in comp:
+            closure[v] = space
+    return tuple({id(c): c for c in islice(closure, 1, None)}.values())
 
 
 def nullspace(mat, ncols):
@@ -133,12 +186,15 @@ def coords_in_basis(row, basis, pivots):
     return coeffs if rec == row else None
 
 
-def spin_up(seed, acts, k):
+def spin_up(seed, acts, k, bound):
     """`modp.spin_up` from a nonzero `seed`, as one int: k bits per image,
     coordinate 0 highest, so keys compare as their `unpack_form` tuples.
-    A reduction step is one XOR on the row and one on its coordinates."""
+    A reduction step is one XOR on the row and one on its coordinates.
+    With an int `bound`, None as soon as the key built so far exceeds
+    the same leading bits of `bound`: the whole key would exceed it."""
     top, key = 1 << (k - 1), 0
     basis, echelon = [seed], [(seed & -seed, seed, top)]  # pivot/row/coords
+    tie, rest = bound is not None, k * k * len(acts)  # rest: bits to come
     for b in basis:  # also visits the vectors appended on the way
         for act in acts:
             res = w = vec_mat(b, act)
@@ -153,6 +209,12 @@ def spin_up(seed, acts, k):
                 basis.append(w)
                 coords = unit
             key = key << k | coords
+            if tie:
+                rest -= k
+                head = bound >> rest
+                if key > head:
+                    return None
+                tie = key == head
     if len(basis) != k:
         raise ValueError("a simple module is spun up by every seed")
     return key

@@ -11,8 +11,6 @@ A dense matrix is a list of int rows with entries in [0, p) in both
 fields; `pack` takes any iterable of int rows and `unpack` gives lists.
 """
 
-import itertools
-
 from . import bitmat, modp
 
 
@@ -41,8 +39,8 @@ class F2Ops:
     def vec_mat(self, v, act, n):
         return bitmat.vec_mat(v & ((1 << n) - 1), act)
 
-    def cyclic_closure(self, seed, acts, n):
-        return bitmat.cyclic_closure(seed, acts)
+    def cyclic_submodules(self, acts, n):
+        return bitmat.cyclic_submodules(acts, n)
 
     def nullspace(self, mat, n):
         return bitmat.nullspace(mat, n)
@@ -53,8 +51,8 @@ class F2Ops:
     def coords(self, row, basis, pivots, n):
         return bitmat.coords_in_basis(row, basis, pivots)
 
-    def spin_up(self, seed, acts, n):
-        return bitmat.spin_up(seed, acts, n)
+    def spin_up(self, seed, acts, n, bound):
+        return bitmat.spin_up(seed, acts, n, bound)
 
     def unpack_form(self, form, n, m):
         return bitmat.unpack_form(form, n, m)
@@ -64,6 +62,11 @@ class F2Ops:
 
     def add(self, a, b, c=1):
         return a ^ b if c & 1 else a
+
+    def delete_coordinate(self, mat, i):
+        low = (1 << i) - 1
+        return tuple(r & low | r >> 1 & ~low
+                     for j, r in enumerate(mat) if j != i)
 
     def line_seeds(self, n):  # each line has one nonzero vector
         return range(1, 1 << n)
@@ -94,8 +97,8 @@ class FpOps:
     def vec_mat(self, v, act, n):
         return modp.vec_mat(v, act, self.p)
 
-    def cyclic_closure(self, seed, acts, n):
-        return modp.cyclic_closure(seed, acts, self.p)
+    def cyclic_submodules(self, acts, n):
+        return modp.cyclic_submodules(acts, n, self.p)
 
     def nullspace(self, mat, n):
         return modp.nullspace(mat, n, self.p)
@@ -106,12 +109,11 @@ class FpOps:
     def coords(self, row, basis, pivots, n):
         return modp.coords_in_basis(row, basis, pivots, self.p)
 
-    def line_seeds(self, n):  # one vector per line: leading coordinate 1
-        return (s for s in itertools.product(range(self.p), repeat=n)
-                if next((x for x in s if x), 0) == 1)
+    def line_seeds(self, n):
+        return modp.line_seeds(n, self.p)
 
-    def spin_up(self, seed, acts, n):
-        return modp.spin_up(seed, acts, n, self.p)
+    def spin_up(self, seed, acts, n, bound):
+        return modp.spin_up(seed, acts, n, self.p, bound)
 
     def unpack_form(self, form, n, m):
         return form
@@ -121,6 +123,9 @@ class FpOps:
 
     def add(self, a, b, c=1):
         return tuple((x + c * y) % self.p for x, y in zip(a, b))
+
+    def delete_coordinate(self, mat, i):
+        return tuple(r[:i] + r[i + 1:] for j, r in enumerate(mat) if j != i)
 
 
 _F2 = F2Ops()

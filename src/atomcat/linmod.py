@@ -9,19 +9,25 @@ that color.
 Submodules are action-invariant row spaces kept in reduced row-echelon
 form; the whole submodule lattice of a module is enumerated by joining
 each distinct cyclic submodule in turn into the members found so far.
-The cyclic scan closes one seed per line, (p^dim - 1)/(p - 1) of them,
-since a seed and its nonzero multiples span the same submodule, and its
-budget counts those lines.  That enumeration is exact and exponential, so it is
-budget-guarded; the cheaper entry points (one minimal submodule,
-composition factors, the structure report) avoid it where the
-structure allows.
+The cyclic scan finds those in one pass over the lines, one seed per
+line, (p^dim - 1)/(p - 1) of them, since a seed and its nonzero
+multiples span the same submodule: the field kernel's
+`cyclic_submodules` closes each strongly connected component of the
+graph from a seed to the lines of its images once, and its budget
+counts the lines.  That enumeration is exact and exponential, so it is
+budget-guarded, and the budget is checked before anything is built;
+the cheaper entry points (one minimal submodule, composition factors,
+the structure report) avoid it where the structure allows, and a
+composition series peels each coordinate eigenline off the action
+rows.
 
 Structure store: the answers that depend only on a module's action
 matrices are computed once per process and kept in `_STORE`, keyed by
 `FdModule.key()` = (p, dim, the action matrices), so every module with
 equal actions shares them whatever its basis labels.  An entry holds
-the distinct cyclic submodules (scan order), the minimal submodules and,
-per budget, the lattice and the composition series, all as bare
+the distinct cyclic submodules under "cyclic" (in the order of their
+first line seed), the minimal submodules and, per budget, the lattice
+and the composition series, all as bare
 (basis, pivots) rows and action matrices with no parent module, plus
 the canonical simple form that `atomspec` names atoms by.  It also
 holds, under ("subquotient", lower basis, upper basis), each
@@ -229,14 +235,10 @@ def _check_seeds(module, budget):
 
 
 def _scan_cyclic(module):
-    ops = module.ops
-    n = module.dim
-    acts = module.action_stack()
-    seen = {}
-    for vec in ops.line_seeds(n):
-        basis, piv = ops.cyclic_closure(vec, acts, n)
-        seen.setdefault(basis, (basis, piv))
-    return tuple(seen.values())
+    """The distinct cyclic submodules' rows in the order of their first
+    line seed, from the field kernel's one pass over the image graph of
+    the seeds (`cyclic_submodules`)."""
+    return module.ops.cyclic_submodules(module.action_stack(), module.dim)
 
 
 def _distinct_cyclic(module, budget):
@@ -407,29 +409,47 @@ def find_one_minimal(module, budget=DEFAULT_BUDGET):
 
     Fast path: common-eigenvector lines, which cover every construction
     in this package.  A coordinate line among them comes first (the
-    lowest coordinate): in a quiver module it is a sink vertex, so a
-    module that is triangular (a DAG plus loops) is peeled sink by sink
-    and each factor is labelled by its own vertex.  Fallback: scan all
-    cyclic submodules (budgeted); a smallest one is minimal.
+    lowest coordinate, `_coordinate_eigenline`): in a quiver module it
+    is a sink vertex, so a module that is triangular (a DAG plus loops)
+    is peeled sink by sink and each factor is labelled by its own
+    vertex.  Fallback: scan all cyclic submodules (budgeted); a
+    smallest one is minimal.
     """
     if module.dim == 0:
         return None
     ops = module.ops
     n = module.dim
+    line = _coordinate_eigenline(module)
+    if line is not None:
+        return Submodule(module, (ops.unit_vec(line[0], n),), (line[0],))
     leaves = _eigen_leaves(module)
-    # a common eigenspace holds the unit vector e_i iff its rref row at
-    # pivot i is e_i
-    units = [i for basis, piv in leaves for row, i in zip(basis, piv)
-             if row == ops.unit_vec(i, n)]
-    if units:
-        i = min(units)
-        return Submodule(module, (ops.unit_vec(i, n),), (i,))
     if leaves:
         basis, _ = min(leaves)
         b, piv = ops.rref(basis[:1], n)
         return Submodule(module, b, piv)
     cyclics = _distinct_cyclic(module, budget)
     return min(cyclics, key=Submodule.key)
+
+
+def _coordinate_eigenline(module):
+    """The lowest i whose unit vector e_i every color maps to a multiple
+    of itself, with the nonzero multiples as (color, 1 x 1 matrix)
+    pairs, colors sorted; None when there is no such i.  e_i A is row i
+    of A, so this reads the rows: e_i spans a submodule exactly when
+    row i of every action lies on its line."""
+    ops, n, colors = module.ops, module.dim, module.colors
+    for i in range(n):
+        unit = (ops.unit_vec(i, n),), (i,)
+        scalars = []
+        for c in colors:
+            s = ops.coords(module.actions[c][i], *unit, n)
+            if s is None:
+                break
+            if not ops.is_zero(s):
+                scalars.append((c, (s,)))
+        else:
+            return i, tuple(scalars)
+    return None
 
 
 def minimal_submodules(module, budget=DEFAULT_BUDGET):
@@ -473,15 +493,39 @@ def _factor_series(module, budget):
     """The composition series without labels, each factor stored as a
     subquotient is: the indices into `module.basis_labels` of its basis
     labels and its (color, matrix) pairs (the peel runs on a copy
-    labelled by index)."""
+    labelled by index).
+
+    Each step peels `find_one_minimal`'s submodule, read off the rows
+    when it is a coordinate eigenline: the factor is then that line's
+    scalars, and the quotient deletes coordinate i from every action
+    (colors that become zero are dropped), which is what
+    `quotient_module` gives, with no nullspace or quotient built.
+    """
     current = indexed_copy(module)
     out = []
     while current.dim > 0:
-        k = find_one_minimal(current, budget)
-        factor = submodule_as_module(k)
-        out.append((factor.basis_labels, tuple(factor.actions.items())))
-        current = quotient_module(current, k)
+        line = _coordinate_eigenline(current)
+        if line is None:
+            k = find_one_minimal(current, budget)
+            factor = submodule_as_module(k)
+            out.append((factor.basis_labels, tuple(factor.actions.items())))
+            current = quotient_module(current, k)
+        else:
+            i, scalars = line
+            out.append(((current.basis_labels[i],), scalars))
+            current = _without_coordinate(current, i)
     return tuple(out)
+
+
+def _without_coordinate(module, i):
+    """The quotient of the module by the invariant line of e_i: row and
+    column i deleted from every action, basis label i dropped, and the
+    colors that become zero left out."""
+    ops, labels = module.ops, module.basis_labels
+    actions = ((c, ops.delete_coordinate(module.actions[c], i))
+               for c in module.colors)
+    return FdModule(module.field, module.dim - 1, labels[:i] + labels[i + 1:],
+                    {c: a for c, a in actions if not all(map(ops.is_zero, a))})
 
 
 def indexed_copy(module):

@@ -10,6 +10,10 @@ unique for the space.  They are correct at p = 2 too, which makes them
 an independent check of `bitmat` in the tests.
 """
 
+from itertools import product
+
+from .quiver import _tarjan
+
 
 def _reduced(row, basis, p):
     """`row` with the pivot columns of a reduced `basis` (pivot -> row)
@@ -69,21 +73,70 @@ def vec_mat(v, act, p):
     return tuple(x % p for x in out)
 
 
-def cyclic_closure(seed, acts, p):
-    """Smallest row space containing `seed` and invariant under every
-    matrix in `acts`; returns (basis, pivots) in rref.  Every admitted
-    vector gets each action applied once."""
-    basis = {}
-    pending = []
-    if any(seed):
-        pending.append(_admit(seed, basis, p))
-    while pending:
-        v = pending.pop()
+def line_seeds(n, p):
+    """One vector per line of GF(p)^n, the one with leading coordinate
+    1, in lexicographic order."""
+    return (s for s in product(range(p), repeat=n)
+            if next((x for x in s if x), 0) == 1)
+
+
+def cyclic_submodules(acts, n, p):
+    """The distinct cyclic submodules of GF(p)^n under `acts`, each
+    (basis, pivots) in rref, listed at their first seed of
+    `line_seeds(n, p)`: `bitmat.cyclic_submodules` over tuple rows, on
+    the image graph of the lines, seed s -> the line of s A for each A
+    in `acts` (a nonzero image scaled to leading coordinate 1)."""
+    seeds = tuple(line_seeds(n, p))
+    index = {s: i for i, s in enumerate(seeds)}
+    succ = []
+    for s in seeds:
+        out = []
         for act in acts:
-            u = _reduced(vec_mat(v, act, p), basis, p)
-            if any(u):
-                pending.append(_admit(u, basis, p))
-    return _sorted(basis)
+            w = vec_mat(s, act, p)
+            lead = next((x for x in w if x), 0)
+            if lead:
+                inv = pow(lead, p - 2, p)
+                out.append(index[tuple(x * inv % p for x in w)])
+        succ.append(out)
+    full = (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+            tuple(range(n)))
+    closure, spaces = [None] * len(seeds), {}
+    for comp in _tarjan(succ, len(seeds)):
+        rows, first, space = [], None, None  # as in `bitmat`
+        for i in comp:
+            rows.append(seeds[i])
+            for j in succ[i]:
+                c = closure[j]
+                if c is None or c is first:
+                    continue
+                if c is full:
+                    space = full
+                    break
+                if first is None:
+                    first = c
+                else:
+                    rows += c[0]
+            if space:
+                break
+        if space is None:
+            first = first or ((), ())
+            basis = dict(zip(first[1], first[0]))
+            for row in rows:
+                row = _reduced(row, basis, p)
+                if any(row):
+                    _admit(row, basis, p)
+                    if len(basis) == n:
+                        break
+            if len(basis) == n:
+                space = full
+            elif len(basis) > len(first[0]):
+                space = _sorted(basis)
+                space = spaces.setdefault(space, space)
+            else:
+                space = first
+        for i in comp:
+            closure[i] = space
+    return tuple({id(c): c for c in closure}.values())
 
 
 def nullspace(mat, ncols, p):
@@ -117,13 +170,15 @@ def coords_in_basis(row, basis, pivots, p):
     return tuple(row[q] for q in pivots)
 
 
-def spin_up(seed, acts, k, p):
+def spin_up(seed, acts, k, p, bound):
     """Parker's standard basis (the Meat-Axe) spun up from `seed`: the
     images of each basis vector in turn under `acts` join the basis when
     independent of it.  They reduce against a semi-echelon copy of the
     basis that tracks coordinates, so form[i][j], the coordinates of
     the image of basis vector i under action j, is row i of action j in
-    the new basis."""
+    the new basis.  With a form `bound`, None as soon as the form built
+    so far exceeds the same leading entries of `bound`: the whole form
+    would exceed it."""
     basis, echelon = [], []  # echelon rows: (pivot, row, coordinates)
 
     def coords_of(w):
@@ -147,9 +202,16 @@ def spin_up(seed, acts, k, p):
         return tuple(int(j == m) for j in range(k))
 
     coords_of(seed)
-    form = []
-    for b in basis:  # also visits the vectors appended on the way
-        form.append(tuple(coords_of(vec_mat(b, a, p)) for a in acts))
+    form, tie = [], bound is not None
+    for i, b in enumerate(basis):  # also visits the vectors appended
+        row = []
+        for j, a in enumerate(acts):
+            row.append(coords_of(vec_mat(b, a, p)))
+            if tie:
+                if row[-1] > bound[i][j]:
+                    return None
+                tie = row[-1] == bound[i][j]
+        form.append(tuple(row))
     if len(basis) != k:
         raise ValueError("a simple module is spun up by every seed")
     return tuple(form)

@@ -332,9 +332,14 @@ def _bundle_quiver(vertices, colors, arrows, bundles, blocks):
 
 
 def _expand(bundles):
-    """The bundles' arrows, bundle by bundle, row by row."""
+    """The bundles' arrows, bundle by bundle, row by row.  A
+    `BundleColors` shared by several bundles is rendered once, and its
+    color strings are shared by their arrows."""
+    rendered = {}  # id -> (the BundleColors, kept alive, and its rows)
     for sources, targets, colors in bundles:
-        for v, row in zip(sources, colors.rows()):
+        if id(colors) not in rendered:
+            rendered[id(colors)] = colors, list(colors.rows())
+        for v, row in zip(sources, rendered[id(colors)][1]):
             yield from zip(repeat(v), targets, row, repeat(1))
 
 

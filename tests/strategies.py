@@ -1,8 +1,10 @@
 """Hypothesis strategies, small modules and submodule helpers shared by
 the test modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
+import dense_modp
 from atomcat import linalg
 from atomcat.generators import truncate, union_term
 from atomcat.linmod import FdModule, FieldSpec, Submodule
@@ -20,6 +22,27 @@ def valued_quivers(draw, p, max_vertices, dag=False):
               for i, v in enumerate(vs) for j, w in enumerate(vs)
               for c in cs if (i <= j or not dag) and draw(st.booleans())]
     return make_quiver(vs, cs, arrows)
+
+
+@st.composite
+def sparse_quivers(draw, p, max_vertices, dag=False):
+    """At most two valued arrows per vertex: sparse quivers have the
+    largest lattices, with sums of three or more cyclic submodules, and
+    often two isomorphic simple summands; with `dag`, only loops and
+    arrows from a vertex to a later one."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    triples = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs),
+                                      st.sampled_from(("c0", "c1"))),
+                            max_size=2 * len(vs), unique=True))
+    return make_quiver(vs, ["c0", "c1"], [
+        (*t, draw(st.integers(1, p - 1))) for t in triples
+        if not dag or vs.index(t[0]) <= vs.index(t[1])])
+
+
+def mixed_quivers(p, max_vertices, dag=False):
+    """Dense (`valued_quivers`) or sparse (`sparse_quivers`) draws."""
+    return st.one_of(valued_quivers(p, max_vertices, dag),
+                     sparse_quivers(p, max_vertices, dag))
 
 
 def disjoint_union(quivers, names=None):
@@ -47,11 +70,15 @@ def contains_vec(sub, vec):
 
 
 def cyclic_submodule(module, vec):
-    """The smallest submodule holding the packed row vec, by the
-    field kernel's `cyclic_closure`."""
-    basis, piv = module.ops.cyclic_closure(vec, module.action_stack(),
-                                           module.dim)
-    return Submodule(module, basis, piv)
+    """The smallest submodule holding the packed row vec, by the dense
+    oracle `dense_modp.cyclic_closure`."""
+    ops, n, p = module.ops, module.dim, module.field.p
+    acts = [np.array(ops.unpack(a, n), dtype=np.int64).reshape(n, n)
+            for a in module.action_stack()]
+    basis, piv = dense_modp.cyclic_closure(
+        np.array(ops.unpack((vec,), n)[0], dtype=np.int64), acts, p)
+    return Submodule(module, ops.pack(basis.tolist(), n),
+                     tuple(map(int, piv)))
 
 
 def is_action_closed(sub):

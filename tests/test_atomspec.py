@@ -19,7 +19,7 @@ from atomcat.ordertop import poset_of_topology
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
 from strategies import (disjoint_union, irreducible_plus_line,
-                        nonzero_members, valued_quivers)
+                        mixed_quivers, nonzero_members)
 
 GF2 = FieldSpec(2)
 
@@ -768,7 +768,7 @@ def test_property_monoform_matches_brute_oracle(data):
     the literal definition on every submodule and quotient."""
     from atomcat.linmod import quotient_module
     p = data.draw(st.sampled_from((2, 3)))
-    q = data.draw(valued_quivers(p, 4 if p == 2 else 3))
+    q = data.draw(mixed_quivers(p, 4 if p == 2 else 3))
     m = module_of_quiver(q, FieldSpec(p))
     for s in submodule_lattice(m):
         for h in (submodule_as_module(s), quotient_module(m, s)):
@@ -810,7 +810,7 @@ def test_property_block_path_matches_whole_module_factors(data):
                                 strong_components)
     p = data.draw(st.sampled_from((2, 3)))
     dag = data.draw(st.booleans())
-    q = data.draw(valued_quivers(p, 6 if p == 2 else 4, dag))
+    q = data.draw(mixed_quivers(p, 6 if p == 2 else 4, dag))
     field = FieldSpec(p)
     blocks = spectrum(q, field).atoms
     whole = _dedupe_simples((f, [i]) for f, i in composition_factors(
@@ -879,7 +879,7 @@ def test_property_warm_store_matches_cleared_store(data):
     from atomcat import linmod
     from atomcat.linmod import quotient_module
     p = data.draw(st.sampled_from((2, 3)))
-    q = data.draw(valued_quivers(p, 4 if p == 2 else 3))
+    q = data.draw(mixed_quivers(p, 4 if p == 2 else 3))
 
     def modules():
         m = module_of_quiver(q, FieldSpec(p))

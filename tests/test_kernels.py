@@ -3,9 +3,11 @@ numpy RREF oracle and against `modp` run at p = 2, and the `modp`
 tuple-row kernel against the dense numpy routines of `dense_modp` at
 p = 3 and 5."""
 
+import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,17 +84,71 @@ def test_rref_matches_dense_oracle(dense):
     assert np.array_equal(unpack_rows(basis, dense.shape[1]), oracle)
 
 
+def line_seeds(n, p):
+    """Every line of GF(p)^n once, as a dense vector, in the kernels'
+    seed order: at p = 2 the ints 1, 2, ..., 2**n - 1 read bit j as
+    coordinate j; at odd p the vectors with leading coordinate 1,
+    lexicographically."""
+    if p == 2:
+        return [[v >> j & 1 for j in range(n)] for v in range(1, 1 << n)]
+    return [list(s) for s in itertools.product(range(p), repeat=n)
+            if next((x for x in s if x), 0) == 1]
+
+
+def dense_closure(seed, acts, n, p):
+    """`dense_modp.cyclic_closure` of a dense seed as (rows, pivots)
+    lists."""
+    basis, piv = dense_modp.cyclic_closure(
+        np.array(seed, dtype=np.int64),
+        [np.array(a, dtype=np.int64).reshape(n, n) for a in acts], p)
+    return basis.tolist(), piv.tolist()
+
+
+def dense_cyclic_submodules(acts, n, p):
+    """Oracle: the dense closure of every line seed, the distinct ones
+    in the order of their first seed."""
+    out = {}
+    for seed in line_seeds(n, p):
+        basis, piv = dense_closure(seed, acts, n, p)
+        out.setdefault((tuple(map(tuple, basis)), tuple(piv)), None)
+    return [(list(map(list, b)), list(q)) for b, q in out]
+
+
+def kernel_cyclic_submodules(acts, n, p):
+    """`cyclic_submodules` of the field's kernel on dense actions, as
+    (rows, pivots) lists."""
+    ops = ops_for(p)
+    got = ops.cyclic_submodules([ops.pack(a, n) for a in acts], n)
+    return [(ops.unpack(b, n), list(q)) for b, q in got]
+
+
+def least_holding(subs, seed, p):
+    """The smallest of the (rows, pivots) submodules whose span holds
+    the dense seed: the cyclic submodule of the seed when `subs` lists
+    every cyclic submodule."""
+    holding = [(b, q) for b, q in subs if not dense_modp.reduce_row(
+        seed, np.array(b, dtype=np.int64).reshape(len(b), len(seed)),
+        q, p).any()]
+    return min(holding, key=lambda s: len(s[0]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(actions_and_seed())
 def test_cyclic_closure_matches_modp_at_p2(case):
+    # the cyclic submodule of a seed, read off each kernel's scan at
+    # p = 2, is the dense oracle's closure of the seed
     acts, seed = case
     n = len(seed)
-    basis, pivots = bitmat.cyclic_closure(
-        pack_rows(seed)[0], [pack_rows(a) for a in acts])
-    want, wpiv = modp.cyclic_closure(seed.tolist(),
-                                     [a.tolist() for a in acts], 2)
-    assert list(pivots) == list(wpiv)
-    assert unpack_rows(basis, n).tolist() == [list(r) for r in want]
+    acts = [a.tolist() for a in acts]
+    want = dense_closure(seed.tolist(), acts, n, 2)
+    scans = [kernel_cyclic_submodules(acts, n, 2)]
+    if n <= 8:  # the tuple-row scan of 2**12 lines takes a while
+        scans.append([(list(map(list, b)), list(q))
+                      for b, q in modp.cyclic_submodules(acts, n, 2)])
+        assert sorted(scans[0]) == sorted(scans[1])
+    for subs in scans:
+        if seed.any():
+            assert least_holding(subs, seed.tolist(), 2) == tuple(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -130,14 +186,80 @@ def test_spin_up_matches_modp_at_p2_for_every_seed(case):
     packed = [pack_rows(a) for a in acts]
     keys, forms = [], []
     for seed in range(1, 1 << k):
-        keys.append(bitmat.spin_up(seed, packed, k))
+        keys.append(bitmat.spin_up(seed, packed, k, None))
         forms.append(modp.spin_up(tuple(seed >> t & 1 for t in range(k)),
-                                  [a.tolist() for a in acts], k, 2))
+                                  [a.tolist() for a in acts], k, 2, None))
         assert bitmat.unpack_form(keys[-1], k, len(acts)) == forms[-1]
     # int keys order the seeds as the coordinate tuples do
     seeds = range(len(keys))
     assert (sorted(seeds, key=keys.__getitem__)
             == sorted(seeds, key=forms.__getitem__))
+
+
+def bounded_least(spin_up, seeds):
+    """The least form as `atomspec.canonical_simple_form` finds it: each
+    spin-up bounded by the least form so far."""
+    best = None
+    for seed in seeds:
+        form = spin_up(seed, best)
+        if form is not None:
+            best = form
+    return best
+
+
+@st.composite
+def gf3_simples(draw):
+    """Dense actions of a simple module over GF(3): a k-cycle with
+    nonzero weights, a nonzero loop on the first line and up to two
+    random colors, in a drawn order (simple as in `gf2_simples`)."""
+    k = draw(st.integers(1, 5))
+    cycle = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        cycle[i, (i + 1) % k] = draw(st.integers(1, 2))
+    loop = np.zeros((k, k), dtype=np.int64)
+    loop[0, 0] = draw(st.integers(1, 2))
+    acts = [cycle, loop] + [
+        np.array(draw(st.lists(st.integers(0, 2), min_size=k * k,
+                               max_size=k * k))).reshape(k, k)
+        for _ in range(draw(st.integers(0, 2)))]
+    return k, draw(st.permutations(acts))
+
+
+# simples whose endomorphism ring is GF(4) or GF(9): every seed spins up
+# to the least form, so each seed ties with the bound
+TIED = [(2, [[[0, 1], [1, 1]]]), (3, [[[0, 2], [1, 0]]]),
+        (3, [[[0, 2], [1, 0]], [[1, 1], [2, 1]]])]
+
+
+def check_bounded_least(p, k, acts):
+    """The bounded least form equals the unbounded min over every seed,
+    in the field's kernel and, at p = 2, in `modp` as well."""
+    seeds = list(ops_for(p).line_seeds(k))
+    if p == 2:
+        packed = [pack_rows(a) for a in acts]
+        want = min(bitmat.spin_up(s, packed, k, None) for s in seeds)
+        assert bounded_least(lambda s, b: bitmat.spin_up(s, packed, k, b),
+                             seeds) == want
+        seeds = [tuple(s >> t & 1 for t in range(k)) for s in seeds]
+    rows = [np.asarray(a).tolist() for a in acts]
+    want = min(modp.spin_up(s, rows, k, p, None) for s in seeds)
+    assert bounded_least(lambda s, b: modp.spin_up(s, rows, k, p, b),
+                         seeds) == want
+    return [modp.spin_up(s, rows, k, p, None) for s in seeds].count(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(gf2_simples().map(lambda c: (2, *c)),
+                 gf3_simples().map(lambda c: (3, *c))))
+def test_bounded_spin_ups_keep_the_least_form(case):
+    check_bounded_least(*case)
+
+
+@pytest.mark.parametrize("p, acts", TIED)
+def test_bounded_spin_ups_keep_the_least_form_through_ties(p, acts):
+    k = len(acts[0])
+    assert check_bounded_least(p, k, acts) == len(
+        list(ops_for(p).line_seeds(k)))
 
 
 def test_lattice_order_is_dim_then_rows():
@@ -183,16 +305,17 @@ def test_vec_mat_matches_dense():
 
 
 def test_cyclic_closure_nilpotent_chain():
-    # single color shifting e0 -> e1 -> e2 -> 0
-    n = 3
-    act_dense = np.zeros((n, n), dtype=np.uint8)
-    act_dense[0, 1] = 1
-    act_dense[1, 2] = 1
-    act = pack_rows(act_dense)
-    basis, pivots = bitmat.cyclic_closure(0b001, [act])
-    assert len(basis) == 3
-    basis2, _ = bitmat.cyclic_closure(0b100, [act])
-    assert len(basis2) == 1
+    # single color shifting e0 -> e1 -> e2 -> 0: the seeds e0, e1 and e2
+    # close to the three tails, listed in seed order: e0 first at p = 2
+    # (seeds 1, 2, 4), e2 first at p = 3 (lexicographic)
+    act = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    tails = [([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2]),
+             ([[0, 1, 0], [0, 0, 1]], [1, 2]), ([[0, 0, 1]], [2])]
+    for p, order in ((2, tails), (3, tails[::-1])):
+        assert kernel_cyclic_submodules([act], 3, p) == order
+        assert dense_cyclic_submodules([act], 3, p) == order
+        for seed, tail in zip(([1, 0, 0], [0, 1, 0], [0, 0, 1]), tails):
+            assert dense_closure(seed, [act], 3, p) == tail
 
 
 def test_nullspace():
@@ -252,12 +375,12 @@ def test_line_seeds():
 # -- the GF(p) tuple-row kernel against the dense oracle ---------------------
 
 @st.composite
-def fp_cases(draw):
+def fp_cases(draw, max_n=9):
     """A prime, an r x n matrix over GF(p) (random, zero or of full rank
     r <= n, r = 0 included), a vector and up to three n x n actions, all
     as lists of ints in [0, p)."""
     p = draw(st.sampled_from([3, 5]))
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, max_n))
     entry = st.integers(0, p - 1)
 
     def rows(r, m):
@@ -335,15 +458,61 @@ def test_fp_coords_in_basis_match_dense_oracle(case, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(fp_cases())
+@given(fp_cases(max_n=4))
 def test_fp_cyclic_closure_matches_dense_oracle(case):
+    # the scan holds every line of GF(p)^n, so n stays at most 4
     p, n, _, seed, acts = case
-    basis, piv = modp.cyclic_closure(tuple(seed),
-                                     [tuple(map(tuple, a)) for a in acts], p)
-    want, wpiv = dense_modp.cyclic_closure(
-        np.array(seed, dtype=np.int64), [dense(a, n) for a in acts], p)
-    assert list(piv) == wpiv.tolist()
-    assert as_lists(basis) == want.tolist()
+    want = dense_closure(seed, acts, n, p)
+    if any(seed):
+        assert least_holding(kernel_cyclic_submodules(acts, n, p), seed,
+                             p) == tuple(want)
+
+
+@st.composite
+def scan_cases(draw):
+    """A prime, a dimension and up to three actions as dense lists: zero
+    actions, a nilpotent shift, or random entries in a drawn density."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 6 if p == 2 else 4))
+
+    def action():
+        kind = draw(st.sampled_from(["zero", "shift", "sparse", "dense"]))
+        if kind == "zero":
+            return [[0] * n for _ in range(n)]
+        if kind == "shift":
+            return [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        nonzero = st.integers(1, p - 1)
+        entry = (st.one_of(st.just(0), st.just(0), st.just(0), nonzero)
+                 if kind == "sparse" else st.integers(0, p - 1))
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+    return p, n, [action() for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(scan_cases())
+def test_cyclic_submodules_match_dense_closures_of_every_seed(case):
+    p, n, acts = case
+    assert kernel_cyclic_submodules(acts, n, p) == \
+        dense_cyclic_submodules(acts, n, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, acts, count", [
+    (0, [], 0),                               # dim 0
+    (0, [[]], 0),
+    (3, [], None),                            # no colors: every line
+    (3, [[[0] * 3] * 3], None),               # a zero action
+    (4, [[[int(j == i + 1) for j in range(4)] for i in range(4)]], 4),
+    (4, [[[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)],
+         [[int(i == j == 0) for j in range(4)] for i in range(4)]], 1),
+])
+def test_cyclic_submodules_edge_cases(p, n, acts, count):
+    # None: each line is a submodule of its own; a nilpotent shift has
+    # its four tails, a cycle with a loop is simple
+    got = kernel_cyclic_submodules(acts, n, p)
+    assert got == dense_cyclic_submodules(acts, n, p)
+    assert len(got) == (len(line_seeds(n, p)) if count is None else count)
 
 
 def test_fp_lattice_order_is_dim_then_rows():

@@ -26,7 +26,7 @@ import dense_modp
 from iso_oracle import Tristate, is_isomorphic
 from strategies import (contains_vec, cyclic_submodule,
                         irreducible_plus_line, is_action_closed,
-                        nonzero_members, valued_quivers)
+                        mixed_quivers, nonzero_members)
 
 GF2 = FieldSpec(2)
 
@@ -235,26 +235,13 @@ def invariant_subspaces_modp(module):
         for a in acts)}
 
 
-@st.composite
-def sparse_quivers(draw, p, max_vertices):
-    """At most two valued arrows per vertex: sparse quivers have the
-    largest lattices, with sums of three or more cyclic submodules."""
-    vs = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
-    triples = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs),
-                                      st.sampled_from(("c0", "c1"))),
-                            max_size=2 * len(vs), unique=True))
-    return make_quiver(vs, ["c0", "c1"], [
-        (*t, draw(st.integers(1, p - 1))) for t in triples])
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_property_lattice_is_every_invariant_subspace(data):
     # p = 2 on up to 4 vertices against the GF(2) span oracle, p = 3 on
     # up to 3 against the dense mod-p one
     p = data.draw(st.sampled_from((2, 3)))
-    q = data.draw(st.one_of(valued_quivers(p, 4 if p == 2 else 3),
-                            sparse_quivers(p, 4 if p == 2 else 3)))
+    q = data.draw(mixed_quivers(p, 4 if p == 2 else 3))
     m = module_of_quiver(q, FieldSpec(p))
     lat = submodule_lattice(m)
     if p == 2:
@@ -375,7 +362,7 @@ def test_property_structure_report_matches_lattice_oracles(data):
     when the lattice has two members, length the longest chain, socle
     the sum of the lattice-minimal members."""
     p = data.draw(st.sampled_from((2, 3)))
-    q = data.draw(valued_quivers(p, 4 if p == 2 else 3))
+    q = data.draw(mixed_quivers(p, 4 if p == 2 else 3))
     m = module_of_quiver(q, FieldSpec(p))
     lat = submodule_lattice(m)
     for s in lat:
@@ -385,6 +372,84 @@ def test_property_structure_report_matches_lattice_oracles(data):
             assert rep.is_simple == (len(submodule_lattice(h)) == 2)
             assert rep.composition_length == longest_chain(h)
             assert rep.socle.key() == lattice_socle(h).key()
+
+
+def peel_oracle(module, budget=50_000):
+    """Oracle for `composition_factors`: the peel through nullspaces and
+    quotient modules.  Each step takes the lowest coordinate line in a
+    common eigenspace (`_eigen_leaves`, one nullspace per color and
+    scalar), else the least eigenspace's first row, else a smallest
+    cyclic submodule, and quotients by it with `quotient_module`.
+    Returns the factors as (key, basis labels)."""
+    from atomcat.linmod import _distinct_cyclic, _eigen_leaves
+    out = []
+    while module.dim:
+        ops, n = module.ops, module.dim
+        leaves = _eigen_leaves(module)
+        units = [i for basis, piv in leaves for row, i in zip(basis, piv)
+                 if row == ops.unit_vec(i, n)]
+        if units:
+            i = min(units)
+            k = Submodule(module, (ops.unit_vec(i, n),), (i,))
+        elif leaves:
+            k = Submodule(module, *ops.rref(min(leaves)[0][:1], n))
+        else:
+            k = min(_distinct_cyclic(module, budget), key=Submodule.key)
+        factor = submodule_as_module(k)
+        out.append((factor.key(), factor.basis_labels))
+        module = quotient_module(module, k)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_factors_match_the_peel_oracle(data):
+    """Factor order, actions and labels, on a quiver module and on every
+    submodule and quotient of it."""
+    p = data.draw(st.sampled_from((2, 3)))
+    q = data.draw(mixed_quivers(p, 5 if p == 2 else 3))
+    m = module_of_quiver(q, FieldSpec(p))
+    for h in [m] + [f(s) for s in submodule_lattice(m) for f in (
+            submodule_as_module, lambda s: quotient_module(m, s))]:
+        assert [(f.key(), f.basis_labels) for f, _ in
+                composition_factors(h)] == peel_oracle(h)
+
+
+def test_scan_memory_is_bounded():
+    # one pass over the 16,383 lines of a 14-dimensional module with
+    # three colors: per-line images, successors and Tarjan's arrays
+    import tracemalloc
+    from atomcat import harness
+    from atomcat.linmod import _scan_cyclic
+    m = module_of_quiver(harness.random_quiver(15, 14, 3, 0.15), GF2)
+    assert (m.dim, len(m.actions)) == (14, 3)
+    tracemalloc.start()
+    try:
+        _scan_cyclic(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("fn", [minimal_submodules, submodule_lattice,
+                                lambda m: is_essential(full_submodule(m), m)])
+def test_over_budget_scan_refuses_before_allocating(fn):
+    # a 17-cycle at p = 2: 131,071 lines, past the default budget
+    import tracemalloc
+    vs = [f"v{i:02d}" for i in range(17)]
+    m = module_of_quiver(make_quiver(
+        vs, ["c"], [(vs[i], vs[(i + 1) % 17], "c") for i in range(17)]), GF2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as ei:
+            fn(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.context == {"seeds": 2 ** 17 - 1, "budget": 50_000}
+    assert ei.value.partial is None
+    assert peak < 2 ** 16
 
 
 def test_seed_budget_counts_lines():

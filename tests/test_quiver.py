@@ -644,6 +644,27 @@ def test_bundle_quiver_equals_make_quiver_of_its_arrows():
     assert blocks_with_arrows(q) == [(whole, want.arrows)]
 
 
+def test_shared_bundle_colors_render_once_per_expansion():
+    # three bundles share one BundleColors, as every occurrence of a
+    # composite does: its four colors are rendered once, not per bundle
+    calls = []
+
+    def render(tag, v, w):
+        calls.append((v, w))
+        return f"{tag}:{v}>{w}"
+
+    colors = BundleColors(render, "t", ("a", "b"), ("x", "y"))
+    bundles = [((f"{k}a", f"{k}b"), (f"{k}x", f"{k}y"), colors)
+               for k in range(3)]
+    vertices = [v for s, t, _ in bundles for v in (*s, *t)]
+    q = _bundle_quiver(vertices, [], [], bundles, [])
+    assert len(q.arrows) == 12 and len(calls) == 4
+    assert {c for _, _, c, _ in q.arrows} == {
+        "t:a>x", "t:a>y", "t:b>x", "t:b>y"}
+    # each color is one string, shared by the three bundles' arrows
+    assert len({id(c) for _, _, c, _ in q.arrows}) == 4
+
+
 def test_strong_components_of_a_long_path_and_cycle():
     # deeper than any recursion limit would allow
     n = 5000
