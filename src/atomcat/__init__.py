@@ -11,14 +11,14 @@ brute force on finite truncations.
 
 from .atomspec import (Atom, AtomSet, SpectrumReport, aass, asupp,
                        is_monoform, is_uniform, spectrum)
-from .generators import (chain, gen_noatom, gen_realization_acc,
+from .generators import (gen_noatom, gen_realization_acc,
                          gen_realization_general, preset, PRESET_NAMES,
                          substitute)
 from .linmod import (FdModule, FieldSpec, Submodule, SubmoduleSet, hom_basis,
                      is_essential, module_of_quiver, structure_report,
                      submodule_lattice, subquotient)
 from .ordertop import (FiniteTopology, Poset, alexandroff_of_poset,
-                       is_kolmogorov, normalize_poset, poset_invariants,
+                       is_kolmogorov, j_sets, normalize_poset,
                        poset_of_topology, topology_of_opens)
 from .predictor import (DiffReport, SymbolicSpectrum, crosscheck,
                         predict_noatom, predict_preset, predict_realization)

@@ -10,12 +10,11 @@ sorted by pivot, where a row's pivot is its lowest set bit, and no
 other row has a bit at that column.  The basis tuple together with its
 ascending pivot tuple is unique for the space, so the tuple itself is
 the hashable key of a row space.  Dense 0/1 rows come in and go out
-only through `linalg.F2Ops.pack` / `unpack`.
+only through `linalg.F2Ops.pack` / `unpack`.  The field-specific parts
+of the cyclic scan live here, the image graph of the lines
+(`line_graph`) and a row reduction that extends a space (`rref`); the
+loop that closes the graph's components is `linalg.cyclic_submodules`.
 """
-
-from itertools import islice
-
-from .quiver import _tarjan
 
 
 def _reduced(row, basis):
@@ -42,13 +41,21 @@ def _sorted(basis):
     return tuple(basis[p] for p in pivots), pivots
 
 
-def rref(mat):
-    """Fully reduced row-echelon form.  Returns (basis, pivots)."""
-    basis = {}
+def rref(mat, n=None, space=None):
+    """Fully reduced row-echelon form of the rows of an rref `space`
+    (none by default) followed by those of `mat`, stopping at rank n.
+    Returns (basis, pivots), and `space` itself when `mat` adds
+    nothing to it."""
+    basis = {} if space is None else dict(zip(space[1], space[0]))
+    rank = len(basis)
     for row in mat:
         row = _reduced(row, basis)
         if row:
             _admit(row, basis)
+            if len(basis) == n:
+                break
+    if space is not None and len(basis) == rank:
+        return space
     return _sorted(basis)
 
 
@@ -72,72 +79,19 @@ def vec_mat(v, act):
     return out
 
 
-def cyclic_submodules(acts, n):
-    """The distinct cyclic submodules of GF(2)^n under `acts`, each
-    (basis, pivots) in rref, listed at their least seed of
-    `range(1, 2**n)` (every line of GF(2)^n is one nonzero vector).
-
-    One pass over the image graph, seed v -> v A for each A in `acts`.
-    The cyclic submodule of v is span(v) plus those of its images, so
-    the seeds of a strongly connected component share one; each
-    component is closed once (`quiver._tarjan` gives them sinks first),
-    from its members and its successors' closures, and left as soon as
-    it reaches full rank.  Images come by linearity, and node 0, the
-    zero vector, closes to the zero space.
-    """
-    size = 1 << n
+def line_graph(acts, n):
+    """The image graph of the lines of GF(2)^n under `acts`: (seeds,
+    successor lists), node v for the vector v, v -> v A for each A in
+    `acts`.  Every line is one nonzero vector, node 0 is the zero
+    vector, and the images come by linearity."""
     images = []
     for act in acts:
         img = [0]
         for row in act:  # v with top bit i: (v - 2**i) A + row i of A
             img += [w ^ row for w in img]
         images.append(img)
-    succ = list(zip(*images)) or [()] * size
-    del images
-    full = tuple(1 << i for i in range(n)), tuple(range(n))
-    closure, spaces = [None] * size, {}
-    closure[0] = (), ()
-    for comp in _tarjan(succ, size):
-        if not comp[0]:
-            continue
-        # the span of the members and of the successors' closures, from
-        # a copy of the first closure met; it is that closure when
-        # nothing else adds to it
-        rows, first, space = [], None, None
-        for v in comp:
-            rows.append(v)
-            for w in succ[v]:
-                c = closure[w]
-                if c is None or c is first:
-                    continue
-                if c is full:
-                    space = full
-                    break
-                if first is None:
-                    first = c
-                else:
-                    rows += c[0]
-            if space:
-                break
-        if space is None:
-            first = first or ((), ())
-            basis = dict(zip(first[1], first[0]))
-            for row in rows:
-                row = _reduced(row, basis)
-                if row:
-                    _admit(row, basis)
-                    if len(basis) == n:
-                        break
-            if len(basis) == n:
-                space = full
-            elif len(basis) > len(first[0]):
-                space = _sorted(basis)
-                space = spaces.setdefault(space, space)
-            else:
-                space = first
-        for v in comp:
-            closure[v] = space
-    return tuple({id(c): c for c in islice(closure, 1, None)}.values())
+    size = 1 << n
+    return range(size), list(zip(*images)) or [()] * size
 
 
 def nullspace(mat, ncols):

@@ -34,8 +34,8 @@ presets, both poset realizations and the atom-free construction are
 terms: `truncate(acc_term(...))`, `truncate(general_term(...))` and
 `truncate(noatom_term(...))`.  Substitution of quivers lives here too:
 a `ColoredQuiver` is a leaf term of `truncate`, so `substitute` (on any
-skeleton quiver) and `chain` are `truncate` of a composite whose
-blocks are quivers.
+skeleton quiver) is `truncate` of a composite whose blocks are
+quivers.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
@@ -47,7 +47,7 @@ from functools import partial
 
 from .errors import (ColorClash, DepthTooSmall, DuplicateArrow, EmptyRange,
                      MissingBlock, UnknownPreset, WindowTooSmall)
-from .ordertop import normalize_poset, poset_invariants
+from .ordertop import j_sets, normalize_poset
 from .quiver import (BundleColors, ColoredQuiver, GeneratedQuiver,
                      _bundle_quiver, _least_clash)
 from .skeleton import (_composite_blocks, _renamed_blocks, _require_acyclic,
@@ -145,10 +145,10 @@ def acc_term(poset, depth):
     J(p) per other p, the bundle leaving the j-th block of pass i tagged
     (p;i,j).  Each element's term is one object, wherever it occurs."""
     _check_ids(poset.elements)
-    inv = poset_invariants(poset)
+    covers = j_sets(poset)
     terms = {}
     for p in sorted(poset.elements, key=lambda x: (len(poset.up_set(x)), x)):
-        js = sorted(inv.j_sets[p])
+        js = sorted(covers[p])
         if not js:
             terms[p] = Point(f"simple({p})", p,
                              provenance=f"loop point of {p}")
@@ -411,13 +411,6 @@ def substitute(omega, blocks):
     return truncate(Composite(
         tuple(blocks[w] for w in omega.vertices), omega.vertices,
         tuple((at[w], at[w2], mu) for w, w2, mu, _ in omega.arrows))).quiver
-
-
-def chain(blocks, tags=None):
-    """Finite chain of blocks joined by pairwise distinctly colored
-    bundles, `truncate(chain_term(blocks, tags))`.  Nested chains must
-    pass tags that stay clear of the colors minted inside the blocks."""
-    return truncate(chain_term(blocks, tags)).quiver
 
 
 def gen_realization_acc(poset, trunc):

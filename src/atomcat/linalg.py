@@ -9,9 +9,14 @@ only on `len()`, indexing and iteration over rows.  All methods treat
 row spaces as immutable values in fully reduced row-echelon form.
 A dense matrix is a list of int rows with entries in [0, p) in both
 fields; `pack` takes any iterable of int rows and `unpack` gives lists.
+
+The scan of every distinct cyclic submodule is written once, for both
+fields, as `cyclic_submodules`: it reads the graph of the lines from
+the ops' `line_graph` and closes it with the ops' `rref`.
 """
 
 from . import bitmat, modp
+from .quiver import _tarjan
 
 
 class F2Ops:
@@ -30,8 +35,8 @@ class F2Ops:
     def unit_vec(self, i, n):
         return 1 << i
 
-    def rref(self, mat, n):
-        return bitmat.rref(mat)
+    def rref(self, mat, n, space=None):
+        return bitmat.rref(mat, n, space)
 
     def reduce_row(self, row, basis, pivots):
         return bitmat.reduce_row(row, basis, pivots)
@@ -39,8 +44,8 @@ class F2Ops:
     def vec_mat(self, v, act, n):
         return bitmat.vec_mat(v & ((1 << n) - 1), act)
 
-    def cyclic_submodules(self, acts, n):
-        return bitmat.cyclic_submodules(acts, n)
+    def line_graph(self, acts, n):
+        return bitmat.line_graph(acts, n)
 
     def nullspace(self, mat, n):
         return bitmat.nullspace(mat, n)
@@ -88,8 +93,8 @@ class FpOps:
     def unit_vec(self, i, n):
         return (0,) * i + (1,) + (0,) * (n - i - 1)
 
-    def rref(self, mat, n):
-        return modp.rref(mat, self.p)
+    def rref(self, mat, n, space=None):
+        return modp.rref(mat, self.p, n, space)
 
     def reduce_row(self, row, basis, pivots):
         return modp.reduce_row(row, basis, pivots, self.p)
@@ -97,8 +102,8 @@ class FpOps:
     def vec_mat(self, v, act, n):
         return modp.vec_mat(v, act, self.p)
 
-    def cyclic_submodules(self, acts, n):
-        return modp.cyclic_submodules(acts, n, self.p)
+    def line_graph(self, acts, n):
+        return modp.line_graph(acts, n, self.p)
 
     def nullspace(self, mat, n):
         return modp.nullspace(mat, n, self.p)
@@ -157,3 +162,47 @@ def in_span(ops, row, basis, pivots):
 def span_contains(ops, big, big_piv, small, small_piv):
     """Whether the row space `small` is contained in `big`."""
     return all(in_span(ops, row, big, big_piv) for row in small)
+
+
+def cyclic_submodules(ops, acts, n):
+    """The distinct cyclic submodules of GF(p)^n under `acts`, each
+    (basis, pivots) in rref, listed at their first seed of the field's
+    `line_graph`.
+
+    One pass over that graph, from each line's seed to the lines of its
+    images.  The cyclic submodule of a seed is its span plus those of
+    its images, so the seeds of a strongly connected component share
+    one, and each component is closed once (`quiver._tarjan` gives
+    them sinks first): the ops' `rref` extends the first successor
+    closure met by the component's seeds and its other successors'
+    closures, and stops at full rank; a full successor closure ends
+    the component at once.  Equal spaces are one object.  The zero
+    vector (node 0 at p = 2) closes to the zero space, not listed.
+    """
+    seeds, succ = ops.line_graph(acts, n)
+    rref = ops.rref
+    closure, spaces = [None] * len(seeds), {}
+    for comp in _tarjan(succ, len(seeds)):
+        rows, first, space = [], None, None
+        for v in comp:
+            rows.append(seeds[v])
+            for w in succ[v]:
+                c = closure[w]
+                if c is None or c is first:
+                    continue
+                if len(c[1]) == n:
+                    space = c
+                    break
+                if first is None:
+                    first = c
+                else:
+                    rows += c[0]
+            if space is not None:
+                break
+        else:
+            space = rref(rows, n, first)
+            if space is not first:
+                space = spaces.setdefault(space, space)
+        for v in comp:
+            closure[v] = space
+    return tuple({id(c): c for c in closure if c[1]}.values())

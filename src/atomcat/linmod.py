@@ -11,15 +11,14 @@ form; the whole submodule lattice of a module is enumerated by joining
 each distinct cyclic submodule in turn into the members found so far.
 The cyclic scan finds those in one pass over the lines, one seed per
 line, (p^dim - 1)/(p - 1) of them, since a seed and its nonzero
-multiples span the same submodule: the field kernel's
-`cyclic_submodules` closes each strongly connected component of the
-graph from a seed to the lines of its images once, and its budget
-counts the lines.  That enumeration is exact and exponential, so it is
+multiples span the same submodule: `linalg.cyclic_submodules` closes
+each strongly connected component of the field kernel's graph from a
+seed to the lines of its images once, and its budget counts the
+lines.  That enumeration is exact and exponential, so it is
 budget-guarded, and the budget is checked before anything is built;
-the cheaper entry points (one minimal submodule, composition factors,
-the structure report) avoid it where the structure allows, and a
-composition series peels each coordinate eigenline off the action
-rows.
+the cheaper entry points (composition factors, the structure report)
+avoid it where the structure allows, and a composition series peels
+each coordinate eigenline off the action rows.
 
 Structure store: the answers that depend only on a module's action
 matrices are computed once per process and kept in `_STORE`, keyed by
@@ -236,9 +235,10 @@ def _check_seeds(module, budget):
 
 def _scan_cyclic(module):
     """The distinct cyclic submodules' rows in the order of their first
-    line seed, from the field kernel's one pass over the image graph of
-    the seeds (`cyclic_submodules`)."""
-    return module.ops.cyclic_submodules(module.action_stack(), module.dim)
+    line seed, from one pass over the field kernel's image graph of the
+    seeds (`linalg.cyclic_submodules`)."""
+    return linalg.cyclic_submodules(module.ops, module.action_stack(),
+                                    module.dim)
 
 
 def _distinct_cyclic(module, budget):
@@ -404,29 +404,18 @@ def _eigen_leaves(module):
     return leaves
 
 
-def find_one_minimal(module, budget=DEFAULT_BUDGET):
-    """Some minimal (simple) submodule, or None for the zero module.
+def _find_one_minimal(module, budget):
+    """Some minimal (simple) submodule of a nonzero module without a
+    coordinate eigenline (`_coordinate_eigenline`, which
+    `_factor_series` tries first).
 
-    Fast path: common-eigenvector lines, which cover every construction
-    in this package.  A coordinate line among them comes first (the
-    lowest coordinate, `_coordinate_eigenline`): in a quiver module it
-    is a sink vertex, so a module that is triangular (a DAG plus loops)
-    is peeled sink by sink and each factor is labelled by its own
-    vertex.  Fallback: scan all cyclic submodules (budgeted); a
-    smallest one is minimal.
+    Fast path: the common-eigenvector lines.  Fallback: scan all cyclic
+    submodules (budgeted); a smallest one is minimal.
     """
-    if module.dim == 0:
-        return None
-    ops = module.ops
-    n = module.dim
-    line = _coordinate_eigenline(module)
-    if line is not None:
-        return Submodule(module, (ops.unit_vec(line[0], n),), (line[0],))
     leaves = _eigen_leaves(module)
     if leaves:
         basis, _ = min(leaves)
-        b, piv = ops.rref(basis[:1], n)
-        return Submodule(module, b, piv)
+        return Submodule(module, *module.ops.rref(basis[:1], module.dim))
     cyclics = _distinct_cyclic(module, budget)
     return min(cyclics, key=Submodule.key)
 
@@ -495,18 +484,21 @@ def _factor_series(module, budget):
     labels and its (color, matrix) pairs (the peel runs on a copy
     labelled by index).
 
-    Each step peels `find_one_minimal`'s submodule, read off the rows
-    when it is a coordinate eigenline: the factor is then that line's
-    scalars, and the quotient deletes coordinate i from every action
-    (colors that become zero are dropped), which is what
-    `quotient_module` gives, with no nullspace or quotient built.
+    Each step peels the lowest coordinate eigenline, read off the rows
+    (`_coordinate_eigenline`; in a quiver module it is a sink vertex, so
+    a DAG plus loops is peeled sink by sink, each factor labelled by its
+    own vertex): the factor is that line's scalars, and the quotient
+    deletes coordinate i from every action (colors that become zero
+    are dropped), which is what `quotient_module` gives, with no
+    nullspace or quotient built.  A step without one peels
+    `_find_one_minimal`'s submodule.
     """
     current = indexed_copy(module)
     out = []
     while current.dim > 0:
         line = _coordinate_eigenline(current)
         if line is None:
-            k = find_one_minimal(current, budget)
+            k = _find_one_minimal(current, budget)
             factor = submodule_as_module(k)
             out.append((factor.basis_labels, tuple(factor.actions.items())))
             current = quotient_module(current, k)

@@ -6,13 +6,14 @@ bitset kernel (`bitmat`), and these routines mirror its structure: row
 spaces are kept fully reduced, every pivot (a row's first nonzero
 coordinate) is 1 and no other row has a nonzero entry in a pivot
 column, so the sorted basis tuple with its ascending pivot tuple is
-unique for the space.  They are correct at p = 2 too, which makes them
-an independent check of `bitmat` in the tests.
+unique for the space.  As in `bitmat`, the cyclic scan takes its image
+graph of the lines (`line_graph`) and its row reduction (`rref`) from
+here and its loop from `linalg.cyclic_submodules`.  They are correct
+at p = 2 too, which makes them an independent check of `bitmat` in the
+tests.
 """
 
 from itertools import product
-
-from .quiver import _tarjan
 
 
 def _reduced(row, basis, p):
@@ -44,14 +45,21 @@ def _sorted(basis):
     return tuple(basis[q] for q in pivots), pivots
 
 
-def rref(mat, p):
-    """Fully reduced row-echelon form of rows in [0, p).  Returns
-    (basis, pivots)."""
-    basis = {}
+def rref(mat, p, n=None, space=None):
+    """Fully reduced row-echelon form of the rows of an rref `space`
+    (none by default) followed by those of `mat`, rows in [0, p),
+    stopping at rank n.  Returns (basis, pivots), and `space` itself
+    when `mat` adds nothing to it."""
+    basis = {} if space is None else dict(zip(space[1], space[0]))
+    rank = len(basis)
     for row in mat:
         row = _reduced(row, basis, p)
         if any(row):
             _admit(row, basis, p)
+            if len(basis) == n:
+                break
+    if space is not None and len(basis) == rank:
+        return space
     return _sorted(basis)
 
 
@@ -80,12 +88,11 @@ def line_seeds(n, p):
             if next((x for x in s if x), 0) == 1)
 
 
-def cyclic_submodules(acts, n, p):
-    """The distinct cyclic submodules of GF(p)^n under `acts`, each
-    (basis, pivots) in rref, listed at their first seed of
-    `line_seeds(n, p)`: `bitmat.cyclic_submodules` over tuple rows, on
-    the image graph of the lines, seed s -> the line of s A for each A
-    in `acts` (a nonzero image scaled to leading coordinate 1)."""
+def line_graph(acts, n, p):
+    """The image graph of the lines of GF(p)^n under `acts`: (seeds,
+    successor lists), the seeds `line_seeds(n, p)`, seed s -> the line
+    of s A for each A in `acts` (a nonzero image scaled to leading
+    coordinate 1)."""
     seeds = tuple(line_seeds(n, p))
     index = {s: i for i, s in enumerate(seeds)}
     succ = []
@@ -98,45 +105,7 @@ def cyclic_submodules(acts, n, p):
                 inv = pow(lead, p - 2, p)
                 out.append(index[tuple(x * inv % p for x in w)])
         succ.append(out)
-    full = (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-            tuple(range(n)))
-    closure, spaces = [None] * len(seeds), {}
-    for comp in _tarjan(succ, len(seeds)):
-        rows, first, space = [], None, None  # as in `bitmat`
-        for i in comp:
-            rows.append(seeds[i])
-            for j in succ[i]:
-                c = closure[j]
-                if c is None or c is first:
-                    continue
-                if c is full:
-                    space = full
-                    break
-                if first is None:
-                    first = c
-                else:
-                    rows += c[0]
-            if space:
-                break
-        if space is None:
-            first = first or ((), ())
-            basis = dict(zip(first[1], first[0]))
-            for row in rows:
-                row = _reduced(row, basis, p)
-                if any(row):
-                    _admit(row, basis, p)
-                    if len(basis) == n:
-                        break
-            if len(basis) == n:
-                space = full
-            elif len(basis) > len(first[0]):
-                space = _sorted(basis)
-                space = spaces.setdefault(space, space)
-            else:
-                space = first
-        for i in comp:
-            closure[i] = space
-    return tuple({id(c): c for c in closure}.values())
+    return seeds, succ
 
 
 def nullspace(mat, ncols, p):

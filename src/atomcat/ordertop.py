@@ -70,15 +70,6 @@ class Poset:
         return tuple(p for p in self.elements
                      if not any(self.lt(q, p) for q in self.elements))
 
-    def restrict(self, subset):
-        keep = tuple(sorted(subset))
-        missing = set(keep) - set(self.elements)
-        if missing:
-            raise UnknownElement("restriction outside poset",
-                                 elements=sorted(missing))
-        return Poset(keep, frozenset((a, b) for (a, b) in self.le
-                                     if a in subset and b in subset))
-
     def to_json(self):
         return {"elements": list(self.elements),
                 "le": [[a, b] for (a, b) in sorted(self.le) if a != b]}
@@ -264,46 +255,22 @@ def poset_of_topology(topology):
                             for j in range(len(pts)) if u >> j & 1], pts)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    maximal: tuple
-    minimal: tuple
-    has_3chain: bool
-    j_sets: dict
-    covering_ok: bool
-
-
-def poset_invariants(poset):
-    """Maximal/minimal elements, 3-chain existence, and canonical J(p).
-
-    J(p) is fixed as the minimal elements of V(p) minus p itself; on a
-    finite poset that choice always satisfies the covering identity
-    V(p) \\ {p} = union of V(p') over p' in J(p), which is re-checked
-    and reported.
-    """
-    # x < y < z for some x, z iff y has an element strictly below it
-    # and one strictly above: one pass over the order pairs
-    above_some = {y for x, y in poset.le if x != y}
-    has_3chain = any(y in above_some for y, z in poset.le if y != z)
-    j_sets = {}
-    covering_ok = True
+def j_sets(poset):
+    """J(p) for each element p: the minimal elements of the strict
+    up-set V(p) \\ {p}, in element order.  Those are the elements of
+    V(p) \\ {p} above none of the others, and on a finite poset
+    V(p) \\ {p} is the union of V(q) over q in J(p)."""
+    above = {p: set() for p in poset.elements}
+    for a, b in poset.le:
+        if a != b:
+            above[a].add(b)
+    out = {}
     for p in poset.elements:
-        strict_up = [q for q in poset.up_set(p) if q != p]
-        sub = poset.restrict(strict_up) if strict_up else None
-        j = sub.minimal_elements() if sub else ()
-        j_sets[p] = j
-        covered = set()
-        for q in j:
-            covered.update(poset.up_set(q))
-        if covered != set(strict_up):
-            covering_ok = False
-    return InvariantReport(
-        maximal=poset.maximal_elements(),
-        minimal=poset.minimal_elements(),
-        has_3chain=has_3chain,
-        j_sets=j_sets,
-        covering_ok=covering_ok,
-    )
+        up = above[p]
+        higher = set().union(*(above[q] for q in up))
+        out[p] = tuple(q for q in poset.elements
+                       if q in up and q not in higher)
+    return out
 
 
 def canonical_form(poset):

@@ -19,22 +19,16 @@ from .quiver import _expand, _tarjan
 
 
 def _require_acyclic(n, arrows):
-    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1 or
-    a cycle, a loop included, by Kahn's in-degree pass."""
-    entering, succ = [0] * n, [[] for _ in range(n)]
+    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1, a
+    loop, or a strongly connected component of two or more blocks."""
+    succ, looped = [[] for _ in range(n)], False
     for i, j, _ in arrows:
         if not (0 <= i < n and 0 <= j < n):
             raise UnknownVertex("skeleton arrow end outside the blocks",
                                 arrow=[i, j])
         succ[i].append(j)
-        entering[j] += 1
-    ready = [k for k in range(n) if not entering[k]]
-    for k in ready:  # grows while it is read
-        for j in succ[k]:
-            entering[j] -= 1
-            if not entering[j]:
-                ready.append(j)
-    if len(ready) < n:
+        looped = looped or i == j
+    if looped or len(_tarjan(succ, n)) < n:
         raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
 
 

@@ -1,5 +1,6 @@
 """Backtracking poset isomorphism and the pairwise class scan, kept as
-the reference for `ordertop.canonical_form` and `harness.all_posets`.
+the reference for `ordertop.canonical_form` and `harness.all_posets`,
+and the restriction of a poset to a subset.
 
 `poset_isomorphic` tries every profile-respecting map with pruning and
 refuses above ISO_SIZE_CAP elements.  `all_posets` scans every upward
@@ -8,7 +9,7 @@ already kept, so it keeps the first relation of each class.
 """
 
 from atomcat.errors import BudgetExceeded
-from atomcat.ordertop import normalize_poset
+from atomcat.ordertop import Poset, normalize_poset
 
 # the backtracking isomorphism search is exponential; refuse larger posets
 ISO_SIZE_CAP = 8
@@ -85,3 +86,10 @@ def all_posets(n):
         if not any(poset_isomorphic(poset, r) for r in reps):
             reps.append(poset)
     return reps
+
+
+def restrict(poset, subset):
+    """The subposet on the elements of `subset`."""
+    keep = set(subset)
+    return Poset(tuple(sorted(keep)), frozenset(
+        (a, b) for a, b in poset.le if a in keep and b in keep))

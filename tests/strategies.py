@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import dense_modp
 from atomcat import linalg
-from atomcat.generators import truncate, union_term
+from atomcat.generators import chain_term, truncate, union_term
 from atomcat.linmod import FdModule, FieldSpec, Submodule
 from atomcat.quiver import make_quiver
 
@@ -50,6 +50,13 @@ def disjoint_union(quivers, names=None):
     under names[k] (k if None), colors shared rather than renamed."""
     names = range(len(quivers)) if names is None else names
     return truncate(union_term(quivers, names)).quiver
+
+
+def chain(blocks, tags=None):
+    """The blocks on a path, `truncate(chain_term(...))`: block i under
+    bi, joined to block i + 1 by a bundle tagged tags[i], (chain;i) if
+    None."""
+    return truncate(chain_term(blocks, tags)).quiver
 
 
 def irreducible_plus_line(p, labels):

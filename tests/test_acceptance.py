@@ -20,6 +20,7 @@ from atomcat.predictor import (check_preset_claims, crosscheck,
                                predict_noatom, predict_preset,
                                predict_realization)
 from atomcat.quiver import TruncationSpec, make_quiver
+from poset_oracle import restrict
 
 GF2 = FieldSpec(2)
 CFG = RunConfig(seed=20240811)
@@ -118,7 +119,7 @@ def test_criterion_05_realization_acc():
     for p in posets:
         res = predict_realization(p, "acc")
         witness_image = [res.witness[e] for e in p.elements]
-        restricted = res.spectrum.order.restrict(witness_image)
+        restricted = restrict(res.spectrum.order, witness_image)
         assert canonical_form(p)[0] == canonical_form(restricted)[0]
         for e1 in p.elements:
             for e2 in p.elements:
@@ -141,7 +142,7 @@ def test_criterion_06_realization_general():
     for p in posets:
         res = predict_realization(p, "general")
         witness_image = [res.witness[e] for e in p.elements]
-        restricted = res.spectrum.order.restrict(witness_image)
+        restricted = restrict(res.spectrum.order, witness_image)
         assert canonical_form(p)[0] == canonical_form(restricted)[0]
         gen = gen_realization_general(
             p, TruncationSpec(depth=len(p.elements), ladder_range=(0, 0)))

@@ -20,6 +20,7 @@ from atomcat import generators, predictor
 from atomcat.errors import AtomcatError
 from atomcat.harness import all_posets
 from atomcat.quiver import TruncationSpec, make_quiver
+from strategies import chain
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "constructions.json"
 
@@ -103,8 +104,8 @@ def cases():
     yield "union/a,b", lambda: _union_json([a, b], [0, 1])
     yield "union/a,a/named", lambda: _union_json([a, a], ["l", "r"])
     yield "union/empty", lambda: _union_json([], [])
-    yield "chain/a,b", lambda: generators.chain([a, b]).to_json()
-    yield "chain/b,a,b", lambda: generators.chain([b, a, b]).to_json()
+    yield "chain/a,b", lambda: chain([a, b]).to_json()
+    yield "chain/b,a,b", lambda: chain([b, a, b]).to_json()
 
 
 def fingerprint(thunk):

@@ -904,8 +904,7 @@ def test_chain_cyclic_generation_ignores_trailing_blocks():
     # in a chain of blocks with fresh bundle colors, a vector's cyclic
     # submodule is decided by its leading-block part alone
     from atomcat.linmod import FieldSpec, module_of_quiver
-    from atomcat.generators import chain
-    from strategies import cyclic_submodule
+    from strategies import chain, cyclic_submodule
     blk = make_quiver(["u", "w"], ["cl"], [("u", "u", "cl"), ("w", "w", "cl")])
     m = module_of_quiver(chain([blk, blk, blk], tags=["t0", "t1"]),
                          FieldSpec(2))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dense_modp
 from atomcat import bitmat, harness, modp
-from atomcat.linalg import ops_for
+from atomcat.linalg import FpOps, cyclic_submodules, ops_for
 from atomcat.linmod import (FieldSpec, hom_basis, module_of_quiver,
                             submodule_lattice)
 from atomcat.quiver import make_quiver
@@ -118,7 +118,7 @@ def kernel_cyclic_submodules(acts, n, p):
     """`cyclic_submodules` of the field's kernel on dense actions, as
     (rows, pivots) lists."""
     ops = ops_for(p)
-    got = ops.cyclic_submodules([ops.pack(a, n) for a in acts], n)
+    got = cyclic_submodules(ops, [ops.pack(a, n) for a in acts], n)
     return [(ops.unpack(b, n), list(q)) for b, q in got]
 
 
@@ -144,7 +144,7 @@ def test_cyclic_closure_matches_modp_at_p2(case):
     scans = [kernel_cyclic_submodules(acts, n, 2)]
     if n <= 8:  # the tuple-row scan of 2**12 lines takes a while
         scans.append([(list(map(list, b)), list(q))
-                      for b, q in modp.cyclic_submodules(acts, n, 2)])
+                      for b, q in cyclic_submodules(FpOps(2), acts, n)])
         assert sorted(scans[0]) == sorted(scans[1])
     for subs in scans:
         if seed.any():
@@ -421,6 +421,45 @@ def test_fp_rref_and_reduce_row_match_dense_oracle(case):
     assert as_lists(basis) == want.tolist()
     got = modp.reduce_row(tuple(vec), basis, piv, p)
     assert list(got) == dense_modp.reduce_row(vec, want, wpiv, p).tolist()
+
+
+@st.composite
+def rref_extensions(draw):
+    """The ops of F2Ops, FpOps(2) or FpOps(3), a dimension, the dense
+    rows of a space and new dense rows: random, or combinations of the
+    space's rows."""
+    ops = draw(st.sampled_from([ops_for(2), FpOps(2), FpOps(3)]))
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.integers(0, ops.p - 1), min_size=n, max_size=n)
+    old = draw(st.lists(row, max_size=n + 1))
+    if old and draw(st.booleans()):
+        coeffs = draw(st.lists(st.lists(st.integers(0, ops.p - 1),
+                                        min_size=len(old),
+                                        max_size=len(old)), max_size=3))
+        new = ((np.array(coeffs, dtype=np.int64).reshape(-1, len(old))
+                @ dense(old, n)) % ops.p).tolist()
+    else:
+        new = draw(st.lists(row, max_size=n + 2))
+    return ops, n, old, new
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_extensions())
+def test_rref_extends_a_space_like_the_dense_oracle(case):
+    # the rows of the space, then the new rows, in the dense oracle; the
+    # space itself back when they add nothing; at full rank the identity,
+    # with no row read after it (a None row would raise)
+    ops, n, old, new = case
+    space = ops.rref(ops.pack(old, n), n)
+    got = ops.rref(ops.pack(new, n), n, space)
+    want, wpiv = dense_modp.rref(dense(old + new, n), ops.p)
+    assert (ops.unpack(got[0], n), list(got[1])) == \
+        (want.tolist(), wpiv.tolist())
+    assert (got is space) == (len(wpiv) == len(space[1]))
+    if len(space[1]) < len(wpiv) == n:
+        full = ops.rref((*ops.pack(new, n), None), n, space)
+        assert (ops.unpack(full[0], n), list(full[1])) == \
+            (np.eye(n, dtype=int).tolist(), list(range(n)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomcat.errors import BudgetExceeded, NotNested
-from atomcat.linmod import (FdModule, FieldSpec, Submodule,
-                            composition_factors, find_one_minimal,
+from atomcat.linmod import (DEFAULT_BUDGET, FdModule, FieldSpec, Submodule,
+                            _find_one_minimal, composition_factors,
                             full_submodule, hom_basis, is_essential,
                             minimal_submodules, module_of_quiver,
                             quotient_module, structure_report,
@@ -514,7 +514,7 @@ class TestEssentialAndMinimal:
 
     def test_find_one_minimal_is_minimal(self):
         for m in (chain_module(4), loop_point()):
-            k = find_one_minimal(m)
+            k = _find_one_minimal(m, DEFAULT_BUDGET)
             assert k.dim >= 1
             assert any(k.key() == s.key() for s in minimal_submodules(m))
 
@@ -576,7 +576,7 @@ def test_higher_dim_simple_is_found():
     # action [[0,1],[1,1]] is irreducible over GF(2) (no eigenvector)
     m = FdModule(GF2, 2, ("a", "b"),
                  {"c": GF2.ops.pack(np.array([[0, 1], [1, 1]]), 2)})
-    assert find_one_minimal(m).dim == 2
+    assert _find_one_minimal(m, DEFAULT_BUDGET).dim == 2
     mins = minimal_submodules(m)
     assert len(mins) == 1 and mins[0].dim == 2
     assert len(submodule_lattice(m)) == 2

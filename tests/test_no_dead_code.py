@@ -1,10 +1,16 @@
 """Every public module-level function of the library, and every public
-method of a module-level class, has a caller: a `Name` or `Attribute`
-node naming it somewhere in `src/atomcat` or `perfbench/`.  An export
-is not a use: an import into the package namespace by
-`atomcat/__init__.py` names no `Name` node and counts for nothing.
-Tests do not count as callers either, so a function or method that
-only its own tests call fails here: delete it, or give it a use."""
+method of a module-level class, has a caller somewhere in `src/atomcat`
+or `perfbench/`.  Tests do not count as callers, so a function or
+method that only its own tests call fails here: delete it, or give it
+a use.
+
+A function counts as used only where the use reaches its own module: a
+name read inside that module, a `module.name` attribute on a name bound
+to that module by an import, or a name imported from that module
+(`from .module import name`) and then read.  An export is not a use: an
+import into the package namespace by `atomcat/__init__.py` reads no
+name and counts for nothing.  A method counts as used wherever a `Name`
+or `Attribute` node names it."""
 
 import ast
 from pathlib import Path
@@ -27,12 +33,55 @@ def _named(trees):
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def _package_module(node):
+    """The `atomcat` module an `ImportFrom` reads names from: "" for the
+    package itself, None outside it."""
+    if node.level == 0:
+        if node.module == "atomcat":
+            return ""
+        if node.module and node.module.startswith("atomcat."):
+            return node.module[len("atomcat."):]
+        return None
+    return node.module or ""
+
+
+def _reached(tree):
+    """The (module, name) pairs a tree reaches outside its own module:
+    `module.name` attributes and names imported from a module, read."""
+    modules, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _package_module(node)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == "":
+                    modules[local] = alias.name
+                elif source is not None:
+                    imported[local] = (source, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("atomcat."):
+                    modules[alias.asname] = alias.name[len("atomcat."):]
+    out = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.add((modules[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            out.add(imported[node.id])
+    return out
+
+
 def test_every_public_function_has_a_caller():
     src = _trees(SRC)
-    named = _named([*src.values(), *_trees(PERFBENCH).values()])
+    used = set().union(*map(_reached, [*src.values(),
+                                       *_trees(PERFBENCH).values()]))
+    used |= {(module, node.id) for module, tree in src.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{module}.{node.name}" for module, tree in src.items()
               for node in tree.body if isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("_") and node.name not in named]
+              and not node.name.startswith("_")
+              and (module, node.name) not in used]
     assert not unused, ", ".join(unused)
 
 

@@ -72,7 +72,7 @@ class TestChain:
         # brute force confirms: a finite 3-chain of one loop point has a
         # single atom and nothing below it
         from atomcat.atomspec import spectrum
-        from atomcat.generators import chain
+        from strategies import chain
         blk = make_quiver(["v"], ["c"], [("v", "v", "c")])
         rep = spectrum(chain([blk] * 3))
         assert rep.atoms.labels() == ("S(c)",)
