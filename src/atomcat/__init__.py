@@ -12,8 +12,7 @@ brute force on finite truncations.
 from .atomspec import (Atom, AtomSet, SpectrumReport, aass, asupp,
                        is_monoform, is_uniform, spectrum)
 from .generators import (gen_noatom, gen_realization_acc,
-                         gen_realization_general, preset, PRESET_NAMES,
-                         substitute)
+                         gen_realization_general, preset, substitute)
 from .linmod import (FdModule, FieldSpec, Submodule, SubmoduleSet, hom_basis,
                      is_essential, module_of_quiver, structure_report,
                      submodule_lattice, subquotient)
@@ -24,5 +23,6 @@ from .predictor import (DiffReport, SymbolicSpectrum, crosscheck,
                         predict_noatom, predict_preset, predict_realization)
 from .quiver import (ColoredQuiver, GeneratedQuiver, TruncationSpec,
                      full_subquiver, make_quiver, split_by_closed)
+from .terms import PRESET_NAMES
 
 __version__ = "0.1.0"

@@ -41,11 +41,11 @@ def _sorted(basis):
     return tuple(basis[p] for p in pivots), pivots
 
 
-def rref(mat, n=None, space=None):
+def rref(mat, n=None, space=None, full=None):
     """Fully reduced row-echelon form of the rows of an rref `space`
     (none by default) followed by those of `mat`, stopping at rank n.
-    Returns (basis, pivots), and `space` itself when `mat` adds
-    nothing to it."""
+    Returns (basis, pivots), `space` itself when `mat` adds nothing to
+    it, and at rank n the given `full` space."""
     basis = {} if space is None else dict(zip(space[1], space[0]))
     rank = len(basis)
     for row in mat:
@@ -53,7 +53,7 @@ def rref(mat, n=None, space=None):
         if row:
             _admit(row, basis)
             if len(basis) == n:
-                break
+                return full or _sorted(basis)
     if space is not None and len(basis) == rank:
         return space
     return _sorted(basis)

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import replace
 
-from . import generators, harness, predictor
+from . import generators, harness, predictor, terms
 from .atomspec import spectrum
 from .errors import AtomcatError
 from .harness import canonical_json, config_from_env
@@ -53,7 +53,7 @@ def build_parser():
     _common_flags(p)
 
     p = sub.add_parser("preset", help="materialize a named construction")
-    p.add_argument("name", choices=generators.PRESET_NAMES)
+    p.add_argument("name", choices=terms.PRESET_NAMES)
     _common_flags(p)
 
     p = sub.add_parser("verify", help="run a randomized invariant suite")

@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from . import atomspec, generators, linmod, predictor
+from . import atomspec, generators, linmod, predictor, terms
 from .atomspec import aass, asupp, is_monoform, is_uniform, spectrum
 from .errors import NotTargetClosed
 from .generators import substitute
@@ -284,7 +284,7 @@ def run_suite(name, cfg, count=None):
         cases = [(cs, run_case(cs))
                  for cs in _case_seeds(cfg.seed, count or 100)]
     elif name == "presets":
-        names = generators.PRESET_NAMES[:count]
+        names = terms.PRESET_NAMES[:count]
 
         def run_case(preset_name):
             gen = generators.preset(preset_name, max(cfg.depth, 2))

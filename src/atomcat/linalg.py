@@ -35,8 +35,8 @@ class F2Ops:
     def unit_vec(self, i, n):
         return 1 << i
 
-    def rref(self, mat, n, space=None):
-        return bitmat.rref(mat, n, space)
+    def rref(self, mat, n, space=None, full=None):
+        return bitmat.rref(mat, n, space, full)
 
     def reduce_row(self, row, basis, pivots):
         return bitmat.reduce_row(row, basis, pivots)
@@ -93,8 +93,8 @@ class FpOps:
     def unit_vec(self, i, n):
         return (0,) * i + (1,) + (0,) * (n - i - 1)
 
-    def rref(self, mat, n, space=None):
-        return modp.rref(mat, self.p, n, space)
+    def rref(self, mat, n, space=None, full=None):
+        return modp.rref(mat, self.p, n, space, full)
 
     def reduce_row(self, row, basis, pivots):
         return modp.reduce_row(row, basis, pivots, self.p)
@@ -175,13 +175,15 @@ def cyclic_submodules(ops, acts, n):
     one, and each component is closed once (`quiver._tarjan` gives
     them sinks first): the ops' `rref` extends the first successor
     closure met by the component's seeds and its other successors'
-    closures, and stops at full rank; a full successor closure ends
-    the component at once.  Equal spaces are one object.  The zero
-    vector (node 0 at p = 2) closes to the zero space, not listed.
+    closures and stops at full rank with the scan's one identity
+    space; a full successor closure ends the component at once.  Equal
+    spaces are one object.  The zero vector (node 0 at p = 2) closes
+    to the zero space, not listed.
     """
     seeds, succ = ops.line_graph(acts, n)
     rref = ops.rref
     closure, spaces = [None] * len(seeds), {}
+    full = tuple(ops.unit_vec(i, n) for i in range(n)), tuple(range(n))
     for comp in _tarjan(succ, len(seeds)):
         rows, first, space = [], None, None
         for v in comp:
@@ -200,7 +202,7 @@ def cyclic_submodules(ops, acts, n):
             if space is not None:
                 break
         else:
-            space = rref(rows, n, first)
+            space = rref(rows, n, first, full)
             if space is not first:
                 space = spaces.setdefault(space, space)
         for v in comp:

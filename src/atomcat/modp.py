@@ -45,11 +45,11 @@ def _sorted(basis):
     return tuple(basis[q] for q in pivots), pivots
 
 
-def rref(mat, p, n=None, space=None):
+def rref(mat, p, n=None, space=None, full=None):
     """Fully reduced row-echelon form of the rows of an rref `space`
     (none by default) followed by those of `mat`, rows in [0, p),
-    stopping at rank n.  Returns (basis, pivots), and `space` itself
-    when `mat` adds nothing to it."""
+    stopping at rank n.  Returns (basis, pivots), `space` itself when
+    `mat` adds nothing to it, and at rank n the given `full` space."""
     basis = {} if space is None else dict(zip(space[1], space[0]))
     rank = len(basis)
     for row in mat:
@@ -57,7 +57,7 @@ def rref(mat, p, n=None, space=None):
         if any(row):
             _admit(row, basis, p)
             if len(basis) == n:
-                break
+                return full or _sorted(basis)
     if space is not None and len(basis) == rank:
         return space
     return _sorted(basis)

@@ -15,9 +15,9 @@ evaluate topology claims that no finite window can state directly:
 Every spectrum is built by `_spectrum`; a post-quotient spectrum is
 `quotient(pre, absorbed)`, the pre-quotient one minus the up-closure
 of the absorbed atoms.  `window`, the one symbolic reader, reads a
-construction term of `generators` (a preset, a poset realization or
-the atom-free term), which `generators.truncate` reads as a
-truncation; unlike `truncate` it refuses a cyclic skeleton.
+construction term of `terms` (a preset, a poset realization or the
+atom-free term), which `generators.truncate` reads as a truncation;
+unlike `truncate` it refuses a cyclic skeleton.
 
 Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
@@ -32,13 +32,12 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite
-from .generators import (_DESCENDING_WINDOW, Point, _loop_color, acc_term,
-                         general_term, noatom_term, noatom_window,
-                         noetherian_family, preset_term, require_preset)
 from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
-from .quiver import ColoredQuiver
 from .skeleton import _require_acyclic
+from .terms import (_DESCENDING_WINDOW, Point, _loop_color, acc_term, fold,
+                    general_term, noatom_term, noatom_window,
+                    noetherian_family, preset_term, require_preset)
 
 
 @dataclass(frozen=True)
@@ -109,54 +108,51 @@ class RealizationResult:
     pre_quotient: SymbolicSpectrum  # what a truncation gets compared to
 
 
-def window(term):
-    """Symbolic spectrum of a construction term, each distinct subterm
-    read once.  A point is its simple atom.  A composite on an acyclic
-    skeleton is the union of its distinct blocks' spectra, atoms with
-    equal labels one atom, less each chain family whose block atoms
-    another family of its limit holds (a copy or a shallower
-    truncation).  Its limit, if any, is added below its `recurring`
-    atoms (None: all) with its family, and may not be a block atom.
-    A quiver leaf, which `truncate` takes as is, is refused."""
-    memo = {}
+def _point_window(t):
+    return _spectrum((SymAtom(t.label, "simple"),), (),
+                     {t.label: t.provenance})
 
-    def read(t):
-        if id(t) in memo:
-            return memo[id(t)]
-        if isinstance(t, Point):
-            return memo.setdefault(id(t), _spectrum(
-                (SymAtom(t.label, "simple"),), (), {t.label: t.provenance}))
-        if isinstance(t, ColoredQuiver):
-            raise TypeError("a quiver leaf has no symbolic spectrum")
-        _require_acyclic(len(t.blocks), t.arrows)
-        parts = [read(b) for b in {id(b): b for b in t.blocks}.values()]
-        families = [f for s in parts for f in s.chain_families]
-        held = [set().union(*f["block_atom_sets"]) for f in families]
-        families = [f for k, f in enumerate(families) if not any(
-            g["limit"] == f["limit"] and held[k] <= held[m]
-            and (held[k] < held[m] or m < k) for m, g in enumerate(families))]
-        atoms = [a for s in parts for a in s.atoms]
-        pairs = [pair for s in parts for pair in s.order.le]
-        provenance = {k: v for s in parts for k, v in s.provenance.items()}
-        if t.limit is not None:
-            labels = {a.label for a in atoms}
-            if t.limit in labels:
-                raise ValueError("limit label collides with a block atom: "
-                                 f"{t.limit}")
-            recurring = tuple(sorted(labels if t.recurring is None
-                                     else t.recurring))
-            families.append({"limit": t.limit, "block_atom_sets": tuple(
-                s.labels() for s in parts), "recurring": recurring})
-            atoms.append(SymAtom(t.limit, "chain_limit"))
-            pairs += [(t.limit, b) for b in recurring]
-            provenance[t.limit] = t.provenance or "chain limit"
-        return memo.setdefault(id(t), _spectrum(atoms, pairs, provenance,
-                                                families))
-    out = read(term)
-    # read refers to itself: delete it to free the memo on return, not
-    # at a gc
-    del read
-    return out
+
+def _leaf_window(t):
+    raise TypeError("a quiver leaf has no symbolic spectrum")
+
+
+def _composite_window(t, values):
+    _require_acyclic(len(t.blocks), t.arrows)
+    parts = list({id(s): s for s in values}.values())  # distinct blocks
+    families = [f for s in parts for f in s.chain_families]
+    held = [set().union(*f["block_atom_sets"]) for f in families]
+    families = [f for k, f in enumerate(families) if not any(
+        g["limit"] == f["limit"] and held[k] <= held[m]
+        and (held[k] < held[m] or m < k) for m, g in enumerate(families))]
+    atoms = [a for s in parts for a in s.atoms]
+    pairs = [pair for s in parts for pair in s.order.le]
+    provenance = {k: v for s in parts for k, v in s.provenance.items()}
+    if t.limit is not None:
+        labels = {a.label for a in atoms}
+        if t.limit in labels:
+            raise ValueError("limit label collides with a block atom: "
+                             f"{t.limit}")
+        recurring = tuple(sorted(labels if t.recurring is None
+                                 else t.recurring))
+        families.append({"limit": t.limit, "block_atom_sets": tuple(
+            s.labels() for s in parts), "recurring": recurring})
+        atoms.append(SymAtom(t.limit, "chain_limit"))
+        pairs += [(t.limit, b) for b in recurring]
+        provenance[t.limit] = t.provenance or "chain limit"
+    return _spectrum(atoms, pairs, provenance, families)
+
+
+def window(term):
+    """Symbolic spectrum of a construction term, one `fold`.  A point
+    is its simple atom.  A composite on an acyclic skeleton is the
+    union of its distinct blocks' spectra, atoms with equal labels one
+    atom, less each chain family whose block atoms another family of
+    its limit holds (a copy or a shallower truncation).  Its limit, if
+    any, is added below its `recurring` atoms (None: all) with its
+    family, and may not be a block atom.  A quiver leaf, which
+    `truncate` takes as is, is refused."""
+    return fold(term, _point_window, _leaf_window, _composite_window)
 
 
 def _element_labels(union):

@@ -9,8 +9,8 @@ simple modules together.
 
 Here: full subquivers, target-closed splitting, the strongly connected
 blocks (Tarjan) and the loop-stripped topological order.  Substitution
-into a skeleton, and the unions and chains built on it, live in
-`generators`, where a quiver is a leaf term of `truncate`.
+into a skeleton lives in `generators`, where a quiver is a leaf term
+of `truncate`; the unions and chains built on skeletons are `terms`.
 
 An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
 also takes 3-item arrows (src, dst, color) and gives them value 1.

@@ -2,14 +2,14 @@
 and the strongly connected blocks of a substitution read off its
 skeletons.
 
-A `generators.Composite` puts each of its blocks (children) on a vertex
+A `terms.Composite` puts each of its blocks (children) on a vertex
 of a skeleton, and each skeleton arrow (i, j, tag) becomes a complete
 bipartite bundle from every vertex of child i to every vertex of child
 j.  So a truncation's blocks follow from its term: `generators.truncate`
 runs `_skeleton_parts` once per distinct composite, on a graph with one
 node per child, and `_composite_blocks` per occurrence that merges or
 reorders its children's blocks.  `_require_acyclic` is the check that
-`composite_term` and `predictor.window` share.
+`terms.composite_term` and `predictor.window` share.
 """
 
 from itertools import accumulate, chain, islice

@@ -1,5 +1,5 @@
 """The atom-free construction grown as a word tree: the reference for
-`generators.noatom_term`, built without terms or substitution.
+`terms.noatom_term`, built without terms or substitution.
 
 Words are the strictly increasing integer words of at most depth + 1
 entries from the window, grown shortest first.  Word w is vertex

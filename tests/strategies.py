@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 import dense_modp
 from atomcat import linalg
-from atomcat.generators import chain_term, truncate, union_term
+from atomcat.generators import truncate
 from atomcat.linmod import FdModule, FieldSpec, Submodule
 from atomcat.quiver import make_quiver
+from atomcat.terms import chain_term, union_term
 
 
 @st.composite

@@ -16,7 +16,7 @@ import json
 import pathlib
 import sys
 
-from atomcat import generators, predictor
+from atomcat import generators, predictor, terms
 from atomcat.errors import AtomcatError
 from atomcat.harness import all_posets
 from atomcat.quiver import TruncationSpec, make_quiver
@@ -47,7 +47,7 @@ def _preset_prediction_json(name, depth):
 
 
 def _union_json(blocks, names):
-    return generators.truncate(generators.union_term(blocks, names)) \
+    return generators.truncate(terms.union_term(blocks, names)) \
         .quiver.to_json()
 
 
@@ -86,7 +86,7 @@ def cases():
             yield (f"predict-noatom/d{depth}/w{window}",
                    lambda t=trunc: _noatom_json(predictor.predict_noatom(t)))
     # depth 5 is left out: no-dcc alone has 2 million arrows there
-    for name in generators.PRESET_NAMES:
+    for name in terms.PRESET_NAMES:
         for depth in range(1, 5):
             yield (f"preset/{name}/d{depth}",
                    lambda n=name, d=depth: generators.preset(n, d).to_json())

@@ -10,16 +10,16 @@ from atomcat import generators
 from atomcat.errors import (ColorClash, DepthTooSmall, DuplicateArrow,
                             EmptyRange, UnknownPreset, UnknownVertex,
                             WindowTooSmall)
-from atomcat.generators import (PRESET_NAMES, Composite, Point, acc_term,
-                                chain_term, composite_term, gen_noatom,
-                                gen_realization_acc, gen_realization_general,
-                                general_term, noatom_term, preset,
-                                preset_term, truncate, union_term)
+from atomcat.generators import (gen_noatom, gen_realization_acc,
+                                gen_realization_general, preset, truncate)
 from atomcat.harness import all_posets, random_poset
 from atomcat.ordertop import normalize_poset
 from atomcat.quiver import (ColoredQuiver, GeneratedQuiver, TruncationSpec,
                             full_subquiver, loop_stripped_topo_order,
                             make_quiver, quiver_from_json, strong_components)
+from atomcat.terms import (PRESET_NAMES, Composite, Point, acc_term,
+                           chain_term, composite_term, general_term,
+                           noatom_term, preset_term, union_term)
 from noatom_oracle import renamed, word_tree
 from substitute_oracle import substitute
 

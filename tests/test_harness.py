@@ -12,13 +12,13 @@ import pytest
 import atomcat
 from atomcat.atomspec import spectrum
 from atomcat.cli import cli_dispatch
-from atomcat.generators import PRESET_NAMES
 from atomcat.harness import (RunConfig, canonical_json,
                              check_poset_roundtrip, check_quiver_invariants,
                              config_from_env, random_poset, random_quiver,
                              run_suite, worked_examples)
 from atomcat.linmod import FieldSpec
 from atomcat.quiver import loop_stripped_topo_order, make_quiver
+from atomcat.terms import PRESET_NAMES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "examples.json"
 

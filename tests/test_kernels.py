@@ -448,7 +448,8 @@ def rref_extensions(draw):
 def test_rref_extends_a_space_like_the_dense_oracle(case):
     # the rows of the space, then the new rows, in the dense oracle; the
     # space itself back when they add nothing; at full rank the identity,
-    # with no row read after it (a None row would raise)
+    # or the full space given, with no row read after it (a None row
+    # would raise)
     ops, n, old, new = case
     space = ops.rref(ops.pack(old, n), n)
     got = ops.rref(ops.pack(new, n), n, space)
@@ -460,6 +461,9 @@ def test_rref_extends_a_space_like_the_dense_oracle(case):
         full = ops.rref((*ops.pack(new, n), None), n, space)
         assert (ops.unpack(full[0], n), list(full[1])) == \
             (np.eye(n, dtype=int).tolist(), list(range(n)))
+        shared = tuple(full[0]), tuple(full[1])
+        assert ops.rref((*ops.pack(new, n), None), n, space,
+                        shared) is shared
 
 
 @settings(max_examples=150, deadline=None)

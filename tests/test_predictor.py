@@ -8,10 +8,8 @@ import pytest
 
 from atomcat import predictor
 from atomcat.errors import AtomcatError
-from atomcat.generators import (PRESET_NAMES, Composite, Point, chain_term,
-                                gen_noatom, gen_realization_acc,
-                                gen_realization_general, noatom_term, preset,
-                                preset_term, truncate, union_term)
+from atomcat.generators import (gen_noatom, gen_realization_acc,
+                                gen_realization_general, preset, truncate)
 from atomcat.harness import all_posets, random_poset
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import canonical_form, normalize_poset
@@ -21,6 +19,8 @@ from atomcat.predictor import (DiffReport, check_infinite_descent,
                                crosscheck, predict_noatom, predict_preset,
                                predict_realization, quotient, window)
 from atomcat.quiver import GeneratedQuiver, TruncationSpec, make_quiver
+from atomcat.terms import (PRESET_NAMES, Composite, Point, chain_term,
+                           noatom_term, preset_term, union_term)
 
 CHAIN2 = normalize_poset([("p0", "p1")], ["p0", "p1"])
 DIAMOND = normalize_poset([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
@@ -106,15 +106,20 @@ class TestChain:
 
 class TestWindow:
     def test_leaves_no_cyclic_garbage(self):
-        # the memo is freed by reference counting on return, not kept
-        # alive until the next full collection
+        # the fold's values are freed by reference counting on return,
+        # not kept alive until the next full collection
         poset = random_poset(4313450035427509199, 6)
+        reads = {mode: lambda mode=mode: predict_realization(poset, mode)
+                 for mode in ("acc", "general")}
+        reads |= {name: lambda name=name: window(preset_term(name, 3))
+                  for name in PRESET_NAMES}
+        reads["noatom"] = lambda: window(noatom_term([0, 1, 2], 2))
         gc.collect()
         gc.disable()
         try:
-            for mode in ("acc", "general"):
-                predict_realization(poset, mode)
-                assert gc.collect() == 0, mode
+            for case, read in reads.items():
+                read()
+                assert gc.collect() == 0, case
         finally:
             gc.enable()
 

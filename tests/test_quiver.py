@@ -12,8 +12,7 @@ from atomcat.atomspec import spectrum
 from atomcat.errors import (AtomcatError, BudgetExceeded, ColorClash,
                             DuplicateArrow, EmptyRange, MissingBlock,
                             NotTargetClosed, UnknownColor, UnknownVertex)
-from atomcat.generators import (Composite, Point, gen_realization_acc,
-                                substitute, truncate)
+from atomcat.generators import gen_realization_acc, substitute, truncate
 from atomcat.linmod import FieldSpec
 from atomcat.ordertop import normalize_poset
 from atomcat.quiver import (BundleColors, TruncationSpec, _bundle_quiver,
@@ -21,6 +20,7 @@ from atomcat.quiver import (BundleColors, TruncationSpec, _bundle_quiver,
                             loop_stripped_topo_order, make_quiver,
                             quiver_from_json, split_by_closed,
                             strong_components)
+from atomcat.terms import Composite, Point
 from strategies import chain, disjoint_union
 from substitute_oracle import bundle_color
 from substitute_oracle import substitute as oracle_substitute
