@@ -80,25 +80,24 @@ def _composite(t, blocks):
                      plan, repeated)
 
 
-def _emit(t, rec, prefix, depth, walk):
-    """The final names of t's vertices under prefix, in relative order,
-    from its record rec; appends what t makes to the walk's arrows,
-    bundles, found blocks and atom table (see `truncate`)."""
+def _emit(t, rec, names, depth, walk):
+    """Append what t makes to the walk's arrows, bundles, found blocks
+    and atom table (see `truncate`), from its record rec and the final
+    names of its vertices in relative order, a slice of the root
+    record's: block k of a composite gets the slice after blocks 0..k-1."""
     arrows, bundles, found, table, depth_of = walk
     if isinstance(t, Point):
-        v = prefix + rec.names[0]
-        names, loops = (v,), ()
+        loops = ()
         if rec.strings:  # a looped point
-            loops = (v, v, rec.strings[0], 1),
+            loops = (names[0], names[0], rec.strings[0], 1),
             arrows.append(loops[0])
         if t.label not in table:
             table[t.label] = {"kind": "simple", "atom_label": t.label,
                               "loop_colors": [*rec.strings], "vertices": []}
-        table[t.label]["vertices"].append(v)
+        table[t.label]["vertices"].append(names[0])
         found.append((names, loops))
-        return names
+        return
     if not isinstance(t, Composite):
-        names = [prefix + v for v in rec.names]
         at = dict(zip(t.vertices, names))
         arrows.extend((at[src], at[dst], color, value)
                       for src, dst, color, value in t.plain)
@@ -106,16 +105,16 @@ def _emit(t, rec, prefix, depth, walk):
                         tuple(map(at.get, targets)), colors)
                        for sources, targets, colors in t.bundles)
         found.extend(reversed(_renamed_blocks(t, at)))
-        return names
-    names = []
+        return
     if t.limit and depth < depth_of.get(t.limit, depth + 1):
         depth_of[t.limit] = depth
-        # names fills in once the blocks are emitted
         table[t.limit] = {"kind": "chain_limit", "atom_label": t.limit,
-                          "vertices": names}
-    start = len(found), len(arrows), len(bundles)
-    blocks = [tuple(_emit(b, r, f"{prefix}{name}/", depth + 1, walk))
-              for name, b, r in zip(t.names, t.blocks, rec.blocks)]
+                          "vertices": list(names)}
+    start, end, blocks = (len(found), len(arrows), len(bundles)), 0, []
+    for b, r in zip(t.blocks, rec.blocks):
+        blocks.append(names[end:end + len(r.names)])
+        end += len(r.names)
+        _emit(b, r, blocks[-1], depth + 1, walk)
     if rec.repeated:
         i, j, _ = t.arrows[rec.repeated]
         raise DuplicateArrow("two arrows share (src, dst, color)",
@@ -125,9 +124,6 @@ def _emit(t, rec, prefix, depth, walk):
                    for (i, j, _), c in zip(t.arrows, rec.own))
     if rec.plan:
         _composite_blocks(rec.plan, blocks, found, arrows, bundles, start)
-    for block in blocks:
-        names += block
-    return names
 
 
 def truncate(term):
@@ -142,17 +138,18 @@ def truncate(term):
     of each skeleton arrow (i, j, tag): the tag and the relative names
     of blocks i and j, one per distinct (tag, block i, block j), whose
     color for (v, w) is _bundle_color(tag, v, w), rendered only when
-    read.  Then one walk over the term and its records (`_emit`), with
-    every vertex's final prefix, makes each vertex name and loop once
-    and gives each skeleton arrow one bundle record: the names of its
+    read.  The root's record names every vertex (the quiver's vertices),
+    so one walk over the term and its records (`_emit`) hands each
+    occurrence its names as a slice of them, makes each loop once and
+    gives each skeleton arrow one bundle record: the names of its
     source block, those of its target block and its colors.
     `_bundle_quiver` validates each record once.  Vertex names may not
     repeat, since merged vertices make another module: ValueError
-    names the least repeated one.  A composite's bundle
-    colors must avoid the colors inside its own blocks (sibling
-    composites may share theirs), except those of its shared tags, and
-    ColorClash names the least clashing color of the first composite
-    that clashes.  `quiver._least_clash` decides this on the heads and
+    names the least repeated one.  A composite's bundle colors must
+    avoid the colors inside its own blocks (sibling composites may
+    share theirs), except those of its shared tags, and ColorClash
+    names the least clashing color of the first composite that
+    clashes.  `quiver._least_clash` decides this on the heads and
     renders colors only where two can coincide, so a composite whose
     tags are not prefix-related to those inside it renders none.
 
@@ -171,7 +168,8 @@ def truncate(term):
 
     The strongly connected blocks are read off the term and handed to
     the quiver: the fold runs `skeleton._skeleton_parts` once per
-    distinct composite, and the walk lists the blocks sources first.  A
+    distinct composite (Tarjan only on a skeleton with an arrow that
+    does not run forward), and the walk lists the blocks sources first.  A
     point is a block with its loop (the tuple in the arrows), a quiver
     leaf brings its own blocks, and a composite keeps its blocks'
     blocks unless its skeleton merges some (`_composite_blocks`, the
@@ -189,7 +187,8 @@ def truncate(term):
     """
     root = fold(term, _point, _leaf, _composite)
     walk = arrows, bundles, found, table, _ = [], [], [], {}, {}
-    vertices = _emit(term, root, "", 0, walk)
+    vertices = root.names
+    _emit(term, root, vertices, 0, walk)
     found.reverse()  # the blocks, sources first until here
     if len(set(vertices)) < len(vertices):
         repeats = [v for v, k in Counter(vertices).items() if k > 1]

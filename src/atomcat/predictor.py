@@ -31,7 +31,7 @@ truncation passes when each brute atom is a loop simple of the window.
 from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
-from .errors import NotFinite
+from .errors import NotFinite, UnknownElement
 from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
 from .skeleton import _require_acyclic
@@ -109,8 +109,8 @@ class RealizationResult:
 
 
 def _point_window(t):
-    return _spectrum((SymAtom(t.label, "simple"),), (),
-                     {t.label: t.provenance})
+    return ({t.label: SymAtom(t.label, "simple")}, (),
+            {t.label: t.provenance}, ())
 
 
 def _leaf_window(t):
@@ -120,39 +120,49 @@ def _leaf_window(t):
 def _composite_window(t, values):
     _require_acyclic(len(t.blocks), t.arrows)
     parts = list({id(s): s for s in values}.values())  # distinct blocks
-    families = [f for s in parts for f in s.chain_families]
+    families = [f for *_, fs in parts for f in fs]
     held = [set().union(*f["block_atom_sets"]) for f in families]
     families = [f for k, f in enumerate(families) if not any(
         g["limit"] == f["limit"] and held[k] <= held[m]
         and (held[k] < held[m] or m < k) for m, g in enumerate(families))]
-    atoms = [a for s in parts for a in s.atoms]
-    pairs = [pair for s in parts for pair in s.order.le]
-    provenance = {k: v for s in parts for k, v in s.provenance.items()}
+    atoms, pairs, provenance = {}, set(), {}
+    for s_atoms, s_pairs, s_provenance, _ in parts:
+        atoms = s_atoms | atoms  # the first atom of a label stays
+        pairs.update(s_pairs)
+        provenance.update(s_provenance)
     if t.limit is not None:
-        labels = {a.label for a in atoms}
-        if t.limit in labels:
+        if t.limit in atoms:
             raise ValueError("limit label collides with a block atom: "
                              f"{t.limit}")
-        recurring = tuple(sorted(labels if t.recurring is None
+        recurring = tuple(sorted(atoms if t.recurring is None
                                  else t.recurring))
+        for b in recurring:
+            if b not in atoms and b != t.limit:
+                raise UnknownElement("pair references undeclared element",
+                                     pair=[t.limit, b])
         families.append({"limit": t.limit, "block_atom_sets": tuple(
-            s.labels() for s in parts), "recurring": recurring})
-        atoms.append(SymAtom(t.limit, "chain_limit"))
-        pairs += [(t.limit, b) for b in recurring]
+            tuple(sorted(s_atoms)) for s_atoms, *_ in parts),
+            "recurring": recurring})
+        atoms[t.limit] = SymAtom(t.limit, "chain_limit")
+        pairs.update((t.limit, b) for b in recurring)
         provenance[t.limit] = t.provenance or "chain limit"
-    return _spectrum(atoms, pairs, provenance, families)
+    return atoms, pairs, provenance, families
 
 
 def window(term):
-    """Symbolic spectrum of a construction term, one `fold`.  A point
-    is its simple atom.  A composite on an acyclic skeleton is the
-    union of its distinct blocks' spectra, atoms with equal labels one
-    atom, less each chain family whose block atoms another family of
-    its limit holds (a copy or a shallower truncation).  Its limit, if
-    any, is added below its `recurring` atoms (None: all) with its
-    family, and may not be a block atom.  A quiver leaf, which
-    `truncate` takes as is, is refused."""
-    return fold(term, _point_window, _leaf_window, _composite_window)
+    """Symbolic spectrum of a construction term: one `fold` gathers its
+    atoms, unclosed <= pairs, provenance and chain families, and one
+    `_spectrum` closes the order.  A point is its simple atom.  A
+    composite on an acyclic skeleton is the union of its distinct
+    blocks' windows, atoms with equal labels one atom, less each chain
+    family whose block atoms another family of its limit holds (a copy
+    or a shallower truncation).  Its limit, if any, is added below its
+    `recurring` atoms (None: all) with its family; it may not be a
+    block atom, and a recurring label outside its blocks raises
+    UnknownElement.  A quiver leaf is refused."""
+    atoms, pairs, provenance, families = fold(
+        term, _point_window, _leaf_window, _composite_window)
+    return _spectrum(atoms.values(), pairs, provenance, families)
 
 
 def _element_labels(union):

@@ -6,10 +6,14 @@ A `terms.Composite` puts each of its blocks (children) on a vertex
 of a skeleton, and each skeleton arrow (i, j, tag) becomes a complete
 bipartite bundle from every vertex of child i to every vertex of child
 j.  So a truncation's blocks follow from its term: `generators.truncate`
-runs `_skeleton_parts` once per distinct composite, on a graph with one
-node per child, and `_composite_blocks` per occurrence that merges or
-reorders its children's blocks.  `_require_acyclic` is the check that
-`terms.composite_term` and `predictor.window` share.
+runs `_skeleton_parts` once per distinct composite, and
+`_composite_blocks` per occurrence that merges or reorders its
+children's blocks.  `_require_acyclic` is the check that
+`terms.composite_term` and `predictor.window` share.  Both run Tarjan,
+on a graph with one node per child, only when an arrow does not run
+forward (i < j): a forward skeleton, such as every skeleton of
+`terms.chain_term` and `terms.union_term`, is acyclic, each child its
+own component in child order.
 """
 
 from itertools import accumulate, chain, islice
@@ -21,14 +25,14 @@ from .quiver import _expand, _tarjan
 def _require_acyclic(n, arrows):
     """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1, a
     loop, or a strongly connected component of two or more blocks."""
-    succ, looped = [[] for _ in range(n)], False
+    succ, looped, forward = [[] for _ in range(n)], False, True
     for i, j, _ in arrows:
         if not (0 <= i < n and 0 <= j < n):
             raise UnknownVertex("skeleton arrow end outside the blocks",
                                 arrow=[i, j])
         succ[i].append(j)
-        looped = looped or i == j
-    if looped or len(_tarjan(succ, n)) < n:
+        looped, forward = looped or i == j, forward and i < j
+    if not forward and (looped or len(_tarjan(succ, n)) < n):
         raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
 
 
@@ -45,18 +49,20 @@ def _skeleton_parts(arrows, counts):
     its components come sources first.  plan lists them, each as its
     child indices and, unless it merges, the slice its child's blocks
     fill among the children's; plan is None when it keeps every child's
-    blocks in child order.  count is the composite's block count.
+    blocks in child order, as when every counted arrow has 0 <= i < j.
+    count is the composite's block count.
     """
     n = len(counts)
-    pred, looped = [[] for _ in range(n)], [False] * n
+    pred, looped, forward = [[] for _ in range(n)], [False] * n, True
     for i, j, _ in arrows:
         if counts[i] and counts[j]:
+            forward = forward and 0 <= i < j
             if i == j:
                 looped[i] = True
             else:
                 pred[j].append(i)
     ends = list(accumulate(counts, initial=0))
-    components = _tarjan(pred, n)
+    components = [(k,) for k in range(n)] if forward else _tarjan(pred, n)
     if not any(looped) and components == [(k,) for k in range(n)]:
         return None, ends[-1]
     plan = [(c, None if len(c) > 1 or looped[c[0]] else

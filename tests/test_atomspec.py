@@ -463,6 +463,34 @@ def test_arrows_vanishing_mod_p_keep_their_block():
         [("S()", ("a", "b", "c"))]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_loops_vanishing_mod_p_act_as_no_loop(p, monkeypatch):
+    # loops of value p and p + 1 on one-vertex blocks (a, b) and inside
+    # the 2-cycle block x <-> y read as the same quiver with values
+    # reduced mod p and the zero arrows dropped: the same spectrum, from
+    # the same block modules, so no zero arrow reaches one
+    from atomcat import linmod
+    real, built = linmod._module_of_arrows, []
+
+    def recording(field, labels, arrows):
+        built.append((len(labels), tuple(arrows)))
+        return real(field, labels, arrows)
+    monkeypatch.setattr(linmod, "_module_of_arrows", recording)
+    loops = [("a", "a", "c", p), ("a", "a", "d", p + 1), ("b", "b", "c", p),
+             ("x", "x", "c", p), ("x", "x", "d", p + 1), ("y", "y", "d", p)]
+    cycle = [("x", "y", "e", 1), ("y", "x", "e", 1)]
+    q = make_quiver(["a", "b", "x", "y"], ["c", "d", "e"], loops + cycle)
+    reduced = make_quiver(q.vertices, q.colors, cycle + [
+        (v, w, c, x % p) for v, w, c, x in loops if x % p])
+    assert sorted(len(b) for b, _ in q._blocks) == [1, 1, 2]
+    reports = []
+    for quiver in (q, reduced):
+        built.clear()
+        reports.append((spectrum(quiver, FieldSpec(p)).to_json(), built[:]))
+    assert reports[0] == reports[1]
+    assert all(value for _, arrows in reports[0][1] for *_, value in arrows)
+
+
 def test_budget_error_names_the_block():
     from atomcat.errors import BudgetExceeded
     # a 16-cycle of c with a d-loop on its first vertex: the only

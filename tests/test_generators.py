@@ -209,9 +209,11 @@ class TestRealizationAcc:
         assert rendered == []
 
     def test_crosscheck_reads_blocks_off_the_term(self, monkeypatch):
-        # Tarjan sees a skeleton, one node per block of a composite,
-        # never the truncation's vertices; and spectrum canonical-forms
-        # one simple per distinct block signature, not one per block
+        # Tarjan sees at most a skeleton, one node per block of a
+        # composite, never the truncation's vertices (an acc term's
+        # skeletons all run forward, so it runs on none); and spectrum
+        # canonical-forms one simple per distinct block signature, not
+        # one per block
         from atomcat import atomspec, quiver, skeleton
         from atomcat.predictor import crosscheck, predict_realization
         real, sizes = quiver._tarjan, []
@@ -248,7 +250,7 @@ class TestRealizationAcc:
                     seen.add(id(t))
                     widest = max(widest, len(t.blocks))
                     todo.extend(t.blocks)
-            assert sizes and max(sizes) <= widest < len(gen.quiver.vertices)
+            assert max(sizes, default=0) <= widest < len(gen.quiver.vertices)
 
 
 def nested(term):

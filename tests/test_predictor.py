@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from atomcat import predictor
-from atomcat.errors import AtomcatError
+from atomcat.errors import AtomcatError, UnknownElement
 from atomcat.generators import (gen_noatom, gen_realization_acc,
                                 gen_realization_general, preset, truncate)
 from atomcat.harness import all_posets, random_poset
@@ -207,6 +207,20 @@ class TestWindow:
             assert out.chain_families == (
                 {"limit": "lim", "block_atom_sets": (("A",), ("B",)),
                  "recurring": ("B",)},)
+
+    def test_refuses_a_recurring_label_outside_its_blocks(self):
+        # the limit may lie only below its own blocks' atoms, even when
+        # a sibling of the composite holds the label
+        limited_a = Composite((Point("A", "a"),), ("b0",), (), "L", ("B",))
+        for term in (limited_a, union_term([limited_a, Point("B", "b")],
+                                           ["x", "y"])):
+            with pytest.raises(UnknownElement) as info:
+                window(term)
+            assert info.value.context == {"pair": ["L", "B"]}
+        # its own limit is no label outside its blocks
+        out = window(Composite((Point("A", "a"),), ("b0",), (), "L",
+                               ("A", "L")))
+        assert out.order.lt("L", "A")
 
 
 class TestQuotient:
