@@ -279,24 +279,21 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     Composition factors come from the strongly connected blocks, sinks
     first: unions of leading blocks are target-closed, so by
     Jordan-Hoelder the block modules have the quiver module's factors.
-    Blocks are grouped by their index-renamed arrows (values mod p,
-    zeros dropped; a one-vertex block's loops are renamed (0, 0) with no
-    index), in block order; each group's series is computed once and
-    each of its factors canonical-formed once.  A factor's sources are
-    the group's block vertices at its pivot index, and a BudgetExceeded
-    names the first block whose series hit the budget.
+    Blocks are grouped by their arrows, each vertex renamed by its place
+    in its block (one index for the quiver, as the blocks partition its
+    vertices) and values taken mod p, zeros dropped, in block order;
+    each group's series is computed once and each of its factors
+    canonical-formed once.  A factor's sources are the group's block
+    vertices at its pivot index, and a BudgetExceeded names the first
+    block whose series hit the budget.
     """
     p = field.p
-    groups = {}
-    for block, arrows in blocks_with_arrows(quiver):
-        if len(block) == 1:  # its arrows are loops
-            sig = 1, tuple([(0, 0, color, value % p)
-                            for _, _, color, value in arrows if value % p])
-        else:
-            index = {v: i for i, v in enumerate(block)}
-            sig = len(block), tuple((index[v], index[w], color, value % p)
-                                    for v, w, color, value in arrows
-                                    if value % p)
+    groups, parts = {}, blocks_with_arrows(quiver)
+    index = {v: i for block, _ in parts for i, v in enumerate(block)}
+    for block, arrows in parts:
+        sig = (len(block), tuple([(index[src], index[dst], color, value % p)
+                                  for src, dst, color, value in arrows
+                                  if value % p]))
         groups.setdefault(sig, []).append(block)
     simples = []
     for (dim, arrows), blocks in groups.items():

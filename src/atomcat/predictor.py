@@ -126,8 +126,9 @@ def _composite_window(t, values):
         g["limit"] == f["limit"] and held[k] <= held[m]
         and (held[k] < held[m] or m < k) for m, g in enumerate(families))]
     atoms, pairs, provenance = {}, set(), {}
-    for s_atoms, s_pairs, s_provenance, _ in parts:
-        atoms = s_atoms | atoms  # the first atom of a label stays
+    for s_atoms, *_ in reversed(parts):
+        atoms.update(s_atoms)  # the first atom of a label stays
+    for _, s_pairs, s_provenance, _ in parts:
         pairs.update(s_pairs)
         provenance.update(s_provenance)
     if t.limit is not None:

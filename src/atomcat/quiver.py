@@ -73,15 +73,10 @@ def _least_clash(fresh, inner, strings):
     Colors are rendered only when such a pair or string exists, and
     then those of the fresh and of the inner BundleColors so related.
     """
-    heads = {c.head() for c in fresh}
-    lengths = {len(h) for h in heads}
-    prefixes = {h[:k] for h in heads for k in range(len(h) + 1)}
-
-    def headed(s):  # s starts with a fresh head
-        return any(s[:k] in heads for k in lengths)
-
-    near = [c for c in inner if c.head() in prefixes or headed(c.head())]
-    held = {s for s in strings if headed(s)}
+    heads = tuple({c.head() for c in fresh})
+    near = [c for c in inner if (h := c.head()).startswith(heads)
+            or any(map(str.startswith, heads, repeat(h)))]
+    held = {s for s in strings if s.startswith(heads)}
     if not (near or held):
         return None
     held.update(color for c in near for row in c.rows() for color in row)

@@ -62,7 +62,9 @@ def _skeleton_parts(arrows, counts):
             else:
                 pred[j].append(i)
     ends = list(accumulate(counts, initial=0))
-    components = [(k,) for k in range(n)] if forward else _tarjan(pred, n)
+    if forward:
+        return None, ends[-1]
+    components = _tarjan(pred, n)
     if not any(looped) and components == [(k,) for k in range(n)]:
         return None, ends[-1]
     plan = [(c, None if len(c) > 1 or looped[c[0]] else

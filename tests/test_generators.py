@@ -416,6 +416,20 @@ class TestTruncate:
         apart = outer._replace(arrows=((1, 2, "ax"),))
         assert truncate(apart).quiver == nested(apart).quiver
 
+    def test_tag_with_a_semicolon_renders_an_inner_color(self):
+        # the other way round: the inner tag's head !(a; is a prefix of
+        # the outer tag's !(a;x;, and (a, x;b0/v(p), v(q)) inside renders
+        # what (a;x, b0/v(p), v(q)) outside does
+        p, q = Point("P", "p"), Point("Q", "q")
+        inner = composite_term((union_term([p], ["x;b0"]), q), ("l", "r"),
+                               ((0, 1, "a"),))
+        outer = composite_term((inner, union_term([p], ["b0"]), q),
+                               ("i", "s", "t"), ((1, 2, "a;x"),))
+        for build in (truncate, nested):
+            with pytest.raises(ColorClash) as got:
+                build(outer)
+            assert got.value.context == {"color": "!(a;x;b0/v(p),v(q))"}
+
     def test_commas_in_names_under_a_repeated_tag(self):
         # the tag t recurs inside a nested block, and (t, u, v,w) and
         # (t, u,v, w) render !(t;u,v,w): the least of the clashes is

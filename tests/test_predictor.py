@@ -222,6 +222,16 @@ class TestWindow:
                                ("A", "L")))
         assert out.order.lt("L", "A")
 
+    def test_the_first_atom_of_a_label_stays(self):
+        # a sibling's limit may carry a point's label: the union keeps
+        # the atom of its first block that has the label
+        point = Point("L", "l")
+        limited = Composite((Point("A", "a"),), ("b0",), (), "L")
+        for blocks, kind in (([point, limited], "simple"),
+                             ([limited, point], "chain_limit")):
+            out = window(union_term(blocks, ["x", "y"]))
+            assert {a.label: a.kind for a in out.atoms}["L"] == kind
+
 
 class TestQuotient:
     CHAIN = predictor._spectrum(
