@@ -212,8 +212,6 @@ def asupp(module, budget=linmod.DEFAULT_BUDGET):
 def aass(module, budget=linmod.DEFAULT_BUDGET):
     """Associated atoms: classes of monoform submodules = classes of
     minimal submodules."""
-    if module.dim:
-        linmod._check_seeds(module, budget)
     return _stored_atoms(module, ("aass", budget), lambda m: [
         (s, s.basis_labels[:1])
         for s in map(submodule_as_module, minimal_submodules(m, budget))])

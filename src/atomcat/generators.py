@@ -18,9 +18,10 @@ from collections import Counter, namedtuple
 from .errors import (ColorClash, DepthTooSmall, DuplicateArrow, MissingBlock,
                      WindowTooSmall)
 from .quiver import BundleColors, GeneratedQuiver, _bundle_quiver, _least_clash
-from .skeleton import _composite_blocks, _renamed_blocks, _skeleton_parts
-from .terms import (Composite, Point, _loop_color, acc_term, fold,
-                    general_term, noatom_term, noatom_window,
+from .skeleton import (_composite_blocks, _renamed_blocks, _require_ends,
+                       _skeleton_parts)
+from .terms import (Composite, Point, _loop_color, _union_names, acc_term,
+                    fold, general_term, noatom_term, noatom_window,
                     noetherian_family, preset_term)
 
 
@@ -45,11 +46,14 @@ def _point(t):
 
 
 def _leaf(q):
-    return _Prepared(tuple(map(str, q.vertices)), len(q._blocks), q.declared,
-                     {id(c): c for _, _, c in q.bundles}.values(), {})
+    return _Prepared(tuple(map(str, q.vertices)), len(q._partition),
+                     q.declared, {id(c): c for _, _, c in q.bundles}.values(),
+                     {})
 
 
 def _composite(t, blocks):
+    _union_names(t.names, len(blocks))
+    _require_ends(len(blocks), t.arrows)
     inside = {}  # the distinct subterms inside t
     for b in blocks:
         inside.update(b.below)
@@ -87,15 +91,13 @@ def _emit(t, rec, names, depth, walk):
     record's: block k of a composite gets the slice after blocks 0..k-1."""
     arrows, bundles, found, table, depth_of = walk
     if isinstance(t, Point):
-        loops = ()
         if rec.strings:  # a looped point
-            loops = (names[0], names[0], rec.strings[0], 1),
-            arrows.append(loops[0])
+            arrows.append((names[0], names[0], rec.strings[0], 1))
         if t.label not in table:
             table[t.label] = {"kind": "simple", "atom_label": t.label,
                               "loop_colors": [*rec.strings], "vertices": []}
         table[t.label]["vertices"].append(names[0])
-        found.append((names, loops))
+        found.append(names)
         return
     if not isinstance(t, Composite):
         at = dict(zip(t.vertices, names))
@@ -110,7 +112,7 @@ def _emit(t, rec, names, depth, walk):
         depth_of[t.limit] = depth
         table[t.limit] = {"kind": "chain_limit", "atom_label": t.limit,
                           "vertices": list(names)}
-    start, end, blocks = (len(found), len(arrows), len(bundles)), 0, []
+    start, end, blocks = len(found), 0, []
     for b, r in zip(t.blocks, rec.blocks):
         blocks.append(names[end:end + len(r.names)])
         end += len(r.names)
@@ -123,7 +125,7 @@ def _emit(t, rec, names, depth, walk):
     bundles.extend((blocks[i], blocks[j], c)
                    for (i, j, _), c in zip(t.arrows, rec.own))
     if rec.plan:
-        _composite_blocks(rec.plan, blocks, found, arrows, bundles, start)
+        _composite_blocks(rec.plan, blocks, found, start)
 
 
 def truncate(term):
@@ -142,16 +144,20 @@ def truncate(term):
     so one walk over the term and its records (`_emit`) hands each
     occurrence its names as a slice of them, makes each loop once and
     gives each skeleton arrow one bundle record: the names of its
-    source block, those of its target block and its colors.
-    `_bundle_quiver` validates each record once.  Vertex names may not
-    repeat, since merged vertices make another module: ValueError
-    names the least repeated one.  A composite's bundle colors must
-    avoid the colors inside its own blocks (sibling composites may
-    share theirs), except those of its shared tags, and ColorClash
-    names the least clashing color of the first composite that
-    clashes.  `quiver._least_clash` decides this on the heads and
-    renders colors only where two can coincide, so a composite whose
-    tags are not prefix-related to those inside it renders none.
+    source block, those of its target block and its colors.  As
+    `terms.composite_term` does, a raw composite's block names must
+    count its blocks (else ValueError) and its skeleton ends lie in
+    0..n-1 (else UnknownVertex).  Vertex names may not repeat, since
+    merged vertices make another module: ValueError names the least
+    repeated one.  So a record's ends are distinct vertices, one per
+    row or column of its colors, which `_bundle_quiver` need not
+    check.  A composite's bundle colors must avoid the colors inside
+    its own blocks (sibling composites may share theirs), except those
+    of its shared tags, and ColorClash names the least clashing color
+    of the first composite that clashes.  `quiver._least_clash` decides
+    this on the heads and renders colors only where two can coincide,
+    so a composite whose tags are not prefix-related to those inside it
+    renders none.
 
     A skeleton loop may not carry a shared tag (ValueError), and a
     skeleton arrow repeated between nonempty blocks repeats a triple:
@@ -167,23 +173,25 @@ def truncate(term):
     first one at that depth.  Entries come in first-met order.
 
     The strongly connected blocks are read off the term and handed to
-    the quiver: the fold runs `skeleton._skeleton_parts` once per
-    distinct composite (Tarjan only on a skeleton with an arrow that
-    does not run forward), and the walk lists the blocks sources first.  A
-    point is a block with its loop (the tuple in the arrows), a quiver
-    leaf brings its own blocks, and a composite keeps its blocks'
-    blocks unless its skeleton merges some (`_composite_blocks`, the
-    only place a bundle is expanded).  The list is reversed once, so
-    the quiver's blocks come sinks first.
+    the quiver as vertex tuples: the fold runs `skeleton._skeleton_parts`
+    once per distinct composite (Tarjan only on a skeleton with an
+    arrow that does not run forward), and the walk lists the blocks
+    sources first.  A point is a block, a quiver leaf brings its own
+    blocks, and a composite keeps its blocks' blocks unless its
+    skeleton merges some (`_composite_blocks`).  The list is reversed
+    once, so the quiver's blocks come sinks first.  A bundle joins two
+    whole children of a composite, or loops on one, so either all its
+    ends lie in one block or no source shares one with a target, as
+    `ColoredQuiver._blocks` assumes when it gathers a block's arrows.
 
     Working set: no bundle arrow and no bundle color is made.  The
     quiver keeps each bundle's name tuples and its `BundleColors`,
     whose relative names are shared by every occurrence of their
     composite, and renders colors when `colors` or `arrows` is first
     read.  The declared colors (loop colors and quiver leaves' colors)
-    reach `_bundle_quiver` as one flat list.  Validation holds the
-    vertex, declared color and loop lists and a set each of the
-    vertices and declared colors beyond the finished quiver.
+    reach `_bundle_quiver` as one flat list.  Beyond the finished
+    quiver, the pass holds the vertex, declared color and loop lists
+    and a set each of the vertices and declared colors.
     """
     root = fold(term, _point, _leaf, _composite)
     walk = arrows, bundles, found, table, _ = [], [], [], {}, {}

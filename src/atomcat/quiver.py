@@ -15,15 +15,16 @@ of `truncate`; the unions and chains built on skeletons are `terms`.
 An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
 also takes 3-item arrows (src, dst, color) and gives them value 1.
 A substitution puts a complete bipartite bundle on each skeleton
-arrow, and `generators.truncate` keeps such bundles as records, each
-validated once.  A record's colors are `BundleColors`: a tag and the
-relative names of the bundle's two blocks, rendered into color strings
-only when read.  A bundle joins every vertex of one block to every
-vertex of the other, so a truncation's strongly connected blocks follow
-from its term's skeletons: `truncate` reads them off (see `skeleton`)
-and hands them to `_bundle_quiver`, and only bundles inside a block are
-ever expanded.  `arrows` and `colors` list every arrow and color, made
-when first read.
+arrow, and `generators.truncate` keeps such bundles as records.  A
+record's colors are `BundleColors`: a tag and the relative names of the
+bundle's two blocks, rendered into color strings only when read.  A
+bundle joins every vertex of one block to every vertex of the other, so
+a truncation's strongly connected blocks follow from its term's
+skeletons: `truncate` reads off the vertex partition (see `skeleton`)
+and hands it to `_bundle_quiver`.  `ColoredQuiver._blocks` is the one
+place where a block's arrows are gathered, and the only place a bundle
+is expanded for one.  `arrows` and `colors` list every arrow and color,
+made when first read.
 """
 
 from collections import namedtuple
@@ -147,29 +148,37 @@ class ColoredQuiver:
         return {v: tuple(arrows) for v, arrows in loops.items()}
 
     @cached_property
-    def _blocks(self):
+    def _partition(self):
         """The strongly connected blocks, loops ignored, sinks first,
-        each with the arrows inside it, sorted: Tarjan on the arrows.
-        `_bundle_quiver` sets them for a quiver with bundles, as
-        `generators.truncate` derives them from its term."""
+        each a sorted tuple of vertices: Tarjan on the arrows.
+        `_bundle_quiver` sets it for a truncation, as
+        `generators.truncate` reads it off its term."""
         vertices, n = self.vertices, len(self.vertices)
         index = dict(zip(vertices, range(n)))
         succ = [[] for _ in range(n)]
         for src, dst, _, _ in self.arrows:
             if src != dst:
                 succ[index[src]].append(index[dst])
-        blocks, block_of = [], [0] * n
-        for component in _tarjan(succ, n):
-            members = sorted(component)
-            for i in members:
-                block_of[i] = len(blocks)
-            blocks.append(tuple(vertices[i] for i in members))
-        inner = [[] for _ in blocks]
-        for a in self.arrows:
-            b = block_of[index[a[0]]]
-            if b == block_of[index[a[1]]]:
+        return [tuple(vertices[i] for i in sorted(component))
+                for component in _tarjan(succ, n)]
+
+    @cached_property
+    def _blocks(self):
+        """`_partition`, each block with the arrows inside it, sorted:
+        the plain arrows with both ends in it and, expanded, the bundles
+        whose first source and first target lie in it, which for a
+        truncation means all its ends do (see `_bundle_quiver`)."""
+        partition = self._partition
+        block_of = {v: b for b, block in enumerate(partition) for v in block}
+        inner = [[] for _ in partition]
+        for a in self.plain:
+            if (b := block_of[a[0]]) == block_of[a[1]]:
                 inner[b].append(a)
-        return [(block, tuple(arrows)) for block, arrows in zip(blocks, inner)]
+        for a in _expand(b for b in self.bundles if b[0] and b[1]
+                         and block_of[b[0][0]] == block_of[b[1][0]]):
+            inner[block_of[a[0]]].append(a)
+        return [(block, tuple(sorted(arrows)))
+                for block, arrows in zip(partition, inner)]
 
     def to_json(self):
         return {"vertices": list(self.vertices),
@@ -292,37 +301,21 @@ def _checked(arrows, vset, cset):
     return tuple(out)
 
 
-def _bundle_quiver(vertices, colors, arrows, bundles, blocks):
+def _bundle_quiver(vertices, colors, arrows, bundles, partition):
     """`make_quiver(vertices, colors + the bundles' colors, arrows +
     the bundles' arrows)`, with the bundles kept as records (see
-    `ColoredQuiver`) and `blocks` as its `_blocks`, which the caller
-    derives: `generators.truncate` reads them off its term.
-
-    The plain arrows are checked against the declared colors.  A
-    bundle's colors are rendered from its `BundleColors`, so they are
-    declared by construction and no color string is made.  Each end
-    tuple is checked once, not arrow by arrow: one end per row or
-    column of its colors (else ValueError), declared and pairwise
-    distinct, so a bundle's arrows are.  If a check fails,
-    `make_quiver` of the plain arrows and then the bundles' arrows
-    raises the first fault.  The caller guarantees that no (src, dst,
-    color) triple lies in two bundles, nor in a bundle and a plain
-    arrow; `generators.truncate` proves it from its term.
+    `ColoredQuiver`) and `partition` as its `_partition`.  Nothing is
+    checked: `generators.truncate` guarantees that the vertices are
+    distinct, each in one block of the partition (sinks first), and
+    every arrow's ends and color declared; that a bundle's ends are
+    distinct, one per row or column of its colors, and lie in one block
+    iff its first source and first target do; and that no two records
+    share a (src, dst, color) triple.
     """
-    vs, vset = _sorted_unique(vertices)
-    cs, cset = _sorted_unique(colors)
-    plain = _checked(arrows, vset, cset)
-    bundles = tuple(bundles)
-    if any(len(s) != len(c.sources) or len(t) != len(c.targets)
-           for s, t, c in bundles):
-        raise ValueError("bundle ends must match the rows and columns of "
-                         "its colors")
-    quiver = ColoredQuiver(vs, cs, plain, bundles)
-    ends = {id(end): end for s, t, _ in bundles for end in (s, t)}
-    if not all(len(set(end)) == len(end) and vset.issuperset(end)
-               for end in ends.values()):
-        return make_quiver(vs, quiver.colors, [*plain, *_expand(bundles)])
-    vars(quiver)["_blocks"] = blocks
+    quiver = ColoredQuiver(tuple(sorted(vertices)),
+                           _sorted_unique(colors)[0], tuple(sorted(arrows)),
+                           tuple(bundles))
+    vars(quiver)["_partition"] = partition
     return quiver
 
 
@@ -411,18 +404,19 @@ def strong_components(quiver):
     """Strongly connected blocks of the quiver with loops ignored, sinks
     first: no arrow runs from a block to a later one, so every union of
     leading blocks is target-closed.  Each block is a sorted tuple of
-    vertices (see `ColoredQuiver._blocks`).  The order of two blocks
+    vertices (see `ColoredQuiver._partition`).  The order of two blocks
     neither of which reaches the other follows the depth-first search
     on the arrows, or for a truncation its term, so a quiver with
     bundles may list them otherwise than `make_quiver` of its arrows.
     """
-    return [block for block, _ in quiver._blocks]
+    return list(quiver._partition)
 
 
 def blocks_with_arrows(quiver):
     """`strong_components`, each block paired with the sorted tuple of
     the arrows inside it (a one-vertex block's are its loops); a bundle
-    is expanded only when it lies inside a block."""
+    is expanded only when it lies inside a block (see
+    `ColoredQuiver._blocks`)."""
     return list(quiver._blocks)
 
 

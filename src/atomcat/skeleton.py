@@ -5,10 +5,12 @@ skeletons.
 A `terms.Composite` puts each of its blocks (children) on a vertex
 of a skeleton, and each skeleton arrow (i, j, tag) becomes a complete
 bipartite bundle from every vertex of child i to every vertex of child
-j.  So a truncation's blocks follow from its term: `generators.truncate`
-runs `_skeleton_parts` once per distinct composite, and
-`_composite_blocks` per occurrence that merges or reorders its
-children's blocks.  `_require_acyclic` is the check that
+j.  So a truncation's vertex partition into blocks follows from its
+term: `generators.truncate` runs `_skeleton_parts` once per distinct
+composite, and `_composite_blocks` per occurrence that merges or
+reorders its children's blocks; the quiver gathers each block's arrows
+(`quiver.ColoredQuiver._blocks`).  `_require_ends` is the range check
+of `truncate` and `_require_acyclic`, the check that
 `terms.composite_term` and `predictor.window` share.  Both run Tarjan,
 on a graph with one node per child, only when an arrow does not run
 forward (i < j): a forward skeleton, such as every skeleton of
@@ -16,20 +18,26 @@ forward (i < j): a forward skeleton, such as every skeleton of
 own component in child order.
 """
 
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 
 from .errors import UnknownVertex
-from .quiver import _expand, _tarjan
+from .quiver import _tarjan
 
 
-def _require_acyclic(n, arrows):
-    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1, a
-    loop, or a strongly connected component of two or more blocks."""
-    succ, looped, forward = [[] for _ in range(n)], False, True
+def _require_ends(n, arrows):
+    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1."""
     for i, j, _ in arrows:
         if not (0 <= i < n and 0 <= j < n):
             raise UnknownVertex("skeleton arrow end outside the blocks",
                                 arrow=[i, j])
+
+
+def _require_acyclic(n, arrows):
+    """Refuse what `_require_ends` refuses, a loop, or a strongly
+    connected component of two or more blocks."""
+    _require_ends(n, arrows)
+    succ, looped, forward = [[] for _ in range(n)], False, True
+    for i, j, _ in arrows:
         succ[i].append(j)
         looped, forward = looped or i == j, forward and i < j
     if not forward and (looped or len(_tarjan(succ, n)) < n):
@@ -72,34 +80,20 @@ def _skeleton_parts(arrows, counts):
     return plan, sum(1 if kept is None else counts[c[0]] for c, kept in plan)
 
 
-def _composite_blocks(plan, names, found, arrows, bundles, start):
+def _composite_blocks(plan, names, found, start):
     """Put a composite occurrence's blocks, sources first, in place of
-    its children's in found[start[0]:], by its plan (`_skeleton_parts`).
-    names[k] are the vertices of its child k, and arrows[start[1]:] and
-    bundles[start[2]:] were emitted inside it, its own bundles included.
-    A merged component is one block of its children's vertices, with
-    every arrow among them, sorted: the arrows and bundles emitted
-    inside those children and the composite's bundles among them,
-    expanded, which is the only place a bundle is.  Each bundle joins
-    blocks of one child or two whole children, so it lies among them
-    iff its first source and first target do."""
-    blocks, out = found[start[0]:], []
+    its children's in found[start:], by its plan (`_skeleton_parts`).
+    names[k] are the vertices of its child k.  A merged component is
+    one block, the sorted vertices of its children."""
+    blocks, out = found[start:], []
     for members, kept in plan:
-        if kept is not None:
+        if kept is None:
+            out.append(tuple(sorted(v for k in members for v in names[k])))
+        else:
             out += blocks[kept]
-            continue
-        inside = {v for k in members for v in names[k]}
-        out.append((tuple(sorted(inside)), tuple(sorted(chain(
-            (a for a in islice(arrows, start[1], None)
-             if a[0] in inside and a[1] in inside),
-            _expand(b for b in islice(bundles, start[2], None)
-                    if b[0] and b[1] and b[0][0] in inside
-                    and b[1][0] in inside))))))
-    found[start[0]:] = out
+    found[start:] = out
 
 
 def _renamed_blocks(quiver, at):
     """The quiver's blocks with each vertex v renamed at[v], sorted."""
-    return [(tuple(sorted(map(at.get, block))),
-             tuple(sorted((at[v], at[w], c, x) for v, w, c, x in inner)))
-            for block, inner in quiver._blocks]
+    return [tuple(sorted(map(at.get, block))) for block in quiver._partition]

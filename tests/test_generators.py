@@ -533,6 +533,18 @@ class TestTruncate:
         with pytest.raises(ValueError, match="names"):
             composite_term((a, b), ("x",), ())
 
+    def test_raw_composite_refuses_ends_and_names_off_its_blocks(self):
+        # read as an index, end -1 would be the last block, and the
+        # quiver would lose a block its arrows have
+        a, b = Point("A", "a"), Point("B", "b")
+        for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+            with pytest.raises(UnknownVertex) as got:
+                truncate(Composite((a, b), ("x", "y"), ((i, j, "t"),)))
+            assert got.value.context == {"arrow": [i, j]}
+        for names in (("x",), ("x", "y", "z")):
+            with pytest.raises(ValueError, match="need 2 block names"):
+                truncate(Composite((a, b), names, ((0, 1, "t"),)))
+
     def test_only_declared_tags_may_reuse_colors_inside_blocks(self):
         # inner mints !(s;v(a),v(b)) between its blocks; the outer
         # composite mints that color again between its own copies of

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomcat.atomspec import aass
 from atomcat.errors import BudgetExceeded, NotNested
 from atomcat.linmod import (DEFAULT_BUDGET, FdModule, FieldSpec, Submodule,
                             _find_one_minimal, composition_factors,
@@ -433,7 +434,8 @@ def test_scan_memory_is_bounded():
 
 
 @pytest.mark.parametrize("fn", [minimal_submodules, submodule_lattice,
-                                lambda m: is_essential(full_submodule(m), m)])
+                                lambda m: is_essential(full_submodule(m), m),
+                                aass])
 def test_over_budget_scan_refuses_before_allocating(fn):
     # a 17-cycle at p = 2: 131,071 lines, past the default budget
     import tracemalloc

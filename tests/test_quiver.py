@@ -522,6 +522,8 @@ def test_property_nested_term_blocks_match_closure_oracle(term):
     assert "arrows" not in vars(q) and "colors" not in vars(q)
     assert_blocks_match_closure_oracle(q)
     assert blocks_with_arrows(q) == blocks
+    # the records truncate hands the quiver hold what make_quiver holds
+    assert q == make_quiver(q.vertices, q.colors, q.arrows)
 
 
 def test_blocks_of_skeleton_corner_cases():
@@ -560,69 +562,13 @@ def test_property_bundle_spectra_equal_expanded(case, p):
                 outcomes.append((str(err), err.context))
         assert outcomes[0] == outcomes[1]
         assert "arrows" not in vars(got) and "colors" not in vars(got)
+        assert got == make_quiver(got.vertices, got.colors, got.arrows)
 
 
 def expand(bundles):
     return [(v, w, c.render(c.tag, c.sources[x], c.targets[y]), 1)
             for sources, targets, c in bundles
             for x, v in enumerate(sources) for y, w in enumerate(targets)]
-
-
-def cell(rows, x, y):
-    return rows[x][y]
-
-
-def given_rows(rows):
-    """BundleColors whose color for (x, y) is rows[x][y]."""
-    return BundleColors(cell, rows, tuple(range(len(rows))),
-                        tuple(range(len(rows[0]) if rows else 0)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(skeletons_with_blocks(), st.data())
-def test_property_bundle_validation_refuses_what_make_quiver_refuses(
-        case, data):
-    # a fault put into a substitution's records: an undeclared vertex
-    # or plain color, or a bundle end repeated with its row or column;
-    # bundle colors are rendered from the records, so always declared
-    if (pair := substituted(case)) is None:
-        return
-    q = pair[0]
-    vertices, colors, bundles = (list(q.vertices), list(q.declared),
-                                 list(q.bundles))
-    blocks = blocks_with_arrows(q)
-    fault = data.draw(st.sampled_from(["none", "vertex", "color", "source",
-                                       "target"]))
-    if fault == "vertex" and vertices:
-        del vertices[data.draw(st.integers(0, len(vertices) - 1))]
-    if fault == "color" and colors:
-        del colors[data.draw(st.integers(0, len(colors) - 1))]
-    if fault in ("source", "target") and bundles:
-        k = data.draw(st.integers(0, len(bundles) - 1))
-        sources, targets, c = bundles[k]
-        bundles[k] = ((sources + sources[:1], targets,
-                       c._replace(sources=c.sources + c.sources[:1]))
-                      if fault == "source" else
-                      (sources, targets + targets[:1],
-                       c._replace(targets=c.targets + c.targets[:1])))
-    try:
-        arrows = expand(bundles)
-        want = make_quiver(vertices, [*colors, *(a[2] for a in arrows)],
-                           [*q.plain, *arrows])
-    except AtomcatError as err:
-        with pytest.raises(AtomcatError) as got:
-            _bundle_quiver(vertices, colors, q.plain, bundles, blocks)
-        assert (type(got.value), got.value.context, str(got.value)) == (
-            type(err), err.context, str(err))
-        return
-    assert _bundle_quiver(vertices, colors, q.plain, bundles, blocks) == want
-
-
-def test_bundle_rows_of_the_wrong_shape_rejected():
-    for rows in ((), (("c",),), (("c", "c"), ("c", "c"))):
-        with pytest.raises(ValueError, match="rows"):
-            _bundle_quiver(["v", "w"], ["c"], [],
-                           [(("v", "w"), ("v",), given_rows(rows))], [])
 
 
 def test_bundle_quiver_equals_make_quiver_of_its_arrows():
