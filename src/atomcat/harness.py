@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 from . import atomspec, generators, linmod, predictor, terms
 from .atomspec import aass, asupp, is_monoform, is_uniform, spectrum
-from .errors import NotTargetClosed
 from .generators import substitute
 from .linmod import (FieldSpec, is_essential, module_of_quiver,
                      quotient_module, structure_report, submodule_as_module,
@@ -123,6 +122,20 @@ def _labels(atom_set):
     return set(atom_set.labels())
 
 
+def _closed_subsets(quiver):
+    """The target-closed vertex subsets, in mask order (bit i for
+    vertex i): a mask is kept when no arrow leaves it, read off one
+    successor mask per vertex."""
+    vs = quiver.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    succ = [0] * len(vs)
+    for src, dst, _, _ in quiver.arrows:
+        succ[index[src]] |= 1 << index[dst]
+    for mask in range(1 << len(vs)):
+        if not any(mask >> i & 1 and s & ~mask for i, s in enumerate(succ)):
+            yield [v for i, v in enumerate(vs) if mask >> i & 1]
+
+
 def check_quiver_invariants(quiver, cfg):
     """Run the full invariant battery on one quiver; returns a dict of
     check name -> bool."""
@@ -178,13 +191,8 @@ def check_quiver_invariants(quiver, cfg):
 
     # splitting along target-closed vertex subsets
     split_ok = True
-    vs = quiver.vertices
-    for mask in range(1 << len(vs)):
-        subset = [v for i, v in enumerate(vs) if mask >> i & 1]
-        try:
-            sub_q, quot_q = split_by_closed(quiver, subset)
-        except NotTargetClosed:
-            continue
+    for subset in _closed_subsets(quiver):
+        sub_q, quot_q = split_by_closed(quiver, subset)
         union = (_labels(asupp(module_of_quiver(sub_q, field), cfg.budget)) |
                  _labels(asupp(module_of_quiver(quot_q, field), cfg.budget)))
         if union != _labels(m_asupp):

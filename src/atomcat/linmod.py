@@ -35,11 +35,15 @@ and `atomspec`'s ("asupp", budget) and ("aass", budget) atom classes,
 as (label, representative, source basis indices).  A module wraps
 stored rows as `Submodule`s of itself and relabels stored factors,
 subquotients and atom sources from its own basis labels, and keeps
-those wrappers in its `_cache`.  Budget checks run before any lookup,
-entries that depend on a budget are keyed by it, and a computation
-that raises stores nothing.  The store is unbounded: it grows with the
-number of distinct modules a process meets, and by one subquotient
-entry per pair of bases met per module.
+those wrappers in its `_cache`.  An entry also holds, under ("module",
+basis labels), the one module per tuple of basis labels that
+`module_of_quiver`, subquotients, composition factors and
+`indexed_copy` return, so equal labelled modules share one `_cache`.
+Budget checks run before any lookup, entries that depend on a budget
+are keyed by it, and a computation that raises stores nothing.  The
+store is unbounded: it grows with the number of distinct modules a
+process meets, by one subquotient entry per pair of bases met per
+module, and by one module per labelled module a process meets.
 """
 
 from dataclasses import dataclass
@@ -93,10 +97,7 @@ class FdModule:
 
     def key(self):
         if "key" not in self._cache:
-            parts = [self.field.p, self.dim]
-            for c in self.colors:
-                parts.append((c, self.actions[c]))
-            self._cache["key"] = tuple(parts)
+            self._cache["key"] = _key(self.field.p, self.dim, self.actions)
         return self._cache["key"]
 
     def stored(self):
@@ -115,6 +116,22 @@ class FdModule:
 
     def __repr__(self):
         return f"FdModule(p={self.field.p}, dim={self.dim}, colors={len(self.actions)})"
+
+
+def _key(p, dim, actions):
+    """`FdModule.key()` of a module with these parts."""
+    return (p, dim, *sorted(actions.items()))
+
+
+def _interned(field, labels, actions):
+    """The one module with these basis labels and actions (color ->
+    matrix), kept in its key's store entry under ("module", labels)."""
+    labels = tuple(labels)
+    entry = _STORE.setdefault(_key(field.p, len(labels), actions), {})
+    if ("module", labels) not in entry:
+        entry[("module", labels)] = FdModule(field, len(labels), labels,
+                                            actions)
+    return entry[("module", labels)]
 
 
 def module_of_quiver(quiver, field=FieldSpec(2)):
@@ -136,8 +153,8 @@ def _module_of_arrows(field, labels, arrows):
                 rows[c] = [ops.zero_vec(n)] * n
             rows[c][i] = ops.add(rows[c][i], ops.unit_vec(j, n),
                                  value % field.p)
-    return FdModule(field, n, labels,
-                    {c: tuple(mat) for c, mat in rows.items()})
+    return _interned(field, labels,
+                     {c: tuple(mat) for c, mat in rows.items()})
 
 
 class Submodule:
@@ -299,9 +316,9 @@ def _labelled_module(module, rows):
     """The module stored as (indices into `module.basis_labels`, (color,
     matrix) pairs), labelled from `module`."""
     index, actions = rows
-    return FdModule(module.field, len(index),
-                    tuple(module.basis_labels[i] for i in index),
-                    dict(actions))
+    return _interned(module.field,
+                     tuple(module.basis_labels[i] for i in index),
+                     dict(actions))
 
 
 def _subquotient_rows(module, lower, upper):
@@ -523,8 +540,7 @@ def _without_coordinate(module, i):
 def indexed_copy(module):
     """The module with basis labels 0, 1, ..., dim - 1: answers computed
     on it name basis lines by index, to be relabelled per module."""
-    return FdModule(module.field, module.dim, range(module.dim),
-                    module.actions)
+    return _interned(module.field, range(module.dim), module.actions)
 
 
 def _relabel_factors(module, series):
@@ -550,12 +566,20 @@ class StructureReport:
 
 
 def structure_report(module, budget=DEFAULT_BUDGET):
-    """Exact structural summary, with no lattice walk: the composition
-    length is the number of composition factors (Jordan-Hoelder), and
-    the socle is the sum of the minimal submodules."""
+    """Exact structural summary, with no lattice walk: the socle is the
+    sum of the minimal submodules, and the composition length is the
+    number of composition factors (Jordan-Hoelder).  The minimal
+    submodules come first, so a module past the budget's seed count is
+    refused by their scan.  A module whose one minimal submodule is
+    the whole module is simple, of length 1 and its own socle, with no
+    composition series built."""
+    mins = minimal_submodules(module, budget)
+    if len(mins) == 1 and mins[0].dim == module.dim:
+        return StructureReport(is_simple=True, composition_length=1,
+                               socle=mins[0])
     length = len(composition_factors(module, budget))
     socle = zero_submodule(module)
-    for s in minimal_submodules(module, budget):
+    for s in mins:
         socle = sum_submodules(socle, s)
     return StructureReport(is_simple=length == 1,
                            composition_length=length, socle=socle)

@@ -348,14 +348,17 @@ def _raise_first_fault(arrows, vset, cset):
 
 
 def full_subquiver(quiver, vertex_subset):
-    """Keep exactly the arrows with both ends inside the subset."""
+    """Keep exactly the arrows with both ends inside the subset.  The
+    result equals `make_quiver(sorted(subset), quiver.colors, those
+    arrows)`, but is built from the validated quiver's sorted colors
+    and arrows without checking them again."""
     keep = set(vertex_subset)
     missing = keep - set(quiver.vertices)
     if missing:
         raise UnknownVertex("subset not inside the quiver",
                             vertices=sorted(missing))
-    arrows = [a for a in quiver.arrows if a[0] in keep and a[1] in keep]
-    return make_quiver(sorted(keep), quiver.colors, arrows)
+    arrows = tuple(a for a in quiver.arrows if a[0] in keep and a[1] in keep)
+    return ColoredQuiver(tuple(sorted(keep)), quiver.colors, arrows)
 
 
 def split_by_closed(quiver, vertex_subset):

@@ -57,14 +57,14 @@ def _skeleton_parts(arrows, counts):
     its components come sources first.  plan lists them, each as its
     child indices and, unless it merges, the slice its child's blocks
     fill among the children's; plan is None when it keeps every child's
-    blocks in child order, as when every counted arrow has 0 <= i < j.
+    blocks in child order, as when every counted arrow has i < j.
     count is the composite's block count.
     """
     n = len(counts)
     pred, looped, forward = [[] for _ in range(n)], [False] * n, True
     for i, j, _ in arrows:
         if counts[i] and counts[j]:
-            forward = forward and 0 <= i < j
+            forward = forward and i < j
             if i == j:
                 looped[i] = True
             else:

@@ -8,17 +8,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import atomcat
 from atomcat.atomspec import spectrum
 from atomcat.cli import cli_dispatch
-from atomcat.harness import (RunConfig, canonical_json,
+from atomcat.errors import NotTargetClosed
+from atomcat.harness import (RunConfig, _closed_subsets, canonical_json,
                              check_poset_roundtrip, check_quiver_invariants,
                              config_from_env, random_poset, random_quiver,
                              run_suite, worked_examples)
 from atomcat.linmod import FieldSpec
-from atomcat.quiver import loop_stripped_topo_order, make_quiver
+from atomcat.quiver import (loop_stripped_topo_order, make_quiver,
+                            split_by_closed)
 from atomcat.terms import PRESET_NAMES
+from strategies import mixed_quivers
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "examples.json"
 
@@ -327,3 +332,21 @@ def test_core_battery_at_p3_small_quivers():
             wide += any(a.representative.dim > 1
                         for a in spectrum(q, FieldSpec(3)).atoms)
     assert non_dag and wide
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_property_battery_splits_exactly_where_split_by_closed_accepts(data):
+    """The battery's closure masks keep exactly the vertex subsets, in
+    mask order, that `split_by_closed` does not refuse."""
+    p = data.draw(st.sampled_from((2, 3)))
+    q = data.draw(mixed_quivers(p, 5))
+    accepted = []
+    for mask in range(1 << len(q.vertices)):
+        subset = [v for i, v in enumerate(q.vertices) if mask >> i & 1]
+        try:
+            split_by_closed(q, subset)
+        except NotTargetClosed:
+            continue
+        accepted.append(subset)
+    assert list(_closed_subsets(q)) == accepted

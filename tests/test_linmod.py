@@ -644,6 +644,41 @@ class TestStructureStore:
         assert factor_view(second) == factor_view(cold)
 
     @pytest.mark.parametrize("p", [2, 3])
+    def test_one_module_per_labelled_module(self, p, monkeypatch):
+        """Modules are interned in the store entry of their key, per
+        basis labels: a cold store (a fresh `_STORE`) is a cold
+        process, with no module kept from before."""
+        from atomcat import linmod
+        from atomcat.linmod import indexed_copy
+
+        def quiver(names):
+            a, b, c = names
+            return make_quiver(names, ["x", "y"], [
+                (a, b, "x"), (b, c, "y", p - 1), (c, c, "x")])
+
+        field = FieldSpec(p)
+        m = module_of_quiver(quiver("abc"), field)
+        factors = composition_factors(m)
+        assert module_of_quiver(quiver("abc"), field) is m
+        other = module_of_quiver(quiver("uvw"), field)
+        assert other.key() == m.key() and other is not m
+        assert other.basis_labels == tuple("uvw")
+        assert indexed_copy(m) is indexed_copy(other)
+        # subquotients and factors of equal labelled modules are shared
+        m1 = irreducible_plus_line(p, ("a", "b", "c"))
+        m2 = irreducible_plus_line(p, ("a", "b", "c"))
+        assert m1 is not m2
+        for (s1, t1), (s2, t2) in zip(nested_pairs(m1), nested_pairs(m2)):
+            assert subquotient(m1, s1, t1) is subquotient(m2, s2, t2)
+        for (f1, _), (f2, _) in zip(composition_factors(m1),
+                                    composition_factors(m2)):
+            assert f1 is f2
+        monkeypatch.setattr(linmod, "_STORE", {})
+        fresh = module_of_quiver(quiver("abc"), field)
+        assert fresh is not m and fresh._cache == {}
+        assert factor_view(composition_factors(fresh)) == factor_view(factors)
+
+    @pytest.mark.parametrize("p", [2, 3])
     def test_equal_actions_get_submodules_of_their_own(self, p):
         from atomcat.linmod import _distinct_cyclic
         m1 = irreducible_plus_line(p, ("a", "b", "c"))

@@ -21,7 +21,7 @@ from atomcat.quiver import (BundleColors, TruncationSpec, _bundle_quiver,
                             quiver_from_json, split_by_closed,
                             strong_components)
 from atomcat.terms import Composite, Point
-from strategies import chain, disjoint_union
+from strategies import chain, disjoint_union, mixed_quivers
 from substitute_oracle import bundle_color
 from substitute_oracle import substitute as oracle_substitute
 
@@ -524,6 +524,21 @@ def test_property_nested_term_blocks_match_closure_oracle(term):
     assert blocks_with_arrows(q) == blocks
     # the records truncate hands the quiver hold what make_quiver holds
     assert q == make_quiver(q.vertices, q.colors, q.arrows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mixed_quivers(3, 5),
+                 nested_terms().map(lambda t: truncate(t).quiver)),
+       st.data())
+def test_property_full_subquiver_is_make_quiver_of_the_arrows_inside(q, data):
+    """Also on truncations that keep bundles, whose colors and arrows
+    are expanded for the subquiver."""
+    keep = data.draw(st.lists(st.booleans(), min_size=len(q.vertices),
+                              max_size=len(q.vertices)))
+    subset = {v for v, k in zip(q.vertices, keep) if k}
+    inside = [a for a in q.arrows if a[0] in subset and a[1] in subset]
+    assert full_subquiver(q, subset) == make_quiver(sorted(subset), q.colors,
+                                                    inside)
 
 
 def test_blocks_of_skeleton_corner_cases():
