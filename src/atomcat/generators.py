@@ -10,7 +10,8 @@ whose blocks are quivers.
 
 Color and vertex ids are structured strings, never fresh counters, so
 regenerating at a deeper truncation extends the shallower quiver
-verbatim.
+verbatim; a bundle arrow's color is `!(tag;v,w)`, which
+`quiver.BundleColors` renders.
 """
 
 from collections import Counter, namedtuple
@@ -24,15 +25,6 @@ from .terms import (Composite, Point, _loop_color, _union_names, acc_term,
                     fold, general_term, noatom_term, noatom_window,
                     noetherian_family, preset_term)
 
-
-def _bundle_color(skeleton_color, src_vertex, dst_vertex):
-    """Fresh color of a bundle arrow, from the tag and its ends' names.
-    Every color of a tag starts with its head, `!(tag;`."""
-    return f"!({skeleton_color};{src_vertex},{dst_vertex})"
-
-
-# the prefix of every color of a tag (see `BundleColors.head`)
-_bundle_color.head = "!({};".format
 
 # what `truncate` reads of a distinct subterm; `below` holds the records
 # inside it by id, `repeated` is never 0 (the first arrow repeats none)
@@ -71,8 +63,7 @@ def _composite(t, blocks):
     for i, j, tag in t.arrows:
         key = tag, id(blocks[i]), id(blocks[j])
         if key not in made:
-            made[key] = BundleColors(_bundle_color, tag, blocks[i].names,
-                                     blocks[j].names)
+            made[key] = BundleColors(tag, blocks[i].names, blocks[j].names)
         own.append(made[key])
     # only a shared tag's colors may already be inside the blocks
     fresh = [c for c in made.values() if c.tag not in t.shared]
@@ -139,10 +130,10 @@ def truncate(term):
     distinct subterms inside it and, for a composite, the `BundleColors`
     of each skeleton arrow (i, j, tag): the tag and the relative names
     of blocks i and j, one per distinct (tag, block i, block j), whose
-    color for (v, w) is _bundle_color(tag, v, w), rendered only when
-    read.  The root's record names every vertex (the quiver's vertices),
-    so one walk over the term and its records (`_emit`) hands each
-    occurrence its names as a slice of them, makes each loop once and
+    color for (v, w) is `!(tag;v,w)`, rendered only when read.  The
+    root's record names every vertex (the quiver's vertices), so one
+    walk over the term and its records (`_emit`) hands each occurrence
+    its names as a slice of them, makes each loop once and
     gives each skeleton arrow one bundle record: the names of its
     source block, those of its target block and its colors.  As
     `terms.composite_term` does, a raw composite's block names must

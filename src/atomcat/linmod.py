@@ -195,8 +195,6 @@ def zero_submodule(module):
 
 def full_submodule(module):
     n = module.dim
-    if n == 0:
-        return zero_submodule(module)
     ops = module.ops
     basis = tuple(ops.unit_vec(i, n) for i in range(n))
     return Submodule(module, basis, tuple(range(n)))
@@ -274,8 +272,6 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
     closed under intersections as well).  Raises BudgetExceeded with
     the partial set attached when the member count passes the budget.
     """
-    if module.dim == 0:
-        return SubmoduleSet((zero_submodule(module),), True)
     return _memo(module, ("lattice", budget),
                  lambda m: _close_lattice(m, budget),
                  lambda m, rows: SubmoduleSet(_wrap(m, rows), True))
@@ -464,8 +460,6 @@ def minimal_submodules(module, budget=DEFAULT_BUDGET):
     Minimal submodules are cyclic, and minimality among the distinct
     cyclic submodules is the same as minimality among all submodules.
     """
-    if module.dim == 0:
-        return []
     _check_seeds(module, budget)
     return list(_memo(module, "minimal",
                       lambda m: _rows(_minimal_cyclic(m, budget)), _wrap))

@@ -13,55 +13,52 @@ into a skeleton lives in `generators`, where a quiver is a leaf term
 of `truncate`; the unions and chains built on skeletons are `terms`.
 
 An arrow is a plain tuple (src, dst, color, value).  `make_quiver`
-also takes 3-item arrows (src, dst, color) and gives them value 1.
-A substitution puts a complete bipartite bundle on each skeleton
-arrow, and `generators.truncate` keeps such bundles as records.  A
-record's colors are `BundleColors`: a tag and the relative names of the
-bundle's two blocks, rendered into color strings only when read.  A
-bundle joins every vertex of one block to every vertex of the other, so
-a truncation's strongly connected blocks follow from its term's
-skeletons: `truncate` reads off the vertex partition (see `skeleton`)
-and hands it to `_bundle_quiver`.  `ColoredQuiver._blocks` is the one
-place where a block's arrows are gathered, and the only place a bundle
-is expanded for one.  `arrows` and `colors` list every arrow and color,
-made when first read.
+also takes 3-item arrows (src, dst, color) and gives them value 1; it
+checks each arrow once, in the given order, and raises the first fault.
+A substitution puts a complete bipartite bundle on each skeleton arrow,
+and `generators.truncate` keeps such bundles as records.  A record's
+colors are `BundleColors`: a tag and the relative names of the bundle's
+two blocks, rendered into the color strings `!(tag;v,w)` only when
+read.  A bundle joins every vertex of one block to every vertex of the
+other, so a truncation's strongly connected blocks follow from its
+term's skeletons: `truncate` reads off the vertex partition (see
+`skeleton`) and hands it to `_bundle_quiver`.  `ColoredQuiver._blocks`
+is the one place where a block's arrows are gathered, and the only
+place a bundle is expanded for one.  `arrows` and `colors` list every
+arrow and color, made when first read.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, repeat
 
 from .errors import (DuplicateArrow, NotTargetClosed, UnknownColor,
                      UnknownVertex)
 from .ordertop import _json_names
 
 
-class BundleColors(namedtuple("BundleColors",
-                              "render tag sources targets")):
-    """The colors of a complete bipartite bundle: render(tag, v, w) on
-    its arrow from the source named v to the target named w, where
-    sources and targets list the names relative to the bundle's two
-    blocks, in the order of its ends.  One object serves every
-    occurrence of the composite that made it."""
+class BundleColors(namedtuple("BundleColors", "tag sources targets")):
+    """The colors of a complete bipartite bundle: `!(tag;v,w)` on its
+    arrow from the source named v to the target named w, where sources
+    and targets list the names relative to the bundle's two blocks, in
+    the order of its ends.  One object serves every occurrence of the
+    composite that made it."""
 
     __slots__ = ()
 
     def color(self, x, y):
         """The color of the arrow from source x to target y."""
-        return self.render(self.tag, self.sources[x], self.targets[y])
+        return f"!({self.tag};{self.sources[x]},{self.targets[y]})"
 
     def rows(self):
         """The colors, one row per source, one color per target."""
-        render, tag, targets = self.render, self.tag, self.targets
-        return ([render(tag, v, w) for w in targets] for v in self.sources)
+        tag, targets = self.tag, self.targets
+        return ([f"!({tag};{v},{w})" for w in targets] for v in self.sources)
 
     def head(self):
-        """The prefix every color starts with: render.head(tag), or ""
-        when the renderer names no head, which may render any string."""
-        head = getattr(self.render, "head", None)
-        return head(self.tag) if head else ""
+        """The prefix every color starts with, `!(tag;`."""
+        return f"!({self.tag};"
 
 
 def _least_clash(fresh, inner, strings):
@@ -238,24 +235,6 @@ class GeneratedQuiver:
         return data
 
 
-_SRC, _DST, _COLOR = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
-def _same_triple(a, b):
-    return a[2] == b[2] and a[1] == b[1] and a[0] == b[0]
-
-
-def _as_arrows(arrows):
-    """Arrows as plain (src, dst, color, value) tuples, value 1 if left out."""
-    out = list(map(tuple, arrows))
-    if lengths := set(map(len, out)) - {4}:
-        if lengths != {3}:
-            raise TypeError("an arrow has 3 or 4 items, not "
-                            f"{min(lengths - {3})}")
-        out = [a if len(a) == 4 else (*a, 1) for a in out]
-    return out
-
-
 def _sorted_unique(items):
     """The items sorted without repeats, as a tuple and as a set.  The
     sort starts from the given order, not a set's hash order, so items
@@ -270,16 +249,11 @@ def _sorted_unique(items):
 def make_quiver(vertices, colors, arrows):
     """Validated colored quiver; arrows given as (src, dst, color[, value]).
 
-    Arrows come out sorted by (src, dst, color).  The checks run on all
-    arrows at once; only when one fails does the per-arrow scan run, so
-    the error raised is the first fault in arrow order.
-
-    Vertices and colors are sorted from the given order.  Beyond the
-    inputs and the result, validation holds one set of the vertices,
-    one of the colors and one private copy of the arrows, sorted in
-    place to find shared triples.  The caller's arrows are left as
-    given and read again only when two share a triple, to name the
-    first repeat in the caller's order.
+    Each arrow is checked once, in the given order: it has 3 or 4 items
+    (else TypeError), its source, target and color are declared, and no
+    earlier arrow shares its (src, dst, color); the first fault is
+    raised.  Arrows come out sorted by (src, dst, color), and vertices
+    and colors sorted from the given order.
     """
     vs, vset = _sorted_unique(vertices)
     cs, cset = _sorted_unique(colors)
@@ -287,17 +261,27 @@ def make_quiver(vertices, colors, arrows):
 
 
 def _checked(arrows, vset, cset):
-    """The arrows as plain tuples, sorted, or the first fault raised."""
-    if not isinstance(arrows, (list, tuple)):
-        arrows = list(arrows)  # it may have to be read twice
-    out = _as_arrows(arrows)
-    if not (vset.issuperset(map(_SRC, out))
-            and vset.issuperset(map(_DST, out))
-            and cset.issuperset(map(_COLOR, out))):
-        _raise_first_fault(out, vset, cset)
+    """The arrows as plain tuples, value 1 if left out, sorted."""
+    out, seen = [], set()
+    for a in arrows:
+        a = tuple(a)
+        if len(a) == 3:
+            a += (1,)
+        elif len(a) != 4:
+            raise TypeError(f"an arrow has 3 or 4 items, not {len(a)}")
+        src, dst, color, _ = a
+        if src not in vset:
+            raise UnknownVertex("arrow source not declared", vertex=src)
+        if dst not in vset:
+            raise UnknownVertex("arrow target not declared", vertex=dst)
+        if color not in cset:
+            raise UnknownColor("arrow color not declared", color=color)
+        if (key := a[:3]) in seen:
+            raise DuplicateArrow("two arrows share (src, dst, color)",
+                                 src=src, dst=dst, color=color)
+        seen.add(key)
+        out.append(a)
     out.sort()
-    if any(map(_same_triple, out, islice(out, 1, None))):
-        _raise_first_fault(_as_arrows(arrows), vset, cset)
     return tuple(out)
 
 
@@ -331,22 +315,6 @@ def _expand(bundles):
             yield from zip(repeat(v), targets, row, repeat(1))
 
 
-def _raise_first_fault(arrows, vset, cset):
-    seen = set()
-    for src, dst, color, _ in arrows:
-        if src not in vset:
-            raise UnknownVertex("arrow source not declared", vertex=src)
-        if dst not in vset:
-            raise UnknownVertex("arrow target not declared", vertex=dst)
-        if color not in cset:
-            raise UnknownColor("arrow color not declared", color=color)
-        key = (src, dst, color)
-        if key in seen:
-            raise DuplicateArrow("two arrows share (src, dst, color)",
-                                 src=src, dst=dst, color=color)
-        seen.add(key)
-
-
 def full_subquiver(quiver, vertex_subset):
     """Keep exactly the arrows with both ends inside the subset.  The
     result equals `make_quiver(sorted(subset), quiver.colors, those
@@ -368,17 +336,14 @@ def split_by_closed(quiver, vertex_subset):
     quiver module, so downstream this yields a short exact sequence
     submodule -> module -> quotient.
     """
-    keep = set(vertex_subset)
-    missing = keep - set(quiver.vertices)
-    if missing:
-        raise UnknownVertex("subset not inside the quiver",
-                            vertices=sorted(missing))
+    sub = full_subquiver(quiver, vertex_subset)
+    keep = set(sub.vertices)
     for src, dst, color, _ in quiver.arrows:
         if src in keep and dst not in keep:
             raise NotTargetClosed("arrow escapes the subset",
                                   src=src, dst=dst, color=color)
     rest = [v for v in quiver.vertices if v not in keep]
-    return full_subquiver(quiver, sorted(keep)), full_subquiver(quiver, rest)
+    return sub, full_subquiver(quiver, rest)
 
 
 def quiver_from_json(data):

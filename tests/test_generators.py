@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from atomcat import generators
+from atomcat import quiver
 from atomcat.errors import (ColorClash, DepthTooSmall, DuplicateArrow,
                             EmptyRange, UnknownPreset, UnknownVertex,
                             WindowTooSmall)
@@ -26,6 +26,17 @@ from substitute_oracle import substitute
 
 def poset(pairs, elems):
     return normalize_poset(pairs, elems)
+
+
+def render_bundle_colors_with(monkeypatch, render):
+    """Make every bundle color render(tag, v, w), under the head "" that
+    every string starts with, so the clash check renders them all."""
+    bundle = quiver.BundleColors
+    monkeypatch.setattr(bundle, "color", lambda c, x, y: render(
+        c.tag, c.sources[x], c.targets[y]))
+    monkeypatch.setattr(bundle, "rows", lambda c: (
+        [render(c.tag, v, w) for w in c.targets] for v in c.sources))
+    monkeypatch.setattr(bundle, "head", lambda c: "")
 
 
 POINT = poset([], ["p"])
@@ -127,7 +138,7 @@ class TestRealizationAcc:
         # a minted bundle color equal to the loop color of a block
         def clashing(skeleton_color, src_vertex, dst_vertex):
             return "c(p1)"
-        monkeypatch.setattr(generators, "_bundle_color", clashing)
+        render_bundle_colors_with(monkeypatch, clashing)
         for build in (lambda: gen_realization_acc(CHAIN2, TruncationSpec(2)),
                       lambda: truncate(acc_term(CHAIN2, 2))):
             with pytest.raises(ColorClash) as got:
@@ -141,11 +152,18 @@ class TestRealizationAcc:
         def clashing(skeleton_color, src_vertex, dst_vertex):
             return {"v(p2)": "c(p2)", "v(p1)": "c(p1)"}.get(
                 dst_vertex, f"z({skeleton_color})")
-        monkeypatch.setattr(generators, "_bundle_color", clashing)
+        render_bundle_colors_with(monkeypatch, clashing)
         v = poset([("p0", "p1"), ("p0", "p2")], ["p0", "p1", "p2"])
         with pytest.raises(ColorClash) as got:
             gen_realization_acc(v, TruncationSpec(depth=2))
         assert got.value.context == {"color": "c(p1)"}
+        # without the patch: a leaf declares two colors the bundle mints
+        monkeypatch.undo()
+        leaf = make_quiver(["x", "y"], ["!(o;y,v(c))", "!(o;x,v(c))", "zz"],
+                           [])
+        with pytest.raises(ColorClash) as got:
+            truncate(chain_term([leaf, Point("C", "c")], ["o"]))
+        assert got.value.context == {"color": "!(o;x,v(c))"}
 
     def test_working_set_of_the_largest_listed_truncation(self):
         # the benchmark's largest realize-acc truncation (519 vertices,
@@ -197,13 +215,18 @@ class TestRealizationAcc:
     def test_acc_truncation_renders_no_color(self, monkeypatch):
         # acc tags (p;i,j) are never prefix-related, so the clash check
         # proves every composite clear without a color string
-        real, rendered = generators._bundle_color, []
+        bundle, rendered = quiver.BundleColors, []
+        real_color, real_rows = bundle.color, bundle.rows
 
-        def counting(*args):
-            rendered.append(args)
-            return real(*args)
-        counting.head = real.head
-        monkeypatch.setattr(generators, "_bundle_color", counting)
+        def color(c, x, y):
+            rendered.append((c, x, y))
+            return real_color(c, x, y)
+
+        def rows(c):
+            rendered.append(c)
+            return real_rows(c)
+        monkeypatch.setattr(bundle, "color", color)
+        monkeypatch.setattr(bundle, "rows", rows)
         for P in [DIAMOND, CHAIN4] + [random_poset(s, 6) for s in range(4)]:
             truncate(acc_term(P, 3))
         assert rendered == []
@@ -214,7 +237,7 @@ class TestRealizationAcc:
         # skeletons all run forward, so it runs on none); and spectrum
         # canonical-forms one simple per distinct block signature, not
         # one per block
-        from atomcat import atomspec, quiver, skeleton
+        from atomcat import atomspec, skeleton
         from atomcat.predictor import crosscheck, predict_realization
         real, sizes = quiver._tarjan, []
         real_form, forms = atomspec.canonical_simple_form, []
@@ -369,13 +392,16 @@ class TestTruncate:
                            pair], [0, 1])
         assert_truncates_as_nested(term, term)
 
-    def test_bundle_color_clash_with_a_nested_chain(self, monkeypatch):
-        # the outer bundle mints the color the inner bundle minted
-        monkeypatch.setattr(generators, "_bundle_color", lambda *_: "k")
-        inner = chain_term([Point("A", "a"), Point("B", "b")], ["i"])
-        with pytest.raises(ColorClash) as got:
-            truncate(chain_term([inner, Point("C", "c")], ["o"]))
-        assert got.value.context == {"color": "k"}
+    def test_bundle_color_clash_with_a_nested_chain(self):
+        # the outer bundle mints the color the inner bundle minted: both
+        # are tagged o, and the inner bundle's ends b1/v(c) and v(c) are
+        # also the names of an outer bundle's ends, relative to its blocks
+        inner = chain_term([make_quiver(["b1/v(c)"], [], []),
+                            make_quiver(["v(c)"], [], [])], ["o"])
+        for build in (truncate, nested):
+            with pytest.raises(ColorClash) as got:
+                build(chain_term([inner, Point("C", "c")], ["o"]))
+            assert got.value.context == {"color": "!(o;b1/v(c),v(c))"}
 
     def test_quiver_leaves_equal_nested_combinators(self):
         # a quiver leaf keeps its vertices, arrows and declared colors,

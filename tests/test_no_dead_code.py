@@ -1,8 +1,8 @@
-"""Every public module-level function of the library, and every public
-method of a module-level class, has a caller somewhere in `src/atomcat`
-or `perfbench/`.  Tests do not count as callers, so a function or
-method that only its own tests call fails here: delete it, or give it
-a use.
+"""Every module-level function of the library, and every method of a
+module-level class other than a dunder method, has a caller somewhere
+in `src/atomcat` or `perfbench/`; public and private names are checked
+apart.  Tests do not count as callers, so a function or method that
+only its own tests call fails here: delete it, or give it a use.
 
 A function counts as used only where the use reaches its own module: a
 name read inside that module, a `module.name` attribute on a name bound
@@ -72,25 +72,50 @@ def _reached(tree):
     return out
 
 
-def test_every_public_function_has_a_caller():
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _unused_functions():
     src = _trees(SRC)
     used = set().union(*map(_reached, [*src.values(),
                                        *_trees(PERFBENCH).values()]))
     used |= {(module, node.id) for module, tree in src.items()
              for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [f"{module}.{node.name}" for module, tree in src.items()
-              for node in tree.body if isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("_")
-              and (module, node.name) not in used]
+    return [(module, node.name) for module, tree in src.items()
+            for node in tree.body if isinstance(node, ast.FunctionDef)
+            and (module, node.name) not in used]
+
+
+def _unused_methods():
+    src = _trees(SRC)
+    named = _named([*src.values(), *_trees(PERFBENCH).values()])
+    return [(f"{module}.{cls.name}", node.name)
+            for module, tree in src.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name not in named]
+
+
+def test_every_public_function_has_a_caller():
+    unused = [f"{m}.{name}" for m, name in _unused_functions()
+              if not name.startswith("_")]
+    assert not unused, ", ".join(unused)
+
+
+def test_every_private_function_has_a_caller():
+    unused = [f"{m}.{name}" for m, name in _unused_functions()
+              if _private(name)]
     assert not unused, ", ".join(unused)
 
 
 def test_every_public_method_has_a_caller():
-    src = _trees(SRC)
-    named = _named([*src.values(), *_trees(PERFBENCH).values()])
-    unused = [f"{module}.{cls.name}.{node.name}"
-              for module, tree in src.items() for cls in tree.body
-              if isinstance(cls, ast.ClassDef) for node in cls.body
-              if isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("_") and node.name not in named]
+    unused = [f"{c}.{name}" for c, name in _unused_methods()
+              if not name.startswith("_")]
+    assert not unused, ", ".join(unused)
+
+
+def test_every_private_method_has_a_caller():
+    unused = [f"{c}.{name}" for c, name in _unused_methods()
+              if _private(name)]
     assert not unused, ", ".join(unused)
