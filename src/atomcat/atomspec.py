@@ -64,7 +64,7 @@ def canonical_simple_form(simple):
     and label exactly when they are isomorphic.  Zero colors are left
     out.  Seeds have leading coordinate 1 (a scalar multiple spins up to
     the same form): (p^k - 1)/(p - 1) spin-ups in the field's kernel,
-    `bitmat.spin_up` on int bitsets or `modp.spin_up` on tuple rows.
+    `F2Ops.spin_up` on int bitsets or `FpOps.spin_up` on tuple rows.
     Each is bounded by the least form found so far and stops as soon as
     its leading entries exceed it, which leaves the least form, ties
     included, unchanged.  A seed that fails to span raises ValueError

@@ -25,7 +25,10 @@ def _common_flags(parser):
     parser.add_argument("--field", type=int, default=None,
                         help="prime field characteristic (default 2)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="lattice enumeration budget")
+                        help="most seed vectors a cyclic seed scan may "
+                        "read (spectrum refuses with 'too many seed "
+                        "vectors') and most members a lattice "
+                        "enumeration may list")
     parser.add_argument("--depth", type=int, default=None,
                         help="truncation depth for generators/presets")
     parser.add_argument("--seed", type=int, default=None,

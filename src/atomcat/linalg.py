@@ -1,140 +1,29 @@
-"""Field-dispatching facade over the GF(2) bitset kernel and mod-p code.
+"""Field dispatch over the two kernels, and the scans written once for
+both fields.
 
-Modules and submodules never look inside a row; they go through an ops
-object obtained from `ops_for(p)`.  Both fields share one layout: a
-matrix is a tuple of rows, built with `tuple(rows)`, and is its own
-hashable key.  For p = 2 a row is a Python-int bitset (`bitmat`);
-otherwise a row is a tuple of ints in [0, p) (`modp`).  Callers rely
-only on `len()`, indexing and iteration over rows.  All methods treat
-row spaces as immutable values in fully reduced row-echelon form.
-A dense matrix is a list of int rows with entries in [0, p) in both
-fields; `pack` takes any iterable of int rows and `unpack` gives lists.
+`ops_for(p)` gives the ops object of GF(p): `bitmat.F2Ops` at p = 2,
+`modp.FpOps(p)` otherwise, each holding its field's whole kernel with
+the same methods.  Modules and submodules never look inside a row; they
+go through that object.  Both fields share one layout: a matrix is a
+tuple of rows, built with `tuple(rows)`, and is its own hashable key.
+For p = 2 a row is a Python-int bitset; otherwise a row is a tuple of
+ints in [0, p).  Callers rely only on `len()`, indexing and iteration
+over rows.  All methods treat row spaces as immutable values in fully
+reduced row-echelon form.  A dense matrix is a list of int rows with
+entries in [0, p) in both fields; `pack` takes any iterable of int rows
+and `unpack` gives lists.
 
 The scan of every distinct cyclic submodule is written once, for both
 fields, as `cyclic_submodules`: it reads the graph of the lines from
 the ops' `line_graph` and closes it with the ops' `rref`.
 """
 
-from . import bitmat, modp
+from .bitmat import F2Ops
+from .modp import FpOps
 from .quiver import _tarjan
 
 
-class F2Ops:
-    p = 2
-
-    def pack(self, dense, n):
-        return tuple(sum(1 << j for j, x in enumerate(row) if x & 1)
-                     for row in dense)
-
-    def unpack(self, rows, n):
-        return [[r >> j & 1 for j in range(n)] for r in rows]
-
-    def zero_vec(self, n):
-        return 0
-
-    def unit_vec(self, i, n):
-        return 1 << i
-
-    def rref(self, mat, n, space=None, full=None):
-        return bitmat.rref(mat, n, space, full)
-
-    def reduce_row(self, row, basis, pivots):
-        return bitmat.reduce_row(row, basis, pivots)
-
-    def vec_mat(self, v, act, n):
-        return bitmat.vec_mat(v & ((1 << n) - 1), act)
-
-    def line_graph(self, acts, n):
-        return bitmat.line_graph(acts, n)
-
-    def nullspace(self, mat, n):
-        return bitmat.nullspace(mat, n)
-
-    def left_nullspace(self, mat, nrows, n):
-        return bitmat.left_nullspace(mat, nrows, n)
-
-    def coords(self, row, basis, pivots, n):
-        return bitmat.coords_in_basis(row, basis, pivots)
-
-    def spin_up(self, seed, acts, n, bound):
-        return bitmat.spin_up(seed, acts, n, bound)
-
-    def unpack_form(self, form, n, m):
-        return bitmat.unpack_form(form, n, m)
-
-    def is_zero(self, vec):
-        return not vec
-
-    def add(self, a, b, c=1):
-        return a ^ b if c & 1 else a
-
-    def delete_coordinate(self, mat, i):
-        low = (1 << i) - 1
-        return tuple(r & low | r >> 1 & ~low
-                     for j, r in enumerate(mat) if j != i)
-
-    def line_seeds(self, n):  # each line has one nonzero vector
-        return range(1, 1 << n)
-
-
-class FpOps:
-    def __init__(self, p):
-        self.p = p
-
-    def pack(self, dense, n):
-        return tuple(tuple(int(x) % self.p for x in row) for row in dense)
-
-    def unpack(self, rows, n):
-        return [list(r) for r in rows]
-
-    def zero_vec(self, n):
-        return (0,) * n
-
-    def unit_vec(self, i, n):
-        return (0,) * i + (1,) + (0,) * (n - i - 1)
-
-    def rref(self, mat, n, space=None, full=None):
-        return modp.rref(mat, self.p, n, space, full)
-
-    def reduce_row(self, row, basis, pivots):
-        return modp.reduce_row(row, basis, pivots, self.p)
-
-    def vec_mat(self, v, act, n):
-        return modp.vec_mat(v, act, self.p)
-
-    def line_graph(self, acts, n):
-        return modp.line_graph(acts, n, self.p)
-
-    def nullspace(self, mat, n):
-        return modp.nullspace(mat, n, self.p)
-
-    def left_nullspace(self, mat, nrows, n):
-        return modp.left_nullspace(mat, nrows, n, self.p)
-
-    def coords(self, row, basis, pivots, n):
-        return modp.coords_in_basis(row, basis, pivots, self.p)
-
-    def line_seeds(self, n):
-        return modp.line_seeds(n, self.p)
-
-    def spin_up(self, seed, acts, n, bound):
-        return modp.spin_up(seed, acts, n, self.p, bound)
-
-    def unpack_form(self, form, n, m):
-        return form
-
-    def is_zero(self, vec):
-        return not any(vec)
-
-    def add(self, a, b, c=1):
-        return tuple((x + c * y) % self.p for x, y in zip(a, b))
-
-    def delete_coordinate(self, mat, i):
-        return tuple(r[:i] + r[i + 1:] for j, r in enumerate(mat) if j != i)
-
-
-_F2 = F2Ops()
-_CACHE = {2: _F2}
+_CACHE = {2: F2Ops()}
 
 
 def is_prime(p):

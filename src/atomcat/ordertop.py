@@ -176,7 +176,7 @@ def _json_names(data, key):
     """The names array data[key] of a JSON object; raises ValueError
     unless it is an array of all strings or all (non-bool) integers,
     the names that sort and print as vertex, color and element ids."""
-    names = data[key] if isinstance(data, dict) else None
+    names = data.get(key) if isinstance(data, dict) else None
     if not (isinstance(names, list)
             and (all(type(x) is str for x in names)
                  or all(type(x) is int for x in names))):
@@ -187,11 +187,12 @@ def _json_names(data, key):
 
 def _json_pairs(data, key):
     """data[key], an array of [lower, upper] name pairs, as tuples."""
-    if not (isinstance(data[key], list) and all(
+    pairs = data.get(key)
+    if not (isinstance(pairs, list) and all(
             isinstance(p, list) and len(p) == 2
-            and all(type(x) in (str, int) for x in p) for p in data[key])):
+            and all(type(x) in (str, int) for x in p) for p in pairs)):
         raise ValueError(f"{key!r} must be an array of [lower, upper] pairs")
-    return [tuple(p) for p in data[key]]
+    return [tuple(p) for p in pairs]
 
 
 def poset_from_json(data):
@@ -224,7 +225,7 @@ def topology_of_opens(points, masks):
 
 def topology_from_json(data):
     points = tuple(sorted(set(_json_names(data, "points"))))
-    opens = data["opens"]
+    opens = data.get("opens")
     if not (isinstance(opens, list) and all(
             isinstance(sub, list) and all(type(x) in (str, int) for x in sub)
             for sub in opens)):

@@ -347,17 +347,22 @@ def split_by_closed(quiver, vertex_subset):
 
 
 def quiver_from_json(data):
-    """Quiver from its JSON form.  Raises ValueError unless each names
-    field is an array of all strings or all integers and each arrow an
-    object whose ends and color are strings or integers and whose value
-    is an integer; a bad arrow is named."""
+    """Quiver from its JSON form.  Raises ValueError, naming the field or
+    the arrow, unless each names field is an array of all strings or all
+    integers and each arrow an object whose ends and color are strings
+    or integers and whose value, if given, is an integer."""
     vertices = _json_names(data, "vertices")
     colors = _json_names(data, "colors")
-    if not (isinstance(data["arrows"], list)
-            and all(isinstance(a, dict) for a in data["arrows"])):
-        raise ValueError("arrows must be an array of objects")
+    arrows = data.get("arrows")
+    if not (isinstance(arrows, list)
+            and all(isinstance(a, dict) for a in arrows)):
+        raise ValueError("'arrows' must be an array of objects")
+    for a in arrows:
+        for key in ("src", "dst", "color"):
+            if key not in a:
+                raise ValueError(f"arrow {a} has no {key!r}")
     arrows = [(a["src"], a["dst"], a["color"], a.get("value", 1))
-              for a in data["arrows"]]
+              for a in arrows]
     for a in arrows:
         # bool is a JSON true/false, not a number
         if not (type(a[3]) is int

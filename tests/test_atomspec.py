@@ -512,7 +512,7 @@ def test_budget_error_names_the_block():
 
 import numpy as np
 
-from atomcat import modp
+from atomcat.linalg import FpOps
 from atomcat.linmod import hom_basis
 
 
@@ -551,7 +551,8 @@ def base_changes(draw, p, k):
                 up[i, j] = draw(st.integers(0, p - 1))
     perm = np.eye(k, dtype=np.int64)[draw(st.permutations(range(k)))]
     t = perm @ low @ up % p
-    red, _ = modp.rref(np.hstack([t, np.eye(k, dtype=np.int64)]).tolist(), p)
+    red, _ = FpOps(p).rref(
+        np.hstack([t, np.eye(k, dtype=np.int64)]).tolist(), None)
     return t, np.array(red)[:, k:]
 
 

@@ -20,8 +20,9 @@ from atomcat.harness import (RunConfig, _closed_subsets, canonical_json,
                              config_from_env, random_poset, random_quiver,
                              run_suite, worked_examples)
 from atomcat.linmod import FieldSpec
+from atomcat.ordertop import poset_from_json, topology_from_json
 from atomcat.quiver import (loop_stripped_topo_order, make_quiver,
-                            split_by_closed)
+                            quiver_from_json, split_by_closed)
 from atomcat.terms import PRESET_NAMES
 from strategies import mixed_quivers
 
@@ -259,10 +260,23 @@ class TestCli:
         ("convert --to poset", {"points": ["a", "b"], "opens": [[], 5]}),
         ("convert --to poset", {"points": ["a", "b"], "opens": "ab"}),
         ("convert --to poset", {"points": ["a", "b"], "opens": [[True]]}),
+        ("spectrum", {"colors": [], "arrows": []}),
+        ("spectrum", {"vertices": ["a"], "colors": ["c"]}),
+        ("spectrum", {"vertices": ["a"], "colors": ["c"],
+                      "arrows": [{"dst": "a", "color": "c"}]}),
+        ("spectrum", {"vertices": ["a"], "colors": ["c"],
+                      "arrows": [{"src": "a", "color": "c"}]}),
+        ("spectrum", {"vertices": ["a"], "colors": ["c"],
+                      "arrows": [{"src": "a", "dst": "a"}]}),
+        ("realize", {"elements": ["a", "b"]}),
+        ("convert --to topology", {"elements": ["a", "b"]}),
+        ("convert --to poset", {"points": ["a", "b"]}),
     ], ids=["mixed-vertices", "bool-color", "string-vertices", "list-arrow",
             "list-src", "not-an-object", "mixed-elements", "string-elements",
             "list-in-pair", "string-pair", "string-open", "int-open",
-            "string-opens", "bool-point"])
+            "string-opens", "bool-point", "no-vertices", "no-arrows",
+            "no-src", "no-dst", "no-color", "no-le", "no-le-to-topology",
+            "no-opens"])
     def test_malformed_json_is_a_value_error(self, tmp_path, capsys, command,
                                              data):
         path = self.write(tmp_path, "bad.json", data)
@@ -292,6 +306,20 @@ class TestCli:
         monkeypatch.setenv("ATOMCAT_FIELD", "3")
         assert cli_dispatch(["spectrum", qpath]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("reader, data, named", [
+    (quiver_from_json, {"vertices": ["a"], "colors": ["c"]}, "'arrows'"),
+    (quiver_from_json, {"vertices": ["a"], "colors": ["c"],
+                        "arrows": [{"src": "a", "dst": "a"}]},
+     r"arrow \{'src': 'a', 'dst': 'a'\} has no 'color'"),
+    (poset_from_json, {"elements": ["a"]}, "'le'"),
+    (topology_from_json, {"points": ["a"]}, "'opens'"),
+], ids=["no-arrows", "no-color", "no-le", "no-opens"])
+def test_json_readers_name_a_missing_field(reader, data, named):
+    # a ValueError that names the field or the arrow, not a KeyError
+    with pytest.raises(ValueError, match=named):
+        reader(data)
 
 
 def test_numpy_loads_only_to_draw_case_streams(tmp_path):

@@ -1,8 +1,9 @@
-"""Kernel-level checks: the GF(2) int-bitset kernel against a dense
-numpy RREF oracle and against `modp` run at p = 2, and the `modp`
+"""Kernel-level checks: the GF(2) int-bitset kernel `F2Ops` against a
+dense numpy RREF oracle and against `FpOps(2)`, and the `FpOps`
 tuple-row kernel against the dense numpy routines of `dense_modp` at
 p = 3 and 5."""
 
+import inspect
 import itertools
 import json
 
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_modp
-from atomcat import bitmat, harness, modp
-from atomcat.linalg import FpOps, cyclic_submodules, ops_for
+from atomcat import harness
+from atomcat.linalg import F2Ops, FpOps, cyclic_submodules, ops_for
 from atomcat.linmod import (FieldSpec, hom_basis, module_of_quiver,
                             submodule_lattice)
 from atomcat.quiver import make_quiver
+
+F2 = ops_for(2)
 
 
 def pack_rows(dense):
@@ -78,7 +81,7 @@ def actions_and_seed(draw):
 @settings(max_examples=80, deadline=None)
 @given(dense_matrices())
 def test_rref_matches_dense_oracle(dense):
-    basis, pivots = bitmat.rref(pack_rows(dense))
+    basis, pivots = F2.rref(pack_rows(dense), None)
     oracle, opiv = dense_rref_gf2(dense)
     assert list(pivots) == opiv
     assert np.array_equal(unpack_rows(basis, dense.shape[1]), oracle)
@@ -156,12 +159,12 @@ def test_cyclic_closure_matches_modp_at_p2(case):
 def test_nullspaces_match_modp_at_p2(dense):
     r, n = dense.shape
     packed = pack_rows(dense)
-    right = bitmat.nullspace(packed, n)
+    right = F2.nullspace(packed, n)
     assert (unpack_rows(right, n).tolist()
-            == [list(x) for x in modp.nullspace(dense.tolist(), n, 2)])
-    left = bitmat.left_nullspace(packed, r, n)
+            == [list(x) for x in FpOps(2).nullspace(dense.tolist(), n)])
+    left = F2.left_nullspace(packed, r, n)
     assert (unpack_rows(left, r).tolist()
-            == [list(x) for x in modp.nullspace(dense.T.tolist(), r, 2)])
+            == [list(x) for x in FpOps(2).nullspace(dense.T.tolist(), r)])
 
 
 @st.composite
@@ -186,10 +189,10 @@ def test_spin_up_matches_modp_at_p2_for_every_seed(case):
     packed = [pack_rows(a) for a in acts]
     keys, forms = [], []
     for seed in range(1, 1 << k):
-        keys.append(bitmat.spin_up(seed, packed, k, None))
-        forms.append(modp.spin_up(tuple(seed >> t & 1 for t in range(k)),
-                                  [a.tolist() for a in acts], k, 2, None))
-        assert bitmat.unpack_form(keys[-1], k, len(acts)) == forms[-1]
+        keys.append(F2.spin_up(seed, packed, k, None))
+        forms.append(FpOps(2).spin_up(tuple(seed >> t & 1 for t in range(k)),
+                                      [a.tolist() for a in acts], k, None))
+        assert F2.unpack_form(keys[-1], k, len(acts)) == forms[-1]
     # int keys order the seeds as the coordinate tuples do
     seeds = range(len(keys))
     assert (sorted(seeds, key=keys.__getitem__)
@@ -233,19 +236,19 @@ TIED = [(2, [[[0, 1], [1, 1]]]), (3, [[[0, 2], [1, 0]]]),
 
 def check_bounded_least(p, k, acts):
     """The bounded least form equals the unbounded min over every seed,
-    in the field's kernel and, at p = 2, in `modp` as well."""
+    in the field's kernel and, at p = 2, in `FpOps(2)` as well."""
     seeds = list(ops_for(p).line_seeds(k))
     if p == 2:
         packed = [pack_rows(a) for a in acts]
-        want = min(bitmat.spin_up(s, packed, k, None) for s in seeds)
-        assert bounded_least(lambda s, b: bitmat.spin_up(s, packed, k, b),
+        want = min(F2.spin_up(s, packed, k, None) for s in seeds)
+        assert bounded_least(lambda s, b: F2.spin_up(s, packed, k, b),
                              seeds) == want
         seeds = [tuple(s >> t & 1 for t in range(k)) for s in seeds]
-    rows = [np.asarray(a).tolist() for a in acts]
-    want = min(modp.spin_up(s, rows, k, p, None) for s in seeds)
-    assert bounded_least(lambda s, b: modp.spin_up(s, rows, k, p, b),
+    rows, fp = [np.asarray(a).tolist() for a in acts], FpOps(p)
+    want = min(fp.spin_up(s, rows, k, None) for s in seeds)
+    assert bounded_least(lambda s, b: fp.spin_up(s, rows, k, b),
                          seeds) == want
-    return [modp.spin_up(s, rows, k, p, None) for s in seeds].count(want)
+    return [fp.spin_up(s, rows, k, None) for s in seeds].count(want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,7 +302,7 @@ def test_vec_mat_matches_dense():
     v_dense = rng.integers(0, 2, size=n).astype(np.uint8)
     act = pack_rows(act_dense)
     v = pack_rows(v_dense)[0]
-    got = unpack_rows([bitmat.vec_mat(v, act)], n)[0]
+    got = unpack_rows([F2.vec_mat(v, act, n)], n)[0]
     want = (v_dense @ act_dense) % 2
     assert np.array_equal(got, want)
 
@@ -320,7 +323,7 @@ def test_cyclic_closure_nilpotent_chain():
 
 def test_nullspace():
     dense = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.uint8)
-    ns = bitmat.nullspace(pack_rows(dense), 4)
+    ns = F2.nullspace(pack_rows(dense), 4)
     assert len(ns) == 2
     for x in unpack_rows(ns, 4):
         assert not ((dense @ x) % 2).any()
@@ -332,23 +335,22 @@ def test_left_nullspace():
     a = np.zeros((n, n), dtype=np.uint8)
     a[0, 1] = 1
     a[1, 2] = 1
-    ker = bitmat.left_nullspace(pack_rows(a), n, n)
+    ker = F2.left_nullspace(pack_rows(a), n, n)
     assert len(ker) == 1
     assert np.array_equal(unpack_rows(ker, n)[0], [0, 0, 1])
 
 
 def test_coords_in_basis():
     dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    basis, piv = bitmat.rref(pack_rows(dense))
+    basis, piv = F2.rref(pack_rows(dense), None)
     row = pack_rows([1, 1, 0])[0]
-    assert bitmat.coords_in_basis(row, basis, piv) == 0b11
-    assert bitmat.coords_in_basis(pack_rows([1, 0, 0])[0],
-                                  basis, piv) is None
+    assert F2.coords(row, basis, piv, 3) == 0b11
+    assert F2.coords(pack_rows([1, 0, 0])[0], basis, piv, 3) is None
 
 
 def test_modp_rref_gf3():
     mat = ((2, 1, 0), (1, 1, 0), (0, 0, 2))
-    basis, piv = modp.rref(mat, 3)
+    basis, piv = FpOps(3).rref(mat, None)
     assert len(basis) == 3
     assert list(piv) == [0, 1, 2]
     # unit pivots, fully reduced
@@ -357,10 +359,24 @@ def test_modp_rref_gf3():
 
 def test_modp_nullspace_gf5():
     mat = ((1, 2, 3),)
-    ns = modp.nullspace(mat, 3, 5)
+    ns = FpOps(5).nullspace(mat, 3)
     assert len(ns) == 2
     for row in ns:
         assert sum(a * x for a, x in zip(mat[0], row)) % 5 == 0
+
+
+def ops_shape(cls):
+    """Each public method of an ops class with its signature."""
+    return {name: str(inspect.signature(fn))
+            for name, fn in vars(cls).items()
+            if inspect.isfunction(fn) and not name.startswith("_")}
+
+
+def test_both_kernels_have_one_ops_shape():
+    # callers reach either field's kernel through the same methods, with
+    # the same parameter names, although the classes live in two modules
+    shape = ops_shape(F2Ops)
+    assert "rref" in shape and shape == ops_shape(FpOps)
 
 
 def test_line_seeds():
@@ -415,11 +431,12 @@ def as_lists(rows):
 @given(fp_cases())
 def test_fp_rref_and_reduce_row_match_dense_oracle(case):
     p, n, mat, vec, _ = case
-    basis, piv = modp.rref(tuple(map(tuple, mat)), p)
+    fp = FpOps(p)
+    basis, piv = fp.rref(tuple(map(tuple, mat)), None)
     want, wpiv = dense_modp.rref(dense(mat, n), p)
     assert list(piv) == wpiv.tolist()
     assert as_lists(basis) == want.tolist()
-    got = modp.reduce_row(tuple(vec), basis, piv, p)
+    got = fp.reduce_row(tuple(vec), basis, piv)
     assert list(got) == dense_modp.reduce_row(vec, want, wpiv, p).tolist()
 
 
@@ -471,10 +488,10 @@ def test_rref_extends_a_space_like_the_dense_oracle(case):
 def test_fp_nullspaces_match_dense_oracle(case):
     p, n, mat, _, _ = case
     rows = tuple(map(tuple, mat))
-    assert (as_lists(modp.nullspace(rows, n, p))
+    assert (as_lists(FpOps(p).nullspace(rows, n))
             == dense_modp.nullspace(dense(mat, n), p).tolist())
     r = len(mat)
-    assert (as_lists(modp.left_nullspace(rows, r, n, p))
+    assert (as_lists(FpOps(p).left_nullspace(rows, r, n))
             == dense_modp.nullspace(dense(mat, n).T, p).tolist())
 
 
@@ -482,21 +499,22 @@ def test_fp_nullspaces_match_dense_oracle(case):
 @given(fp_cases(), st.data())
 def test_fp_coords_in_basis_match_dense_oracle(case, data):
     p, n, mat, vec, _ = case
-    basis, piv = modp.rref(tuple(map(tuple, mat)), p)
+    fp = FpOps(p)
+    basis, piv = fp.rref(tuple(map(tuple, mat)), None)
     want, wpiv = dense_modp.rref(dense(mat, n), p)
     # a combination of the basis, and an arbitrary vector
     comb = data.draw(st.lists(st.integers(0, p - 1), min_size=len(basis),
                               max_size=len(basis)))
     inside = (np.array(comb, dtype=np.int64) @ want) % p
     for row in (inside.tolist(), vec):
-        coeffs = modp.coords_in_basis(tuple(row), basis, piv, p)
+        coeffs = fp.coords(tuple(row), basis, piv, n)
         if dense_modp.reduce_row(row, want, wpiv, p).any():
             assert coeffs is None
         else:
             rebuilt = (np.array(coeffs, dtype=np.int64) @ want) % p
             assert rebuilt.tolist() == list(row)
     # a fully reduced basis has one set of coordinates per span vector
-    assert (modp.coords_in_basis(tuple(inside.tolist()), basis, piv, p)
+    assert (fp.coords(tuple(inside.tolist()), basis, piv, n)
             == tuple(comb))
 
 
