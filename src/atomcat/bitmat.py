@@ -11,20 +11,13 @@ sorted by pivot, where a row's pivot is its lowest set bit, and no
 other row has a bit at that column.  The basis tuple together with its
 ascending pivot tuple is unique for the space, so the tuple itself is
 the hashable key of a row space.  Dense 0/1 rows come in and go out
-only through `pack` / `unpack`.  The field-specific parts of the
-cyclic scan live here, the image graph of the lines (`line_graph`) and
-a row reduction that extends a space (`rref`); the loop that closes
-the graph's components is `linalg.cyclic_submodules`.
+only through `pack` / `unpack`.  `reduce_row` is the kernel's one
+elimination of a row against a basis: `rref` and `coords` call it.
+The field-specific parts of the cyclic scan live here, the image graph
+of the lines (`line_graph`) and a row reduction that extends a space
+(`rref`); the loop that closes the graph's components is
+`linalg.cyclic_submodules`.
 """
-
-
-def _reduced(row, basis):
-    """`row` with the pivot bits of a reduced `basis` (pivot -> row)
-    eliminated."""
-    for piv, b in basis.items():
-        if row >> piv & 1:
-            row ^= b
-    return row
 
 
 def _admit(row, basis):
@@ -90,9 +83,9 @@ class F2Ops:
         Returns (basis, pivots), `space` itself when `mat` adds nothing
         to it, and at rank n the given `full` space."""
         basis = {} if space is None else dict(zip(space[1], space[0]))
-        rank = len(basis)
+        rank, reduce_row = len(basis), self.reduce_row
         for row in mat:
-            row = _reduced(row, basis)
+            row = reduce_row(row, basis.values(), basis)
             if row:
                 _admit(row, basis)
                 if len(basis) == n:
@@ -161,13 +154,13 @@ class F2Ops:
         With a fully reduced basis the coefficient of basis row i is
         simply the bit of `row` at pivot column i.
         """
+        if self.reduce_row(row, basis, pivots):
+            return None
         coeffs = 0
-        rec = 0
-        for i, (b, piv) in enumerate(zip(basis, pivots)):
+        for i, piv in enumerate(pivots):
             if row >> piv & 1:
                 coeffs |= 1 << i
-                rec ^= b
-        return coeffs if rec == row else None
+        return coeffs
 
     def spin_up(self, seed, acts, n, bound):
         """`modp.FpOps.spin_up` from a nonzero `seed`, as one int: n bits

@@ -9,9 +9,11 @@ tuple of rows, built with `tuple(rows)`, and is its own hashable key.
 For p = 2 a row is a Python-int bitset; otherwise a row is a tuple of
 ints in [0, p).  Callers rely only on `len()`, indexing and iteration
 over rows.  All methods treat row spaces as immutable values in fully
-reduced row-echelon form.  A dense matrix is a list of int rows with
-entries in [0, p) in both fields; `pack` takes any iterable of int rows
-and `unpack` gives lists.
+reduced row-echelon form.  Each kernel eliminates a row against a
+reduced basis in `reduce_row` alone; a row lies in the span exactly
+when `is_zero` holds of the result.  A dense matrix is a list of int
+rows with entries in [0, p) in both fields; `pack` takes any iterable
+of int rows and `unpack` gives lists.
 
 The scan of every distinct cyclic submodule is written once, for both
 fields, as `cyclic_submodules`: it reads the graph of the lines from
@@ -42,15 +44,6 @@ def ops_for(p):
     if p not in _CACHE:
         _CACHE[p] = FpOps(p)
     return _CACHE[p]
-
-
-def in_span(ops, row, basis, pivots):
-    return ops.is_zero(ops.reduce_row(row, basis, pivots))
-
-
-def span_contains(ops, big, big_piv, small, small_piv):
-    """Whether the row space `small` is contained in `big`."""
-    return all(in_span(ops, row, big, big_piv) for row in small)
 
 
 def cyclic_submodules(ops, acts, n):

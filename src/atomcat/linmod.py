@@ -109,11 +109,6 @@ class FdModule:
         return {c: self.ops.unpack(self.actions[c], self.dim)
                 for c in self.colors}
 
-    def to_json(self):
-        return {"p": self.field.p, "dim": self.dim,
-                "labels": list(self.basis_labels),
-                "actions": self.dense_actions()}
-
     def __repr__(self):
         return f"FdModule(p={self.field.p}, dim={self.dim}, colors={len(self.actions)})"
 
@@ -175,8 +170,11 @@ class Submodule:
         return (self.dim, self.basis)
 
     def contains(self, other):
-        return linalg.span_contains(self.parent.ops, self.basis, self.pivots,
-                                    other.basis, other.pivots)
+        ops, basis, pivots = self.parent.ops, self.basis, self.pivots
+        for row in other.basis:
+            if not ops.is_zero(ops.reduce_row(row, basis, pivots)):
+                return False
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, Submodule) and self.parent is other.parent
@@ -324,12 +322,8 @@ def _subquotient_rows(module, lower, upper):
         raise NotNested("lower is not contained in upper")
     ops = module.ops
     n = module.dim
-    ext_rows = [r for r in (ops.reduce_row(row, lower.basis, lower.pivots)
-                            for row in upper.basis)
-                if not ops.is_zero(r)]
-    if not ext_rows:
-        return (), ()
-    ebasis, epiv = ops.rref(ext_rows, n)
+    ebasis, epiv = ops.rref([ops.reduce_row(row, lower.basis, lower.pivots)
+                             for row in upper.basis], n)
     actions = []
     for c in module.colors:
         # row i: coordinates of the image of quotient basis vector i
@@ -392,8 +386,6 @@ def _eigen_leaves(module):
     color acts as a scalar.  Every 1-dim invariant line lies in one."""
     ops = module.ops
     n = module.dim
-    if n == 0:
-        return []
     full = full_submodule(module)
     leaves = [(full.basis, full.pivots)]
     for c in module.colors:

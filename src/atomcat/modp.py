@@ -7,24 +7,15 @@ bitset kernel (`bitmat.F2Ops`), and this class mirrors its structure:
 row spaces are kept fully reduced, every pivot (a row's first nonzero
 coordinate) is 1 and no other row has a nonzero entry in a pivot
 column, so the sorted basis tuple with its ascending pivot tuple is
-unique for the space.  As in `bitmat`, the cyclic scan takes its image
-graph of the lines (`line_graph`) and its row reduction (`rref`) from
-here and its loop from `linalg.cyclic_submodules`.  `FpOps(2)` is
-correct too, which makes it an independent check of `F2Ops` in the
-tests.
+unique for the space.  As in `bitmat`, `reduce_row` is the one
+elimination of a row against a basis, which `rref` and `coords` call,
+and the cyclic scan takes its image graph of the lines (`line_graph`)
+and its row reduction (`rref`) from here and its loop from
+`linalg.cyclic_submodules`.  `FpOps(2)` is correct too, which makes it
+an independent check of `F2Ops` in the tests.
 """
 
 from itertools import product
-
-
-def _reduced(row, basis, p):
-    """`row` with the pivot columns of a reduced `basis` (pivot -> row)
-    eliminated."""
-    for piv, b in basis.items():
-        a = row[piv]
-        if a:
-            row = tuple((x - a * y) % p for x, y in zip(row, b))
-    return row
 
 
 def _admit(row, basis, p):
@@ -93,9 +84,9 @@ class FpOps:
         `mat` adds nothing to it, and at rank n the given `full` space."""
         p = self.p
         basis = {} if space is None else dict(zip(space[1], space[0]))
-        rank = len(basis)
+        rank, reduce_row = len(basis), self.reduce_row
         for row in mat:
-            row = _reduced(row, basis, p)
+            row = reduce_row(row, basis.values(), basis)
             if any(row):
                 _admit(row, basis, p)
                 if len(basis) == n:

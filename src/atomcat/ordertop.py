@@ -52,15 +52,10 @@ class Poset:
 
     @property
     def covers(self):
-        """Hasse edges: pairs (a, b) with a < b and nothing in between."""
-        out = []
-        for a, b in sorted(self.le):
-            if a == b:
-                continue
-            if any(self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                continue
-            out.append((a, b))
-        return tuple(out)
+        """Hasse edges: pairs (a, b) with a < b and nothing in between,
+        that is b in J(a) (`j_sets`)."""
+        upper = j_sets(self)
+        return tuple(sorted((a, b) for a in self.elements for b in upper[a]))
 
     def maximal_elements(self):
         return tuple(p for p in self.elements

@@ -56,9 +56,10 @@ def _skeleton_parts(arrows, counts):
     empty end has no arrows.  Tarjan runs on the reversed skeleton, so
     its components come sources first.  plan lists them, each as its
     child indices and, unless it merges, the slice its child's blocks
-    fill among the children's; plan is None when it keeps every child's
-    blocks in child order, as when every counted arrow has i < j.
-    count is the composite's block count.
+    fill among the children's.  plan is None exactly when every counted
+    arrow has i < j, so each child keeps its blocks in child order: any
+    other counted arrow is a loop, or has i > j and puts i and j in one
+    component or i's before j's.  count is the composite's block count.
     """
     n = len(counts)
     pred, looped, forward = [[] for _ in range(n)], [False] * n, True
@@ -73,8 +74,6 @@ def _skeleton_parts(arrows, counts):
     if forward:
         return None, ends[-1]
     components = _tarjan(pred, n)
-    if not any(looped) and components == [(k,) for k in range(n)]:
-        return None, ends[-1]
     plan = [(c, None if len(c) > 1 or looped[c[0]] else
              slice(ends[c[0]], ends[c[0] + 1])) for c in components]
     return plan, sum(1 if kept is None else counts[c[0]] for c, kept in plan)

@@ -187,6 +187,11 @@ class TestUniform:
         with pytest.raises(ZeroModule):
             is_uniform(FdModule(GF2, 0, (), {}))
 
+    def test_atom_of_a_direct_sum_is_refused(self):
+        q = disjoint_union([loop_quiver("c"), loop_quiver("d")])
+        with pytest.raises(NotMonoform, match="not uniform"):
+            atom_of(module_of_quiver(q, GF2))
+
     def test_agrees_with_brute_oracle(self):
         mods = [module_of_quiver(q, GF2) for q in
                 (loop_quiver(), chain_quiver(2), loops_chain_quiver())]

@@ -721,6 +721,11 @@ class TestRealizationGeneral:
         assert list(g.quiver.vertices) == ["p/v(p)"]
         assert len(loops_of(g.quiver)) == 1
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(DepthTooSmall, match=">= 0"):
+            gen_realization_general(CHAIN2, TruncationSpec(depth=-1,
+                                                           ladder_range=(0, 0)))
+
     def test_chain2_window3_vertex_count(self):
         # derived oracle: words are (p0), (p1), (p0,i,p1) for each i
         g = gen_realization_general(CHAIN2, TruncationSpec(depth=2,
@@ -892,6 +897,10 @@ class TestNoAtom:
     def test_empty_window_rejected(self):
         with pytest.raises(DepthTooSmall):
             gen_noatom(TruncationSpec(depth=1, ladder_range=(1, 0)))
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(DepthTooSmall, match=">= 0"):
+            gen_noatom(TruncationSpec(depth=-1, ladder_range=(0, 1)))
 
     def test_noetherian_family_lists_loops_and_chains(self):
         g = gen_noatom(TruncationSpec(depth=1, ladder_range=(0, 1)))

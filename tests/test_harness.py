@@ -150,6 +150,26 @@ class TestCli:
         assert payload["diff"]["unexpected"] == []
         assert payload["witness"]["d"] == "simple(d)"
 
+    def test_realize_general_mode(self, tmp_path, capsys):
+        ppath = self.write(tmp_path, "p.json", {
+            "elements": ["a", "b"], "le": [["a", "b"]]})
+        assert cli_dispatch(["realize", ppath, "--mode", "general",
+                             "--depth", "1", "--window", "0", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witness"] == {"a": "gamma(a)", "b": "gamma(b)"}
+        assert payload["diff"]["unexpected"] == []
+        assert payload["diff"]["order_violations"] == []
+        assert [a["label"] for a in payload["symbolic"]["atoms"]] == [
+            "gamma(a)", "gamma(b)"]
+
+    def test_field_one_is_a_value_error(self, tmp_path, capsys):
+        qpath = self.write(tmp_path, "q.json", {
+            "vertices": ["v"], "colors": [], "arrows": []})
+        assert cli_dispatch(["spectrum", qpath, "--field", "1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "io_or_value_error", "context": {
+            "detail": "field characteristic must be prime: 1"}}
+
     def test_preset_command(self, capsys):
         assert cli_dispatch(["preset", "infinite-chain", "--depth", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -161,6 +181,14 @@ class TestCli:
                              "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "ordertop: PASS (4 cases)" in out
+
+    def test_verify_writes_out(self, tmp_path, capsys):
+        out = tmp_path / "suite.json"
+        assert cli_dispatch(["verify", "ordertop", "--count", "3",
+                             "--seed", "5", "--out", str(out)]) == 0
+        assert "ordertop: PASS (3 cases)" in capsys.readouterr().out
+        assert json.loads(out.read_text()) == {
+            "suite": "ordertop", "cases": 3, "failures": []}
 
     def test_verify_presets_runs_the_first_count_names(self, capsys):
         assert cli_dispatch(["verify", "presets", "--count", "1"]) == 0

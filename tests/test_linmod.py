@@ -139,7 +139,7 @@ class TestModuleOfQuiver:
         m = module_of_quiver(make_quiver([], [], []), GF2)
         assert m.dim == 0 and m.actions == {}
 
-    @pytest.mark.parametrize("p", [3.0, "2"])
+    @pytest.mark.parametrize("p", [3.0, "2", 1])
     def test_field_must_be_an_int_prime(self, p):
         with pytest.raises(ValueError, match=re.escape(f"prime: {p!r}")):
             FieldSpec(p)

@@ -10,7 +10,15 @@ to that module by an import, or a name imported from that module
 (`from .module import name`) and then read.  An export is not a use: an
 import into the package namespace by `atomcat/__init__.py` reads no
 name and counts for nothing.  A method counts as used wherever a `Name`
-or `Attribute` node names it."""
+or `Attribute` node names it.
+
+Every parameter of a function, method or lambda in `src/atomcat` is
+read in its body, but for three named signatures that a caller fixes:
+the `F2Ops`/`FpOps` methods, whose one shape across both fields
+`test_kernels.py::test_both_kernels_have_one_ops_shape` holds; the
+`cli.cmd_*` handlers, which `cli.COMMANDS` dispatches with (args, cfg);
+and the callbacks handed to `terms.fold`, which it calls with the term
+whatever they read of it."""
 
 import ast
 from pathlib import Path
@@ -119,3 +127,55 @@ def test_every_private_method_has_a_caller():
     unused = [f"{c}.{name}" for c, name in _unused_methods()
               if _private(name)]
     assert not unused, ", ".join(unused)
+
+
+KERNEL_CLASSES = {"F2Ops", "FpOps"}
+
+
+def _fold_callbacks(trees):
+    """The names passed to a `fold(...)` call as its callbacks."""
+    return {arg.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "fold"
+            for arg in node.args if isinstance(arg, ast.Name)}
+
+
+def _fixed_signatures(module, tree, callbacks):
+    """The function nodes whose parameters a caller fixes: the kernel
+    methods, the `cli.cmd_*` handlers and the `fold` callbacks."""
+    fixed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in KERNEL_CLASSES:
+            fixed.update(ast.walk(node))
+        elif isinstance(node, ast.FunctionDef) and (
+                node.name in callbacks
+                or module == "cli" and node.name.startswith("cmd_")):
+            fixed.add(node)
+    return fixed
+
+
+def _unread_parameters(tree, fixed):
+    """(function, parameter) for each parameter other than self that no
+    `Name` in its function's body reads, the `fixed` functions left out."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)) or node in fixed:
+            continue
+        a = node.args
+        body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        out += [(getattr(node, "name", "<lambda>"), x.arg)
+                for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg,
+                          a.kwarg)
+                if x is not None and x.arg != "self" and x.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    src = _trees(SRC)
+    callbacks = _fold_callbacks(src.values())
+    unread = [f"{module}.{name}({x})" for module, tree in src.items()
+              for name, x in _unread_parameters(
+                  tree, _fixed_signatures(module, tree, callbacks))]
+    assert not unread, ", ".join(unread)

@@ -108,6 +108,12 @@ class TestAlexandroff:
         topo = alexandroff_of_poset(antichain("a"))
         assert len(topo.opens) == 2
 
+    def test_unknown_point_rejected(self):
+        topo = alexandroff_of_poset(chain("a", "b"))
+        with pytest.raises(UnknownElement) as info:
+            topo.is_open(["zz"])
+        assert info.value.context == {"point": "zz"}
+
     def test_output_is_valid_and_kolmogorov(self):
         topo = alexandroff_of_poset(DIAMOND)
         assert topo.validate()

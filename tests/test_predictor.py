@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from atomcat import predictor
-from atomcat.errors import AtomcatError, UnknownElement
+from atomcat.errors import AtomcatError, NotFinite, UnknownElement
 from atomcat.generators import (gen_noatom, gen_realization_acc,
                                 gen_realization_general, preset, truncate)
 from atomcat.harness import all_posets, random_poset
@@ -294,6 +294,12 @@ class TestRealizationPrediction:
             build(bad, TruncationSpec(depth=1, ladder_range=(0, 0)))
         with pytest.raises(ValueError, match="structural"):
             predict_realization(bad, mode)
+
+    def test_refuses_a_non_poset_and_an_unknown_mode(self):
+        with pytest.raises(NotFinite):
+            predict_realization({"elements": ["p0"], "le": []})
+        with pytest.raises(ValueError, match="unknown realization mode: dcc"):
+            predict_realization(CHAIN2, "dcc")
 
     def test_chain2_acc_order(self):
         res = predict_realization(CHAIN2, "acc")
