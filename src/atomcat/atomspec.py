@@ -204,36 +204,21 @@ def atom_of(module, budget=linmod.DEFAULT_BUDGET):
 
 def asupp(module, budget=linmod.DEFAULT_BUDGET):
     """Atom support: classes of monoform subquotients = classes of
-    composition factors (finite length)."""
-    return _stored_atoms(module, ("asupp", budget), lambda m: [
-        (f, (i,)) for f, i in composition_factors(m, budget)])
+    composition factors (finite length), each atom with the pivot
+    labels of its factors as sources.  Kept in the module's own cache
+    per budget, built from the stored composition series."""
+    return linmod._cached(module, ("asupp", budget), lambda m: _dedupe_simples(
+        (f, (i,)) for f, i in composition_factors(m, budget)))
 
 
 def aass(module, budget=linmod.DEFAULT_BUDGET):
     """Associated atoms: classes of monoform submodules = classes of
-    minimal submodules."""
-    return _stored_atoms(module, ("aass", budget), lambda m: [
+    minimal submodules, each atom with the first basis label of its
+    minimal submodules as sources.  Kept in the module's own cache per
+    budget."""
+    return linmod._cached(module, ("aass", budget), lambda m: _dedupe_simples(
         (s, s.basis_labels[:1])
-        for s in map(submodule_as_module, minimal_submodules(m, budget))])
-
-
-def _stored_atoms(module, name, simples_of):
-    """`_dedupe_simples(simples_of(module))` through the store entry
-    `name`, which keeps per class its label, its representative and its
-    sources as basis indices: `simples_of` gives (simple, sources)
-    pairs on a copy labelled by index, and the sources are mapped
-    through the module's labels."""
-    def classes(m):
-        atoms = _dedupe_simples(simples_of(linmod.indexed_copy(m)))
-        return tuple((a.label, a.representative, a.source) for a in atoms)
-
-    def relabel(m, stored):
-        labels = m.basis_labels
-        return AtomSet(tuple(
-            Atom(label, rep, tuple(sorted(labels[i] for i in sources)))
-            for label, rep, sources in stored))
-
-    return linmod._memo(module, name, classes, relabel)
+        for s in map(submodule_as_module, minimal_submodules(m, budget))))
 
 
 # -- spectra ------------------------------------------------------------------

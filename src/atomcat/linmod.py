@@ -20,25 +20,27 @@ the cheaper entry points (composition factors, the structure report)
 avoid it where the structure allows, and a composition series peels
 each coordinate eigenline off the action rows.
 
-Structure store: the answers that depend only on a module's action
-matrices are computed once per process and kept in `_STORE`, keyed by
-`FdModule.key()` = (p, dim, the action matrices), so every module with
-equal actions shares them whatever its basis labels.  An entry holds
-the distinct cyclic submodules under "cyclic" (in the order of their
-first line seed), the minimal submodules and, per budget, the lattice
-and the composition series, all as bare
-(basis, pivots) rows and action matrices with no parent module, plus
-the canonical simple form that `atomspec` names atoms by.  It also
-holds, under ("subquotient", lower basis, upper basis), each
-subquotient asked for, as its pivot indices and (color, matrix) pairs,
-and `atomspec`'s ("asupp", budget) and ("aass", budget) atom classes,
-as (label, representative, source basis indices).  A module wraps
-stored rows as `Submodule`s of itself and relabels stored factors,
-subquotients and atom sources from its own basis labels, and keeps
-those wrappers in its `_cache`.  An entry also holds, under ("module",
-basis labels), the one module per tuple of basis labels that
-`module_of_quiver`, subquotients, composition factors and
-`indexed_copy` return, so equal labelled modules share one `_cache`.
+Structure store: what another labelling of the same actions reuses, or
+what costs a scan or a peel, is computed once per process and kept in
+`_STORE`, keyed by `FdModule.key()` = (p, dim, the action matrices), so
+every module with equal actions shares it whatever its basis labels.
+An entry holds the distinct cyclic submodules under "cyclic" (in the
+order of their first line seed), as (basis, pivots) rows with no
+parent; the composition series under ("factors", budget) and each
+subquotient asked for under ("subquotient", lower basis, upper basis),
+as pivot indices and (color, matrix) pairs; the canonical simple form
+under "canon"; and, under ("module", basis labels), the one module per
+tuple of basis labels that `module_of_quiver`, subquotients,
+composition factors and `indexed_copy` return, so equal labelled
+modules share one `_cache`.  A module wraps stored rows as its own
+`Submodule`s, relabels stored factors and subquotients from its basis
+labels, and keeps those in its `_cache`.  What is built from these
+without a scan or a peel lives only in the `_cache` of the module that
+asked: the lattice (the joins of the cyclic submodules) and `atomspec`'s
+atom support and associated atoms (the classes of the factors or of
+the minimal submodules) per budget, and the minimal submodules.  Over
+the core battery a stored lattice was never reused, and a stored copy
+of the others saved only that last step.
 Budget checks run before any lookup, entries that depend on a budget
 are keyed by it, and a computation that raises stores nothing.  The
 store is unbounded: it grows with the number of distinct modules a
@@ -217,21 +219,26 @@ class SubmoduleSet:
         return len(self.members)
 
 
-def _memo(module, name, compute, wrap):
-    """`wrap(module, value)` for the store entry `name` of the module's
-    key, computed by `compute(module)` on a miss; the wrapped result is
-    kept in the module's own cache.  A computation that raises stores
-    nothing."""
+def _cached(module, name, compute):
+    """`compute(module)`, kept in the module's own cache under `name`.
+    A computation that raises keeps nothing."""
     if name not in module._cache:
-        entry = module.stored()
-        if name not in entry:
-            entry[name] = compute(module)
-        module._cache[name] = wrap(module, entry[name])
+        module._cache[name] = compute(module)
     return module._cache[name]
 
 
-def _rows(subs):
-    return tuple((s.basis, s.pivots) for s in subs)
+def _memo(module, name, compute, wrap):
+    """`wrap(module, value)` for the store entry `name` of the module's
+    key, computed by `compute(module)` on a miss; the wrapped result is
+    kept in the module's own cache (`_cached`).  A computation that
+    raises stores nothing."""
+    def stored(m):
+        entry = m.stored()
+        if name not in entry:
+            entry[name] = compute(m)
+        return wrap(m, entry[name])
+
+    return _cached(module, name, stored)
 
 
 def _wrap(module, rows):
@@ -270,28 +277,32 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
     closed under intersections as well).  Raises BudgetExceeded with
     the partial set attached when the member count passes the budget.
     """
-    return _memo(module, ("lattice", budget),
-                 lambda m: _close_lattice(m, budget),
-                 lambda m, rows: SubmoduleSet(_wrap(m, rows), True))
+    return _cached(module, ("lattice", budget),
+                   lambda m: _close_lattice(m, budget))
 
 
 def _close_lattice(module, budget):
-    """Rows of every lattice member, sorted by `Submodule.key`: each
-    distinct cyclic submodule in turn is joined into every member found
-    so far that does not already contain it, so the members are the
-    sums of every set of the cyclic submodules joined."""
-    zero = zero_submodule(module)
-    members = {zero.key(): zero}
+    """Every lattice member, sorted by `Submodule.key`: each distinct
+    cyclic submodule c in turn is joined by `rref` into every member
+    found so far (a member that holds c comes back as itself), so the
+    members, kept as rows under their keys, are the sums of every set
+    of the cyclic submodules joined."""
+    ops, n = module.ops, module.dim
+    members = {(0, ()): ((), ())}
     for c in _distinct_cyclic(module, budget):
-        for s in [s for s in members.values() if not s.contains(c)]:
-            u = sum_submodules(s, c)
-            members.setdefault(u.key(), u)
+        for rows in list(members.values()):
+            u = ops.rref(c.basis, n, rows)
+            members.setdefault((len(u[0]), u[0]), u)
             if len(members) > budget:
-                part = SubmoduleSet(tuple(sorted(members.values(),
-                                                 key=Submodule.key)), False)
-                raise BudgetExceeded("lattice larger than budget",
-                                     budget=budget, partial=part)
-    return _rows(sorted(members.values(), key=Submodule.key))
+                raise BudgetExceeded(
+                    "lattice larger than budget", budget=budget,
+                    partial=_lattice_set(module, members, False))
+    return _lattice_set(module, members, True)
+
+
+def _lattice_set(module, members, complete):
+    return SubmoduleSet(tuple(Submodule(module, *members[k])
+                              for k in sorted(members)), complete)
 
 
 def subquotient(module, lower, upper):
@@ -327,10 +338,10 @@ def _subquotient_rows(module, lower, upper):
     actions = []
     for c in module.colors:
         # row i: coordinates of the image of quotient basis vector i
-        rows = []
+        act, rows = module.actions[c], []
         for row in ebasis:
-            w = module.act(row, c)
-            w = ops.reduce_row(w, lower.basis, lower.pivots)
+            w = ops.reduce_row(ops.vec_mat(row, act, n), lower.basis,
+                               lower.pivots)
             coeffs = ops.coords(w, ebasis, epiv, n)
             if coeffs is None:
                 raise ValueError("upper must be action-closed")
@@ -453,8 +464,8 @@ def minimal_submodules(module, budget=DEFAULT_BUDGET):
     cyclic submodules is the same as minimality among all submodules.
     """
     _check_seeds(module, budget)
-    return list(_memo(module, "minimal",
-                      lambda m: _rows(_minimal_cyclic(m, budget)), _wrap))
+    return list(_cached(module, "minimal",
+                        lambda m: _minimal_cyclic(m, budget)))
 
 
 def _minimal_cyclic(module, budget):

@@ -12,9 +12,10 @@ import pytest
 from atomcat.atomspec import (asupp, aass, atom_of, canonical_simple_form,
                               is_monoform, is_uniform, spectrum)
 from atomcat.errors import NotMonoform, ZeroModule
-from atomcat.linmod import (FdModule, FieldSpec, module_of_quiver,
-                            structure_report, submodule_as_module,
-                            submodule_lattice, subquotient, sum_submodules)
+from atomcat.linmod import (FdModule, FieldSpec, minimal_submodules,
+                            module_of_quiver, structure_report,
+                            submodule_as_module, submodule_lattice,
+                            subquotient, sum_submodules)
 from atomcat.ordertop import poset_of_topology
 from atomcat.quiver import make_quiver
 from iso_oracle import Tristate, is_isomorphic
@@ -741,19 +742,40 @@ def test_equal_actions_share_atoms_with_own_sources():
     assert [a.source for a in aass(m2)] == [("u",)]
 
 
+MODULE_CACHE_ONLY = {"asupp", "aass", "lattice", "minimal"}
+
+
+def _entry_names(entry):
+    """The names of a store entry's keys: a tuple key by its first item."""
+    return {k[0] if isinstance(k, tuple) else k for k in entry}
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_supports_are_stored_by_basis_index(p):
-    from atomcat.linmod import DEFAULT_BUDGET
+def test_supports_live_in_the_module_cache(p):
     m = irreducible_plus_line(p, ("a", "b", "c"))
     support, associated = asupp(m), aass(m)
-    stored = m.stored()
-    for name, atoms in (("asupp", support), ("aass", associated)):
-        assert stored[(name, DEFAULT_BUDGET)] == tuple(
-            (a.label, a.representative, tuple("abc".index(v)
-                                              for v in a.source))
-            for a in atoms)
+    lattice = submodule_lattice(m)
+    minimal_submodules(m)
     assert [a.source for a in support] == [("c",), ("a",)]
     assert [a.source for a in associated] == [("a",)]
+    assert not _entry_names(m.stored()) & MODULE_CACHE_ONLY
+    assert asupp(m) is support and aass(m) is associated
+    assert submodule_lattice(m) is lattice
+
+
+@pytest.mark.parametrize("case_seed", [20240811, 424242])
+def test_store_keeps_only_what_other_labellings_reuse(case_seed,
+                                                      monkeypatch):
+    """Over the core battery's first 43 cases, every structure-store
+    entry holds only cyclic scans, canonical forms, factor series,
+    subquotients and interned modules."""
+    from atomcat import harness, linmod
+    monkeypatch.setattr(linmod, "_STORE", {})
+    result = harness.run_suite("core", harness.RunConfig(p=2,
+                                                         seed=case_seed), 43)
+    assert result.passed and len(result.cases) == 43
+    names = set().union(*map(_entry_names, linmod._STORE.values()))
+    assert names <= {"cyclic", "canon", "factors", "subquotient", "module"}
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -10,7 +10,8 @@ to that module by an import, or a name imported from that module
 (`from .module import name`) and then read.  An export is not a use: an
 import into the package namespace by `atomcat/__init__.py` reads no
 name and counts for nothing.  A method counts as used wherever a `Name`
-or `Attribute` node names it.
+or `Attribute` node names it, so a method name that two classes define
+is listed in `SHARED_METHODS` with the caller of each class's copy.
 
 Every parameter of a function, method or lambda in `src/atomcat` is
 read in its body, but for three named signatures that a caller fixes:
@@ -130,6 +131,81 @@ def test_every_private_method_has_a_caller():
 
 
 KERNEL_CLASSES = {"F2Ops", "FpOps"}
+
+
+# Every method name that two or more classes define, the kernel classes
+# left out (they share one shape on purpose).  `_unused_methods` counts
+# a name read anywhere as a use of every method of that name, so a dead
+# method could hide behind a live namesake: here each class's copy names
+# the function or method (`module.qualified name`, `perfbench.` for the
+# benchmark's files) whose read of the name is on that class.  A new
+# shared name, or a new class sharing one, fails until it is added here.
+SHARED_METHODS = {
+    "colors": {"linmod.FdModule": "linmod.FdModule.action_stack",
+               "quiver.ColoredQuiver": "quiver.full_subquiver"},
+    "key": {"linmod.FdModule": "linmod.FdModule.stored",
+            "linmod.Submodule": "linmod.Submodule.__hash__"},
+    "labels": {"atomspec.AtomSet": "atomspec.SpectrumReport.opens",
+               "predictor.SymbolicSpectrum": "predictor.check_max_not_open"},
+    "opens": {"atomspec.SpectrumReport": "perfbench.tracer._opens",
+              "ordertop.FiniteTopology": "ordertop.FiniteTopology.to_json"},
+    "to_dot": {"ordertop.Poset": "cli.cmd_spectrum",
+               "quiver.ColoredQuiver": "cli.cmd_spectrum"},
+    "to_json": {"atomspec.Atom": "atomspec.SpectrumReport.to_json",
+                "atomspec.SpectrumReport": "cli.cmd_spectrum",
+                "errors.AtomcatError": "cli.cli_dispatch",
+                "harness.SuiteResult": "cli.cmd_verify",
+                "ordertop.Poset": "cli.cmd_convert",
+                "ordertop.FiniteTopology": "cli.cmd_convert",
+                "predictor.SymbolicSpectrum": "cli._construction_report",
+                "predictor.DiffReport": "cli._construction_report",
+                "quiver.ColoredQuiver": "quiver.GeneratedQuiver.to_json",
+                "quiver.GeneratedQuiver": "cli._construction_report"},
+}
+
+
+def _shared_method_names():
+    """{name: classes} for every non-dunder method name that two or
+    more classes of `src/atomcat` define, the kernel classes left out."""
+    defs = {}
+    for module, tree in _trees(SRC).items():
+        for cls in tree.body:
+            if (isinstance(cls, ast.ClassDef)
+                    and cls.name not in KERNEL_CLASSES):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not (
+                            node.name.startswith("__")
+                            and node.name.endswith("__")):
+                        defs.setdefault(node.name, set()).add(
+                            f"{module}.{cls.name}")
+    return {name: cls for name, cls in defs.items() if len(cls) > 1}
+
+
+def _functions():
+    """`module.qualified name` -> node for every module-level function and
+    method of `src/atomcat`, and of `perfbench` under `perfbench.`."""
+    out = {}
+    for prefix, folder in (("", SRC), ("perfbench.", PERFBENCH)):
+        for module, tree in _trees(folder).items():
+            for node in tree.body:
+                cls = isinstance(node, ast.ClassDef)
+                scope = f"{prefix}{module}." + (f"{node.name}." if cls else "")
+                out.update((scope + f.name, f)
+                           for f in (node.body if cls else [node])
+                           if isinstance(f, ast.FunctionDef))
+    return out
+
+
+def test_shared_method_names_are_reviewed():
+    assert _shared_method_names() == {
+        name: set(callers) for name, callers in SHARED_METHODS.items()}
+    functions = _functions()
+    unread = [f"{cls}.{name} by {caller}"
+              for name, callers in SHARED_METHODS.items()
+              for cls, caller in callers.items()
+              if caller not in functions
+              or name not in _named([functions[caller]])]
+    assert not unread, ", ".join(unread)
 
 
 def _fold_callbacks(trees):
