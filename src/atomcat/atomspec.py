@@ -160,14 +160,14 @@ def _simples_isomorphic(a, b):
     return a.dim == b.dim and (a.key() == b.key() or bool(hom_basis(a, b)))
 
 
-def is_uniform(module, budget=linmod.DEFAULT_BUDGET):
+def is_uniform(module):
     """Any two nonzero submodules intersect, i.e. one minimal submodule."""
     if module.dim == 0:
         raise ZeroModule("uniformity is undefined for the zero module")
-    return len(minimal_submodules(module, budget)) == 1
+    return len(minimal_submodules(module)) == 1
 
 
-def is_monoform(module, budget=linmod.DEFAULT_BUDGET):
+def is_monoform(module):
     """No nonzero submodule of H embeds into any proper quotient H/L.
 
     Non-uniform modules fail immediately: disjoint L1, L2 make L1 a
@@ -182,18 +182,18 @@ def is_monoform(module, budget=linmod.DEFAULT_BUDGET):
     """
     if module.dim == 0:
         raise ZeroModule("monoformness is undefined for the zero module")
-    mins = minimal_submodules(module, budget)
+    mins = minimal_submodules(module)
     if len(mins) != 1:
         return False
     socle = submodule_as_module(mins[0])
     return sum(_simples_isomorphic(socle, f)
-               for f, _ in composition_factors(module, budget)) == 1
+               for f, _ in composition_factors(module)) == 1
 
 
-def atom_of(module, budget=linmod.DEFAULT_BUDGET):
+def atom_of(module):
     """The atom of a monoform finite-dimensional module: the class of
     its socle."""
-    mins = minimal_submodules(module, budget)
+    mins = minimal_submodules(module)
     if len(mins) != 1:
         raise NotMonoform("module is not uniform")
     label, rep = canonical_simple_form(submodule_as_module(mins[0]))
@@ -202,23 +202,22 @@ def atom_of(module, budget=linmod.DEFAULT_BUDGET):
 
 # -- supports -----------------------------------------------------------------
 
-def asupp(module, budget=linmod.DEFAULT_BUDGET):
+def asupp(module):
     """Atom support: classes of monoform subquotients = classes of
     composition factors (finite length), each atom with the pivot
-    labels of its factors as sources.  Kept in the module's own cache
-    per budget, built from the stored composition series."""
-    return linmod._cached(module, ("asupp", budget), lambda m: _dedupe_simples(
-        (f, (i,)) for f, i in composition_factors(m, budget)))
+    labels of its factors as sources.  Kept in the module's own cache,
+    built from the stored composition series."""
+    return linmod._cached(module, "asupp", lambda m: _dedupe_simples(
+        (f, (i,)) for f, i in composition_factors(m)))
 
 
-def aass(module, budget=linmod.DEFAULT_BUDGET):
+def aass(module):
     """Associated atoms: classes of monoform submodules = classes of
     minimal submodules, each atom with the first basis label of its
-    minimal submodules as sources.  Kept in the module's own cache per
-    budget."""
-    return linmod._cached(module, ("aass", budget), lambda m: _dedupe_simples(
+    minimal submodules as sources.  Kept in the module's own cache."""
+    return linmod._cached(module, "aass", lambda m: _dedupe_simples(
         (s, s.basis_labels[:1])
-        for s in map(submodule_as_module, minimal_submodules(m, budget))))
+        for s in map(submodule_as_module, minimal_submodules(m))))
 
 
 # -- spectra ------------------------------------------------------------------
@@ -243,7 +242,7 @@ class SpectrumReport:
                 "order": []}
 
 
-def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
+def spectrum(quiver, field=FieldSpec(2)):
     """Atom spectrum of the category generated by the quiver module.
 
     Why subquotients of the single module suffice: every atom of the
@@ -282,7 +281,7 @@ def spectrum(quiver, field=FieldSpec(2), budget=linmod.DEFAULT_BUDGET):
     for (dim, arrows), blocks in groups.items():
         module = linmod._module_of_arrows(field, range(dim), arrows)
         try:
-            series = composition_factors(module, budget)
+            series = composition_factors(module)
         except BudgetExceeded as exc:
             exc.context.update(block=list(blocks[0]), dim=dim)
             raise

@@ -10,7 +10,6 @@ and exits nonzero; output files are written whole or not at all.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import generators, harness, predictor, terms
 from .atomspec import spectrum
@@ -77,19 +76,6 @@ def build_parser():
     return parser
 
 
-def _config(args):
-    cfg = config_from_env()
-    overrides = {}
-    for attr, val in (("p", args.field), ("budget", args.budget),
-                      ("depth", args.depth), ("seed", args.seed),
-                      ("out", args.out)):
-        if val is not None:
-            overrides[attr] = val
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
-
-
 def _emit(cfg, payload, dots=()):
     """Write the whole report at once; stdout when no --out is given."""
     text = canonical_json(payload)
@@ -106,7 +92,7 @@ def _emit(cfg, payload, dots=()):
 def cmd_spectrum(args, cfg):
     with open(args.quiver) as fh:
         quiver = quiver_from_json(json.load(fh))
-    report = spectrum(quiver, cfg.field, cfg.budget)
+    report = spectrum(quiver, cfg.field)
     # the spectrum is discrete: its Hasse diagram has no edge
     hasse = normalize_poset([], report.atoms.labels()).to_dot()
     _emit(cfg, report.to_json(),
@@ -119,7 +105,7 @@ def _construction_report(cfg, gen, shown, checked, **extra):
     emit the generated quiver, the symbolic spectrum `shown`, the diff
     and `extra` (a witness or claims); exit 0 when the diff is ok and
     every claim holds, else 2."""
-    diff = predictor.crosscheck(checked, gen, cfg.field, cfg.budget)
+    diff = predictor.crosscheck(checked, gen, cfg.field)
     _emit(cfg, {"generated": gen.to_json(), "symbolic": shown.to_json(),
                 "diff": diff.to_json(), **extra},
           dots=[(".dot", shown.order.to_dot()),
@@ -190,7 +176,8 @@ def cli_dispatch(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
+        cfg = config_from_env(p=args.field, budget=args.budget,
+                              depth=args.depth, seed=args.seed, out=args.out)
         return COMMANDS[args.command](args, cfg)
     except AtomcatError as err:
         sys.stderr.write(json.dumps(err.to_json()) + "\n")

@@ -9,7 +9,7 @@ cases run one after another in case order.
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import atomspec, generators, linmod, predictor, terms
 from .atomspec import aass, asupp, is_monoform, is_uniform, spectrum
@@ -31,30 +31,32 @@ class RunConfig:
     out: str = None
 
     def __post_init__(self):
-        if self.budget < 1 or self.depth < 1:
-            raise ValueError("budget and depth must be >= 1")
-        FieldSpec(self.p)  # validates primality
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+        self.field  # FieldSpec validates p and budget
 
     @property
     def field(self):
-        return FieldSpec(self.p)
+        return FieldSpec(self.p, self.budget)
 
 
 ENV_PREFIX = "ATOMCAT_"
 
 
-def config_from_env():
-    """The default RunConfig with ATOMCAT_* environment overrides."""
-    cfg = RunConfig()
+def config_from_env(**overrides):
+    """The RunConfig of the ATOMCAT_* environment values (FIELD, BUDGET,
+    DEPTH, SEED, OUT), then of every override (p, budget, depth, seed,
+    out) that is not None."""
     mapping = {"FIELD": ("p", int), "BUDGET": ("budget", int),
                "DEPTH": ("depth", int), "SEED": ("seed", int),
                "OUT": ("out", str)}
     updates = {}
     for env_key, (attr, conv) in mapping.items():
         raw = os.environ.get(ENV_PREFIX + env_key)
-        if raw is not None and raw != "":
+        if raw:
             updates[attr] = conv(raw)
-    return replace(cfg, **updates) if updates else cfg
+    updates.update((k, v) for k, v in overrides.items() if v is not None)
+    return RunConfig(**updates)
 
 
 def _rng(seed):
@@ -142,13 +144,13 @@ def check_quiver_invariants(quiver, cfg):
     field = cfg.field
     module = module_of_quiver(quiver, field)
     out = {}
-    lat = submodule_lattice(module, cfg.budget)
+    lat = submodule_lattice(module)
     members = {s.key(): s for s in lat}
     as_modules = {k: submodule_as_module(s) for k, s in members.items()}
 
     monoform = {}
     for k, mod in as_modules.items():
-        monoform[k] = is_monoform(mod, cfg.budget) if mod.dim else False
+        monoform[k] = is_monoform(mod) if mod.dim else False
 
     # heredity: nonzero submodules of monoform members stay monoform
     ok = True
@@ -161,28 +163,27 @@ def check_quiver_invariants(quiver, cfg):
     out["monoform_subobject_heredity"] = ok
 
     out["monoform_implies_uniform"] = all(
-        is_uniform(as_modules[k], cfg.budget)
+        is_uniform(as_modules[k])
         for k, flag in monoform.items() if flag)
 
-    m_asupp = asupp(module, cfg.budget)
-    m_aass = aass(module, cfg.budget)
+    m_asupp = asupp(module)
+    m_aass = aass(module)
     out["aass_subset_asupp"] = _labels(m_aass) <= _labels(m_asupp)
     out["aass_nonempty_on_nonzero"] = module.dim == 0 or len(m_aass) >= 1
     out["uniform_aass_singleton"] = all(
-        len(aass(as_modules[k], cfg.budget)) == 1
+        len(aass(as_modules[k])) == 1
         for k, s in members.items()
-        if s.dim > 0 and is_uniform(as_modules[k], cfg.budget))
+        if s.dim > 0 and is_uniform(as_modules[k]))
 
     # short exact sequences from every lattice member
     add_ok, sandwich_ok = True, True
     for k, s in members.items():
         sub_mod = as_modules[k]
         quot = quotient_module(module, s)
-        if not (_labels(asupp(sub_mod, cfg.budget)) |
-                _labels(asupp(quot, cfg.budget))) == _labels(m_asupp):
+        if _labels(asupp(sub_mod)) | _labels(asupp(quot)) != _labels(m_asupp):
             add_ok = False
-        low = _labels(aass(sub_mod, cfg.budget))
-        high = low | _labels(aass(quot, cfg.budget))
+        low = _labels(aass(sub_mod))
+        high = low | _labels(aass(quot))
         mid = _labels(m_aass)
         if not (low <= mid <= high):
             sandwich_ok = False
@@ -193,16 +194,16 @@ def check_quiver_invariants(quiver, cfg):
     split_ok = True
     for subset in _closed_subsets(quiver):
         sub_q, quot_q = split_by_closed(quiver, subset)
-        union = (_labels(asupp(module_of_quiver(sub_q, field), cfg.budget)) |
-                 _labels(asupp(module_of_quiver(quot_q, field), cfg.budget)))
+        union = (_labels(asupp(module_of_quiver(sub_q, field))) |
+                 _labels(asupp(module_of_quiver(quot_q, field))))
         if union != _labels(m_asupp):
             split_ok = False
     out["asupp_split_by_closed"] = split_ok
 
     out["essential_aass_equality"] = all(
-        _labels(aass(as_modules[k], cfg.budget)) == _labels(m_aass)
+        _labels(aass(as_modules[k])) == _labels(m_aass)
         for k, s in members.items()
-        if s.dim > 0 and is_essential(s, module, cfg.budget))
+        if s.dim > 0 and is_essential(s, module))
 
     # a monoform member's class never supports its proper quotients
     excl_ok = True
@@ -210,18 +211,18 @@ def check_quiver_invariants(quiver, cfg):
         if not monoform[k]:
             continue
         h_mod = as_modules[k]
-        h_label = atomspec.atom_of(h_mod, cfg.budget).label
+        h_label = atomspec.atom_of(h_mod).label
         for k2, t in members.items():
             if 0 < t.dim and s.contains(t) and t.dim < s.dim:
                 layer = subquotient(module, t, s)
-                if h_label in _labels(asupp(layer, cfg.budget)):
+                if h_label in _labels(asupp(layer)):
                     excl_ok = False
     out["monoform_exclusion"] = excl_ok
 
     out["atom_reps_are_simple"] = all(
         a.representative.dim == 1
-        or structure_report(a.representative, cfg.budget).is_simple
-        for a in spectrum(quiver, field, cfg.budget).atoms)
+        or structure_report(a.representative).is_simple
+        for a in spectrum(quiver, field).atoms)
     return out
 
 
@@ -297,7 +298,7 @@ def run_suite(name, cfg, count=None):
         def run_case(preset_name):
             gen = generators.preset(preset_name, max(cfg.depth, 2))
             sym = predictor.predict_preset(preset_name, max(cfg.depth, 2))
-            diff = predictor.crosscheck(sym, gen, cfg.field, cfg.budget)
+            diff = predictor.crosscheck(sym, gen, cfg.field)
             checks = {"no_unexpected": not diff.unexpected,
                       "no_order_violations": not diff.order_violations}
             checks.update(predictor.check_preset_claims(
@@ -339,7 +340,7 @@ def worked_examples(cfg=RunConfig()):
 
     gen = generators.preset("infinite-chain", 4)
     module = module_of_quiver(gen.quiver, field)
-    lat = submodule_lattice(module, cfg.budget)
+    lat = submodule_lattice(module)
     out["infinite_chain_depth4"] = {
         "lattice_dims": sorted(s.dim for s in lat),
         "is_chain": all(a.contains(b) or b.contains(a)
@@ -348,11 +349,11 @@ def worked_examples(cfg=RunConfig()):
 
     gen = generators.preset("aass-vs-asupp", 3)
     module = module_of_quiver(gen.quiver, field)
-    socle = structure_report(module, cfg.budget).socle
+    socle = structure_report(module).socle
     out["aass_vs_asupp_depth3"] = {
-        "aass": sorted(aass(module, cfg.budget).labels()),
-        "asupp": sorted(asupp(module, cfg.budget).labels()),
-        "socle_essential": is_essential(socle, module, cfg.budget),
+        "aass": sorted(aass(module).labels()),
+        "asupp": sorted(asupp(module).labels()),
+        "socle_essential": is_essential(socle, module),
         "symbolic_asupp": sorted(
             predictor.predict_preset("aass-vs-asupp", 3).labels()),
     }
@@ -372,13 +373,13 @@ def worked_examples(cfg=RunConfig()):
     poset = normalize_poset([("p0", "p1")], ["p0", "p1"])
     g = generators.gen_realization_acc(poset, TruncationSpec(depth=2))
     res = predictor.predict_realization(poset, "acc")
-    diff = predictor.crosscheck(res.pre_quotient, g, field, cfg.budget)
+    diff = predictor.crosscheck(res.pre_quotient, g, field)
     out["realize_chain2_acc_depth2"] = diff.to_json()
 
     trunc = TruncationSpec(depth=2, ladder_range=(0, 2))
     gen = generators.gen_noatom(trunc)
     pred = predictor.predict_noatom(trunc)
-    diff = predictor.crosscheck(pred.pre_spectrum, gen, field, cfg.budget)
+    diff = predictor.crosscheck(pred.pre_spectrum, gen, field)
     out["no_atom_depth2"] = {
         "vertices": len(gen.quiver.vertices),
         "post_quotient_empty": pred.post_quotient_empty,
@@ -390,8 +391,7 @@ def worked_examples(cfg=RunConfig()):
         "claims": predictor.check_preset_claims("min-not-closed", sym, 3),
         "minimal_atoms": sorted(sym.order.minimal_elements()),
         "crosscheck_ok": predictor.crosscheck(
-            sym, generators.preset("min-not-closed", 3),
-            field, cfg.budget).ok(),
+            sym, generators.preset("min-not-closed", 3), field).ok(),
     }
     return out
 

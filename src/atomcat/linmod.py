@@ -13,39 +13,41 @@ The cyclic scan finds those in one pass over the lines, one seed per
 line, (p^dim - 1)/(p - 1) of them, since a seed and its nonzero
 multiples span the same submodule: `linalg.cyclic_submodules` closes
 each strongly connected component of the field kernel's graph from a
-seed to the lines of its images once, and its budget counts the
-lines.  That enumeration is exact and exponential, so it is
-budget-guarded, and the budget is checked before anything is built;
+seed to the lines of its images once, and its budget counts the lines.
+That enumeration is exact and exponential, so it is guarded by the
+budget of the module's `FieldSpec`, checked before anything is built;
 the cheaper entry points (composition factors, the structure report)
-avoid it where the structure allows, and a composition series peels
-each coordinate eigenline off the action rows.
+avoid it where the structure allows, and a composition series peels each
+coordinate eigenline off the action rows.
 
 Structure store: what another labelling of the same actions reuses, or
 what costs a scan or a peel, is computed once per process and kept in
-`_STORE`, keyed by `FdModule.key()` = (p, dim, the action matrices), so
-every module with equal actions shares it whatever its basis labels.
-An entry holds the distinct cyclic submodules under "cyclic" (in the
-order of their first line seed), as (basis, pivots) rows with no
-parent; the composition series under ("factors", budget) and each
-subquotient asked for under ("subquotient", lower basis, upper basis),
-as pivot indices and (color, matrix) pairs; the canonical simple form
-under "canon"; and, under ("module", basis labels), the one module per
-tuple of basis labels that `module_of_quiver`, subquotients,
-composition factors and `indexed_copy` return, so equal labelled
-modules share one `_cache`.  A module wraps stored rows as its own
-`Submodule`s, relabels stored factors and subquotients from its basis
-labels, and keeps those in its `_cache`.  What is built from these
-without a scan or a peel lives only in the `_cache` of the module that
-asked: the lattice (the joins of the cyclic submodules) and `atomspec`'s
-atom support and associated atoms (the classes of the factors or of
-the minimal submodules) per budget, and the minimal submodules.  Over
-the core battery a stored lattice was never reused, and a stored copy
-of the others saved only that last step.
-Budget checks run before any lookup, entries that depend on a budget
-are keyed by it, and a computation that raises stores nothing.  The
-store is unbounded: it grows with the number of distinct modules a
-process meets, by one subquotient entry per pair of bases met per
-module, and by one module per labelled module a process meets.
+`_STORE`, keyed by `FdModule.key()` = (p, budget, dim, the action
+matrices), so every module with equal actions over one field and budget
+shares it whatever its basis labels.  An entry holds the distinct cyclic
+submodules under "cyclic" (in the order of their first line seed), as
+(basis, pivots) rows with no parent; the composition series under
+"factors" and each subquotient asked for under ("subquotient", lower
+basis, upper basis), as pivot indices and (color, matrix) pairs; the
+canonical simple form under "canon"; and, under ("module", basis
+labels), the one module per tuple of basis labels that
+`module_of_quiver`, subquotients, composition factors and `indexed_copy`
+return, so equal labelled modules share one `_cache`.  A module wraps
+stored rows as its own `Submodule`s, relabels stored factors and
+subquotients from its basis labels, and keeps those in its `_cache`.
+What is built from these without a scan or a peel lives only in the
+`_cache` of the module that asked: the lattice (the joins of the cyclic
+submodules) under "lattice", `atomspec`'s atom support and associated
+atoms (the classes of the factors or of the minimal submodules) under
+"asupp" and "aass", and the minimal submodules under "minimal".  Over
+the core battery a stored lattice was never reused, and a stored copy of
+the others saved only that last step.  The key holds the budget, so
+interned modules, store entries and module caches each belong to one
+budget, and a hit was computed at the asking module's own budget; a
+computation that raises stores nothing.  The store is unbounded: it
+grows with the number of distinct modules a process meets, by one
+subquotient entry per pair of bases met per module, and by one module
+per labelled module a process meets.
 """
 
 from dataclasses import dataclass
@@ -61,13 +63,19 @@ _STORE = {}
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Prime field GF(p); every value in the package reduces through it."""
+    """Prime field GF(p), through which every value in the package
+    reduces, and the budget of every exponential scan of a module over
+    it: the most line seeds a cyclic scan may read and the most members
+    a lattice may list."""
 
     p: int = 2
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if type(self.p) is not int or not linalg.is_prime(self.p):
             raise ValueError(f"field characteristic must be prime: {self.p!r}")
+        if type(self.budget) is not int or self.budget < 1:
+            raise ValueError(f"budget must be an int >= 1: {self.budget!r}")
         object.__setattr__(self, "ops", linalg.ops_for(self.p))
 
 
@@ -98,8 +106,11 @@ class FdModule:
         return [self.actions[c] for c in self.colors]
 
     def key(self):
+        """(p, budget, dim, the action matrices): the structure store's
+        key, so modules with equal actions over one field and budget
+        share an entry."""
         if "key" not in self._cache:
-            self._cache["key"] = _key(self.field.p, self.dim, self.actions)
+            self._cache["key"] = _key(self.field, self.dim, self.actions)
         return self._cache["key"]
 
     def stored(self):
@@ -115,16 +126,16 @@ class FdModule:
         return f"FdModule(p={self.field.p}, dim={self.dim}, colors={len(self.actions)})"
 
 
-def _key(p, dim, actions):
+def _key(field, dim, actions):
     """`FdModule.key()` of a module with these parts."""
-    return (p, dim, *sorted(actions.items()))
+    return (field.p, field.budget, dim, *sorted(actions.items()))
 
 
 def _interned(field, labels, actions):
     """The one module with these basis labels and actions (color ->
     matrix), kept in its key's store entry under ("module", labels)."""
     labels = tuple(labels)
-    entry = _STORE.setdefault(_key(field.p, len(labels), actions), {})
+    entry = _STORE.setdefault(_key(field, len(labels), actions), {})
     if ("module", labels) not in entry:
         entry[("module", labels)] = FdModule(field, len(labels), labels,
                                             actions)
@@ -245,8 +256,8 @@ def _wrap(module, rows):
     return tuple(Submodule(module, basis, piv) for basis, piv in rows)
 
 
-def _check_seeds(module, budget):
-    p = module.field.p
+def _check_seeds(module):
+    p, budget = module.field.p, module.field.budget
     seeds = (p ** module.dim - 1) // (p - 1)
     if seeds > budget:
         raise BudgetExceeded("too many seed vectors", seeds=seeds,
@@ -256,20 +267,19 @@ def _check_seeds(module, budget):
 def _scan_cyclic(module):
     """The distinct cyclic submodules' rows in the order of their first
     line seed, from one pass over the field kernel's image graph of the
-    seeds (`linalg.cyclic_submodules`)."""
+    seeds (`linalg.cyclic_submodules`), once the seeds fit the budget."""
+    _check_seeds(module)
     return linalg.cyclic_submodules(module.ops, module.action_stack(),
                                     module.dim)
 
 
-def _distinct_cyclic(module, budget):
+def _distinct_cyclic(module):
     """The distinct cyclic submodules in seed order, one seed scan per
-    key (the budget is checked first, so a smaller budget still
-    refuses)."""
-    _check_seeds(module, budget)
+    key."""
     return _memo(module, "cyclic", _scan_cyclic, _wrap)
 
 
-def submodule_lattice(module, budget=DEFAULT_BUDGET):
+def submodule_lattice(module):
     """Every submodule: the sums of sets of cyclic submodules.
 
     Any submodule is the sum of the cyclic submodules of its elements,
@@ -277,19 +287,18 @@ def submodule_lattice(module, budget=DEFAULT_BUDGET):
     closed under intersections as well).  Raises BudgetExceeded with
     the partial set attached when the member count passes the budget.
     """
-    return _cached(module, ("lattice", budget),
-                   lambda m: _close_lattice(m, budget))
+    return _cached(module, "lattice", _close_lattice)
 
 
-def _close_lattice(module, budget):
+def _close_lattice(module):
     """Every lattice member, sorted by `Submodule.key`: each distinct
     cyclic submodule c in turn is joined by `rref` into every member
     found so far (a member that holds c comes back as itself), so the
     members, kept as rows under their keys, are the sums of every set
     of the cyclic submodules joined."""
-    ops, n = module.ops, module.dim
+    ops, n, budget = module.ops, module.dim, module.field.budget
     members = {(0, ()): ((), ())}
-    for c in _distinct_cyclic(module, budget):
+    for c in _distinct_cyclic(module):
         for rows in list(members.values()):
             u = ops.rref(c.basis, n, rows)
             members.setdefault((len(u[0]), u[0]), u)
@@ -420,7 +429,7 @@ def _eigen_leaves(module):
     return leaves
 
 
-def _find_one_minimal(module, budget):
+def _find_one_minimal(module):
     """Some minimal (simple) submodule of a nonzero module without a
     coordinate eigenline (`_coordinate_eigenline`, which
     `_factor_series` tries first).
@@ -432,7 +441,7 @@ def _find_one_minimal(module, budget):
     if leaves:
         basis, _ = min(leaves)
         return Submodule(module, *module.ops.rref(basis[:1], module.dim))
-    cyclics = _distinct_cyclic(module, budget)
+    cyclics = _distinct_cyclic(module)
     return min(cyclics, key=Submodule.key)
 
 
@@ -457,20 +466,17 @@ def _coordinate_eigenline(module):
     return None
 
 
-def minimal_submodules(module, budget=DEFAULT_BUDGET):
+def minimal_submodules(module):
     """All minimal nonzero submodules (budgeted full scan).
 
     Minimal submodules are cyclic, and minimality among the distinct
     cyclic submodules is the same as minimality among all submodules.
     """
-    _check_seeds(module, budget)
-    return list(_cached(module, "minimal",
-                        lambda m: _minimal_cyclic(m, budget)))
+    return list(_cached(module, "minimal", _minimal_cyclic))
 
 
-def _minimal_cyclic(module, budget):
-    cyclics = sorted(_distinct_cyclic(module, budget),
-                     key=Submodule.key)
+def _minimal_cyclic(module):
+    cyclics = sorted(_distinct_cyclic(module), key=Submodule.key)
     out = []
     for s in cyclics:
         minimal = True
@@ -485,14 +491,13 @@ def _minimal_cyclic(module, budget):
     return out
 
 
-def composition_factors(module, budget=DEFAULT_BUDGET):
+def composition_factors(module):
     """Multiset of simple factors, peeled minimal submodule by minimal
     submodule.  Returns (factor module, pivot label) pairs."""
-    return list(_memo(module, ("factors", budget),
-                      lambda m: _factor_series(m, budget), _relabel_factors))
+    return list(_memo(module, "factors", _factor_series, _relabel_factors))
 
 
-def _factor_series(module, budget):
+def _factor_series(module):
     """The composition series without labels, each factor stored as a
     subquotient is: the indices into `module.basis_labels` of its basis
     labels and its (color, matrix) pairs (the peel runs on a copy
@@ -512,7 +517,7 @@ def _factor_series(module, budget):
     while current.dim > 0:
         line = _coordinate_eigenline(current)
         if line is None:
-            k = _find_one_minimal(current, budget)
+            k = _find_one_minimal(current)
             factor = submodule_as_module(k)
             out.append((factor.basis_labels, tuple(factor.actions.items())))
             current = quotient_module(current, k)
@@ -545,14 +550,14 @@ def _relabel_factors(module, series):
     return tuple((f, f.basis_labels[0]) for f in factors)
 
 
-def is_essential(sub, module, budget=DEFAULT_BUDGET):
+def is_essential(sub, module):
     """True iff sub meets every nonzero submodule, i.e. contains every
     minimal submodule."""
     if module.dim == 0:
         return True
     if sub.dim == 0:
         return False
-    return all(sub.contains(k) for k in minimal_submodules(module, budget))
+    return all(sub.contains(k) for k in minimal_submodules(module))
 
 
 @dataclass
@@ -562,7 +567,7 @@ class StructureReport:
     socle: Submodule
 
 
-def structure_report(module, budget=DEFAULT_BUDGET):
+def structure_report(module):
     """Exact structural summary, with no lattice walk: the socle is the
     sum of the minimal submodules, and the composition length is the
     number of composition factors (Jordan-Hoelder).  The minimal
@@ -570,11 +575,11 @@ def structure_report(module, budget=DEFAULT_BUDGET):
     refused by their scan.  A module whose one minimal submodule is
     the whole module is simple, of length 1 and its own socle, with no
     composition series built."""
-    mins = minimal_submodules(module, budget)
+    mins = minimal_submodules(module)
     if len(mins) == 1 and mins[0].dim == module.dim:
         return StructureReport(is_simple=True, composition_length=1,
                                socle=mins[0])
-    length = len(composition_factors(module, budget))
+    length = len(composition_factors(module))
     socle = zero_submodule(module)
     for s in mins:
         socle = sum_submodules(socle, s)

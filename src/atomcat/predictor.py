@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite, UnknownElement
-from .linmod import DEFAULT_BUDGET
 from .ordertop import Poset, normalize_poset
 from .skeleton import _require_acyclic
 from .terms import (_DESCENDING_WINDOW, Point, _loop_color, acc_term, fold,
@@ -335,7 +334,7 @@ class DiffReport:
                 "order_violations": [list(v) for v in self.order_violations]}
 
 
-def crosscheck(sym, gen, field=FieldSpec(2), budget=DEFAULT_BUDGET):
+def crosscheck(sym, gen, field=FieldSpec(2)):
     """Align the brute-force spectrum of a truncation with a symbolic
     window through the generator's atom table.  A brute atom no table
     entry credits to a window atom is unexpected.  The spectrum of a
@@ -352,7 +351,7 @@ def crosscheck(sym, gen, field=FieldSpec(2), budget=DEFAULT_BUDGET):
     object; and ASupp of a subquotient lies in ASupp of the object
     (Kanda 2012).  The tests hold every listed truncation to both facts.
     """
-    report = spectrum(gen.quiver, field, budget)
+    report = spectrum(gen.quiver, field)
     credit = {}  # brute label -> symbolic labels it witnesses
     for key, entry in gen.atom_table.items():
         if entry.get("kind") != "simple":

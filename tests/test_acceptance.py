@@ -1,8 +1,10 @@
 """Acceptance criteria, one test per criterion, with stated time budgets.
 
 Each test prints a single PASS/FAIL line (run pytest -s to watch).
-Numeric budgets measure steady-state algorithmic cost, so the jitted
-kernels are warmed once per session before any timing starts.
+Numeric budgets measure steady-state algorithmic cost, so the lattice
+and spectrum code paths run once on a two-vertex quiver before any
+timing starts, and the first criterion pays none of their first-call
+costs.
 """
 
 import time
@@ -28,7 +30,7 @@ CFG = RunConfig(seed=20240811)
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile/load the jitted kernels outside any timed section
+    # one lattice and one spectrum of a tiny quiver, before any timing
     q = make_quiver(["v", "w"], ["c"], [("v", "w", "c")])
     submodule_lattice(module_of_quiver(q, GF2))
     spectrum(q, GF2)
@@ -73,7 +75,7 @@ def test_criterion_03_infinite_chain_lattice():
     for d in range(2, 7):
         gen = preset("infinite-chain", d)
         m = module_of_quiver(gen.quiver, GF2)
-        lat = submodule_lattice(m, CFG.budget)
+        lat = submodule_lattice(m)
         # closed form: zero plus the d coordinate tails
         expected = {()}
         import numpy as np
@@ -96,14 +98,14 @@ def test_criterion_04_aass_vs_asupp():
     for d in (2, 3, 4):
         gen = preset("aass-vs-asupp", d)
         m = module_of_quiver(gen.quiver, GF2)
-        brute_aass = aass(m, CFG.budget)
+        brute_aass = aass(m)
         assert brute_aass.labels() == ("S()",), f"depth {d}"
-        socle = structure_report(m, CFG.budget).socle
+        socle = structure_report(m).socle
         assert socle.dim == 1
-        assert is_essential(socle, m, CFG.budget)
+        assert is_essential(socle, m)
         sym = predict_preset("aass-vs-asupp", d)
         # map the brute class through the atom table: it witnesses beta
-        diff = crosscheck(sym, gen, GF2, CFG.budget)
+        diff = crosscheck(sym, gen, GF2)
         assert set(diff.matched) == {"beta"}
         sym_asupp = set(sym.claims["asupp"])
         assert sym_asupp > set(diff.matched)  # alpha is extra, unseen
@@ -127,7 +129,7 @@ def test_criterion_05_realization_acc():
                     res.witness[e1], res.witness[e2])
         for depth in (2, 3):
             gen = gen_realization_acc(p, TruncationSpec(depth=depth))
-            diff = crosscheck(res.pre_quotient, gen, GF2, CFG.budget)
+            diff = crosscheck(res.pre_quotient, gen, GF2)
             assert diff.unexpected == (), (p.elements, depth)
             assert diff.order_violations == (), (p.elements, depth)
     elapsed = time.perf_counter() - t0
@@ -146,7 +148,7 @@ def test_criterion_06_realization_general():
         assert canonical_form(p)[0] == canonical_form(restricted)[0]
         gen = gen_realization_general(
             p, TruncationSpec(depth=len(p.elements), ladder_range=(0, 0)))
-        diff = crosscheck(res.pre_quotient, gen, GF2, CFG.budget)
+        diff = crosscheck(res.pre_quotient, gen, GF2)
         assert diff.unexpected == (), p.elements
         assert diff.order_violations == ()
     elapsed = time.perf_counter() - t0
@@ -161,7 +163,7 @@ def test_criterion_07_no_atom():
         gen = gen_noatom(trunc)
         pred = predict_noatom(trunc)
         for field in (GF2, FieldSpec(3)):
-            diff = crosscheck(pred.pre_spectrum, gen, field, CFG.budget)
+            diff = crosscheck(pred.pre_spectrum, gen, field)
             assert diff.matched and not diff.unexpected, (d, field.p)
         assert pred.post_quotient_empty
         assert len(gen.quiver.vertices) > 0  # pre-quotient module nonzero
@@ -198,7 +200,7 @@ def test_criterion_10_counterexample_presets():
         claims = check_preset_claims(name, sym, 4)
         assert claims and all(claims.values()), (name, claims)
         gen2 = preset(name, 2)
-        diff = crosscheck(predict_preset(name, 2), gen2, GF2, CFG.budget)
+        diff = crosscheck(predict_preset(name, 2), gen2, GF2)
         assert diff.unexpected == (), name
         assert diff.order_violations == (), name
     # the descending chain witnessed at depth 4 has length >= 4

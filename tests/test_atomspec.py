@@ -805,16 +805,16 @@ def test_supports_with_a_smaller_budget_still_raise_after_a_hit(p):
     x = [[0, 1], [1, 1]] if p == 2 else [[0, 2], [1, 0]]
     dense = [[*x[0], 0, 0], [*x[1], 0, 0], [0, 0, *x[0]], [0, 0, *x[1]]]
 
-    def module():
-        return FdModule(FieldSpec(p), 4, tuple("abcd"),
-                        {"x": FieldSpec(p).ops.pack(dense, 4)})
+    def module(field):
+        return FdModule(field, 4, tuple("abcd"),
+                        {"x": field.ops.pack(dense, 4)})
 
-    m = module()
+    m = module(FieldSpec(p))
     assert len(asupp(m)) == len(aass(m)) == 1
-    for mod in (m, module()):
-        for fn in (asupp, aass):
-            with pytest.raises(BudgetExceeded):
-                fn(mod, budget=10)
+    small = module(FieldSpec(p, budget=10))
+    for fn in (asupp, aass):
+        with pytest.raises(BudgetExceeded):
+            fn(small)
 
 
 @settings(max_examples=60, deadline=None)
@@ -845,7 +845,7 @@ def star_module(k, p):
 def test_star_answers_without_a_lattice(k, p, monkeypatch):
     from atomcat import linmod
 
-    def refuse(module, budget):
+    def refuse(module):
         raise AssertionError("the submodule lattice was enumerated")
 
     monkeypatch.setattr(linmod, "_STORE", {})

@@ -102,6 +102,13 @@ class TestConfig:
         cfg = config_from_env()
         assert cfg.budget == 1234 and cfg.seed == 99
 
+    def test_overrides_that_are_not_none_follow_the_env(self, monkeypatch):
+        monkeypatch.setenv("ATOMCAT_BUDGET", "1234")
+        monkeypatch.setenv("ATOMCAT_DEPTH", "3")
+        cfg = config_from_env(p=None, budget=99, depth=None, seed=5)
+        assert (cfg.p, cfg.budget, cfg.depth, cfg.seed) == (2, 99, 3, 5)
+        assert cfg.field == FieldSpec(2, budget=99)
+
     def test_invalid_field_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(p=4)
@@ -109,6 +116,18 @@ class TestConfig:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(budget=0)
+
+
+def test_run_config_budget_reaches_every_interned_module(monkeypatch):
+    from atomcat import linmod
+    monkeypatch.setattr(linmod, "_STORE", {})
+    cfg = RunConfig(budget=4096)
+    assert all(check_quiver_invariants(random_quiver(7, 4, 2, 0.4),
+                                       cfg).values())
+    worked_examples(cfg)
+    budgets = [m.field.budget for entry in linmod._STORE.values()
+               for key, m in entry.items() if key[0] == "module"]
+    assert budgets and set(budgets) == {4096}
 
 
 def test_examples_match_golden_bit_for_bit():
@@ -327,6 +346,46 @@ class TestCli:
         out = str(tmp_path / "never.json")
         assert cli_dispatch(["spectrum", qpath, "--out", out]) == 1
         assert not os.path.exists(out)
+
+    # a 3-cycle in color x at p = 2: once its eigenline (all ones) is
+    # peeled, the 2-dim quotient has no eigenline and needs a 3-seed scan
+    CYCLE3 = {"vertices": ["a", "b", "c"], "colors": ["x"],
+              "arrows": [{"src": s, "dst": d, "color": "x"}
+                         for s, d in ("ab", "bc", "ca")]}
+
+    @pytest.mark.parametrize("flags, env", [(["--budget", "2"], None),
+                                            ([], "2")])
+    def test_budget_reaches_the_spectrum_scan(self, tmp_path, capsys,
+                                              monkeypatch, flags, env):
+        if env:
+            monkeypatch.setenv("ATOMCAT_BUDGET", env)
+        qpath = self.write(tmp_path, "q.json", self.CYCLE3)
+        assert cli_dispatch(["spectrum", qpath, *flags]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "budget_exceeded",
+            "context": {"seeds": 3, "budget": 2, "block": ["a", "b", "c"],
+                        "dim": 3}}
+        assert cli_dispatch(["spectrum", qpath, "--budget", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [a["label"] for a in report["atoms"]] == \
+            ["S(x)", "S[2]cf56bbd64477"]
+
+    @pytest.mark.parametrize("argv, context", [
+        (["verify", "core", "--count", "3", "--budget", "4"],
+         {"seeds": 31, "budget": 4}),
+        (["examples", "--budget", "3"], {"seeds": 15, "budget": 3})])
+    def test_budget_reaches_suites_and_examples(self, capsys, argv,
+                                                context):
+        assert cli_dispatch(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "budget_exceeded", "context": context}
+
+    def test_bad_env_value_is_a_value_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATOMCAT_BUDGET", "many")
+        assert cli_dispatch(["examples"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io_or_value_error"
+        assert "many" in err["context"]["detail"]
 
     def test_env_flag_equivalence(self, tmp_path, capsys, monkeypatch):
         qpath = self.write(tmp_path, "q.json", {

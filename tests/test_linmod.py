@@ -144,6 +144,17 @@ class TestModuleOfQuiver:
         with pytest.raises(ValueError, match=re.escape(f"prime: {p!r}")):
             FieldSpec(p)
 
+    @pytest.mark.parametrize("budget", [0, -1, True, 1.5, "10"])
+    def test_field_budget_must_be_a_positive_int(self, budget):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"budget must be an int >= 1: "
+                                           f"{budget!r}")):
+            FieldSpec(2, budget=budget)
+
+    def test_field_budget_defaults_to_the_default_budget(self):
+        assert FieldSpec(2) == FieldSpec(2, budget=DEFAULT_BUDGET)
+        assert FieldSpec(2) != FieldSpec(2, budget=DEFAULT_BUDGET - 1)
+
 
 class TestCyclic:
     def test_zero_vector(self):
@@ -204,9 +215,9 @@ class TestLattice:
                            and s.dim == meet_dim(a, b) for s in lat)
 
     def test_budget(self):
-        m = FdModule(GF2, 4, tuple("abcd"), {})
+        m = FdModule(FieldSpec(2, budget=10), 4, tuple("abcd"), {})
         with pytest.raises(BudgetExceeded) as ei:
-            submodule_lattice(m, budget=10)
+            submodule_lattice(m)
         assert ei.value.partial is None or not ei.value.partial.complete
 
     def test_all_members_action_closed(self):
@@ -375,7 +386,7 @@ def test_property_structure_report_matches_lattice_oracles(data):
             assert rep.socle.key() == lattice_socle(h).key()
 
 
-def peel_oracle(module, budget=50_000):
+def peel_oracle(module):
     """Oracle for `composition_factors`: the peel through nullspaces and
     quotient modules.  Each step takes the lowest coordinate line in a
     common eigenspace (`_eigen_leaves`, one nullspace per color and
@@ -395,7 +406,7 @@ def peel_oracle(module, budget=50_000):
         elif leaves:
             k = Submodule(module, *ops.rref(min(leaves)[0][:1], n))
         else:
-            k = min(_distinct_cyclic(module, budget), key=Submodule.key)
+            k = min(_distinct_cyclic(module), key=Submodule.key)
         factor = submodule_as_module(k)
         out.append((factor.key(), factor.basis_labels))
         module = quotient_module(module, k)
@@ -461,14 +472,14 @@ def test_seed_budget_counts_lines():
         vs = [f"v{i}" for i in range(k)]
         return module_of_quiver(make_quiver(
             vs, ["c"], [(vs[i], vs[(i + 1) % k], "c") for i in range(k)]),
-            FieldSpec(3))
+            FieldSpec(3, budget=50))
 
-    mins = minimal_submodules(cycle(4), budget=50)
+    mins = minimal_submodules(cycle(4))
     assert sorted(s.dim for s in mins) == [1, 1, 2]
     # a 5-cycle: 242 vectors on 121 lines
     with pytest.raises(BudgetExceeded) as ei:
-        minimal_submodules(cycle(5), budget=50)
-    assert ei.value.context["seeds"] == 121
+        minimal_submodules(cycle(5))
+    assert ei.value.context == {"seeds": 121, "budget": 50}
 
 
 class TestStructure:
@@ -516,7 +527,7 @@ class TestEssentialAndMinimal:
 
     def test_find_one_minimal_is_minimal(self):
         for m in (chain_module(4), loop_point()):
-            k = _find_one_minimal(m, DEFAULT_BUDGET)
+            k = _find_one_minimal(m)
             assert k.dim >= 1
             assert any(k.key() == s.key() for s in minimal_submodules(m))
 
@@ -578,7 +589,7 @@ def test_higher_dim_simple_is_found():
     # action [[0,1],[1,1]] is irreducible over GF(2) (no eigenvector)
     m = FdModule(GF2, 2, ("a", "b"),
                  {"c": GF2.ops.pack(np.array([[0, 1], [1, 1]]), 2)})
-    assert _find_one_minimal(m, DEFAULT_BUDGET).dim == 2
+    assert _find_one_minimal(m).dim == 2
     mins = minimal_submodules(m)
     assert len(mins) == 1 and mins[0].dim == 2
     assert len(submodule_lattice(m)) == 2
@@ -592,12 +603,12 @@ class TestCyclicScanMemo:
                         [("a", "b", "x"), ("b", "c", "y"), ("c", "b", "x"),
                          ("a", "a", "y")])
         m = module_of_quiver(q, FieldSpec(p))
-        first = _distinct_cyclic(m, 1000)
+        first = _distinct_cyclic(m)
         assert isinstance(first, tuple)
         minimal_submodules(m)
         submodule_lattice(m)
-        assert _distinct_cyclic(m, 1000) is first
-        fresh = _distinct_cyclic(module_of_quiver(q, FieldSpec(p)), 1000)
+        assert _distinct_cyclic(m) is first
+        fresh = _distinct_cyclic(module_of_quiver(q, FieldSpec(p)))
         assert [s.key() for s in first] == [s.key() for s in fresh]
 
     def test_smaller_budget_still_raises_after_memo(self):
@@ -605,8 +616,10 @@ class TestCyclicScanMemo:
                         [("a", "b", "x"), ("b", "c", "x"), ("c", "d", "x")])
         m = module_of_quiver(q, GF2)
         assert len(minimal_submodules(m)) == 1
+        small = module_of_quiver(q, FieldSpec(2, budget=10))
+        assert small.actions == m.actions and small.key() != m.key()
         with pytest.raises(BudgetExceeded):
-            minimal_submodules(m, budget=10)
+            minimal_submodules(small)
 
 
 # -- the structure store -------------------------------------------------------
@@ -683,8 +696,7 @@ class TestStructureStore:
         from atomcat.linmod import _distinct_cyclic
         m1 = irreducible_plus_line(p, ("a", "b", "c"))
         m2 = irreducible_plus_line(p, ("u", "v", "w"))
-        for fn in (minimal_submodules, submodule_lattice,
-                   lambda m: _distinct_cyclic(m, 1000)):
+        for fn in (minimal_submodules, submodule_lattice, _distinct_cyclic):
             one, two = list(fn(m1)), list(fn(m2))
             assert [s.key() for s in one] == [s.key() for s in two]
             assert all(s.parent is m1 for s in one)
@@ -697,19 +709,19 @@ class TestStructureStore:
         dense = np.zeros((4, 4), dtype=np.int64)
         dense[:2, :2] = dense[2:, 2:] = block
 
-        def module():
-            return FdModule(GF2, 4, tuple("abcd"),
+        def module(field):
+            return FdModule(field, 4, tuple("abcd"),
                             {"x": GF2.ops.pack(dense, 4)})
 
-        m = module()
+        m = module(GF2)
         assert [f.dim for f, _ in composition_factors(m)] == [2, 2]
         assert len(minimal_submodules(m)) == 5
         assert len(submodule_lattice(m)) == 7
-        for mod in (m, module()):
-            for fn in (composition_factors, minimal_submodules,
-                       submodule_lattice):
-                with pytest.raises(BudgetExceeded):
-                    fn(mod, budget=10)
+        small = module(FieldSpec(2, budget=10))
+        for fn in (composition_factors, minimal_submodules,
+                   submodule_lattice):
+            with pytest.raises(BudgetExceeded):
+                fn(small)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_subquotients_are_stored_per_pair_of_bases(self, p):
@@ -764,9 +776,9 @@ class TestStructureStore:
     def test_smaller_lattice_budget_still_overflows_after_a_hit(self):
         # zero action on GF(2)^3: 7 seeds pass a budget of 10, and the
         # 16 subspaces overflow it
-        m = FdModule(GF2, 3, tuple("abc"), {})
-        assert len(submodule_lattice(m)) == 16
-        for mod in (m, FdModule(GF2, 3, tuple("xyz"), {})):
+        assert len(submodule_lattice(FdModule(GF2, 3, tuple("abc"), {}))) == 16
+        small = FieldSpec(2, budget=10)
+        for labels in ("abc", "xyz"):
             with pytest.raises(BudgetExceeded) as ei:
-                submodule_lattice(mod, budget=10)
+                submodule_lattice(FdModule(small, 3, tuple(labels), {}))
             assert not ei.value.partial.complete
