@@ -13,9 +13,9 @@ from .atomspec import (Atom, AtomSet, SpectrumReport, aass, asupp,
                        is_monoform, is_uniform, spectrum)
 from .generators import (gen_noatom, gen_realization_acc,
                          gen_realization_general, preset, substitute)
-from .linmod import (FdModule, FieldSpec, Submodule, SubmoduleSet, hom_basis,
-                     is_essential, module_of_quiver, structure_report,
-                     submodule_lattice, subquotient)
+from .linmod import (FdModule, FieldSpec, Submodule, hom_basis, is_essential,
+                     module_of_quiver, structure_report, submodule_lattice,
+                     subquotient)
 from .ordertop import (FiniteTopology, Poset, alexandroff_of_poset,
                        is_kolmogorov, j_sets, normalize_poset,
                        poset_of_topology, topology_of_opens)

@@ -19,10 +19,9 @@ from collections import Counter, namedtuple
 from .errors import (ColorClash, DepthTooSmall, DuplicateArrow, MissingBlock,
                      WindowTooSmall)
 from .quiver import BundleColors, GeneratedQuiver, _bundle_quiver, _least_clash
-from .skeleton import (_composite_blocks, _renamed_blocks, _require_ends,
-                       _skeleton_parts)
-from .terms import (Composite, Point, _loop_color, _union_names, acc_term,
-                    fold, general_term, noatom_term, noatom_window,
+from .terms import (Composite, Point, _loop_color, _require_ends,
+                    _skeleton_parts, _union_names, acc_term, fold,
+                    general_term, noatom_term, noatom_window,
                     noetherian_family, preset_term)
 
 
@@ -73,6 +72,25 @@ def _composite(t, blocks):
         raise ColorClash("bundle color already used by a block", color=clash)
     return _Prepared(names, count, (), made.values(), inside, blocks, own,
                      plan, repeated)
+
+
+def _composite_blocks(plan, names, found, start):
+    """Put a composite occurrence's blocks, sources first, in place of
+    its children's in found[start:], by its plan (`_skeleton_parts`).
+    names[k] are the vertices of its child k.  A merged component is
+    one block, the sorted vertices of its children."""
+    blocks, out = found[start:], []
+    for members, kept in plan:
+        if kept is None:
+            out.append(tuple(sorted(v for k in members for v in names[k])))
+        else:
+            out += blocks[kept]
+    found[start:] = out
+
+
+def _renamed_blocks(quiver, at):
+    """The quiver's blocks with each vertex v renamed at[v], sorted."""
+    return [tuple(sorted(map(at.get, block))) for block in quiver._partition]
 
 
 def _emit(t, rec, names, depth, walk):
@@ -164,7 +182,7 @@ def truncate(term):
     first one at that depth.  Entries come in first-met order.
 
     The strongly connected blocks are read off the term and handed to
-    the quiver as vertex tuples: the fold runs `skeleton._skeleton_parts`
+    the quiver as vertex tuples: the fold runs `terms._skeleton_parts`
     once per distinct composite (Tarjan only on a skeleton with an
     arrow that does not run forward), and the walk lists the blocks
     sources first.  A point is a block, a quiver leaf brings its own

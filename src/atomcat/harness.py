@@ -152,14 +152,20 @@ def check_quiver_invariants(quiver, cfg):
     for k, mod in as_modules.items():
         monoform[k] = is_monoform(mod) if mod.dim else False
 
-    # heredity: nonzero submodules of monoform members stay monoform
-    ok = True
+    # for each monoform member s and nonzero t strictly inside it:
+    # heredity, t is monoform; exclusion, the class of s does not
+    # support s/t
+    ok, excl_ok = True, True
     for k, s in members.items():
         if not monoform[k]:
             continue
+        h_label = atomspec.atom_of(as_modules[k]).label
         for k2, t in members.items():
-            if 0 < t.dim < s.dim and s.contains(t) and not monoform[k2]:
-                ok = False
+            if 0 < t.dim < s.dim and s.contains(t):
+                ok = ok and monoform[k2]
+                layer = subquotient(module, t, s)
+                if h_label in _labels(asupp(layer)):
+                    excl_ok = False
     out["monoform_subobject_heredity"] = ok
 
     out["monoform_implies_uniform"] = all(
@@ -205,18 +211,6 @@ def check_quiver_invariants(quiver, cfg):
         for k, s in members.items()
         if s.dim > 0 and is_essential(s, module))
 
-    # a monoform member's class never supports its proper quotients
-    excl_ok = True
-    for k, s in members.items():
-        if not monoform[k]:
-            continue
-        h_mod = as_modules[k]
-        h_label = atomspec.atom_of(h_mod).label
-        for k2, t in members.items():
-            if 0 < t.dim and s.contains(t) and t.dim < s.dim:
-                layer = subquotient(module, t, s)
-                if h_label in _labels(asupp(layer)):
-                    excl_ok = False
     out["monoform_exclusion"] = excl_ok
 
     out["atom_reps_are_simple"] = all(

@@ -25,9 +25,6 @@ from .modp import FpOps
 from .quiver import _tarjan
 
 
-_CACHE = {2: F2Ops()}
-
-
 def is_prime(p):
     if p < 2:
         return False
@@ -40,10 +37,8 @@ def is_prime(p):
 
 
 def ops_for(p):
-    """Ops object for GF(p); cached per prime."""
-    if p not in _CACHE:
-        _CACHE[p] = FpOps(p)
-    return _CACHE[p]
+    """Ops object for GF(p); neither kind holds state beyond p."""
+    return F2Ops() if p == 2 else FpOps(p)
 
 
 def cyclic_submodules(ops, acts, n):

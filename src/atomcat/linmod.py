@@ -218,18 +218,6 @@ def sum_submodules(a, b):
     return Submodule(a.parent, basis, piv)
 
 
-@dataclass
-class SubmoduleSet:
-    members: tuple  # sorted by Submodule.key
-    complete: bool
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
 def _cached(module, name, compute):
     """`compute(module)`, kept in the module's own cache under `name`.
     A computation that raises keeps nothing."""
@@ -284,8 +272,10 @@ def submodule_lattice(module):
 
     Any submodule is the sum of the cyclic submodules of its elements,
     so these sums are the complete lattice (and thus automatically
-    closed under intersections as well).  Raises BudgetExceeded with
-    the partial set attached when the member count passes the budget.
+    closed under intersections as well).  A tuple sorted by
+    `Submodule.key`.  Raises BudgetExceeded when the member count passes
+    the budget, its partial the sorted tuple of the members found so
+    far.
     """
     return _cached(module, "lattice", _close_lattice)
 
@@ -305,13 +295,12 @@ def _close_lattice(module):
             if len(members) > budget:
                 raise BudgetExceeded(
                     "lattice larger than budget", budget=budget,
-                    partial=_lattice_set(module, members, False))
-    return _lattice_set(module, members, True)
+                    partial=_sorted_members(module, members))
+    return _sorted_members(module, members)
 
 
-def _lattice_set(module, members, complete):
-    return SubmoduleSet(tuple(Submodule(module, *members[k])
-                              for k in sorted(members)), complete)
+def _sorted_members(module, members):
+    return tuple(Submodule(module, *members[k]) for k in sorted(members))
 
 
 def subquotient(module, lower, upper):

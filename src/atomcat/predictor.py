@@ -17,7 +17,8 @@ Every spectrum is built by `_spectrum`; a post-quotient spectrum is
 of the absorbed atoms.  `window`, the one symbolic reader, reads a
 construction term of `terms` (a preset, a poset realization or the
 atom-free term), which `generators.truncate` reads as a truncation;
-unlike `truncate` it refuses a cyclic skeleton.
+unlike `truncate` it refuses a cyclic skeleton
+(`terms._require_acyclic`).
 
 Brute-force agreement: `crosscheck` computes the honest spectrum of a
 truncated quiver and aligns it with the window through the generator's
@@ -33,10 +34,10 @@ from dataclasses import dataclass, field
 from .atomspec import FieldSpec, _line_label, spectrum
 from .errors import NotFinite, UnknownElement
 from .ordertop import Poset, normalize_poset
-from .skeleton import _require_acyclic
-from .terms import (_DESCENDING_WINDOW, Point, _loop_color, acc_term, fold,
-                    general_term, noatom_term, noatom_window,
-                    noetherian_family, preset_term, require_preset)
+from .terms import (_DESCENDING_WINDOW, Point, _loop_color, _require_acyclic,
+                    acc_term, fold, general_term, noatom_term,
+                    noatom_window, noetherian_family, preset_term,
+                    require_preset)
 
 
 @dataclass(frozen=True)

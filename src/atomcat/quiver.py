@@ -22,10 +22,10 @@ two blocks, rendered into the color strings `!(tag;v,w)` only when
 read.  A bundle joins every vertex of one block to every vertex of the
 other, so a truncation's strongly connected blocks follow from its
 term's skeletons: `truncate` reads off the vertex partition (see
-`skeleton`) and hands it to `_bundle_quiver`.  `ColoredQuiver._blocks`
-is the one place where a block's arrows are gathered, and the only
-place a bundle is expanded for one.  `arrows` and `colors` list every
-arrow and color, made when first read.
+`terms._skeleton_parts`) and hands it to `_bundle_quiver`.
+`ColoredQuiver._blocks` is the one place where a block's arrows are
+gathered, and the only place a bundle is expanded for one.  `arrows`
+and `colors` list every arrow and color, made when first read.
 """
 
 from collections import namedtuple
@@ -131,18 +131,7 @@ class ColoredQuiver:
             chain.from_iterable(c.rows()) for c in tables)))[0]
 
     def loops_at(self, v):
-        return self._loops.get(v, ())
-
-    @cached_property
-    def _loops(self):
-        """Loop arrows by vertex, in arrow order: a loop lies inside the
-        block of its vertex."""
-        loops = {}
-        for _, arrows in self._blocks:
-            for a in arrows:
-                if a[0] == a[1]:
-                    loops.setdefault(a[0], []).append(a)
-        return {v: tuple(arrows) for v, arrows in loops.items()}
+        return tuple(a for a in self.arrows if a[0] == a[1] == v)
 
     @cached_property
     def _partition(self):

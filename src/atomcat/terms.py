@@ -20,14 +20,28 @@ inside its blocks, which the fresh-color rule otherwise refuses.
 `union_term` puts terms under names on a skeleton without arrows.  Any
 other leaf, such as a `ColoredQuiver` of `generators.substitute`, is
 read by the fold's `leaf`.
+
+Skeletons are read here too: `_require_ends`, the range check of
+`generators.truncate`; `_skeleton_parts`, which children of a
+composite share a strongly connected component, from which `truncate`
+reads a truncation's vertex partition into blocks once per distinct
+composite; and `_require_acyclic`, the refusal of a cyclic skeleton
+that `composite_term` and `predictor.window` share, a cycle being a
+merged component of `_skeleton_parts`.  Tarjan runs, on a graph with
+one node per child, only when an arrow does not run forward (i < j):
+a forward skeleton, such as every skeleton of `chain_term` and
+`union_term`, is acyclic, each child its own component in child
+order.
 """
 
 from collections import namedtuple
 from functools import partial
+from itertools import accumulate
 
-from .errors import ColorClash, DepthTooSmall, EmptyRange, UnknownPreset
+from .errors import (ColorClash, DepthTooSmall, EmptyRange, UnknownPreset,
+                     UnknownVertex)
 from .ordertop import j_sets, normalize_poset
-from .skeleton import _require_acyclic
+from .quiver import _tarjan
 
 
 def _check_ids(elements):
@@ -67,6 +81,59 @@ def fold(term, point, leaf, composite):
             opened.add(id(t))
             todo += t, *reversed(t.blocks)
     return values[id(term)]
+
+
+def _require_ends(n, arrows):
+    """Refuse (i, j, tag) skeleton arrows with an end outside 0..n-1."""
+    for i, j, _ in arrows:
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownVertex("skeleton arrow end outside the blocks",
+                                arrow=[i, j])
+
+
+def _require_acyclic(n, arrows):
+    """Refuse what `_require_ends` refuses and a cycle: a merged
+    component of `_skeleton_parts` with one block per child, that is
+    two or more children or one child with a skeleton loop."""
+    _require_ends(n, arrows)
+    plan, _ = _skeleton_parts(arrows, [1] * n)
+    if plan and any(kept is None for _, kept in plan):
+        raise ValueError(f"the skeleton has a cycle: {list(arrows)}")
+
+
+def _skeleton_parts(arrows, counts):
+    """How a composite's blocks follow from its skeleton's (i, j, tag)
+    arrows, given the number of blocks of each child: (plan, count).
+
+    A bundle joins every vertex of one block to every vertex of the
+    other, so the vertices of a strongly connected component of two or
+    more children, or of one child with a skeleton loop, all reach each
+    other and merge into one block; any other child keeps its blocks.
+    Only arrows between nonempty children count, since a bundle with an
+    empty end has no arrows.  Tarjan runs on the reversed skeleton, so
+    its components come sources first.  plan lists them, each as its
+    child indices and, unless it merges, the slice its child's blocks
+    fill among the children's.  plan is None exactly when every counted
+    arrow has i < j, so each child keeps its blocks in child order: any
+    other counted arrow is a loop, or has i > j and puts i and j in one
+    component or i's before j's.  count is the composite's block count.
+    """
+    n = len(counts)
+    pred, looped, forward = [[] for _ in range(n)], [False] * n, True
+    for i, j, _ in arrows:
+        if counts[i] and counts[j]:
+            forward = forward and i < j
+            if i == j:
+                looped[i] = True
+            else:
+                pred[j].append(i)
+    ends = list(accumulate(counts, initial=0))
+    if forward:
+        return None, ends[-1]
+    components = _tarjan(pred, n)
+    plan = [(c, None if len(c) > 1 or looped[c[0]] else
+             slice(ends[c[0]], ends[c[0] + 1])) for c in components]
+    return plan, sum(1 if kept is None else counts[c[0]] for c, kept in plan)
 
 
 def _union_names(names, n):

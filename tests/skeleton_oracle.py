@@ -1,8 +1,8 @@
-"""The skeleton reads of `atomcat.skeleton` with Tarjan on every
+"""The skeleton reads of `atomcat.terms` with Tarjan on every
 skeleton, forward ones included: the reference for its forward
 shortcut.  `require_acyclic` refuses an arrow end outside 0..n-1, a
 loop, or a strongly connected component of two or more blocks;
-`skeleton_parts` is (plan, count) as `skeleton._skeleton_parts` gives
+`skeleton_parts` is (plan, count) as `terms._skeleton_parts` gives
 it."""
 
 from itertools import accumulate

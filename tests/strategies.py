@@ -97,4 +97,4 @@ def is_action_closed(sub):
 
 def nonzero_members(lattice):
     """The nonzero submodules of a lattice, in listing order."""
-    return [s for s in lattice.members if s.dim > 0]
+    return [s for s in lattice if s.dim > 0]

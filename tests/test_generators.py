@@ -237,7 +237,7 @@ class TestRealizationAcc:
         # skeletons all run forward, so it runs on none); and spectrum
         # canonical-forms one simple per distinct block signature, not
         # one per block
-        from atomcat import atomspec, skeleton
+        from atomcat import atomspec, terms
         from atomcat.predictor import crosscheck, predict_realization
         real, sizes = quiver._tarjan, []
         real_form, forms = atomspec.canonical_simple_form, []
@@ -250,7 +250,7 @@ class TestRealizationAcc:
             forms.append(simple)
             return real_form(simple)
         monkeypatch.setattr(quiver, "_tarjan", recording)
-        monkeypatch.setattr(skeleton, "_tarjan", recording)
+        monkeypatch.setattr(terms, "_tarjan", recording)
         monkeypatch.setattr(atomspec, "canonical_simple_form", forming)
         # the benchmark's largest listed truncation (519 vertices)
         for P, depth in [(DIAMOND, 3), (random_poset(7134768400813504092, 6),

@@ -272,7 +272,7 @@ def test_lattice_order_is_dim_then_rows():
     q = make_quiver(verts, ["a"],
                     [(verts[i], verts[(i + 1) % 10], "a") for i in range(10)])
     m = module_of_quiver(q, FieldSpec(2))
-    members = submodule_lattice(m).members
+    members = submodule_lattice(m)
     assert len(members) == 9
     assert list(members) == sorted(members, key=lambda s: (s.dim, s.basis))
 
@@ -585,6 +585,6 @@ def test_fp_lattice_order_is_dim_then_rows():
     for p in (3, 5):
         for q in quivers:
             m = module_of_quiver(q, FieldSpec(p))
-            members = submodule_lattice(m).members
+            members = submodule_lattice(m)
             assert list(members) == sorted(
                 members, key=lambda s: (s.dim, s.basis))

@@ -1,14 +1,14 @@
-"""The forward-skeleton shortcut of `atomcat.skeleton` against the
-Tarjan-only reads of `skeleton_oracle`: the same refusals and the same
-(plan, count) on small random skeletons, and no Tarjan on a skeleton
-whose arrows all run forward."""
+"""The forward-skeleton shortcut of the skeleton reads of
+`atomcat.terms` against the Tarjan-only reads of `skeleton_oracle`: the
+same refusals and the same (plan, count) on small random skeletons,
+and no Tarjan on a skeleton whose arrows all run forward."""
 
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atomcat import skeleton
+from atomcat import terms
 from atomcat.errors import AtomcatError
 from skeleton_oracle import require_acyclic, skeleton_parts
 
@@ -57,11 +57,10 @@ def test_forward_shortcut_agrees_with_tarjan(case):
     counts, arrows = case
     n = len(counts)
     in_range = tuple(a for a in arrows if 0 <= a[0] < n and 0 <= a[1] < n)
-    with mock.patch.object(skeleton, "_tarjan", wraps=skeleton._tarjan) \
-            as tarjan:
-        assert outcome(skeleton._require_acyclic, n, arrows) == \
+    with mock.patch.object(terms, "_tarjan", wraps=terms._tarjan) as tarjan:
+        assert outcome(terms._require_acyclic, n, arrows) == \
             outcome(require_acyclic, n, arrows)
-        assert outcome(skeleton._skeleton_parts, in_range, counts) == \
+        assert outcome(terms._skeleton_parts, in_range, counts) == \
             outcome(skeleton_parts, in_range, counts)
     if all(0 <= i < j < n for i, j, _ in arrows):
         assert tarjan.call_count == 0
